@@ -61,7 +61,7 @@ def test_f15_ri_crossover(report):
     for name, mol in _systems():
         t_d, r_d, _ = _timed_scf(mol, ExecutionConfig())
         t_r, r_r, scf_r = _timed_scf(mol, ExecutionConfig(jk="ri"))
-        b = scf_r._direct                       # the RIJKBuilder
+        b = scf_r._jk                       # the RIJKBuilder
         de_atom = abs(r_r.energy - r_d.energy) / mol.natom
         # fitted J/K error at the converged reference density
         basis = build_basis(mol)

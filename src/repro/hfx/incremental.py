@@ -17,27 +17,31 @@ from __future__ import annotations
 import numpy as np
 
 from ..basis.basisset import BasisSet
-from ..integrals.eri import ERIEngine
-from ..scf.fock import scatter_exchange, scatter_exchange_batch, shell_slices
+from ..scf.fock import DirectJKBuilder, JKEngine, shell_slices
 
 __all__ = ["IncrementalExchange", "incremental_survival"]
 
 
-class IncrementalExchange:
+class IncrementalExchange(JKEngine):
     """Exchange builder that screens against the density *increment*.
 
     Usage: call :meth:`update` with the full current density each SCF
     iteration; it internally differences against the last build, adds
-    the screened delta-K, and returns the running K.
+    the screened delta-K, and returns the running K.  As a
+    :class:`~repro.scf.fock.JKEngine`, :meth:`build` pairs that K with
+    the J of the full :class:`~repro.scf.fock.DirectJKBuilder` the
+    engine owns (``full``) — the same builder evaluates the surviving
+    delta quartets (serially or on its pool) and serves response
+    densities, which must never enter the increment history.
 
     ``rebuild_every`` forces a full (non-incremental) build periodically
     to stop screened-away contributions from accumulating — standard
     practice in production incremental-Fock codes.
 
-    Fault tolerance mirrors :class:`repro.scf.fock.DirectJKBuilder`: an
-    unrecoverable pool degrades this and later updates to the serial
-    executor (warn once, ``pool.degraded_builds``) — the running K is
-    unaffected because the lost delta build is simply re-run serially.
+    Fault tolerance is the direct builder's: an unrecoverable pool
+    degrades this and later updates to the serial executor (warn once,
+    ``pool.degraded_builds``) — the running K is unaffected because the
+    lost delta build is simply re-run serially.
     """
 
     def __init__(self, basis: BasisSet, eps: float = 1e-10,
@@ -45,38 +49,29 @@ class IncrementalExchange:
         from ..runtime.execconfig import resolve_execution
 
         self.config = resolve_execution(config, owner="IncrementalExchange")
-        self.basis = basis
         self.eps = eps
         self.rebuild_every = rebuild_every
-        self.executor = self.config.executor
-        self.degraded = False
-        self.engine = ERIEngine(basis)
-        self.Q = self.engine.schwarz_bounds()
-        self._keys = sorted(self.Q)
-        self.K = np.zeros((basis.nbf, basis.nbf))
-        self.D_ref = np.zeros((basis.nbf, basis.nbf))
-        self.builds = 0
-        self.last_quartets = 0
+        self.full = DirectJKBuilder(basis, eps=eps, pool=pool,
+                                    config=self.config)
+        self.lease = self.full.lease
+        self.lease.owner = "IncrementalExchange"
         self.total_quartets_incremental = 0
         self.total_quartets_full = 0
-        self._pool = None
-        self._owns_pool = False
-        if self.executor == "process":
-            from ..runtime.pool import ExchangeWorkerPool
+        self.reset()
 
-            if pool is not None and pool.basis is not basis:
-                pool.reset(basis)
-            self._pool = pool or ExchangeWorkerPool(
-                basis, nworkers=self.config.nworkers,
-                timeout=self.config.pool_timeout,
-                max_retries=self.config.pool_max_retries)
-            self._owns_pool = pool is None
+    @property
+    def basis(self) -> BasisSet:
+        return self.full.basis
 
-    def close(self) -> None:
-        """Release the worker pool if this builder owns one."""
-        if self._owns_pool and self._pool is not None:
-            self._pool.close()
-            self._pool = None
+    @property
+    def engine(self):
+        """The ERI engine (and its quartet counters) of the full builder."""
+        return self.full.engine
+
+    @property
+    def Q(self) -> dict:
+        """Schwarz bounds of the current geometry."""
+        return self.full.Q
 
     def reset(self, basis: BasisSet | None = None) -> None:
         """Drop the increment history (checkpoint restore, geometry jump).
@@ -85,23 +80,30 @@ class IncrementalExchange:
         the accumulated ``K`` describe the *same* Hamiltonian; a
         restored run or a moved geometry must explicitly start a fresh
         history instead of relying on object reconstruction.  With
-        ``basis`` given, the builder also rebinds to the new basis
-        (fresh engine and Schwarz bounds, pool re-targeted); cumulative
-        quartet totals survive so :attr:`savings` still describes the
-        whole logical run.
+        ``basis`` given, the engine also rebinds to the new basis
+        (fresh shell pairs and Schwarz bounds, pool re-targeted);
+        cumulative quartet totals survive so :attr:`savings` still
+        describes the whole logical run.
         """
         if basis is not None and basis is not self.basis:
-            self.basis = basis
-            self.engine = ERIEngine(basis)
-            self.Q = self.engine.schwarz_bounds()
-            self._keys = sorted(self.Q)
-            if self._pool is not None:
-                self._pool.reset(basis)
+            self.full.reset(basis)
         nbf = self.basis.nbf
         self.K = np.zeros((nbf, nbf))
         self.D_ref = np.zeros((nbf, nbf))
         self.builds = 0
         self.last_quartets = 0
+
+    def build(self, D: np.ndarray, want_j: bool = True, want_k: bool = True
+              ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """J from the full builder, K by advancing the history to ``D``."""
+        J = self.full.build(D, want_k=False)[0] if want_j else None
+        return J, (self.update(D) if want_k else None)
+
+    def build_response(self, d: np.ndarray, want_j: bool = True,
+                       want_k: bool = True):
+        """Perturbation densities bypass the history: a response
+        density as ``D_ref`` would poison every later increment."""
+        return self.full.build(d, want_j, want_k)
 
     # --- Restartable protocol -------------------------------------------------
 
@@ -172,7 +174,7 @@ class IncrementalExchange:
         ``(k,l)``, which only Coulomb touches and whose use here would
         over-screen and inflate the skip rate).
         """
-        keys = self._keys
+        keys = self.full._keys
         surviving: list[tuple[int, int, np.ndarray]] = []
         computed = 0
         skipped = 0
@@ -191,69 +193,8 @@ class IncrementalExchange:
                 computed += len(kept)
         return surviving, computed, skipped
 
-    def _degrade(self, reason, tr) -> None:
-        """Give up on the pool for the rest of this builder's life."""
-        import warnings
-
-        warnings.warn(
-            f"IncrementalExchange: worker pool is unrecoverable "
-            f"({reason}); falling back to the serial executor for this "
-            "and later updates", RuntimeWarning, stacklevel=4)
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
-            if self._owns_pool:
-                pool.close(force=True)
-        self.executor = "serial"
-        self.degraded = True
-        if tr.enabled:
-            tr.metrics.count("pool.degraded_builds", 1)
-
-    def _eval_pool(self, surviving, dD, Kdelta, tr) -> None:
-        """Delta-K via the worker pool (raises WorkerDeathError when the
-        pool cannot heal itself)."""
-        from ..runtime.pool import RankJob
-
-        jobs = [RankJob(rank=w) for w in range(self._pool.nworkers)]
-        for (i, j, kets) in sorted(surviving, key=lambda p: -len(p[2])):
-            w = min(range(len(jobs)), key=lambda w: jobs[w].cost)
-            jobs[w].pairs.append((i, j, kets))
-            jobs[w].cost += len(kets)
-        results, nq = self._pool.exchange(dD, jobs, want_j=False,
-                                          want_k=True, tracer=tr,
-                                          kernel=self.config.kernel)
-        for _, Kw in results.values():
-            Kdelta += Kw
-        # keep the parent engine's counter consistent with the
-        # serial executor, where quartet() counts every evaluation
-        self.engine.quartets_computed += nq
-
-    def _eval_serial(self, surviving, dD, Kdelta, tr) -> None:
-        """Delta-K in-process (reference path, kernel-selectable)."""
-        if self.config.kernel == "batched":
-            from ..integrals.batch import flatten_pairs
-
-            with tr.span("batch.assemble", cat="batch"):
-                groups = self.engine.group_quartets(
-                    flatten_pairs(surviving))
-            for grp in groups:
-                with tr.span("batch.eval", cat="batch", nq=len(grp)):
-                    blocks = self.engine.quartet_batch(grp)
-                with tr.span("batch.scatter", cat="batch", nq=len(grp)):
-                    scatter_exchange_batch(self.basis, Kdelta, blocks,
-                                           dD, grp)
-        else:
-            for (i, j, kets) in surviving:
-                with tr.span("kinc.quartet_batch", cat="quartets",
-                             nkets=len(kets)):
-                    for (k, l) in kets:
-                        block = self.engine.quartet(i, j, int(k), int(l))
-                        scatter_exchange(self.basis, Kdelta, block, dD,
-                                         (i, j, int(k), int(l)))
-
     def update(self, D: np.ndarray) -> np.ndarray:
         """Advance to density ``D``; returns the current K estimate."""
-        from ..runtime.pool import WorkerDeathError
-
         tr = self.config.trace
         full = (self.builds % self.rebuild_every == 0)
         with tr.span("kinc.update", cat="hfx", full=full,
@@ -264,22 +205,8 @@ class IncrementalExchange:
             with tr.span("kinc.screen", cat="screening", eps=self.eps):
                 dmax = self._block_max(dD)
                 surviving, computed, skipped = self._screen(dmax)
-            Kdelta = np.zeros_like(self.K)
-            if self.executor == "process":
-                if self._pool is None or self._pool.closed:
-                    self._degrade("pool already closed", tr)
-                    self._eval_serial(surviving, dD, Kdelta, tr)
-                else:
-                    try:
-                        self._eval_pool(surviving, dD, Kdelta, tr)
-                    except WorkerDeathError as e:
-                        self._degrade(e, tr)
-                        # the lost delta build re-runs in full: partial
-                        # worker results are discarded, so K stays exact
-                        Kdelta[:] = 0.0
-                        self._eval_serial(surviving, dD, Kdelta, tr)
-            else:
-                self._eval_serial(surviving, dD, Kdelta, tr)
+            _, Kdelta, _ = self.full.eval_pairs(surviving, dD, want_j=False,
+                                                want_k=True)
             self.K += Kdelta
         self.D_ref = D.copy()
         self.builds += 1

@@ -35,7 +35,6 @@ allreduce.  The serial executor remains the reference.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,8 @@ from ..machine.node import NodeComputeModel
 from ..machine.simulator import BuildTiming, CommPlan, simulate_static_build
 from ..runtime.comm import CommLog, SimWorld
 from ..runtime.execconfig import ExecutionConfig, resolve_execution
-from ..scf.fock import scatter_exchange, scatter_exchange_batch
+from ..runtime.pool import PoolLease, RankJob
+from ..scf.fock import eval_screened_pairs, make_jk_engine
 from .partition import Partition, partition_tasks
 from .tasklist import TaskList, build_tasklist
 
@@ -173,18 +173,11 @@ class HFXScheme:
             config=self.config, pool=pool)
 
 
-def _rank_jobs(tasks: TaskList, part: Partition, nranks: int) -> list:
-    """Per-rank screened quartet batches as pool jobs."""
-    from ..runtime.pool import RankJob
-
-    jobs = []
-    for rank in range(nranks):
-        my = np.where(part.rank_of_task == rank)[0]
-        pairs = [(int(tasks.pair_index[t][0]), int(tasks.pair_index[t][1]),
-                  tasks.ket_lists[t]) for t in my]
-        jobs.append(RankJob(rank=rank, pairs=pairs,
-                            cost=float(part.rank_flops[rank])))
-    return jobs
+def _rank_pairs(tasks: TaskList, part: Partition, rank: int) -> list:
+    """One rank's screened ``(i, j, kets)`` quartet batch."""
+    return [(int(tasks.pair_index[t][0]), int(tasks.pair_index[t][1]),
+             tasks.ket_lists[t])
+            for t in np.where(part.rank_of_task == rank)[0]]
 
 
 def _ri_rank_partials(basis: BasisSet, D: np.ndarray, nranks: int,
@@ -193,17 +186,16 @@ def _ri_rank_partials(basis: BasisSet, D: np.ndarray, nranks: int,
     """Per-rank partial exchange matrices on the density-fitted path.
 
     The fitted tensor ``B[P,uv]`` is assembled once (pooled and
-    fault-tolerant via :class:`repro.scf.ri_jk.RIJKBuilder` when the
-    config says ``executor="process"``), then the auxiliary shells are
-    sharded over the simulated ranks and rank ``r`` contracts only its
-    own rows: ``K_r = sum_{P in r} B_P D B_P``.  The caller's allreduce
-    over the partials recovers the full fitted K exactly, mirroring the
-    quartet path's per-rank accumulation.
+    fault-tolerant via the factory's :class:`repro.scf.ri_jk.RIJKBuilder`
+    when the config says ``executor="process"``), then the auxiliary
+    shells are sharded over the simulated ranks and rank ``r`` contracts
+    only its own rows: ``K_r = sum_{P in r} B_P D B_P``.  The caller's
+    allreduce over the partials recovers the full fitted K exactly,
+    mirroring the quartet path's per-rank accumulation.
     """
     from ..integrals.ri import aux_shard_slices
-    from ..scf.ri_jk import RIJKBuilder
 
-    builder = RIJKBuilder(basis, eps=eps, pool=pool, config=cfg)
+    builder = make_jk_engine(basis, cfg, eps, pool=pool)
     try:
         B = builder.fitted_tensor()
     finally:
@@ -271,88 +263,40 @@ def distributed_exchange(basis: BasisSet, D: np.ndarray, nranks: int,
             part = partition_tasks(tasks.flops, nranks, partitioner)
         world = SimWorld(nranks)
         nbf = basis.nbf
-        partials = None
         if cfg.jk == "ri":
             partials = _ri_rank_partials(basis, D, nranks, eps, cfg,
                                          pool, tr)
-        elif cfg.executor == "process":
-            from ..runtime.pool import ExchangeWorkerPool, WorkerDeathError
+        else:
+            rank_pairs = [_rank_pairs(tasks, part, r) for r in range(nranks)]
 
-            jobs = _rank_jobs(tasks, part, nranks)
-            owns = pool is None
-            err = None
-            if not owns and pool.closed:
-                # a shared pool that already died elsewhere
-                err = "pool already closed"
-            else:
-                if owns:
-                    with tr.span("pool.spawn", cat="pool"):
-                        pool = ExchangeWorkerPool(
-                            basis, nworkers=cfg.nworkers,
-                            timeout=cfg.pool_timeout,
-                            max_retries=cfg.pool_max_retries)
-                elif pool.basis is not basis:
-                    pool.reset(basis)
-                try:
-                    results, nq = pool.exchange(D, jobs, want_j=False,
-                                                want_k=True, tracer=tr,
-                                                kernel=cfg.kernel)
-                except WorkerDeathError as e:
-                    err = e
-                finally:
-                    if owns:
-                        pool.close(force=err is not None)
-            if err is None:
+            def pooled(pool):
+                jobs = [RankJob(rank=r, pairs=rank_pairs[r],
+                                cost=float(part.rank_flops[r]))
+                        for r in range(nranks)]
+                results, nq = pool.exchange(D, jobs, want_j=False,
+                                            want_k=True, tracer=tr,
+                                            kernel=cfg.kernel)
                 # fold the workers' evaluations into the parent engine so
                 # the counter stays consistent across executors
                 engine.quartets_computed += nq
-                partials = [results[r][1] for r in range(nranks)]
-            else:
-                warnings.warn(
-                    f"distributed_exchange: worker pool is unrecoverable "
-                    f"({err}); rebuilding on the serial executor",
-                    RuntimeWarning, stacklevel=2)
-                if tr.enabled:
-                    tr.metrics.count("pool.degraded_builds", 1)
-        if partials is not None:
-            pass
-        elif cfg.kernel == "batched":
-            from ..integrals.batch import flatten_pairs
+                return [results[r][1] for r in range(nranks)]
 
-            partials = []
-            for rank in range(nranks):
-                my = np.where(part.rank_of_task == rank)[0]
-                with tr.span("hfx.rank", cat="hfx", rank=rank,
-                             ntasks=len(my)):
-                    Kr = np.zeros((nbf, nbf))
-                    pairs = [(int(tasks.pair_index[t][0]),
-                              int(tasks.pair_index[t][1]),
-                              tasks.ket_lists[t]) for t in my]
-                    with tr.span("batch.assemble", cat="batch", rank=rank):
-                        groups = engine.group_quartets(flatten_pairs(pairs))
-                    for grp in groups:
-                        with tr.span("batch.eval", cat="batch", nq=len(grp)):
-                            blocks = engine.quartet_batch(grp)
-                        with tr.span("batch.scatter", cat="batch",
-                                     nq=len(grp)):
-                            scatter_exchange_batch(basis, Kr, blocks, D, grp)
-                    partials.append(Kr)
-        else:
-            partials = []
-            for rank in range(nranks):
-                my = np.where(part.rank_of_task == rank)[0]
-                with tr.span("hfx.rank", cat="hfx", rank=rank,
-                             ntasks=len(my)):
-                    Kr = np.zeros((nbf, nbf))
-                    for t in my:
-                        i, j = map(int, tasks.pair_index[t])
-                        with tr.span("hfx.quartet_batch", cat="quartets",
-                                     nkets=len(tasks.ket_lists[t])):
-                            for (k, l) in tasks.ket_lists[t]:
-                                block = engine.quartet(i, j, int(k), int(l))
-                                scatter_exchange(basis, Kr, block, D,
-                                                 (i, j, int(k), int(l)))
-                    partials.append(Kr)
+            def serial():
+                out = []
+                for rank, pairs in enumerate(rank_pairs):
+                    with tr.span("hfx.rank", cat="hfx", rank=rank,
+                                 ntasks=len(pairs)):
+                        Kr = np.zeros((nbf, nbf))
+                        eval_screened_pairs(engine, basis, pairs, D, None,
+                                            Kr, cfg.kernel, tr)
+                    out.append(Kr)
+                return out
+
+            lease = PoolLease(basis, cfg, pool, owner="distributed_exchange")
+            try:
+                partials = lease.run(pooled, serial, tr)
+            finally:
+                lease.close()
         with tr.span("hfx.reduce", cat="comm"):
             summed = world.allreduce_sum(partials)
     if tr.enabled:

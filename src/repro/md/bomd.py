@@ -28,7 +28,6 @@ spawned pool (live pool state is never serialized).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,9 @@ import numpy as np
 from ..chem.molecule import Molecule
 from ..runtime.checkpoint import CheckpointError, SnapshotInfo
 from ..runtime.execconfig import ExecutionConfig
+from ..basis.basisset import build_basis
 from ..scf.dft import RKS
+from ..scf.fock import check_jk_mode, make_jk_engine
 from ..scf.rhf import RHF, SCFResult
 from .integrator import MDState
 
@@ -72,20 +73,24 @@ class SCFForceEngine:
     reuse_density:
         Seed each SCF with the previous converged density.
     incremental:
-        HF + serial executor only: route the exchange builds of every
-        SCF through one trajectory-persistent
-        :class:`repro.hfx.IncrementalExchange`, explicitly ``reset()``
-        at each geometry jump so the density-difference screen spans
-        the SCF iterations of one geometry but never a stale one.
+        Route the exchange builds of every SCF through an
+        :class:`repro.hfx.IncrementalExchange`, so the
+        density-difference screen spans the SCF iterations of one
+        geometry but never a stale one (not with ``jk="ri"``).
     config:
-        :class:`repro.runtime.ExecutionConfig`: with
-        ``executor="process"`` (HF only), a single persistent worker
-        pool is spawned at the first SCF and reused by every build of
-        the trajectory — each new geometry re-targets the live workers
-        instead of respawning them.  Its tracer (if any) records the
-        per-step force-evaluation spans.  If the pool becomes
-        unrecoverable mid-trajectory (worker deaths past the retry
-        budget), the remaining steps run on the serial executor — one
+        :class:`repro.runtime.ExecutionConfig`.  Every SCF of the
+        trajectory — HF or Kohn-Sham — builds through *one*
+        :class:`repro.scf.fock.JKEngine`
+        (:func:`repro.scf.fock.make_jk_engine`), explicitly
+        ``reset()`` at each geometry jump: with ``executor="process"``
+        its worker pool is spawned at the first SCF and each new
+        geometry re-targets the live workers instead of respawning
+        them; with ``jk="ri"`` it carries the fitted-tensor cache.
+        ``executor="process"``, ``jk="ri"`` and ``incremental`` imply
+        direct-mode SCFs.  The tracer (if any) records the per-step
+        force-evaluation spans.  If the pool becomes unrecoverable
+        mid-trajectory (worker deaths past the retry budget), the
+        engine finishes the run on the serial executor — one
         ``RuntimeWarning``, no aborted trajectory.
     """
 
@@ -100,55 +105,29 @@ class SCFForceEngine:
     scf_kwargs: dict = field(default_factory=dict)
     last_result: SCFResult | None = None
     scf_iterations: list[int] = field(default_factory=list)
-    _pool: object = field(default=None, repr=False)
-    _kinc: object = field(default=None, repr=False)
-    _ri: object = field(default=None, repr=False)
+    _jk: object = field(default=None, repr=False)
     _soscf_state: dict | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         from ..runtime.execconfig import resolve_execution
 
         self.config = resolve_execution(self.config, owner="SCFForceEngine")
-        self.executor = self.config.executor
-        self.nworkers = self.config.nworkers
-        self.degraded = False
-        if self.executor == "process" and self.method.lower() != "hf":
-            raise ValueError("executor='process' is wired through the "
-                             "direct RHF builder; use method='hf'")
-        if self.incremental:
-            if self.method.lower() != "hf":
-                raise ValueError("incremental exchange is wired through "
-                                 "the RHF k_builder hook; use method='hf'")
-            if self.executor != "serial":
-                raise ValueError("incremental exchange runs on the serial "
-                                 "executor (its own pool support is not "
-                                 "shared with the direct J builder)")
-            if self.config.jk == "ri":
-                raise ValueError("incremental exchange and jk='ri' are "
-                                 "mutually exclusive K strategies")
-        if self.config.jk == "ri" and self.method.lower() != "hf":
-            raise ValueError("jk='ri' is wired through the direct RHF "
-                             "builder; use method='hf'")
+        # an impossible engine (incremental x ri) fails here, not at
+        # the first force call
+        check_jk_mode("direct", self.config, self.incremental)
+
+    @property
+    def degraded(self) -> bool:
+        """Whether the trajectory's pool broke and the engine fell back
+        to the serial executor (triggers one safety snapshot)."""
+        return self._jk is not None and self._jk.degraded
 
     def close(self) -> None:
-        """Stop the trajectory's worker pool, if one was spawned."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def _degrade_pool(self) -> None:
-        """The trajectory pool broke; finish the run serially."""
-        warnings.warn(
-            "SCFForceEngine: the trajectory's worker pool is "
-            "unrecoverable; the remaining MD steps run on the serial "
-            "executor", RuntimeWarning, stacklevel=3)
-        self._pool = None
-        self.executor = "serial"
-        self.degraded = True
-        self.config = self.config.replace(executor="serial")
-        tr = self.config.trace
-        if tr.enabled:
-            tr.metrics.count("pool.degraded_builds", 1)
+        """Release the trajectory's J/K engine (and the worker pool it
+        spawned); the next SCF builds a fresh one."""
+        if self._jk is not None:
+            self._jk.close()
+            self._jk = None
 
     def _solver(self, mol: Molecule):
         kwargs = dict(self.scf_kwargs)
@@ -156,73 +135,25 @@ class SCFForceEngine:
             # warm-start the Newton solver with the previous step's
             # adaptive state (trust radius, cumulative counters)
             kwargs.setdefault("soscf_state", self._soscf_state)
-        if self.method.lower() == "hf":
-            if self.executor == "process" and self._pool is not None \
-                    and self._pool.closed:
-                # a build inside the previous step's SCF degraded; the
-                # builder already warned and fell back, but the shared
-                # pool is gone for good — stop handing it out
-                self._degrade_pool()
-            kwargs.setdefault("config", self.config)
-            if self.config.jk == "ri":
-                from ..basis.basisset import build_basis
-                from ..scf.ri_jk import RIJKBuilder
-
-                basis = build_basis(mol, self.basis)
-                if self.executor == "process" and self._pool is None:
-                    from ..runtime.pool import ExchangeWorkerPool
-
-                    self._pool = ExchangeWorkerPool(
-                        basis, nworkers=self.config.nworkers,
-                        timeout=self.config.pool_timeout,
-                        max_retries=self.config.pool_max_retries)
-                if self._ri is None:
-                    self._ri = RIJKBuilder(basis, config=self.config,
-                                           pool=self._pool)
-                else:
-                    # geometry jump: the fitted tensor refers to the
-                    # previous Hamiltonian — rebuild the auxiliary set
-                    # and drop B explicitly (within the step's SCF it is
-                    # then reused by every iteration)
-                    self._ri.reset(basis)
-                kwargs.setdefault("mode", "direct")
-                kwargs.update(ri_builder=self._ri)
-                return RHF(basis.molecule, basis, conv_tol=self.conv_tol,
-                           **kwargs)
-            if self.executor == "process":
-                from ..basis.basisset import build_basis
-                from ..runtime.pool import ExchangeWorkerPool
-
-                basis = build_basis(mol, self.basis)
-                if self._pool is None:
-                    self._pool = ExchangeWorkerPool(
-                        basis, nworkers=self.config.nworkers,
-                        timeout=self.config.pool_timeout,
-                        max_retries=self.config.pool_max_retries)
-                kwargs.setdefault("mode", "direct")
-                kwargs.update(jk_pool=self._pool)
-                return RHF(basis.molecule, basis, conv_tol=self.conv_tol,
-                           **kwargs)
-            if self.incremental:
-                from ..basis.basisset import build_basis
-                from ..hfx.incremental import IncrementalExchange
-
-                basis = build_basis(mol, self.basis)
-                if self._kinc is None:
-                    self._kinc = IncrementalExchange(basis,
-                                                     config=self.config)
-                else:
-                    # geometry jump: the increment history refers to the
-                    # previous Hamiltonian — drop it explicitly
-                    self._kinc.reset(basis)
-                kwargs.setdefault("mode", "direct")
-                kwargs.update(k_builder=self._kinc)
-                return RHF(basis.molecule, basis, conv_tol=self.conv_tol,
-                           **kwargs)
-            return RHF(mol, self.basis, conv_tol=self.conv_tol, **kwargs)
         kwargs.setdefault("config", self.config)
-        return RKS(mol, self.basis, functional=self.method,
-                   conv_tol=self.conv_tol, **kwargs)
+        direct = (self.incremental or self.config.jk == "ri"
+                  or self.config.executor == "process")
+        kwargs.setdefault("mode", "direct" if direct else "incore")
+        basis = build_basis(mol, self.basis)
+        if self._jk is None:
+            self._jk = make_jk_engine(
+                basis, self.config, kwargs.get("screen_eps", 1e-10),
+                incremental=self.incremental, mode=kwargs["mode"])
+        else:
+            # geometry jump: shell pairs, Schwarz keys, the fitted
+            # tensor and any increment history refer to the previous
+            # Hamiltonian — drop them explicitly (a live pool is
+            # re-targeted, not respawned)
+            self._jk.reset(basis)
+        kwargs.update(conv_tol=self.conv_tol, jk_engine=self._jk)
+        if self.method.lower() == "hf":
+            return RHF(mol, basis, **kwargs)
+        return RKS(mol, basis, functional=self.method, **kwargs)
 
     def _energy(self, coords: np.ndarray, D0: np.ndarray | None) -> SCFResult:
         mol = self.mol.with_coords(coords)
@@ -279,11 +210,11 @@ class SCFForceEngine:
         """Warm-start density, SOSCF solver state, and per-step SCF
         statistics.
 
-        The worker pool is *never* serialized (live pipes and process
-        handles cannot be revived); a restored engine respawns a fresh
-        pool at its first SCF.  The incremental-exchange history is
-        likewise excluded: it is reset at every geometry jump anyway,
-        and the first post-restore solve starts a fresh one.
+        The J/K engine is *never* serialized: live pipes and process
+        handles cannot be revived (a restored engine respawns a fresh
+        pool at its first SCF), and its per-geometry state (fitted
+        tensor, increment history) is reset at every geometry jump
+        anyway.
         """
         return {
             "kind": "scf_engine",
@@ -334,13 +265,10 @@ class SCFForceEngine:
                 f"this engine is configured jk={self.config.jk!r} — the "
                 "trajectories are not interchangeable (the fitted and "
                 "exact exchange differ at working precision)")
-        if self._kinc is not None:
-            # any in-memory increment history predates the snapshot
-            self._kinc.reset()
-        if self._ri is not None:
-            # any fitted tensor in memory predates the snapshot; the
-            # first post-restore solve rebuilds it for its geometry
-            self._ri = None
+        # any in-memory engine state (increment history, fitted tensor)
+        # predates the snapshot; the first post-restore solve builds a
+        # fresh engine for its geometry
+        self.close()
 
 
 class CheckpointedMD:

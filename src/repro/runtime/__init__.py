@@ -7,7 +7,6 @@ API."""
 from .comm import CommLog, SimComm, SimWorld
 from .threads import ScheduleResult, ThreadTeam
 from .simd import SIMDModel, KernelProfile, ERI_KERNEL, DGEMM_KERNEL, SCALAR_KERNEL
-from .trace import Timer, Trace, TraceEvent
 from .telemetry import (Span, Tracer, NullTracer, NULL_TRACER,
                         MetricsRegistry, TelemetrySnapshot, chrome_trace)
 from .execconfig import (ExecutionConfig, DEFAULT_EXECUTION,
@@ -21,7 +20,7 @@ from .schema import (SCHEMA_VERSION, ENVELOPE_KEYS, result_envelope,
 from .checkpoint import (CheckpointError, CheckpointCorruptError,
                          CheckpointStore, Restartable, RestartableRNG,
                          SnapshotInfo, resolve_checkpoint_every)
-from .pool import (ExchangeWorkerPool, RankJob, WorkerDeathError,
+from .pool import (ExchangeWorkerPool, PoolLease, RankJob, WorkerDeathError,
                    default_nworkers, resolve_nworkers,
                    resolve_pool_timeout, resolve_pool_max_retries)
 
@@ -29,7 +28,6 @@ __all__ = [
     "CommLog", "SimComm", "SimWorld",
     "ScheduleResult", "ThreadTeam",
     "SIMDModel", "KernelProfile", "ERI_KERNEL", "DGEMM_KERNEL", "SCALAR_KERNEL",
-    "Timer", "Trace", "TraceEvent",
     "Span", "Tracer", "NullTracer", "NULL_TRACER",
     "MetricsRegistry", "TelemetrySnapshot", "chrome_trace",
     "ExecutionConfig", "DEFAULT_EXECUTION", "resolve_execution",
@@ -40,7 +38,7 @@ __all__ = [
     "CheckpointError", "CheckpointCorruptError", "CheckpointStore",
     "Restartable", "RestartableRNG", "SnapshotInfo",
     "resolve_checkpoint_every",
-    "ExchangeWorkerPool", "RankJob", "WorkerDeathError",
+    "ExchangeWorkerPool", "PoolLease", "RankJob", "WorkerDeathError",
     "default_nworkers", "resolve_nworkers",
     "resolve_pool_timeout", "resolve_pool_max_retries",
 ]

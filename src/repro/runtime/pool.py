@@ -43,9 +43,9 @@ survive it):
   the survivors when a respawn fails — so the recovered K is
   bit-identical to an undisturbed build;
 * **degradation** — when the pool cannot be healed it tears itself down
-  and raises; the callers (`DirectJKBuilder`, `IncrementalExchange`,
-  `distributed_exchange`, `SCFForceEngine`) catch that and fall back to
-  the serial executor instead of aborting the SCF/trajectory;
+  and raises; every caller holds its pool through a :class:`PoolLease`,
+  whose ``run`` catches that and falls back to the serial executor
+  instead of aborting the SCF/trajectory;
 * **fault injection** — ``REPRO_POOL_FAULT="worker=1,build=2,
   mode=kill"`` makes worker 1 die at the start of its 2nd ``exec``
   message (``worker=*`` matches every worker; modes: ``kill`` = SIGKILL
@@ -67,8 +67,8 @@ from multiprocessing.connection import wait as _sentinel_wait
 
 import numpy as np
 
-__all__ = ["RankJob", "ExchangeWorkerPool", "WorkerDeathError",
-           "default_nworkers", "resolve_pool_timeout",
+__all__ = ["RankJob", "ExchangeWorkerPool", "PoolLease", "WorkerDeathError",
+           "balance_pairs", "default_nworkers", "resolve_pool_timeout",
            "resolve_pool_max_retries"]
 
 # Hard ceiling on any single wait for a worker reply; a forked worker
@@ -246,6 +246,17 @@ def _lpt_assign(costs: list[float], nworkers: int) -> list[list[int]]:
     return out
 
 
+def balance_pairs(pairs, nworkers: int) -> list[RankJob]:
+    """One rank job per worker from a screened ``(i, j, kets)`` list,
+    greedily balanced by surviving quartet count (largest bra first)."""
+    jobs = [RankJob(rank=w) for w in range(nworkers)]
+    for p in sorted(pairs, key=lambda p: -len(p[2])):
+        job = min(jobs, key=lambda job: job.cost)
+        job.pairs.append(p)
+        job.cost += len(p[2])
+    return jobs
+
+
 def _parse_fault(spec: str | None):
     """Parse the test-only ``REPRO_POOL_FAULT`` injection spec.
 
@@ -308,11 +319,10 @@ def _worker_main(conn, dbuf, basis, nbf: int, wid: int) -> None:
     """
     import traceback
 
-    from ..integrals.batch import flatten_pairs
     from ..integrals.eri import ERIEngine
     from ..integrals.ri import three_center_slab
-    from ..scf.fock import (scatter_coulomb, scatter_coulomb_batch,
-                            scatter_exchange, scatter_exchange_batch)
+    from ..scf.fock import eval_screened_pairs
+    from .telemetry import NULL_TRACER
 
     fault = _parse_fault(os.environ.get("REPRO_POOL_FAULT"))
     nexec = 0
@@ -368,35 +378,12 @@ def _worker_main(conn, dbuf, basis, nbf: int, wid: int) -> None:
                     continue
                 for rank, pairs in jobs:
                     t0 = time.perf_counter()
-                    nq_rank = 0
                     J = np.zeros((nbf, nbf)) if want_j else None
                     K = np.zeros((nbf, nbf)) if want_k else None
-                    if kernel == "batched":
-                        # whole-class evaluation of this rank's quartet
-                        # slice; the parent already screened, so the
-                        # groups cover exactly the serial quartet list
-                        for grp in engine.group_quartets(
-                                flatten_pairs(pairs)):
-                            blocks = engine.quartet_batch(grp)
-                            nq_rank += len(grp)
-                            if J is not None:
-                                scatter_coulomb_batch(basis, J, blocks,
-                                                      D, grp)
-                            if K is not None:
-                                scatter_exchange_batch(basis, K, blocks,
-                                                       D, grp)
-                    else:
-                        for (i, j, kets) in pairs:
-                            for (k, l) in kets:
-                                k, l = int(k), int(l)
-                                block = engine.quartet(i, j, k, l)
-                                nq_rank += 1
-                                if J is not None:
-                                    scatter_coulomb(basis, J, block, D,
-                                                    (i, j, k, l))
-                                if K is not None:
-                                    scatter_exchange(basis, K, block, D,
-                                                     (i, j, k, l))
+                    # the parent already screened, so this rank's slice
+                    # is exactly the serial path's quartet list
+                    nq_rank = eval_screened_pairs(engine, basis, pairs, D,
+                                                  J, K, kernel, NULL_TRACER)
                     results.append((rank, J, K))
                     timings.append((rank, t0, time.perf_counter(), nq_rank))
                     nq += nq_rank
@@ -834,3 +821,78 @@ class ExchangeWorkerPool:
                                        want_k=False, tracer=tracer,
                                        op="ri3c", aux=aux, eps=eps)
         return {rank: slab for rank, (slab, _) in results.items()}, nints
+
+
+class PoolLease:
+    """One builder's hold on a worker pool, and the one degrade path.
+
+    With ``config.executor == "process"`` the lease shares a
+    caller-owned ``pool`` (re-targeting it when it serves another
+    basis) or spawns — and then owns — one.  :meth:`run` executes the
+    pooled variant of an operation while the pool is healthy; when the
+    pool is gone (closed under another builder, or a
+    :class:`WorkerDeathError` past the retry budget) the lease warns
+    once, counts ``pool.degraded_builds``, and runs this and every
+    later operation through the serial variant.  :meth:`close` only
+    ever closes a pool the lease spawned.
+    """
+
+    def __init__(self, basis, config, pool=None, owner: str = "builder"):
+        self.owner = owner
+        self.executor = config.executor
+        self.degraded = False
+        self.pool = None
+        self.owns = False
+        if self.executor == "process":
+            self.owns = pool is None
+            if pool is None:
+                with config.trace.span("pool.spawn", cat="pool"):
+                    pool = ExchangeWorkerPool(
+                        basis, nworkers=config.nworkers,
+                        timeout=config.pool_timeout,
+                        max_retries=config.pool_max_retries)
+            self.pool = pool
+            self.reset(basis)
+
+    def reset(self, basis) -> None:
+        """Re-target a live pool at a new geometry (no-op when the pool
+        already serves ``basis``; a dead pool is left for :meth:`run`
+        to degrade)."""
+        if self.pool is not None and not self.pool.closed \
+                and self.pool.basis is not basis:
+            self.pool.reset(basis)
+
+    def close(self) -> None:
+        """Stop a pool this lease spawned (idempotent); a borrowed pool
+        is left running for its owner."""
+        if self.owns and self.pool is not None:
+            self.pool.close()
+            self.pool = None
+
+    def run(self, pooled, serial, tr):
+        """``pooled(pool)`` on a healthy pool, else ``serial()``."""
+        if self.executor == "process":
+            if self.pool is None or self.pool.closed:
+                # closed by its owner, or died under another builder
+                self._degrade("pool already closed", tr)
+            else:
+                try:
+                    return pooled(self.pool)
+                except WorkerDeathError as e:
+                    # partial worker results are discarded: the serial
+                    # variant re-runs the whole operation
+                    self._degrade(e, tr)
+        return serial()
+
+    def _degrade(self, reason, tr) -> None:
+        warnings.warn(
+            f"{self.owner}: worker pool is unrecoverable ({reason}); "
+            "falling back to the serial executor for this and later "
+            "builds", RuntimeWarning, stacklevel=4)
+        pool, self.pool = self.pool, None
+        if pool is not None and self.owns:
+            pool.close(force=True)
+        self.executor = "serial"
+        self.degraded = True
+        if tr.enabled:
+            tr.metrics.count("pool.degraded_builds", 1)

@@ -11,9 +11,8 @@ measurement layer the reproduction reports against.  Three pieces:
   Logical (simulated) spans from the machine model live on a separate
   ``simulated`` timeline in the same trace.
 * :class:`MetricsRegistry` — named counters/gauges that absorb the
-  pre-existing ad-hoc instruments (:class:`~repro.runtime.trace.Timer`,
-  :class:`~repro.runtime.trace.Trace`,
-  :class:`~repro.runtime.comm.CommLog`, the
+  pre-existing ad-hoc instruments
+  (:class:`~repro.runtime.comm.CommLog`, the
   :class:`~repro.integrals.eri.ERIEngine` quartet counters) into one
   coherent namespace.
 * Exporters — Chrome-trace JSON (``chrome://tracing`` / Perfetto), a
@@ -105,16 +104,6 @@ class MetricsRegistry:
         return self._values.get(name, default)
 
     # --- absorbers for the pre-telemetry instruments -------------------------
-
-    def absorb_timer(self, name: str, timer) -> None:
-        """Record a :class:`repro.runtime.trace.Timer`'s totals."""
-        self.set(f"{name}.total_s", timer.total)
-        self.set(f"{name}.count", timer.count)
-
-    def absorb_trace(self, trace, prefix: str = "trace.") -> None:
-        """Record a :class:`repro.runtime.trace.Trace`'s label sums."""
-        for label, total in trace.by_label().items():
-            self.set(f"{prefix}{label}.total_s", total)
 
     def absorb_commlog(self, log, prefix: str = "comm.") -> None:
         """Record a :class:`repro.runtime.comm.CommLog`'s meters."""

@@ -1,8 +1,9 @@
 """Self-consistent field methods: RHF, Fock builds, DIIS, DFT (PBE/PBE0)."""
 
 from .diis import DIIS
-from .fock import (DirectJKBuilder, coulomb_from_tensor, exchange_from_tensor,
-                   jk_from_tensor)
+from .fock import (DirectJKBuilder, JKEngine, TensorJKEngine,
+                   coulomb_from_tensor, exchange_from_tensor, jk_from_tensor,
+                   make_jk_engine)
 from .guess import (ASPCExtrapolator, aspc_coefficients, core_guess,
                     density_from_orbitals, orthogonalizer)
 from .rhf import RHF, SCFResult, run_rhf
@@ -15,8 +16,8 @@ from .gradient import (rhf_gradient, nuclear_repulsion_gradient,
 
 __all__ = [
     "DIIS",
-    "DirectJKBuilder", "coulomb_from_tensor", "exchange_from_tensor",
-    "jk_from_tensor",
+    "DirectJKBuilder", "JKEngine", "TensorJKEngine", "make_jk_engine",
+    "coulomb_from_tensor", "exchange_from_tensor", "jk_from_tensor",
     "ASPCExtrapolator", "aspc_coefficients",
     "core_guess", "density_from_orbitals", "orthogonalizer",
     "RHF", "SCFResult", "run_rhf",

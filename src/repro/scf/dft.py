@@ -7,16 +7,11 @@ quarter is what the parallel HFX scheme evaluates, while the semilocal
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from ..chem.molecule import Molecule, nuclear_repulsion
-from .diis import DIIS
-from .fock import jk_from_tensor
+from ..chem.molecule import Molecule
 from .functionals import Functional, get_functional
 from .grid import MolecularGrid, eval_aos
-from .guess import core_guess, density_from_orbitals, orthogonalizer
 from .rhf import RHF, SCFResult
 
 __all__ = ["RKS", "run_rks", "XCIntegrator"]
@@ -109,99 +104,25 @@ class RKS(RHF):
     def run(self, D0: np.ndarray | None = None) -> SCFResult:
         """Iterate the Kohn-Sham equations to self-consistency.
 
-        Dispatches exactly like :meth:`RHF.run`: ``scf_solver="diis"``
-        runs the reference loop below, the accelerated solvers share
-        :meth:`RHF._run_soscf` through the ``_soscf_*`` hooks.
+        The loops are :class:`RHF`'s — the DIIS reference loop and the
+        accelerated solvers both iterate this class's
+        :meth:`_fock_energy` / :meth:`_soscf_response` hooks.
         """
-        if self.scf_solver != "diis":
-            return self._run_soscf(D0)
-        t0 = time.perf_counter()
-        S, hcore = self._setup()
-        a_hfx = self.functional.hfx_fraction
-        pure_hf = self.functional.name.lower() == "hf"
-        self._prepare_xc()
-        nocc = self.mol.nelectron // 2
-        if D0 is None:
-            D, C, eps = core_guess(hcore, S, nocc)
-        else:
-            D, C, eps = D0.copy(), None, None
-        X = orthogonalizer(S)
-        enuc = nuclear_repulsion(self.mol)
-        diis = DIIS(self.diis_size)
-        energy, ex_energy = 0.0, 0.0
-        history: list[float] = []
-        converged = False
-        it = 0
-        tr = self.config.trace
-        try:
-            for it in range(1, self.max_iter + 1):
-                with tr.span("scf.iteration", cat="scf", it=it):
-                    need_k = a_hfx > 0.0
-                    J, K = self.build_jk(D) if need_k else \
-                        (self.build_jk(D)[0], None)
-                    tr.count("scf.fock_builds", 1)
-                    F = hcore + J
-                    e2 = 0.5 * float(np.einsum("pq,pq->", D, J))
-                    exc = 0.0
-                    if need_k:
-                        F = F - 0.5 * a_hfx * K
-                        ex_energy = -0.25 * float(np.einsum("pq,pq->", K, D))
-                        exc += a_hfx * ex_energy
-                    if not pure_hf:
-                        with tr.span("xc.integrate", cat="xc"):
-                            e_xc_sl, Vxc = self._xc.exc_and_potential(D)
-                        F = F + Vxc
-                        exc += e_xc_sl
-                    e_core = float(np.einsum("pq,pq->", D, hcore))
-                    energy = e_core + e2 + exc + enuc
-                    history.append(energy)
-                    with tr.span("scf.diis", cat="diis"):
-                        err = X.T @ (F @ D @ S - S @ D @ F) @ X
-                        diis.push(F, err)
-                        err_norm = diis.error_norm()
-                    # see RHF.run: no convergence exit before one orbital
-                    # update when starting from a supplied density
-                    may_exit = D0 is None or it > 1
-                    if may_exit and err_norm < self.conv_tol:
-                        converged = True
-                        break
-                    with tr.span("scf.update", cat="scf"):
-                        Fd = diis.extrapolate()
-                        D, C, eps = self._next_density(Fd, X, S, D, nocc)
-        finally:
-            # mirror RHF.run: a pool this run spawned dies with the run
-            if self._direct is not None:
-                self._direct.close()
-        if tr.enabled:
-            tr.metrics.set("scf.niter", it)
-            tr.metrics.set("scf.converged", int(converged))
-            tr.metrics.set("scf.diis_fallbacks", diis.fallbacks)
-        # canonicalize against the final Fock matrix (see RHF.run)
-        f = X.T @ F @ X
-        eps, Cp = np.linalg.eigh(f)
-        C = X @ Cp
-        return SCFResult(
-            energy=energy, energy_nuc=enuc, energy_electronic=energy - enuc,
-            converged=converged, niter=it, C=C, eps=eps, D=D, F=F, S=S,
-            hcore=hcore, basis=self.basis, exchange_energy=ex_energy,
-            history=history, solver="diis", fock_builds=it,
-            wall_s=time.perf_counter() - t0,
-        )
+        return self._run(D0)
 
-    # --- SOSCF hooks (see RHF._run_soscf) -------------------------------------
+    # --- Fock hooks (see RHF._run_diis / RHF._run_soscf) ----------------------
 
-    def _soscf_fock_energy(self, hcore: np.ndarray, enuc: float):
+    def _fock_energy(self, hcore: np.ndarray, enuc: float):
         """Kohn-Sham ``fock_energy(D)``: Coulomb + scaled exact
-        exchange + grid-integrated semilocal XC, same operations as one
-        reference-loop iteration."""
+        exchange + grid-integrated semilocal XC.  A pure functional
+        (``hfx_fraction == 0``) never asks the engine for K."""
         a_hfx = self.functional.hfx_fraction
         pure_hf = self.functional.name.lower() == "hf"
         tr = self.config.trace
 
         def fock_energy(D):
             need_k = a_hfx > 0.0
-            J, K = self.build_jk(D) if need_k else \
-                (self.build_jk(D)[0], None)
+            J, K = self._jk.build(D, want_k=need_k)
             F = hcore + J
             e2 = 0.5 * float(np.einsum("pq,pq->", D, J))
             exc = 0.0
@@ -235,15 +156,8 @@ class RKS(RHF):
         pure_hf = self.functional.name.lower() == "hf"
 
         def response(d, D=None):
-            if self.mode == "incore":
-                J, K = jk_from_tensor(self._eri, d)
-                G = J - 0.5 * a_hfx * K if a_hfx > 0.0 else J
-            elif a_hfx > 0.0:
-                J, K = self._direct.build(d)
-                G = J - 0.5 * a_hfx * K
-            else:
-                J, _ = self._direct.build(d, want_k=False)
-                G = J
+            J, K = self._jk.build_response(d, want_k=a_hfx > 0.0)
+            G = J - 0.5 * a_hfx * K if a_hfx > 0.0 else J
             if pure_hf or D is None:
                 return G
             nrm = float(np.abs(d).max())

@@ -24,15 +24,15 @@ Two accumulation granularities, mirroring the two ERI kernels:
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from ..basis.basisset import BasisSet
-from ..integrals.eri import ERIEngine
+from ..integrals.eri import ERIEngine, eri_tensor
 
 __all__ = ["jk_from_tensor", "coulomb_from_tensor", "exchange_from_tensor",
-           "DirectJKBuilder", "scatter_exchange", "scatter_coulomb",
+           "JKEngine", "TensorJKEngine", "DirectJKBuilder", "make_jk_engine",
+           "check_jk_mode", "eval_screened_pairs",
+           "scatter_exchange", "scatter_coulomb",
            "scatter_exchange_batch", "scatter_coulomb_batch",
            "shell_slices", "reflect_triangle"]
 
@@ -243,7 +243,127 @@ def jk_from_tensor(eri: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return coulomb_from_tensor(eri, D), exchange_from_tensor(eri, D)
 
 
-class DirectJKBuilder:
+def eval_screened_pairs(engine: ERIEngine, basis: BasisSet, pairs,
+                        D: np.ndarray, J: np.ndarray | None,
+                        K: np.ndarray | None, kernel: str, tr) -> int:
+    """Evaluate a screened ``(i, j, kets)`` list and scatter it into J/K.
+
+    The one place a quartet block meets a density: the direct builder,
+    the incremental builder, the pool workers and the
+    ``distributed_exchange`` rank loop all hand their already-screened
+    pair lists here, so every executor accumulates the same quartets in
+    the same order.  ``J``/``K`` are accumulated in place (``None``
+    skips that matrix; J fills the upper shell triangle only — see
+    :func:`scatter_coulomb`).  ``kernel="quartet"`` is the bit-exact
+    per-quartet reference, ``"batched"`` groups the list by L-class.
+    Returns the number of quartets evaluated.
+    """
+    if kernel == "batched":
+        from ..integrals.batch import flatten_pairs
+
+        with tr.span("batch.assemble", cat="batch"):
+            groups = engine.group_quartets(flatten_pairs(pairs))
+        for grp in groups:
+            with tr.span("batch.eval", cat="batch", nq=len(grp)):
+                blocks = engine.quartet_batch(grp)
+            with tr.span("batch.scatter", cat="batch", nq=len(grp)):
+                if J is not None:
+                    scatter_coulomb_batch(basis, J, blocks, D, grp)
+                if K is not None:
+                    scatter_exchange_batch(basis, K, blocks, D, grp)
+        return sum(len(grp) for grp in groups)
+    nq = 0
+    for (i, j, kets) in pairs:
+        with tr.span("jk.quartet_batch", cat="quartets", nkets=len(kets)):
+            for (k, l) in kets:
+                k, l = int(k), int(l)
+                block = engine.quartet(i, j, k, l)
+                if J is not None:
+                    scatter_coulomb(basis, J, block, D, (i, j, k, l))
+                if K is not None:
+                    # all distinct index permutations contribute
+                    scatter_exchange(basis, K, block, D, (i, j, k, l))
+        nq += len(kets)
+    return nq
+
+
+class JKEngine:
+    """The J/K engine surface every SCF driver builds its Fock matrix
+    through: ``build(D, want_j, want_k)``, ``reset(basis)``, ``close()``.
+
+    Implementations: :class:`TensorJKEngine` (in-core reference),
+    :class:`DirectJKBuilder` (screened quartet walk),
+    :class:`repro.scf.ri_jk.RIJKBuilder` (density fitting) and
+    :class:`repro.hfx.IncrementalExchange` (density-difference
+    screening over a direct builder); :func:`make_jk_engine` picks one.
+    Engines that can run on the worker pool hold a
+    :class:`repro.runtime.pool.PoolLease` in ``lease``.
+    """
+
+    basis: BasisSet
+    lease = None
+    #: the ``ExecutionConfig.jk`` strategy this engine implements
+    jk = "direct"
+
+    def build(self, D: np.ndarray, want_j: bool = True, want_k: bool = True
+              ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """J and/or K for density ``D`` (AO basis, symmetric)."""
+        raise NotImplementedError
+
+    def build_response(self, d: np.ndarray, want_j: bool = True,
+                       want_k: bool = True
+                       ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """J/K of a perturbation density that is *not* a point on the
+        SCF density trajectory (the Newton solver's response builds).
+        Engines that keep cross-build history override this to leave
+        the history untouched."""
+        return self.build(d, want_j, want_k)
+
+    def reset(self, basis: BasisSet) -> None:
+        """Re-target at a new geometry, dropping all per-geometry state."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Release the worker pool if this engine spawned one (a
+        borrowed pool is left running for its owner); idempotent."""
+        if self.lease is not None:
+            self.lease.close()
+
+    @property
+    def executor(self) -> str:
+        """Where builds run right now: ``"process"`` or ``"serial"``."""
+        return self.lease.executor if self.lease is not None else "serial"
+
+    @property
+    def degraded(self) -> bool:
+        """Whether an unrecoverable pool forced the serial fallback."""
+        return self.lease is not None and self.lease.degraded
+
+    def exchange_energy(self, D: np.ndarray) -> float:
+        """E_x^HF = -1/4 Tr(K[D] D) for a closed-shell density D
+        (D = 2 * C_occ C_occ^T)."""
+        _, K = self.build(D, want_j=False, want_k=True)
+        return -0.25 * float(np.einsum("pq,pq->", K, D))
+
+
+class TensorJKEngine(JKEngine):
+    """In-core reference engine: one materialized ERI tensor per
+    geometry, J/K by dense contraction (small validation systems)."""
+
+    def __init__(self, basis: BasisSet):
+        self.reset(basis)
+
+    def reset(self, basis: BasisSet) -> None:
+        self.basis = basis
+        self.eri = None          # free the old tensor before the new one
+        self.eri = eri_tensor(basis)
+
+    def build(self, D, want_j=True, want_k=True):
+        return (coulomb_from_tensor(self.eri, D) if want_j else None,
+                exchange_from_tensor(self.eri, D) if want_k else None)
+
+
+class DirectJKBuilder(JKEngine):
     """Integral-direct J/K builds with Cauchy-Schwarz + density screening.
 
     The quartet loop walks unique shell quartets (8-fold symmetry),
@@ -265,115 +385,90 @@ class DirectJKBuilder:
 
     Fault tolerance: the pool heals worker deaths itself (respawn +
     re-run the lost rank jobs, bit-identically); if it cannot, the
-    builder warns once, records ``pool.degraded_builds``, and finishes
-    this and all later builds on the serial executor instead of
-    aborting the SCF.
+    builder's :class:`~repro.runtime.pool.PoolLease` warns once,
+    records ``pool.degraded_builds``, and this and all later builds
+    finish on the serial executor instead of aborting the SCF.
     """
 
     def __init__(self, basis: BasisSet, eps: float = 1e-10,
                  pool=None, config=None):
         from ..runtime.execconfig import resolve_execution
+        from ..runtime.pool import PoolLease
 
         self.config = resolve_execution(config, owner="DirectJKBuilder")
-        self.basis = basis
         self.eps = eps
-        self.executor = self.config.executor
         self.kernel = self.config.kernel
-        self.degraded = False
+        self.quartets_total = 0
+        self.quartets_computed = 0
+        self._bind(basis)
+        self.lease = PoolLease(basis, self.config, pool,
+                               owner=type(self).__name__)
+
+    def _bind(self, basis: BasisSet) -> None:
+        self.basis = basis
         self.engine = ERIEngine(basis)
         self.Q = self.engine.schwarz_bounds()
         self._keys = sorted(self.engine.pairs)
         self._keys_arr = np.asarray(self._keys, dtype=np.int64).reshape(-1, 2)
         self._qvals = np.array([self.Q[k] for k in self._keys])
-        self.quartets_total = 0
-        self.quartets_computed = 0
-        self._pool = None
-        self._owns_pool = False
-        if self.executor == "process":
-            from ..runtime.pool import ExchangeWorkerPool
 
-            if pool is not None and pool.basis is not basis:
-                pool.reset(basis)
-            self._pool = pool or ExchangeWorkerPool(
-                basis, nworkers=self.config.nworkers,
-                timeout=self.config.pool_timeout,
-                max_retries=self.config.pool_max_retries)
-            self._owns_pool = pool is None
+    def reset(self, basis: BasisSet) -> None:
+        """Re-target at a new geometry: fresh shell pairs and Schwarz
+        keys, and the (possibly shared) pool re-pointed at ``basis``."""
+        self._bind(basis)
+        self.lease.reset(basis)
 
-    def close(self) -> None:
-        """Release the worker pool if this builder owns one."""
-        if self._owns_pool and self._pool is not None:
-            self._pool.close()
-            self._pool = None
+    def eval_pairs(self, pairs, D: np.ndarray, want_j: bool, want_k: bool
+                   ) -> tuple[np.ndarray | None, np.ndarray | None, int]:
+        """Raw ``(J, K, nquartets)`` sums of an already-screened pair
+        list — on the pool while it is healthy (one rank job per worker,
+        balanced by surviving quartet count), else in-process."""
+        tr = self.config.trace
+        nbf = self.basis.nbf
 
-    def _unique_quartets(self):
-        keys = self._keys
-        for a, brakey in enumerate(keys):
-            for ketkey in keys[a:]:
-                yield brakey, ketkey
+        def zeros():
+            return (np.zeros((nbf, nbf)) if want_j else None,
+                    np.zeros((nbf, nbf)) if want_k else None)
 
-    def _degrade(self, reason, tr) -> None:
-        """Give up on the pool for the rest of this builder's life."""
-        warnings.warn(
-            f"DirectJKBuilder: worker pool is unrecoverable ({reason}); "
-            "falling back to the serial executor for this and later "
-            "builds", RuntimeWarning, stacklevel=4)
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
-            if self._owns_pool:
-                pool.close(force=True)
-        self.executor = "serial"
-        self.degraded = True
-        if tr.enabled:
-            tr.metrics.count("pool.degraded_builds", 1)
+        def serial():
+            J, K = zeros()
+            return J, K, eval_screened_pairs(self.engine, self.basis, pairs,
+                                             D, J, K, self.kernel, tr)
+
+        def pooled(pool):
+            from ..runtime.pool import balance_pairs
+
+            results, nq = pool.exchange(
+                D, balance_pairs(pairs, pool.nworkers), want_j=want_j,
+                want_k=want_k, tracer=tr, kernel=self.kernel)
+            # keep the parent engine's counter consistent with the
+            # serial executor, where the kernel counts every evaluation
+            self.engine.quartets_computed += nq
+            J, K = zeros()
+            for Jw, Kw in results.values():
+                if want_j:
+                    J += Jw
+                if want_k:
+                    K += Kw
+            return J, K, nq
+
+        return self.lease.run(pooled, serial, tr)
 
     def build(self, D: np.ndarray, want_j: bool = True, want_k: bool = True
               ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Build J and/or K for density ``D`` (AO basis, symmetric)."""
-        from ..runtime.pool import WorkerDeathError
-
         tr = self.config.trace
         with tr.span("jk.build", cat="scf", executor=self.executor,
                      kernel=self.kernel):
-            if self.executor == "process":
-                if self._pool is None or self._pool.closed:
-                    # a shared pool died under another builder
-                    self._degrade("pool already closed", tr)
-                else:
-                    try:
-                        return self._build_process(D, want_j, want_k)
-                    except WorkerDeathError as e:
-                        self._degrade(e, tr)
-            nbf = self.basis.nbf
-            J = np.zeros((nbf, nbf)) if want_j else None
-            K = np.zeros((nbf, nbf)) if want_k else None
             dmax = float(np.abs(D).max()) if D.size else 0.0
-            nq_start = self.engine.quartets_computed
             # the vectorized screen walks bra pairs and surviving kets in
             # the same order (and with the same float test) as the older
             # fused quartet loop, so the accumulation order — and thus
             # the bitwise result — is unchanged
             with tr.span("jk.screen", cat="screening", eps=self.eps):
                 pairs = self._screened_pairs(dmax)
-            if self.kernel == "batched":
-                self._eval_batched(pairs, D, J, K, tr)
-            else:
-                for (i, j, kets) in pairs:
-                    with tr.span("jk.quartet_batch", cat="quartets",
-                                 nkets=len(kets)):
-                        for (k, l) in kets:
-                            k, l = int(k), int(l)
-                            block = self.engine.quartet(i, j, k, l)
-                            if want_j:
-                                scatter_coulomb(self.basis, J, block, D,
-                                                (i, j, k, l))
-                            if want_k:
-                                # all distinct index permutations contribute
-                                scatter_exchange(self.basis, K, block, D,
-                                                 (i, j, k, l))
-            # the counter is derived from the engine (the single counted
-            # evaluation path) rather than kept as separate bookkeeping
-            self.quartets_computed = self.engine.quartets_computed - nq_start
+            J, K, self.quartets_computed = self.eval_pairs(pairs, D,
+                                                           want_j, want_k)
             if want_j:
                 with tr.span("jk.assemble", cat="scf"):
                     # the unique walk fills the upper shell triangle
@@ -386,21 +481,6 @@ class DirectJKBuilder:
                 tr.metrics.count("jk.quartets", self.quartets_computed)
                 tr.metrics.absorb_engine(self.engine)
             return J, K
-
-    def _eval_batched(self, pairs, D, J, K, tr) -> None:
-        """Evaluate + scatter the screened quartet list class-by-class."""
-        from ..integrals.batch import flatten_pairs
-
-        with tr.span("batch.assemble", cat="batch"):
-            groups = self.engine.group_quartets(flatten_pairs(pairs))
-        for grp in groups:
-            with tr.span("batch.eval", cat="batch", nq=len(grp)):
-                blocks = self.engine.quartet_batch(grp)
-            with tr.span("batch.scatter", cat="batch", nq=len(grp)):
-                if J is not None:
-                    scatter_coulomb_batch(self.basis, J, blocks, D, grp)
-                if K is not None:
-                    scatter_exchange_batch(self.basis, K, blocks, D, grp)
 
     def _screened_pairs(self, dmax: float) -> list[tuple[int, int, np.ndarray]]:
         """Per-bra surviving ket lists under the density-aware screen.
@@ -419,53 +499,71 @@ class DirectJKBuilder:
                 out.append((i, j, self._keys_arr[a:][keep]))
         return out
 
-    def _build_process(self, D: np.ndarray, want_j: bool, want_k: bool
-                       ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        from ..runtime.pool import RankJob
 
-        tr = self.config.trace
-        dmax = float(np.abs(D).max()) if D.size else 0.0
-        with tr.span("jk.screen", cat="screening", eps=self.eps):
-            pairs = self._screened_pairs(dmax)
-        # one rank job per worker, balanced by surviving quartet count
-        nw = self._pool.nworkers
-        jobs = [RankJob(rank=w) for w in range(nw)]
-        order = sorted(pairs, key=lambda p: -len(p[2]))
-        loads = [0.0] * nw
-        for p in order:
-            w = min(range(nw), key=loads.__getitem__)
-            jobs[w].pairs.append(p)
-            jobs[w].cost += len(p[2])
-            loads[w] = jobs[w].cost
-        results, nq = self._pool.exchange(D, jobs, want_j=want_j,
-                                          want_k=want_k, tracer=tr,
-                                          kernel=self.kernel)
-        self.engine.quartets_computed += nq
-        self.quartets_computed = nq
-        nbf = self.basis.nbf
-        with tr.span("jk.assemble", cat="scf"):
-            J = np.zeros((nbf, nbf)) if want_j else None
-            K = np.zeros((nbf, nbf)) if want_k else None
-            for Jw, Kw in results.values():
-                if want_j:
-                    J += Jw
-                if want_k:
-                    K += Kw
-            if want_j:
-                J = reflect_triangle(J)
-        if tr.enabled:
-            tr.metrics.count("jk.builds", 1)
-            tr.metrics.count("jk.quartets", nq)
-            tr.metrics.absorb_engine(self.engine)
-        return J, K
+def check_jk_mode(mode: str, config, incremental: bool = False,
+                  engine: JKEngine | None = None) -> None:
+    """Refuse integral-plumbing combinations no engine serves.
 
-    def _scatter_k(self, K, block, D, slices, idx):
-        """Delegate to :func:`scatter_exchange` (kept as a method for
-        API stability)."""
-        scatter_exchange(self.basis, K, block, D, idx)
+    Shared by the SCF drivers (so a bad combination — or a caller-owned
+    ``engine`` whose exact/fitted strategy contradicts ``config.jk``,
+    which results and checkpoints are labelled with — fails at
+    construction) and :func:`make_jk_engine`.
+    """
+    if mode not in ("incore", "direct"):
+        raise ValueError(f"mode must be 'incore' or 'direct', got {mode!r}")
+    if mode != "direct":
+        if config.executor == "process":
+            raise ValueError("executor='process' requires mode='direct' "
+                             "(the in-core tensor path has no quartet loop "
+                             "to distribute)")
+        if config.jk == "ri":
+            raise ValueError("jk='ri' requires mode='direct' (the in-core "
+                             "path materializes the exact 4-index tensor — "
+                             "fitting it buys nothing)")
+        if incremental:
+            raise ValueError("incremental exchange requires mode='direct' "
+                             "(the in-core tensor path has no quartets to "
+                             "screen away)")
+    if incremental and config.jk == "ri":
+        raise ValueError("incremental exchange and jk='ri' are mutually "
+                         "exclusive K strategies: the fitted K is rebuilt "
+                         "from the cached B tensor instead")
+    if engine is not None and engine.jk != config.jk:
+        raise ValueError(f"jk_engine implements jk={engine.jk!r} but the "
+                         f"config says jk={config.jk!r}")
 
-    def exchange_energy(self, D: np.ndarray) -> float:
-        """E_x^HF = -1/4 Tr(K[D] D) for a closed-shell density D
-        (D = 2 * C_occ C_occ^T)."""
-        _, K = self.build(D, want_j=False, want_k=True)
-        return -0.25 * float(np.einsum("pq,pq->", K, D))
+
+def make_jk_engine(basis: BasisSet, config=None, eps: float = 1e-10,
+                   pool=None, incremental: bool = False,
+                   mode: str = "direct") -> JKEngine:
+    """The one J/K engine for ``basis`` under ``config``.
+
+    ===========  ========  ===========  ================================
+    ``mode``     ``jk``    incremental  engine
+    ===========  ========  ===========  ================================
+    ``incore``   direct    no           :class:`TensorJKEngine`
+    ``direct``   ``ri``    no           :class:`~repro.scf.ri_jk.RIJKBuilder`
+    ``direct``   direct    yes          :class:`~repro.hfx.IncrementalExchange`
+    ``direct``   direct    no           :class:`DirectJKBuilder`
+    ===========  ========  ===========  ================================
+
+    ``executor``/``kernel`` ride inside ``config`` and apply to every
+    direct-mode engine; ``pool`` shares a caller-owned worker pool
+    (the engine then never closes it).  The caller owns the returned
+    engine: ``reset(basis)`` at geometry jumps, ``close()`` when done.
+    """
+    from ..runtime.execconfig import resolve_execution
+
+    cfg = resolve_execution(config, owner="make_jk_engine")
+    check_jk_mode(mode, cfg, incremental)
+    if mode == "incore":
+        return TensorJKEngine(basis)
+    if cfg.jk == "ri":
+        from .ri_jk import RIJKBuilder
+
+        return RIJKBuilder(basis, eps=eps, pool=pool, config=cfg)
+    if incremental:
+        from ..hfx.incremental import IncrementalExchange
+
+        return IncrementalExchange(basis, eps=eps, pool=pool, config=cfg)
+    return DirectJKBuilder(basis, eps=eps, pool=pool, config=cfg)

@@ -2,8 +2,9 @@
 
 The RHF driver is both a validation target (literature STO-3G energies)
 and the host of the HFX build the paper parallelizes: every SCF
-iteration calls a J/K builder, and :mod:`repro.hfx` swaps in the
-distributed one.
+iteration calls one :class:`~repro.scf.fock.JKEngine`, and
+:mod:`repro.hfx` partitions exactly the quartets the direct engine
+walks.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ import numpy as np
 
 from ..basis.basisset import BasisSet, build_basis
 from ..chem.molecule import Molecule, nuclear_repulsion
-from ..integrals import (eri_tensor, kinetic_matrix, nuclear_matrix,
-                         overlap_matrix)
+# eri_tensor is not called here any more (TensorJKEngine owns it), but
+# bench/tests/test_tracing.py uses this module's copied binding to prove
+# the span patcher reaches every namespace — the name stays importable
+from ..integrals import (eri_tensor, kinetic_matrix,  # noqa: F401
+                         nuclear_matrix, overlap_matrix)
 from .diis import DIIS
-from .fock import DirectJKBuilder, jk_from_tensor
+from .fock import JKEngine, check_jk_mode, make_jk_engine
 from .guess import core_guess, density_from_orbitals, orthogonalizer
 
 __all__ = ["SCFResult", "RHF", "run_rhf"]
@@ -143,23 +147,18 @@ class RHF:
         Cauchy-Schwarz threshold for direct mode (the paper's
         controllable-accuracy knob).
     config:
-        :class:`repro.runtime.ExecutionConfig` selecting where the
-        direct J/K builds run (``executor="process"`` requires
-        ``mode="direct"``; the pool outlives single builds — it is
+        :class:`repro.runtime.ExecutionConfig` selecting the J/K
+        engine (:func:`repro.scf.fock.make_jk_engine`:
+        ``executor="process"`` and ``jk="ri"`` require
+        ``mode="direct"``; a pool outlives single builds — it is
         spawned once and reused by every SCF iteration) and carrying
         the telemetry sinks.
-    jk_pool:
-        Externally owned :class:`repro.runtime.pool.ExchangeWorkerPool`
-        to reuse (e.g. across the SCFs of an MD trajectory); when given,
-        this driver does not close it.
-    k_builder:
-        Externally owned exchange builder with an
-        ``update(D) -> K`` surface (e.g.
-        :class:`repro.hfx.IncrementalExchange`): when given, direct
-        builds take K from it — the density-difference screen then
-        spans the SCF iterations — while J still comes from the direct
-        builder.  Requires ``mode="direct"``; the caller owns the
-        builder's history (``reset()`` at geometry jumps) and lifetime.
+    jk_engine:
+        Caller-owned :class:`repro.scf.fock.JKEngine` to build through
+        instead of making one (e.g. the one engine of an MD trajectory,
+        which carries its worker pool, fitted-tensor cache or increment
+        history across SCFs).  The driver re-targets it if it serves
+        another basis and never closes it.
     soscf_rough:
         Rough-phase interpolation for ``scf_solver="soscf"``:
         ``"adiis"`` (default) or ``"ediis"`` — see
@@ -178,7 +177,7 @@ class RHF:
                  conv_tol: float = 1e-8, max_iter: int = 100,
                  diis_size: int = 8, level_shift: float = 0.0,
                  damping: float = 0.0, smearing: float = 0.0,
-                 jk_pool=None, k_builder=None, ri_builder=None, config=None,
+                 jk_engine: JKEngine | None = None, config=None,
                  soscf_rough: str = "adiis",
                  soscf_state: dict | None = None):
         from ..runtime.execconfig import resolve_execution
@@ -186,13 +185,8 @@ class RHF:
         if mol.nelectron % 2 != 0:
             raise ValueError("RHF requires an even electron count; "
                              f"{mol.name or 'molecule'} has {mol.nelectron}")
-        if mode not in ("incore", "direct"):
-            raise ValueError(f"mode must be 'incore' or 'direct', got {mode!r}")
         self.config = resolve_execution(config, owner=type(self).__name__)
-        if self.config.executor == "process" and mode != "direct":
-            raise ValueError("executor='process' requires mode='direct' "
-                             "(the in-core tensor path has no quartet loop "
-                             "to distribute)")
+        check_jk_mode(mode, self.config, engine=jk_engine)
         self.mol = mol
         self.basis = basis if isinstance(basis, BasisSet) else build_basis(mol, basis)
         self.mode = mode
@@ -216,30 +210,12 @@ class RHF:
                 "fractional (smeared) occupations break the "
                 "occupied-virtual rotation parametrization of the "
                 "Newton solver; use scf_solver='diis' with smearing")
-        self.jk_pool = jk_pool
-        self.k_builder = k_builder
-        self.ri_builder = ri_builder
-        if k_builder is not None and mode != "direct":
-            raise ValueError("k_builder requires mode='direct' (the "
-                             "in-core tensor path builds J and K together)")
-        if self.config.jk == "ri":
-            if mode != "direct":
-                raise ValueError("jk='ri' requires mode='direct' (the "
-                                 "in-core path materializes the exact "
-                                 "4-index tensor — fitting it buys nothing)")
-            if k_builder is not None:
-                raise ValueError("jk='ri' is incompatible with an "
-                                 "incremental k_builder: the fitted K is "
-                                 "rebuilt from the cached B tensor instead")
-        elif ri_builder is not None:
-            raise ValueError("ri_builder requires jk='ri'")
+        self.jk_engine = jk_engine
         if not 0.0 <= damping < 1.0:
             raise ValueError("damping must be in [0, 1)")
         if smearing < 0.0:
             raise ValueError("smearing must be non-negative")
-        self._eri = None
-        self._direct: DirectJKBuilder | None = None
-        self._owns_jk = True
+        self._jk: JKEngine | None = None
 
     def _next_density(self, Fd, X, S, D_old, nocc):
         """Diagonalize the (possibly level-shifted) Fock matrix and form
@@ -277,37 +253,18 @@ class RHF:
             T = kinetic_matrix(self.basis)
             V = nuclear_matrix(self.basis)
             hcore = T + V
-            if self.mode == "incore":
-                self._eri = eri_tensor(self.basis)
-            elif self.config.jk == "ri":
-                from .ri_jk import RIJKBuilder
-
-                if self.ri_builder is not None:
-                    # a persistent builder (the MD path) carries its B
-                    # cache across runs; re-target it if the caller has
-                    # not already done so
-                    if self.ri_builder.basis is not self.basis:
-                        self.ri_builder.reset(self.basis)
-                    self._direct = self.ri_builder
-                    self._owns_jk = False
-                else:
-                    self._direct = RIJKBuilder(
-                        self.basis, eps=self.screen_eps, config=self.config,
-                        pool=self.jk_pool)
-            else:
-                self._direct = DirectJKBuilder(
-                    self.basis, eps=self.screen_eps, config=self.config,
-                    pool=self.jk_pool)
+            self._jk = self.jk_engine or make_jk_engine(
+                self.basis, self.config, self.screen_eps, mode=self.mode)
+            if self._jk.basis is not self.basis:
+                self._jk.reset(self.basis)
         return S, hcore
 
-    def build_jk(self, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """J and K for the current density (mode-dispatched)."""
-        if self.mode == "incore":
-            return jk_from_tensor(self._eri, D)
-        if self.k_builder is not None:
-            J, _ = self._direct.build(D, want_k=False)
-            return J, self.k_builder.update(D)
-        return self._direct.build(D)
+    def _close_jk(self) -> None:
+        """End-of-run: an engine this run made (and any pool it
+        spawned) dies with the run; a caller-owned ``jk_engine`` — its
+        pool, B cache or increment history — is left for the caller."""
+        if self._jk is not self.jk_engine:
+            self._jk.close()
 
     # --- SCF loop -------------------------------------------------------------
 
@@ -315,15 +272,24 @@ class RHF:
         """Iterate to self-consistency and return the result.
 
         ``scf_solver="diis"`` (the default) runs the bit-exact DIIS
-        reference loop below; ``"soscf"``/``"auto"`` dispatch to the
-        accelerated Newton path (:meth:`_run_soscf`), which agrees with
-        the reference energies to the convergence tolerance while
-        spending fewer Fock builds.
+        reference loop (:meth:`_run_diis`); ``"soscf"``/``"auto"``
+        dispatch to the accelerated Newton path (:meth:`_run_soscf`),
+        which agrees with the reference energies to the convergence
+        tolerance while spending fewer Fock builds.
         """
+        return self._run(D0)
+
+    def _run(self, D0):
         if self.scf_solver != "diis":
             return self._run_soscf(D0)
+        return self._run_diis(D0)
+
+    def _run_diis(self, D0: np.ndarray | None = None) -> SCFResult:
+        """The DIIS reference loop, shared by every closed-shell driver
+        through the :meth:`_fock_energy` hook."""
         t0 = time.perf_counter()
         S, hcore = self._setup()
+        self._prepare_xc()
         nocc = self.mol.nelectron // 2
         if nocc == 0:
             raise ValueError("no electrons to correlate — check charge")
@@ -333,7 +299,9 @@ class RHF:
             D, C, eps = D0.copy(), None, None
         X = orthogonalizer(S)
         enuc = nuclear_repulsion(self.mol)
+        fock_energy = self._fock_energy(hcore, enuc)
         diis = DIIS(self.diis_size)
+        F = hcore
         energy = 0.0
         ex_energy = 0.0
         history: list[float] = []
@@ -343,13 +311,9 @@ class RHF:
         try:
             for it in range(1, self.max_iter + 1):
                 with tr.span("scf.iteration", cat="scf", it=it):
-                    J, K = self.build_jk(D)
+                    F, energy, ex_energy = fock_energy(D)
                     tr.count("scf.fock_builds", 1)
-                    F = hcore + J - 0.5 * K
-                    e_el = 0.5 * float(np.einsum("pq,pq->", D, hcore + F))
-                    energy = e_el + enuc
                     history.append(energy)
-                    ex_energy = -0.25 * float(np.einsum("pq,pq->", K, D))
                     with tr.span("scf.diis", cat="diis"):
                         err = X.T @ (F @ D @ S - S @ D @ F) @ X
                         diis.push(F, err)
@@ -366,11 +330,7 @@ class RHF:
                         Fd = diis.extrapolate()
                         D, C, eps = self._next_density(Fd, X, S, D, nocc)
         finally:
-            # a pool this run spawned dies with the run; an external
-            # jk_pool (or a persistent ri_builder with its B cache) is
-            # left running for the caller to reuse
-            if self._direct is not None and self._owns_jk:
-                self._direct.close()
+            self._close_jk()
         if tr.enabled:
             tr.metrics.set("scf.niter", it)
             tr.metrics.set("scf.converged", int(converged))
@@ -383,13 +343,11 @@ class RHF:
         C = X @ Cp
         return SCFResult(
             energy=energy, energy_nuc=enuc, energy_electronic=energy - enuc,
-            converged=converged, niter=it, C=C, eps=eps, D=D,
-            F=hcore if it == 0 else F, S=S, hcore=hcore, basis=self.basis,
-            exchange_energy=ex_energy, history=history,
-            solver="diis", fock_builds=it,
+            converged=converged, niter=it, C=C, eps=eps, D=D, F=F, S=S,
+            hcore=hcore, basis=self.basis, exchange_energy=ex_energy,
+            history=history, solver="diis", fock_builds=it,
             wall_s=time.perf_counter() - t0,
         )
-
 
     # --- accelerated (SOSCF) path --------------------------------------------
 
@@ -400,14 +358,13 @@ class RHF:
         overrides this to build its Becke grid integrator.
         """
 
-    def _soscf_fock_energy(self, hcore: np.ndarray, enuc: float):
-        """``fock_energy(D) -> (F, E_total, E_x)`` closure for SOSCF.
-
-        Same operations as one reference-loop iteration, so the Newton
-        path optimizes exactly the energy the DIIS path reports.
+    def _fock_energy(self, hcore: np.ndarray, enuc: float):
+        """Hook: the ``fock_energy(D) -> (F, E_total, E_x)`` closure
+        both the DIIS reference loop and the Newton path iterate, so
+        they optimize exactly the same energy.
         """
         def fock_energy(D):
-            J, K = self.build_jk(D)
+            J, K = self._jk.build(D)
             F = hcore + J - 0.5 * K
             e_el = 0.5 * float(np.einsum("pq,pq->", D, hcore + F))
             ex = -0.25 * float(np.einsum("pq,pq->", K, D))
@@ -420,17 +377,15 @@ class RHF:
         Hartree-Fock — the Kohn-Sham override differentiates its grid
         potential around it).
 
-        Perturbation densities never route through an external
-        ``k_builder`` — an :class:`~repro.hfx.IncrementalExchange`
-        history is anchored to the SCF density trajectory and a
-        response density would poison it — so direct mode always uses
-        the in-house builder (pool/batched kernel included).
+        Perturbation densities go through
+        :meth:`~repro.scf.fock.JKEngine.build_response`, which an
+        engine with cross-build history (an
+        :class:`~repro.hfx.IncrementalExchange` is anchored to the SCF
+        density trajectory — a response density would poison it)
+        serves without touching that history.
         """
         def response(d, D=None):
-            if self.mode == "incore":
-                J, K = jk_from_tensor(self._eri, d)
-            else:
-                J, K = self._direct.build(d)
+            J, K = self._jk.build_response(d)
             return J - 0.5 * K
         return response
 
@@ -459,7 +414,7 @@ class RHF:
             D, C = D0.copy(), None
         X = orthogonalizer(S)
         enuc = nuclear_repulsion(self.mol)
-        fock_energy = self._soscf_fock_energy(hcore, enuc)
+        fock_energy = self._fock_energy(hcore, enuc)
         tr = self.config.trace
         auto = self.scf_solver == "auto"
         diis = DIIS(self.diis_size)
@@ -494,7 +449,7 @@ class RHF:
                     err = X.T @ (F @ D @ S - S @ D @ F) @ X
                     err_norm = float(np.abs(err).max())
                     err_hist.append(err_norm)
-                    # see run(): a supplied D0 can have a vanishing
+                    # see _run_diis(): a supplied D0 can have a vanishing
                     # commutator while being wrong for this geometry
                     may_exit = D0 is None or nrough > 1
                     if may_exit and err_norm < self.conv_tol:
@@ -543,14 +498,12 @@ class RHF:
                 energy, ex_energy = out["energy"], out["exchange_energy"]
                 niter = nrough + out["niter"]
         finally:
-            # mirror run(): a pool this run spawned dies with the run
-            if self._direct is not None and self._owns_jk:
-                self._direct.close()
+            self._close_jk()
         if tr.enabled:
             tr.metrics.set("scf.niter", niter)
             tr.metrics.set("scf.converged", int(converged))
             tr.metrics.set("scf.diis_fallbacks", diis.fallbacks)
-        # canonicalize against the final Fock matrix (see run())
+        # canonicalize against the final Fock matrix (see _run_diis())
         f = X.T @ F @ X
         eps, Cp = np.linalg.eigh(f)
         C = X @ Cp

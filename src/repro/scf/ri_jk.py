@@ -13,17 +13,16 @@ linear algebra:
   keeps response densities from the Newton solver exact), then
   ``Y[P,u,i] = B[P,u,v] V_vi`` and ``K = sum_i w_i Y_i Y_i^T``.
 
-The builder exposes the :class:`~repro.scf.fock.DirectJKBuilder`
-surface (``build``/``close``/``exchange_energy``) so the SCF drivers,
-the SOSCF response builds, and the MD force engine dispatch on
-``ExecutionConfig(jk=...)`` without touching their loops; ``reset``
-invalidates the cached tensor at geometry jumps (the MD path), which
-is what makes the cross-iteration caching safe.
+The builder is a :class:`~repro.scf.fock.JKEngine`
+(``build``/``reset``/``close``), so the SCF drivers, the SOSCF response
+builds, and the MD force engine get it from
+:func:`~repro.scf.fock.make_jk_engine` under ``ExecutionConfig(jk="ri")``
+without touching their loops; ``reset`` invalidates the cached tensor
+at geometry jumps (the MD path), which is what makes the
+cross-iteration caching safe.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from ..basis.auxbasis import build_aux_basis
 from ..integrals.eri import ERIEngine
 from ..integrals.ri import (aux_shard_slices, inv_sqrt_metric, metric_2c,
                             three_center_slab)
+from .fock import JKEngine
 
 __all__ = ["RIJKBuilder"]
 
@@ -41,7 +41,7 @@ __all__ = ["RIJKBuilder"]
 DENSITY_EIG_CUT = 1e-12
 
 
-class RIJKBuilder:
+class RIJKBuilder(JKEngine):
     """Density-fitted J/K builds with a cached per-geometry ``B`` tensor.
 
     Parameters mirror :class:`~repro.scf.fock.DirectJKBuilder`: ``eps``
@@ -54,45 +54,29 @@ class RIJKBuilder:
     the first :meth:`build` after construction or :meth:`reset` and is
     reused by every later build until the next reset; the counters
     ``scf.ri_b_builds`` / ``scf.ri_b_reuses`` in ``--profile`` make the
-    caching visible.
+    caching visible.  :meth:`close` releases an owned pool only: the
+    cached tensor survives and keeps serving builds.
     """
+
+    jk = "ri"
 
     def __init__(self, basis: BasisSet, eps: float = 1e-10,
                  pool=None, config=None, aux: BasisSet | None = None):
         from ..runtime.execconfig import resolve_execution
+        from ..runtime.pool import PoolLease
 
         self.config = resolve_execution(config, owner="RIJKBuilder")
         self.basis = basis
         self.eps = eps
-        self.executor = self.config.executor
-        self.degraded = False
         self.engine = ERIEngine(basis)
         self.aux = aux if aux is not None else build_aux_basis(basis)
         self._B: np.ndarray | None = None      # (naux, nbf, nbf)
         self.b_builds = 0                      # B assemblies (geometries)
         self.b_reuses = 0                      # builds served from cache
         self.ints_3c = 0                       # shell triples, last assembly
-        self._pool = None
-        self._owns_pool = False
-        if self.executor == "process":
-            from ..runtime.pool import ExchangeWorkerPool
-
-            if pool is not None and pool.basis is not basis:
-                pool.reset(basis)
-            self._pool = pool or ExchangeWorkerPool(
-                basis, nworkers=self.config.nworkers,
-                timeout=self.config.pool_timeout,
-                max_retries=self.config.pool_max_retries)
-            self._owns_pool = pool is None
+        self.lease = PoolLease(basis, self.config, pool, owner="RIJKBuilder")
 
     # --- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        """Release the worker pool if this builder owns one (the cached
-        ``B`` tensor survives — later builds run serially)."""
-        if self._owns_pool and self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
     def reset(self, basis: BasisSet) -> None:
         """Re-target at a new geometry: rebuild engine and auxiliary
@@ -105,35 +89,18 @@ class RIJKBuilder:
         self.engine = ERIEngine(basis)
         self.aux = build_aux_basis(basis)
         self._B = None
-        if self._pool is not None and not self._pool.closed \
-                and self._pool.basis is not basis:
-            self._pool.reset(basis)
-
-    def _degrade(self, reason, tr) -> None:
-        """Give up on the pool for the rest of this builder's life."""
-        warnings.warn(
-            f"RIJKBuilder: worker pool is unrecoverable ({reason}); "
-            "falling back to the serial executor for this and later "
-            "assemblies", RuntimeWarning, stacklevel=4)
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
-            if self._owns_pool:
-                pool.close(force=True)
-        self.executor = "serial"
-        self.degraded = True
-        if tr.enabled:
-            tr.metrics.count("pool.degraded_builds", 1)
+        self.lease.reset(basis)
 
     # --- B-tensor assembly ---------------------------------------------------
 
-    def _assemble_serial(self, tr) -> np.ndarray:
+    def _assemble_serial(self) -> np.ndarray:
         slab, nints = three_center_slab(self.basis, self.aux,
                                         range(self.aux.nshell), self.eps,
                                         engine=self.engine)
         self.ints_3c = nints
         return slab
 
-    def _assemble_pooled(self, tr) -> np.ndarray:
+    def _assemble_pooled(self, pool) -> np.ndarray:
         """Shard the 3-index assembly over the pool by aux-shell slices.
 
         Rank ``r`` evaluates the aux shells of shard ``r`` (LPT-packed
@@ -144,13 +111,13 @@ class RIJKBuilder:
         """
         from ..runtime.pool import RankJob
 
-        shards = aux_shard_slices(self.aux, self._pool.nworkers)
+        shards = aux_shard_slices(self.aux, pool.nworkers)
         jobs = [RankJob(rank=r, pairs=list(shard),
                         cost=float(sum(self.aux.shells[i].nfunc
                                        for i in shard)))
                 for r, shard in enumerate(shards)]
-        slabs, nints = self._pool.ri3c(self.aux, jobs, eps=self.eps,
-                                       tracer=tr)
+        slabs, nints = pool.ri3c(self.aux, jobs, eps=self.eps,
+                                 tracer=self.config.trace)
         self.ints_3c = nints
         T = np.empty((self.aux.nbf, self.basis.nbf, self.basis.nbf))
         aslices = self.aux.shell_slices()
@@ -166,8 +133,6 @@ class RIJKBuilder:
 
     def _ensure_b(self) -> np.ndarray:
         """The fitted tensor for the current geometry (cached)."""
-        from ..runtime.pool import WorkerDeathError
-
         tr = self.config.trace
         if self._B is not None:
             self.b_reuses += 1
@@ -178,18 +143,8 @@ class RIJKBuilder:
             Vh = inv_sqrt_metric(metric_2c(self.aux))
         with tr.span("ri.assemble", cat="ri", naux=self.aux.nbf,
                      executor=self.executor):
-            if self.executor == "process":
-                if self._pool is None or self._pool.closed:
-                    self._degrade("pool already closed", tr)
-                    T = self._assemble_serial(tr)
-                else:
-                    try:
-                        T = self._assemble_pooled(tr)
-                    except WorkerDeathError as e:
-                        self._degrade(e, tr)
-                        T = self._assemble_serial(tr)
-            else:
-                T = self._assemble_serial(tr)
+            T = self.lease.run(self._assemble_pooled, self._assemble_serial,
+                               tr)
             naux, nbf = self.aux.nbf, self.basis.nbf
             self._B = (Vh @ T.reshape(naux, -1)).reshape(naux, nbf, nbf)
         self.b_builds += 1
@@ -240,8 +195,3 @@ class RIJKBuilder:
                 tr.metrics.count("scf.ri_builds", 1)
                 tr.metrics.absorb_engine(self.engine)
         return J, K
-
-    def exchange_energy(self, D: np.ndarray) -> float:
-        """E_x^HF = -1/4 Tr(K[D] D) for a closed-shell density D."""
-        _, K = self.build(D, want_j=False, want_k=True)
-        return -0.25 * float(np.einsum("pq,pq->", K, D))

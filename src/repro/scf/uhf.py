@@ -8,11 +8,11 @@ commutator-DIIS on the stacked spin blocks, level shifting, and the
 spin-contamination diagnostic <S^2>.
 
 Execution rides the same :class:`repro.runtime.ExecutionConfig` as the
-restricted driver: ``mode="direct"`` builds J/K through a
-:class:`~repro.scf.fock.DirectJKBuilder` (quartet walk, optionally on
-the worker pool) or, with ``jk="ri"``, through a
-:class:`~repro.scf.ri_jk.RIJKBuilder` whose fitted tensor is shared by
-the J build and *both* spin exchange builds of every iteration.
+restricted driver, through the same
+:func:`~repro.scf.fock.make_jk_engine` factory: ``mode="direct"``
+builds J/K by the screened quartet walk (optionally on the worker
+pool) or, with ``jk="ri"``, through a fitted tensor shared by the J
+build and *both* spin exchange builds of every iteration.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ import numpy as np
 
 from ..basis.basisset import BasisSet, build_basis
 from ..chem.molecule import Molecule, nuclear_repulsion
-from ..integrals import (eri_tensor, kinetic_matrix, nuclear_matrix,
-                         overlap_matrix)
+from ..integrals import kinetic_matrix, nuclear_matrix, overlap_matrix
 from .diis import DIIS
-from .fock import DirectJKBuilder, coulomb_from_tensor, exchange_from_tensor
+from .fock import JKEngine, check_jk_mode, make_jk_engine
 from .guess import orthogonalizer
 
 __all__ = ["UHFResult", "UHF", "run_uhf"]
@@ -107,7 +106,7 @@ class UHF:
     """Unrestricted Hartree-Fock driver.
 
     Parameters mirror :class:`~repro.scf.rhf.RHF` (``mode``/``config``/
-    ``jk_pool`` select in-core vs direct vs fitted integral plumbing);
+    ``jk_engine`` select in-core vs direct vs fitted integral plumbing);
     ``break_symmetry`` mixes the alpha HOMO/LUMO of the initial guess,
     which lets singlet-biradical states escape the restricted solution.
     """
@@ -117,7 +116,7 @@ class UHF:
                  conv_tol: float = 1e-8, max_iter: int = 150,
                  diis_size: int = 8, level_shift: float = 0.0,
                  break_symmetry: bool = False, screen_eps: float = 1e-10,
-                 jk_pool=None, config=None):
+                 jk_engine: JKEngine | None = None, config=None):
         from ..runtime.execconfig import resolve_execution
 
         nel = mol.nelectron
@@ -126,20 +125,12 @@ class UHF:
             raise ValueError(
                 f"multiplicity {mol.multiplicity} is impossible for "
                 f"{nel} electrons")
-        if mode not in ("incore", "direct"):
-            raise ValueError(f"mode must be 'incore' or 'direct', got {mode!r}")
         self.config = resolve_execution(config, owner="UHF")
+        check_jk_mode(mode, self.config, engine=jk_engine)
         if self.config.scf_solver != "diis":
             raise ValueError("UHF implements the DIIS reference loop only; "
                              "the Newton solver's rotation parametrization "
                              "is closed-shell")
-        if self.config.executor == "process" and mode != "direct":
-            raise ValueError("executor='process' requires mode='direct' "
-                             "(the in-core tensor path has no quartet loop "
-                             "to distribute)")
-        if self.config.jk == "ri" and mode != "direct":
-            raise ValueError("jk='ri' requires mode='direct' (the in-core "
-                             "path materializes the exact 4-index tensor)")
         self.mol = mol
         self.basis = basis if isinstance(basis, BasisSet) \
             else build_basis(mol, basis)
@@ -152,36 +143,17 @@ class UHF:
         self.diis_size = diis_size
         self.level_shift = level_shift
         self.break_symmetry = break_symmetry
-        self.jk_pool = jk_pool
-        self._eri = None
-        self._direct = None
+        self.jk_engine = jk_engine
+        self._jk: JKEngine | None = None
 
     # --- integral plumbing ---------------------------------------------------
-
-    def _setup_jk(self) -> None:
-        if self.mode == "incore":
-            self._eri = eri_tensor(self.basis)
-        elif self.config.jk == "ri":
-            from .ri_jk import RIJKBuilder
-
-            self._direct = RIJKBuilder(self.basis, eps=self.screen_eps,
-                                       config=self.config, pool=self.jk_pool)
-        else:
-            self._direct = DirectJKBuilder(self.basis, eps=self.screen_eps,
-                                           config=self.config,
-                                           pool=self.jk_pool)
 
     def _build_jk(self, Da: np.ndarray, Db: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(J[Da+Db], K[Da], K[Db])`` for the current spin densities."""
-        if self.mode == "incore":
-            Dt = Da + Db
-            return (coulomb_from_tensor(self._eri, Dt),
-                    exchange_from_tensor(self._eri, Da),
-                    exchange_from_tensor(self._eri, Db))
-        J, _ = self._direct.build(Da + Db, want_k=False)
-        _, Ka = self._direct.build(Da, want_j=False)
-        _, Kb = self._direct.build(Db, want_j=False)
+        J, _ = self._jk.build(Da + Db, want_k=False)
+        _, Ka = self._jk.build(Da, want_j=False)
+        _, Kb = self._jk.build(Db, want_j=False)
         return J, Ka, Kb
 
     # --- SCF loop ------------------------------------------------------------
@@ -195,7 +167,11 @@ class UHF:
                      nbf=self.basis.nbf):
             S = overlap_matrix(self.basis)
             hcore = kinetic_matrix(self.basis) + nuclear_matrix(self.basis)
-            self._setup_jk()
+            # a caller-owned engine is re-targeted if needed, never closed
+            self._jk = self.jk_engine or make_jk_engine(
+                self.basis, self.config, self.screen_eps, mode=self.mode)
+            if self._jk.basis is not self.basis:
+                self._jk.reset(self.basis)
         X = orthogonalizer(S)
         enuc = nuclear_repulsion(self.mol)
         na, nb = self.nalpha, self.nbeta
@@ -268,10 +244,9 @@ class UHF:
                         Da, Ca, eps_a = advance(Fa_d, Da, na)
                         Db, Cb, eps_b = advance(Fb_d, Db, nb)
         finally:
-            # a pool this run spawned dies with the run; an external
-            # jk_pool is left running for the caller to reuse
-            if self._direct is not None:
-                self._direct.close()
+            # an engine (and pool) this run made dies with the run
+            if self._jk is not self.jk_engine:
+                self._jk.close()
         if tr.enabled:
             tr.metrics.set("scf.niter", it)
             tr.metrics.set("scf.converged", int(converged))

@@ -123,8 +123,7 @@ def test_incremental_scf_integration():
     diis = DIIS()
     energy = 0.0
     for _ in range(30):
-        J, _ = solver.build_jk(D)
-        K = inc.update(D)
+        J, K = inc.build(D)
         F = hcore + J - 0.5 * K
         energy = (0.5 * float(np.einsum("pq,pq->", D, hcore + F))
                   + nuclear_repulsion(mol))

@@ -69,6 +69,31 @@ def test_bomd_with_temperature_initialization():
     assert np.abs(traj[0].velocities).max() > 0
 
 
+@pytest.mark.parametrize("placement,de,df", [
+    pytest.param({"executor": "process", "nworkers": 2}, 1e-8, 1e-6,
+                 marks=pytest.mark.pool, id="process"),
+    pytest.param({"jk": "ri"}, 1e-4, 1e-3, marks=pytest.mark.ri, id="ri"),
+])
+def test_pbe0_forces_through_any_engine(placement, de, df):
+    """Kohn-Sham trajectories get the same one engine HF does: PBE0 on
+    the worker pool / on the fitted tensor matches the in-core PBE0
+    energy and forces (both used to be refused as "wired through the
+    RHF builder")."""
+    from repro.runtime import ExecutionConfig
+
+    mol = builders.h2(0.70)
+    e_ref, f_ref = SCFForceEngine(mol, method="pbe0").energy_forces(mol.coords)
+    eng = SCFForceEngine(mol, method="pbe0",
+                         config=ExecutionConfig(**placement))
+    try:
+        e, f = eng.energy_forces(mol.coords)
+        assert not eng.degraded
+    finally:
+        eng.close()
+    assert abs(e - e_ref) < de
+    assert np.abs(f - f_ref).max() < df
+
+
 @pytest.mark.ri
 class TestRIForces:
     def test_ri_forces_close_to_direct(self):
@@ -83,9 +108,8 @@ class TestRIForces:
         assert np.abs(f_r - f_d).max() < 1e-3
         # one B assembly per displaced geometry of the FD stencil, all
         # SCF iterations at each geometry served from the cache
-        assert eng._ri is not None
-        assert eng._ri.b_builds == 1 + 2 * mol.natom * 3
-        assert eng._ri.b_reuses > 0
+        assert eng._jk.b_builds == 1 + 2 * mol.natom * 3
+        assert eng._jk.b_reuses > 0
 
     def test_ri_state_round_trip_guards_engine(self):
         from repro.md.bomd import CheckpointError
@@ -104,14 +128,11 @@ class TestRIForces:
         fresh = SCFForceEngine(mol, method="hf",
                                config=ExecutionConfig(jk="ri"))
         fresh.set_state(state)
-        assert fresh._ri is None
+        assert fresh._jk is None
 
-    def test_ri_rejects_incremental_and_dft(self):
+    def test_ri_rejects_incremental(self):
         from repro.runtime import ExecutionConfig
 
         with pytest.raises(ValueError, match="incremental"):
             SCFForceEngine(builders.h2(), method="hf", incremental=True,
-                           config=ExecutionConfig(jk="ri"))
-        with pytest.raises(ValueError, match="direct RHF"):
-            SCFForceEngine(builders.h2(), method="pbe",
                            config=ExecutionConfig(jk="ri"))

@@ -311,7 +311,7 @@ def test_mts_kill_restore_continue_process_executor(tmp_path):
     revived = MTSBOMD.restore(
         str(ckdir), config=ExecutionConfig(executor="process", nworkers=2))
     try:
-        assert revived.engine._pool is None
+        assert revived.engine._jk is None
         got = revived.run(5)
     finally:
         revived.engine.close()

@@ -479,7 +479,7 @@ def test_bomd_kill_restore_continue_process_pool(tmp_path):
 
     revived = BOMD.restore(str(ckdir),
                            config=ExecutionConfig(**pool_cfg))
-    assert revived.engine._pool is None   # fresh pool, spawned lazily
+    assert revived.engine._jk is None   # fresh engine + pool, made lazily
     try:
         got = revived.run(24)
     finally:

@@ -210,6 +210,37 @@ def test_scf_survives_unrecoverable_pool(clean_fault_env):
     assert abs(res.energy - ref.energy) < 1e-8
 
 
+def test_trajectory_degrades_once_and_finishes_serially(clean_fault_env):
+    """One engine per trajectory means one degrade: the pool dies in the
+    first SCF, the engine warns once, and every later geometry keeps
+    building on it serially — same trajectory as the serial executor."""
+    from repro.chem import builders
+    from repro.md.bomd import BOMD
+
+    ref = BOMD(builders.h2(0.80), dt_fs=0.5)
+    ref.engine.scf_kwargs = {"mode": "direct"}
+    want = ref.run(2)
+    clean_fault_env.setenv("REPRO_POOL_FAULT", "worker=*,build=1,mode=kill")
+    tr = Tracer("md-fault")
+    md = BOMD(builders.h2(0.80), dt_fs=0.5,
+              config=ExecutionConfig(executor="process", nworkers=2,
+                                     pool_max_retries=0, tracer=tr))
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = md.run(2)
+        assert md.engine.degraded
+    finally:
+        md.engine.close()
+    assert len([w for w in caught
+                if issubclass(w.category, RuntimeWarning)
+                and "serial" in str(w.message)]) == 1
+    assert tr.snapshot().counters.get("pool.degraded_builds") == 1
+    for s_ref, s in zip(want, got):
+        assert np.array_equal(s.coords, s_ref.coords)
+        assert s.energy_pot == s_ref.energy_pot
+
+
 # --- diagnosis ---------------------------------------------------------------
 
 

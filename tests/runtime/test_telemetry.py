@@ -9,7 +9,6 @@ from repro.runtime.comm import CommLog
 from repro.runtime.telemetry import (NULL_TRACER, MetricsRegistry, NullTracer,
                                      Span, TelemetrySnapshot, Tracer,
                                      chrome_trace)
-from repro.runtime.trace import Timer, Trace
 
 
 def test_span_nesting_depth_and_parent():
@@ -170,17 +169,6 @@ def test_metrics_count_and_set():
 
 def test_metrics_absorbers():
     m = MetricsRegistry()
-    t = Timer()
-    with t:
-        pass
-    m.absorb_timer("build", t)
-    assert m.get("build.count") == 1
-
-    trc = Trace()
-    trc.add("compute", 0.0, 2.0)
-    m.absorb_trace(trc)
-    assert m.get("trace.compute.total_s") == 2.0
-
     log = CommLog()
     log.allreduce_calls = 3
     m.absorb_commlog(log)

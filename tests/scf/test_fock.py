@@ -30,15 +30,6 @@ def test_direct_jk_symmetric(water_basis):
     assert np.allclose(K, K.T, atol=1e-10)
 
 
-def test_want_flags(water_basis):
-    D = _random_density(water_basis.nbf, 1)
-    b = DirectJKBuilder(water_basis)
-    J, K = b.build(D, want_j=True, want_k=False)
-    assert K is None and J is not None
-    J, K = b.build(D, want_j=False, want_k=True)
-    assert J is None and K is not None
-
-
 def test_screening_reduces_quartets():
     # a spread-out cluster has genuinely negligible quartets to drop
     b = build_basis(builders.water_cluster(2, seed=1))

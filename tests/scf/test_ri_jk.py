@@ -34,13 +34,6 @@ class TestFittedJK:
         assert np.abs(K_fit - K).max() < DK_MAX
         assert np.abs(K_fit - K_fit.T).max() < 1e-12
 
-    def test_want_flags(self, water_basis, water_rhf):
-        b = RIJKBuilder(water_basis)
-        J, K = b.build(water_rhf.D, want_j=True, want_k=False)
-        assert J is not None and K is None
-        J, K = b.build(water_rhf.D, want_j=False, want_k=True)
-        assert J is None and K is not None
-
     def test_exchange_energy_negative(self, water_basis, water_rhf):
         ex = RIJKBuilder(water_basis).exchange_energy(water_rhf.D)
         assert ex < 0.0
@@ -97,7 +90,7 @@ class TestRHFDispatch:
         basis = build_basis(mol, "sto-3g")
         b = RIJKBuilder(basis)
         res = RHF(mol, basis=basis, mode="direct", config=RI,
-                  ri_builder=b).run()
+                  jk_engine=b).run()
         # one assembly, one reuse per remaining Fock build, and the
         # driver's close() must not have dropped the cached tensor
         assert b.b_builds == 1
@@ -125,20 +118,19 @@ class TestRHFDispatch:
             RHF(builders.water(), config=RI)
 
     def test_k_builder_rejected(self):
-        from repro.hfx.incremental import IncrementalExchange
+        # the factory is where incremental x ri is refused now
+        from repro.scf import make_jk_engine
 
-        mol = builders.water()
-        basis = build_basis(mol, "sto-3g")
+        basis = build_basis(builders.water(), "sto-3g")
         with pytest.raises(ValueError, match="incremental"):
-            RHF(mol, basis=basis, mode="direct", config=RI,
-                k_builder=IncrementalExchange(basis))
+            make_jk_engine(basis, RI, incremental=True)
 
     def test_ri_builder_requires_ri(self):
         mol = builders.water()
         basis = build_basis(mol, "sto-3g")
         with pytest.raises(ValueError, match="jk='ri'"):
             RHF(mol, basis=basis, mode="direct",
-                ri_builder=RIJKBuilder(basis))
+                jk_engine=RIJKBuilder(basis))
 
 
 class TestDistributedExchange:

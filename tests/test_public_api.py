@@ -51,3 +51,15 @@ def test_version_string():
     import repro
 
     assert repro.__version__.count(".") == 2
+
+
+def test_engine_surface_is_public_and_dead_wood_is_gone():
+    import repro.runtime
+    import repro.scf
+
+    for name in ("JKEngine", "TensorJKEngine", "DirectJKBuilder",
+                 "RIJKBuilder", "make_jk_engine"):
+        assert name in repro.scf.__all__ and hasattr(repro.scf, name), name
+    assert "PoolLease" in repro.runtime.__all__
+    for name in ("Timer", "Trace", "TraceEvent"):
+        assert not hasattr(repro.runtime, name), name
