@@ -14,6 +14,7 @@ import numpy as np
 from ..chem.molecule import Molecule
 from .data import BASIS_LIBRARY
 from .shell import Shell, AM_LABELS, cartesian_components
+from .shellpair import ShellPair, build_shell_pairs
 
 __all__ = ["BasisSet", "build_basis"]
 
@@ -58,6 +59,48 @@ class BasisSet:
             cached = [self.shell_slice(i) for i in range(self.nshell)]
             self.__dict__["_slices_cache"] = cached
         return cached
+
+    def shell_pairs(self) -> dict[tuple[int, int], ShellPair]:
+        """The full ``(i, j)``, ``i <= j`` shell-pair table, built once
+        per basis object.
+
+        Overlap, kinetic, nuclear-attraction and dipole matrices, the
+        Schwarz bounds and every :class:`~repro.integrals.eri.ERIEngine`
+        on this basis read the same table (and the Hermite expansions
+        its pairs cache) instead of each rebuilding it.
+        """
+        cached = self.__dict__.get("_pairs_cache")
+        if cached is None:
+            cached = build_shell_pairs(self.shells)
+            self.__dict__["_pairs_cache"] = cached
+        return cached
+
+    def moved_shells(self, ref: "BasisSet") -> list[int] | None:
+        """Indices of the shells that differ from ``ref``'s shell at the
+        same position, or ``None`` when the two bases do not line up
+        (different shell count or angular momenta, hence AO layout).
+
+        A shell is *unchanged* only under exact floating-point equality
+        of ``center``, ``exps`` and ``coefs``: every integral over
+        unchanged shells is then the same arithmetic on the same
+        doubles, so a cached block is a bit-for-bit stand-in for a
+        recomputed one.
+        """
+        if self.nshell != ref.nshell or any(
+                a.l != b.l for a, b in zip(self.shells, ref.shells)):
+            return None
+        return [i for i, (a, b) in enumerate(zip(self.shells, ref.shells))
+                if not (np.array_equal(a.center, b.center)
+                        and np.array_equal(a.exps, b.exps)
+                        and np.array_equal(a.coefs, b.coefs))]
+
+    def __getstate__(self) -> dict:
+        # derived ``_*_cache`` tables (slices, Schwarz bounds, shell
+        # pairs) rebuild lazily on the other side; shipping them would
+        # multiply every pool message, lane frame and checkpoint that
+        # carries a basis (a used Li2O2 basis: 3.9 kB -> 250 kB)
+        return {k: v for k, v in self.__dict__.items()
+                if not (k.startswith("_") and k.endswith("_cache"))}
 
     def ao_labels(self) -> list[str]:
         """Human-readable labels like ``'0 O 2px'`` for every AO."""

@@ -38,9 +38,13 @@ def boys(mmax: int, t: np.ndarray) -> np.ndarray:
     out = np.empty((mmax + 1, flat.size))
 
     small = flat < _SMALL_T
-    big = ~small
+    nsmall = int(np.count_nonzero(small))
+    # the usual call has no tiny argument: rows are then written whole,
+    # without a boolean-mask gather of ``flat`` and a masked scatter per
+    # order (same elementwise values either way)
+    big = ~small if nsmall else slice(None)
 
-    if np.any(big):
+    if nsmall < flat.size:
         tb = flat[big]
         m = mmax + 0.5
         # F_mmax(T) = Gamma(m) * P(m, T) / (2 T^m)   [P = regularized]
@@ -51,7 +55,7 @@ def boys(mmax: int, t: np.ndarray) -> np.ndarray:
             fm = (2.0 * tb * fm + emt) / (2.0 * k - 1.0)
             out[k - 1, big] = fm
 
-    if np.any(small):
+    if nsmall:
         ts = flat[small]
         for k in range(mmax + 1):
             # F_m(T) ~ 1/(2m+1) - T/(2m+3) + T^2/(2(2m+5))

@@ -23,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..basis.basisset import BasisSet
-from ..basis.shellpair import ShellPair, build_shell_pairs
-from .mcmurchie import hermite_r
+from ..basis.shellpair import ShellPair
+from .mcmurchie import hermite_r_tri
 
 __all__ = ["eri_quartet", "eri_tensor", "ERIEngine"]
 
@@ -46,7 +46,11 @@ def eri_quartet(bra: ShellPair, ket: ShellPair) -> np.ndarray:
     PQ = bra.P[:, None, :] - ket.P[None, :, :]
     L1, L2 = bra.lab, ket.lab
     L = L1 + L2
-    R = hermite_r(L, L, L, alpha.reshape(-1), PQ.reshape(-1, 3))
+    # triangular slab, Boys recursed down from 3L: the gather below only
+    # reaches t+u+v <= L, and those entries keep the bits of the full
+    # (3L+1)-order box this reference kernel is pinned to
+    R = hermite_r_tri(L, alpha.reshape(-1), PQ.reshape(-1, 3),
+                      boys_order=3 * L)
     comb = idx1[:, None, :] + idx2[None, :, :]          # (h1, h2, 3)
     Rg = R[comb[..., 0], comb[..., 1], comb[..., 2]]    # (h1, h2, nab*ncd)
     h1, h2 = len(idx1), len(idx2)
@@ -68,7 +72,8 @@ def eri_quartet(bra: ShellPair, ket: ShellPair) -> np.ndarray:
 
 
 class ERIEngine:
-    """Caches shell pairs and serves screened quartet evaluations.
+    """Serves (screened) quartet evaluations over the basis's shell-pair
+    table.
 
     This is the serial reference engine; the distributed scheme in
     :mod:`repro.hfx` consumes the same quartets but partitions them
@@ -77,7 +82,6 @@ class ERIEngine:
 
     def __init__(self, basis: BasisSet):
         self.basis = basis
-        self.pairs = build_shell_pairs(basis.shells)
         self._schwarz: dict[tuple[int, int], float] | None = None
         # build quartets evaluated through quartet() — the single counted
         # evaluation path, so screened and unscreened builds agree with
@@ -86,6 +90,12 @@ class ERIEngine:
         # diagonal (ij|ij) quartets evaluated for Schwarz bounds; kept
         # separate so screening preparation never pollutes build counts
         self.quartets_screening = 0
+
+    @property
+    def pairs(self) -> dict[tuple[int, int], ShellPair]:
+        """The basis's one shell-pair table (built at first use, so the
+        cost lands in the integral call that needs it)."""
+        return self.basis.shell_pairs()
 
     def pair(self, i: int, j: int) -> ShellPair:
         """The shell pair ``(min(i,j), max(i,j))``."""
@@ -150,19 +160,35 @@ class ERIEngine:
                                 uket, ket_ids.reshape(-1))
 
 
-def eri_tensor(basis: BasisSet, screen: float = 0.0) -> np.ndarray:
+def eri_tensor(basis: BasisSet, screen: float = 0.0,
+               reuse: tuple[np.ndarray, list[int]] | None = None,
+               engine: ERIEngine | None = None) -> np.ndarray:
     """Full ERI tensor ``(pq|rs)``, shape ``(nbf,)*4``.
 
     Exploits the 8-fold permutational symmetry at the shell level and,
     when ``screen > 0``, skips quartets whose Cauchy-Schwarz bound
     ``Q_ij * Q_kl`` falls below the threshold.
 
-    Intended for reference/validation on small systems — the HFX scheme
-    never materializes this tensor (nor does the paper's code).
+    This is the in-core SCF path (``mode="incore"``, the default of
+    :class:`~repro.scf.rhf.RHF`/``RKS``/``UHF`` and of finite-difference
+    BOMD) and the bit-exact reference the direct, batched and fitted
+    builds are checked against; the paper's HFX scheme never
+    materializes it.
+
+    ``reuse=(anchor, moved)`` starts from a copy of ``anchor`` — the
+    unscreened tensor of a basis that differs from ``basis`` in exactly
+    the shells listed in ``moved`` — and re-evaluates only the quartets
+    that touch one of those; every other block is what the full walk
+    would have recomputed, bit for bit.  ``engine`` is the
+    :class:`ERIEngine` on ``basis`` to evaluate through, for callers
+    that read its ``quartets_computed`` afterwards.
     """
+    if reuse is not None and screen > 0:
+        raise ValueError("eri_tensor: reuse= needs the unscreened walk "
+                         "(a screened tensor has no anchor)")
     nsh = basis.nshell
-    engine = ERIEngine(basis)
-    eri = np.zeros((basis.nbf,) * 4)
+    if engine is None:
+        engine = ERIEngine(basis)
     # hoisted invariants: shell slices (cached on the basis object, so
     # the 2-/3-index RI builders share the same list) and Schwarz-bound
     # products are computed once per build, never inside quartet loops
@@ -170,15 +196,25 @@ def eri_tensor(basis: BasisSet, screen: float = 0.0) -> np.ndarray:
     keys = [(i, j) for i in range(nsh) for j in range(i, nsh)]
     if screen > 0:
         Q = engine.schwarz_bounds()
-        present = [key in engine.pairs for key in keys]
+        pairs = engine.pairs
+        present = [key in pairs for key in keys]
         qvals = np.array([Q.get(key, 0.0) for key in keys])
+    if reuse is None:
+        eri = np.zeros((basis.nbf,) * 4)
+    else:
+        anchor, moved = reuse
+        moved = set(moved)
+        eri = anchor.copy()
+        touched = np.array([i in moved or j in moved for i, j in keys])
     for a, (i, j) in enumerate(keys):
         if screen > 0:
             if not present[a]:
                 continue
             kept = np.nonzero(qvals[a] * qvals[a:] >= screen)[0] + a
-        else:
+        elif reuse is None or touched[a]:
             kept = range(a, len(keys))
+        else:
+            kept = np.nonzero(touched[a:])[0] + a
         si, sj = slices[i], slices[j]
         for b in kept:
             k, l = keys[b]

@@ -29,7 +29,7 @@ from ..basis.shellpair import ShellPair
 from ..chem.molecule import Molecule
 from .eri import eri_quartet
 from .kinetic import kinetic_block
-from .mcmurchie import hermite_r
+from .mcmurchie import hermite_r_tri
 from .nuclear import nuclear_block
 from .overlap import overlap_block
 
@@ -152,7 +152,7 @@ def nuclear_gradient(sha: Shell, shb: Shell, charges: np.ndarray,
     shifts = np.eye(3, dtype=np.int64)
     for k, (zc, C) in enumerate(zip(charges, centers)):
         PC = pair.P - C[None, :]
-        R = hermite_r(L + 1, L + 1, L + 1, pair.p, PC)
+        R = hermite_r_tri(L + 1, pair.p, PC, boys_order=3 * (L + 1))
         for d in range(3):
             sh = idx + shifts[d][None, :]
             Rh = R[sh[:, 0], sh[:, 1], sh[:, 2]]

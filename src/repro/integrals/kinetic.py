@@ -56,9 +56,7 @@ def kinetic_matrix(basis: BasisSet,
                    ) -> np.ndarray:
     """Full AO kinetic-energy matrix, shape ``(nbf, nbf)``."""
     if pairs is None:
-        from ..basis.shellpair import build_shell_pairs
-
-        pairs = build_shell_pairs(basis.shells)
+        pairs = basis.shell_pairs()
     T = np.zeros((basis.nbf, basis.nbf))
     for (i, j), pair in pairs.items():
         blk = kinetic_block(pair)

@@ -4,8 +4,9 @@ Two building blocks:
 
 * :func:`hermite_e` — expansion coefficients E_t^{ij} that express a
   product of two 1-D Cartesian Gaussians as a sum of Hermite Gaussians;
-* :func:`hermite_r` — the Hermite Coulomb integrals R_{tuv} built on the
-  Boys function.
+* :func:`hermite_r` / :func:`hermite_r_tri` — the Hermite Coulomb
+  integrals R_{tuv} built on the Boys function (one recursion body; the
+  triangular form carries only the auxiliary orders ``t+u+v <= L`` reads).
 
 Both are vectorized over an arbitrary trailing axis of primitive
 (pair/quartet) data, so a whole contracted shell pair is expanded in a
@@ -99,37 +100,29 @@ def hermite_e(la: int, lb: int, a: np.ndarray, b: np.ndarray,
     return E[:, :, : la + lb + 1]
 
 
-def hermite_r(tmax: int, umax: int, vmax: int, p: np.ndarray,
-              PQ: np.ndarray) -> np.ndarray:
-    """Hermite Coulomb integrals R_{tuv}(p, PQ).
+def _coulomb_recursion(tmax: int, umax: int, vmax: int, norder: int,
+                       boys_order: int, p: np.ndarray,
+                       PQ: np.ndarray) -> np.ndarray:
+    """The one Hermite Coulomb recursion body behind :func:`hermite_r`
+    and :func:`hermite_r_tri`.
 
-    Parameters
-    ----------
-    tmax, umax, vmax:
-        Maximum Hermite orders per dimension.
-    p:
-        Combined exponents, shape ``(n,)`` (for ERIs this is the reduced
-        exponent ``alpha = p*q/(p+q)``; for nuclear attraction it is
-        ``p`` itself).
-    PQ:
-        Displacement vectors, shape ``(n, 3)``.
-
-    Returns
-    -------
-    ``R`` of shape ``(tmax+1, umax+1, vmax+1, n)`` — the n = 0 auxiliary
-    level of the standard recursion.
+    Carries ``norder + 1`` auxiliary orders of a Boys table recursed
+    down from ``boys_order >= norder``; an entry at order ``o`` is exact
+    whenever ``o + t + u + v <= norder`` (each step consumes one order).
+    Every operation is elementwise, so an entry's bits depend only on
+    ``boys_order`` and its own ``(t, u, v)`` — never on how many orders
+    or slabs ride along.
     """
     p = np.asarray(p, dtype=np.float64)
     PQ = np.asarray(PQ, dtype=np.float64)
     n = p.shape[0]
-    L = tmax + umax + vmax
     T = p * (PQ * PQ).sum(axis=1)
-    F = boys(L, T)                                # (L+1, n)
+    F = boys(boys_order, T)                       # (boys_order+1, n)
     # R^(order)_{000} = (-2p)^order F_order(T)
     minus2p = -2.0 * p
-    base = np.empty((L + 1, n))
+    base = np.empty((norder + 1, n))
     pw = np.ones(n)
-    for order in range(L + 1):
+    for order in range(norder + 1):
         base[order] = pw * F[order]
         pw = pw * minus2p
     # R[order, t, u, v, n]; build up t, then u, then v, consuming one
@@ -137,10 +130,10 @@ def hermite_r(tmax: int, umax: int, vmax: int, p: np.ndarray,
     # operation (all lower indices at once) — extra entries beyond the
     # order budget are computed but never read, which is far cheaper in
     # numpy than index-exact triple loops.
-    R = np.zeros((L + 1, tmax + 1, umax + 1, vmax + 1, n))
+    R = np.zeros((norder + 1, tmax + 1, umax + 1, vmax + 1, n))
     R[:, 0, 0, 0] = base
     X, Y, Z = PQ[:, 0], PQ[:, 1], PQ[:, 2]
-    hi = L + 1
+    hi = norder + 1
     for t in range(1, tmax + 1):
         acc = X * R[1:hi, t - 1, 0, 0]
         if t > 1:
@@ -159,53 +152,50 @@ def hermite_r(tmax: int, umax: int, vmax: int, p: np.ndarray,
     return R[0]
 
 
-def hermite_r_tri(L: int, p: np.ndarray, PQ: np.ndarray) -> np.ndarray:
+def hermite_r(tmax: int, umax: int, vmax: int, p: np.ndarray,
+              PQ: np.ndarray) -> np.ndarray:
+    """Hermite Coulomb integrals R_{tuv}(p, PQ), the full box.
+
+    Parameters
+    ----------
+    tmax, umax, vmax:
+        Maximum Hermite orders per dimension.
+    p:
+        Combined exponents, shape ``(n,)`` (for ERIs this is the reduced
+        exponent ``alpha = p*q/(p+q)``; for nuclear attraction it is
+        ``p`` itself).
+    PQ:
+        Displacement vectors, shape ``(n, 3)``.
+
+    Returns
+    -------
+    ``R`` of shape ``(tmax+1, umax+1, vmax+1, n)`` — the n = 0 auxiliary
+    level of the standard recursion, every entry exact.
+    """
+    L = tmax + umax + vmax
+    return _coulomb_recursion(tmax, umax, vmax, L, L, p, PQ)
+
+
+def hermite_r_tri(L: int, p: np.ndarray, PQ: np.ndarray,
+                  boys_order: int | None = None) -> np.ndarray:
     """Hermite Coulomb integrals R_{tuv} for the triangle ``t+u+v <= L``.
 
     Same recursion as :func:`hermite_r`, but the auxiliary-order axis is
-    sized ``L + 1`` instead of ``3L + 1``: the quartet kernels only ever
+    sized ``L + 1`` instead of ``3L + 1``: the integral kernels only ever
     read entries with ``t + u + v <= L``, which consume at most ``L``
     auxiliary orders.  Entries outside the triangle are computed but hold
     unspecified (finite) values — callers must only gather reachable
-    ``(t, u, v)`` triples.  The payoff is a ~3x smaller Boys recursion
-    and a ~(3L+1)/(L+1) smaller intermediate, which is what makes large
-    quartet batches affordable; the batched ERI engine is the intended
-    caller.
+    ``(t, u, v)`` triples.
+
+    ``boys_order`` is the order the Boys table is recursed down from
+    (default ``L``, what the batched engine uses: a ~3x shorter Boys
+    recursion).  The per-quartet reference kernels pass ``3 * L``: their
+    ``F_0..F_L`` then carry the rounding of the downward recursion from
+    ``3L`` that ``hermite_r(L, L, L, ...)`` performs, so every triangle
+    entry is bit-identical to the full box at a third of the slabs.
 
     Returns ``R`` of shape ``(L+1, L+1, L+1, n)``.
     """
-    p = np.asarray(p, dtype=np.float64)
-    PQ = np.asarray(PQ, dtype=np.float64)
-    n = p.shape[0]
-    T = p * (PQ * PQ).sum(axis=1)
-    F = boys(L, T)                                # (L+1, n)
-    minus2p = -2.0 * p
-    base = np.empty((L + 1, n))
-    pw = np.ones(n)
-    for order in range(L + 1):
-        base[order] = pw * F[order]
-        pw = pw * minus2p
-    # R[order, t, u, v, n] with order capped at L: an entry at order o is
-    # exact whenever o + t + u + v <= L (each recursion step consumes one
-    # order), which covers every t + u + v <= L entry of the o = 0 slab
-    # that is finally returned.
-    R = np.zeros((L + 1, L + 1, L + 1, L + 1, n))
-    R[:, 0, 0, 0] = base
-    X, Y, Z = PQ[:, 0], PQ[:, 1], PQ[:, 2]
-    hi = L + 1
-    for t in range(1, L + 1):
-        acc = X * R[1:hi, t - 1, 0, 0]
-        if t > 1:
-            acc += (t - 1) * R[1:hi, t - 2, 0, 0]
-        R[: hi - 1, t, 0, 0] = acc
-    for u in range(1, L + 1):
-        acc = Y * R[1:hi, :, u - 1, 0]
-        if u > 1:
-            acc += (u - 1) * R[1:hi, :, u - 2, 0]
-        R[: hi - 1, :, u, 0] = acc
-    for v in range(1, L + 1):
-        acc = Z * R[1:hi, :, :, v - 1]
-        if v > 1:
-            acc += (v - 1) * R[1:hi, :, :, v - 2]
-        R[: hi - 1, :, :, v] = acc
-    return R[0]
+    if boys_order is None:
+        boys_order = L
+    return _coulomb_recursion(L, L, L, L, boys_order, p, PQ)

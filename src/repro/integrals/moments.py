@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..basis.basisset import BasisSet
-from ..basis.shellpair import ShellPair, build_shell_pairs
+from ..basis.shellpair import ShellPair
 from ..chem.molecule import Molecule
 
 __all__ = ["dipole_block", "dipole_matrices", "dipole_moment"]
@@ -56,7 +56,7 @@ def dipole_matrices(basis: BasisSet, origin=None) -> np.ndarray:
     if origin is None:
         origin = np.zeros(3)
     origin = np.asarray(origin, dtype=np.float64)
-    pairs = build_shell_pairs(basis.shells)
+    pairs = basis.shell_pairs()
     out = np.zeros((3, basis.nbf, basis.nbf))
     for (i, j), pair in pairs.items():
         blk = dipole_block(pair, origin)

@@ -8,7 +8,7 @@ import numpy as np
 from ..basis.basisset import BasisSet
 from ..basis.shellpair import ShellPair
 from ..chem.molecule import Molecule
-from .mcmurchie import hermite_r
+from .mcmurchie import hermite_r_tri
 
 __all__ = ["nuclear_block", "nuclear_matrix"]
 
@@ -31,7 +31,8 @@ def nuclear_block(pair: ShellPair, charges: np.ndarray,
     out = np.zeros(lam.shape[:2])
     for zc, C in zip(charges, centers):
         PC = pair.P - C[None, :]
-        R = hermite_r(L, L, L, pair.p, PC)    # (L+1,L+1,L+1,nprim)
+        # same bits as the full box on every t+u+v <= L entry (see eri_quartet)
+        R = hermite_r_tri(L, pair.p, PC, boys_order=3 * L)
         Rh = R[idx[:, 0], idx[:, 1], idx[:, 2]]  # (nherm, nprim)
         out -= zc * np.einsum("xyhn,hn,n->xy", lam, Rh, pref)
     return out
@@ -44,9 +45,7 @@ def nuclear_matrix(basis: BasisSet, mol: Molecule | None = None,
     if mol is None:
         mol = basis.molecule
     if pairs is None:
-        from ..basis.shellpair import build_shell_pairs
-
-        pairs = build_shell_pairs(basis.shells)
+        pairs = basis.shell_pairs()
     charges = mol.numbers.astype(np.float64)
     centers = mol.coords
     V = np.zeros((basis.nbf, basis.nbf))

@@ -32,9 +32,7 @@ def overlap_matrix(basis: BasisSet,
                    ) -> np.ndarray:
     """Full AO overlap matrix, shape ``(nbf, nbf)``."""
     if pairs is None:
-        from ..basis.shellpair import build_shell_pairs
-
-        pairs = build_shell_pairs(basis.shells)
+        pairs = basis.shell_pairs()
     S = np.zeros((basis.nbf, basis.nbf))
     for (i, j), pair in pairs.items():
         blk = overlap_block(pair)

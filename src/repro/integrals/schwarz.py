@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..basis.basisset import BasisSet
-from ..basis.shellpair import build_shell_pairs
 from .eri import eri_quartet
 
 __all__ = ["schwarz_bounds", "schwarz_matrix", "pair_extent_estimate",
@@ -25,7 +24,7 @@ def schwarz_bounds(basis: BasisSet,
     """Exact Cauchy-Schwarz bounds per shell pair (dict keyed ``(i, j)``,
     ``i <= j``)."""
     if pairs is None:
-        pairs = build_shell_pairs(basis.shells)
+        pairs = basis.shell_pairs()
     out = {}
     for key, pair in pairs.items():
         block = eri_quartet(pair, pair)

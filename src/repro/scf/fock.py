@@ -348,19 +348,62 @@ class JKEngine:
 
 class TensorJKEngine(JKEngine):
     """In-core reference engine: one materialized ERI tensor per
-    geometry, J/K by dense contraction (small validation systems)."""
+    geometry, J/K by dense contraction.
 
-    def __init__(self, basis: BasisSet):
+    Across ``reset`` calls the engine keeps the last tensor it built
+    from scratch as an *anchor*.  A new basis whose shells line up with
+    the anchor's and of which at least one is unchanged (exact equality
+    of ``l``/``center``/``exps``/``coefs``, see
+    :meth:`BasisSet.moved_shells`) starts from a copy of the anchor and
+    re-evaluates only the quartets that touch a moved shell — the
+    finite-difference stencil of a force call displaces one atom at a
+    time around the anchored geometry.  Anything else (all shells moved,
+    another molecule or basis) is a full walk that becomes the new
+    anchor.  Either way ``eri`` holds exactly the doubles a fresh
+    :func:`~repro.integrals.eri.eri_tensor` would.
+
+    Memory: after a full walk the anchor *is* ``eri`` (one ``nbf^4``
+    array); after a partial one there are two; never three, and nothing
+    writes into the anchor.  ``close()`` drops both.
+    """
+
+    def __init__(self, basis: BasisSet, config=None):
+        from ..runtime.execconfig import resolve_execution
+
+        self.config = resolve_execution(config, owner="TensorJKEngine")
+        self._anchor: tuple[BasisSet, np.ndarray] | None = None
         self.reset(basis)
 
     def reset(self, basis: BasisSet) -> None:
         self.basis = basis
-        self.eri = None          # free the old tensor before the new one
-        self.eri = eri_tensor(basis)
+        engine = ERIEngine(basis)     # counts the quartets it evaluates
+        self.eri = None          # the old tensor goes before the new one
+        moved = (None if self._anchor is None
+                 else basis.moved_shells(self._anchor[0]))
+        if moved is None or len(moved) == basis.nshell:
+            self._anchor = None       # ... and so does a useless anchor
+            self.eri = eri_tensor(basis, engine=engine)
+            self._anchor = (basis, self.eri)
+        else:
+            self.eri = eri_tensor(basis, reuse=(self._anchor[1], moved),
+                                  engine=engine)
+        npair = basis.nshell * (basis.nshell + 1) // 2
+        self.quartets_total = npair * (npair + 1) // 2
+        self.quartets_computed = engine.quartets_computed
+        tr = self.config.trace
+        if tr.enabled:
+            tr.metrics.count("jk.tensor.quartets_computed",
+                             self.quartets_computed)
+            tr.metrics.count("jk.tensor.quartets_reused",
+                             self.quartets_total - self.quartets_computed)
 
     def build(self, D, want_j=True, want_k=True):
         return (coulomb_from_tensor(self.eri, D) if want_j else None,
                 exchange_from_tensor(self.eri, D) if want_k else None)
+
+    def close(self) -> None:
+        self.eri = None
+        self._anchor = None
 
 
 class DirectJKBuilder(JKEngine):
@@ -557,7 +600,7 @@ def make_jk_engine(basis: BasisSet, config=None, eps: float = 1e-10,
     cfg = resolve_execution(config, owner="make_jk_engine")
     check_jk_mode(mode, cfg, incremental)
     if mode == "incore":
-        return TensorJKEngine(basis)
+        return TensorJKEngine(basis, cfg)
     if cfg.jk == "ri":
         from .ri_jk import RIJKBuilder
 

@@ -1,5 +1,7 @@
 """Tests for basis-set construction and bookkeeping."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -92,3 +94,40 @@ def test_basisset_is_reusable_across_molecules():
     b2 = build_basis(m)
     assert isinstance(b1, BasisSet) and isinstance(b2, BasisSet)
     assert b1.nbf == b2.nbf == 2
+
+
+# --- derived caches: shared in-process, never pickled -------------------------
+
+def test_one_pair_table_for_every_integral_builder(water):
+    from repro.integrals import (ERIEngine, kinetic_matrix, nuclear_matrix,
+                                 overlap_matrix)
+
+    basis = build_basis(water)
+    table = basis.shell_pairs()
+    assert basis.shell_pairs() is table
+    assert sorted(table) == [(i, j) for i in range(basis.nshell)
+                             for j in range(i, basis.nshell)]
+    seen = []
+    for build in (overlap_matrix, kinetic_matrix, nuclear_matrix):
+        # an explicit table and the per-basis one give the same matrix
+        assert np.array_equal(build(basis), build(basis, pairs=table))
+        seen.append(basis.shell_pairs())
+    seen += [ERIEngine(basis).pairs, ERIEngine(basis).pairs]
+    assert all(t is table for t in seen)
+
+
+@pytest.mark.reference
+def test_used_basis_pickles_like_a_fresh_one(water):
+    from repro.integrals import eri_tensor
+    from repro.scf import RHF
+
+    basis = build_basis(water)
+    assert RHF(water, basis, mode="direct").run().converged
+    assert {"_pairs_cache", "_slices_cache", "_schwarz_cache"} \
+        <= set(basis.__dict__)
+    blob = pickle.dumps(basis)
+    assert len(blob) == len(pickle.dumps(build_basis(water)))
+    clone = pickle.loads(blob)
+    assert not any(k.endswith("_cache") for k in clone.__dict__)
+    assert np.array_equal(eri_tensor(clone), eri_tensor(basis))
+    assert "_pairs_cache" in basis.__dict__      # the original keeps its own

@@ -1,6 +1,7 @@
 """Tests for the Boys function."""
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 
 from repro.integrals.boys import boys, boys_single
@@ -67,3 +68,18 @@ def test_positive_everywhere():
     ts = np.logspace(-12, 3, 60)
     out = boys(8, ts)
     assert np.all(out > 0)
+
+
+@pytest.mark.reference
+@pytest.mark.parametrize("mmax", [0, 1, 4, 12])
+def test_unmasked_path_equals_masked_path(mmax):
+    """With no argument below the Taylor cutoff ``boys`` writes whole
+    rows; one tiny argument appended forces the boolean-mask path on
+    the very same values."""
+    rng = np.random.default_rng(mmax)
+    t = np.concatenate([rng.uniform(1e-12, 60.0, 53), [1e-13, 1e-12, 35.0]])
+    plain = boys(mmax, t)
+    masked = boys(mmax, np.append(t, 1e-14))
+    assert np.array_equal(plain, masked[:, :-1])
+    grid = t[:56].reshape(7, 8)
+    assert np.array_equal(boys(mmax, grid), plain.reshape(mmax + 1, 7, 8))

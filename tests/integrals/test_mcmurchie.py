@@ -1,8 +1,10 @@
 """Tests for the Hermite (McMurchie-Davidson) machinery."""
 
 import numpy as np
+import pytest
 
-from repro.integrals.mcmurchie import gaussian_product, hermite_e, hermite_r
+from repro.integrals.mcmurchie import (gaussian_product, hermite_e, hermite_r,
+                                       hermite_r_tri)
 from repro.integrals.boys import boys
 
 
@@ -93,3 +95,28 @@ def test_vectorization_matches_scalar_loop():
     for k in range(6):
         E_one = hermite_e(1, 1, a[k:k + 1], b[k:k + 1], 0.9)
         assert np.allclose(E_all[..., k], E_one[..., 0])
+
+
+@pytest.mark.reference
+@pytest.mark.parametrize("L", range(7))
+def test_triangular_recursion_from_3L_is_the_cubic_one_bit_for_bit(L):
+    """What the per-quartet reference kernels rely on (L <= 4 for the
+    s/p/d quartets, L + 1 in the nuclear-attraction gradient): with the
+    Boys table recursed down from 3L, every reachable entry of the
+    (L+1)-order triangle carries the bits of the (3L+1)-order box."""
+    rng = np.random.default_rng(L)
+    n = 37
+    p = rng.uniform(0.05, 40.0, n)
+    PQ = rng.normal(scale=1.5, size=(n, 3))
+    PQ[:3] = 0.0                     # T = 0: the Taylor branch of boys()
+    PQ[3] *= 1e-8
+    box = hermite_r(L, L, L, p, PQ)
+    tri = hermite_r_tri(L, p, PQ, boys_order=3 * L)
+    assert tri.shape == box.shape == (L + 1, L + 1, L + 1, n)
+    idx = np.array([(t, u, v) for t in range(L + 1) for u in range(L + 1 - t)
+                    for v in range(L + 1 - t - u)])
+    t, u, v = idx.T
+    assert np.array_equal(tri[t, u, v], box[t, u, v])
+    # the batched engine's default (Boys from L) is a different rounding
+    short = hermite_r_tri(L, p, PQ)
+    assert np.allclose(short[t, u, v], box[t, u, v], rtol=1e-10, atol=1e-300)

@@ -68,3 +68,27 @@ def test_one_scf_run_span_per_kohn_sham_scf(water):
     assert [s[0] for s in tracer.spans].count("scf.run") == 1
     assert tracer.counts["scf.iterations"] == res.niter
     assert tracer.counts["scf.fock_builds"] == res.fock_builds
+
+
+def test_tensor_engine_reaches_eri_tensor_through_the_wrapped_call(water):
+    """A patched (reused-anchor) build must still go through the
+    module-level ``eri_tensor`` the harness wraps, or
+    ``integrals.eri_tensor.self_s`` would stop accounting for the wall.
+    The harness's quartet count is computed from the shell count, so it
+    cannot see the reuse — the engine's own counter does."""
+    from repro.basis import build_basis
+    from repro.scf import TensorJKEngine
+
+    for modname in layers.REACHABLE:
+        importlib.import_module(modname)
+    coords = water.coords.copy()
+    coords[1, 0] += 1e-3
+    tracer = SpanTracer()
+    with Patcher(tracer) as patcher:
+        patcher.install(layers.JOB)
+        engine = TensorJKEngine(build_basis(water))
+        engine.reset(build_basis(water.with_coords(coords)))
+    assert leftover_wrappers() == []
+    assert [s[0] for s in tracer.spans].count("integrals.eri_tensor") == 2
+    assert tracer.counts["integrals.eri_tensor.quartets"] == 2 * 120
+    assert engine.quartets_computed < engine.quartets_total == 120
