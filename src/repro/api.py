@@ -36,6 +36,7 @@ import time
 
 from .runtime.execconfig import ExecutionConfig, resolve_execution
 from .runtime.schema import result_envelope
+from .scf.fock import jk_build_mode
 from .service.jobspec import JobSpec
 
 __all__ = ["run_scf", "run_md", "run_job", "submit", "default_service",
@@ -90,53 +91,41 @@ def run_scf(spec: JobSpec | dict,
     cfg = _config_for(spec, config)
     mol = spec.resolve_molecule()
     t0 = time.perf_counter()
+    kwargs = {"config": cfg, "conv_tol": spec.conv_tol,
+              "screen_eps": spec.screen_eps,
+              "mode": jk_build_mode(cfg, spec.mode)}
     if spec.method == "uhf" or mol.multiplicity > 1:
         from .scf import run_uhf
 
         if cfg.scf_solver not in ("diis", "auto"):
-            # reject at the boundary instead of silently downgrading
-            # the requested solver (or failing deep inside UHF.__init__
-            # for specs whose inline molecule carries the open shell)
+            # JobSpec.validate owns soscf x open-shell for builder
+            # molecules; an inline geometry carries its multiplicity
+            # past it, so refuse here instead of silently downgrading
+            # the requested solver (or failing deep inside UHF.__init__)
             raise ValueError(
                 f"scf_solver={cfg.scf_solver!r} is not available for the "
                 f"UHF/open-shell route (molecule "
                 f"{mol.name!r}, multiplicity {mol.multiplicity}): the "
                 f"Newton solver's rotation parametrization is "
                 f"closed-shell only — use scf_solver='diis'")
-        kwargs = {"config": cfg.replace(scf_solver="diis"),
-                  "conv_tol": spec.conv_tol,
-                  "screen_eps": spec.screen_eps}
-        if cfg.executor == "process" or cfg.jk == "ri":
-            kwargs["mode"] = "direct"
-        elif spec.mode:
-            kwargs["mode"] = spec.mode
+        kwargs["config"] = cfg.replace(scf_solver="diis")
         res = run_uhf(mol, basis=spec.basis, **kwargs)
-        scf = res.summary()
         label = "UHF"
-        counters = dict(scf.get("counters", {}))
+    elif spec.method == "hf":
+        from .scf import run_rhf
+
+        res = run_rhf(mol, basis=spec.basis, **kwargs)
+        label = "RHF"
     else:
-        if spec.method == "hf":
-            from .scf import run_rhf
+        from .scf.dft import run_rks
 
-            kwargs = {"config": cfg, "conv_tol": spec.conv_tol,
-                      "screen_eps": spec.screen_eps}
-            if cfg.executor == "process" or cfg.jk == "ri":
-                kwargs["mode"] = "direct"
-            elif spec.mode:
-                kwargs["mode"] = spec.mode
-            res = run_rhf(mol, basis=spec.basis, **kwargs)
-            label = "RHF"
-        else:
-            from .scf.dft import run_rks
-
-            kwargs = {"config": cfg, "conv_tol": spec.conv_tol}
-            if cfg.executor == "process" or cfg.jk == "ri":
-                kwargs["mode"] = "direct"
-            res = run_rks(mol, basis=spec.basis, functional=spec.method,
-                          **kwargs)
-            label = spec.method.upper()
-        scf = res.summary()
-        counters = dict(scf.get("counters", {}))
+        # Kohn-Sham runs in-core unless the engine forces direct builds
+        res = run_rks(mol, basis=spec.basis, functional=spec.method,
+                      config=cfg, conv_tol=spec.conv_tol,
+                      mode=jk_build_mode(cfg))
+        label = spec.method.upper()
+    scf = res.summary()
+    counters = dict(scf.get("counters", {}))
     return result_envelope(
         "scf_result", wall_s=time.perf_counter() - t0, counters=counters,
         molecule=_molecule_payload(mol), method=label, basis=spec.basis,
@@ -157,14 +146,13 @@ def _build_bomd(spec: JobSpec, cfg: ExecutionConfig,
     a plain BOMD checkpoint and a multiple-time-stepping one both
     revive into the runner class that wrote them.
 
-    A spec with ``mts_outer > 1`` (or a config override) builds an
+    A spec with ``mts_outer > 1`` builds an
     :class:`repro.md.MTSBOMD` — the r-RESPA integrator with the full
     SCF force every ``mts_outer`` steps and the ``mts_inner`` surface
     in between.
     """
     from .md import BOMD, MTSBOMD, restore_md
     from .runtime.checkpoint import CheckpointStore
-    from .runtime.execconfig import resolve_mts_outer
 
     if restore_from not in (None, False):
         b = restore_md(restore_from, config=cfg)
@@ -184,15 +172,11 @@ def _build_bomd(spec: JobSpec, cfg: ExecutionConfig,
                "berendsen": BerendsenThermostat}[spec.thermostat]
         kw = {"seed": spec.seed} if spec.thermostat == "csvr" else {}
         thermostat = cls(T=spec.temperature, tau=tau, **kw)
-    n_outer = resolve_mts_outer(cfg.mts_outer if cfg.mts_outer is not None
-                                else spec.mts_outer)
-    if n_outer > 1:
-        inner = (cfg.mts_inner_engine if cfg.mts_inner_engine is not None
-                 else spec.mts_inner)
+    if spec.mts_outer > 1:
         return MTSBOMD(mol, method=spec.method, basis=spec.basis,
                        dt_fs=spec.dt_fs, temperature=spec.temperature,
                        seed=spec.seed, thermostat=thermostat, config=cfg,
-                       n_outer=n_outer, inner=inner,
+                       n_outer=spec.mts_outer, inner=spec.mts_inner,
                        aspc_order=spec.mts_aspc_order), None
     return BOMD(mol, method=spec.method, basis=spec.basis,
                 dt_fs=spec.dt_fs, temperature=spec.temperature,

@@ -27,8 +27,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
+
+from repro.runtime.boundary import KNOBS, from_text, resolve
 
 __all__ = ["main"]
 
@@ -77,26 +80,22 @@ def _spec_from_args(args, kind: str):
                   executor=args.executor, nworkers=args.nworkers,
                   kernel=args.kernel, jk=args.jk,
                   scf_solver=args.scf_solver)
-    if kind == "scf":
-        common["mode"] = args.mode
-    else:
-        common.update(steps=args.steps, dt_fs=args.dt,
-                      temperature=args.temperature,
-                      thermostat=args.thermostat, tau_fs=args.tau,
-                      seed=args.seed,
-                      mts_outer=getattr(args, "resolved_mts_outer", 1),
-                      mts_inner=getattr(args, "mts_inner", "ff"),
-                      mts_aspc_order=_aspc_order(args))
     try:
+        if kind == "scf":
+            common["mode"] = args.mode
+        else:
+            # --mts-aspc-order: a negative value disables extrapolation
+            order = args.mts_aspc_order
+            common.update(steps=args.steps, dt_fs=args.dt,
+                          temperature=args.temperature,
+                          thermostat=args.thermostat, tau_fs=args.tau,
+                          seed=args.seed,
+                          mts_outer=resolve("mts_outer", args.mts_outer),
+                          mts_inner=args.mts_inner,
+                          mts_aspc_order=None if order < 0 else order)
         return JobSpec(**common)
     except ValueError as e:
         raise SystemExit(f"error: {e}") from None
-
-
-def _aspc_order(args) -> int | None:
-    """``--mts-aspc-order``: a negative value disables extrapolation."""
-    order = getattr(args, "mts_aspc_order", 2)
-    return None if order < 0 else int(order)
 
 
 def _resolve_or_die(spec):
@@ -106,13 +105,31 @@ def _resolve_or_die(spec):
         raise SystemExit(str(e)) from None
 
 
-def _pool_knobs():
-    """Validate the pool env knobs at the boundary, before any spawn."""
-    from repro.runtime.pool import (resolve_pool_max_retries,
-                                    resolve_pool_timeout)
+def _config_from_args(args, tracer):
+    """The one ``ExecutionConfig`` the flags describe.
 
+    The env-backed knobs are resolved through the boundary table here,
+    before anything spawns, so a typo'd ``REPRO_*`` override is one
+    clean CLI error instead of a traceback inside a blocking wait.
+    Subcommands without a flag leave its field at the default.
+    """
+    from repro.runtime import ExecutionConfig
+
+    given = {field: getattr(args, field)
+             for field in ("executor", "nworkers", "kernel", "jk",
+                           "scf_solver", "checkpoint_keep")
+             if hasattr(args, field)}
     try:
-        return resolve_pool_timeout(), resolve_pool_max_retries()
+        if hasattr(args, "checkpoint"):
+            given.update(checkpoint_dir=args.checkpoint,
+                         checkpoint_every=resolve("checkpoint_every",
+                                                  args.checkpoint_every))
+        if hasattr(args, "transport"):
+            given["service_transport"] = resolve("service_transport",
+                                                 args.transport)
+        return ExecutionConfig(pool_timeout=resolve("pool_timeout"),
+                               pool_max_retries=resolve("pool_max_retries"),
+                               tracer=tracer, **given)
     except ValueError as e:
         raise SystemExit(f"error: {e}") from None
 
@@ -140,33 +157,21 @@ def _cmd_scf(args) -> int:
     import json
 
     from repro import api
-    from repro.runtime import ExecutionConfig, Tracer
-    from repro.runtime.pool import default_nworkers
+    from repro.runtime import Tracer
 
-    pool_timeout, pool_max_retries = _pool_knobs()
     spec = _spec_from_args(args, kind="scf")
     mol = _resolve_or_die(spec)
     quiet = args.json
     say = (lambda *a, **k: None) if quiet else print
+    tracer = Tracer(name=f"scf:{mol.name or 'molecule'}") \
+        if (args.trace or args.profile) else None
+    config = _config_from_args(args, tracer)
     say(f"{mol.name or 'molecule'}: {mol.natom} atoms, "
         f"{mol.nelectron} electrons, charge {mol.charge}, "
         f"multiplicity {mol.multiplicity}")
-    if args.scf_solver != "diis" and (args.method == "uhf"
-                                      or mol.multiplicity > 1):
-        raise SystemExit("--scf-solver soscf/auto is wired through the "
-                         "closed-shell drivers; the UHF path is DIIS-only")
-    tracer = Tracer(name=f"scf:{mol.name or 'molecule'}") \
-        if (args.trace or args.profile) else None
-    config = ExecutionConfig(executor=args.executor, nworkers=args.nworkers,
-                             pool_timeout=pool_timeout,
-                             pool_max_retries=pool_max_retries,
-                             kernel=args.kernel, jk=args.jk,
-                             scf_solver=args.scf_solver,
-                             tracer=tracer, profile=args.profile)
     if config.executor == "process":
-        say(f"executor: process pool, "
-            f"{config.nworkers or default_nworkers()} workers "
-            "(direct J/K builds)")
+        say(f"executor: process pool, {resolve('nworkers', config.nworkers)} "
+            "workers (direct J/K builds)")
     out = api.run_scf(spec, config)
     scf, label = out["scf"], out["method"]
     say(f"E({label}/{args.basis}) = {scf['energy']:.8f} Ha  "
@@ -189,18 +194,8 @@ def _cmd_md(args) -> int:
     import json
 
     from repro import api
-    from repro.runtime import (CheckpointError, ExecutionConfig, Tracer,
-                               resolve_checkpoint_every, resolve_mts_outer)
+    from repro.runtime import CheckpointError, Tracer
 
-    pool_timeout, pool_max_retries = _pool_knobs()
-    try:
-        checkpoint_every = resolve_checkpoint_every(args.checkpoint_every)
-        # boundary validation like the other resolve_* knobs: a bad
-        # --mts-outer dies here with an actionable message, not inside
-        # the integrator
-        args.resolved_mts_outer = resolve_mts_outer(args.mts_outer)
-    except ValueError as e:
-        raise SystemExit(f"error: {e}") from None
     restore_from = None
     if args.restore is not None:
         restore_from = args.restore if isinstance(args.restore, str) \
@@ -208,27 +203,11 @@ def _cmd_md(args) -> int:
         if restore_from is None:
             raise SystemExit("error: --restore needs a directory (give "
                              "one, or combine with --checkpoint DIR)")
-    elif args.thermostat != "none" and args.temperature is None:
-        raise SystemExit("error: a thermostat needs --temperature")
-    if restore_from is None and args.method != "hf" \
-            and args.executor == "process":
-        raise SystemExit("--executor process is wired through the direct "
-                         "RHF builder; use --method hf")
     spec = _spec_from_args(args, kind="md")
     quiet = args.json
     say = (lambda *a, **k: None) if quiet else print
     tracer = Tracer(name="md") if (args.trace or args.profile) else None
-    config = ExecutionConfig(executor=args.executor, nworkers=args.nworkers,
-                             pool_timeout=pool_timeout,
-                             pool_max_retries=pool_max_retries,
-                             kernel=args.kernel, jk=args.jk,
-                             scf_solver=args.scf_solver, tracer=tracer,
-                             profile=args.profile,
-                             checkpoint_dir=args.checkpoint,
-                             checkpoint_every=checkpoint_every,
-                             checkpoint_keep=args.checkpoint_keep,
-                             mts_outer=args.resolved_mts_outer,
-                             mts_inner_engine=args.mts_inner)
+    config = _config_from_args(args, tracer)
     if restore_from is None:
         mol = _resolve_or_die(spec)
         say(f"{mol.name or 'molecule'}: {mol.natom} atoms, "
@@ -236,15 +215,15 @@ def _cmd_md(args) -> int:
             f"{args.steps} steps"
             + (f", {args.thermostat} thermostat at {args.temperature} K"
                if args.thermostat != "none" else ""))
-        if args.resolved_mts_outer > 1:
-            order = _aspc_order(args)
+        if spec.mts_outer > 1:
+            order = spec.mts_aspc_order
             say(f"MTS (r-RESPA): full {args.method.upper()} force every "
-                f"{args.resolved_mts_outer} steps, '{args.mts_inner}' "
+                f"{spec.mts_outer} steps, '{spec.mts_inner}' "
                 f"inner surface, ASPC "
                 + (f"order {order}" if order is not None else "off"))
         if args.checkpoint:
             say(f"checkpointing to '{args.checkpoint}' every "
-                f"{checkpoint_every} steps")
+                f"{config.checkpoint_every} steps")
     try:
         out = api.run_md(spec, config,
                          restore_from=restore_from if restore_from
@@ -336,22 +315,17 @@ def _cmd_campaign(args) -> int:
         return 0
 
     if args.action == "run":
-        from repro.runtime import ExecutionConfig, Tracer
+        from repro.runtime import Tracer
 
-        pool_timeout, pool_max_retries = _pool_knobs()
         tracer = Tracer(name="campaign") \
             if (args.trace or args.profile) else None
-        config = ExecutionConfig(pool_timeout=pool_timeout,
-                                 pool_max_retries=pool_max_retries,
-                                 tracer=tracer, profile=args.profile)
-        svc = _campaign_service(args, config=config,
+        svc = _campaign_service(args, config=_config_from_args(args, tracer),
                                 max_retries=args.max_retries,
                                 preempt_steps=args.preempt_steps,
                                 cache_dir=args.cache_dir)
         try:
-            report = svc.run(nworkers=args.lanes,
-                             transport=args.transport)
-        except ValueError as e:
+            report = svc.run(nworkers=args.lanes)
+        except ValueError as e:     # a malformed REPRO_SERVICE_FAULT
             raise SystemExit(f"error: {e}") from None
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))
@@ -483,30 +457,26 @@ def _cmd_liair(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: a strictly positive integer with a clear error."""
+def _knob_text(key: str, text: str):
+    """argparse ``type=`` of a boundary-table row (bound per flag)."""
     try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}") from None
-    if n <= 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {n}")
-    return n
+        return from_text(key, text, "value")
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _nonneg_int(text: str) -> int:
-    """argparse type: a non-negative integer with a clear error."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {n}")
-    return n
+def _knob_flag(parser, key: str, **kw) -> None:
+    """Add the flag of boundary-table row ``key``: its choices tuple or
+    its text parser, and its default (``None`` = resolved later, for
+    rows with an environment override or a computed default)."""
+    knob = KNOBS[key]
+    if knob.kind == "choice":
+        kw["choices"] = knob.choices
+    else:
+        kw["type"] = partial(_knob_text, key)
+    kw.setdefault("default", None if knob.env or callable(knob.default)
+                  else knob.default)
+    parser.add_argument(knob.flag, **kw)
 
 
 # --- shared flag groups (argparse parents) ------------------------------------
@@ -524,31 +494,28 @@ def _geometry_parent() -> argparse.ArgumentParser:
 def _execution_parent() -> argparse.ArgumentParser:
     """The ExecutionConfig flags every computing subcommand shares."""
     e = argparse.ArgumentParser(add_help=False)
-    e.add_argument("--executor", default="serial",
-                   choices=["serial", "process"],
-                   help="where direct J/K builds run: in-process or on a "
-                        "persistent local worker pool")
-    e.add_argument("--nworkers", type=_positive_int, default=None,
-                   help="worker count for --executor process "
-                        "(default: usable cores)")
-    e.add_argument("--kernel", default="quartet",
-                   choices=["quartet", "batched"],
-                   help="ERI evaluation granularity for direct builds: "
-                        "one shell quartet per call (reference) or whole "
-                        "L-class batches (faster, ~1e-13 agreement)")
-    e.add_argument("--jk", default="direct", choices=["direct", "ri"],
-                   help="J/K engine: exact quartet walk (reference) or "
-                        "density fitting (ri) — one fitted tensor per "
-                        "geometry, reused by every SCF iteration; pays "
-                        "off beyond ~a dozen atoms, fitted energies "
-                        "agree to ~1e-5 Ha/atom (forces mode=direct)")
-    e.add_argument("--scf-solver", default="diis",
-                   choices=["diis", "soscf", "auto"],
-                   help="SCF convergence strategy: Pulay DIIS (bit-exact "
-                        "reference), ADIIS+Newton (soscf), or DIIS with "
-                        "Newton handoff (auto) — the accelerated solvers "
-                        "agree to the convergence tolerance in fewer "
-                        "Fock builds (see scf.fock_builds in --profile)")
+    _knob_flag(e, "executor",
+               help="where direct J/K builds run: in-process or on a "
+                    "persistent local worker pool")
+    _knob_flag(e, "nworkers",
+               help="worker count for --executor process "
+                    "(default: usable cores)")
+    _knob_flag(e, "kernel",
+               help="ERI evaluation granularity for direct builds: "
+                    "one shell quartet per call (reference) or whole "
+                    "L-class batches (faster, ~1e-13 agreement)")
+    _knob_flag(e, "jk",
+               help="J/K engine: exact quartet walk (reference) or "
+                    "density fitting (ri) — one fitted tensor per "
+                    "geometry, reused by every SCF iteration; pays "
+                    "off beyond ~a dozen atoms, fitted energies "
+                    "agree to ~1e-5 Ha/atom (forces mode=direct)")
+    _knob_flag(e, "scf_solver",
+               help="SCF convergence strategy: Pulay DIIS (bit-exact "
+                    "reference), ADIIS+Newton (soscf), or DIIS with "
+                    "Newton handoff (auto) — the accelerated solvers "
+                    "agree to the convergence tolerance in fewer "
+                    "Fock builds (see scf.fock_builds in --profile)")
     return e
 
 
@@ -583,12 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
                         parents=[geometry, execution, output])
     ps.add_argument("molecule", nargs="?", default="water",
                     help="built-in builder name (default: water)")
-    ps.add_argument("--method", default="hf",
-                    choices=["hf", "uhf", "lda", "pbe", "pbe0"])
+    _knob_flag(ps, "method")
     ps.add_argument("--basis", default="sto-3g")
-    ps.add_argument("--mode", choices=["incore", "direct"],
-                    help="J/K build style for --method hf "
-                         "(default incore; process executor forces direct)")
+    _knob_flag(ps, "mode",
+               help="J/K build style for --method hf "
+                    "(default incore; process executor forces direct)")
     ps.set_defaults(func=_cmd_scf)
 
     pm = sub.add_parser("md", help="Born-Oppenheimer MD with "
@@ -597,20 +563,18 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("molecule", nargs="?", default="h2",
                     help="built-in builder name (default: h2); ignored "
                          "with --restore")
-    pm.add_argument("--method", default="hf",
-                    choices=["hf", "lda", "pbe", "pbe0"])
+    _knob_flag(pm, "md_method")
     pm.add_argument("--basis", default="sto-3g")
-    pm.add_argument("--steps", type=_positive_int, default=10,
-                    help="integrate until logical step N (a restored "
-                         "run takes only the remaining steps)")
+    _knob_flag(pm, "steps",
+               help="integrate until logical step N (a restored "
+                    "run takes only the remaining steps)")
     pm.add_argument("--dt", type=float, default=0.5,
                     help="timestep in fs (default 0.5)")
     pm.add_argument("--temperature", type=float, default=None,
                     help="initial Maxwell-Boltzmann temperature (K)")
-    pm.add_argument("--thermostat", default="none",
-                    choices=["none", "csvr", "berendsen"],
-                    help="NVT thermostat (csvr continues its random "
-                         "stream across restarts)")
+    _knob_flag(pm, "thermostat",
+               help="NVT thermostat (csvr continues its random "
+                    "stream across restarts)")
     pm.add_argument("--tau", type=float, default=50.0,
                     help="thermostat time constant in fs (default 50)")
     pm.add_argument("--seed", type=int, default=0,
@@ -620,23 +584,20 @@ def build_parser() -> argparse.ArgumentParser:
                          "full SCF force every N steps, integrating the "
                          "inner motion on the --mts-inner surface "
                          "(default: REPRO_MTS_OUTER or 1 = off)")
-    pm.add_argument("--mts-inner", default="ff",
-                    choices=["ff", "lda", "pbe"],
-                    help="fast-force surface for the MTS inner loop "
-                         "(default ff: the classical force field)")
+    _knob_flag(pm, "mts_inner",
+               help="fast-force surface for the MTS inner loop "
+                    "(default ff: the classical force field)")
     pm.add_argument("--mts-aspc-order", type=int, default=2, metavar="K",
                     help="ASPC density-extrapolation order for the outer "
                          "SCF warm starts (default 2; negative disables)")
     pm.add_argument("--checkpoint", metavar="DIR",
                     help="snapshot the trajectory into DIR (atomic, "
                          "checksummed, ring-pruned)")
-    pm.add_argument("--checkpoint-every", type=_positive_int, default=None,
-                    metavar="N",
-                    help="snapshot cadence in MD steps (default: "
-                         "REPRO_CHECKPOINT_EVERY or 10)")
-    pm.add_argument("--checkpoint-keep", type=_positive_int, default=None,
-                    metavar="K", help="ring size: snapshots kept on disk "
-                                      "(default 3)")
+    _knob_flag(pm, "checkpoint_every", metavar="N",
+               help="snapshot cadence in MD steps (default: "
+                    "REPRO_CHECKPOINT_EVERY or 10)")
+    _knob_flag(pm, "checkpoint_keep", metavar="K",
+               help="ring size: snapshots kept on disk (default 3)")
     pm.add_argument("--restore", nargs="?", const=True, metavar="DIR",
                     help="resume from the newest uncorrupted snapshot in "
                          "DIR (default: the --checkpoint directory)")
@@ -659,8 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--solvents", default="PC,DMSO,ACN")
     gs.add_argument("--methods", default="hf")
     gs.add_argument("--basis", default="sto-3g")
-    gs.add_argument("--nperturb", type=_positive_int, default=1,
-                    help="perturbed-geometry copies per solvent/method")
+    _knob_flag(gs, "nperturb",
+               help="perturbed-geometry copies per solvent/method")
     gs.add_argument("--perturb", type=float, default=0.02,
                     help="coordinate jitter stddev in Bohr (default 0.02)")
     gs.add_argument("--seeds", default="0",
@@ -670,9 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(e.g. 'direct,ri'; default: the --jk value). "
                          "A placement axis: both engines of a point "
                          "share one cache entry")
-    gs.add_argument("--kind", default="scf", choices=["scf", "md"])
-    gs.add_argument("--steps", type=_positive_int, default=10,
-                    help="MD steps for --kind md")
+    _knob_flag(gs, "kind")
+    _knob_flag(gs, "steps", help="MD steps for --kind md")
     gs.add_argument("--dt", type=float, default=0.5,
                     help="MD timestep in fs for --kind md")
     gs.add_argument("--mts-outers", default="1", metavar="LIST",
@@ -681,23 +641,20 @@ def build_parser() -> argparse.ArgumentParser:
                          "physics axis — every stride is its own cache "
                          "entry")
     gr = gsub.add_parser("run", help="drain the queue")
-    gr.add_argument("--lanes", type=_positive_int, default=1,
-                    help="concurrent dispatch lanes (default 1)")
-    gr.add_argument("--transport", default=None,
-                    choices=["local", "process"],
-                    help="lane backend: 'local' threads or 'process' "
-                         "forked workers (default: "
-                         "REPRO_SERVICE_TRANSPORT or local)")
+    _knob_flag(gr, "lanes", help="concurrent dispatch lanes (default 1)")
+    _knob_flag(gr, "service_transport",
+               help="lane backend: 'local' threads or 'process' "
+                    "forked workers (default: "
+                    "REPRO_SERVICE_TRANSPORT or local)")
     gr.add_argument("--cache-dir", default=None, metavar="DIR",
                     help="shared result-cache directory (default: "
                          "<campaign>/cache); point concurrent campaigns "
                          "at one DIR to dedup work across them")
-    gr.add_argument("--preempt-steps", type=_positive_int, default=None,
-                    metavar="N",
-                    help="slice MD trajectories every N steps through "
-                         "the checkpoint store")
-    gr.add_argument("--max-retries", type=_nonneg_int, default=1,
-                    help="execution attempts per job beyond the first")
+    _knob_flag(gr, "preempt_steps", metavar="N",
+               help="slice MD trajectories every N steps through "
+                    "the checkpoint store")
+    _knob_flag(gr, "max_retries",
+               help="execution attempts per job beyond the first")
     gr.add_argument("--json", action="store_true",
                     help="emit the campaign report as JSON")
     gr.add_argument("--trace", metavar="FILE",
@@ -714,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pw = sub.add_parser("workload", help="generate an HFX workload")
     pw.add_argument("system", nargs="?", default="water",
-                    choices=["water", "pc", "dmso", "acn"])
+                    choices=KNOBS["workload_system"].choices)
     pw.add_argument("--size", type=int, default=64,
                     help="molecule count (default 64)")
     pw.add_argument("--eps", type=float, default=1e-8)

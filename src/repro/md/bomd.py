@@ -37,7 +37,7 @@ from ..runtime.checkpoint import CheckpointError, SnapshotInfo
 from ..runtime.execconfig import ExecutionConfig
 from ..basis.basisset import build_basis
 from ..scf.dft import RKS
-from ..scf.fock import check_jk_mode, make_jk_engine
+from ..scf.fock import check_jk_mode, jk_build_mode, make_jk_engine
 from ..scf.rhf import RHF, SCFResult
 from .integrator import MDState
 
@@ -136,9 +136,8 @@ class SCFForceEngine:
             # adaptive state (trust radius, cumulative counters)
             kwargs.setdefault("soscf_state", self._soscf_state)
         kwargs.setdefault("config", self.config)
-        direct = (self.incremental or self.config.jk == "ri"
-                  or self.config.executor == "process")
-        kwargs.setdefault("mode", "direct" if direct else "incore")
+        kwargs.setdefault("mode", jk_build_mode(
+            self.config, incremental=self.incremental))
         basis = build_basis(mol, self.basis)
         if self._jk is None:
             self._jk = make_jk_engine(
@@ -325,12 +324,11 @@ class CheckpointedMD:
         self._last_saved_step: int | None = None
         self._degrade_snapshotted = False
         if self.config.checkpoint_dir is not None:
-            from ..runtime.checkpoint import (DEFAULT_KEEP, CheckpointStore,
+            from ..runtime.checkpoint import (CheckpointStore,
                                               resolve_checkpoint_every)
 
-            self._store = CheckpointStore(
-                self.config.checkpoint_dir,
-                keep=self.config.checkpoint_keep or DEFAULT_KEEP)
+            self._store = CheckpointStore(self.config.checkpoint_dir,
+                                          keep=self.config.checkpoint_keep)
             self._checkpoint_every = resolve_checkpoint_every(
                 self.config.checkpoint_every)
 
@@ -513,7 +511,7 @@ class CheckpointedMD:
     def _load_snapshot(cls, checkpoint_dir, cfg: ExecutionConfig):
         """Locate the store, load the newest good snapshot, and pin the
         restored run's checkpoint directory to where it restored from."""
-        from ..runtime.checkpoint import DEFAULT_KEEP, CheckpointStore
+        from ..runtime.checkpoint import CheckpointStore
 
         directory = checkpoint_dir if checkpoint_dir is not None \
             else cfg.checkpoint_dir
@@ -521,8 +519,7 @@ class CheckpointedMD:
             raise CheckpointError(
                 f"{cls.__name__}.restore: no checkpoint directory — pass "
                 f"checkpoint_dir= or set ExecutionConfig.checkpoint_dir")
-        store = CheckpointStore(directory,
-                                keep=cfg.checkpoint_keep or DEFAULT_KEEP)
+        store = CheckpointStore(directory, keep=cfg.checkpoint_keep)
         tr = cfg.trace
         with tr.span("checkpoint.restore", cat="checkpoint"):
             state, info = store.load_latest()
@@ -568,13 +565,11 @@ class BOMD(CheckpointedMD):
         from ..runtime.execconfig import resolve_execution
 
         self.config = resolve_execution(self.config, owner="BOMD")
-        self.executor = self.config.executor
-        self.nworkers = self.config.nworkers
         if self.analytic_forces:
             if self.method.lower() != "hf":
                 raise ValueError("analytic forces are implemented for "
                                  "the HF method only")
-            if self.executor != "serial":
+            if self.config.executor != "serial":
                 raise ValueError("the analytic-gradient engine has no "
                                  "process executor; use finite differences")
             from ..scf.gradient import AnalyticSCFForceEngine

@@ -79,11 +79,11 @@ def optimize_geometry(engine: ForceEngine, coords0: np.ndarray,
         cfg = resolve_execution(config, owner="optimize_geometry")
         tr = cfg.trace if cfg.trace.enabled else None
         if cfg.checkpoint_dir is not None:
-            from ..runtime.checkpoint import (DEFAULT_KEEP, CheckpointStore,
+            from ..runtime.checkpoint import (CheckpointStore,
                                               resolve_checkpoint_every)
 
             store = CheckpointStore(cfg.checkpoint_dir,
-                                    keep=cfg.checkpoint_keep or DEFAULT_KEEP)
+                                    keep=cfg.checkpoint_keep)
             every = resolve_checkpoint_every(cfg.checkpoint_every)
     x = np.asarray(coords0, dtype=np.float64).reshape(-1).copy()
     n = x.size

@@ -45,8 +45,8 @@ import numpy as np
 
 from ..chem.molecule import Molecule  # noqa: F401  (re-exported context)
 from ..runtime.checkpoint import CheckpointError
-from ..runtime.execconfig import (ExecutionConfig, MTS_INNER_ENGINES,
-                                  resolve_mts_outer)
+from ..runtime.boundary import check, resolve_mts_outer
+from ..runtime.execconfig import ExecutionConfig
 from ..scf.guess import ASPCExtrapolator
 from .bomd import BOMD, SCFForceEngine, _register_md_kind
 from .integrator import MDState
@@ -196,11 +196,7 @@ class MTSBOMD(BOMD):
             raise ValueError(
                 "MTSBOMD is wired through the finite-difference SCF "
                 "engine; analytic_forces is not supported")
-        if self.inner not in MTS_INNER_ENGINES:
-            raise ValueError(
-                f"inner must be one of {MTS_INNER_ENGINES} (the RESPA "
-                f"fast loop needs a cheap, HFX-free surface), got "
-                f"{self.inner!r}")
+        check("mts_inner", self.inner, owner="MTSBOMD")
         if self.inner == "ff":
             from .forcefield import ForceField, detect_bonds
 

@@ -44,7 +44,6 @@ counters ride along so ``--profile`` totals span the whole logical run.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 import re
 import struct
@@ -56,6 +55,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from .boundary import KNOBS, resolve, resolve_checkpoint_every
 from .fsio import atomic_write_bytes, fsync_dir
 
 __all__ = [
@@ -73,11 +73,12 @@ FORMAT_VERSION = 1
 
 #: Auto-checkpoint cadence (MD steps) when checkpointing is enabled but
 #: no cadence was chosen; REPRO_CHECKPOINT_EVERY overrides via
-#: :func:`resolve_checkpoint_every`.
-DEFAULT_CHECKPOINT_EVERY = 10
+#: :func:`resolve_checkpoint_every` (a typo'd override fails there, not
+#: as a modulo by zero deep inside the MD loop).
+DEFAULT_CHECKPOINT_EVERY = KNOBS["checkpoint_every"].default
 
 #: Ring size: snapshots kept on disk besides pruning.
-DEFAULT_KEEP = 3
+DEFAULT_KEEP = KNOBS["checkpoint_keep"].default
 
 _HEADER = struct.Struct("<9sIQ32s")
 _SNAP_RE = re.compile(r"^snap-(\d+)\.ckpt$")
@@ -112,37 +113,6 @@ class Restartable(Protocol):
     def set_state(self, state: dict) -> None:
         """Restore a state previously returned by :meth:`get_state`."""
         ...
-
-
-def resolve_checkpoint_every(value=None) -> int:
-    """Validate a checkpoint cadence (or ``REPRO_CHECKPOINT_EVERY``).
-
-    The env/API boundary check of the ``resolve_*`` family: a typo'd
-    override fails here with a clear message instead of as a modulo by
-    zero deep inside the MD loop.  ``None`` reads the environment
-    override, else the default; booleans and non-positive integers are
-    rejected (``True`` would silently checkpoint every step).
-    """
-    if value is None:
-        raw = os.environ.get("REPRO_CHECKPOINT_EVERY")
-        if raw is None:
-            return DEFAULT_CHECKPOINT_EVERY
-        value = raw
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(
-            f"checkpoint_every must be a positive integer number of MD "
-            f"steps, got {value!r}")
-    try:
-        n = int(value)
-    except ValueError:
-        raise ValueError(
-            f"checkpoint_every must be a positive integer number of MD "
-            f"steps, got {value!r}") from None
-    if n < 1:
-        raise ValueError(
-            f"checkpoint_every must be a positive integer number of MD "
-            f"steps, got {n}")
-    return n
 
 
 class RestartableRNG:
@@ -213,15 +183,13 @@ class CheckpointStore:
         :meth:`save` — a restore from a nonexistent directory is an
         error, not an empty store.
     keep:
-        Ring size: how many snapshots survive pruning (>= 1).
+        Ring size: how many snapshots survive pruning (>= 1; ``None``
+        is the table default, 3).
     """
 
-    def __init__(self, directory, keep: int = DEFAULT_KEEP):
-        if isinstance(keep, bool) or not isinstance(keep, int) or keep < 1:
-            raise ValueError(
-                f"checkpoint keep must be a positive integer, got {keep!r}")
+    def __init__(self, directory, keep: int | None = None):
         self.directory = Path(directory)
-        self.keep = keep
+        self.keep = resolve("checkpoint_keep", keep, owner="CheckpointStore")
 
     # --- writing -------------------------------------------------------------
 

@@ -14,97 +14,27 @@ default and type-checks what it is given.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
+from .boundary import (KNOBS, MTS_INNER_ENGINES, SERVICE_TRANSPORTS, check,
+                       resolve_mts_outer, resolve_service_transport)
 from .telemetry import NULL_TRACER, Tracer
 
 __all__ = ["ExecutionConfig", "DEFAULT_EXECUTION", "resolve_execution",
-           "resolve_mts_outer", "MTS_INNER_ENGINES",
-           "DEFAULT_MTS_OUTER", "SERVICE_TRANSPORTS",
-           "resolve_service_transport", "DEFAULT_SERVICE_TRANSPORT"]
-
-_EXECUTORS = ("serial", "process")
-_KERNELS = ("quartet", "batched")
-_SCF_SOLVERS = ("diis", "soscf", "auto")
-_JK_MODES = ("direct", "ri")
-
-#: Cheap inner-loop force surfaces the RESPA integrator accepts: the
-#: classical force field, or a pure (no-HFX) DFT functional.  Hybrids
-#: and HF are rejected — they would put the expensive exchange build
-#: back into the fast loop that MTS exists to avoid.
-MTS_INNER_ENGINES = ("ff", "lda", "pbe")
-
-DEFAULT_MTS_OUTER = 1
-
-#: Lane transports the campaign service accepts: ``"local"`` (threads
-#: inside the service process; the bit-exact reference) or ``"process"``
-#: (persistent forked lane workers speaking the framed RPC protocol of
-#: :mod:`repro.service.transport`).
-SERVICE_TRANSPORTS = ("local", "process")
-
-DEFAULT_SERVICE_TRANSPORT = "local"
-
-
-def resolve_service_transport(value=None) -> str:
-    """Boundary validator for the campaign lane transport.
-
-    ``None`` falls back to ``REPRO_SERVICE_TRANSPORT`` and then to
-    ``"local"``.  Booleans, empty strings, and unknown names are
-    rejected with an actionable message, mirroring
-    :func:`resolve_nworkers` / :func:`resolve_pool_timeout` — a typo'd
-    override fails here, not deep inside the campaign drain.
-    """
-    if value is None:
-        env = os.environ.get("REPRO_SERVICE_TRANSPORT")
-        if env is None:
-            return DEFAULT_SERVICE_TRANSPORT
-        if env not in SERVICE_TRANSPORTS:
-            raise ValueError(
-                f"REPRO_SERVICE_TRANSPORT must be one of "
-                f"{SERVICE_TRANSPORTS}, got {env!r}")
-        return env
-    if isinstance(value, bool) or not isinstance(value, str):
-        raise ValueError(
-            f"service transport must be one of {SERVICE_TRANSPORTS}, "
-            f"got {value!r}")
-    if value not in SERVICE_TRANSPORTS:
-        raise ValueError(
-            f"service transport must be one of {SERVICE_TRANSPORTS}, "
-            f"got {value!r}")
-    return value
-
-
-def resolve_mts_outer(n: int | None = None) -> int:
-    """Boundary validator for the RESPA outer-step stride ``n_outer``.
-
-    ``None`` falls back to ``REPRO_MTS_OUTER`` and then to 1 (plain
-    single-timestep BOMD).  Booleans and anything < 1 are rejected with
-    an actionable message, mirroring :func:`resolve_nworkers` /
-    :func:`resolve_checkpoint_every`.
-    """
-    if n is None:
-        env = os.environ.get("REPRO_MTS_OUTER")
-        if env is None:
-            return DEFAULT_MTS_OUTER
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_MTS_OUTER must be an integer >= 1, got {env!r}")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(
-            f"mts_outer must be an integer >= 1 (full-force stride of the "
-            f"RESPA integrator), got {n!r}")
-    if n < 1:
-        raise ValueError(
-            f"mts_outer must be >= 1 (1 disables multiple time stepping), "
-            f"got {n}")
-    return n
+           "resolve_mts_outer", "MTS_INNER_ENGINES", "SERVICE_TRANSPORTS",
+           "resolve_service_transport"]
 
 
 @dataclass(frozen=True, eq=False)
 class ExecutionConfig:
     """Where and how the hot paths execute, and what observes them.
+
+    Fields are declared placement, numerics, observation — the role
+    column of the one knob table in :mod:`repro.runtime.boundary`,
+    which also validates every one of them.  What a trajectory
+    *samples* (the RESPA stride and inner surface) is not here: it is
+    hashed physics owned by ``JobSpec.mts_outer``/``mts_inner`` and
+    ``MTSBOMD(n_outer=, inner=)`` alone.
 
     Parameters
     ----------
@@ -121,6 +51,14 @@ class ExecutionConfig:
         re-running their rank jobs before it declares itself broken and
         the caller degrades to the serial executor (default:
         ``REPRO_POOL_MAX_RETRIES`` or 2; ``0`` disables recovery).
+    service_transport:
+        How the campaign service runs its dispatch lanes: ``"local"``
+        (threads inside the service process; the bit-exact reference)
+        or ``"process"`` (persistent forked lane workers speaking the
+        framed RPC protocol of :mod:`repro.service.transport`, with
+        heartbeat liveness, job leases, and requeue-on-death).
+        ``None`` defaults to ``REPRO_SERVICE_TRANSPORT`` or
+        ``"local"``.  Only the campaign layer reads this field.
     kernel:
         ERI evaluation granularity: ``"quartet"`` (one shell quartet per
         call; the bit-exact reference) or ``"batched"`` (whole L-class
@@ -151,9 +89,6 @@ class ExecutionConfig:
     tracer:
         Telemetry sink (:class:`repro.runtime.telemetry.Tracer`) or
         ``None`` for the zero-cost disabled path.
-    profile:
-        Request a per-build profile table from the CLI/driver layer
-        (implies nothing inside the libraries beyond ``tracer``).
     checkpoint_dir:
         Directory for trajectory snapshots
         (:class:`repro.runtime.checkpoint.CheckpointStore`); ``None``
@@ -164,110 +99,33 @@ class ExecutionConfig:
         ``checkpoint_dir``).
     checkpoint_keep:
         Ring size — snapshots kept on disk besides pruning (default 3).
-    mts_outer:
-        r-RESPA multiple-time-stepping stride: the full SCF force is
-        evaluated every ``mts_outer`` inner steps, with the inner motion
-        integrated on the cheap ``mts_inner_engine`` surface (default:
-        ``REPRO_MTS_OUTER`` or 1 = plain single-timestep BOMD).  See
-        :mod:`repro.md.respa`.
-    mts_inner_engine:
-        Fast-force surface for the RESPA inner loop: ``"ff"`` (the
-        classical harmonic/LJ force field), ``"lda"`` or ``"pbe"``
-        (pure, no-HFX DFT).  ``None`` defaults to ``"ff"``.
-    service_transport:
-        How the campaign service runs its dispatch lanes: ``"local"``
-        (threads inside the service process; the bit-exact reference)
-        or ``"process"`` (persistent forked lane workers speaking the
-        framed RPC protocol of :mod:`repro.service.transport`, with
-        heartbeat liveness, job leases, and requeue-on-death).
-        ``None`` defaults to ``REPRO_SERVICE_TRANSPORT`` or
-        ``"local"``.  Only the campaign layer reads this field.
     """
 
+    # --- placement ---
     executor: str = "serial"
     nworkers: int | None = None
     pool_timeout: float | None = None
     pool_max_retries: int | None = None
+    service_transport: str | None = None
+    # --- numerics ---
     kernel: str = "quartet"
     jk: str = "direct"
     scf_solver: str = "diis"
+    # --- observation ---
     tracer: Tracer | None = None
-    profile: bool = False
     checkpoint_dir: str | None = None
     checkpoint_every: int | None = None
     checkpoint_keep: int | None = None
-    mts_outer: int | None = None
-    mts_inner_engine: str | None = None
-    service_transport: str | None = None
 
     def __post_init__(self) -> None:
-        if self.executor not in _EXECUTORS:
-            raise ValueError(
-                f"executor must be 'serial' or 'process', "
-                f"got {self.executor!r}")
-        if self.kernel not in _KERNELS:
-            raise ValueError(
-                f"kernel must be 'quartet' or 'batched', "
-                f"got {self.kernel!r}")
-        if self.jk not in _JK_MODES:
-            raise ValueError(
-                f"jk must be 'direct' or 'ri', got {self.jk!r}")
-        if self.scf_solver not in _SCF_SOLVERS:
-            raise ValueError(
-                f"scf_solver must be 'diis', 'soscf', or 'auto', "
-                f"got {self.scf_solver!r}")
-        if self.nworkers is not None:
-            if not isinstance(self.nworkers, int) or \
-                    isinstance(self.nworkers, bool):
-                raise ValueError(
-                    f"nworkers must be a positive integer, "
-                    f"got {self.nworkers!r}")
-            if self.nworkers < 1:
-                raise ValueError(
-                    f"nworkers must be >= 1, got {self.nworkers}")
-        if self.pool_timeout is not None:
-            try:
-                ok = float(self.pool_timeout) > 0
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
-                raise ValueError(
-                    f"pool_timeout must be a positive number of seconds, "
-                    f"got {self.pool_timeout!r}")
-        if self.pool_max_retries is not None:
-            if not isinstance(self.pool_max_retries, int) or \
-                    isinstance(self.pool_max_retries, bool) or \
-                    self.pool_max_retries < 0:
-                raise ValueError(
-                    f"pool_max_retries must be a non-negative integer, "
-                    f"got {self.pool_max_retries!r}")
+        for f in fields(self):
+            if f.name in KNOBS:
+                check(f.name, getattr(self, f.name), owner="ExecutionConfig")
         if self.checkpoint_dir is not None and \
                 not isinstance(self.checkpoint_dir, (str, os.PathLike)):
             raise ValueError(
                 f"checkpoint_dir must be a path, "
                 f"got {self.checkpoint_dir!r}")
-        if self.checkpoint_every is not None:
-            # full boundary validation (bool/non-positive rejection)
-            from .checkpoint import resolve_checkpoint_every
-
-            resolve_checkpoint_every(self.checkpoint_every)
-        if self.checkpoint_keep is not None:
-            if isinstance(self.checkpoint_keep, bool) or \
-                    not isinstance(self.checkpoint_keep, int) or \
-                    self.checkpoint_keep < 1:
-                raise ValueError(
-                    f"checkpoint_keep must be a positive integer, "
-                    f"got {self.checkpoint_keep!r}")
-        if self.mts_outer is not None:
-            resolve_mts_outer(self.mts_outer)
-        if self.mts_inner_engine is not None and \
-                self.mts_inner_engine not in MTS_INNER_ENGINES:
-            raise ValueError(
-                f"mts_inner_engine must be one of {MTS_INNER_ENGINES} "
-                f"(the RESPA fast loop needs a cheap, HFX-free surface), "
-                f"got {self.mts_inner_engine!r}")
-        if self.service_transport is not None:
-            resolve_service_transport(self.service_transport)
 
     @property
     def trace(self) -> Tracer:

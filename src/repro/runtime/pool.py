@@ -67,118 +67,25 @@ from multiprocessing.connection import wait as _sentinel_wait
 
 import numpy as np
 
+from .boundary import (KNOBS, default_nworkers, env_text, parse_fault,
+                       resolve_nworkers, resolve_pool_max_retries,
+                       resolve_pool_timeout)
+
 __all__ = ["RankJob", "ExchangeWorkerPool", "PoolLease", "WorkerDeathError",
-           "balance_pairs", "default_nworkers", "resolve_pool_timeout",
-           "resolve_pool_max_retries"]
+           "balance_pairs", "default_nworkers", "resolve_nworkers",
+           "resolve_pool_timeout", "resolve_pool_max_retries"]
 
-# Hard ceiling on any single wait for a worker reply; a forked worker
-# that wedges (e.g. a BLAS lock inherited mid-acquisition) surfaces as
-# a diagnosed hung-worker death instead of a hung test session.
-# REPRO_POOL_TIMEOUT overrides (validated in resolve_pool_timeout, not
-# at import).
-DEFAULT_TIMEOUT = 120.0
-
-# Recovery rounds per operation before the pool declares itself broken;
-# REPRO_POOL_MAX_RETRIES / ExecutionConfig(pool_max_retries=) override.
-DEFAULT_MAX_RETRIES = 2
+# The pool knobs are rows of the boundary table: ``pool_timeout``, the
+# hard ceiling on any single wait for a worker reply (a forked worker
+# that wedges, e.g. on a BLAS lock inherited mid-acquisition, surfaces
+# as a diagnosed hung-worker death instead of a hung test session), and
+# ``pool_max_retries``, the recovery rounds per operation before the
+# pool declares itself broken.
+DEFAULT_MAX_RETRIES = KNOBS["pool_max_retries"].default
 
 # Backoff before respawning dead workers, scaled by the recovery round
 # (a crash loop — e.g. the machine is out of memory — should not spin).
 RESPAWN_BACKOFF = 0.05
-
-
-def resolve_pool_timeout(value=None) -> float:
-    """Validate a pool timeout (or the ``REPRO_POOL_TIMEOUT`` override).
-
-    This is the env/API boundary check: a typo'd override fails here
-    with a clear message instead of as a deep traceback inside a
-    blocking pool wait.
-    """
-    if value is None:
-        raw = os.environ.get("REPRO_POOL_TIMEOUT")
-        if raw is None:
-            return DEFAULT_TIMEOUT
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ValueError(
-                "REPRO_POOL_TIMEOUT must be a positive number of "
-                f"seconds, got {raw!r}") from None
-        if not value > 0:
-            raise ValueError(
-                "REPRO_POOL_TIMEOUT must be a positive number of "
-                f"seconds, got {raw!r}")
-        return value
-    if isinstance(value, bool):
-        # bool passes float(); reject it before it turns into 1.0 s
-        raise ValueError(
-            f"pool timeout must be a positive number of seconds, "
-            f"got {value!r}")
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"pool timeout must be a positive number of seconds, "
-            f"got {value!r}") from None
-    if not value > 0:
-        raise ValueError(
-            f"pool timeout must be a positive number of seconds, "
-            f"got {value!r}")
-    return value
-
-
-def resolve_nworkers(value=None) -> int:
-    """Validate a worker count (``None`` means the usable cores)."""
-    if value is None:
-        return default_nworkers()
-    if isinstance(value, bool):
-        # bool passes int(); nworkers=True would silently become 1
-        raise ValueError(
-            f"nworkers must be a positive integer, got {value!r}")
-    try:
-        nw = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"nworkers must be a positive integer, got {value!r}") from None
-    if nw < 1:
-        raise ValueError(f"need at least one worker, got nworkers={nw}")
-    return nw
-
-
-def resolve_pool_max_retries(value=None) -> int:
-    """Validate a recovery-round budget (or ``REPRO_POOL_MAX_RETRIES``).
-
-    ``0`` disables recovery (the first worker death breaks the pool);
-    ``None`` reads the environment override, else the default.
-    """
-    if value is None:
-        raw = os.environ.get("REPRO_POOL_MAX_RETRIES")
-        if raw is None:
-            return DEFAULT_MAX_RETRIES
-        value = raw
-    # bool passes int(); float would silently truncate
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(
-            f"pool max_retries must be a non-negative integer, "
-            f"got {value!r}")
-    try:
-        n = int(value)
-    except ValueError:
-        raise ValueError(
-            f"pool max_retries must be a non-negative integer, "
-            f"got {value!r}") from None
-    if n < 0:
-        raise ValueError(
-            f"pool max_retries must be a non-negative integer, got {n}")
-    return n
-
-
-def default_nworkers() -> int:
-    """Worker count when the caller does not choose: the usable cores."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # platforms without affinity masks
-        return max(1, os.cpu_count() or 1)
 
 
 class WorkerDeathError(RuntimeError):
@@ -266,28 +173,8 @@ def _parse_fault(spec: str | None):
     respawned worker counts from 1 again).  Returns ``(worker, build,
     mode)`` or ``None`` when unset.
     """
-    if not spec:
-        return None
-    fields = {"build": "1", "mode": "kill"}
-    for part in spec.split(","):
-        key, sep, val = part.partition("=")
-        key = key.strip()
-        if not sep or key not in ("worker", "build", "mode"):
-            raise ValueError(
-                f"REPRO_POOL_FAULT: bad field {part!r} in {spec!r} "
-                "(expected worker=<id|*>,build=<n>,mode=<kill|hang|exc>)")
-        fields[key] = val.strip()
-    if "worker" not in fields:
-        raise ValueError(f"REPRO_POOL_FAULT must name a worker: {spec!r}")
-    worker = fields["worker"]
-    if worker != "*":
-        worker = int(worker)
-    build = int(fields["build"])
-    mode = fields["mode"]
-    if mode not in ("kill", "hang", "exc"):
-        raise ValueError(
-            f"REPRO_POOL_FAULT mode must be kill|hang|exc, got {mode!r}")
-    return worker, build, mode
+    return parse_fault(spec, "REPRO_POOL_FAULT", "build",
+                       ("kill", "hang", "exc"))
 
 
 def _trigger_fault(mode: str) -> None:
@@ -324,7 +211,7 @@ def _worker_main(conn, dbuf, basis, nbf: int, wid: int) -> None:
     from ..scf.fock import eval_screened_pairs
     from .telemetry import NULL_TRACER
 
-    fault = _parse_fault(os.environ.get("REPRO_POOL_FAULT"))
+    fault = _parse_fault(env_text("REPRO_POOL_FAULT"))
     nexec = 0
     engine = ERIEngine(basis)
     D = np.frombuffer(dbuf, dtype=np.float64).reshape(nbf, nbf)

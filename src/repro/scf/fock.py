@@ -28,10 +28,11 @@ import numpy as np
 
 from ..basis.basisset import BasisSet
 from ..integrals.eri import ERIEngine, eri_tensor
+from ..runtime.boundary import JK_BUILD_MODES
 
 __all__ = ["jk_from_tensor", "coulomb_from_tensor", "exchange_from_tensor",
            "JKEngine", "TensorJKEngine", "DirectJKBuilder", "make_jk_engine",
-           "check_jk_mode", "eval_screened_pairs",
+           "check_jk_mode", "jk_build_mode", "eval_screened_pairs",
            "scatter_exchange", "scatter_coulomb",
            "scatter_exchange_batch", "scatter_coulomb_batch",
            "shell_slices", "reflect_triangle"]
@@ -552,7 +553,7 @@ def check_jk_mode(mode: str, config, incremental: bool = False,
     which results and checkpoints are labelled with — fails at
     construction) and :func:`make_jk_engine`.
     """
-    if mode not in ("incore", "direct"):
+    if mode not in JK_BUILD_MODES:
         raise ValueError(f"mode must be 'incore' or 'direct', got {mode!r}")
     if mode != "direct":
         if config.executor == "process":
@@ -574,6 +575,18 @@ def check_jk_mode(mode: str, config, incremental: bool = False,
     if engine is not None and engine.jk != config.jk:
         raise ValueError(f"jk_engine implements jk={engine.jk!r} but the "
                          f"config says jk={config.jk!r}")
+
+
+def jk_build_mode(config, requested: str | None = None,
+                  incremental: bool = False) -> str:
+    """The build style a driver runs under ``config``: ``"direct"``
+    whenever a pool, the fitted engine or incremental exchange needs
+    the quartet loop (none has anything to accelerate on the in-core
+    tensor — :func:`check_jk_mode` refuses those combinations), else
+    ``requested`` (``None`` = in-core)."""
+    if config.executor == "process" or config.jk == "ri" or incremental:
+        return "direct"
+    return requested or "incore"
 
 
 def make_jk_engine(basis: BasisSet, config=None, eps: float = 1e-10,

@@ -31,13 +31,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from ..chem.molecule import Molecule
+from ..runtime.boundary import KNOBS, check
 
 __all__ = ["JobSpec", "solvent_screening_specs"]
-
-_KINDS = ("scf", "md")
-_SCF_METHODS = ("hf", "uhf", "lda", "pbe", "pbe0")
-_MD_METHODS = ("hf", "lda", "pbe", "pbe0")
-_THERMOSTATS = ("none", "csvr", "berendsen")
 
 #: Fields that never enter the canonical key (execution placement).
 #: ``jk`` lives here by design: the fitted path reproduces the direct
@@ -52,10 +48,6 @@ _EXECUTION_FIELDS = ("executor", "nworkers", "label", "jk")
 #: one, so it must never alias it in the result cache.
 _MD_FIELDS = ("steps", "dt_fs", "temperature", "thermostat", "tau_fs",
               "seed", "mts_outer", "mts_inner", "mts_aspc_order")
-
-#: Valid RESPA inner-loop surfaces (mirrors
-#: :data:`repro.runtime.execconfig.MTS_INNER_ENGINES`).
-_MTS_INNERS = ("ff", "lda", "pbe")
 
 
 def _canon(value):
@@ -169,15 +161,21 @@ class JobSpec:
     # --- validation at the boundary ------------------------------------------
 
     def validate(self) -> None:
-        """Reject a malformed spec with a message naming the field."""
-        if self.kind not in _KINDS:
-            raise ValueError(f"JobSpec.kind must be one of {_KINDS}, "
-                             f"got {self.kind!r}")
-        methods = _SCF_METHODS if self.kind == "scf" else _MD_METHODS
-        if self.method not in methods:
-            raise ValueError(
-                f"JobSpec.method must be one of {methods} for "
-                f"kind={self.kind!r}, got {self.method!r}")
+        """Reject a malformed spec with a message naming the field.
+
+        Every field with a row in the boundary table
+        (:data:`repro.runtime.boundary.KNOBS` — all but the free-form
+        ``molecule``/``basis``/``label``/``temperature``) gets that
+        row's type/range/choice check, so a new field cannot be
+        forgotten here; the cross-field rules below have this one owner
+        (the CLI builds a ``JobSpec`` first and reports its
+        ``ValueError``).
+        """
+        for f in fields(self):      # ``kind`` is declared (checked) first
+            key = "md_method" if (f.name, self.kind) == ("method", "md") \
+                else f.name
+            if key in KNOBS:
+                check(key, getattr(self, f.name), owner="JobSpec")
         if not isinstance(self.molecule, (str, dict)) or not self.molecule:
             raise ValueError(
                 "JobSpec.molecule must be a builder name or an inline "
@@ -189,65 +187,13 @@ class JobSpec:
                 raise ValueError(
                     "inline JobSpec.molecule needs 'symbols' plus "
                     "'coords_angstrom' or 'coords_bohr'")
-        if self.kernel not in ("quartet", "batched"):
-            raise ValueError(f"JobSpec.kernel must be 'quartet' or "
-                             f"'batched', got {self.kernel!r}")
-        if self.scf_solver not in ("diis", "soscf", "auto"):
-            raise ValueError(
-                f"JobSpec.scf_solver must be 'diis', 'soscf', or "
-                f"'auto', got {self.scf_solver!r}")
-        if self.mode not in (None, "incore", "direct"):
-            raise ValueError(f"JobSpec.mode must be None, 'incore', or "
-                             f"'direct', got {self.mode!r}")
-        if self.executor not in ("serial", "process"):
-            raise ValueError(f"JobSpec.executor must be 'serial' or "
-                             f"'process', got {self.executor!r}")
-        if self.jk not in ("direct", "ri"):
-            raise ValueError(f"JobSpec.jk must be 'direct' or 'ri', "
-                             f"got {self.jk!r}")
         if self.jk == "ri" and self.mode == "incore":
             raise ValueError("JobSpec: jk='ri' requires direct J/K "
                              "builds, not mode='incore'")
-        if self.thermostat not in _THERMOSTATS:
-            raise ValueError(
-                f"JobSpec.thermostat must be one of {_THERMOSTATS}, "
-                f"got {self.thermostat!r}")
-        for name, positive in (("conv_tol", True), ("screen_eps", True),
-                               ("dt_fs", True), ("tau_fs", True),
-                               ("perturb", False)):
-            v = getattr(self, name)
-            try:
-                bad = float(v) < 0 or (positive and float(v) <= 0)
-            except (TypeError, ValueError):
-                bad = True
-            if bad:
-                raise ValueError(f"JobSpec.{name} must be a "
-                                 f"{'positive' if positive else 'non-negative'}"
-                                 f" number, got {v!r}")
-        if self.kind == "md":
-            if isinstance(self.steps, bool) or \
-                    not isinstance(self.steps, int) or self.steps < 1:
-                raise ValueError(f"JobSpec.steps must be a positive "
-                                 f"integer, got {self.steps!r}")
-            if self.thermostat != "none" and self.temperature is None:
-                raise ValueError("JobSpec: a thermostat needs a "
-                                 "temperature")
-        if isinstance(self.mts_outer, bool) or \
-                not isinstance(self.mts_outer, int) or self.mts_outer < 1:
-            raise ValueError(
-                f"JobSpec.mts_outer must be an integer >= 1 (1 disables "
-                f"multiple time stepping), got {self.mts_outer!r}")
-        if self.mts_inner not in _MTS_INNERS:
-            raise ValueError(
-                f"JobSpec.mts_inner must be one of {_MTS_INNERS}, "
-                f"got {self.mts_inner!r}")
-        if self.mts_aspc_order is not None and (
-                isinstance(self.mts_aspc_order, bool) or
-                not isinstance(self.mts_aspc_order, int) or
-                self.mts_aspc_order < 0):
-            raise ValueError(
-                f"JobSpec.mts_aspc_order must be None or a non-negative "
-                f"integer, got {self.mts_aspc_order!r}")
+        if self.kind == "md" and self.thermostat != "none" \
+                and self.temperature is None:
+            raise ValueError("JobSpec: a thermostat needs a temperature "
+                             "(--temperature)")
         if self.executor == "process":
             if self.method not in ("hf", "uhf"):
                 raise ValueError(

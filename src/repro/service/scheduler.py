@@ -43,15 +43,14 @@ wedges a process-transport lane worker (see
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..runtime.execconfig import (ExecutionConfig, resolve_execution,
-                                  resolve_service_transport)
+from ..runtime.boundary import KNOBS, check, env_text, resolve
+from ..runtime.execconfig import ExecutionConfig, resolve_execution
 from ..runtime.fsio import atomic_write_text
 from ..runtime.schema import check_envelope, result_envelope
 from ..runtime.telemetry import MetricsRegistry
@@ -65,7 +64,7 @@ __all__ = ["Job", "CampaignService", "InjectedWorkerDeath",
 
 #: Execution attempts a job gets beyond its first (per-job isolation:
 #: exhausting the budget fails the job, never the campaign).
-DEFAULT_MAX_RETRIES = 1
+DEFAULT_MAX_RETRIES = KNOBS["max_retries"].default
 
 _JOB_STATUSES = ("pending", "running", "done", "failed")
 
@@ -161,19 +160,12 @@ class CampaignService:
                  max_retries: int = DEFAULT_MAX_RETRIES,
                  preempt_steps: int | None = None,
                  cache_dir=None):
-        if isinstance(max_retries, bool) or not isinstance(max_retries, int) \
-                or max_retries < 0:
-            raise ValueError(f"max_retries must be a non-negative integer, "
-                             f"got {max_retries!r}")
-        if preempt_steps is not None:
-            if isinstance(preempt_steps, bool) or \
-                    not isinstance(preempt_steps, int) or preempt_steps < 1:
-                raise ValueError(f"preempt_steps must be a positive integer, "
-                                 f"got {preempt_steps!r}")
-            if directory is None:
-                raise ValueError(
-                    "preempt_steps needs a campaign directory — MD "
-                    "time-slicing rides on the checkpoint store")
+        check("max_retries", max_retries, owner="CampaignService")
+        check("preempt_steps", preempt_steps, owner="CampaignService")
+        if preempt_steps is not None and directory is None:
+            raise ValueError(
+                "preempt_steps needs a campaign directory — MD "
+                "time-slicing rides on the checkpoint store")
         self.directory = Path(directory) if directory is not None else None
         self.config = resolve_execution(config, owner="CampaignService")
         self.max_retries = max_retries
@@ -313,14 +305,10 @@ class CampaignService:
         outcomes + ``service.*`` counters).  Safe to call again after
         further ``submit``\\ s.
         """
-        if isinstance(nworkers, bool) or not isinstance(nworkers, int) \
-                or nworkers < 1:
-            raise ValueError(f"nworkers must be a positive integer, "
-                             f"got {nworkers!r}")
-        chosen = transport if transport is not None \
-            else self.config.service_transport
-        name = resolve_service_transport(chosen)
-        fault = parse_service_fault(os.environ.get("REPRO_SERVICE_FAULT"))
+        check("lanes", nworkers, owner="CampaignService.run")
+        name = resolve("service_transport", transport if transport is not None
+                       else self.config.service_transport)
+        fault = parse_service_fault(env_text("REPRO_SERVICE_FAULT"))
         self._fault_budget = dict(fault[1]) \
             if fault is not None and fault[0] == "job" else {}
         t0 = time.perf_counter()

@@ -69,7 +69,6 @@ tracer, plus ``service.frames_sent`` / ``service.frames_recv`` /
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import pickle
 import signal as _signal
 import socket
@@ -80,9 +79,10 @@ import warnings
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _mp_wait
 
+from ..runtime.boundary import (env_text, fault_fields, parse_fault,
+                                resolve)
 from ..runtime.execconfig import ExecutionConfig
-from ..runtime.pool import (RESPAWN_BACKOFF, resolve_pool_max_retries,
-                            resolve_pool_timeout)
+from ..runtime.pool import RESPAWN_BACKOFF, _trigger_fault
 
 __all__ = [
     "FrameError", "FRAME_MAGIC", "FRAME_VERSION", "MAX_FRAME_BYTES",
@@ -210,41 +210,23 @@ def parse_service_fault(spec: str | None):
     * ``("job", {job_id: remaining_failures})`` for the PR 7 grammar
       ``job=N[,times=K]`` (handled by the scheduler, any transport);
     * ``("worker", (worker, nexec, mode))`` for the process-transport
-      grammar ``worker=<id|*>[,exec=N][,mode=kill|hang]`` (handled
-      inside the lane worker);
+      grammar ``worker=<id|*>[,exec=N][,mode=kill|hang]`` — the pool's
+      worker-fault grammar (:func:`repro.runtime.boundary.parse_fault`)
+      with ``exec`` as its counter, handled inside the lane worker;
     * ``None`` when unset.
     """
-    if not spec:
+    var = "REPRO_SERVICE_FAULT"
+    if spec and "worker" in spec:
+        return "worker", parse_fault(spec, var, "exec", ("kill", "hang"))
+    usage = "job=N[,times=K] or worker=<id|*>[,exec=N][,mode=kill|hang]"
+    fields = fault_fields(spec, var, ("job", "times"), usage)
+    if fields is None:
         return None
-    fields: dict[str, str] = {}
-    for part in spec.split(","):
-        key, sep, val = part.partition("=")
-        key = key.strip()
-        if not sep or key not in ("job", "times", "worker", "exec", "mode"):
-            raise ValueError(
-                f"REPRO_SERVICE_FAULT must look like 'job=N[,times=K]' or "
-                f"'worker=<id|*>[,exec=N][,mode=kill|hang]', got {spec!r}")
-        fields[key] = val.strip()
     try:
-        if "worker" in fields:
-            if "job" in fields or "times" in fields:
-                raise ValueError("mixed grammars")
-            worker = fields["worker"]
-            if worker != "*":
-                worker = int(worker)
-            nexec = int(fields.get("exec", "1"))
-            mode = fields.get("mode", "kill")
-            if mode not in ("kill", "hang") or nexec < 1:
-                raise ValueError("bad worker fault")
-            return "worker", (worker, nexec, mode)
-        if "job" not in fields or "exec" in fields or "mode" in fields:
-            raise ValueError("no target")
         return "job", {int(fields["job"]): int(fields.get("times", "1"))}
-    except ValueError:
+    except (KeyError, ValueError):
         raise ValueError(
-            f"REPRO_SERVICE_FAULT must look like 'job=N[,times=K]' or "
-            f"'worker=<id|*>[,exec=N][,mode=kill|hang]', "
-            f"got {spec!r}") from None
+            f"{var} must look like {usage!r}, got {spec!r}") from None
 
 
 class LaneWorkerDeath(RuntimeError):
@@ -278,24 +260,6 @@ class LaneWorkerDeath(RuntimeError):
 
 # --- worker process -----------------------------------------------------------
 
-def _heartbeat_interval() -> float:
-    """The worker heartbeat cadence (``REPRO_SERVICE_HEARTBEAT``)."""
-    raw = os.environ.get("REPRO_SERVICE_HEARTBEAT")
-    if raw is None:
-        return 1.0
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SERVICE_HEARTBEAT must be a positive number of "
-            f"seconds, got {raw!r}") from None
-    if not value > 0:
-        raise ValueError(
-            f"REPRO_SERVICE_HEARTBEAT must be a positive number of "
-            f"seconds, got {raw!r}")
-    return value
-
-
 def _lane_worker_main(sock: socket.socket, wid: int, gen: int) -> None:
     """Lane worker loop: serve framed job requests until told to stop.
 
@@ -310,12 +274,9 @@ def _lane_worker_main(sock: socket.socket, wid: int, gen: int) -> None:
     worker fault only fires on generation 0, so a respawned lane
     demonstrates recovery instead of re-dying forever.
     """
-    fault = parse_service_fault(os.environ.get("REPRO_SERVICE_FAULT"))
+    fault = parse_service_fault(env_text("REPRO_SERVICE_FAULT"))
     fault = fault[1] if fault is not None and fault[0] == "worker" else None
-    try:
-        interval = _heartbeat_interval()
-    except ValueError:
-        interval = 1.0
+    interval = resolve("heartbeat")     # the parent validated it pre-fork
     send_lock = threading.Lock()
     hb_stop = threading.Event()
 
@@ -353,10 +314,8 @@ def _lane_worker_main(sock: socket.socket, wid: int, gen: int) -> None:
             job_id = msg["job_id"]
             if fault is not None and gen == 0 \
                     and fault[0] in ("*", wid) and njobs == fault[1]:
-                if fault[2] == "kill":
-                    os.kill(os.getpid(), _signal.SIGKILL)
-                hb_stop.set()       # "hang": go silent, stop computing
-                time.sleep(3600.0)  # parent's deadline reaps us first
+                hb_stop.set()       # a hang goes silent, not just idle
+                _trigger_fault(fault[2])
             _send({"op": "ack", "job_id": job_id, "worker": wid})
             if msg.get("inject_fail"):
                 _send({"op": "result", "job_id": job_id, "ok": False,
@@ -483,9 +442,10 @@ class ProcessLaneTransport(LaneTransport):
 
     def __init__(self, service, nlanes: int, config: ExecutionConfig):
         super().__init__(service, nlanes, config)
-        self.timeout = resolve_pool_timeout(config.pool_timeout)
-        self.max_respawns = resolve_pool_max_retries(config.pool_max_retries)
-        _heartbeat_interval()        # validate the env override early
+        self.timeout = resolve("pool_timeout", config.pool_timeout)
+        self.max_respawns = resolve("pool_max_retries",
+                                    config.pool_max_retries)
+        resolve("heartbeat")         # validate the env override pre-fork
         self._ctx = mp.get_context(
             "fork" if "fork" in mp.get_all_start_methods() else "spawn")
         self._closed = False
@@ -670,22 +630,19 @@ class ProcessLaneTransport(LaneTransport):
 
     def _pump(self, lane: _Lane) -> None:
         """Drain a readable lane socket; decode and handle its frames."""
-        try:
-            while True:
-                try:
-                    chunk = lane.sock.recv(1 << 16)
-                except (BlockingIOError, InterruptedError):
-                    break
-                except OSError:
-                    self._on_lane_death(lane, hung=False)
-                    return
-                if not chunk:       # EOF: the worker is gone
-                    self._on_lane_death(lane, hung=False)
-                    return
-                lane.buf += chunk
-                lane.last_seen = time.monotonic()
-        finally:
-            pass
+        while True:
+            try:
+                chunk = lane.sock.recv(1 << 16)
+            except (BlockingIOError, InterruptedError):
+                break
+            except OSError:
+                self._on_lane_death(lane, hung=False)
+                return
+            if not chunk:       # EOF: the worker is gone
+                self._on_lane_death(lane, hung=False)
+                return
+            lane.buf += chunk
+            lane.last_seen = time.monotonic()
         while lane.alive:
             try:
                 decoded = try_decode(lane.buf)

@@ -121,13 +121,24 @@ def test_resolve_mts_outer_rejects(bad):
         resolve_mts_outer(bad)
 
 
-def test_execconfig_validates_mts_fields():
-    cfg = ExecutionConfig(mts_outer=5, mts_inner_engine="pbe")
-    assert cfg.mts_outer == 5 and cfg.mts_inner_engine == "pbe"
-    with pytest.raises(ValueError, match="mts_outer"):
-        ExecutionConfig(mts_outer=0)
-    with pytest.raises(ValueError, match="mts_inner_engine"):
-        ExecutionConfig(mts_inner_engine="pbe0")
+@pytest.mark.parametrize("config", [None, ExecutionConfig(),
+                                    ExecutionConfig(kernel="batched")])
+@pytest.mark.parametrize("n_outer", [1, 3])
+def test_envelope_stride_is_the_hashed_specs(n_outer, config):
+    """The stride is hashed physics owned by the spec alone: whatever
+    config a job runs under, the envelope reports the spec's own MTS
+    setup (the removed ``ExecutionConfig(mts_outer=)`` override ran
+    stride 3 under the plain-BOMD cache address)."""
+    from repro import api
+    from repro.service import JobSpec
+
+    spec = JobSpec(kind="md", molecule="h2", steps=2, dt_fs=0.2,
+                   mts_outer=n_outer, mts_inner="ff")
+    md = api.run_md(spec, config)["md"]
+    assert md["mts_outer"] == spec.mts_outer
+    assert md["mts_inner"] == (spec.mts_inner if n_outer > 1 else None)
+    with pytest.raises(TypeError):
+        ExecutionConfig(mts_outer=3)
 
 
 def test_mtsbomd_rejects_hybrid_inner_and_analytic_forces():

@@ -162,7 +162,10 @@ def test_resolve_checkpoint_every_default(monkeypatch):
     monkeypatch.delenv("REPRO_CHECKPOINT_EVERY", raising=False)
     assert resolve_checkpoint_every() == 10
     assert resolve_checkpoint_every(3) == 3
-    assert resolve_checkpoint_every("7") == 7
+    # numeric text is the environment's spelling only: the API path
+    # refuses it like every other table row does
+    with pytest.raises(ValueError, match="positive integer"):
+        resolve_checkpoint_every("7")
 
 
 def test_resolve_checkpoint_every_env(monkeypatch):

@@ -14,8 +14,24 @@ def test_defaults():
     assert cfg.pool_timeout is None
     assert cfg.kernel == "quartet"
     assert cfg.tracer is None
-    assert not cfg.profile
     assert cfg.trace is NULL_TRACER
+
+
+def test_fields_are_twelve_in_role_order():
+    """placement, numerics, observation — and nothing that duplicates
+    hashed JobSpec physics (mts_*) or that nobody reads (profile)."""
+    import dataclasses
+
+    from repro.runtime.boundary import KNOBS
+
+    names = [f.name for f in dataclasses.fields(ExecutionConfig)]
+    assert len(names) == 12
+    assert not {"profile", "mts_outer", "mts_inner_engine"} & set(names)
+    roles = [KNOBS[n].role if n in KNOBS else "observation" for n in names]
+    order = ["placement", "numerics", "observation"]
+    assert roles == sorted(roles, key=order.index)
+    with pytest.raises(TypeError):
+        ExecutionConfig(mts_outer=3)
 
 
 def test_frozen():

@@ -18,8 +18,7 @@ pytestmark = pytest.mark.soscf
 
 
 def _cfg(solver, tracer=None):
-    return ExecutionConfig(scf_solver=solver, tracer=tracer,
-                           profile=tracer is not None)
+    return ExecutionConfig(scf_solver=solver, tracer=tracer)
 
 
 # --- DIIS satellite fixes ---------------------------------------------------

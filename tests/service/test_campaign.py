@@ -85,6 +85,26 @@ def test_resubmission_across_runs_hits_cache(tmp_path):
     assert report["completed"] == 2
 
 
+def test_mts_strides_never_share_a_cache_record(tmp_path):
+    """Same molecule, stride 1 and stride 3: two addresses, two
+    computes, two different trajectories (the removed
+    ``ExecutionConfig(mts_outer=)`` override cached the stride-3 path
+    under the stride-1 key)."""
+    svc = CampaignService(tmp_path)
+    plain = svc.submit(H2_MD.replace(steps=2, dt_fs=0.2, label="plain"))
+    mts = svc.submit(plain.spec.replace(mts_outer=3, label="mts"))
+    assert plain.key != mts.key
+    report = svc.run()
+    assert report["completed"] == 2
+    assert report["counters"]["service.cache_misses"] == 2
+    assert "service.cache_hits" not in report["counters"]
+    for job in (plain, mts):
+        assert svc.cache.get(job.key)["md"]["mts_outer"] == \
+            job.spec.mts_outer
+    assert svc.cache.get(plain.key)["md"]["energy_pot_final"] != \
+        svc.cache.get(mts.key)["md"]["energy_pot_final"]
+
+
 def test_multi_lane_run_with_duplicates():
     svc = CampaignService()
     svc.submit(H2_SCF)

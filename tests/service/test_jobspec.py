@@ -38,10 +38,26 @@ def test_defaults_validate():
     dict(executor="process", mode="incore"),
     dict(scf_solver="soscf", method="uhf"),
     dict(scf_solver="auto", multiplicity=3),
+    # the boundary hole: these used to pass and die inside the lane
+    dict(nworkers=0),
+    dict(nworkers=True, executor="process"),
+    dict(nworkers=2.0),
+    dict(charge=True),
+    dict(charge="0"),
+    dict(multiplicity=0),
+    dict(multiplicity=1.0),
+    dict(seed=True),
+    dict(seed=-1),
+    dict(perturb_seed=0.5),
+    dict(mts_outer="3"),
+    dict(conv_tol="1e-8"),
 ])
 def test_rejects_malformed(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"JobSpec.*{next(iter(bad))}"
+                       if len(bad) == 1 else None):
         JobSpec(**bad)
+    with pytest.raises(ValueError):
+        JobSpec.from_dict({**JobSpec().to_dict(), **bad})
 
 
 def test_replace_revalidates():

@@ -118,7 +118,7 @@ def test_run_scf_rejects_soscf_for_uhf_route():
 
 def test_run_md_mts_route(tmp_path):
     """A spec with mts_outer > 1 runs the r-RESPA integrator and the
-    envelope reports the cadence; config overrides win."""
+    envelope reports the cadence; plain specs report cadence 1."""
     spec = JobSpec(kind="md", molecule="h2", steps=3, dt_fs=0.2,
                    mts_outer=3, mts_inner="ff")
     res = api.run_md(spec)
@@ -127,7 +127,6 @@ def test_run_md_mts_route(tmp_path):
     assert res["md"]["mts_inner"] == "ff"
     assert res["md"]["complete"] is True
 
-    # config override beats the spec, and plain specs report cadence 1
     res2 = api.run_md(spec.replace(mts_outer=1), ExecutionConfig())
     assert res2["md"]["mts_outer"] == 1
     assert res2["md"]["mts_inner"] is None

@@ -266,6 +266,11 @@ def test_campaign_submit_rejects_bad_spec_file(tmp_path):
     bad.write_text('{"kind": "scf", "molcule": "h2"}')
     with pytest.raises(SystemExit, match="bad spec"):
         main(["campaign", "--dir", d, "submit", "--spec", str(bad)])
+    # a bad placement field is refused at submit time, not after the
+    # lane has burnt the job's retry budget on it
+    bad.write_text('{"kind": "scf", "molecule": "h2", "nworkers": 0}')
+    with pytest.raises(SystemExit, match="bad spec.*JobSpec.nworkers"):
+        main(["campaign", "--dir", d, "submit", "--spec", str(bad)])
     with pytest.raises(SystemExit, match="nothing to submit"):
         main(["campaign", "--dir", d, "submit"])
 
