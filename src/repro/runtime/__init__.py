@@ -23,6 +23,7 @@ from .checkpoint import (CheckpointError, CheckpointCorruptError,
 from .pool import (ExchangeWorkerPool, PoolLease, RankJob, WorkerDeathError,
                    default_nworkers, resolve_nworkers,
                    resolve_pool_timeout, resolve_pool_max_retries)
+from .supervisor import WorkerDeath
 
 __all__ = [
     "CommLog", "SimComm", "SimWorld",
@@ -40,5 +41,5 @@ __all__ = [
     "resolve_checkpoint_every",
     "ExchangeWorkerPool", "PoolLease", "RankJob", "WorkerDeathError",
     "default_nworkers", "resolve_nworkers",
-    "resolve_pool_timeout", "resolve_pool_max_retries",
+    "resolve_pool_timeout", "resolve_pool_max_retries", "WorkerDeath",
 ]

@@ -28,8 +28,9 @@ Fault tolerance (the paper's 96-rack reality, one level down: node
 failure is a fact of life and the static master-less schedule must
 survive it):
 
-* **detection** — every wait watches the worker's ``Process.sentinel``
-  alongside its pipe, so a worker that dies (OOM kill, BLAS segfault)
+* **detection** — the process lifecycle (start, sentinel-aware wait,
+  reap, respawn, shutdown) is :mod:`repro.runtime.supervisor`'s, shared
+  with the campaign lanes: a worker that dies (OOM kill, BLAS segfault)
   is diagnosed immediately as a :class:`WorkerDeathError` carrying the
   worker id, exit code / signal, and the rank jobs it held; a worker
   that *hangs* is caught by the deadline (default 120 s,
@@ -58,18 +59,16 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing as mp
-import os
-import signal as _signal
 import time
 import warnings
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _sentinel_wait
 
 import numpy as np
 
 from .boundary import (KNOBS, default_nworkers, env_text, parse_fault,
                        resolve_nworkers, resolve_pool_max_retries,
                        resolve_pool_timeout)
+from .supervisor import FaultGate, Supervisor, WorkerDeath
 
 __all__ = ["RankJob", "ExchangeWorkerPool", "PoolLease", "WorkerDeathError",
            "balance_pairs", "default_nworkers", "resolve_nworkers",
@@ -83,46 +82,20 @@ __all__ = ["RankJob", "ExchangeWorkerPool", "PoolLease", "WorkerDeathError",
 # pool declares itself broken.
 DEFAULT_MAX_RETRIES = KNOBS["pool_max_retries"].default
 
-# Backoff before respawning dead workers, scaled by the recovery round
-# (a crash loop — e.g. the machine is out of memory — should not spin).
-RESPAWN_BACKOFF = 0.05
 
-
-class WorkerDeathError(RuntimeError):
+class WorkerDeathError(WorkerDeath):
     """A pool worker died (or hung past the deadline) mid-operation.
 
-    Carries the diagnosis: which worker, how it exited (``exitcode``,
-    and ``signum`` when it was killed by a signal), whether it was a
-    deadline expiry (``hung``), which phase of the pool protocol it was
-    in, and the rank ids of the jobs it held — the exact slices a
-    recovery pass must re-run.
+    The supervisor's diagnosis plus ``ranks``: the rank ids of the jobs
+    the worker held — the exact slices a recovery pass must re-run.
     """
 
-    def __init__(self, worker: int, exitcode: int | None = None,
-                 signum: int | None = None, ranks=(),
-                 phase: str = "build", hung: bool = False,
-                 timeout: float | None = None):
-        self.worker = worker
-        self.exitcode = exitcode
-        self.signum = signum
+    noun = "pool worker"
+
+    def __init__(self, worker: int, ranks=(), **diagnosis):
         self.ranks = tuple(ranks)
-        self.phase = phase
-        self.hung = hung
-        if hung:
-            within = f" within {timeout:g} s" if timeout else ""
-            what = f"did not answer{within} — treating it as hung"
-        elif signum is not None:
-            try:
-                name = _signal.Signals(signum).name
-            except ValueError:
-                name = str(signum)
-            what = f"died (killed by signal {name})"
-        elif exitcode is not None:
-            what = f"died (exit code {exitcode})"
-        else:
-            what = "died (no exit status)"
         held = f" holding rank jobs {sorted(self.ranks)}" if ranks else ""
-        super().__init__(f"pool worker {worker} {what} during {phase}{held}")
+        super().__init__(worker, held=held, **diagnosis)
 
 
 @dataclass
@@ -177,19 +150,7 @@ def _parse_fault(spec: str | None):
                        ("kill", "hang", "exc"))
 
 
-def _trigger_fault(mode: str) -> None:
-    """Act out an injected worker fault (runs in the child)."""
-    if mode == "kill":
-        os.kill(os.getpid(), _signal.SIGKILL)
-    elif mode == "hang":
-        time.sleep(3600.0)   # parent's deadline kills us long before
-    elif mode == "exc":
-        # simulate an unhandled exception escaping the worker loop:
-        # exit nonzero without replying (no traceback noise in tests)
-        os._exit(1)
-
-
-def _worker_main(conn, dbuf, basis, nbf: int, wid: int) -> None:
+def _worker_main(conn, wid: int, _gen: int, dbuf, basis, nbf: int) -> None:
     """Worker loop: serve quartet batches until told to stop.
 
     Runs in the child process.  The engine (shell pairs) is rebuilt
@@ -202,7 +163,9 @@ def _worker_main(conn, dbuf, basis, nbf: int, wid: int) -> None:
     parent's tracer can graft the spans onto its own timeline).
 
     ``wid`` is this worker's pool slot — only used to match the
-    test-only ``REPRO_POOL_FAULT`` injection spec.
+    test-only ``REPRO_POOL_FAULT`` injection spec, which fires in every
+    spawn generation (so ``worker=*,build=1`` re-kills each respawn:
+    the degradation drills depend on it).
     """
     import traceback
 
@@ -211,8 +174,7 @@ def _worker_main(conn, dbuf, basis, nbf: int, wid: int) -> None:
     from ..scf.fock import eval_screened_pairs
     from .telemetry import NULL_TRACER
 
-    fault = _parse_fault(env_text("REPRO_POOL_FAULT"))
-    nexec = 0
+    gate = FaultGate(_parse_fault(env_text("REPRO_POOL_FAULT")), wid)
     engine = ERIEngine(basis)
     D = np.frombuffer(dbuf, dtype=np.float64).reshape(nbf, nbf)
     while True:
@@ -224,10 +186,7 @@ def _worker_main(conn, dbuf, basis, nbf: int, wid: int) -> None:
         if cmd == "stop":
             break
         if cmd == "exec":
-            nexec += 1
-            if fault is not None and fault[0] in ("*", wid) \
-                    and nexec == fault[1]:
-                _trigger_fault(fault[2])
+            gate.tick()
         try:
             if cmd == "reset":
                 basis = msg[1]
@@ -238,11 +197,7 @@ def _worker_main(conn, dbuf, basis, nbf: int, wid: int) -> None:
                 engine = ERIEngine(basis)
                 conn.send(("ok", None, 0, None))
             elif cmd == "exec":
-                jobs, want_j, want_k = msg[1], msg[2], msg[3]
-                kernel = msg[4] if len(msg) > 4 else "quartet"
-                op = msg[5] if len(msg) > 5 else "jk"
-                aux = msg[6] if len(msg) > 6 else None
-                eps = msg[7] if len(msg) > 7 else 0.0
+                _, jobs, want_j, want_k, kernel, op, aux, eps = msg
                 results = []
                 timings = []
                 nq = 0
@@ -322,20 +277,16 @@ class ExchangeWorkerPool:
         self.respawns = 0            # successful worker respawns, total
         self.retried_jobs = 0        # rank jobs re-dispatched after a death
         self._closed = False
-        if start_method is None:
-            start_method = ("fork" if "fork" in mp.get_all_start_methods()
-                            else "spawn")
-        self._ctx = mp.get_context(start_method)
         self._nbf = basis.nbf
         # density broadcast buffer: allocated before the fork so every
         # worker maps the same pages; the parent rewrites it per build
         self._dbuf = mp.RawArray("d", self._nbf * self._nbf)
         self._D = np.frombuffer(self._dbuf, dtype=np.float64) \
             .reshape(self._nbf, self._nbf)
-        self._conns = [None] * self.nworkers
-        self._procs = [None] * self.nworkers
-        for w in range(self.nworkers):
-            self._spawn_worker(w)
+        self._sup = Supervisor(
+            self.nworkers, _worker_main, (self._dbuf, basis, self._nbf),
+            pair=mp.Pipe, death=WorkerDeathError, timeout=self.timeout,
+            start_method=start_method)
 
     # --- lifecycle ---------------------------------------------------------------
 
@@ -345,70 +296,25 @@ class ExchangeWorkerPool:
         unrecoverable failure)."""
         return self._closed
 
-    def _spawn_worker(self, w: int) -> None:
-        """(Re)create the worker in slot ``w`` from the current basis."""
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, self._dbuf, self.basis, self._nbf, w),
-            daemon=True)
-        proc.start()
-        child_conn.close()
-        self._conns[w] = parent_conn
-        self._procs[w] = proc
-
     def _live(self) -> list[int]:
         """Slots with a (presumed) live worker."""
-        return [w for w in range(self.nworkers)
-                if self._procs[w] is not None]
+        return [s.wid for s in self._sup.live]
 
-    def _diagnose_death(self, w: int, phase: str, ranks=(),
-                        hung: bool = False) -> WorkerDeathError:
-        """Reap slot ``w`` and build the diagnosis.
-
-        Tears down only this worker — survivors keep running so a
-        recovery pass can redistribute the lost jobs.  A hung worker is
-        killed first so its slot is safe to respawn.
-        """
-        proc = self._procs[w]
-        exitcode = None
-        if proc is not None:
-            if hung and proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-                if proc.is_alive():
-                    proc.kill()
-            proc.join(timeout=5.0)
-            exitcode = proc.exitcode
-        signum = -exitcode if (exitcode is not None and exitcode < 0) \
-            else None
-        if self._conns[w] is not None:
-            self._conns[w].close()
-        self._conns[w] = None
-        self._procs[w] = None
+    def _death(self, w: int, phase: str, ranks=(),
+               hung: bool = False) -> WorkerDeathError:
+        """Reap slot ``w`` (survivors keep running, so a recovery pass
+        can redistribute the lost jobs) and return the diagnosis."""
         self.worker_deaths += 1
-        return WorkerDeathError(
-            worker=w, exitcode=exitcode, signum=signum, ranks=ranks,
-            phase=phase, hung=hung, timeout=self.timeout)
+        return self._sup.reap(self._sup.slots[w], hung, phase=phase,
+                              ranks=ranks)
 
     def _respawn_dead(self, round_: int) -> int:
         """Respawn every dead slot (with backoff); returns the count.
-
-        A slot whose respawn fails (fork refused — e.g. out of memory)
-        stays dead; the caller's next dispatch redistributes its jobs
-        LPT-style over the survivors.
-        """
-        dead = [w for w in range(self.nworkers) if self._procs[w] is None]
-        if dead:
-            time.sleep(min(RESPAWN_BACKOFF * round_, 1.0))
-        n = 0
-        for w in dead:
-            try:
-                self._spawn_worker(w)
-            except OSError:
-                continue
-            self.respawns += 1
-            n += 1
+        A slot whose respawn fails stays dead; the caller's next
+        dispatch redistributes its jobs LPT-style over the survivors."""
+        n = len(self._sup.respawn(
+            [s for s in self._sup.slots if not s.alive], round_))
+        self.respawns += n
         return n
 
     def reset(self, basis) -> None:
@@ -421,31 +327,20 @@ class ExchangeWorkerPool:
         the pool half-alive; an unrecoverable pool tears down fully and
         raises the diagnosis.
         """
+        from .telemetry import NULL_TRACER
+
         if self._closed:
             raise RuntimeError("pool is closed")
         if basis.nbf != self.basis.nbf:
             raise ValueError(
                 "reset requires an equally sized basis "
                 f"({self.basis.nbf} != {basis.nbf}); build a new pool")
-        deadline = time.monotonic() + self.timeout
-        sent, deaths = [], []
-        for w in self._live():
-            try:
-                self._conns[w].send(("reset", basis))
-                sent.append(w)
-            except (BrokenPipeError, OSError):
-                deaths.append(self._diagnose_death(w, "reset"))
-        for w in sent:
-            try:
-                status, payload = self._recv(w, deadline, phase="reset")[:2]
-            except WorkerDeathError as e:
-                deaths.append(e)
-                continue
-            if status != "ok":
-                self.close(force=True)
-                raise RuntimeError(f"pool worker {w} failed:\n{payload}")
+        sent, deaths = self._post(
+            {w: ("reset", basis) for w in self._live()}, "reset", {})
+        deaths += self._collect(sent, "reset", {}, NULL_TRACER)[1]
         # respawned workers must build their engines from the new basis
         self.basis = basis
+        self._sup.args = (self._dbuf, basis, self._nbf)
         if deaths:
             self._respawn_dead(round_=1)
             if not self._live():
@@ -463,35 +358,11 @@ class ExchangeWorkerPool:
         if self._closed:
             return
         self._closed = True
-        for conn in self._conns:
-            if conn is None:
-                continue
-            if not force:
-                try:
-                    conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-            conn.close()
-        for w, proc in enumerate(self._procs):
-            if proc is None:
-                continue
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=5.0)
-            if not force and proc.exitcode not in (0, None):
-                code = proc.exitcode
-                how = (f"killed by signal {-code}" if code < 0
-                       else f"exit code {code}")
-                warnings.warn(
-                    f"pool worker {w} had crashed ({how}) before close; "
-                    "its last build may have been recovered or degraded",
-                    RuntimeWarning, stacklevel=2)
-        self._conns = [None] * self.nworkers
-        self._procs = [None] * self.nworkers
+        for d in self._sup.shutdown(lambda s: s.chan.send(("stop",)), force):
+            warnings.warn(
+                f"pool worker {d.worker} had crashed ({d.how}) before "
+                "close; its last build may have been recovered or degraded",
+                RuntimeWarning, stacklevel=2)
 
     def __enter__(self) -> "ExchangeWorkerPool":
         return self
@@ -507,101 +378,57 @@ class ExchangeWorkerPool:
 
     # --- execution ---------------------------------------------------------------
 
-    def _recv(self, w: int, deadline: float, phase: str = "build",
-              ranks=()):
-        """One worker reply, or a :class:`WorkerDeathError` diagnosis.
-
-        Waits on the reply pipe *and* the worker's ``Process.sentinel``
-        so a death is detected the moment the OS reaps the child — a
-        closed pipe (``poll()`` is true on EOF too) or an armed sentinel
-        is diagnosed via the exit code instead of surfacing as a bare
-        ``EOFError``; deadline expiry kills the worker and reports it
-        as hung.
-        """
-        conn = self._conns[w]
-        proc = self._procs[w]
-        remaining = deadline - time.monotonic()
-        ready = (_sentinel_wait([conn, proc.sentinel], remaining)
-                 if remaining > 0 else [])
-        if conn in ready:
+    def _post(self, outbox, phase: str, held):
+        """Send ``outbox[w]`` to each worker.  Returns the workers that
+        took their message and the diagnosis of each found dead at send
+        time (``held[w]``: the rank ids it would have held)."""
+        sent, deaths = [], []
+        for w, msg in outbox.items():
             try:
-                return conn.recv()
-            except (EOFError, OSError):
-                # pipe closed (possibly mid-message): the worker died
-                raise self._diagnose_death(w, phase, ranks) from None
-        if proc.sentinel in ready:
-            raise self._diagnose_death(w, phase, ranks)
-        raise self._diagnose_death(w, phase, ranks, hung=True)
+                self._sup.slots[w].chan.send(msg)
+            except OSError:         # BrokenPipeError included
+                deaths.append(self._death(w, phase, held.get(w, ())))
+            else:
+                sent.append(w)
+        return sent, deaths
 
-    def _dispatch(self, idxs, jobs, want_j, want_k, kernel, tr,
-                  op: str = "jk", aux=None, eps: float = 0.0):
-        """Send jobs ``idxs`` to the live workers (LPT on job cost).
+    def _collect(self, sent, phase: str, held, tr):
+        """One reply from each worker in ``sent``, under one deadline.
 
-        Returns ``(pending, lost, err)``: which worker holds which job
-        indices, plus any jobs whose worker died at send time (its
-        diagnosis rides along for the caller's recovery pass).
-
-        ``op`` selects the worker-side operation: ``"jk"`` (screened
-        quartet J/K partials; the default) or ``"ri3c"`` (3-index RI
-        slabs — ``aux``/``eps`` ride in the message).
-        """
-        live = self._live()
-        pending: dict[int, list[int]] = {}
-        lost: list[int] = []
-        err = None
-        with tr.span("pool.dispatch", cat="pool", njobs=len(idxs),
-                     nworkers=len(live), kernel=kernel, op=op):
-            assign = _lpt_assign([jobs[t].cost for t in idxs], len(live))
-            for slot, sub in zip(live, assign):
-                mine = [idxs[k] for k in sub]
-                if not mine:
-                    continue
-                payload = [(jobs[t].rank, jobs[t].pairs) for t in mine]
-                try:
-                    self._conns[slot].send(("exec", payload, want_j,
-                                            want_k, kernel, op, aux, eps))
-                except (BrokenPipeError, OSError):
-                    err = self._diagnose_death(
-                        slot, "dispatch",
-                        ranks=[jobs[t].rank for t in mine])
-                    lost.extend(mine)
-                    continue
-                pending[slot] = mine
-        return pending, lost, err
-
-    def _collect(self, pending, jobs, results, tr):
-        """Receive every pending reply; deaths become lost-job lists.
-
-        Surviving workers' results are kept even when a sibling dies —
-        only the dead worker's rank jobs return to the caller for
-        re-dispatch.
+        Returns ``({w: (payload, nquartets, timings)}, deaths)``: a
+        worker whose pipe closes (possibly mid-message), whose sentinel
+        fires, or that stays silent past the deadline (``hung``) is
+        reaped and diagnosed; its siblings' replies are kept.  A worker
+        that *answers* with an error is a bug, not a fault: the pool
+        tears down and raises.
         """
         deadline = time.monotonic() + self.timeout
-        lost: list[int] = []
-        err = None
-        nq_total = 0
-        with tr.span("pool.wait", cat="pool", nworkers=len(pending)):
-            for w, mine in pending.items():
-                try:
-                    status, payload, nq, timings = self._recv(
-                        w, deadline, phase="build",
-                        ranks=[jobs[t].rank for t in mine])
-                except WorkerDeathError as e:
-                    lost.extend(mine)
-                    err = e
+        replies, deaths = {}, []
+        with tr.span("pool.wait", cat="pool", nworkers=len(sent)):
+            for w in sent:
+                slot = self._sup.slots[w]
+                news = self._sup.wait([slot], deadline)
+                reply = None
+                if news and news[0][1]:
+                    try:
+                        reply = slot.chan.recv()
+                    except (EOFError, OSError):
+                        pass        # pipe closed, possibly mid-message
+                if reply is None:
+                    deaths.append(self._death(w, phase, held.get(w, ()),
+                                              hung=not news))
                     continue
+                status, payload, nq, timings = reply
                 if status != "ok":
                     self.close(force=True)
                     raise RuntimeError(f"pool worker {w} failed:\n{payload}")
-                nq_total += nq
-                for rank, J, K in payload:
-                    results[rank] = (J, K)
+                replies[w] = (payload, nq, timings)
                 if tr.enabled and timings:
                     for rank, t0, t1, nq_rank in timings:
                         tr.add_span("worker.quartet_batch", t0, t1,
                                     cat="quartets", tid=f"worker-{w}",
                                     rank=rank, nq=nq_rank)
-        return lost, err, nq_total
+        return replies, deaths
 
     def exchange(self, D: np.ndarray | None, jobs: list[RankJob],
                  want_j: bool = False, want_k: bool = True, tracer=None,
@@ -655,25 +482,41 @@ class ExchangeWorkerPool:
         outstanding = list(range(len(jobs)))
         rounds = 0
         while outstanding:
-            pending, lost, err = self._dispatch(outstanding, jobs, want_j,
-                                                want_k, kernel, tr,
-                                                op=op, aux=aux, eps=eps)
-            lost_c, err_c, nq = self._collect(pending, jobs, results, tr)
-            nq_total += nq
-            lost = sorted(lost + lost_c)
-            err = err_c or err
-            if not lost:
+            live = self._live()
+            with tr.span("pool.dispatch", cat="pool", njobs=len(outstanding),
+                         nworkers=len(live), kernel=kernel, op=op):
+                # LPT on job cost over whoever is alive this round
+                assign = _lpt_assign([jobs[t].cost for t in outstanding],
+                                     len(live))
+                holds = {w: [outstanding[k] for k in sub]
+                         for w, sub in zip(live, assign) if sub}
+                held = {w: [jobs[t].rank for t in mine]
+                        for w, mine in holds.items()}
+                sent, deaths = self._post(
+                    {w: ("exec", [(jobs[t].rank, jobs[t].pairs)
+                                  for t in mine],
+                         want_j, want_k, kernel, op, aux, eps)
+                     for w, mine in holds.items()}, "dispatch", held)
+            replies, dead = self._collect(sent, "build", held, tr)
+            for payload, nq, _ in replies.values():
+                nq_total += nq
+                for rank, J, K in payload:
+                    results[rank] = (J, K)
+            deaths += dead
+            if not deaths:
                 break
+            # exactly the dead workers' rank jobs go round again
+            lost = sorted(t for e in deaths for t in holds[e.worker])
             rounds += 1
             if rounds > self.max_retries:
                 self.close(force=True)
-                raise err
+                raise deaths[-1]
             with tr.span("pool.recover", cat="pool", round=rounds,
                          njobs=len(lost)) as ctx:
                 ctx.add(respawned=self._respawn_dead(rounds))
             if not self._live():
                 self.close(force=True)
-                raise err
+                raise deaths[-1]
             self.retried_jobs += len(lost)
             outstanding = lost
         self.quartets_computed += nq_total

@@ -13,7 +13,9 @@ with two backends behind one interface:
   versioned pickle **frame codec** over ``socketpair`` connections.
 
 The process backend follows the PR 4 pool's detect → retry → degrade
-idiom one level up the stack:
+idiom one level up the stack, on the same process-lifecycle core
+(:mod:`repro.runtime.supervisor`: start, sentinel-aware wait, reap,
+respawn, shutdown); what stays here is the wire format and the lease:
 
 * **framed RPC** — every message is ``magic | version | length |
   pickled payload`` (:func:`encode_frame` / :func:`read_frame` /
@@ -25,12 +27,11 @@ idiom one level up the stack:
   the parent can tell "still computing a long job" from "wedged": a
   lane that goes silent past the ``pool_timeout`` deadline is killed
   and treated as dead;
-* **job leases** — a dispatched job is *leased* to its worker (the
-  worker ``ack``\\ s receipt); when the worker dies or hangs
-  mid-lease, the job is requeued against the campaign's existing
-  per-job retry budget (``service.requeued_jobs``) and the worker slot
-  is respawned with bounded backoff (``pool_max_retries`` rounds per
-  slot);
+* **job leases** — a dispatched job is *leased* to its worker; when
+  the worker dies or hangs mid-lease, the job is requeued against the
+  campaign's existing per-job retry budget
+  (``service.requeued_jobs``) and the worker slot is respawned with
+  bounded backoff (``pool_max_retries`` respawns per slot);
 * **degradation** — when every lane slot is dead and unrespawnable the
   transport warns once, counts ``service.degraded_drains``, and drains
   the remaining queue through the local (thread) transport instead of
@@ -68,21 +69,18 @@ tracer, plus ``service.frames_sent`` / ``service.frames_recv`` /
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import pickle
-import signal as _signal
 import socket
 import struct
 import threading
 import time
 import warnings
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _mp_wait
 
-from ..runtime.boundary import (env_text, fault_fields, parse_fault,
+from ..runtime.boundary import (KNOBS, env_text, fault_fields, parse_fault,
                                 resolve)
 from ..runtime.execconfig import ExecutionConfig
-from ..runtime.pool import RESPAWN_BACKOFF, _trigger_fault
+from ..runtime.supervisor import FaultGate, Slot, Supervisor, WorkerDeath
 
 __all__ = [
     "FrameError", "FRAME_MAGIC", "FRAME_VERSION", "MAX_FRAME_BYTES",
@@ -229,33 +227,17 @@ def parse_service_fault(spec: str | None):
             f"{var} must look like {usage!r}, got {spec!r}") from None
 
 
-class LaneWorkerDeath(RuntimeError):
+class LaneWorkerDeath(WorkerDeath):
     """A process lane worker died (or hung past the deadline) while it
     held a job lease.  The job itself is requeued against its retry
     budget; this is the diagnosis recorded when the budget runs out."""
 
-    def __init__(self, worker: int, exitcode: int | None = None,
-                 hung: bool = False, timeout: float | None = None,
-                 job_id: int | None = None):
-        self.worker = worker
-        self.exitcode = exitcode
-        self.hung = hung
+    noun = "lane worker"
+
+    def __init__(self, worker: int, job_id: int | None = None, **diagnosis):
         self.job_id = job_id
-        if hung:
-            within = f" within {timeout:g} s" if timeout else ""
-            what = f"sent no frame{within} — treating it as hung"
-        elif exitcode is not None and exitcode < 0:
-            try:
-                name = _signal.Signals(-exitcode).name
-            except ValueError:
-                name = str(-exitcode)
-            what = f"died (killed by signal {name})"
-        elif exitcode is not None:
-            what = f"died (exit code {exitcode})"
-        else:
-            what = "died (no exit status)"
         held = f" holding job {job_id}" if job_id is not None else ""
-        super().__init__(f"lane worker {worker} {what}{held}")
+        super().__init__(worker, held=held, **diagnosis)
 
 
 # --- worker process -----------------------------------------------------------
@@ -275,7 +257,8 @@ def _lane_worker_main(sock: socket.socket, wid: int, gen: int) -> None:
     demonstrates recovery instead of re-dying forever.
     """
     fault = parse_service_fault(env_text("REPRO_SERVICE_FAULT"))
-    fault = fault[1] if fault is not None and fault[0] == "worker" else None
+    gate = FaultGate(fault[1] if fault and fault[0] == "worker" else None,
+                     wid, armed=gen == 0)
     interval = resolve("heartbeat")     # the parent validated it pre-fork
     send_lock = threading.Lock()
     hb_stop = threading.Event()
@@ -295,7 +278,6 @@ def _lane_worker_main(sock: socket.socket, wid: int, gen: int) -> None:
     threading.Thread(target=_hb_loop, daemon=True,
                      name=f"lane-{wid}-hb").start()
     rfile = sock.makefile("rb")
-    njobs = 0
     try:
         while True:
             try:
@@ -310,13 +292,8 @@ def _lane_worker_main(sock: socket.socket, wid: int, gen: int) -> None:
                 continue
             if op != "job":
                 continue            # unknown ops are ignored, not fatal
-            njobs += 1
             job_id = msg["job_id"]
-            if fault is not None and gen == 0 \
-                    and fault[0] in ("*", wid) and njobs == fault[1]:
-                hb_stop.set()       # a hang goes silent, not just idle
-                _trigger_fault(fault[2])
-            _send({"op": "ack", "job_id": job_id, "worker": wid})
+            gate.tick(silence=hb_stop.set)  # a hang goes silent, not idle
             if msg.get("inject_fail"):
                 _send({"op": "result", "job_id": job_id, "ok": False,
                        "error": f"InjectedWorkerDeath: injected worker "
@@ -398,28 +375,27 @@ class LocalLaneTransport(LaneTransport):
 
 
 @dataclass
-class _Lane:
-    """One process lane slot: its worker, socket, and lease."""
+class _Lane(Slot):
+    """One process lane: a supervised worker slot (``chan`` is its
+    socket) plus the framed-RPC receive state and the job lease."""
 
-    wid: int
-    proc: object = None
-    sock: socket.socket | None = None
     buf: bytearray = field(default_factory=bytearray)
-    gen: int = 0                 # spawn generation of the current worker
-    respawns: int = 0            # respawn budget consumed by this slot
     job: object | None = None    # leased Job (None = idle)
     key_lock: object | None = None   # held cache compute lock
-    acked: bool = False
     t_dispatch: float = 0.0
     last_seen: float = 0.0       # monotonic time of the last frame
 
     @property
-    def alive(self) -> bool:
-        return self.proc is not None
-
-    @property
     def busy(self) -> bool:
         return self.job is not None
+
+    def release(self):
+        """Drop the lease; returns the job that was held (or None)."""
+        job, self.job = self.job, None
+        if self.key_lock is not None:
+            self.key_lock.release()
+            self.key_lock = None
+        return job
 
 
 #: How long a key blocked by another campaign's compute lock is skipped
@@ -445,71 +421,43 @@ class ProcessLaneTransport(LaneTransport):
         self.timeout = resolve("pool_timeout", config.pool_timeout)
         self.max_respawns = resolve("pool_max_retries",
                                     config.pool_max_retries)
-        resolve("heartbeat")         # validate the env override pre-fork
-        self._ctx = mp.get_context(
-            "fork" if "fork" in mp.get_all_start_methods() else "spawn")
+        heartbeat = resolve("heartbeat")     # validated here, pre-fork
+        if heartbeat >= self.timeout:
+            # a busy lane is reaped as hung after ``timeout`` s without
+            # a frame, so every job outliving the timeout would be too
+            raise ValueError(
+                f"{KNOBS['heartbeat'].env} must be shorter than "
+                f"{KNOBS['pool_timeout'].env} ({self.timeout:g} s), "
+                f"got {heartbeat:g}")
         self._closed = False
         self._skip: dict[str, float] = {}    # key -> retry-at (monotonic)
-        self._lanes = [_Lane(wid=w) for w in range(self.nlanes)]
+        self._sup = Supervisor(
+            self.nlanes, _lane_worker_main, pair=socket.socketpair,
+            death=LaneWorkerDeath, slot=_Lane, timeout=self.timeout)
+        self._lanes = self._sup.slots
         for lane in self._lanes:
-            self._spawn(lane)
+            self._fresh(lane)
 
     # --- lifecycle ------------------------------------------------------------
 
-    def _spawn(self, lane: _Lane) -> None:
-        parent_sock, child_sock = socket.socketpair()
-        proc = self._ctx.Process(
-            target=_lane_worker_main,
-            args=(child_sock, lane.wid, lane.gen),
-            daemon=True, name=f"campaign-lane-{lane.wid}")
-        proc.start()
-        child_sock.close()
-        parent_sock.setblocking(False)
-        lane.proc = proc
-        lane.sock = parent_sock
+    def _fresh(self, lane: _Lane) -> None:
+        """Receive state for a lane whose worker just started."""
+        lane.chan.setblocking(False)
         lane.buf = bytearray()
-        lane.job = None
-        lane.key_lock = None
-        lane.acked = False
         lane.last_seen = time.monotonic()
 
     def _live(self) -> list[_Lane]:
-        return [ln for ln in self._lanes if ln.alive]
+        return self._sup.live
 
     def close(self) -> None:
         """Graceful drain: ``stop`` frames, join, escalate, release."""
         if self._closed:
             return
         self._closed = True
+        self._sup.shutdown(
+            lambda ln: ln.chan.sendall(encode_frame({"op": "stop"})))
         for lane in self._lanes:
-            if lane.sock is None:
-                continue
-            try:
-                lane.sock.sendall(encode_frame({"op": "stop"}))
-            except OSError:
-                pass
-        for lane in self._lanes:
-            proc = lane.proc
-            if proc is None:
-                continue
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=5.0)
-            lane.proc = None
-        for lane in self._lanes:
-            if lane.sock is not None:
-                try:
-                    lane.sock.close()
-                except OSError:
-                    pass
-                lane.sock = None
-            if lane.key_lock is not None:
-                lane.key_lock.release()
-                lane.key_lock = None
+            lane.release()
 
     # --- the drain loop -------------------------------------------------------
 
@@ -570,27 +518,23 @@ class ProcessLaneTransport(LaneTransport):
             with tr.span("transport.dispatch", cat="transport",
                          job=job.id, worker=lane.wid):
                 sent = self._send(lane, msg)
+            lane.job, lane.key_lock = job, lk
+            lane.t_dispatch = time.monotonic()
             if not sent:
                 # the lane died at send time: requeue-and-respawn, then
                 # try the remaining idle lanes with the same queue
-                lane.job, lane.key_lock = job, lk
-                lane.t_dispatch = time.monotonic()
                 self._on_lane_death(lane, hung=False)
                 idle = [ln for ln in self._live() if not ln.busy]
-                continue
-            lane.job, lane.key_lock = job, lk
-            lane.acked = False
-            lane.t_dispatch = time.monotonic()
 
     def _send(self, lane: _Lane, msg) -> bool:
         """Frame ``msg`` to a lane; ``False`` when the lane is dead."""
         data = encode_frame(msg)
         try:
-            lane.sock.setblocking(True)
+            lane.chan.setblocking(True)
             try:
-                lane.sock.sendall(data)
+                lane.chan.sendall(data)
             finally:
-                lane.sock.setblocking(False)
+                lane.chan.setblocking(False)
         except OSError:
             return False
         self.service._count("service.frames_sent")
@@ -600,39 +544,25 @@ class ProcessLaneTransport(LaneTransport):
         """Block until a frame, a death, or a deadline needs handling."""
         now = time.monotonic()
         live = self._live()
-        busy = [ln for ln in live if ln.busy]
-        deadlines = [ln.last_seen + self.timeout for ln in busy]
+        deadlines = [ln.last_seen + self.timeout for ln in live if ln.busy]
         if self._skip:
             deadlines.append(min(self._skip.values()))
-        timeout = max(0.0, (min(deadlines) - now)) if deadlines else 0.2
-        waitables = []
-        by_obj = {}
-        for ln in live:
-            waitables.append(ln.sock)
-            by_obj[ln.sock] = ln
-            waitables.append(ln.proc.sentinel)
-            by_obj[ln.proc.sentinel] = ln
-        ready = _mp_wait(waitables, min(timeout, 0.5)) if waitables else []
-        now = time.monotonic()
-        seen: set[int] = set()
-        for obj in ready:
-            lane = by_obj[obj]
-            if lane.wid in seen or not lane.alive:
-                continue
-            seen.add(lane.wid)
-            if obj is lane.sock:
+        deadline = min(min(deadlines, default=now + 0.2), now + 0.5)
+        for lane, readable in self._sup.wait(live, deadline):
+            if readable:
                 self._pump(lane)
             else:
                 self._on_lane_death(lane, hung=False)
-        for lane in [ln for ln in self._live() if ln.busy]:
-            if now - lane.last_seen > self.timeout:
+        now = time.monotonic()
+        for lane in self._live():
+            if lane.busy and now - lane.last_seen > self.timeout:
                 self._on_lane_death(lane, hung=True)
 
     def _pump(self, lane: _Lane) -> None:
         """Drain a readable lane socket; decode and handle its frames."""
         while True:
             try:
-                chunk = lane.sock.recv(1 << 16)
+                chunk = lane.chan.recv(1 << 16)
             except (BlockingIOError, InterruptedError):
                 break
             except OSError:
@@ -662,13 +592,7 @@ class ProcessLaneTransport(LaneTransport):
 
     def _handle(self, lane: _Lane, msg) -> None:
         op = msg.get("op") if isinstance(msg, dict) else None
-        if op == "hb" or op == "pong":
-            return
-        if op == "ack":
-            if lane.job is not None and msg.get("job_id") == lane.job.id:
-                lane.acked = True
-            return
-        if op != "result":
+        if op != "result":      # hb / pong: liveness only
             return
         job = lane.job
         if job is None or msg.get("job_id") != job.id:
@@ -685,11 +609,7 @@ class ProcessLaneTransport(LaneTransport):
             svc._record_success(job, msg["result"], elapsed)
         else:
             svc._record_failure(job, str(msg.get("error")), elapsed)
-        lane.job = None
-        lane.acked = False
-        if lane.key_lock is not None:
-            lane.key_lock.release()
-            lane.key_lock = None
+        lane.release()
         svc._finish(job)
 
     # --- death, requeue, respawn, degrade -------------------------------------
@@ -698,32 +618,11 @@ class ProcessLaneTransport(LaneTransport):
         """Reap a dead/hung lane, requeue its lease, respawn the slot."""
         svc = self.service
         tr = self.config.trace
-        proc = lane.proc
-        exitcode = None
-        if proc is not None:
-            if hung and proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-                if proc.is_alive():
-                    proc.kill()
-            proc.join(timeout=5.0)
-            exitcode = proc.exitcode
-        if lane.sock is not None:
-            try:
-                lane.sock.close()
-            except OSError:
-                pass
-        lane.proc = None
-        lane.sock = None
-        lane.buf = bytearray()
+        job = lane.release()
+        death = self._sup.reap(lane, hung,
+                               job_id=job.id if job is not None else None)
         svc._count("service.worker_deaths")
-        job, lane.job = lane.job, None
-        if lane.key_lock is not None:
-            lane.key_lock.release()
-            lane.key_lock = None
         if job is not None:
-            death = LaneWorkerDeath(lane.wid, exitcode=exitcode, hung=hung,
-                                    timeout=self.timeout, job_id=job.id)
             with tr.span("transport.requeue", cat="transport", job=job.id,
                          worker=lane.wid, hung=hung):
                 elapsed = time.monotonic() - lane.t_dispatch
@@ -731,19 +630,13 @@ class ProcessLaneTransport(LaneTransport):
                                     elapsed,
                                     counter="service.requeued_jobs")
             svc._finish(job)
-        if lane.respawns < self.max_respawns:
-            lane.respawns += 1
-            lane.gen += 1
-            time.sleep(min(RESPAWN_BACKOFF * lane.respawns, 1.0))
+        if lane.respawns < self.max_respawns:   # budget is per slot
             with tr.span("transport.respawn", cat="transport",
-                         worker=lane.wid, gen=lane.gen):
-                try:
-                    self._spawn(lane)
-                except OSError:
-                    lane.proc = None
-                    lane.sock = None
-                    return
-            svc._count("service.worker_respawns")
+                         worker=lane.wid, gen=lane.gen + 1):
+                back = self._sup.respawn([lane], lane.respawns + 1)
+            if back:
+                self._fresh(lane)
+                svc._count("service.worker_respawns")
 
     def _degrade(self) -> None:
         """Every lane slot is dead and unrespawnable: finish the drain

@@ -287,10 +287,13 @@ def test_parse_fault_grammar(var, nth, modes):
 
 
 def test_lane_worker_acts_through_the_pools_trigger():
-    from repro.runtime import pool
+    """One child-side fault actor: both worker loops tick the
+    supervisor's gate (the pool's private trigger is gone)."""
+    from repro.runtime import pool, supervisor
     from repro.service import transport
 
-    assert transport._trigger_fault is pool._trigger_fault
+    assert transport.FaultGate is pool.FaultGate is supervisor.FaultGate
+    assert not hasattr(pool, "_trigger_fault")
 
 
 # --- the docs are the registry -------------------------------------------------

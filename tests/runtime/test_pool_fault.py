@@ -105,6 +105,29 @@ def test_exc_death_recovers(clean_fault_env, water_basis, density):
     assert np.abs(K - K_ref).max() == 0.0
 
 
+def test_refused_respawn_redistributes_over_survivors(clean_fault_env,
+                                                      water_basis, density):
+    """When the fork of a replacement is refused the slot stays dead and
+    the lost rank jobs go LPT over the survivors — K still bit-identical."""
+    from multiprocessing.process import BaseProcess
+
+    from repro.hfx import distributed_exchange
+
+    K_ref = _serial_K(water_basis, density, nranks=4)
+    clean_fault_env.setenv("REPRO_POOL_FAULT", "worker=0,build=1,mode=kill")
+    cfg = ExecutionConfig(executor="process")
+    with ExchangeWorkerPool(water_basis, nworkers=2) as pool:
+        def refuse(proc):
+            raise OSError("fork refused (test)")
+
+        clean_fault_env.setattr(BaseProcess, "start", refuse)
+        K, _, _, _ = distributed_exchange(water_basis, density, nranks=4,
+                                          pool=pool, config=cfg)
+        assert (pool.worker_deaths, pool.respawns) == (1, 0)
+        assert pool._live() == [1] and pool.retried_jobs >= 1
+    assert np.abs(K - K_ref).max() == 0.0
+
+
 def test_hung_worker_is_killed_and_retried(clean_fault_env, water_basis,
                                            density):
     """A hang is a death with ``hung=True``: the deadline expires, the
@@ -270,21 +293,21 @@ def test_dead_worker_at_reset_is_respawned(clean_fault_env, water_basis,
     basis1 = build_basis(water.with_coords(water.coords + 0.05))
     jobs = [RankJob(rank=0, pairs=[(0, 1, np.array([[1, 2]]))], cost=1.0)]
     with ExchangeWorkerPool(water_basis, nworkers=2) as pool:
-        victim = pool._procs[1]
+        victim = pool._sup.slots[1].proc
         victim.kill()
         victim.join(timeout=10.0)
         pool.reset(basis1)
         assert pool.worker_deaths == 1
         assert pool.respawns == 1
-        assert all(p is not None and p.is_alive() for p in pool._procs)
+        assert all(s.alive and s.proc.is_alive() for s in pool._sup.slots)
         results, nq = pool.exchange(np.eye(basis1.nbf), jobs)
         assert nq == 1 and 0 in results
 
 
 def test_close_warns_about_crashed_worker(clean_fault_env, water_basis):
     pool = ExchangeWorkerPool(water_basis, nworkers=1)
-    pool._procs[0].kill()
-    pool._procs[0].join(timeout=10.0)
+    pool._sup.slots[0].proc.kill()
+    pool._sup.slots[0].proc.join(timeout=10.0)
     with pytest.warns(RuntimeWarning, match="crashed"):
         pool.close()
     pool.close()  # still idempotent

@@ -1,6 +1,7 @@
 """Lane transports: frame-codec properties, forked process lanes,
 worker-death requeue, hang detection, degradation, parity vs local."""
 
+import functools
 import io
 import warnings
 
@@ -13,6 +14,7 @@ from repro.service import (CampaignService, FrameError, JobSpec,
                            LocalLaneTransport, ProcessLaneTransport,
                            encode_frame, make_transport, read_frame,
                            try_decode)
+from repro.service import transport
 from repro.service.transport import (FRAME_MAGIC, FRAME_VERSION,
                                      MAX_FRAME_BYTES, _FRAME_HEADER,
                                      parse_service_fault)
@@ -264,6 +266,60 @@ def test_all_lanes_dead_degrades_to_local(tmp_path, monkeypatch):
     assert any("degrading" in str(w.message) for w in caught)
 
 
+def _wrong_job(msg):
+    return encode_frame({"op": "result", "job_id": msg["job_id"] + 99,
+                         "ok": True, "result": {}})
+
+
+def _rogue_lane(sock, wid, gen, *, reply, honest=transport._lane_worker_main):
+    """A live lane worker that breaks the protocol once: generation 0
+    answers its first job with ``reply(msg)`` and idles until the
+    parent hangs up; the respawn is the real worker."""
+    if gen > 0:
+        return honest(sock, wid, gen)
+    sock.sendall(reply(read_frame(sock.makefile("rb").read)))
+    sock.recv(1)
+
+
+@pytest.mark.parametrize("reply, complaint", [
+    (lambda msg: b"not a frame at all", "corrupt frame"),
+    (_wrong_job, "answered job"),
+])
+def test_protocol_violation_takes_the_death_path(tmp_path, monkeypatch,
+                                                 reply, complaint):
+    monkeypatch.setattr(transport, "_lane_worker_main",
+                        functools.partial(_rogue_lane, reply=reply))
+    svc = CampaignService(tmp_path)
+    svc.submit(H2_SCF)
+    with pytest.warns(RuntimeWarning, match=complaint):
+        report = svc.run(transport="process")
+    c = report["counters"]
+    assert report["completed"] == 1 and report["failed"] == 0
+    assert c["service.worker_deaths"] == 1
+    assert c["service.requeued_jobs"] == 1
+    assert c["service.worker_respawns"] == 1
+    assert report["jobs"][0]["attempts"] == 1
+
+
+def test_heartbeat_must_undercut_the_timeout(tmp_path, monkeypatch):
+    """A heartbeat no shorter than the hang deadline would reap every
+    job outliving the deadline as hung: refused before anything forks."""
+    from multiprocessing.process import BaseProcess
+
+    monkeypatch.setattr(BaseProcess, "start",
+                        lambda self: pytest.fail("forked a lane"))
+    monkeypatch.setenv("REPRO_SERVICE_HEARTBEAT", "5")
+    monkeypatch.setenv("REPRO_POOL_TIMEOUT", "2")
+    svc = CampaignService(tmp_path)
+    svc.submit(H2_SCF)
+    with pytest.raises(ValueError, match="REPRO_SERVICE_HEARTBEAT must be "
+                                         "shorter than REPRO_POOL_TIMEOUT"):
+        svc.run(transport="process")
+    monkeypatch.setenv("REPRO_SERVICE_HEARTBEAT", "2")      # equal: refused
+    with pytest.raises(ValueError, match=r"\(2 s\), got 2"):
+        ProcessLaneTransport(svc, 1, svc.config)
+
+
 def test_injected_job_fault_works_across_transports(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SERVICE_FAULT", "job=0,times=1")
     svc = CampaignService(tmp_path, max_retries=1)
@@ -279,13 +335,13 @@ def test_injected_job_fault_works_across_transports(tmp_path, monkeypatch):
 def test_close_reaps_every_lane_worker(tmp_path):
     svc = CampaignService(tmp_path)
     lanes = ProcessLaneTransport(svc, 2, svc.config)
-    procs = [ln.proc for ln in lanes._lanes]
+    procs = [s.proc for s in lanes._sup.slots]
     assert all(p.is_alive() for p in procs)
     lanes.drain()                   # empty queue: returns immediately
     lanes.close()
     lanes.close()                   # idempotent
     assert all(not p.is_alive() for p in procs)
-    assert all(ln.proc is None and ln.sock is None for ln in lanes._lanes)
+    assert all(s.proc is None and s.chan is None for s in lanes._sup.slots)
 
 
 def test_local_transport_is_the_thread_reference(tmp_path):
