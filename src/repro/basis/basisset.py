@@ -94,6 +94,25 @@ class BasisSet:
                         and np.array_equal(a.exps, b.exps)
                         and np.array_equal(a.coefs, b.coefs))]
 
+    def inherit_pairs(self, ref: "BasisSet", moved: list[int]) -> int:
+        """Build this basis's pair table around ``ref``'s: every pair
+        without a shell in ``moved`` (which must cover
+        ``self.moved_shells(ref)``) is ``ref``'s own :class:`ShellPair`
+        object — same doubles in, same doubles out, with whatever that
+        pair has cached (Hermite lambdas, overlap and kinetic blocks) —
+        and only the others are expanded.  Returns the number of pairs
+        inherited; 0, and nothing done, when this basis already built
+        its table.  Inherited pairs are shared, never written.
+        """
+        if "_pairs_cache" in self.__dict__:
+            return 0
+        moved = set(moved)
+        kept = {key: pair for key, pair in ref.shell_pairs().items()
+                if moved.isdisjoint(key)}
+        self.__dict__["_pairs_cache"] = build_shell_pairs(self.shells,
+                                                          inherit=kept)
+        return len(kept)
+
     def __getstate__(self) -> dict:
         # derived ``_*_cache`` tables (slices, Schwarz bounds, shell
         # pairs) rebuild lazily on the other side; shipping them would

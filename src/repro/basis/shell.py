@@ -79,9 +79,12 @@ class Shell:
     norm_coefs: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        self.exps = np.asarray(self.exps, dtype=np.float64)
-        self.coefs = np.asarray(self.coefs, dtype=np.float64)
-        self.center = np.asarray(self.center, dtype=np.float64)
+        # own copies, never views of the caller's arrays (``center`` is
+        # typically a row of ``Molecule.coords``): shell pairs and
+        # tensors cached over this shell outlive the caller's buffer
+        self.exps = np.array(self.exps, dtype=np.float64)
+        self.coefs = np.array(self.coefs, dtype=np.float64)
+        self.center = np.array(self.center, dtype=np.float64)
         if self.exps.shape != self.coefs.shape or self.exps.ndim != 1:
             raise ValueError("exps and coefs must be 1-D arrays of equal length")
         if self.l < 0:

@@ -42,8 +42,11 @@ class Molecule:
     _symbols: tuple[str, ...] = field(init=False, repr=False, default=())
 
     def __post_init__(self) -> None:
-        self.numbers = np.asarray(self.numbers, dtype=np.int64)
-        self.coords = np.asarray(self.coords, dtype=np.float64)
+        # own copies: a caller that goes on mutating the arrays it
+        # passed in (an MD or finite-difference loop) must not move a
+        # molecule that bases and cached integrals were built from
+        self.numbers = np.array(self.numbers, dtype=np.int64)
+        self.coords = np.array(self.coords, dtype=np.float64)
         if self.coords.ndim != 2 or self.coords.shape[1] != 3:
             raise ValueError(f"coords must be (natom, 3); got {self.coords.shape}")
         if len(self.numbers) != len(self.coords):
@@ -126,7 +129,7 @@ class Molecule:
 
     def translated(self, shift: np.ndarray) -> "Molecule":
         """Return a copy translated by ``shift`` (Bohr)."""
-        return Molecule(self.numbers.copy(), self.coords + np.asarray(shift),
+        return Molecule(self.numbers, self.coords + np.asarray(shift),
                         self.charge, self.multiplicity, self.name)
 
     def rotated(self, axis: np.ndarray, angle: float) -> "Molecule":
@@ -137,13 +140,14 @@ class Molecule:
         c, s = np.cos(angle), np.sin(angle)
         kmat = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
         rot = np.eye(3) * c + s * kmat + (1 - c) * np.outer(k, k)
-        return Molecule(self.numbers.copy(), self.coords @ rot.T,
+        return Molecule(self.numbers, self.coords @ rot.T,
                         self.charge, self.multiplicity, self.name)
 
     def with_coords(self, coords: np.ndarray) -> "Molecule":
-        """Return a copy with replaced coordinates (Bohr)."""
-        return Molecule(self.numbers.copy(), np.asarray(coords, dtype=np.float64),
-                        self.charge, self.multiplicity, self.name)
+        """Return a copy with replaced coordinates (Bohr); ``coords``
+        itself is copied, not kept."""
+        return Molecule(self.numbers, coords, self.charge,
+                        self.multiplicity, self.name)
 
     def __add__(self, other: "Molecule") -> "Molecule":
         """Union of two geometries (charges add, multiplicity reset to 1)."""

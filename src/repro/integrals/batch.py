@@ -21,11 +21,16 @@ This module restores the paper's structure in numpy terms:
   is stacked once per *unique shell pair* and gathered per quartet by
   integer indexing, so repeated pairs cost nothing.
 
-The batched kernel is numerically equivalent to the per-quartet
-reference to ~1e-14 (different summation orders inside BLAS and a
-shorter Boys downward recursion); the per-quartet path remains the
-bit-exact reference and both are selectable via
-``ExecutionConfig(kernel="batched"|"quartet")``.
+Every step of the class batch is the per-quartet kernel's step with one
+extra leading axis: the Hermite recursion and the prefactors are
+elementwise, and a stacked ``np.matmul`` issues the same per-matrix
+BLAS call as the 2-D one.  The *only* thing that can change a bit is
+the order the Boys table is recursed down from, and that is the
+``boys_order`` argument of :func:`_eri_class_batch`: with ``3 * L`` (what
+:func:`repro.integrals.eri.eri_tensor` passes) every block is
+``np.array_equal`` to :func:`~repro.integrals.eri.eri_quartet`; with the
+default ``L`` (``ExecutionConfig(kernel="batched")`` direct builds, a
+~3x shorter Boys recursion) it agrees to ~1e-14.
 """
 
 from __future__ import annotations
@@ -40,11 +45,13 @@ __all__ = ["eri_quartet_batch", "quartet_class_groups", "flatten_pairs",
 
 _TWO_PI_POW = 2.0 * np.pi ** 2.5
 
-# Ceiling on the element count of the Hermite intermediate
+# Default ceiling on the element count of the Hermite intermediate
 # ((L+1)^4 * nprim_quartets doubles) of one batched evaluation; classes
-# larger than this are processed in chunks.  16M doubles = 128 MB keeps
-# the working set cache-friendly while still amortizing setup over
-# hundreds-to-thousands of quartets per call.
+# larger than this are processed in chunks.  16M doubles = 128 MB is a
+# memory bound, not a cache size: it lets a direct build amortize setup
+# over hundreds-to-thousands of quartets per call, and the slab is
+# transient.  A caller that must not raise the process's peak (the
+# in-core tensor walk) passes its own, much smaller ``max_elements``.
 MAX_BATCH_ELEMENTS = 1 << 24
 
 
@@ -87,11 +94,13 @@ def quartet_class_groups(shells, idx: np.ndarray) -> list[np.ndarray]:
     idx = np.asarray(idx, dtype=np.int64).reshape(-1, 4)
     if len(idx) == 0:
         return []
-    ls = np.array([sh.l for sh in shells], dtype=np.int64)
+    # one integer per shell kind (l, nprim), four of them per quartet
+    # packed into one signature code: a 1-D unique instead of a row sort
     nps = np.array([sh.nprim for sh in shells], dtype=np.int64)
-    sig = np.concatenate([ls[idx], nps[idx]], axis=1)        # (nq, 8)
-    _, first, inv = np.unique(sig, axis=0, return_index=True,
-                              return_inverse=True)
+    kind = np.array([sh.l for sh in shells], dtype=np.int64) \
+        * (nps.max() + 1) + nps
+    sig = (kind[idx] * (kind.max() + 1) ** np.arange(3, -1, -1)).sum(axis=1)
+    _, first, inv = np.unique(sig, return_index=True, return_inverse=True)
     order = np.argsort(first, kind="stable")                  # first-seen
     return [idx[inv == g] for g in order]
 
@@ -159,12 +168,17 @@ def eri_quartet_batch(bra_pairs, ket_pairs,
 
 
 def _eri_class_batch(ubra, bra_ids, uket, ket_ids,
-                     max_elements: int = MAX_BATCH_ELEMENTS) -> np.ndarray:
+                     max_elements: int = MAX_BATCH_ELEMENTS,
+                     boys_order: int | None = None) -> np.ndarray:
     """Core class-batch evaluation over *unique* pair lists.
 
     ``bra_ids``/``ket_ids`` gather one quartet per entry from the unique
     pair stacks — callers that already know their unique pairs (the
     engine's index-array path) skip the per-quartet dedup entirely.
+    ``boys_order`` goes to :func:`~repro.integrals.mcmurchie.
+    hermite_r_tri` unchanged: ``None`` recurses the Boys table from
+    ``L``, ``3 * L`` reproduces :func:`~repro.integrals.eri.eri_quartet`
+    bit for bit, whatever the chunking.
     """
     nq = len(bra_ids)
     idx1, p_u, Pb_u, lam1_u = _stack_pairs(ubra)
@@ -193,7 +207,8 @@ def _eri_class_batch(ubra, bra_ids, uket, ket_ids,
         alpha = (p[:, :, None] * q[:, None, :]) / pq
         PQ = Pb_u[b][:, :, None, :] - Pk_u[k][:, None, :, :]
         # ONE Hermite recursion for the whole chunk
-        R = hermite_r_tri(L, alpha.reshape(-1), PQ.reshape(-1, 3))
+        R = hermite_r_tri(L, alpha.reshape(-1), PQ.reshape(-1, 3),
+                          boys_order=boys_order)
         Rg = R[comb[..., 0], comb[..., 1], comb[..., 2]]
         Rg = Rg.reshape(h1, h2, m, nab, ncd)
         pref = _TWO_PI_POW / (p[:, :, None] * q[:, None, :] * np.sqrt(pq))

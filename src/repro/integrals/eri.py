@@ -16,6 +16,10 @@ Two evaluation granularities:
   per call through :mod:`repro.integrals.batch`, amortizing the Hermite
   recursion and GEMM dispatch the way the paper's QPX kernel amortizes
   its vector setup.
+
+:func:`eri_tensor` streams its quartets through the same class-batch
+kernel with the Boys table recursed from ``3L``, which keeps every
+block the bits of :func:`eri_quartet`.
 """
 
 from __future__ import annotations
@@ -24,11 +28,26 @@ import numpy as np
 
 from ..basis.basisset import BasisSet
 from ..basis.shellpair import ShellPair
+from .batch import _eri_class_batch, quartet_class_groups
 from .mcmurchie import hermite_r_tri
 
-__all__ = ["eri_quartet", "eri_tensor", "ERIEngine"]
+__all__ = ["eri_quartet", "eri_tensor", "ERIEngine", "PERM_AXES"]
 
 _TWO_PI_POW = 2.0 * np.pi ** 2.5
+
+# The 8 ordered images of a unique quartet (i, j, k, l).  Each axes
+# tuple doubles as the transpose of the integral block and the selector
+# into the index tuple: image n has indices idx[ax[n]] and block
+# block.transpose(ax).
+PERM_AXES = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+             (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0))
+
+# Hermite-intermediate ceiling of the tensor walk's class batches, in
+# doubles (512 kB: L2-sized).  The walk runs up to 50 times per MD force
+# pair inside a process whose peak is the tensors themselves; a slab of
+# the kernel's default size would stay resident under a non-trimming
+# allocator and count in full against the process peak.
+_TENSOR_SCRATCH = 1 << 16
 
 
 def eri_quartet(bra: ShellPair, ket: ShellPair) -> np.ndarray:
@@ -90,6 +109,8 @@ class ERIEngine:
         # diagonal (ij|ij) quartets evaluated for Schwarz bounds; kept
         # separate so screening preparation never pollutes build counts
         self.quartets_screening = 0
+        # class-batch kernel calls (one per L-class of a quartet list)
+        self.class_batches = 0
 
     @property
     def pairs(self) -> dict[tuple[int, int], ShellPair]:
@@ -135,9 +156,24 @@ class ERIEngine:
     def group_quartets(self, idx: np.ndarray) -> list[np.ndarray]:
         """Split an ``(nq, 4)`` quartet index array into L-class groups
         (see :func:`repro.integrals.batch.quartet_class_groups`)."""
-        from .batch import quartet_class_groups
-
         return quartet_class_groups(self.basis.shells, idx)
+
+    def _class_batch(self, idx: np.ndarray, **kernel_args) -> np.ndarray:
+        """Count a same-class ``(nq, 4)`` index array on
+        ``quartets_computed``/``class_batches`` and evaluate it with one
+        :func:`~repro.integrals.batch._eri_class_batch` call over its
+        unique bra and ket pairs (``kernel_args`` pass through)."""
+        nsh = self.basis.nshell
+        # a pair as one integer: a 1-D unique, same lexicographic order
+        ub, bra_ids = np.unique(idx[:, 0] * nsh + idx[:, 1],
+                                return_inverse=True)
+        uk, ket_ids = np.unique(idx[:, 2] * nsh + idx[:, 3],
+                                return_inverse=True)
+        ubra = [self.pair(*divmod(ij, nsh)) for ij in ub.tolist()]
+        uket = [self.pair(*divmod(kl, nsh)) for kl in uk.tolist()]
+        self.quartets_computed += len(idx)
+        self.class_batches += 1
+        return _eri_class_batch(ubra, bra_ids, uket, ket_ids, **kernel_args)
 
     def quartet_batch(self, idx: np.ndarray) -> np.ndarray:
         """Blocks for a same-class quartet index array, one kernel call.
@@ -148,16 +184,8 @@ class ERIEngine:
         ``quartets_computed``, keeping the batched and per-quartet
         kernels' bookkeeping identical.
         """
-        from .batch import _eri_class_batch
-
-        idx = np.asarray(idx, dtype=np.int64).reshape(-1, 4)
-        ub, bra_ids = np.unique(idx[:, :2], axis=0, return_inverse=True)
-        uk, ket_ids = np.unique(idx[:, 2:], axis=0, return_inverse=True)
-        ubra = [self.pair(int(i), int(j)) for i, j in ub]
-        uket = [self.pair(int(k), int(l)) for k, l in uk]
-        self.quartets_computed += len(idx)
-        return _eri_class_batch(ubra, bra_ids.reshape(-1),
-                                uket, ket_ids.reshape(-1))
+        return self._class_batch(
+            np.asarray(idx, dtype=np.int64).reshape(-1, 4))
 
 
 def eri_tensor(basis: BasisSet, screen: float = 0.0,
@@ -173,7 +201,11 @@ def eri_tensor(basis: BasisSet, screen: float = 0.0,
     :class:`~repro.scf.rhf.RHF`/``RKS``/``UHF`` and of finite-difference
     BOMD) and the bit-exact reference the direct, batched and fitted
     builds are checked against; the paper's HFX scheme never
-    materializes it.
+    materializes it.  The surviving unique quartets are grouped by
+    L-class and every class goes through one
+    :func:`~repro.integrals.batch._eri_class_batch` call with
+    ``boys_order=3 * L``, so each block holds the doubles
+    :func:`eri_quartet` returns for it.
 
     ``reuse=(anchor, moved)`` starts from a copy of ``anchor`` — the
     unscreened tensor of a basis that differs from ``basis`` in exactly
@@ -181,51 +213,50 @@ def eri_tensor(basis: BasisSet, screen: float = 0.0,
     that touch one of those; every other block is what the full walk
     would have recomputed, bit for bit.  ``engine`` is the
     :class:`ERIEngine` on ``basis`` to evaluate through, for callers
-    that read its ``quartets_computed`` afterwards.
+    that read its ``quartets_computed``/``class_batches`` afterwards.
+
+    Memory: the returned tensor, plus at peak the blocks of one class
+    (all classes together hold the unique eighth of the tensor) and a
+    Hermite intermediate capped at ``_TENSOR_SCRATCH`` doubles.
     """
     if reuse is not None and screen > 0:
         raise ValueError("eri_tensor: reuse= needs the unscreened walk "
                          "(a screened tensor has no anchor)")
-    nsh = basis.nshell
     if engine is None:
         engine = ERIEngine(basis)
-    # hoisted invariants: shell slices (cached on the basis object, so
-    # the 2-/3-index RI builders share the same list) and Schwarz-bound
-    # products are computed once per build, never inside quartet loops
-    slices = basis.shell_slices()
-    keys = [(i, j) for i in range(nsh) for j in range(i, nsh)]
+    # shell pairs (i <= j), and every unique quartet of them (bra pair
+    # a <= ket pair b), bra-major
+    keys = np.column_stack(np.triu_indices(basis.nshell))
+    a, b = np.triu_indices(len(keys))
     if screen > 0:
         Q = engine.schwarz_bounds()
-        pairs = engine.pairs
-        present = [key in pairs for key in keys]
-        qvals = np.array([Q.get(key, 0.0) for key in keys])
+        qvals = np.array([Q[i, j] for i, j in keys.tolist()])
+        keep = qvals[a] * qvals[b] >= screen
+        a, b = a[keep], b[keep]
     if reuse is None:
         eri = np.zeros((basis.nbf,) * 4)
     else:
         anchor, moved = reuse
-        moved = set(moved)
         eri = anchor.copy()
-        touched = np.array([i in moved or j in moved for i, j in keys])
-    for a, (i, j) in enumerate(keys):
-        if screen > 0:
-            if not present[a]:
-                continue
-            kept = np.nonzero(qvals[a] * qvals[a:] >= screen)[0] + a
-        elif reuse is None or touched[a]:
-            kept = range(a, len(keys))
-        else:
-            kept = np.nonzero(touched[a:])[0] + a
-        si, sj = slices[i], slices[j]
-        for b in kept:
-            k, l = keys[b]
-            block = engine.quartet(i, j, k, l)
-            sk, sl = slices[k], slices[l]
-            eri[si, sj, sk, sl] = block
-            eri[sj, si, sk, sl] = block.transpose(1, 0, 2, 3)
-            eri[si, sj, sl, sk] = block.transpose(0, 1, 3, 2)
-            eri[sj, si, sl, sk] = block.transpose(1, 0, 3, 2)
-            eri[sk, sl, si, sj] = block.transpose(2, 3, 0, 1)
-            eri[sl, sk, si, sj] = block.transpose(3, 2, 0, 1)
-            eri[sk, sl, sj, si] = block.transpose(2, 3, 1, 0)
-            eri[sl, sk, sj, si] = block.transpose(3, 2, 1, 0)
+        touched = np.isin(keys, list(moved)).any(axis=1)
+        keep = touched[a] | touched[b]
+        a, b = a[keep], b[keep]
+    flat = eri.reshape(-1)
+    strides = basis.nbf ** np.arange(3, -1, -1)
+    for grp in engine.group_quartets(np.hstack([keys[a], keys[b]])):
+        L = sum(basis.shells[s].l for s in grp[0])
+        blocks = engine._class_batch(grp, max_elements=_TENSOR_SCRATCH,
+                                     boys_order=3 * L)
+        # AO index of every block element along each block axis, shaped
+        # to broadcast against blocks (nq, nA, nB, nC, nD)
+        ao = [(basis.offsets[grp[:, s], None]
+               + np.arange(blocks.shape[s + 1]))
+              .reshape(len(grp), *(-1 if t == s else 1 for t in range(4)))
+              for s in range(4)]
+        # the eight symmetric images, one fancy write per image over the
+        # whole class.  Images of different unique quartets never
+        # overlap; two images of one diagonal quartet such as (ij|ij)
+        # do, and the later image wins, as in a per-quartet loop.
+        for ax in PERM_AXES:
+            flat[sum(ao[s] * strides[t] for t, s in enumerate(ax))] = blocks
     return eri

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..basis.basisset import BasisSet
-from ..integrals.eri import ERIEngine, eri_tensor
+from ..integrals.eri import PERM_AXES, ERIEngine, eri_tensor
 from ..runtime.boundary import JK_BUILD_MODES
 
 __all__ = ["jk_from_tensor", "coulomb_from_tensor", "exchange_from_tensor",
@@ -47,14 +47,6 @@ def shell_slices(basis: BasisSet) -> list[slice]:
     list cached on the basis object.
     """
     return basis.shell_slices()
-
-
-# The 8 ordered images of a unique quartet (i, j, k, l).  Each axes
-# tuple doubles as the transpose of the integral block and the selector
-# into the index tuple: image n has indices idx[ax[n]] and block
-# block.transpose(ax).
-_PERM_AXES = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
-              (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0))
 
 
 def _build_perm_table() -> dict[tuple[bool, bool, bool], tuple]:
@@ -78,7 +70,7 @@ def _build_perm_table() -> dict[tuple[bool, bool, bool], tuple]:
                 quart = (i, j, k, l)
                 seen = set()
                 active = []
-                for ax in _PERM_AXES:
+                for ax in PERM_AXES:
                     t = tuple(quart[a] for a in ax)
                     if t in seen:
                         continue
@@ -96,7 +88,7 @@ _PERM_TABLE = _build_perm_table()
 _SLOT_ACTIVE = np.zeros((8, 8), dtype=bool)
 for _key, _axes in _PERM_TABLE.items():
     _code = _key[0] + 2 * _key[1] + 4 * _key[2]
-    for _s, _ax in enumerate(_PERM_AXES):
+    for _s, _ax in enumerate(PERM_AXES):
         _SLOT_ACTIVE[_code, _s] = _ax in _axes
 
 
@@ -174,7 +166,7 @@ def scatter_exchange_batch(basis: BasisSet, K: np.ndarray,
     i, j, k, l = idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3]
     code = ((i == j).astype(np.int64) + 2 * (k == l)
             + 4 * ((i == k) & (j == l)))
-    for s, ax in enumerate(_PERM_AXES):
+    for s, ax in enumerate(PERM_AXES):
         mask = _SLOT_ACTIVE[code, s]
         if not mask.any():
             continue
@@ -363,9 +355,17 @@ class TensorJKEngine(JKEngine):
     anchor.  Either way ``eri`` holds exactly the doubles a fresh
     :func:`~repro.integrals.eri.eri_tensor` would.
 
+    The same rule one level down: the new basis inherits the anchor
+    basis's :class:`~repro.basis.shellpair.ShellPair` objects for every
+    pair without a moved shell (:meth:`BasisSet.inherit_pairs`), so
+    their Hermite expansions and overlap/kinetic blocks are read, not
+    recomputed.
+
     Memory: after a full walk the anchor *is* ``eri`` (one ``nbf^4``
     array); after a partial one there are two; never three, and nothing
-    writes into the anchor.  ``close()`` drops both.
+    writes into the anchor or into an inherited pair.  A walk adds the
+    capped scratch of :func:`~repro.integrals.eri.eri_tensor` on top.
+    ``close()`` drops both tensors.
     """
 
     def __init__(self, basis: BasisSet, config=None):
@@ -376,27 +376,39 @@ class TensorJKEngine(JKEngine):
         self.reset(basis)
 
     def reset(self, basis: BasisSet) -> None:
+        tr = self.config.trace
         self.basis = basis
         engine = ERIEngine(basis)     # counts the quartets it evaluates
         self.eri = None          # the old tensor goes before the new one
         moved = (None if self._anchor is None
                  else basis.moved_shells(self._anchor[0]))
-        if moved is None or len(moved) == basis.nshell:
-            self._anchor = None       # ... and so does a useless anchor
-            self.eri = eri_tensor(basis, engine=engine)
-            self._anchor = (basis, self.eri)
-        else:
-            self.eri = eri_tensor(basis, reuse=(self._anchor[1], moved),
-                                  engine=engine)
-        npair = basis.nshell * (basis.nshell + 1) // 2
-        self.quartets_total = npair * (npair + 1) // 2
-        self.quartets_computed = engine.quartets_computed
-        tr = self.config.trace
+        full = moved is None or len(moved) == basis.nshell
+        with tr.span("jk.tensor.build", cat="scf",
+                     mode="full" if full else "patched") as span:
+            if full:
+                self._anchor = None   # ... and so does a useless anchor
+                inherited = 0
+                self.eri = eri_tensor(basis, engine=engine)
+                self._anchor = (basis, self.eri)
+            else:
+                # the unmoved pairs are the anchor's, with everything
+                # they have cached: S and T read them after this too
+                inherited = basis.inherit_pairs(self._anchor[0], moved)
+                self.eri = eri_tensor(basis, reuse=(self._anchor[1], moved),
+                                      engine=engine)
+            npair = basis.nshell * (basis.nshell + 1) // 2
+            self.quartets_total = npair * (npair + 1) // 2
+            self.quartets_computed = engine.quartets_computed
+            stats = {
+                "quartets_computed": self.quartets_computed,
+                "quartets_reused":
+                    self.quartets_total - self.quartets_computed,
+                "class_batches": engine.class_batches,
+                "pairs_inherited": inherited}
+            span.add(**stats)
         if tr.enabled:
-            tr.metrics.count("jk.tensor.quartets_computed",
-                             self.quartets_computed)
-            tr.metrics.count("jk.tensor.quartets_reused",
-                             self.quartets_total - self.quartets_computed)
+            for key, n in stats.items():
+                tr.metrics.count(f"jk.tensor.{key}", n)
 
     def build(self, D, want_j=True, want_k=True):
         return (coulomb_from_tensor(self.eri, D) if want_j else None,

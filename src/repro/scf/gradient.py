@@ -10,8 +10,8 @@ The closed-shell gradient of the SCF energy:
 with the energy-weighted density W = 2 C_occ eps_occ C_occ^T.  All
 derivative integrals come from :mod:`repro.integrals.gradients`
 (Cartesian raise/lower; s/p shells).  Intended for the small systems
-the quantum MD runs on — the quartet-derivative loop walks all ordered
-shell quartets with Schwarz screening.
+the quantum MD runs on — the quartet-derivative loop walks the
+8-fold-unique shell quartets with Schwarz screening.
 """
 
 from __future__ import annotations
@@ -86,35 +86,42 @@ def rhf_gradient(res: SCFResult, screen_eps: float = 1e-11) -> np.ndarray:
             grad += gC_v
             grad[sb.atom] -= gA_v + gC_v.sum(axis=0)
 
-    # --- two-electron term ------------------------------------------------------
-    engine = ERIEngine(basis)
-    Q = engine.schwarz_bounds()
+    return grad + _two_electron_gradient(basis, D, screen_eps)
+
+
+def _two_electron_gradient(basis: BasisSet, D: np.ndarray,
+                           screen_eps: float) -> np.ndarray:
+    """``sum_abcd [1/2 D_ab D_cd - 1/4 D_ac D_bd] d(ab|cd)/dX`` over the
+    8-fold-unique shell quartets (``i <= j``, ``k <= l``, ``ij <= kl``).
+
+    The images of a unique quartet share its derivative integrals, so
+    they enter through their count and the density factor averaged over
+    them, ``1/2 D_ij D_kl - 1/8 (D_ik D_jl + D_il D_jk)``.
+    """
+    shells = basis.shells
+    grad = np.zeros((basis.molecule.natom, 3))
+    Q = ERIEngine(basis).schwarz_bounds()
     dmax = float(np.abs(D).max())
-    nsh = len(shells)
-    slc = [basis.shell_slice(k) for k in range(nsh)]
-    for i in range(nsh):
-        for j in range(nsh):
-            qij = Q[(i, j) if i <= j else (j, i)]
-            for k in range(nsh):
-                for l in range(nsh):
-                    qkl = Q[(k, l) if k <= l else (l, k)]
-                    if qij * qkl * dmax * dmax < screen_eps:
-                        continue
-                    dE = eri_gradient_quartet(shells[i], shells[j],
-                                              shells[k], shells[l])
-                    gam = (0.5 * np.einsum("xy,zw->xyzw",
-                                           D[slc[i], slc[j]],
-                                           D[slc[k], slc[l]])
-                           - 0.25 * np.einsum("xz,yw->xyzw",
-                                              D[slc[i], slc[k]],
-                                              D[slc[j], slc[l]]))
-                    gctr = np.einsum("cdxyzw,xyzw->cd", dE, gam)
-                    atoms = (shells[i].atom, shells[j].atom,
-                             shells[k].atom)
-                    for c, at in enumerate(atoms):
-                        grad[at] += gctr[c]
-                    # fourth center from translational invariance
-                    grad[shells[l].atom] -= gctr.sum(axis=0)
+    slc = basis.shell_slices()
+    keys = list(Q)                      # (i, j), i <= j, in pair order
+    for a, (i, j) in enumerate(keys):
+        for (k, l) in keys[a:]:
+            if Q[i, j] * Q[k, l] * dmax * dmax < screen_eps:
+                continue
+            dE = eri_gradient_quartet(shells[i], shells[j],
+                                      shells[k], shells[l])
+            si, sj, sk, sl = slc[i], slc[j], slc[k], slc[l]
+            gam = (0.5 * np.einsum("xy,zw->xyzw", D[si, sj], D[sk, sl])
+                   - 0.125 * (np.einsum("xz,yw->xyzw", D[si, sk], D[sj, sl])
+                              + np.einsum("xw,yz->xyzw", D[si, sl],
+                                          D[sj, sk])))
+            images = ((1 if i == j else 2) * (1 if k == l else 2)
+                      * (1 if (i, j) == (k, l) else 2))
+            gctr = images * np.einsum("cdxyzw,xyzw->cd", dE, gam)
+            for c, s in enumerate((i, j, k)):
+                grad[shells[s].atom] += gctr[c]
+            # fourth center from translational invariance
+            grad[shells[l].atom] -= gctr.sum(axis=0)
     return grad
 
 

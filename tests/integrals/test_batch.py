@@ -1,10 +1,12 @@
 """Tests for the batched L-class ERI kernel.
 
-The contract: for any list of same-class quartets, the batched kernel
-reproduces the per-quartet reference blocks to tight tolerance (the two
-differ only in BLAS summation order and the length of the Boys downward
-recursion), regardless of chunking, and the class grouping partitions
-any quartet list without loss.
+Two contracts, one kernel: with the Boys table recursed down from
+``3L`` (``boys_order=3 * L``, the in-core tensor walk) every block is
+``np.array_equal`` to the per-quartet reference, whatever the chunking;
+with the default ``boys_order=None`` (recursed from ``L``, the
+``kernel="batched"`` direct builds) it agrees to tight tolerance and is
+*not* required to be bitwise.  The class grouping partitions any
+quartet list without loss.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from repro.chem import builders
 from repro.integrals import (ERIEngine, eri_quartet, eri_quartet_batch,
                              flatten_pairs, hermite_r, hermite_r_tri,
                              quartet_class_groups)
+from repro.integrals.batch import MAX_BATCH_ELEMENTS, _eri_class_batch
 
 TOL = 1e-12
 
@@ -62,6 +65,58 @@ def test_batch_matches_per_quartet_all_classes(dimer_basis):
             ref = eri_quartet(engine.pair(int(i), int(j)),
                               engine.pair(int(k), int(l)))
             assert np.abs(blocks[n] - ref).max() < TOL
+
+
+@pytest.fixture(scope="module", params=["li2o2", "water_dimer", "lih",
+                                        "sulfoxide_model"])
+def class_groups(request):
+    """Every unique quartet of a molecule, by L-class, with its
+    per-quartet reference blocks: ``[(L, ubra, bra_ids, uket, ket_ids,
+    ref_blocks)]``."""
+    engine = ERIEngine(build_basis(getattr(builders, request.param)()))
+    idx = np.asarray(_all_quartets(engine), dtype=np.int64)
+    out = []
+    for grp in engine.group_quartets(idx):
+        ub, bra_ids = np.unique(grp[:, :2], axis=0, return_inverse=True)
+        uk, ket_ids = np.unique(grp[:, 2:], axis=0, return_inverse=True)
+        ubra = [engine.pair(int(i), int(j)) for i, j in ub]
+        uket = [engine.pair(int(k), int(l)) for k, l in uk]
+        ref = np.stack([eri_quartet(engine.pair(int(i), int(j)),
+                                    engine.pair(int(k), int(l)))
+                        for i, j, k, l in grp])
+        out.append((ubra[0].lab + uket[0].lab, ubra, bra_ids.reshape(-1),
+                    uket, ket_ids.reshape(-1), ref))
+    assert sum(len(g[-1]) for g in out) == len(idx)
+    return out
+
+
+@pytest.mark.reference
+@pytest.mark.parametrize("max_elements", [1, 1024, MAX_BATCH_ELEMENTS])
+def test_boys_from_3L_is_the_per_quartet_kernel_bit_for_bit(class_groups,
+                                                            max_elements):
+    """``max_elements=1`` is one quartet per chunk, 1024 puts chunk
+    boundaries inside every class."""
+    for L, ubra, bra_ids, uket, ket_ids, ref in class_groups:
+        blocks = _eri_class_batch(ubra, bra_ids, uket, ket_ids,
+                                  max_elements, boys_order=3 * L)
+        assert np.array_equal(blocks, ref)
+
+
+@pytest.mark.reference
+def test_default_boys_order_is_L_and_close_not_bitwise(class_groups):
+    """``boys_order=None`` must stay what ``kernel="batched"`` direct
+    builds have always run (Boys from ``L``): bit-identical to an
+    explicit ``L``, within 1e-12 of the reference — and, somewhere in
+    the molecule, *not* the reference's bits, or the two contracts have
+    silently become one."""
+    differs = False
+    for L, ubra, bra_ids, uket, ket_ids, ref in class_groups:
+        blocks = _eri_class_batch(ubra, bra_ids, uket, ket_ids)
+        assert np.array_equal(blocks, _eri_class_batch(
+            ubra, bra_ids, uket, ket_ids, boys_order=L))
+        assert np.abs(blocks - ref).max() < TOL
+        differs = differs or not np.array_equal(blocks, ref)
+    assert differs
 
 
 def test_chunked_evaluation_identical(dimer_basis):

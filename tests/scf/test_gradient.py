@@ -14,6 +14,7 @@ from repro.integrals.gradients import (eri_gradient_quartet,
 from repro.integrals.overlap import overlap_block
 from repro.scf import run_rhf
 from repro.scf.gradient import (AnalyticSCFForceEngine,
+                                _two_electron_gradient,
                                 nuclear_repulsion_gradient, rhf_gradient)
 
 
@@ -132,6 +133,65 @@ def test_rhf_gradient_water_fd():
     _, f_fd = SCFForceEngine(mol, method="hf",
                              conv_tol=1e-11).energy_forces(mol.coords)
     assert np.abs(g + f_fd).max() < 1e-5
+
+
+def _ordered_two_electron_gradient(basis, D, screen_eps):
+    """The walk ``rhf_gradient`` used to make: all ``nsh^4`` ordered
+    shell quartets against the plain two-particle density."""
+    from repro.integrals.eri import ERIEngine
+
+    shells = basis.shells
+    Q = ERIEngine(basis).schwarz_bounds()
+    dmax = float(np.abs(D).max())
+    slc = basis.shell_slices()
+    nsh = len(shells)
+    grad = np.zeros((basis.molecule.natom, 3))
+    nquartets = 0
+    for i in range(nsh):
+        for j in range(nsh):
+            qij = Q[min(i, j), max(i, j)]
+            for k in range(nsh):
+                for l in range(nsh):
+                    qkl = Q[min(k, l), max(k, l)]
+                    if qij * qkl * dmax * dmax < screen_eps:
+                        continue
+                    nquartets += 1
+                    dE = eri_gradient_quartet(shells[i], shells[j],
+                                              shells[k], shells[l])
+                    gam = (0.5 * np.einsum("xy,zw->xyzw", D[slc[i], slc[j]],
+                                           D[slc[k], slc[l]])
+                           - 0.25 * np.einsum("xz,yw->xyzw",
+                                              D[slc[i], slc[k]],
+                                              D[slc[j], slc[l]]))
+                    gctr = np.einsum("cdxyzw,xyzw->cd", dE, gam)
+                    for c, s in enumerate((i, j, k)):
+                        grad[shells[s].atom] += gctr[c]
+                    grad[shells[l].atom] -= gctr.sum(axis=0)
+    return grad, nquartets
+
+
+@pytest.mark.parametrize("mk,screen_eps", [(builders.water, 1e-11),
+                                           (builders.lih, 1e-11),
+                                           (builders.water, 0.3)])
+def test_unique_quartet_walk_equals_the_ordered_walk(mk, screen_eps,
+                                                     monkeypatch):
+    """Same Schwarz test, same number, an eighth of the derivative
+    quartets (``screen_eps=0.3`` drops a quarter of them on water)."""
+    import repro.scf.gradient as gradient
+
+    res = run_rhf(mk(), conv_tol=1e-10)
+    ref, n_ordered = _ordered_two_electron_gradient(res.basis, res.D,
+                                                    screen_eps)
+    calls = []
+    real = gradient.eri_gradient_quartet
+    monkeypatch.setattr(gradient, "eri_gradient_quartet",
+                        lambda *sh: calls.append(1) or real(*sh))
+    got = _two_electron_gradient(res.basis, res.D, screen_eps)
+    assert np.abs(got - ref).max() < 1e-10
+    npair = res.basis.nshell * (res.basis.nshell + 1) // 2
+    assert len(calls) <= npair * (npair + 1) // 2 < n_ordered
+    if screen_eps > 1e-6:
+        assert 0 < len(calls) < npair * (npair + 1) // 2
 
 
 def test_gradient_translational_invariance():

@@ -5,6 +5,8 @@ Both sides of every comparison run in this process on the same numpy
 and BLAS, so ``np.array_equal`` holds on any platform.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from repro.basis import BasisSet, Shell, build_basis
 from repro.chem import builders
 from repro.chem.molecule import Molecule
-from repro.integrals import eri_tensor
+from repro.integrals import (ERIEngine, eri_tensor, kinetic_matrix,
+                             nuclear_matrix, overlap_matrix)
 from repro.md.bomd import BOMD, SCFForceEngine
 from repro.runtime import ExecutionConfig, Tracer
 from repro.scf import RHF, TensorJKEngine
@@ -34,6 +37,12 @@ def _displaced(mol, moves):
 def _nquartets(basis):
     npair = basis.nshell * (basis.nshell + 1) // 2
     return npair * (npair + 1) // 2
+
+
+def _nquartets_touching(basis, moved):
+    kept = basis.nshell - len(moved)
+    kept_pairs = kept * (kept + 1) // 2
+    return _nquartets(basis) - kept_pairs * (kept_pairs + 1) // 2
 
 
 def _reused_when_atom_moves(basis, atom):
@@ -145,9 +154,159 @@ def test_random_displacement_sequences_equal_fresh(sequence):
         assert np.array_equal(engine.eri, eri_tensor(basis))
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                   st.sampled_from([H, -H, 2.5e-3])),
+                         min_size=0, max_size=3), min_size=2, max_size=6))
+def test_cumulative_moves_on_one_caller_buffer_equal_fresh(sequence):
+    """The finite-difference loop's habit: one coordinate buffer mutated
+    in place between resets.  Moves accumulate, so atoms a step leaves
+    out stay *exactly* put against the previous geometry and against
+    whatever became the anchor in between — the case where a basis that
+    aliased the buffer made the anchor drift along with it."""
+    mol = builders.water()
+    coords = mol.coords.copy()
+    engine = TensorJKEngine(build_basis(mol.with_coords(coords)))
+    for moves in sequence:
+        for atom, dim, step in moves:
+            coords[atom, dim] += step
+        fresh = build_basis(mol.with_coords(coords.copy()))
+        moved = fresh.moved_shells(engine._anchor[0])
+        engine.reset(build_basis(mol.with_coords(coords)))
+        assert np.array_equal(engine.eri, eri_tensor(fresh))
+        assert engine.quartets_computed == _nquartets_touching(fresh, moved)
+
+
 def test_eri_tensor_refuses_reuse_with_a_screen(water_basis, water_eri):
     with pytest.raises(ValueError, match="unscreened"):
         eri_tensor(water_basis, 1e-10, reuse=(water_eri, [0]))
+
+
+# --- nothing the engine keeps may alias a caller's buffer --------------------
+
+def test_molecule_and_shells_own_their_coordinates():
+    mol = builders.water()
+    buf = mol.coords.copy()
+    for made in (mol.with_coords(buf), Molecule(mol.numbers, buf)):
+        basis = build_basis(made)
+        buf += 0.125
+        assert np.array_equal(made.coords, mol.coords)
+        assert not np.shares_memory(made.coords, buf)
+        for sh in basis.shells:
+            assert np.array_equal(sh.center, mol.coords[sh.atom])
+            assert not np.shares_memory(sh.center, made.coords)
+        buf -= 0.125
+    center = np.zeros(3)
+    sh = Shell(0, np.array([1.0]), np.array([1.0]), center)
+    center += 1.0
+    assert np.array_equal(sh.center, np.zeros(3))
+
+
+def test_warm_engine_forces_equal_fresh_when_one_atom_stays_put():
+    """Second force call with atom 0 exactly where it was: its central
+    geometry is only partially moved against the old anchor, so the
+    first geometry to move every shell — a +h displacement of atom 0 —
+    becomes the new anchor.  When that basis's centres were views of
+    the finite-difference loop's scratch buffer, the ``-= 2h`` that
+    followed moved the anchor along and the -h SCF ran on the +h
+    tensor (about 0.02 Ha/bohr off on ``F[0, 0]``)."""
+    mol = builders.water()
+    first = mol.coords.copy()
+    second = first.copy()
+    second[1:] += 2.5e-3
+    warm = SCFForceEngine(mol, method="hf", reuse_density=False)
+    fresh = SCFForceEngine(mol, method="hf", reuse_density=False)
+    try:
+        warm.energy_forces(first)
+        e_warm, f_warm = warm.energy_forces(second)
+        e_fresh, f_fresh = fresh.energy_forces(second)
+    finally:
+        warm.close()
+        fresh.close()
+    assert e_warm == e_fresh
+    assert np.array_equal(f_warm, f_fresh)
+
+
+# --- inherited shell pairs ---------------------------------------------------
+
+def _pair_arrays(pair):
+    idx, lam = pair.hermite_lambda()
+    return [pair.a, pair.b, pair.p, pair.P, pair.W, *pair.E, idx, lam]
+
+
+def _assert_pair_tables_equal(got, ref):
+    assert list(got) == list(ref)                    # same keys, same order
+    for key in ref:
+        assert (got[key].ia, got[key].ib) == key
+        for x, y in zip(_pair_arrays(got[key]), _pair_arrays(ref[key])):
+            assert np.array_equal(x, y)
+
+
+def _freeze(pair):
+    for arr in _pair_arrays(pair):
+        arr.flags.writeable = False
+
+
+@pytest.mark.parametrize("name", sorted(MOLS))
+def test_inherited_pair_table_equals_a_fresh_one_over_the_stencil(name):
+    mol = MOLS[name]()
+    anchor = build_basis(mol)
+    engine = TensorJKEngine(anchor)
+    for m in (overlap_matrix, kinetic_matrix, nuclear_matrix):
+        m(anchor)
+    for pair in anchor.shell_pairs().values():
+        _freeze(pair)                # nothing may write into a shared pair
+    for atom in range(mol.natom):
+        for step in (+H, -H):
+            basis = _displaced(mol, [(atom, 2, step)])
+            engine.reset(basis)
+            fresh = _displaced(mol, [(atom, 2, step)])
+            pairs = basis.shell_pairs()
+            shared = {key for key, pair in pairs.items()
+                      if pair is anchor.shell_pairs()[key]}
+            assert shared == {
+                (i, j) for i, j in pairs
+                if atom not in (basis.shells[i].atom, basis.shells[j].atom)}
+            if name == "li2o2":
+                assert len(shared) == 45 and len(pairs) == 78
+            _assert_pair_tables_equal(pairs, fresh.shell_pairs())
+            for m in (overlap_matrix, kinetic_matrix, nuclear_matrix):
+                assert np.array_equal(m(basis), m(fresh))
+            assert not any("_cache" in key for key in
+                           pickle.loads(pickle.dumps(basis)).__dict__)
+            assert len(pickle.dumps(basis)) == len(pickle.dumps(fresh))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                   st.sampled_from([H, -H, 2.5e-3])),
+                         min_size=0, max_size=3), min_size=1, max_size=4))
+def test_inherited_pairs_equal_fresh_over_random_sequences(sequence):
+    """Cumulative moves, so tables are inherited from anchors that
+    themselves inherited from an earlier one."""
+    mol = builders.water()
+    coords = mol.coords.copy()
+    engine = TensorJKEngine(build_basis(mol))
+    for moves in sequence:
+        for atom, dim, step in moves:
+            coords[atom, dim] += step
+        basis = build_basis(mol.with_coords(coords))
+        engine.reset(basis)
+        fresh = build_basis(mol.with_coords(coords))
+        _assert_pair_tables_equal(basis.shell_pairs(), fresh.shell_pairs())
+        for m in (overlap_matrix, kinetic_matrix, nuclear_matrix):
+            assert np.array_equal(m(basis), m(fresh))
+
+
+def test_a_basis_that_built_its_own_pairs_keeps_them():
+    mol = builders.lih()
+    anchor = build_basis(mol)
+    moved = _displaced(mol, [(1, 0, H)])
+    own = moved.shell_pairs()
+    assert moved.inherit_pairs(anchor, moved.moved_shells(anchor)) == 0
+    assert moved.shell_pairs() is own
+    assert not any(own[key] is pair
+                   for key, pair in anchor.shell_pairs().items())
 
 
 # --- memory contract ---------------------------------------------------------
@@ -205,6 +364,37 @@ def test_force_call_counters_through_the_fd_stencil():
     m = tracer.metrics
     assert m.get("jk.tensor.quartets_reused") == reused
     assert m.get("jk.tensor.quartets_computed") == 13 * total - reused
+    assert m.get("jk.tensor.pairs_inherited") == 6 * 1 + 6 * 6
+    # one span per tensor, carrying what the counters sum
+    spans = [s for s in tracer.spans if s.name == "jk.tensor.build"]
+    assert [s.args["mode"] for s in spans] == ["full"] + 12 * ["patched"]
+    assert all(s.cat == "scf" and s.end >= s.start for s in spans)
+    for key in ("quartets_computed", "quartets_reused", "class_batches",
+                "pairs_inherited"):
+        assert sum(s.args[key] for s in spans) == m.get(f"jk.tensor.{key}")
+    # s and p shells with one primitive count: at most 2^4 classes a walk
+    assert 13 <= m.get("jk.tensor.class_batches") <= 13 * 16
+    from repro.analysis.report import profile_table
+    table = profile_table(tracer.snapshot())
+    assert "jk.tensor.build" in table
+    assert "jk.tensor.class_batches" in table
+    assert "jk.tensor.pairs_inherited" in table
+
+
+def test_tensor_build_never_enters_the_direct_walks_batch_method(monkeypatch):
+    """The benchmark attributes ``ERIEngine.quartet_batch`` to the
+    direct walk (``integrals.quartet_batch.*``) and the tensor's time to
+    ``integrals.eri_tensor``: the tensor walk shares the kernel, not
+    that method — and still counts every quartet it evaluates."""
+    def refuse(self, idx):
+        raise AssertionError("tensor walk entered ERIEngine.quartet_batch")
+
+    monkeypatch.setattr(ERIEngine, "quartet_batch", refuse)
+    mol = builders.li2o2()
+    engine = TensorJKEngine(build_basis(mol))
+    assert engine.quartets_computed == 3081
+    engine.reset(_displaced(mol, [(3, 1, H)]))
+    assert engine.quartets_computed == 2046
 
 
 # --- trajectories: reused engine == fresh engine per geometry ----------------
