@@ -11,7 +11,10 @@ The figure of merit is therefore **hybrid (HFX) force builds per
 simulated picosecond**, the quantity that dominates wall-clock at
 paper scale (in this STO-3G miniature the GGA build costs nearly as
 much as the hybrid one, so raw wall times are reported for context
-only).
+only: every force call of either surface is one SCF plus its analytic
+gradient, and ``n=5`` makes 68 + 336 of them against the baseline's
+201 — the 6N + 1 stencil that used to inflate each inner step, 123.9 ->
+187.6 s, is gone, what remains is the call count).
 
 Benchmark design: PBE0 BOMD on the lithium-electrolyte-model species
 (LiH — the lightest Li compound, whose stiff Li-H stretch is the
@@ -33,7 +36,7 @@ conserved total energy, ``max_t |E(t) - E(0)|`` — the envelope a
 symplectic integrator's energy oscillates inside; the endpoint metric
 (:func:`repro.md.observables.energy_drift`) samples that same envelope
 at one arbitrary phase, so it is reported for context but not
-asserted.  Runs are deterministic (fixed seed, serial numerical
+asserted.  Runs are deterministic (fixed seed, serial analytic
 forces), so the recorded numbers reproduce bitwise on a given
 platform.
 

@@ -47,4 +47,4 @@ print(f"SCF iterations per force call: first {iters[0]}, "
       f"median {int(np.median(iters))} "
       f"(density reuse keeps the tail short)")
 print(f"total SCF solves: {len(iters)} "
-      f"({mol.natom * 6 + 1} per MD step: central differences)")
+      f"(one per force call: forces are the analytic gradient)")

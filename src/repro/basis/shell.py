@@ -91,6 +91,22 @@ class Shell:
             raise ValueError("angular momentum must be non-negative")
         self._normalize()
 
+    @classmethod
+    def with_weights(cls, l: int, exps, weights, center) -> "Shell":
+        """A free-floating shell whose contraction is taken literally:
+        every component uses ``weights`` (shape ``(nprim,)``) as its
+        ``norm_coefs`` row, and nothing is normalized — the auxiliary
+        raised/lowered shells of derivative integrals, whose weights are
+        ``2a``-scaled copies of a normalized shell's and must stay so."""
+        sh = object.__new__(cls)
+        sh.l, sh.atom = l, -1
+        sh.exps = np.array(exps, dtype=np.float64)
+        sh.coefs = np.ones(len(sh.exps))
+        sh.center = np.array(center, dtype=np.float64)
+        sh.norm_coefs = np.tile(np.asarray(weights, dtype=np.float64),
+                                (sh.nfunc, 1))
+        return sh
+
     # --- derived ------------------------------------------------------------
 
     @property

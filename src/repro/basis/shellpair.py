@@ -17,7 +17,16 @@ import numpy as np
 
 from .shell import Shell
 
-__all__ = ["ShellPair", "build_shell_pairs"]
+__all__ = ["ShellPair", "build_shell_pairs", "hermite_indices"]
+
+
+def hermite_indices(L: int) -> np.ndarray:
+    """The Hermite orders ``(t, u, v)`` with ``t + u + v <= L``, shape
+    ``(nherm, 3)``, in the order every Hermite lambda lists them."""
+    return np.array([(t, u, v)
+                     for t in range(L + 1)
+                     for u in range(L + 1 - t)
+                     for v in range(L + 1 - t - u)], dtype=np.int64)
 
 
 @dataclass
@@ -82,11 +91,7 @@ class ShellPair:
         la, lb = self.sha.l, self.shb.l
         compsA = self.sha.components
         compsB = self.shb.components
-        L = la + lb
-        idx = np.array([(t, u, v)
-                        for t in range(L + 1)
-                        for u in range(L + 1 - t)
-                        for v in range(L + 1 - t - u)], dtype=np.int64)
+        idx = hermite_indices(la + lb)
         lam = np.zeros((len(compsA), len(compsB), len(idx), self.nprim))
         Ex, Ey, Ez = self.E
         for xa, (lxa, lya, lza) in enumerate(compsA):

@@ -13,8 +13,8 @@ from .batch import eri_quartet_batch, quartet_class_groups, flatten_pairs
 from .schwarz import (schwarz_bounds, schwarz_matrix, pair_extent_estimate,
                       count_surviving_quartets)
 from .moments import dipole_block, dipole_matrices, dipole_moment
-from .gradients import (overlap_gradient, kinetic_gradient,
-                        nuclear_gradient, eri_gradient_quartet)
+from .gradients import (DerivativePairs, overlap_gradient,
+                        kinetic_gradient, nuclear_gradient)
 
 __all__ = [
     "boys", "boys_single",
@@ -29,6 +29,6 @@ __all__ = [
     "schwarz_bounds", "schwarz_matrix", "pair_extent_estimate",
     "count_surviving_quartets",
     "dipole_block", "dipole_matrices", "dipole_moment",
-    "overlap_gradient", "kinetic_gradient", "nuclear_gradient",
-    "eri_gradient_quartet",
+    "DerivativePairs", "overlap_gradient", "kinetic_gradient",
+    "nuclear_gradient",
 ]

@@ -119,6 +119,21 @@ def _stack_pairs(pairs: list[ShellPair]):
     return idx_h, p, P, lam
 
 
+def _bra_layout(lam: np.ndarray) -> np.ndarray:
+    """Stacked pair lambdas ``(u, ..., nherm, nprim)`` as the left GEMM
+    operand ``(u, rows, nherm*nprim)`` (all leading component axes
+    flattened into ``rows``)."""
+    return lam.reshape(len(lam), -1, lam.shape[-2] * lam.shape[-1])
+
+
+def _ket_layout(lam: np.ndarray) -> np.ndarray:
+    """Stacked pair lambdas as the right GEMM operand
+    ``(u, nprim*nherm, cols)``."""
+    u, h, n = len(lam), lam.shape[-2], lam.shape[-1]
+    return lam.reshape(u, -1, h, n).transpose(0, 1, 3, 2).reshape(
+        u, -1, n * h).transpose(0, 2, 1)
+
+
 def _unique_pairs(pair_list):
     """Unique :class:`ShellPair` objects (by identity) + gather indices."""
     seen: dict[int, int] = {}
@@ -132,6 +147,15 @@ def _unique_pairs(pair_list):
             uniq.append(pr)
         ids[n] = pos
     return uniq, ids
+
+
+def unique_shell_pairs(i: np.ndarray, j: np.ndarray, nshell: int
+                       ) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Unique ``(i, j)`` shell-index pairs of two aligned index columns
+    (in lexicographic order) and, per entry, its position among them —
+    one 1-D ``np.unique`` over the pair packed into one integer."""
+    codes, ids = np.unique(i * nshell + j, return_inverse=True)
+    return [divmod(c, nshell) for c in codes.tolist()], ids
 
 
 def eri_quartet_batch(bra_pairs, ket_pairs,
@@ -167,6 +191,61 @@ def eri_quartet_batch(bra_pairs, ket_pairs,
     return _eri_class_batch(ubra, bra_ids, uket, ket_ids, max_elements)
 
 
+def _hermite_stage(L: int, p, q, Pb, Pk, boys_order: int | None):
+    """R stage of a class batch: the Hermite Coulomb table of order ``L``
+    and the primitive prefactors of ``m`` quartets, from their gathered
+    pair exponents ``p``/``q`` ``(m, nab|ncd)`` and product centres
+    ``Pb``/``Pk`` ``(m, nab|ncd, 3)``.
+
+    Returns ``(R, pref)``: ``R`` of shape ``(L+1,)*3 + (m*nab*ncd,)`` and
+    ``pref`` ``(m, nab, ncd)``.  Nothing here depends on the angular
+    momenta of the four shells beyond ``L`` — raised and lowered shells
+    on the same centres with the same exponents read the same table,
+    which is what the derivative walk (:mod:`repro.scf.gradient`) shares
+    across its three centres.
+    """
+    pq = p[:, :, None] + q[:, None, :]
+    alpha = (p[:, :, None] * q[:, None, :]) / pq
+    PQ = Pb[:, :, None, :] - Pk[:, None, :, :]
+    R = hermite_r_tri(L, alpha.reshape(-1), PQ.reshape(-1, 3),
+                      boys_order=boys_order)
+    pref = _TWO_PI_POW / (p[:, :, None] * q[:, None, :] * np.sqrt(pq))
+    return R, pref
+
+
+def _lambda_stage(R, pref, idx1, idx2, l1, l2t, sel=None) -> np.ndarray:
+    """Lambda-contraction stage: ``sum_hh' l1[h] (-1)^h' R[h+h'] l2[h']``
+    for every quartet of a chunk, the per-quartet kernel's two GEMMs with
+    one extra leading batch axis.
+
+    ``idx1``/``idx2`` are the Hermite index lists ``l1``/``l2t`` are
+    expanded in — ``l1`` ``(m, rows, h1*nab)``, ``l2t`` ``(m, ncd*h2,
+    cols)`` — and may reach any order ``R`` was recursed to.  ``sel``
+    restricts the chunk to a subset of its quartets (``l1``/``l2t``
+    already gathered for it).  Returns ``(m, rows, cols)``.
+    """
+    m, nab, ncd = pref.shape
+    h1, h2 = len(idx1), len(idx2)
+    comb = idx1[:, None, :] + idx2[None, :, :]               # (h1, h2, 3)
+    sign = (-1.0) ** idx2.sum(axis=1)
+    if sel is None:
+        Rg = R[comb[..., 0], comb[..., 1], comb[..., 2]]
+    else:
+        pref = pref[sel]
+        Rg = R.reshape(R.shape[:3] + (m, nab * ncd))[
+            comb[..., 0, None], comb[..., 1, None], comb[..., 2, None], sel]
+        m = len(sel)
+    Rg = Rg.reshape(h1, h2, m, nab, ncd)
+    Rg = Rg * (sign[None, :, None, None, None]
+               * pref[None, None, :, :, :])
+    rg = Rg.transpose(2, 0, 3, 1, 4).reshape(m, h1 * nab, h2 * ncd)
+    T = l1 @ rg                                              # (m, rows, h2*ncd)
+    rows = T.shape[1]
+    T = T.reshape(m, rows, h2, ncd).transpose(0, 1, 3, 2).reshape(
+        m, rows, ncd * h2)
+    return T @ l2t
+
+
 def _eri_class_batch(ubra, bra_ids, uket, ket_ids,
                      max_elements: int = MAX_BATCH_ELEMENTS,
                      boys_order: int | None = None) -> np.ndarray:
@@ -178,47 +257,27 @@ def _eri_class_batch(ubra, bra_ids, uket, ket_ids,
     ``boys_order`` goes to :func:`~repro.integrals.mcmurchie.
     hermite_r_tri` unchanged: ``None`` recurses the Boys table from
     ``L``, ``3 * L`` reproduces :func:`~repro.integrals.eri.eri_quartet`
-    bit for bit, whatever the chunking.
+    bit for bit, whatever the chunking.  Each chunk is one
+    :func:`_hermite_stage` followed by one :func:`_lambda_stage`.
     """
     nq = len(bra_ids)
     idx1, p_u, Pb_u, lam1_u = _stack_pairs(ubra)
     idx2, q_u, Pk_u, lam2_u = _stack_pairs(uket)
-    L1, L2 = ubra[0].lab, uket[0].lab
-    L = L1 + L2
+    L = ubra[0].lab + uket[0].lab
     nab, ncd = ubra[0].nprim, uket[0].nprim
     nA, nB = lam1_u.shape[1], lam1_u.shape[2]
     nC, nD = lam2_u.shape[1], lam2_u.shape[2]
-    h1, h2 = len(idx1), len(idx2)
-    # shared class constants
-    comb = idx1[:, None, :] + idx2[None, :, :]               # (h1, h2, 3)
-    sign = (-1.0) ** idx2.sum(axis=1)
     # unique-pair lambda tensors in GEMM layout
-    l1_u = lam1_u.reshape(len(ubra), nA * nB, h1 * nab)
-    l2t_u = lam2_u.transpose(0, 1, 2, 4, 3).reshape(
-        len(uket), nC * nD, ncd * h2).transpose(0, 2, 1)     # (u, ncd*h2, CD)
+    l1_u = _bra_layout(lam1_u)
+    l2t_u = _ket_layout(lam2_u)
     out = np.empty((nq, nA, nB, nC, nD))
     chunk = max(1, int(max_elements // ((L + 1) ** 4 * nab * ncd)))
     for lo in range(0, nq, chunk):
         s = slice(lo, min(lo + chunk, nq))
         b, k = bra_ids[s], ket_ids[s]
-        m = len(b)
-        p, q = p_u[b], q_u[k]                                # (m, nab/ncd)
-        pq = p[:, :, None] + q[:, None, :]
-        alpha = (p[:, :, None] * q[:, None, :]) / pq
-        PQ = Pb_u[b][:, :, None, :] - Pk_u[k][:, None, :, :]
         # ONE Hermite recursion for the whole chunk
-        R = hermite_r_tri(L, alpha.reshape(-1), PQ.reshape(-1, 3),
-                          boys_order=boys_order)
-        Rg = R[comb[..., 0], comb[..., 1], comb[..., 2]]
-        Rg = Rg.reshape(h1, h2, m, nab, ncd)
-        pref = _TWO_PI_POW / (p[:, :, None] * q[:, None, :] * np.sqrt(pq))
-        Rg = Rg * (sign[None, :, None, None, None]
-                   * pref[None, None, :, :, :])
-        # class-level batched GEMMs (the per-quartet kernel's two GEMMs
-        # with one extra leading batch axis)
-        rg = Rg.transpose(2, 0, 3, 1, 4).reshape(m, h1 * nab, h2 * ncd)
-        T = l1_u[b] @ rg                                     # (m, AB, h2*ncd)
-        T = T.reshape(m, nA * nB, h2, ncd).transpose(0, 1, 3, 2).reshape(
-            m, nA * nB, ncd * h2)
-        out[s] = (T @ l2t_u[k]).reshape(m, nA, nB, nC, nD)
+        R, pref = _hermite_stage(L, p_u[b], q_u[k], Pb_u[b], Pk_u[k],
+                                 boys_order)
+        out[s] = _lambda_stage(R, pref, idx1, idx2, l1_u[b],
+                               l2t_u[k]).reshape(-1, nA, nB, nC, nD)
     return out

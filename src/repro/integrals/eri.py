@@ -28,7 +28,8 @@ import numpy as np
 
 from ..basis.basisset import BasisSet
 from ..basis.shellpair import ShellPair
-from .batch import _eri_class_batch, quartet_class_groups
+from .batch import (_eri_class_batch, quartet_class_groups,
+                    unique_shell_pairs)
 from .mcmurchie import hermite_r_tri
 
 __all__ = ["eri_quartet", "eri_tensor", "ERIEngine", "PERM_AXES"]
@@ -164,13 +165,10 @@ class ERIEngine:
         :func:`~repro.integrals.batch._eri_class_batch` call over its
         unique bra and ket pairs (``kernel_args`` pass through)."""
         nsh = self.basis.nshell
-        # a pair as one integer: a 1-D unique, same lexicographic order
-        ub, bra_ids = np.unique(idx[:, 0] * nsh + idx[:, 1],
-                                return_inverse=True)
-        uk, ket_ids = np.unique(idx[:, 2] * nsh + idx[:, 3],
-                                return_inverse=True)
-        ubra = [self.pair(*divmod(ij, nsh)) for ij in ub.tolist()]
-        uket = [self.pair(*divmod(kl, nsh)) for kl in uk.tolist()]
+        ub, bra_ids = unique_shell_pairs(idx[:, 0], idx[:, 1], nsh)
+        uk, ket_ids = unique_shell_pairs(idx[:, 2], idx[:, 3], nsh)
+        ubra = [self.pair(i, j) for i, j in ub]
+        uket = [self.pair(k, l) for k, l in uk]
         self.quartets_computed += len(idx)
         self.class_batches += 1
         return _eri_class_batch(ubra, bra_ids, uket, ket_ids, **kernel_args)
@@ -198,8 +196,7 @@ def eri_tensor(basis: BasisSet, screen: float = 0.0,
     ``Q_ij * Q_kl`` falls below the threshold.
 
     This is the in-core SCF path (``mode="incore"``, the default of
-    :class:`~repro.scf.rhf.RHF`/``RKS``/``UHF`` and of finite-difference
-    BOMD) and the bit-exact reference the direct, batched and fitted
+    :class:`~repro.scf.rhf.RHF`/``RKS``/``UHF`` and of BOMD) and the bit-exact reference the direct, batched and fitted
     builds are checked against; the paper's HFX scheme never
     materializes it.  The surviving unique quartets are grouped by
     L-class and every class goes through one

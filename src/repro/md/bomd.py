@@ -2,10 +2,18 @@
 
 The paper's production method: every MD step converges the electronic
 structure (PBE0 in their case) and moves nuclei on the resulting
-surface.  Forces come from central finite differences of the SCF
-energy — exact to O(h^2), affordable at the model-complex sizes this
-reproduction runs quantum MD on, and free of the Pulay-term bookkeeping
-analytic gradients require.
+surface.  A force call is **one SCF plus the analytic gradient of that
+SCF's energy** (:func:`repro.scf.gradient.scf_gradient`: Pulay and
+Hellmann-Feynman one-electron terms, class-batched derivative quartets,
+semilocal XC with Becke-weight derivatives) whenever the gradient is the
+derivative of the energy actually minimised — closed-shell HF/LDA/PBE/
+PBE0 with exact J/K, on either executor, kernel and solver.  With
+``jk="ri"`` the minimised energy is the density-fitted one, whose
+derivative a four-index gradient is not: there the engine differentiates
+the SCF energy by central differences (``6N + 1`` SCFs, exact to
+O(h^2)) — the same private method the tests call as the oracle for the
+analytic route.  The route follows from the resolved config; there is no
+option that selects it.
 
 Two paper-specific behaviors are reproduced:
 
@@ -38,6 +46,7 @@ from ..runtime.execconfig import ExecutionConfig
 from ..basis.basisset import build_basis
 from ..scf.dft import RKS
 from ..scf.fock import check_jk_mode, jk_build_mode, make_jk_engine
+from ..scf.gradient import scf_gradient
 from ..scf.rhf import RHF, SCFResult
 from .integrator import MDState
 
@@ -60,7 +69,9 @@ class _WarmStart:
 
 @dataclass
 class SCFForceEngine:
-    """Finite-difference forces from any SCF method.
+    """Energy and forces from any closed-shell SCF method: one SCF plus
+    its analytic gradient (:attr:`analytic`), or a central-difference
+    stencil of SCF energies where no analytic gradient applies.
 
     Parameters
     ----------
@@ -69,7 +80,8 @@ class SCFForceEngine:
     method:
         ``"hf"`` or a DFT functional name (``"pbe"``, ``"pbe0"``...).
     fd_step:
-        Central-difference displacement in Bohr.
+        Central-difference displacement in Bohr (finite-difference
+        route only).
     reuse_density:
         Seed each SCF with the previous converged density.
     incremental:
@@ -117,6 +129,18 @@ class SCFForceEngine:
         check_jk_mode("direct", self.config, self.incremental)
 
     @property
+    def analytic(self) -> bool:
+        """Whether forces are the analytic gradient of the SCF energy.
+
+        True when that gradient is the derivative of the energy the SCF
+        minimises: exact (four-index) J/K and integer occupations.  A
+        fitted (``jk="ri"``) or smeared energy has another derivative
+        and takes the finite-difference route.
+        """
+        return self.config.jk == "direct" \
+            and not self.scf_kwargs.get("smearing")
+
+    @property
     def degraded(self) -> bool:
         """Whether the trajectory's pool broke and the engine fell back
         to the serial executor (triggers one safety snapshot)."""
@@ -154,13 +178,17 @@ class SCFForceEngine:
             return RHF(mol, basis, **kwargs)
         return RKS(mol, basis, functional=self.method, **kwargs)
 
-    def _energy(self, coords: np.ndarray, D0: np.ndarray | None) -> SCFResult:
-        mol = self.mol.with_coords(coords)
-        res = self._solver(mol).run(D0=D0)
+    def _scf(self, coords: np.ndarray, D0: np.ndarray | None):
+        """One converged SCF at ``coords``: ``(driver, result)``."""
+        solver = self._solver(self.mol.with_coords(coords))
+        res = solver.run(D0=D0)
         if not res.converged:
             raise RuntimeError(
                 f"SCF failed to converge at MD geometry (niter={res.niter})")
-        return res
+        return solver, res
+
+    def _energy(self, coords: np.ndarray, D0: np.ndarray | None) -> SCFResult:
+        return self._scf(coords, D0)[1]
 
     def seed_density(self, D: np.ndarray) -> None:
         """Inject a predicted density as the next SCF's warm start.
@@ -174,7 +202,8 @@ class SCFForceEngine:
             D=np.asarray(D, dtype=np.float64).copy())
 
     def energy_forces(self, coords: np.ndarray) -> tuple[float, np.ndarray]:
-        """SCF energy and central-difference forces."""
+        """SCF energy and forces: the analytic gradient of that SCF's
+        energy (:attr:`analytic`), else central differences of it."""
         coords = np.asarray(coords, dtype=np.float64)
         D0 = self.last_result.D if (self.reuse_density and
                                     self.last_result is not None) else None
@@ -182,26 +211,48 @@ class SCFForceEngine:
         n = len(coords)
         with tr.span("md.force_eval", cat="md", natoms=n):
             with tr.span("md.scf", cat="md"):
-                base = self._energy(coords, D0)
+                solver, base = self._scf(coords, D0)
             self.last_result = base
             self.scf_iterations.append(base.niter)
             if getattr(base, "soscf_state", None) is not None:
                 self._soscf_state = base.soscf_state
-            h = self.fd_step
-            F = np.zeros((n, 3))
-            with tr.span("md.fd", cat="md", ndisplacements=6 * n):
-                for a in range(n):
-                    for d in range(3):
-                        cp = coords.copy()
-                        cp[a, d] += h
-                        ep = self._energy(cp, base.D).energy
-                        cp[a, d] -= 2 * h
-                        em = self._energy(cp, base.D).energy
-                        F[a, d] = -(ep - em) / (2 * h)
+            if self.analytic:
+                with tr.span("md.gradient", cat="md"):
+                    F = -scf_gradient(base, xc=solver.xc, trace=tr)
+            else:
+                F = self._fd_forces(coords, base)
         if tr.enabled:
             tr.metrics.count("md.force_evals", 1)
             tr.metrics.count("md.scf_iterations", base.niter)
+            tr.metrics.set("md.scf_per_force", 1 if self.analytic
+                           else 6 * n + 1)
         return base.energy, F
+
+    def _fd_forces(self, coords: np.ndarray, base: SCFResult,
+                   components=None) -> np.ndarray:
+        """Central differences of the SCF energy around ``coords``, each
+        displaced SCF warm-started from ``base.D``: the force route where
+        no analytic gradient applies, and the oracle the tests hold the
+        analytic one against.  ``components`` restricts the stencil to
+        some ``(atom, direction)`` pairs (the rest of the returned array
+        stays zero) — for oracles on systems whose full stencil is too
+        long for a test.
+        """
+        n = len(coords)
+        if components is None:
+            components = [(a, d) for a in range(n) for d in range(3)]
+        h = self.fd_step
+        F = np.zeros((n, 3))
+        with self.config.trace.span("md.fd", cat="md",
+                                    ndisplacements=2 * len(components)):
+            for a, d in components:
+                cp = coords.copy()
+                cp[a, d] += h
+                ep = self._energy(cp, base.D).energy
+                cp[a, d] -= 2 * h
+                em = self._energy(cp, base.D).energy
+                F[a, d] = -(ep - em) / (2 * h)
+        return F
 
     # --- Restartable protocol -------------------------------------------------
 
@@ -531,10 +582,10 @@ class CheckpointedMD:
 
 @dataclass
 class BOMD(CheckpointedMD):
-    """Convenience Born-Oppenheimer MD runner.
-
-    ``analytic_forces=True`` uses the analytic RHF gradient engine
-    (one SCF per step instead of 6N+1; HF method, s/p bases only).
+    """Convenience Born-Oppenheimer MD runner on one
+    :class:`SCFForceEngine`: each step is one SCF plus its analytic
+    gradient (a ``6N + 1`` finite-difference stencil under
+    ``jk="ri"``, see the engine).
 
     ``run(nsteps)`` is **resume-aware**: it integrates *until logical
     step* ``nsteps``, continuing from wherever the trajectory currently
@@ -554,7 +605,6 @@ class BOMD(CheckpointedMD):
     temperature: float | None = None
     seed: int = 0
     thermostat: object | None = None
-    analytic_forces: bool = False
     incremental: bool = False
     config: ExecutionConfig | None = None
     engine: object = field(init=False)
@@ -565,20 +615,9 @@ class BOMD(CheckpointedMD):
         from ..runtime.execconfig import resolve_execution
 
         self.config = resolve_execution(self.config, owner="BOMD")
-        if self.analytic_forces:
-            if self.method.lower() != "hf":
-                raise ValueError("analytic forces are implemented for "
-                                 "the HF method only")
-            if self.config.executor != "serial":
-                raise ValueError("the analytic-gradient engine has no "
-                                 "process executor; use finite differences")
-            from ..scf.gradient import AnalyticSCFForceEngine
-
-            self.engine = AnalyticSCFForceEngine(self.mol, self.basis)
-        else:
-            self.engine = SCFForceEngine(self.mol, self.method, self.basis,
-                                         incremental=self.incremental,
-                                         config=self.config)
+        self.engine = SCFForceEngine(self.mol, self.method, self.basis,
+                                     incremental=self.incremental,
+                                     config=self.config)
         self._init_runtime_state()
 
     def _integrator(self):
@@ -594,23 +633,23 @@ class BOMD(CheckpointedMD):
                 "dt_fs": float(self.dt_fs),
                 "temperature": self.temperature,
                 "seed": self.seed,
-                "analytic_forces": self.analytic_forces,
                 "incremental": self.incremental,
                 "natom": self.mol.natom}
 
     def _param_checks(self) -> tuple:
         return (("method", self.method), ("basis", self.basis),
                 ("dt_fs", float(self.dt_fs)),
-                ("natom", self.mol.natom),
-                ("analytic_forces", self.analytic_forces))
+                ("natom", self.mol.natom))
 
     @classmethod
     def _from_snapshot(cls, state: dict, cfg: ExecutionConfig) -> "BOMD":
+        # older snapshots also carry an "analytic_forces" param; the
+        # route is no longer a choice, so it is read past
         p = state["params"]
         return cls(mol=state["mol"], method=p["method"], basis=p["basis"],
                    dt_fs=p["dt_fs"], temperature=p["temperature"],
-                   seed=p["seed"], analytic_forces=p["analytic_forces"],
-                   incremental=p.get("incremental", False), config=cfg)
+                   seed=p["seed"], incremental=p.get("incremental", False),
+                   config=cfg)
 
 
 #: snapshot ``kind`` tag -> runner class, for :func:`restore_md`.

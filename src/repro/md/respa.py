@@ -1,8 +1,8 @@
 """Reversible multiple-time-stepping (r-RESPA) BOMD.
 
 The HFX force evaluation dominates every hybrid-DFT trajectory in this
-repo — each BOMD step pays ``6N + 1`` SCF solves for the finite-
-difference forces.  Mandal et al. (PAPERS.md, arXiv 2110.07670) show
+repo — each BOMD step pays a full hybrid SCF plus the exact-exchange
+derivative quartets.  Mandal et al. (PAPERS.md, arXiv 2110.07670) show
 that a reversible RESPA splitting removes most of that cost without
 touching the ERI hot path: the expensive *slow* force (full SCF) is
 applied as an impulse every ``n_outer`` steps, while a cheap *fast*
@@ -176,7 +176,9 @@ class MTSBOMD(BOMD):
         Full-force stride; 1 reduces bit-identically to plain BOMD.
     inner:
         Fast-force surface: ``"ff"`` (classical force field) or a pure
-        DFT functional (``"lda"``/``"pbe"``, serial direct-JK).
+        DFT functional (``"lda"``/``"pbe"``, serial direct-JK — one SCF
+        plus its analytic gradient per inner step, like the outer
+        engine).
     aspc_order:
         ASPC extrapolation order ``k`` (history length ``k + 2``) for
         the outer SCF warm starts; ``None`` disables extrapolation and
@@ -192,10 +194,6 @@ class MTSBOMD(BOMD):
     def __post_init__(self) -> None:
         super().__post_init__()
         self.n_outer = resolve_mts_outer(self.n_outer)
-        if self.analytic_forces:
-            raise ValueError(
-                "MTSBOMD is wired through the finite-difference SCF "
-                "engine; analytic_forces is not supported")
         check("mts_inner", self.inner, owner="MTSBOMD")
         if self.inner == "ff":
             from .forcefield import ForceField, detect_bonds

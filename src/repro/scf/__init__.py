@@ -11,8 +11,7 @@ from .ri_jk import RIJKBuilder
 from .soscf import ADIIS, EDIIS, NewtonSOSCF
 from .uhf import UHF, UHFResult, run_uhf
 from .mp2 import ao_to_mo, mp2_energy
-from .gradient import (rhf_gradient, nuclear_repulsion_gradient,
-                       AnalyticSCFForceEngine)
+from .gradient import scf_gradient, nuclear_repulsion_gradient
 
 __all__ = [
     "DIIS",
@@ -25,5 +24,5 @@ __all__ = [
     "ADIIS", "EDIIS", "NewtonSOSCF",
     "UHF", "UHFResult", "run_uhf",
     "ao_to_mo", "mp2_energy",
-    "rhf_gradient", "nuclear_repulsion_gradient", "AnalyticSCFForceEngine",
+    "scf_gradient", "nuclear_repulsion_gradient",
 ]

@@ -95,6 +95,12 @@ class RKS(RHF):
         self.grid_level = grid_level
         self._xc: XCIntegrator | None = None
 
+    @property
+    def xc(self) -> XCIntegrator | None:
+        """The run's grid integrator (``None`` before :meth:`run`, and
+        for ``functional="hf"``)."""
+        return self._xc
+
     def _prepare_xc(self) -> None:
         """Build the Becke grid integrator (no-op for pure HF)."""
         if self.functional.name.lower() != "hf" and self._xc is None:

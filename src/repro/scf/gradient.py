@@ -1,17 +1,49 @@
-"""Analytic RHF nuclear gradients.
+"""Analytic nuclear gradients of the closed-shell SCF energy (HF, LDA,
+PBE, PBE0 with exact four-index J/K).
 
-The closed-shell gradient of the SCF energy:
+For a converged density ``D`` the gradient of the energy the SCF
+minimised is its explicit derivative at fixed ``D`` minus the
+energy-weighted density ``W = 2 C_occ eps_occ C_occ^T`` against the
+overlap derivative:
 
-    dE/dX = sum_pq D_pq dh_pq/dX
-          + sum_abcd [1/2 D_ab D_cd - 1/4 D_ac D_bd] d(ab|cd)/dX
-          - sum_pq W_pq dS_pq/dX
-          + dV_nn/dX
+    dE/dX = sum_pq D_pq dh_pq/dX  -  sum_pq W_pq dS_pq/dX  +  dV_nn/dX
+          + sum_abcd Gamma_abcd d(ab|cd)/dX
+          + dE_xc/dX |_D
 
-with the energy-weighted density W = 2 C_occ eps_occ C_occ^T.  All
-derivative integrals come from :mod:`repro.integrals.gradients`
-(Cartesian raise/lower; s/p shells).  Intended for the small systems
-the quantum MD runs on — the quartet-derivative loop walks the
-8-fold-unique shell quartets with Schwarz screening.
+    Gamma_abcd = 1/2 D_ab D_cd - a_x/4 D_ac D_bd
+
+with ``a_x`` the exact-exchange fraction (1 for HF, 0.25 for PBE0, 0 for
+a pure functional — the exchange half is then skipped).  The terms:
+
+* **one-electron** — Pulay (basis-function) derivatives of T, V and S
+  plus the Hellmann-Feynman operator term of V, over *unique* shell
+  pairs; the ket derivative follows from translational invariance.
+* **two-electron** — the surviving 8-fold-unique shell quartets, walked
+  class by class: one Hermite Coulomb table of order ``L + 1`` per chunk
+  (:func:`repro.integrals.batch._hermite_stage`) serves the raised and
+  lowered shells of all three differentiated centres, because they share
+  exponents and product centres with the plain quartet; the raise/lower
+  combination is folded into the pair's Hermite lambda
+  (:meth:`repro.integrals.gradients.DerivativePairs.lam`), so one
+  :func:`~repro.integrals.batch._lambda_stage` per centre yields
+  ``d(ab|cd)/dA`` for the whole chunk, which is contracted with
+  ``Gamma`` on the spot.  The fourth centre follows from translational
+  invariance; a quartet with all four shells on one atom, and a
+  differentiated centre that sits on the fourth shell's atom, cancel
+  identically and are never evaluated.  Memory: the chunk's Hermite
+  table (capped at ``_GRADIENT_SCRATCH`` doubles), its derivative
+  blocks and ``Gamma`` blocks — never anything of size ``nbf^4``.
+* **semilocal XC** — on the SCF's own :class:`~repro.scf.dft.
+  XCIntegrator` grid: ``v_rho``/``v_sigma`` against AO first and (GGA)
+  second derivatives, *and* the derivative of the Becke partition
+  weights, *and* the motion of each atom's grid points with their
+  nucleus (by translational invariance of that atom's block).  The
+  quadrature is part of the energy that was minimised: the weight term
+  and the point motion are each of order 1 Ha/bohr on water and cancel
+  to the physical force, so neither can be left out.
+
+Derivative integrals are restricted to s/p shells (every basis this
+reproduction ships; :mod:`repro.integrals.gradients`).
 """
 
 from __future__ import annotations
@@ -19,14 +51,38 @@ from __future__ import annotations
 import numpy as np
 
 from ..basis.basisset import BasisSet
+from ..basis.shellpair import hermite_indices
 from ..chem.molecule import Molecule
+from ..integrals.batch import (_bra_layout, _hermite_stage, _ket_layout,
+                               _lambda_stage, _stack_pairs,
+                               quartet_class_groups, unique_shell_pairs)
 from ..integrals.eri import ERIEngine
-from ..integrals.gradients import (eri_gradient_quartet, kinetic_gradient,
-                                   nuclear_gradient, overlap_gradient)
+from ..integrals.gradients import DerivativePairs
+from ..integrals.kinetic import kinetic_block
+from ..integrals.overlap import overlap_block
+from ..runtime.telemetry import NULL_TRACER
+from .grid import eval_aos
 from .rhf import SCFResult
 
-__all__ = ["rhf_gradient", "nuclear_repulsion_gradient",
-           "AnalyticSCFForceEngine"]
+__all__ = ["scf_gradient", "nuclear_repulsion_gradient"]
+
+#: Schwarz threshold of the derivative walk: a quartet is skipped when
+#: ``Q_ij Q_kl max|D|^2`` falls below it.
+_SCREEN_EPS = 1e-11
+
+#: Hermite-table ceiling of one chunk of the derivative walk, in doubles
+#: (1 MB).  As for the tensor walk (``integrals.eri._TENSOR_SCRATCH``),
+#: a transient slab stays resident under a non-trimming allocator and
+#: counts against the process peak.  One (pp|pp) quartet of three-
+#: primitive shells already needs 105k doubles at order ``L + 1``, so
+#: nothing below this lowers the peak; twice this raises it by 4 MB on
+#: Li2O2 for 5 % of the walk's time.
+_GRADIENT_SCRATCH = 1 << 17
+
+#: Ceiling, in doubles, on the largest per-chunk intermediate of the XC
+#: term (AO Hessians ``9 nbf`` per point, Becke cell derivatives
+#: ``3 natom^2`` per point).
+_XC_SCRATCH = 1 << 16
 
 
 def nuclear_repulsion_gradient(mol: Molecule) -> np.ndarray:
@@ -49,107 +105,230 @@ def _energy_weighted_density(res: SCFResult) -> np.ndarray:
     return 2.0 * (C * res.eps[:nocc][None, :]) @ C.T
 
 
-def rhf_gradient(res: SCFResult, screen_eps: float = 1e-11) -> np.ndarray:
-    """Analytic dE/dX of a converged RHF state, shape ``(natom, 3)``."""
-    basis = res.basis
-    mol = basis.molecule
-    D = res.D
-    W = _energy_weighted_density(res)
-    natom = mol.natom
-    grad = nuclear_repulsion_gradient(mol)
-    charges = mol.numbers.astype(np.float64)
-    centers = mol.coords
-    shells = basis.shells
+def scf_gradient(res: SCFResult, xc=None, trace=None) -> np.ndarray:
+    """Analytic dE/dX of a converged closed-shell SCF state, shape
+    ``(natom, 3)``.
 
-    # --- one-electron terms (loop over ordered shell pairs; each block's
-    # bra derivative is computed directly and its ket derivative is
-    # completed by translational invariance) ---------------------------------
-    for i, sa in enumerate(shells):
-        si = basis.shell_slice(i)
-        for j, sb in enumerate(shells):
-            sj = basis.shell_slice(j)
-            Dblk = D[si, sj]
-            Wblk = W[si, sj]
-            # kinetic + overlap: dT/dB = -dT/dA (no operator center)
-            dT = kinetic_gradient(sa, sb)
-            dS = overlap_gradient(sa, sb)
-            gA = np.einsum("dxy,xy->d", dT, Dblk) \
-                - np.einsum("dxy,xy->d", dS, Wblk)
-            grad[sa.atom] += gA
-            grad[sb.atom] -= gA
-            # nuclear attraction: bra + per-nucleus operator
-            # (Hellmann-Feynman) terms; ket = -(bra + sum of operator)
-            dVA, dVC = nuclear_gradient(sa, sb, charges, centers)
-            gA_v = np.einsum("dxy,xy->d", dVA, Dblk)
-            gC_v = np.einsum("kdxy,xy->kd", dVC, Dblk)
-            grad[sa.atom] += gA_v
-            grad += gC_v
-            grad[sb.atom] -= gA_v + gC_v.sum(axis=0)
-
-    return grad + _two_electron_gradient(basis, D, screen_eps)
-
-
-def _two_electron_gradient(basis: BasisSet, D: np.ndarray,
-                           screen_eps: float) -> np.ndarray:
-    """``sum_abcd [1/2 D_ab D_cd - 1/4 D_ac D_bd] d(ab|cd)/dX`` over the
-    8-fold-unique shell quartets (``i <= j``, ``k <= l``, ``ij <= kl``).
-
-    The images of a unique quartet share its derivative integrals, so
-    they enter through their count and the density factor averaged over
-    them, ``1/2 D_ij D_kl - 1/8 (D_ik D_jl + D_il D_jk)``.
+    ``xc`` is the run's :class:`~repro.scf.dft.XCIntegrator`
+    (:attr:`repro.scf.dft.RKS.xc`) — its functional sets the exchange
+    fraction and its grid carries the semilocal term; ``None`` is
+    Hartree-Fock.  The state must come from exact (four-index) J/K: a
+    density-fitted energy has another derivative.  ``trace`` receives
+    the ``md.gradient.*`` spans and counters.
     """
-    shells = basis.shells
-    grad = np.zeros((basis.molecule.natom, 3))
-    Q = ERIEngine(basis).schwarz_bounds()
-    dmax = float(np.abs(D).max())
-    slc = basis.shell_slices()
-    keys = list(Q)                      # (i, j), i <= j, in pair order
-    for a, (i, j) in enumerate(keys):
-        for (k, l) in keys[a:]:
-            if Q[i, j] * Q[k, l] * dmax * dmax < screen_eps:
-                continue
-            dE = eri_gradient_quartet(shells[i], shells[j],
-                                      shells[k], shells[l])
-            si, sj, sk, sl = slc[i], slc[j], slc[k], slc[l]
-            gam = (0.5 * np.einsum("xy,zw->xyzw", D[si, sj], D[sk, sl])
-                   - 0.125 * (np.einsum("xz,yw->xyzw", D[si, sk], D[sj, sl])
-                              + np.einsum("xw,yz->xyzw", D[si, sl],
-                                          D[sj, sk])))
-            images = ((1 if i == j else 2) * (1 if k == l else 2)
-                      * (1 if (i, j) == (k, l) else 2))
-            gctr = images * np.einsum("cdxyzw,xyzw->cd", dE, gam)
-            for c, s in enumerate((i, j, k)):
-                grad[shells[s].atom] += gctr[c]
-            # fourth center from translational invariance
-            grad[shells[l].atom] -= gctr.sum(axis=0)
+    tr = trace if trace is not None else NULL_TRACER
+    basis = res.basis
+    table = DerivativePairs(basis.shells, basis.shell_pairs())
+    a_x = 1.0 if xc is None else xc.functional.hfx_fraction
+    grad = nuclear_repulsion_gradient(basis.molecule)
+    with tr.span("md.gradient.one_electron", cat="gradient"):
+        grad += _one_electron_gradient(
+            basis, res.D, _energy_weighted_density(res), table)
+    with tr.span("md.gradient.two_electron", cat="gradient"):
+        g2, stats = _two_electron_gradient(basis, res.D, a_x, _SCREEN_EPS,
+                                           table)
+        grad += g2
+    del table
+    if xc is not None:
+        with tr.span("md.gradient.xc", cat="gradient"):
+            grad += _xc_gradient(basis, res.D, xc)
+    if tr.enabled:
+        for name, n in stats.items():
+            tr.metrics.count(f"md.gradient.{name}", n)
     return grad
 
 
-class AnalyticSCFForceEngine:
-    """Force engine on analytic RHF gradients (drop-in replacement for
-    the finite-difference :class:`~repro.md.bomd.SCFForceEngine` on
-    closed-shell s/p systems — one SCF per force call instead of 6N+1).
+# --- one-electron -------------------------------------------------------------
+
+def _one_electron_gradient(basis: BasisSet, D: np.ndarray, W: np.ndarray,
+                           table: DerivativePairs) -> np.ndarray:
+    """``sum D dT + D dV - W dS`` over the unique shell pairs ``i <= j``
+    (an off-diagonal pair stands for both orders).
+
+    The bra derivative is evaluated; the ket's is its negative for T and
+    S, and ``-(bra + sum of operator terms)`` for V.  On a pair whose
+    shells share an atom the bra and ket terms cancel, leaving only the
+    Hellmann-Feynman term.
     """
+    mol = basis.molecule
+    charges = mol.numbers.astype(np.float64)
+    grad = np.zeros((mol.natom, 3))
+    slc = basis.shell_slices()
+    for (i, j) in basis.shell_pairs():
+        a, b = basis.shells[i].atom, basis.shells[j].atom
+        Dblk = (1.0 if i == j else 2.0) * D[slc[i], slc[j]]
+        dVA, dVC = table.nuclear(i, j, charges, mol.coords, bra=a != b)
+        gC = np.einsum("kdxy,xy->kd", dVC, Dblk)
+        grad += gC
+        grad[b] -= gC.sum(axis=0)
+        if a != b:
+            dh = table.block(kinetic_block, i, j) + dVA
+            gA = np.einsum("dxy,xy->d", dh, Dblk) - 2.0 * np.einsum(
+                "dxy,xy->d", table.block(overlap_block, i, j),
+                W[slc[i], slc[j]])
+            grad[a] += gA
+            grad[b] -= gA
+    return grad
 
-    def __init__(self, mol: Molecule, basis: str = "sto-3g",
-                 conv_tol: float = 1e-9, reuse_density: bool = True):
-        self.mol = mol
-        self.basis_name = basis
-        self.conv_tol = conv_tol
-        self.reuse_density = reuse_density
-        self.last_result: SCFResult | None = None
-        self.scf_iterations: list[int] = []
 
-    def energy_forces(self, coords: np.ndarray) -> tuple[float, np.ndarray]:
-        """SCF energy and analytic forces (-gradient)."""
-        from .rhf import RHF
+# --- two-electron -------------------------------------------------------------
 
-        mol = self.mol.with_coords(np.asarray(coords, dtype=np.float64))
-        D0 = self.last_result.D if (self.reuse_density and
-                                    self.last_result is not None) else None
-        res = RHF(mol, self.basis_name, conv_tol=self.conv_tol).run(D0=D0)
-        if not res.converged:
-            raise RuntimeError("SCF failed to converge for forces")
-        self.last_result = res
-        self.scf_iterations.append(res.niter)
-        return res.energy, -rhf_gradient(res)
+def _two_electron_gradient(basis: BasisSet, D: np.ndarray, a_x: float,
+                           screen_eps: float, table: DerivativePairs
+                           ) -> tuple[np.ndarray, dict]:
+    """``sum_abcd [1/2 D_ab D_cd - a_x/4 D_ac D_bd] d(ab|cd)/dX`` over
+    the 8-fold-unique shell quartets (``i <= j``, ``k <= l``,
+    ``ij <= kl``) that pass ``Q_ij Q_kl max|D|^2 >= screen_eps``.
+
+    The images of a unique quartet share its derivative integrals, so
+    they enter through their count and the density factor averaged over
+    them, ``1/2 D_ij D_kl - a_x/8 (D_ik D_jl + D_il D_jk)``.  Returns the
+    gradient and the walk's counts: ``quartets`` differentiated,
+    ``class_batches`` (Hermite tables built) and ``skipped_by_symmetry``
+    (quartets plus single centres dropped because they cancel).
+    """
+    shells = basis.shells
+    atom = np.array([sh.atom for sh in shells])
+    grad = np.zeros((basis.molecule.natom, 3))
+    Q = ERIEngine(basis).schwarz_bounds()
+    keys = np.array(list(Q), dtype=np.int64)       # (i, j), i <= j, pair order
+    qv = np.array(list(Q.values()))
+    dmax = float(np.abs(D).max())
+    a, b = np.triu_indices(len(keys))
+    keep = qv[a] * qv[b] * dmax * dmax >= screen_eps
+    quartets = np.hstack([keys[a[keep]], keys[b[keep]]])
+    on_one_atom = (atom[quartets] == atom[quartets[:, :1]]).all(axis=1)
+    quartets = quartets[~on_one_atom]
+    stats = {"quartets": len(quartets), "class_batches": 0,
+             "skipped_by_symmetry": int(on_one_atom.sum())}
+    for grp in quartet_class_groups(shells, quartets):
+        _differentiate_class(basis, D, a_x, table, grp, atom, grad, stats)
+    return grad, stats
+
+
+def _differentiate_class(basis: BasisSet, D: np.ndarray, a_x: float,
+                         table: DerivativePairs, grp: np.ndarray,
+                         atom: np.ndarray, grad: np.ndarray,
+                         stats: dict) -> None:
+    """Add one L-class of unique quartets ``grp`` ``(nq, 4)`` to
+    ``grad``/``stats`` (its own function so that one class's stacked
+    lambdas are released before the next class stacks its own)."""
+    shells, nsh = basis.shells, basis.nshell
+    ubra, bra_ids = unique_shell_pairs(grp[:, 0], grp[:, 1], nsh)
+    uket, ket_ids = unique_shell_pairs(grp[:, 2], grp[:, 3], nsh)
+    idx1, p_u, Pb_u, lam1_u = _stack_pairs([table.plain(*ij) for ij in ubra])
+    idx2, q_u, Pk_u, lam2_u = _stack_pairs([table.plain(*kl) for kl in uket])
+    L1, L2 = (shells[i].l + shells[j].l for i, j in (grp[0, :2], grp[0, 2:]))
+    nab, ncd = p_u.shape[1], q_u.shape[1]
+    l1_u, l2t_u = _bra_layout(lam1_u), _ket_layout(lam2_u)
+    up1, up2 = hermite_indices(L1 + 1), hermite_indices(L2 + 1)
+    # (Hermite orders, bra rows, ket columns) of each differentiated
+    # centre: i and j on the bra, k on the ket
+    stages = (
+        (up1, idx2, _bra_layout(np.stack(
+            [table.lam(i, j, 0) for i, j in ubra])), l2t_u),
+        (up1, idx2, _bra_layout(np.stack(
+            [table.lam(i, j, 1) for i, j in ubra])), l2t_u),
+        (idx1, up2, l1_u, _ket_layout(np.stack(
+            [table.lam(k, l, 0) for k, l in uket]))),
+    )
+    nfn = [shells[s].nfunc for s in grp[0]]
+    ao = [basis.offsets[grp[:, s], None] + np.arange(nfn[s])
+          for s in range(4)]
+    images = ((1 + (grp[:, 0] != grp[:, 1])) * (1 + (grp[:, 2] != grp[:, 3]))
+              * (1 + ((grp[:, 0] != grp[:, 2]) | (grp[:, 1] != grp[:, 3])))
+              ).astype(np.float64)
+    chunk = max(1, int(_GRADIENT_SCRATCH
+                       // ((L1 + L2 + 2) ** 4 * nab * ncd)))
+    for lo in range(0, len(grp), chunk):
+        s = slice(lo, min(lo + chunk, len(grp)))
+        q, bq, kq = grp[s], bra_ids[s], ket_ids[s]
+        R, pref = _hermite_stage(L1 + L2 + 1, p_u[bq], q_u[kq],
+                                 Pb_u[bq], Pk_u[kq], None)
+        stats["class_batches"] += 1
+        gamma = _gamma_blocks(D, [x[s] for x in ao], a_x) \
+            * images[s, None, None, None, None]
+        gamma = gamma.reshape(len(q), nfn[0] * nfn[1], nfn[2] * nfn[3])
+        for c, (idx1, idx2, rows_u, cols_u) in enumerate(stages):
+            sel = np.flatnonzero(atom[q[:, c]] != atom[q[:, 3]])
+            stats["skipped_by_symmetry"] += len(q) - len(sel)
+            if len(sel) == 0:
+                continue
+            blocks = _lambda_stage(
+                R, pref, idx1, idx2, rows_u[bq[sel]], cols_u[kq[sel]],
+                None if len(sel) == len(q) else sel)
+            if c < 2:       # (m, 3 * AB, CD)
+                g = np.einsum("mxpq,mpq->mx", blocks.reshape(
+                    len(sel), 3, -1, gamma.shape[2]), gamma[sel])
+            else:           # (m, AB, 3 * CD)
+                g = np.einsum("mpxq,mpq->mx", blocks.reshape(
+                    len(sel), gamma.shape[1], 3, -1), gamma[sel])
+            np.add.at(grad, atom[q[sel, c]], g)
+            # fourth centre from translational invariance
+            np.add.at(grad, atom[q[sel, 3]], -g)
+
+
+def _gamma_blocks(D: np.ndarray, ao: list[np.ndarray], a_x: float
+                  ) -> np.ndarray:
+    """``1/2 D_ij D_kl - a_x/8 (D_ik D_jl + D_il D_jk)`` for a stack of
+    quartets, shape ``(m, ni, nj, nk, nl)``; ``ao[s]`` holds the AO
+    indices of shell ``s`` of every quartet, ``(m, n_s)``."""
+    def blk(s, t):
+        return D[ao[s][:, :, None], ao[t][:, None, :]]
+
+    gamma = 0.5 * blk(0, 1)[:, :, :, None, None] \
+        * blk(2, 3)[:, None, None, :, :]
+    if a_x:
+        gamma -= 0.125 * a_x * (
+            blk(0, 2)[:, :, None, :, None] * blk(1, 3)[:, None, :, None, :]
+            + blk(0, 3)[:, :, None, None, :] * blk(1, 2)[:, None, :, :, None])
+    return gamma
+
+
+# --- semilocal exchange-correlation ---------------------------------------------
+
+def _xc_gradient(basis: BasisSet, D: np.ndarray, xc,
+                 weight_derivatives: bool = True) -> np.ndarray:
+    """``dE_xc/dX`` at fixed ``D`` on the integrator's own grid.
+
+    Each point moves rigidly with the nucleus it was generated around,
+    so its contribution to its *own* atom — AO motion relative to the
+    point — is minus the sum of its contributions to the others.
+    ``weight_derivatives=False`` leaves out the Becke-partition term (a
+    test shows what that costs; nothing in the package turns it off).
+    Points are walked in chunks whose largest intermediate (the AO
+    Hessian, or the pairwise cell derivatives) stays under
+    ``_XC_SCRATCH`` doubles.
+    """
+    mol, grid, func = basis.molecule, xc.grid, xc.functional
+    gga = func.needs_gradient
+    rho, aux = xc.density_on_grid(D)
+    sigma, grad_rho = aux if gga else (aux, None)
+    exc, vrho, vsigma = func.evaluate(rho, sigma)
+    ao_atom = np.zeros((basis.nbf, mol.natom))
+    ao_atom[np.arange(basis.nbf),
+            np.repeat([sh.atom for sh in basis.shells],
+                      [sh.nfunc for sh in basis.shells])] = 1.0
+    grad = np.zeros((mol.natom, 3))
+    chunk = max(1, _XC_SCRATCH // max(9 * basis.nbf, 3 * mol.natom ** 2))
+    for lo in range(0, grid.npts, chunk):
+        sel = slice(lo, min(lo + chunk, grid.npts))
+        w = grid.weights[sel]
+        ao, dao, *hess = eval_aos(basis, grid.points[sel],
+                                  deriv=2 if gga else 1)
+        tmp = ao @ D
+        X = (w * vrho[sel])[None, :, None] * dao * tmp[None]
+        if gga:
+            # 2 w v_sigma grad(rho) . d(grad rho)/dX
+            gv = 2.0 * w * vsigma[sel] * grad_rho[:, sel]
+            X += np.einsum("ig,jigp->jgp", gv, hess[0]) * tmp[None]
+            X += dao * (np.einsum("ig,igp->gp", gv, dao) @ D)[None]
+        per_atom = -2.0 * (X @ ao_atom).transpose(1, 2, 0)    # (g, atom, 3)
+        g = np.arange(len(w))
+        per_atom[g, grid.owner[sel]] = 0.0
+        per_atom[g, grid.owner[sel]] = -per_atom.sum(axis=1)
+        grad += per_atom.sum(axis=0)
+        if weight_derivatives:
+            grad += np.einsum("g,gkd->kd", exc[sel],
+                              grid.weight_gradient(mol, sel))
+    return grad

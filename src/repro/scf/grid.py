@@ -155,17 +155,29 @@ class MolecularGrid:
         Grid points, shape ``(npts, 3)`` Bohr.
     weights:
         Quadrature weights including the Becke partition of unity.
+    owner:
+        Index of the atom each point was generated around (and moves
+        with when that nucleus is displaced).
+    quadrature:
+        The radial x angular weights before the Becke partition.
+    becke_iters:
+        Smoothing iterations of the partition the weights were built
+        with.  These three are what :meth:`weight_gradient` needs; a grid
+        assembled by hand may leave them out.
     """
 
     points: np.ndarray
     weights: np.ndarray
+    owner: np.ndarray | None = None
+    quadrature: np.ndarray | None = None
+    becke_iters: int = 3
 
     @classmethod
     def build(cls, mol: Molecule, n_radial: int = 30, n_angular: int = 26,
               becke_iters: int = 3) -> "MolecularGrid":
         """Assemble atom-centered product grids with Becke weights."""
         ang_pts, ang_wts = lebedev_points(n_angular)
-        all_pts, all_wts = [], []
+        all_pts, all_wts, all_quad = [], [], []
         for ia in range(mol.natom):
             rm = max(0.5 * covalent_radius_bohr(int(mol.numbers[ia])), 0.4)
             rad, wrad = radial_points(n_radial, rm)
@@ -175,7 +187,11 @@ class MolecularGrid:
             becke = cls._becke_weights(mol, pts, ia, becke_iters)
             all_pts.append(pts)
             all_wts.append(wts * becke)
-        return cls(np.vstack(all_pts), np.concatenate(all_wts))
+            all_quad.append(wts)
+        return cls(np.vstack(all_pts), np.concatenate(all_wts),
+                   owner=np.repeat(np.arange(mol.natom), len(wts)),
+                   quadrature=np.concatenate(all_quad),
+                   becke_iters=becke_iters)
 
     @staticmethod
     def _becke_weights(mol: Molecule, pts: np.ndarray, center: int,
@@ -200,6 +216,61 @@ class MolecularGrid:
         total[total == 0.0] = 1.0
         return cell[:, center] / total
 
+    def weight_gradient(self, mol: Molecule, sel) -> np.ndarray:
+        """``d weights[sel] / d R_C``, shape ``(len(sel), natom, 3)``
+        (``sel``: a slice or index array into the grid).
+
+        A point rides on its own nucleus, so its weight depends on the
+        nuclear positions only through differences: the derivative with
+        respect to the owner is minus the sum of the fixed-point
+        derivatives with respect to every other nucleus.  Memory: a
+        handful of ``(len(sel), natom, natom, 3)`` temporaries — callers
+        chunk ``sel``.
+        """
+        pts, owner = self.points[sel], self.owner[sel]
+        n = mol.natom
+        if n == 1:
+            return np.zeros((len(pts), 1, 3))
+        coords = mol.coords
+        diff = pts[:, None, :] - coords[None, :, :]
+        d = np.linalg.norm(diff, axis=2)                     # r_A
+        u = diff / d[:, :, None]                             # (r - R_A) / r_A
+        eye = np.eye(n, dtype=bool)
+        Rinv = 1.0 / np.where(eye, 1.0, mol.distance_matrix())
+        e = (coords[:, None, :] - coords[None, :, :]) * Rinv[:, :, None]
+        mu = (d[:, :, None] - d[:, None, :]) * Rinv[None]    # mu_AB
+        f, df = mu, np.ones_like(mu)
+        for _ in range(self.becke_iters):
+            df = df * 1.5 * (1.0 - f * f)
+            f = 1.5 * f - 0.5 * f ** 3
+        s = np.where(eye[None], 1.0, 0.5 * (1.0 - f))        # cell factors
+        ds = np.where(eye[None], 0.0, -0.5 * df)
+        # dP_A/dmu_AB = s'(mu_AB) prod_{B' != A, B} s(mu_AB'), without
+        # dividing by a factor that may vanish
+        pre = np.cumprod(s, axis=2)
+        suf = np.cumprod(s[:, :, ::-1], axis=2)[:, :, ::-1]
+        excl = np.ones_like(s)
+        excl[:, :, 1:] = pre[:, :, :-1]
+        excl[:, :, :-1] *= suf[:, :, 1:]
+        G = (ds * excl)[..., None]
+        # dmu_AB/dR_B = (u_B + mu_AB e_AB) / R_AB,
+        # dmu_AB/dR_A = -(u_A + mu_AB e_AB) / R_AB
+        mue = mu[..., None] * e[None]
+        dP = G * (u[:, None, :, :] + mue) * Rinv[None, :, :, None]
+        own = -(G * (u[:, :, None, :] + mue)
+                * Rinv[None, :, :, None]).sum(axis=2)
+        dP[:, np.arange(n), np.arange(n)] = own              # (g, A, C, 3)
+        P = pre[:, :, -1]
+        Z = P.sum(axis=1)
+        Z = np.where(Z == 0.0, 1.0, Z)
+        g = np.arange(len(pts))
+        wgt = P[g, owner] / Z
+        dw = (dP[g, owner] - wgt[:, None, None] * dP.sum(axis=1)) \
+            / Z[:, None, None]
+        dw[g, owner] = 0.0
+        dw[g, owner] = -dw.sum(axis=1)
+        return self.quadrature[sel, None, None] * dw
+
     @property
     def npts(self) -> int:
         """Number of grid points."""
@@ -210,15 +281,33 @@ class MolecularGrid:
         return float(self.weights @ values)
 
 
-def eval_aos(basis: BasisSet, points: np.ndarray, deriv: int = 0):
-    """Evaluate all AOs (and optionally gradients) on grid points.
+def _monomial_derivative(r: np.ndarray, powers, wrt) -> np.ndarray:
+    """Derivative of ``x^lx y^ly z^lz`` at the rows of ``r`` with respect
+    to the coordinates listed in ``wrt`` (e.g. ``(0, 2)`` is
+    ``d^2/dx dz``)."""
+    out = np.ones(len(r))
+    for d, l in enumerate(powers):
+        n = wrt.count(d)
+        if n > l:
+            return np.zeros(len(r))
+        for k in range(n):
+            out = out * (l - k)
+        out = out * r[:, d] ** (l - n)
+    return out
 
-    Returns ``ao`` of shape ``(npts, nbf)`` when ``deriv == 0``, else
-    ``(ao, grad)`` with ``grad`` of shape ``(3, npts, nbf)``.
+
+def eval_aos(basis: BasisSet, points: np.ndarray, deriv: int = 0):
+    """Evaluate all AOs (and optionally derivatives) on grid points.
+
+    Returns ``ao`` of shape ``(npts, nbf)`` when ``deriv == 0``,
+    ``(ao, grad)`` with ``grad`` of shape ``(3, npts, nbf)`` when
+    ``deriv == 1``, and ``(ao, grad, hess)`` with the symmetric ``hess``
+    of shape ``(3, 3, npts, nbf)`` when ``deriv == 2``.
     """
     npts = len(points)
     ao = np.zeros((npts, basis.nbf))
     grad = np.zeros((3, npts, basis.nbf)) if deriv else None
+    hess = np.zeros((3, 3, npts, basis.nbf)) if deriv > 1 else None
     for ish, sh in enumerate(basis.shells):
         sl = basis.shell_slice(ish)
         r = points - sh.center[None, :]
@@ -242,6 +331,22 @@ def eval_aos(basis: BasisSet, points: np.ndarray, deriv: int = 0):
                                  * (r[:, 2] ** exps_l[2]))
                     grad[d, :, sl.start + ic] = (dpoly * rad
                                                  + poly * r[:, d] * drad)
+            if deriv > 1:
+                d2rad = 4.0 * (exps * sh.exps[None, :] ** 2) \
+                    @ sh.norm_coefs[ic]
+                for i in range(3):
+                    mi = _monomial_derivative(r, (lx, ly, lz), (i,))
+                    for j in range(i, 3):
+                        mj = _monomial_derivative(r, (lx, ly, lz), (j,))
+                        h = (_monomial_derivative(r, (lx, ly, lz), (i, j))
+                             * rad + (mi * r[:, j] + mj * r[:, i]) * drad
+                             + poly * r[:, i] * r[:, j] * d2rad)
+                        if i == j:
+                            h = h + poly * drad
+                        hess[i, j, :, sl.start + ic] = h
+                        hess[j, i, :, sl.start + ic] = h
+    if deriv > 1:
+        return ao, grad, hess
     if deriv:
         return ao, grad
     return ao

@@ -172,6 +172,10 @@ class RHF:
         starts survive checkpoint/restore across an MD trajectory.
     """
 
+    #: Semilocal XC integrator of the run — Hartree-Fock has none
+    #: (:class:`repro.scf.dft.RKS` overrides this).
+    xc = None
+
     def __init__(self, mol: Molecule, basis: str | BasisSet = "sto-3g",
                  mode: str = "incore", screen_eps: float = 1e-10,
                  conv_tol: float = 1e-8, max_iter: int = 100,

@@ -144,8 +144,14 @@ def test_envelope_stride_is_the_hashed_specs(n_outer, config):
 def test_mtsbomd_rejects_hybrid_inner_and_analytic_forces():
     with pytest.raises(ValueError, match="inner"):
         MTSBOMD(builders.h2(0.75), n_outer=3, inner="pbe0")
-    with pytest.raises(ValueError, match="analytic"):
+    # there is no force-route argument to refuse any more: the outer
+    # engine and a DFT inner engine both take the analytic route, which
+    # follows from their configs
+    with pytest.raises(TypeError, match="analytic_forces"):
         MTSBOMD(builders.h2(0.75), n_outer=3, analytic_forces=True)
+    mts = MTSBOMD(builders.h2(0.75), n_outer=3, inner="pbe")
+    assert mts.engine.analytic and mts.fast_engine.analytic
+    assert mts.fast_engine.method == "pbe"
 
 
 def test_respa_integrator_rejects_bad_n_inner():
@@ -327,6 +333,65 @@ def test_mts_kill_restore_continue_process_executor(tmp_path):
     finally:
         revived.engine.close()
     _assert_traj_identical(got, want)
+
+
+@pytest.mark.parametrize("inner,pool_cfg", [
+    ("pbe", {}),
+    pytest.param("ff", {"executor": "process", "nworkers": 2},
+                 marks=pytest.mark.pool),
+    pytest.param("pbe", {"executor": "process", "nworkers": 2},
+                 marks=pytest.mark.pool),
+], ids=["pbe-serial", "ff-process", "pbe-process"])
+def test_mts_analytic_route_restarts_bit_identically(tmp_path, inner,
+                                                     pool_cfg):
+    """Outer PBE0 engine and (for ``inner="pbe"``) the GGA inner engine
+    both on analytic forces: warm-start densities of both, ASPC history
+    and cached fast forces ride the snapshot, on either executor."""
+    def make(**extra):
+        return MTSBOMD(builders.lih(), method="pbe0", dt_fs=0.25, n_outer=2,
+                       inner=inner, temperature=300.0, seed=3,
+                       config=ExecutionConfig(**pool_cfg, **extra))
+
+    ref = make()
+    try:
+        assert ref.engine.analytic
+        assert inner == "ff" or ref.fast_engine.analytic
+        want = ref.run(3)
+    finally:
+        ref.engine.close()
+
+    ckdir = tmp_path / "ck"
+    victim = make(checkpoint_dir=str(ckdir), checkpoint_every=2)
+    try:
+        victim.run(2)
+    finally:
+        victim.engine.close()
+    del victim
+
+    revived = MTSBOMD.restore(str(ckdir), config=ExecutionConfig(**pool_cfg))
+    try:
+        assert revived.state.step == 2
+        got = revived.run(3)
+    finally:
+        revived.engine.close()
+    _assert_traj_identical(got, want)
+    assert float(got[-1].energy_pot).hex() == float(want[-1].energy_pot).hex()
+
+
+def test_mts_pbe_inner_surface_costs_one_scf_per_inner_step():
+    """The GGA inner surface used to pay a 6N + 1 stencil per inner
+    step; now every force call of either engine is one SCF."""
+    tr = Tracer()
+    mts = MTSBOMD(builders.lih(), method="pbe0", dt_fs=0.25, n_outer=3,
+                  inner="pbe", config=ExecutionConfig(tracer=tr))
+    mts.run(2)
+    scfs = sum(1 for s in tr.spans if s.name == "md.scf")
+    calls = sum(1 for s in tr.spans if s.name == "md.force_eval")
+    # per outer step: n_outer inner calls + 1 full call; plus the two
+    # initial-state calls
+    assert calls == scfs == 2 * (3 + 1) + 2
+    assert not any(s.name == "md.fd" for s in tr.spans)
+    assert tr.metrics.get("md.scf_per_force") == 1
 
 
 def test_restore_md_dispatches_on_snapshot_kind(tmp_path):

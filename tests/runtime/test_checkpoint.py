@@ -490,6 +490,73 @@ def test_bomd_kill_restore_continue_process_pool(tmp_path):
     _assert_traj_identical(got, want)
 
 
+@pytest.mark.parametrize("method,pool_cfg", [
+    ("hf", {}), ("pbe0", {}),
+    pytest.param("hf", {"executor": "process", "nworkers": 2},
+                 marks=pytest.mark.pool),
+    pytest.param("pbe0", {"executor": "process", "nworkers": 2},
+                 marks=pytest.mark.pool),
+], ids=["hf-serial", "pbe0-serial", "hf-process", "pbe0-process"])
+def test_analytic_route_restarts_bit_identically(tmp_path, method, pool_cfg):
+    """Regression: the analytic-gradient engine used to be a separate
+    class without get_state/set_state — the snapshot held
+    ``engine=None`` and the first post-restore SCF started from the
+    core guess (water: coordinates off by 1.6e-10 bohr after 2 + 2
+    steps).  The analytic route now lives in SCFForceEngine, so the
+    warm-start density rides the snapshot on either executor."""
+    mol = builders.water() if not pool_cfg else builders.lih()
+
+    def make(**extra):
+        return BOMD(mol, method=method, dt_fs=0.5, temperature=300.0,
+                    seed=3, config=ExecutionConfig(**pool_cfg, **extra))
+
+    ref = make()
+    try:
+        assert ref.engine.analytic
+        want = ref.run(4)
+    finally:
+        ref.engine.close()
+
+    ckdir = tmp_path / "ck"
+    victim = make(checkpoint_dir=str(ckdir), checkpoint_every=2)
+    try:
+        victim.run(2)
+        assert victim.get_state()["engine"]["last_D"] is not None
+    finally:
+        victim.engine.close()
+    del victim
+
+    revived = BOMD.restore(str(ckdir), config=ExecutionConfig(**pool_cfg))
+    try:
+        assert revived.state.step == 2 and revived.engine.analytic
+        got = revived.run(4)
+    finally:
+        revived.engine.close()
+    _assert_traj_identical(got, want)
+    assert float(got[-1].energy_pot).hex() == float(want[-1].energy_pot).hex()
+
+
+def test_snapshot_with_the_old_analytic_forces_param_still_loads(tmp_path):
+    """``BOMD(analytic_forces=...)`` is gone and the key is no longer
+    written; a snapshot that carries it — with the ``engine=None`` the
+    old analytic engine left behind — restores and runs on."""
+    ckdir = tmp_path / "ck"
+    BOMD(builders.h2(0.80), dt_fs=0.5, config=ExecutionConfig(
+        checkpoint_dir=str(ckdir), checkpoint_every=2)).run(2)
+    store = CheckpointStore(ckdir)
+    state, info = store.load_latest()
+    assert "analytic_forces" not in state["params"]
+    state["params"]["analytic_forces"] = True
+    state["engine"] = None
+    store.save(state, step=info.step)
+
+    revived = BOMD.restore(str(ckdir))
+    assert revived.state.step == 2
+    assert not hasattr(revived, "analytic_forces")
+    assert len(revived.run(3)) == 4
+    assert "analytic_forces" not in revived.get_state()["params"]
+
+
 def test_bomd_incremental_engine_round_trip(tmp_path):
     """The incremental-exchange engine checkpoints and resumes
     bit-identically too (its screen history resets at every geometry

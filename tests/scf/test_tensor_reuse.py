@@ -354,7 +354,9 @@ def test_force_call_counters_through_the_fd_stencil():
     engine = SCFForceEngine(mol, method="hf",
                             config=ExecutionConfig(tracer=tracer))
     try:
-        engine.energy_forces(mol.coords)
+        # the stencil is the jk="ri" force route and the tests' oracle;
+        # an exact-J/K force call is one SCF plus the analytic gradient
+        engine._fd_forces(mol.coords, engine._energy(mol.coords, None))
         assert engine._jk._anchor[0].molecule.coords.tobytes() == \
             mol.coords.tobytes()
     finally:
