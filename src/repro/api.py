@@ -119,10 +119,8 @@ def run_scf(spec: JobSpec | dict,
     else:
         from .scf.dft import run_rks
 
-        # Kohn-Sham runs in-core unless the engine forces direct builds
         res = run_rks(mol, basis=spec.basis, functional=spec.method,
-                      config=cfg, conv_tol=spec.conv_tol,
-                      mode=jk_build_mode(cfg))
+                      **kwargs)
         label = spec.method.upper()
     scf = res.summary()
     counters = dict(scf.get("counters", {}))
@@ -151,36 +149,47 @@ def _build_bomd(spec: JobSpec, cfg: ExecutionConfig,
     SCF force every ``mts_outer`` steps and the ``mts_inner`` surface
     in between.
     """
-    from .md import BOMD, MTSBOMD, restore_md
+    from .md import BOMD, MTSBOMD, SCFForceEngine, restore_md
     from .runtime.checkpoint import CheckpointStore
 
-    if restore_from not in (None, False):
-        b = restore_md(restore_from, config=cfg)
-        return b, b.state.step
     if restore_from is None and cfg.checkpoint_dir is not None and \
             CheckpointStore(cfg.checkpoint_dir).snapshots():
-        b = restore_md(cfg.checkpoint_dir, config=cfg)
-        return b, b.state.step
-    mol = spec.resolve_molecule()
-    thermostat = None
-    if spec.thermostat != "none":
-        from .constants import fs_to_aut
-        from .md import BerendsenThermostat, CSVRThermostat
+        restore_from = cfg.checkpoint_dir
+    if restore_from:
+        b = restore_md(restore_from, config=cfg)
+        restored_from = b.state.step
+    else:
+        restored_from = None
+        thermostat = None
+        if spec.thermostat != "none":
+            from .constants import fs_to_aut
+            from .md import BerendsenThermostat, CSVRThermostat
 
-        tau = fs_to_aut(spec.tau_fs)
-        cls = {"csvr": CSVRThermostat,
-               "berendsen": BerendsenThermostat}[spec.thermostat]
-        kw = {"seed": spec.seed} if spec.thermostat == "csvr" else {}
-        thermostat = cls(T=spec.temperature, tau=tau, **kw)
-    if spec.mts_outer > 1:
-        return MTSBOMD(mol, method=spec.method, basis=spec.basis,
-                       dt_fs=spec.dt_fs, temperature=spec.temperature,
-                       seed=spec.seed, thermostat=thermostat, config=cfg,
-                       n_outer=spec.mts_outer, inner=spec.mts_inner,
-                       aspc_order=spec.mts_aspc_order), None
-    return BOMD(mol, method=spec.method, basis=spec.basis,
-                dt_fs=spec.dt_fs, temperature=spec.temperature,
-                seed=spec.seed, thermostat=thermostat, config=cfg), None
+            tau = fs_to_aut(spec.tau_fs)
+            cls = {"csvr": CSVRThermostat,
+                   "berendsen": BerendsenThermostat}[spec.thermostat]
+            kw = {"seed": spec.seed} if spec.thermostat == "csvr" else {}
+            thermostat = cls(T=spec.temperature, tau=tau, **kw)
+        common = dict(method=spec.method, basis=spec.basis,
+                      dt_fs=spec.dt_fs, temperature=spec.temperature,
+                      seed=spec.seed, thermostat=thermostat, config=cfg)
+        if spec.mts_outer > 1:
+            b = MTSBOMD(spec.resolve_molecule(), n_outer=spec.mts_outer,
+                        inner=spec.mts_inner,
+                        aspc_order=spec.mts_aspc_order, **common)
+        else:
+            b = BOMD(spec.resolve_molecule(), **common)
+    # the spec's hashed SCF numerics: neither a runner's constructor
+    # nor its snapshot carries them, so fresh and revived runners alike
+    # get them here, on the fields the engines already have
+    for engine in (b.engine, getattr(b, "fast_engine", None)):
+        if isinstance(engine, SCFForceEngine):
+            engine.conv_tol = spec.conv_tol
+            engine.scf_kwargs.update(
+                screen_eps=spec.screen_eps,
+                mode=jk_build_mode(engine.config, spec.mode,
+                                   engine.incremental))
+    return b, restored_from
 
 
 def run_md(spec: JobSpec | dict, config: ExecutionConfig | None = None,

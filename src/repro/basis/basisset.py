@@ -75,44 +75,6 @@ class BasisSet:
             self.__dict__["_pairs_cache"] = cached
         return cached
 
-    def moved_shells(self, ref: "BasisSet") -> list[int] | None:
-        """Indices of the shells that differ from ``ref``'s shell at the
-        same position, or ``None`` when the two bases do not line up
-        (different shell count or angular momenta, hence AO layout).
-
-        A shell is *unchanged* only under exact floating-point equality
-        of ``center``, ``exps`` and ``coefs``: every integral over
-        unchanged shells is then the same arithmetic on the same
-        doubles, so a cached block is a bit-for-bit stand-in for a
-        recomputed one.
-        """
-        if self.nshell != ref.nshell or any(
-                a.l != b.l for a, b in zip(self.shells, ref.shells)):
-            return None
-        return [i for i, (a, b) in enumerate(zip(self.shells, ref.shells))
-                if not (np.array_equal(a.center, b.center)
-                        and np.array_equal(a.exps, b.exps)
-                        and np.array_equal(a.coefs, b.coefs))]
-
-    def inherit_pairs(self, ref: "BasisSet", moved: list[int]) -> int:
-        """Build this basis's pair table around ``ref``'s: every pair
-        without a shell in ``moved`` (which must cover
-        ``self.moved_shells(ref)``) is ``ref``'s own :class:`ShellPair`
-        object — same doubles in, same doubles out, with whatever that
-        pair has cached (Hermite lambdas, overlap and kinetic blocks) —
-        and only the others are expanded.  Returns the number of pairs
-        inherited; 0, and nothing done, when this basis already built
-        its table.  Inherited pairs are shared, never written.
-        """
-        if "_pairs_cache" in self.__dict__:
-            return 0
-        moved = set(moved)
-        kept = {key: pair for key, pair in ref.shell_pairs().items()
-                if moved.isdisjoint(key)}
-        self.__dict__["_pairs_cache"] = build_shell_pairs(self.shells,
-                                                          inherit=kept)
-        return len(kept)
-
     def __getstate__(self) -> dict:
         # derived ``_*_cache`` tables (slices, Schwarz bounds, shell
         # pairs) rebuild lazily on the other side; shipping them would

@@ -105,31 +105,15 @@ class ShellPair:
         self._lambda_cache = (idx, lam)
         return idx, lam
 
-    def memo(self, name: str, compute) -> np.ndarray:
-        """``compute(self)``, evaluated once per pair object and kept
-        (read-only) as attribute ``name`` — for blocks that depend on
-        nothing but the pair (overlap, kinetic), so a displaced basis
-        that inherits this pair reads them instead of recomputing."""
-        out = self.__dict__.get(name)
-        if out is None:
-            out = self.__dict__[name] = compute(self)
-            out.flags.writeable = False
-        return out
 
-
-def build_shell_pairs(shells: list[Shell], threshold: float = 0.0,
-                      inherit: dict[tuple[int, int], ShellPair] | None = None
+def build_shell_pairs(shells: list[Shell], threshold: float = 0.0
                       ) -> dict[tuple[int, int], ShellPair]:
     """Build all significant shell pairs ``(i, j)`` with ``i <= j``.
 
     ``threshold`` drops pairs whose Gaussian overlap prefactor
     ``exp(-mu |AB|^2)`` is below it for every primitive combination —
     the first (cheapest) level of the paper's screening cascade.
-    ``inherit`` maps keys to finished pairs over the *same* two shells
-    (equal ``l``/``center``/``exps``/``coefs``), taken as they are
-    instead of being expanded again.
     """
-    inherit = inherit or {}
     pairs: dict[tuple[int, int], ShellPair] = {}
     for i, sa in enumerate(shells):
         for j in range(i, len(shells)):
@@ -140,5 +124,5 @@ def build_shell_pairs(shells: list[Shell], threshold: float = 0.0,
                           / (sa.exps.min() + sb.exps.min()))
                 if np.exp(-mu_min * ab2) < threshold:
                     continue
-            pairs[(i, j)] = inherit.get((i, j)) or ShellPair(sa, sb, i, j)
+            pairs[(i, j)] = ShellPair(sa, sb, i, j)
     return pairs

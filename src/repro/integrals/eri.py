@@ -44,10 +44,11 @@ PERM_AXES = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
              (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0))
 
 # Hermite-intermediate ceiling of the tensor walk's class batches, in
-# doubles (512 kB: L2-sized).  The walk runs up to 50 times per MD force
-# pair inside a process whose peak is the tensors themselves; a slab of
-# the kernel's default size would stay resident under a non-trimming
-# allocator and count in full against the process peak.
+# doubles (512 kB: L2-sized).  The walk runs once per geometry — every
+# MD step, every point of a force stencil — inside a process whose peak
+# is the one tensor it fills; a slab of the kernel's default size would
+# stay resident under a non-trimming allocator (the bench pins one) and
+# count in full against the process peak.
 _TENSOR_SCRATCH = 1 << 16
 
 
@@ -187,7 +188,6 @@ class ERIEngine:
 
 
 def eri_tensor(basis: BasisSet, screen: float = 0.0,
-               reuse: tuple[np.ndarray, list[int]] | None = None,
                engine: ERIEngine | None = None) -> np.ndarray:
     """Full ERI tensor ``(pq|rs)``, shape ``(nbf,)*4``.
 
@@ -204,21 +204,14 @@ def eri_tensor(basis: BasisSet, screen: float = 0.0,
     ``boys_order=3 * L``, so each block holds the doubles
     :func:`eri_quartet` returns for it.
 
-    ``reuse=(anchor, moved)`` starts from a copy of ``anchor`` — the
-    unscreened tensor of a basis that differs from ``basis`` in exactly
-    the shells listed in ``moved`` — and re-evaluates only the quartets
-    that touch one of those; every other block is what the full walk
-    would have recomputed, bit for bit.  ``engine`` is the
-    :class:`ERIEngine` on ``basis`` to evaluate through, for callers
-    that read its ``quartets_computed``/``class_batches`` afterwards.
+    ``engine`` is the :class:`ERIEngine` on ``basis`` to evaluate
+    through, for callers that read its ``quartets_computed``/
+    ``class_batches`` afterwards.
 
     Memory: the returned tensor, plus at peak the blocks of one class
     (all classes together hold the unique eighth of the tensor) and a
     Hermite intermediate capped at ``_TENSOR_SCRATCH`` doubles.
     """
-    if reuse is not None and screen > 0:
-        raise ValueError("eri_tensor: reuse= needs the unscreened walk "
-                         "(a screened tensor has no anchor)")
     if engine is None:
         engine = ERIEngine(basis)
     # shell pairs (i <= j), and every unique quartet of them (bra pair
@@ -230,14 +223,7 @@ def eri_tensor(basis: BasisSet, screen: float = 0.0,
         qvals = np.array([Q[i, j] for i, j in keys.tolist()])
         keep = qvals[a] * qvals[b] >= screen
         a, b = a[keep], b[keep]
-    if reuse is None:
-        eri = np.zeros((basis.nbf,) * 4)
-    else:
-        anchor, moved = reuse
-        eri = anchor.copy()
-        touched = np.isin(keys, list(moved)).any(axis=1)
-        keep = touched[a] | touched[b]
-        a, b = a[keep], b[keep]
+    eri = np.zeros((basis.nbf,) * 4)
     flat = eri.reshape(-1)
     strides = basis.nbf ** np.arange(3, -1, -1)
     for grp in engine.group_quartets(np.hstack([keys[a], keys[b]])):

@@ -59,7 +59,7 @@ def kinetic_matrix(basis: BasisSet,
         pairs = basis.shell_pairs()
     T = np.zeros((basis.nbf, basis.nbf))
     for (i, j), pair in pairs.items():
-        blk = pair.memo("_kinetic_block", kinetic_block)
+        blk = kinetic_block(pair)
         si, sj = basis.shell_slice(i), basis.shell_slice(j)
         T[si, sj] = blk
         if i != j:

@@ -35,7 +35,7 @@ def overlap_matrix(basis: BasisSet,
         pairs = basis.shell_pairs()
     S = np.zeros((basis.nbf, basis.nbf))
     for (i, j), pair in pairs.items():
-        blk = pair.memo("_overlap_block", overlap_block)
+        blk = overlap_block(pair)
         si, sj = basis.shell_slice(i), basis.shell_slice(j)
         S[si, sj] = blk
         if i != j:

@@ -544,7 +544,12 @@ class CheckpointedMD:
         from ..runtime.execconfig import resolve_execution
 
         cfg = resolve_execution(config, owner=f"{cls.__name__}.restore")
-        state, info, cfg, tr = cls._load_snapshot(checkpoint_dir, cfg)
+        return cls._revive(*cls._load_snapshot(checkpoint_dir, cfg))
+
+    @classmethod
+    def _revive(cls, state: dict, info: SnapshotInfo, cfg: ExecutionConfig
+                ) -> "CheckpointedMD":
+        """A runner of this class continuing the loaded snapshot."""
         if state.get("kind") != cls._KIND:
             raise CheckpointError(
                 f"{cls.__name__}.restore: snapshot holds "
@@ -552,6 +557,7 @@ class CheckpointedMD:
         b = cls._from_snapshot(state, cfg)
         b.set_state(state)
         b._last_saved_step = info.step
+        tr = cfg.trace
         if tr.enabled:
             tr.metrics.count("checkpoint.restores", 1)
             tr.metrics.set("checkpoint.restored_step", float(info.step))
@@ -571,13 +577,12 @@ class CheckpointedMD:
                 f"{cls.__name__}.restore: no checkpoint directory — pass "
                 f"checkpoint_dir= or set ExecutionConfig.checkpoint_dir")
         store = CheckpointStore(directory, keep=cfg.checkpoint_keep)
-        tr = cfg.trace
-        with tr.span("checkpoint.restore", cat="checkpoint"):
+        with cfg.trace.span("checkpoint.restore", cat="checkpoint"):
             state, info = store.load_latest()
         if cfg.checkpoint_dir is None:
             # keep checkpointing where we restored from
             cfg = cfg.replace(checkpoint_dir=str(directory))
-        return state, info, cfg, tr
+        return state, info, cfg
 
 
 @dataclass
@@ -677,12 +682,11 @@ def restore_md(checkpoint_dir=None, config: ExecutionConfig | None = None
     from ..runtime.execconfig import resolve_execution
 
     cfg = resolve_execution(config, owner="restore_md")
-    state, _info, _cfg, _tr = CheckpointedMD._load_snapshot(
-        checkpoint_dir, cfg)
+    state, info, cfg = CheckpointedMD._load_snapshot(checkpoint_dir, cfg)
     kind = state.get("kind")
     cls = _MD_KINDS.get(kind)
     if cls is None:
         raise CheckpointError(
             f"restore_md: snapshot holds unknown trajectory kind "
             f"{kind!r} (known: {sorted(_MD_KINDS)})")
-    return cls.restore(checkpoint_dir, config=config)
+    return cls._revive(state, info, cfg)

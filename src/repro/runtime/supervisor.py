@@ -112,6 +112,16 @@ class FaultGate:
             os._exit(1)
 
 
+def _enter(target, inherited, child, *args) -> None:
+    """First frame of every worker.  A forked child holds a copy of
+    each parent-side channel end that was open at the fork — its own
+    and its older siblings'; until every copy is closed no worker reads
+    EOF when the parent closes (or loses) its end."""
+    for end in inherited:
+        end.close()
+    target(child, *args)
+
+
 @dataclass
 class Slot:
     """One supervised worker slot.  Callers subclass it for their own
@@ -165,10 +175,14 @@ class Supervisor:
 
     def _start(self, slot: Slot) -> None:
         parent, child = self.pair()
+        # only a fork hands the child the parent's open ends
+        inherited = [parent] + [s.chan for s in self.live] \
+            if self._ctx.get_start_method() == "fork" else []
         try:
             proc = self._ctx.Process(
-                target=self.target,
-                args=(child, slot.wid, slot.gen, *self.args), daemon=True,
+                target=_enter,
+                args=(self.target, inherited, child, slot.wid, slot.gen,
+                      *self.args), daemon=True,
                 name=f"{self.death.noun.replace(' ', '-')}-{slot.wid}")
             proc.start()
         except OSError:
@@ -237,8 +251,9 @@ class Supervisor:
 
         The orderly path calls ``stop(slot)`` (the caller's polite stop
         message), joins, and only then escalates; ``force`` skips the
-        message and closes the channels first.  Returns a diagnosis for
-        each worker the orderly path found had not exited cleanly.
+        message, closes the channels and terminates without waiting for
+        an exit nobody asked for.  Returns a diagnosis for each worker
+        the orderly path found had not exited cleanly.
         """
         live = self.live
         for s in live:
@@ -251,7 +266,7 @@ class Supervisor:
                     pass
         unclean = []
         for s in live:
-            self._end(s.proc, wait_first=True)
+            self._end(s.proc, wait_first=not force)
             s.chan.close()
             if not force and s.proc.exitcode not in (0, None):
                 unclean.append(self.death(s.wid, exitcode=s.proc.exitcode))

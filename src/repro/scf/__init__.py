@@ -10,7 +10,6 @@ from .rhf import RHF, SCFResult, run_rhf
 from .ri_jk import RIJKBuilder
 from .soscf import ADIIS, EDIIS, NewtonSOSCF
 from .uhf import UHF, UHFResult, run_uhf
-from .mp2 import ao_to_mo, mp2_energy
 from .gradient import scf_gradient, nuclear_repulsion_gradient
 
 __all__ = [
@@ -23,6 +22,5 @@ __all__ = [
     "RIJKBuilder",
     "ADIIS", "EDIIS", "NewtonSOSCF",
     "UHF", "UHFResult", "run_uhf",
-    "ao_to_mo", "mp2_energy",
     "scf_gradient", "nuclear_repulsion_gradient",
 ]

@@ -343,36 +343,18 @@ class TensorJKEngine(JKEngine):
     """In-core reference engine: one materialized ERI tensor per
     geometry, J/K by dense contraction.
 
-    Across ``reset`` calls the engine keeps the last tensor it built
-    from scratch as an *anchor*.  A new basis whose shells line up with
-    the anchor's and of which at least one is unchanged (exact equality
-    of ``l``/``center``/``exps``/``coefs``, see
-    :meth:`BasisSet.moved_shells`) starts from a copy of the anchor and
-    re-evaluates only the quartets that touch a moved shell — the
-    finite-difference stencil of a force call displaces one atom at a
-    time around the anchored geometry.  Anything else (all shells moved,
-    another molecule or basis) is a full walk that becomes the new
-    anchor.  Either way ``eri`` holds exactly the doubles a fresh
-    :func:`~repro.integrals.eri.eri_tensor` would.
-
-    The same rule one level down: the new basis inherits the anchor
-    basis's :class:`~repro.basis.shellpair.ShellPair` objects for every
-    pair without a moved shell (:meth:`BasisSet.inherit_pairs`), so
-    their Hermite expansions and overlap/kinetic blocks are read, not
-    recomputed.
-
-    Memory: after a full walk the anchor *is* ``eri`` (one ``nbf^4``
-    array); after a partial one there are two; never three, and nothing
-    writes into the anchor or into an inherited pair.  A walk adds the
-    capped scratch of :func:`~repro.integrals.eri.eri_tensor` on top.
-    ``close()`` drops both tensors.
+    A new geometry is a full walk: ``reset`` lets go of the old tensor
+    and fills a fresh :func:`~repro.integrals.eri.eri_tensor`, so at
+    most one ``nbf^4`` array is alive at any time (plus the walk's
+    capped scratch).  Nothing is carried between geometries — an MD step
+    moves every shell, and what a trajectory reuses is the density.
+    ``close()`` drops the tensor.
     """
 
     def __init__(self, basis: BasisSet, config=None):
         from ..runtime.execconfig import resolve_execution
 
         self.config = resolve_execution(config, owner="TensorJKEngine")
-        self._anchor: tuple[BasisSet, np.ndarray] | None = None
         self.reset(basis)
 
     def reset(self, basis: BasisSet) -> None:
@@ -380,31 +362,13 @@ class TensorJKEngine(JKEngine):
         self.basis = basis
         engine = ERIEngine(basis)     # counts the quartets it evaluates
         self.eri = None          # the old tensor goes before the new one
-        moved = (None if self._anchor is None
-                 else basis.moved_shells(self._anchor[0]))
-        full = moved is None or len(moved) == basis.nshell
-        with tr.span("jk.tensor.build", cat="scf",
-                     mode="full" if full else "patched") as span:
-            if full:
-                self._anchor = None   # ... and so does a useless anchor
-                inherited = 0
-                self.eri = eri_tensor(basis, engine=engine)
-                self._anchor = (basis, self.eri)
-            else:
-                # the unmoved pairs are the anchor's, with everything
-                # they have cached: S and T read them after this too
-                inherited = basis.inherit_pairs(self._anchor[0], moved)
-                self.eri = eri_tensor(basis, reuse=(self._anchor[1], moved),
-                                      engine=engine)
+        with tr.span("jk.tensor.build", cat="scf") as span:
+            self.eri = eri_tensor(basis, engine=engine)
             npair = basis.nshell * (basis.nshell + 1) // 2
             self.quartets_total = npair * (npair + 1) // 2
             self.quartets_computed = engine.quartets_computed
-            stats = {
-                "quartets_computed": self.quartets_computed,
-                "quartets_reused":
-                    self.quartets_total - self.quartets_computed,
-                "class_batches": engine.class_batches,
-                "pairs_inherited": inherited}
+            stats = {"quartets_computed": self.quartets_computed,
+                     "class_batches": engine.class_batches}
             span.add(**stats)
         if tr.enabled:
             for key, n in stats.items():
@@ -416,7 +380,6 @@ class TensorJKEngine(JKEngine):
 
     def close(self) -> None:
         self.eri = None
-        self._anchor = None
 
 
 class DirectJKBuilder(JKEngine):

@@ -190,10 +190,16 @@ class JobSpec:
         if self.jk == "ri" and self.mode == "incore":
             raise ValueError("JobSpec: jk='ri' requires direct J/K "
                              "builds, not mode='incore'")
-        if self.kind == "md" and self.thermostat != "none" \
-                and self.temperature is None:
-            raise ValueError("JobSpec: a thermostat needs a temperature "
-                             "(--temperature)")
+        if self.kind == "md":
+            mult = self.molecule.get("multiplicity", 1) \
+                if isinstance(self.molecule, dict) else self.multiplicity
+            if mult != 1:
+                raise ValueError(
+                    f"JobSpec.multiplicity must be 1 for kind='md' (the "
+                    f"trajectory runs the closed-shell drivers), got {mult}")
+            if self.thermostat != "none" and self.temperature is None:
+                raise ValueError("JobSpec: a thermostat needs a "
+                                 "temperature (--temperature)")
         if self.executor == "process":
             if self.method not in ("hf", "uhf"):
                 raise ValueError(

@@ -12,13 +12,14 @@ import pytest
 from repro.basis import build_basis
 from repro.chem import builders
 from repro.integrals import ERIEngine, eri_quartet, eri_tensor
+from repro.scf import TensorJKEngine
 
 pytestmark = pytest.mark.reference
 
 MOLS = {"water": builders.water, "lih": builders.lih, "li2o2": builders.li2o2}
 
 
-def per_quartet_tensor(basis, screen=0.0, reuse=None):
+def per_quartet_tensor(basis, screen=0.0):
     """``eri_tensor`` as it was before the class batches: one
     ``eri_quartet`` call and eight slice writes per surviving quartet.
     Returns ``(eri, quartets_computed)``."""
@@ -29,20 +30,12 @@ def per_quartet_tensor(basis, screen=0.0, reuse=None):
     if screen > 0:
         Q = engine.schwarz_bounds()
         qvals = np.array([Q[key] for key in keys])
-    if reuse is None:
-        eri = np.zeros((basis.nbf,) * 4)
-    else:
-        anchor, moved = reuse
-        moved = set(moved)
-        eri = anchor.copy()
-        touched = np.array([i in moved or j in moved for i, j in keys])
+    eri = np.zeros((basis.nbf,) * 4)
     for a, (i, j) in enumerate(keys):
         if screen > 0:
             kept = np.nonzero(qvals[a] * qvals[a:] >= screen)[0] + a
-        elif reuse is None or touched[a]:
-            kept = range(a, len(keys))
         else:
-            kept = np.nonzero(touched[a:])[0] + a
+            kept = range(a, len(keys))
         si, sj = slices[i], slices[j]
         for b in kept:
             k, l = keys[b]
@@ -86,26 +79,6 @@ def test_screened_walk(case, screen):
         assert nq < nfull and not np.array_equal(ref, full)
 
 
-def test_patched_walk(case):
-    """Every one- and two-atom displacement, patched onto the anchor."""
-    mol, basis, (anchor, nfull) = case
-    anchor.flags.writeable = False
-    for atoms in [(a,) for a in range(mol.natom)] + [(0, mol.natom - 1)]:
-        coords = mol.coords.copy()
-        coords[list(atoms), 1] += 1e-3
-        displaced = build_basis(mol.with_coords(coords))
-        moved = displaced.moved_shells(basis)
-        assert 0 < len(moved) <= basis.nshell
-        ref, nq = per_quartet_tensor(displaced, reuse=(anchor, moved))
-        engine = ERIEngine(displaced)
-        got = eri_tensor(displaced, reuse=(anchor, moved), engine=engine)
-        assert np.array_equal(got, ref)
-        assert np.array_equal(got, per_quartet_tensor(displaced)[0])
-        assert engine.quartets_computed == nq <= nfull
-        if mol.natom == 4 and len(atoms) == 1:
-            assert nq == 2046
-
-
 def test_overlapping_images_of_diagonal_quartets_keep_the_last_write():
     """``(ij|ij)`` writes image 5 onto image 1 (and so on); the block is
     symmetric under that swap only up to rounding, so *which* image
@@ -125,24 +98,40 @@ def test_overlapping_images_of_diagonal_quartets_keep_the_last_write():
     assert visible          # else this test could not tell the orders apart
 
 
-def test_patched_rebuild_allocates_the_copy_plus_bounded_scratch():
-    """Memory contract of the walk: the returned tensor plus scratch
-    that does not scale with the quartet count (4 MB covers the capped
-    Hermite slab, its gathers and one class's blocks on Li2O2)."""
-    mol = builders.li2o2()
-    basis = build_basis(mol)
-    anchor = eri_tensor(basis)
+def _displaced(mol, atom):
     coords = mol.coords.copy()
-    coords[2, 0] += 1e-3
-    displaced = build_basis(mol.with_coords(coords))
-    moved = displaced.moved_shells(basis)
-    displaced.shell_pairs()               # not the walk's allocation
+    coords[atom, 0] += 1e-3
+    basis = build_basis(mol.with_coords(coords))
+    basis.shell_pairs()                   # not the walk's allocation
+    return basis
+
+
+def test_reset_sequence_never_holds_more_than_one_tensor():
+    """Memory contract of the in-core engine: ``reset`` lets go of the
+    old tensor before it fills the new one, so a reset peaks where a bare
+    ``eri_tensor`` does (the tensor plus scratch that does not scale with
+    the quartet count: 6 MB covers the capped Hermite slab, its gathers
+    and one class's blocks on Li2O2) — a second live tensor would show
+    as one more ``nbf^4``."""
+    mol = builders.li2o2()
+    slack = 1 << 18
     tracemalloc.start()
     try:
+        basis = _displaced(mol, 1)
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        eri = eri_tensor(displaced, reuse=(anchor, moved))
-        peak = tracemalloc.get_traced_memory()[1] - before
+        nbytes = eri_tensor(basis).nbytes
+        bare = tracemalloc.get_traced_memory()[1] - before
+        assert nbytes <= bare <= nbytes + (6 << 20)
+        engine = TensorJKEngine(build_basis(mol))
+        for atom in (2, 0):
+            basis = _displaced(mol, atom)
+            held = tracemalloc.get_traced_memory()[0]   # counts the old one
+            tracemalloc.reset_peak()
+            engine.reset(basis)
+            assert tracemalloc.get_traced_memory()[1] - held \
+                <= bare - nbytes + slack
+        engine.close()
+        assert tracemalloc.get_traced_memory()[0] <= held - nbytes + slack
     finally:
         tracemalloc.stop()
-    assert eri.nbytes <= peak <= eri.nbytes + (4 << 20)

@@ -404,7 +404,13 @@ def test_restore_md_dispatches_on_snapshot_kind(tmp_path):
     ClassicalMD(builders.water(), dt_fs=0.5, config=cfg3).run(2)
 
     assert type(restore_md(str(tmp_path / "bomd"))) is BOMD
-    assert type(restore_md(str(tmp_path / "mts"))) is MTSBOMD
+    # ... from one read of the snapshot, not one to learn its kind and
+    # another inside the class's own restore
+    tr = Tracer()
+    assert type(restore_md(str(tmp_path / "mts"),
+                           ExecutionConfig(tracer=tr))) is MTSBOMD
+    assert [s.name for s in tr.spans].count("checkpoint.restore") == 1
+    assert tr.metrics.get("checkpoint.restores") == 1
     assert type(restore_md(str(tmp_path / "classical"))) is ClassicalMD
     # the class-specific entrypoints still refuse foreign snapshots
     with pytest.raises(CheckpointError, match="mts_bomd"):

@@ -158,6 +158,100 @@ def test_shutdown_is_idempotent_and_reports_unclean_exits(pair, started):
     assert not any(s.alive for s in sup.slots)
 
 
+@PAIRS
+def test_closing_the_parent_end_reads_as_eof_in_the_child(pair, started):
+    """A forked child holds a copy of every parent-side end open at its
+    fork — its own and its older siblings'.  Unless it closes them, no
+    worker ever reads EOF: not when the parent closes a channel, not
+    when the parent is gone."""
+    sup = Supervisor(3, _child, ("echo",), pair=pair, timeout=5.0)
+    for slot in sup.slots:
+        slot.chan.close()
+        slot.proc.join(2.0)
+        assert slot.proc.exitcode == 0
+    sup.shutdown(force=True)
+
+
+@PAIRS
+def test_forced_shutdown_does_not_wait_out_the_grace(pair, started):
+    sup = Supervisor(3, _child, ("silent",), pair=pair)   # EOF-blind
+    t0 = time.monotonic()
+    assert sup.shutdown(force=True) == []
+    assert time.monotonic() - t0 < 1.0
+    assert [p.exitcode for p in started] == [-signal.SIGTERM] * 3
+
+
+def test_forced_pool_close_is_immediate(water_basis):
+    """The degrade path (``PoolLease._degrade``, retry-budget exhaustion,
+    ``__del__``): it used to cost one 5 s grace per worker."""
+    from repro.runtime.pool import ExchangeWorkerPool
+
+    pool = ExchangeWorkerPool(water_basis, nworkers=3)
+    procs = [s.proc for s in pool._sup.slots]
+    t0 = time.monotonic()
+    pool.close(force=True)
+    assert time.monotonic() - t0 < 1.0
+    assert not any(p.is_alive() for p in procs)
+
+
+def _hold_pool(conn, _tmp):
+    from repro.basis import build_basis
+    from repro.chem import builders
+    from repro.runtime.pool import ExchangeWorkerPool
+
+    pool = ExchangeWorkerPool(build_basis(builders.water()), nworkers=2)
+    conn.send([s.proc.pid for s in pool._sup.slots])
+    time.sleep(60.0)
+
+
+def _hold_lanes(conn, tmp):
+    from repro.service import CampaignService
+    from repro.service.transport import ProcessLaneTransport
+
+    svc = CampaignService(tmp)
+    lanes = ProcessLaneTransport(svc, 2, svc.config)
+    conn.send([s.proc.pid for s in lanes._sup.slots])
+    time.sleep(60.0)
+
+
+def _gone(pid):
+    """Exited (a zombie nobody reaped yet counts)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.parametrize("hold", [
+    _hold_pool, pytest.param(_hold_lanes, marks=pytest.mark.transport)])
+def test_workers_do_not_outlive_a_sigkilled_parent(hold, tmp_path):
+    """No ``stop``, no ``atexit``: the only thing a SIGKILLed owner
+    leaves its workers is EOF on their channel."""
+    ctx = mp.get_context("fork")
+    here, there = ctx.Pipe()
+    owner = ctx.Process(target=hold, args=(there, tmp_path))
+    owner.start()
+    there.close()
+    pids = []
+    try:
+        assert here.poll(30.0)
+        pids = here.recv()
+        assert len(pids) == 2 and not any(_gone(pid) for pid in pids)
+        owner.kill()
+        owner.join(10.0)
+        deadline = time.monotonic() + 2.0
+        while not all(map(_gone, pids)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert all(map(_gone, pids))
+    finally:
+        owner.kill()
+        for pid in pids:
+            if not _gone(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
 def test_owners_guard_their_initial_spawn(started, water_basis, tmp_path):
     """Pool and lanes both construct through the supervisor, so a fork
     refused half-way leaks neither's first children."""

@@ -3,6 +3,7 @@ worker-death requeue, hang detection, degradation, parity vs local."""
 
 import functools
 import io
+import time
 import warnings
 
 import pytest
@@ -299,6 +300,33 @@ def test_protocol_violation_takes_the_death_path(tmp_path, monkeypatch,
     assert c["service.requeued_jobs"] == 1
     assert c["service.worker_respawns"] == 1
     assert report["jobs"][0]["attempts"] == 1
+
+
+def test_hanging_up_on_live_lanes_does_not_wait_out_the_grace(
+        tmp_path, monkeypatch):
+    """Both lanes break the protocol while alive and the budget allows
+    no respawn: each reap hangs up on a worker that now reads EOF and
+    leaves at once (it used to sit out one 5 s grace per lane), the
+    drain degrades, and ``close()`` has nothing left to wait for."""
+    monkeypatch.setattr(transport, "_lane_worker_main",
+                        functools.partial(_rogue_lane, reply=_wrong_job))
+    svc = CampaignService(tmp_path,
+                          config=ExecutionConfig(pool_max_retries=0),
+                          max_retries=3)
+    svc.submit(H2_SCF)
+    svc.submit(LIH_SCF)
+    lanes = ProcessLaneTransport(svc, 2, svc.config)
+    procs = [s.proc for s in lanes._sup.slots]
+    t0 = time.monotonic()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lanes.drain()
+    t1 = time.monotonic()
+    assert any("degrading" in str(w.message) for w in caught)
+    lanes.close()
+    assert time.monotonic() - t1 < 1.0 and t1 - t0 < 3.0
+    assert [p.exitcode for p in procs] == [0, 0]
+    assert not svc._has_pending()
 
 
 def test_heartbeat_must_undercut_the_timeout(tmp_path, monkeypatch):

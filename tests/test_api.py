@@ -147,3 +147,99 @@ def test_run_md_mts_checkpoint_resume_bit_identical(tmp_path):
     assert second["md"]["restored_from"] == 2
     assert second["md"]["mts_outer"] == 2
     assert second["final"] == whole["final"]
+
+
+# --- every hashed field reaches the route that runs it ------------------------
+
+#: field -> (base overrides, changed value): a spec on which the field
+#: bites, and another value for it.
+_HASHED = {
+    "molecule": ({}, "lih"),
+    "basis": ({}, "3-21g"),
+    "method": ({}, "pbe"),
+    "charge": ({"molecule": "lih"}, 2),
+    "multiplicity": ({}, 3),
+    "perturb": ({}, 0.05),
+    "perturb_seed": ({"perturb": 0.05}, 1),
+    "conv_tol": ({"molecule": "lih"}, 1e-3),
+    "screen_eps": ({"molecule": "lih", "mode": "direct"}, 1e-2),
+    "kernel": ({"mode": "direct"}, "batched"),
+    "scf_solver": ({"molecule": "lih"}, "soscf"),
+    "mode": ({"method": "pbe0"}, "direct"),
+    "steps": ({}, 3),
+    "dt_fs": ({}, 0.25),
+    "temperature": ({}, 500.0),
+    "thermostat": ({}, "berendsen"),
+    "tau_fs": ({"thermostat": "berendsen"}, 10.0),
+    "seed": ({}, 1),
+    "mts_outer": ({}, 2),
+    "mts_inner": ({"mts_outer": 2}, "lda"),
+    "mts_aspc_order": ({"mts_outer": 2, "steps": 4}, None),
+}
+
+
+def _observed(spec):
+    """What tells two runs apart: the numbers they return (not the
+    envelope's echo of the spec), the program's own counters and which
+    spans it opened — minus wall-clock."""
+    from repro.runtime import Tracer
+
+    tracer = Tracer()
+    out = api.run_job(spec, api._config_for(spec, None).replace(
+        tracer=tracer))
+    result = out["final"] if spec.kind == "md" else \
+        {k: v for k, v in out["scf"].items() if k != "wall_s"}
+    return (result, tracer.metrics.to_dict(),
+            sorted({s.name for s in tracer.spans}))
+
+
+def _hashed_cases():
+    from repro.service.jobspec import _EXECUTION_FIELDS, _MD_FIELDS
+
+    for kind in ("scf", "md"):
+        for field in JobSpec.__dataclass_fields__:
+            if field == "kind" or field in _EXECUTION_FIELDS \
+                    or (kind == "scf" and field in _MD_FIELDS):
+                continue
+            yield pytest.param(kind, field, id=f"{kind}-{field}")
+
+
+@pytest.mark.parametrize("kind,field", _hashed_cases())
+def test_no_hashed_field_is_silently_ignored(kind, field):
+    """A field in the ``canonical_key()`` payload either changes what
+    runs (result or counters) or is refused with its name: two specs
+    with different cache keys must not be the same computation."""
+    overrides, value = _HASHED[field]
+    base = JobSpec(**{"kind": kind, "molecule": "h2", "steps": 2,
+                      "temperature": 300.0, **overrides})
+    try:
+        changed = base.replace(**{field: value})
+    except ValueError as refusal:
+        assert field in str(refusal)
+        return
+    assert changed.canonical_key() != base.canonical_key()
+    seen = _observed(base)
+    assert _observed(changed) != seen
+    assert _observed(base) == seen                  # the probe is stable
+
+
+def test_kohn_sham_honours_mode_and_screen():
+    """The RKS branch used to drop ``mode``/``screen_eps``: a direct
+    spec ran the in-core tensor under a key that said otherwise."""
+    _, counters, spans = _observed(JobSpec(
+        molecule="lih", method="pbe0", mode="direct", screen_eps=1e-4))
+    assert counters["jk.builds"] > 0 and "jk.build" in spans
+    assert not any(k.startswith("jk.tensor.") for k in counters)
+
+
+def test_md_slices_keep_the_specs_scf_numerics(tmp_path):
+    """A revived runner gets ``conv_tol``/``screen_eps``/``mode`` from
+    the spec again (no snapshot carries them): sliced == straight."""
+    spec = JobSpec(kind="md", molecule="lih", steps=3, temperature=300.0,
+                   conv_tol=1e-5, mode="direct", screen_eps=1e-6)
+    cfg = ExecutionConfig(checkpoint_dir=str(tmp_path / "ck"))
+    api.run_md(spec, cfg, until_step=1)
+    sliced = api.run_md(spec, cfg)
+    assert sliced["md"]["restored_from"] == 1
+    assert sliced["final"] == api.run_md(spec)["final"]
+    assert sliced["final"] != api.run_md(spec.replace(conv_tol=1e-8))["final"]

@@ -71,11 +71,11 @@ def test_one_scf_run_span_per_kohn_sham_scf(water):
 
 
 def test_tensor_engine_reaches_eri_tensor_through_the_wrapped_call(water):
-    """A patched (reused-anchor) build must still go through the
-    module-level ``eri_tensor`` the harness wraps, or
-    ``integrals.eri_tensor.self_s`` would stop accounting for the wall.
-    The harness's quartet count is computed from the shell count, so it
-    cannot see the reuse — the engine's own counter does."""
+    """Every engine build must go through the module-level
+    ``eri_tensor`` the harness wraps, or ``integrals.eri_tensor.self_s``
+    would stop accounting for the wall.  The harness's quartet count is
+    computed from the shell count; a build is a full walk, so it equals
+    the engine's own counter."""
     from repro.basis import build_basis
     from repro.scf import TensorJKEngine
 
@@ -91,4 +91,4 @@ def test_tensor_engine_reaches_eri_tensor_through_the_wrapped_call(water):
     assert leftover_wrappers() == []
     assert [s[0] for s in tracer.spans].count("integrals.eri_tensor") == 2
     assert tracer.counts["integrals.eri_tensor.quartets"] == 2 * 120
-    assert engine.quartets_computed < engine.quartets_total == 120
+    assert engine.quartets_computed == engine.quartets_total == 120

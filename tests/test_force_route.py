@@ -34,11 +34,15 @@ def reference():
 def test_bench_md_specs_still_hash_to_the_recorded_keys(reference):
     """No hashed field was added for the force route, so the reference
     entries recorded at 25 SCFs per force are not stale."""
-    _scf, md = workloads.pool_specs()
+    scf, md = workloads.pool_specs()
     assert len(md) == 24
     for spec in md:
         entry = reference["md"][workloads.md_label(spec)]
         assert entry["key"] == spec.canonical_key(), workloads.md_label(spec)
+    assert len(scf) == len(reference["scf"]) == 192
+    for spec in scf:
+        assert reference["scf"][spec.label]["key"] == \
+            workloads.reference_spec(spec).canonical_key(), spec.label
 
 
 def test_lih_smoke_trajectory_is_within_bench_tolerance_of_the_fd_record(
@@ -78,25 +82,58 @@ def test_one_force_engine_class_over_scf_energies():
                          "md/integrator.py:ForceEngine"}
 
 
-def test_no_per_quartet_derivative_route_or_force_switch_under_src():
-    gone = {"eri_gradient_quartet", "AnalyticSCFForceEngine",
-            "analytic_forces", "rhf_gradient", "gradient_block_1e"}
+def _identifiers(tree):
+    """Every name a module defines, reads, imports, takes as a parameter
+    or passes as a keyword."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+    return names
+
+
+def _assert_gone(gone):
     for path, tree in _trees():
-        names = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names.add(node.name)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.rpartition(".")[2])
-            elif isinstance(node, ast.arg):
-                names.add(node.arg)
-            elif isinstance(node, ast.keyword) and node.arg:
-                names.add(node.arg)
-        assert not names & gone, f"{path}: {sorted(names & gone)}"
+        found = _identifiers(tree) & gone
+        assert not found, f"{path}: {sorted(found)}"
+
+
+def test_no_per_quartet_derivative_route_or_force_switch_under_src():
+    _assert_gone({"eri_gradient_quartet", "AnalyticSCFForceEngine",
+                  "analytic_forces", "rhf_gradient", "gradient_block_1e"})
+
+
+def test_no_geometry_delta_reuse_layer_under_src():
+    """A new geometry is a full walk: no anchor tensor, no patched walk,
+    no moved-shell diff, no inherited or memoizing shell pairs."""
+    _assert_gone({"reuse", "moved_shells", "inherit_pairs", "inherit",
+                  "memo", "_anchor", "quartets_reused", "pairs_inherited"})
+
+
+def test_eri_tensor_keeps_the_signature_the_bench_hook_reads():
+    """``bench/layers.py`` wraps ``eri_tensor`` and reads ``args[0]`` and
+    ``screen``; the walk and the pair table take nothing else but the
+    engine to count on."""
+    import inspect
+
+    from repro.basis.shellpair import build_shell_pairs
+    from repro.integrals.eri import eri_tensor
+
+    params = inspect.signature(eri_tensor).parameters
+    assert list(params) == ["basis", "screen", "engine"]
+    assert params["screen"].default == 0.0
+    assert list(inspect.signature(build_shell_pairs).parameters) == \
+        ["shells", "threshold"]
 
 
 def test_bomd_takes_no_force_route_argument():
