@@ -2,7 +2,7 @@
 two-electron integrals, Cauchy-Schwarz screening."""
 
 from .boys import boys, boys_single
-from .mcmurchie import hermite_e, hermite_r, hermite_r_tri, gaussian_product
+from .mcmurchie import hermite_e, hermite_r_tri, gaussian_product
 from .overlap import overlap_matrix, overlap_block
 from .kinetic import kinetic_matrix, kinetic_block
 from .nuclear import nuclear_matrix, nuclear_block
@@ -18,7 +18,7 @@ from .gradients import (DerivativePairs, overlap_gradient,
 
 __all__ = [
     "boys", "boys_single",
-    "hermite_e", "hermite_r", "hermite_r_tri", "gaussian_product",
+    "hermite_e", "hermite_r_tri", "gaussian_product",
     "overlap_matrix", "overlap_block",
     "kinetic_matrix", "kinetic_block",
     "nuclear_matrix", "nuclear_block",

@@ -5,7 +5,7 @@ recursion, the Boys evaluation, and the contraction GEMMs are set up
 once per *angular-momentum class* and streamed over many primitive
 quartets in short-vector registers.  The per-quartet Python analogue
 (:func:`repro.integrals.eri.eri_quartet`) re-pays that setup — numpy
-dispatch, ``hermite_r`` slab allocation, GEMM planning — for every
+dispatch, Hermite slab allocation, GEMM planning — for every
 single shell quartet, which dominates every wall-clock benchmark.
 
 This module restores the paper's structure in numpy terms:
@@ -45,14 +45,18 @@ __all__ = ["eri_quartet_batch", "quartet_class_groups", "flatten_pairs",
 
 _TWO_PI_POW = 2.0 * np.pi ** 2.5
 
-# Default ceiling on the element count of the Hermite intermediate
-# ((L+1)^4 * nprim_quartets doubles) of one batched evaluation; classes
-# larger than this are processed in chunks.  16M doubles = 128 MB is a
-# memory bound, not a cache size: it lets a direct build amortize setup
-# over hundreds-to-thousands of quartets per call, and the slab is
-# transient.  A caller that must not raise the process's peak (the
-# in-core tensor walk) passes its own, much smaller ``max_elements``.
-MAX_BATCH_ELEMENTS = 1 << 24
+# Default ceiling, in doubles, on what the R stage of one batched
+# evaluation allocates: per primitive quartet the (L+1)^4 Hermite box
+# plus ``_STAGE_ROW_EXTRA`` vectors of the same length (Boys rows, the
+# Taylor gather, exponent/centre/prefactor temporaries) — at L = 0 those
+# vectors *are* the stage.  Classes larger than this are processed in
+# chunks.  2M doubles = 16 MB is a memory bound, not a cache size: it
+# still amortizes setup over hundreds-to-thousands of quartets per call,
+# and a transient slab stays resident under a non-trimming allocator, so
+# it counts in full against the process peak.  A caller with a tighter
+# budget (the in-core tensor walk) passes its own ``max_elements``.
+MAX_BATCH_ELEMENTS = 1 << 21
+_STAGE_ROW_EXTRA = 24
 
 
 def flatten_pairs(pairs) -> np.ndarray:
@@ -171,8 +175,9 @@ def eri_quartet_batch(bra_pairs, ket_pairs,
         ``(lc, ld, nc, nd)`` signature (one *L-class*), which is what
         makes every intermediate a rectangular array.
     max_elements:
-        Memory ceiling for the Hermite intermediate; oversized batches
-        are evaluated in chunks (transparent to the caller).
+        Memory ceiling, in doubles, for the R stage (Hermite box, Boys
+        rows and geometry temporaries); oversized batches are evaluated
+        in chunks (transparent to the caller, bit for bit).
 
     Returns
     -------
@@ -271,7 +276,8 @@ def _eri_class_batch(ubra, bra_ids, uket, ket_ids,
     l1_u = _bra_layout(lam1_u)
     l2t_u = _ket_layout(lam2_u)
     out = np.empty((nq, nA, nB, nC, nD))
-    chunk = max(1, int(max_elements // ((L + 1) ** 4 * nab * ncd)))
+    chunk = max(1, int(max_elements // (((L + 1) ** 4 + _STAGE_ROW_EXTRA)
+                                        * nab * ncd)))
     for lo in range(0, nq, chunk):
         s = slice(lo, min(lo + chunk, nq))
         b, k = bra_ids[s], ket_ids[s]

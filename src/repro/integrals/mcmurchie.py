@@ -4,9 +4,9 @@ Two building blocks:
 
 * :func:`hermite_e` — expansion coefficients E_t^{ij} that express a
   product of two 1-D Cartesian Gaussians as a sum of Hermite Gaussians;
-* :func:`hermite_r` / :func:`hermite_r_tri` — the Hermite Coulomb
-  integrals R_{tuv} built on the Boys function (one recursion body; the
-  triangular form carries only the auxiliary orders ``t+u+v <= L`` reads).
+* :func:`hermite_r_tri` — the Hermite Coulomb integrals R_{tuv} built on
+  the Boys function, recursed over exactly the auxiliary orders and
+  index slabs that entries with ``t+u+v <= L`` can reach.
 
 Both are vectorized over an arbitrary trailing axis of primitive
 (pair/quartet) data, so a whole contracted shell pair is expanded in a
@@ -20,7 +20,7 @@ import numpy as np
 
 from .boys import boys
 
-__all__ = ["hermite_e", "hermite_r", "hermite_r_tri", "gaussian_product"]
+__all__ = ["hermite_e", "hermite_r_tri", "gaussian_product"]
 
 
 def gaussian_product(a: np.ndarray, A: np.ndarray, b: np.ndarray,
@@ -100,102 +100,74 @@ def hermite_e(la: int, lb: int, a: np.ndarray, b: np.ndarray,
     return E[:, :, : la + lb + 1]
 
 
-def _coulomb_recursion(tmax: int, umax: int, vmax: int, norder: int,
-                       boys_order: int, p: np.ndarray,
-                       PQ: np.ndarray) -> np.ndarray:
-    """The one Hermite Coulomb recursion body behind :func:`hermite_r`
-    and :func:`hermite_r_tri`.
-
-    Carries ``norder + 1`` auxiliary orders of a Boys table recursed
-    down from ``boys_order >= norder``; an entry at order ``o`` is exact
-    whenever ``o + t + u + v <= norder`` (each step consumes one order).
-    Every operation is elementwise, so an entry's bits depend only on
-    ``boys_order`` and its own ``(t, u, v)`` — never on how many orders
-    or slabs ride along.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    PQ = np.asarray(PQ, dtype=np.float64)
-    n = p.shape[0]
-    T = p * (PQ * PQ).sum(axis=1)
-    F = boys(boys_order, T)                       # (boys_order+1, n)
-    # R^(order)_{000} = (-2p)^order F_order(T)
-    minus2p = -2.0 * p
-    base = np.empty((norder + 1, n))
-    pw = np.ones(n)
-    for order in range(norder + 1):
-        base[order] = pw * F[order]
-        pw = pw * minus2p
-    # R[order, t, u, v, n]; build up t, then u, then v, consuming one
-    # auxiliary order per step.  Each step is a whole-slab vector
-    # operation (all lower indices at once) — extra entries beyond the
-    # order budget are computed but never read, which is far cheaper in
-    # numpy than index-exact triple loops.
-    R = np.zeros((norder + 1, tmax + 1, umax + 1, vmax + 1, n))
-    R[:, 0, 0, 0] = base
-    X, Y, Z = PQ[:, 0], PQ[:, 1], PQ[:, 2]
-    hi = norder + 1
-    for t in range(1, tmax + 1):
-        acc = X * R[1:hi, t - 1, 0, 0]
-        if t > 1:
-            acc += (t - 1) * R[1:hi, t - 2, 0, 0]
-        R[: hi - 1, t, 0, 0] = acc
-    for u in range(1, umax + 1):
-        acc = Y * R[1:hi, :, u - 1, 0]
-        if u > 1:
-            acc += (u - 1) * R[1:hi, :, u - 2, 0]
-        R[: hi - 1, :, u, 0] = acc
-    for v in range(1, vmax + 1):
-        acc = Z * R[1:hi, :, :, v - 1]
-        if v > 1:
-            acc += (v - 1) * R[1:hi, :, :, v - 2]
-        R[: hi - 1, :, :, v] = acc
-    return R[0]
-
-
-def hermite_r(tmax: int, umax: int, vmax: int, p: np.ndarray,
-              PQ: np.ndarray) -> np.ndarray:
-    """Hermite Coulomb integrals R_{tuv}(p, PQ), the full box.
+def hermite_r_tri(L: int, p: np.ndarray, PQ: np.ndarray,
+                  boys_order: int | None = None) -> np.ndarray:
+    """Hermite Coulomb integrals R_{tuv}(p, PQ) for ``t + u + v <= L``.
 
     Parameters
     ----------
-    tmax, umax, vmax:
-        Maximum Hermite orders per dimension.
+    L:
+        Highest total Hermite order a caller gathers.
     p:
         Combined exponents, shape ``(n,)`` (for ERIs this is the reduced
         exponent ``alpha = p*q/(p+q)``; for nuclear attraction it is
         ``p`` itself).
     PQ:
         Displacement vectors, shape ``(n, 3)``.
+    boys_order:
+        The order the Boys table is recursed down from, ``>= L``
+        (default ``L``, what the batched engine uses: a ~3x shorter Boys
+        recursion).  The per-quartet reference kernels pass ``3 * L``:
+        their ``F_0..F_L`` then carry the rounding of the downward
+        recursion from ``3L`` that the full ``(L, L, L)`` box performs,
+        so every triangle entry is bit-identical to that box (the oracle
+        in ``tests/integrals/hermite_oracle.py``).
 
     Returns
     -------
-    ``R`` of shape ``(tmax+1, umax+1, vmax+1, n)`` — the n = 0 auxiliary
-    level of the standard recursion, every entry exact.
-    """
-    L = tmax + umax + vmax
-    return _coulomb_recursion(tmax, umax, vmax, L, L, p, PQ)
-
-
-def hermite_r_tri(L: int, p: np.ndarray, PQ: np.ndarray,
-                  boys_order: int | None = None) -> np.ndarray:
-    """Hermite Coulomb integrals R_{tuv} for the triangle ``t+u+v <= L``.
-
-    Same recursion as :func:`hermite_r`, but the auxiliary-order axis is
-    sized ``L + 1`` instead of ``3L + 1``: the integral kernels only ever
-    read entries with ``t + u + v <= L``, which consume at most ``L``
-    auxiliary orders.  Entries outside the triangle are computed but hold
-    unspecified (finite) values — callers must only gather reachable
-    ``(t, u, v)`` triples.
-
-    ``boys_order`` is the order the Boys table is recursed down from
-    (default ``L``, what the batched engine uses: a ~3x shorter Boys
-    recursion).  The per-quartet reference kernels pass ``3 * L``: their
-    ``F_0..F_L`` then carry the rounding of the downward recursion from
-    ``3L`` that ``hermite_r(L, L, L, ...)`` performs, so every triangle
-    entry is bit-identical to the full box at a third of the slabs.
-
-    Returns ``R`` of shape ``(L+1, L+1, L+1, n)``.
+    ``R`` of shape ``(L+1, L+1, L+1, n)``.  The standard recursion raises
+    ``t``, then ``u``, then ``v``, each step consuming one of ``L + 1``
+    auxiliary orders ``R^(o)_{000} = (-2p)^o F_o(T)``; step ``k`` of an
+    index is one whole-slab vector operation over the orders and lower
+    indices below ``L + 1 - k`` — all that entries with
+    ``o + t + u + v <= L`` can still reach.  Entries with
+    ``t + u + v > L`` are outside the contract (zero, or partial sums of
+    that slab rule).  Every operation is elementwise, so an entry's bits
+    depend only on ``boys_order`` and its own ``(t, u, v)`` — never on
+    what else rides in the call.
     """
     if boys_order is None:
         boys_order = L
-    return _coulomb_recursion(L, L, L, L, boys_order, p, PQ)
+    p = np.asarray(p, dtype=np.float64)
+    PQ = np.asarray(PQ, dtype=np.float64)
+    n = p.shape[0]
+    X, Y, Z = PQ[:, 0], PQ[:, 1], PQ[:, 2]
+    # (x^2 + y^2) + z^2: the bits of ``(PQ * PQ).sum(axis=1)`` without a
+    # length-3 reduction per primitive
+    F = boys(boys_order, p * (X * X + Y * Y + Z * Z))  # (boys_order+1, n)
+    # R[order, t, u, v, n]
+    R = np.zeros((L + 1, L + 1, L + 1, L + 1, n))
+    minus2p = -2.0 * p
+    pw = np.ones(n)
+    for order in range(L + 1):
+        R[order, 0, 0, 0] = pw * F[order]
+        pw = pw * minus2p
+    for t in range(1, L + 1):
+        hi = L + 1 - t
+        acc = X * R[1:hi + 1, t - 1, 0, 0]
+        if t > 1:
+            acc += (t - 1) * R[1:hi + 1, t - 2, 0, 0]
+        R[:hi, t, 0, 0] = acc
+    for u in range(1, L + 1):
+        hi = L + 1 - u
+        acc = Y * R[1:hi + 1, :hi, u - 1, 0]
+        if u > 1:
+            acc += (u - 1) * R[1:hi + 1, :hi, u - 2, 0]
+        R[:hi, :hi, u, 0] = acc
+    for v in range(1, L + 1):
+        hi = L + 1 - v
+        acc = Z * R[1:hi + 1, :hi, :hi, v - 1]
+        if v > 1:
+            acc += (v - 1) * R[1:hi + 1, :hi, :hi, v - 2]
+        R[:hi, :hi, :hi, v] = acc
+    return R[0]

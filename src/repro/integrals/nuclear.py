@@ -29,12 +29,16 @@ def nuclear_block(pair: ShellPair, charges: np.ndarray,
     L = pair.lab
     pref = 2.0 * np.pi / pair.p        # (nprim,)
     out = np.zeros(lam.shape[:2])
-    for zc, C in zip(charges, centers):
-        PC = pair.P - C[None, :]
-        # same bits as the full box on every t+u+v <= L entry (see eri_quartet)
-        R = hermite_r_tri(L, pair.p, PC, boys_order=3 * L)
-        Rh = R[idx[:, 0], idx[:, 1], idx[:, 2]]  # (nherm, nprim)
-        out -= zc * np.einsum("xyhn,hn,n->xy", lam, Rh, pref)
+    nc = len(charges)
+    # one Hermite table over all nuclei (the recursion is elementwise);
+    # same bits as the full box on every t+u+v <= L entry (see eri_quartet)
+    PC = (pair.P[None, :, :] - centers[:, None, :]).reshape(-1, 3)
+    R = hermite_r_tri(L, np.tile(pair.p, nc), PC, boys_order=3 * L)
+    Rh = np.ascontiguousarray(               # (nc, nherm, nprim)
+        R[idx[:, 0], idx[:, 1], idx[:, 2]].reshape(len(idx), nc, pair.nprim)
+        .swapaxes(0, 1))
+    for c in range(nc):
+        out -= charges[c] * np.einsum("xyhn,hn,n->xy", lam, Rh[c], pref)
     return out
 
 

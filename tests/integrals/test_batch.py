@@ -15,9 +15,11 @@ import pytest
 from repro.basis import build_basis
 from repro.chem import builders
 from repro.integrals import (ERIEngine, eri_quartet, eri_quartet_batch,
-                             flatten_pairs, hermite_r, hermite_r_tri,
+                             flatten_pairs, hermite_r_tri,
                              quartet_class_groups)
-from repro.integrals.batch import MAX_BATCH_ELEMENTS, _eri_class_batch
+from repro.integrals.batch import _eri_class_batch
+
+from .hermite_oracle import hermite_r
 
 TOL = 1e-12
 
@@ -91,11 +93,11 @@ def class_groups(request):
 
 
 @pytest.mark.reference
-@pytest.mark.parametrize("max_elements", [1, 1024, MAX_BATCH_ELEMENTS])
+@pytest.mark.parametrize("max_elements", [1, 1024, 1 << 24])
 def test_boys_from_3L_is_the_per_quartet_kernel_bit_for_bit(class_groups,
                                                             max_elements):
     """``max_elements=1`` is one quartet per chunk, 1024 puts chunk
-    boundaries inside every class."""
+    boundaries inside every class, ``1 << 24`` holds every class whole."""
     for L, ubra, bra_ids, uket, ket_ids, ref in class_groups:
         blocks = _eri_class_batch(ubra, bra_ids, uket, ket_ids,
                                   max_elements, boys_order=3 * L)
@@ -114,6 +116,9 @@ def test_default_boys_order_is_L_and_close_not_bitwise(class_groups):
         blocks = _eri_class_batch(ubra, bra_ids, uket, ket_ids)
         assert np.array_equal(blocks, _eri_class_batch(
             ubra, bra_ids, uket, ket_ids, boys_order=L))
+        # one quartet per chunk
+        assert np.array_equal(blocks, _eri_class_batch(
+            ubra, bra_ids, uket, ket_ids, max_elements=1))
         assert np.abs(blocks - ref).max() < TOL
         differs = differs or not np.array_equal(blocks, ref)
     assert differs
@@ -182,3 +187,29 @@ def test_batch_input_validation(dimer_basis):
         eri_quartet_batch([], [])
     assert quartet_class_groups(dimer_basis.shells,
                                 np.empty((0, 4), dtype=np.int64)) == []
+
+
+@pytest.mark.reference
+def test_class_batch_scratch_stays_under_its_ceiling():
+    """``max_elements`` bounds the whole R stage, not the Hermite box
+    alone: at L = 0 the box is one double per primitive quartet while
+    the stage makes two dozen vectors of that length (sized by the box
+    only, this call peaked at ~15 MB against the 1 MB it was given)."""
+    import tracemalloc
+
+    engine = ERIEngine(build_basis(builders.water_cluster(4), "sto-3g"))
+    idx = np.asarray(_all_quartets(engine), dtype=np.int64)
+    grp = next(g for g in engine.group_quartets(idx)
+               if not any(engine.basis.shells[s].l for s in g[0]))
+    assert len(grp) >= 9000
+    max_elements = 1 << 17
+    # first call: pair lambdas and the Boys table, cached, not scratch
+    engine._class_batch(grp, max_elements=max_elements)
+    tracemalloc.start()
+    try:
+        blocks = engine._class_batch(grp, max_elements=max_elements)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert blocks.shape == (len(grp), 1, 1, 1, 1)
+    assert peak <= 8 * max_elements * 1.25

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.integrals.mcmurchie import (gaussian_product, hermite_e, hermite_r,
+from repro.integrals.mcmurchie import (gaussian_product, hermite_e,
                                        hermite_r_tri)
 from repro.integrals.boys import boys
+
+from .hermite_oracle import coulomb_recursion, hermite_r
 
 
 def test_gaussian_product_center():
@@ -103,20 +105,30 @@ def test_triangular_recursion_from_3L_is_the_cubic_one_bit_for_bit(L):
     """What the per-quartet reference kernels rely on (L <= 4 for the
     s/p/d quartets, L + 1 in the nuclear-attraction gradient): with the
     Boys table recursed down from 3L, every reachable entry of the
-    (L+1)-order triangle carries the bits of the (3L+1)-order box."""
+    order-exact triangle carries the bits of the (3L+1)-order box; from
+    L (the batched engine's default) those of the whole-slab recursion
+    over L + 1 orders — for one primitive as for a batch."""
     rng = np.random.default_rng(L)
-    n = 37
-    p = rng.uniform(0.05, 40.0, n)
-    PQ = rng.normal(scale=1.5, size=(n, 3))
-    PQ[:3] = 0.0                     # T = 0: the Taylor branch of boys()
-    PQ[3] *= 1e-8
-    box = hermite_r(L, L, L, p, PQ)
-    tri = hermite_r_tri(L, p, PQ, boys_order=3 * L)
-    assert tri.shape == box.shape == (L + 1, L + 1, L + 1, n)
     idx = np.array([(t, u, v) for t in range(L + 1) for u in range(L + 1 - t)
                     for v in range(L + 1 - t - u)])
     t, u, v = idx.T
-    assert np.array_equal(tri[t, u, v], box[t, u, v])
-    # the batched engine's default (Boys from L) is a different rounding
-    short = hermite_r_tri(L, p, PQ)
-    assert np.allclose(short[t, u, v], box[t, u, v], rtol=1e-10, atol=1e-300)
+    for n in (1, 257):
+        p = rng.uniform(0.05, 40.0, n)
+        PQ = rng.normal(scale=1.5, size=(n, 3))
+        if n > 1:
+            PQ[:3] = 0.0                 # T = 0
+            PQ[3] *= 1e-8
+            PQ[4:8] *= 6.0               # past the Boys switch point
+        box = hermite_r(L, L, L, p, PQ)
+        tri = hermite_r_tri(L, p, PQ, boys_order=3 * L)
+        assert tri.shape == box.shape == (L + 1, L + 1, L + 1, n)
+        assert np.array_equal(tri[t, u, v], box[t, u, v])
+        # a different rounding, the same recursion
+        slabs = coulomb_recursion(L, L, L, L, L, p, PQ)
+        short = hermite_r_tri(L, p, PQ)
+        assert np.array_equal(short[t, u, v], slabs[t, u, v])
+        assert np.allclose(short[t, u, v], box[t, u, v],
+                           rtol=1e-10, atol=1e-300)
+        # bits do not depend on what else rides in the call
+        assert np.array_equal(hermite_r_tri(L, p[:1], PQ[:1])[t, u, v],
+                              short[t, u, v][:, :1])

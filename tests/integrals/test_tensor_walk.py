@@ -79,6 +79,17 @@ def test_screened_walk(case, screen):
         assert nq < nfull and not np.array_equal(ref, full)
 
 
+def test_one_quartet_chunks_leave_the_tensor_unchanged(case, monkeypatch):
+    """The walk's scratch ceiling only moves chunk boundaries, and the R
+    stage is elementwise: a ceiling of one double (every chunk a single
+    quartet) fills the same bits."""
+    _mol, basis, (ref, nq) = case
+    monkeypatch.setattr("repro.integrals.eri._TENSOR_SCRATCH", 1)
+    engine = ERIEngine(basis)
+    assert np.array_equal(eri_tensor(basis, engine=engine), ref)
+    assert engine.quartets_computed == nq
+
+
 def test_overlapping_images_of_diagonal_quartets_keep_the_last_write():
     """``(ij|ij)`` writes image 5 onto image 1 (and so on); the block is
     symmetric under that swap only up to rounding, so *which* image
