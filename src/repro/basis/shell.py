@@ -12,10 +12,10 @@ order of ``(lx, ly, lz)`` with ``lx`` descending — e.g. for p:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import factorial2
 
 __all__ = ["Shell", "cartesian_components", "ncart", "primitive_norm",
            "AM_LABELS"]
@@ -39,16 +39,26 @@ def cartesian_components(l: int) -> list[tuple[int, int, int]]:
 
 
 def _df(n: int) -> float:
-    """(2n-1)!! with the (-1)!! = 1 convention."""
-    return float(factorial2(2 * n - 1)) if n > 0 else 1.0
+    """(2n-1)!! with the (-1)!! = 1 convention, from exact integers
+    (``scipy.special.factorial2`` returns ``3!! = 3.0000000000000004``)."""
+    return float(math.prod(range(2 * n - 1, 0, -2)))
+
+
+def _radial_norm(alpha: np.ndarray, l: int) -> np.ndarray:
+    """``(2a/pi)^(3/4) (4a)^(l/2)`` for every exponent ``a`` of ``alpha``.
+
+    The powers are taken one scalar at a time: numpy's array ``power``
+    may dispatch to a SIMD vector library whose last bit differs from
+    the scalar ``pow``, and every integral inherits these norms."""
+    return np.array([(2.0 * a / np.pi) ** 0.75 * (4.0 * a) ** (l / 2.0)
+                     for a in alpha])
 
 
 def primitive_norm(alpha: float, lx: int, ly: int, lz: int) -> float:
     """Normalization constant of a primitive Cartesian Gaussian
     ``x^lx y^ly z^lz exp(-alpha r^2)``."""
-    l = lx + ly + lz
-    pref = (2.0 * alpha / np.pi) ** 0.75 * (4.0 * alpha) ** (l / 2.0)
-    return pref / np.sqrt(_df(lx) * _df(ly) * _df(lz))
+    pref = _radial_norm(np.array([alpha], dtype=np.float64), lx + ly + lz)
+    return float(pref[0] / np.sqrt(_df(lx) * _df(ly) * _df(lz)))
 
 
 @dataclass
@@ -132,21 +142,19 @@ class Shell:
         computed in closed form and folded into the coefficients, so the
         integral engine can treat coefficients as plain weights.
         """
-        comps = self.components
-        a = self.exps
-        c = self.coefs
-        out = np.empty((len(comps), self.nprim))
-        for ic, (lx, ly, lz) in enumerate(comps):
-            prim_n = np.array([primitive_norm(ai, lx, ly, lz) for ai in a])
-            w = c * prim_n
-            # contracted self-overlap: sum_ij w_i w_j S_ij with
-            # S_ij = <g_i|g_j> of *unnormalized* primitives
-            l = lx + ly + lz
-            aa = a[:, None] + a[None, :]
-            sij = (np.pi / aa) ** 1.5 / (2.0 * aa) ** l \
-                * _df(lx) * _df(ly) * _df(lz)
-            norm2 = float(w @ sij @ w)
-            out[ic] = w / np.sqrt(norm2)
+        a, l = self.exps, self.l
+        pref = _radial_norm(a, l)
+        aa = a[:, None] + a[None, :]
+        # S_ij = <g_i|g_j> of *unnormalized* primitives, up to the
+        # per-component double factorials
+        base = (np.pi / aa) ** 1.5 / (2.0 * aa) ** l
+        df = [_df(n) for n in range(l + 1)]
+        out = np.empty((self.nfunc, self.nprim))
+        for ic, (lx, ly, lz) in enumerate(self.components):
+            w = self.coefs * (pref / np.sqrt(df[lx] * df[ly] * df[lz]))
+            # contracted self-overlap: sum_ij w_i w_j S_ij
+            sij = base * df[lx] * df[ly] * df[lz]
+            out[ic] = w / np.sqrt(float(w @ sij @ w))
         self.norm_coefs = out
 
     # --- screening helpers ---------------------------------------------------

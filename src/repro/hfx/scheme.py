@@ -185,36 +185,26 @@ def _ri_rank_partials(basis: BasisSet, D: np.ndarray, nranks: int,
                       ) -> list[np.ndarray]:
     """Per-rank partial exchange matrices on the density-fitted path.
 
-    The fitted tensor ``B[P,uv]`` is assembled once (pooled and
+    The fitted tensor ``B[K,uv]`` is assembled once (pooled and
     fault-tolerant via the factory's :class:`repro.scf.ri_jk.RIJKBuilder`
-    when the config says ``executor="process"``), then the auxiliary
-    shells are sharded over the simulated ranks and rank ``r`` contracts
-    only its own rows: ``K_r = sum_{P in r} B_P D B_P``.  The caller's
-    allreduce over the partials recovers the full fitted K exactly,
-    mirroring the quartet path's per-rank accumulation.
+    when the config says ``executor="process"``), then its rows — the
+    ``rank`` Cholesky vectors, all of one cost — are cut into ``nranks``
+    contiguous blocks whose sizes differ by at most one, and rank ``r``
+    contracts only its own rows: ``K_r = sum_{K in r} B_K D B_K``.  The
+    caller's allreduce over the partials recovers the full fitted K
+    exactly, mirroring the quartet path's per-rank accumulation.
     """
-    from ..integrals.ri import aux_shard_slices
-
     builder = make_jk_engine(basis, cfg, eps, pool=pool)
     try:
         B = builder.fitted_tensor()
     finally:
         builder.close()
-    aux = builder.aux
-    shards = aux_shard_slices(aux, nranks)
-    aslices = aux.shell_slices()
+    bounds = [len(B) * r // nranks for r in range(nranks + 1)]
     partials = []
     for rank in range(nranks):
         with tr.span("hfx.rank", cat="hfx", rank=rank, mode="ri"):
-            if rank < len(shards):
-                rows = np.concatenate(
-                    [np.arange(aslices[ai].start, aslices[ai].stop)
-                     for ai in shards[rank]])
-                Br = B[rows]
-                Kr = np.einsum("Puv,vw,Pwx->ux", Br, D, Br,
-                               optimize=True)
-            else:
-                Kr = np.zeros((basis.nbf, basis.nbf))
+            Br = B[bounds[rank]:bounds[rank + 1]]
+            Kr = np.einsum("Puv,vw,Pwx->ux", Br, D, Br, optimize=True)
             partials.append(Kr)
     return partials
 
@@ -248,8 +238,8 @@ def distributed_exchange(basis: BasisSet, D: np.ndarray, nranks: int,
     ``config.jk="ri"`` swaps the quartet rank loop for the
     density-fitted one: the fitted ``B`` tensor is assembled once
     (pooled when ``executor="process"``), each rank contracts its own
-    auxiliary-shell shard into a partial K, and the same allreduce
-    recovers the full fitted exchange.
+    contiguous block of the tensor's rows into a partial K, and the same
+    allreduce recovers the full fitted exchange.
     """
     cfg = resolve_execution(config, owner="distributed_exchange")
     tr = cfg.trace

@@ -32,7 +32,7 @@ from ..basis.shell import Shell
 from ..basis.shellpair import ShellPair
 from ..chem import builders
 from ..chem.molecule import Molecule
-from ..integrals.eri import eri_quartet
+from ..integrals.schwarz import schwarz_diagonals
 from .costmodel import pair_weight
 from .tasklist import TaskList
 
@@ -52,15 +52,6 @@ class _ShellClass:
 def _class_of(sh: Shell) -> _ShellClass:
     return _ShellClass(sh.l, sh.nprim,
                        (sh.l, tuple(np.round(sh.exps, 8))))
-
-
-def _pair_schwarz_exact(sa: Shell, sb: Shell) -> float:
-    """Exact Q = sqrt(max (ab|ab)) for two shells."""
-    pair = ShellPair(sa, sb, 0, 1)
-    block = eri_quartet(pair, pair)
-    n1, n2 = block.shape[0], block.shape[1]
-    diag = np.abs(block.reshape(n1 * n2, n1 * n2).diagonal())
-    return float(np.sqrt(diag.max()))
 
 
 class SchwarzModel:
@@ -102,12 +93,11 @@ def calibrate_schwarz_model(shells: list[Shell],
                       / (sa.exps.min() + sb.exps.min()))
             r_hi = min(rmax, np.sqrt(60.0 / mu_est))
             rs = np.linspace(0.0, r_hi, nr)
-            qs = []
-            for r in rs:
-                s1 = Shell(sa.l, sa.exps, sa.coefs, np.zeros(3))
-                s2 = Shell(sb.l, sb.exps, sb.coefs, np.array([0.0, 0.0, r]))
-                qs.append(_pair_schwarz_exact(s1, s2))
-            qs = np.asarray(qs)
+            s1 = Shell(sa.l, sa.exps, sa.coefs, np.zeros(3))
+            qs = schwarz_diagonals(
+                ShellPair(s1, Shell(sb.l, sb.exps, sb.coefs,
+                                    np.array([0.0, 0.0, r])), 0, 1)
+                for r in rs)
             # p-function cross pairs peak at r > 0 (lobe overlap), so
             # anchor the fit at the peak and fit the decay of the tail
             ipk = int(np.argmax(qs))

@@ -40,8 +40,8 @@ import numpy as np
 from ..basis.shellpair import ShellPair
 from .mcmurchie import hermite_r_tri
 
-__all__ = ["eri_quartet_batch", "quartet_class_groups", "flatten_pairs",
-           "MAX_BATCH_ELEMENTS"]
+__all__ = ["eri_quartet_batch", "quartet_class_groups", "pair_class_groups",
+           "flatten_pairs", "MAX_BATCH_ELEMENTS", "SETUP_SCRATCH"]
 
 _TWO_PI_POW = 2.0 * np.pi ** 2.5
 
@@ -57,6 +57,14 @@ _TWO_PI_POW = 2.0 * np.pi ** 2.5
 # budget (the in-core tensor walk) passes its own ``max_elements``.
 MAX_BATCH_ELEMENTS = 1 << 21
 _STAGE_ROW_EXTRA = 24
+
+# Ceiling, in doubles, of the per-geometry set-up tables' scratch (512
+# kB): the class batches under the Schwarz diagonals and the RI metric,
+# and each column block of the fit's triangular solve.  They run once per
+# geometry inside the process that holds that geometry's big arrays; a
+# slab of the default size would stay resident under a non-trimming
+# allocator and count against the process peak.
+SETUP_SCRATCH = 1 << 16
 
 
 def flatten_pairs(pairs) -> np.ndarray:
@@ -107,6 +115,21 @@ def quartet_class_groups(shells, idx: np.ndarray) -> list[np.ndarray]:
     _, first, inv = np.unique(sig, return_index=True, return_inverse=True)
     order = np.argsort(first, kind="stable")                  # first-seen
     return [idx[inv == g] for g in order]
+
+
+def pair_class_groups(pairs_by_index) -> dict[tuple[int, int, int], list]:
+    """Group ``(index, pair)`` items by kernel class ``(la, lb, nprim)``
+    — everything that fixes the class batch's array shapes for one
+    side of a quartet.  ``pair`` is a :class:`ShellPair` or an
+    auxiliary-shell pair (:class:`~repro.integrals.ri.AuxShellPair`,
+    ``lb = 0``)."""
+    groups: dict[tuple[int, int, int], list] = {}
+    for i, pr in pairs_by_index:
+        sha = getattr(pr, "sha", None)
+        key = ((sha.l, pr.shb.l, pr.nprim) if sha is not None
+               else (pr.shell.l, 0, pr.nprim))
+        groups.setdefault(key, []).append(i)
+    return groups
 
 
 def _stack_pairs(pairs: list[ShellPair]):

@@ -31,6 +31,7 @@ from ..basis.shellpair import ShellPair
 from .batch import (_eri_class_batch, quartet_class_groups,
                     unique_shell_pairs)
 from .mcmurchie import hermite_r_tri
+from .schwarz import schwarz_bounds
 
 __all__ = ["eri_quartet", "eri_tensor", "ERIEngine", "PERM_AXES"]
 
@@ -139,13 +140,8 @@ class ERIEngine:
             if cached is not None:
                 self._schwarz = cached
                 return self._schwarz
-            out = {}
-            for key, pair in self.pairs.items():
-                block = eri_quartet(pair, pair)
-                self.quartets_screening += 1
-                n1, n2 = block.shape[0], block.shape[1]
-                diag = np.abs(block.reshape(n1 * n2, n1 * n2).diagonal())
-                out[key] = float(np.sqrt(diag.max()))
+            out = schwarz_bounds(self.basis)
+            self.quartets_screening += len(out)
             self._schwarz = out
             self.basis._schwarz_cache = out
         return self._schwarz

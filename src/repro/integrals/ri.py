@@ -5,17 +5,21 @@ The resolution-of-the-identity factorization replaces the 4-index ERI
 walk with
 
     (uv|rs)  ~=  sum_PQ (uv|P) [ (P|Q)^-1 ]_PQ (Q|rs)
-             =   sum_P  B[P,uv] B[P,rs],
-    B[P,uv]  =   sum_Q [ (P|Q)^-1/2 ]_PQ (Q|uv),
+             =   sum_K  B[K,uv] B[K,rs],
+    B        =   L^-1 P^T (Q|uv),     P^T (P|Q) P = L L^T,
 
-so one 3-index tensor assembled per geometry serves every J/K build of
-every SCF iteration.  Everything here reuses the McMurchie-Davidson
-Hermite machinery verbatim: a single auxiliary shell ``|P)`` is exposed
-to the quartet kernels as :class:`AuxShellPair` — a pair object whose
-second member is a unit s "ghost" on the same center, which makes
-``(P|Q)`` one :func:`~repro.integrals.eri.eri_quartet` call and
-``(uv|P)`` one :func:`~repro.integrals.batch._eri_class_batch` class
-batch, with no new recursion code.
+a pivoted Cholesky factor of the metric (:func:`cholesky_fit`), so one
+3-index tensor assembled per geometry serves every J/K build of every
+SCF iteration.  The rows ``K`` of ``B`` are Cholesky vectors in pivot
+order — ``rank <= naux`` of them — not auxiliary functions.
+
+Everything here reuses the McMurchie-Davidson Hermite machinery
+verbatim: a single auxiliary shell ``|P)`` is exposed to the quartet
+kernels as :class:`AuxShellPair` — a pair object whose second member is
+a unit s "ghost" on the same center, which makes ``(P|Q)``, ``(P|P)``
+and ``(uv|P)`` class batches of
+:func:`~repro.integrals.batch._eri_class_batch`, with no new recursion
+code.
 
 Assembly is blocked by auxiliary-shell slices (the out-of-core chunk
 axis) and Schwarz-screened per ``(uv, P)`` combination with
@@ -29,18 +33,23 @@ same way on the auxiliary basis object.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpstrf
 
 from ..basis.basisset import BasisSet
 from .mcmurchie import hermite_e
-from .eri import eri_quartet, ERIEngine
-from .batch import _eri_class_batch
+from .eri import ERIEngine
+from .batch import SETUP_SCRATCH, _eri_class_batch, pair_class_groups
+from .schwarz import schwarz_diagonals
 
 __all__ = ["AuxShellPair", "aux_hermite_pairs", "aux_schwarz_bounds",
-           "metric_2c", "inv_sqrt_metric", "three_center_slab",
-           "aux_shard_slices"]
+           "metric_2c", "cholesky_fit", "inv_sqrt_metric",
+           "three_center_slab", "aux_shard_slices"]
 
-#: Relative eigenvalue cutoff for the metric inverse square root —
-#: same role as canonical-orthogonalization trimming in the SCF.
+#: Relative cutoff of the metric factorisation — the pivoted Cholesky
+#: stops at pivots below ``METRIC_COND * max diag (P|Q)``, the eigenvalue
+#: oracle trims eigenvalues below ``METRIC_COND * max``: the same role as
+#: canonical-orthogonalization trimming in the SCF.
 METRIC_COND = 1e-12
 
 
@@ -121,70 +130,88 @@ def aux_schwarz_bounds(aux: BasisSet) -> np.ndarray:
     """
     cached = aux.__dict__.get("_aux_schwarz_cache")
     if cached is None:
-        pairs = aux_hermite_pairs(aux)
-        out = np.empty(len(pairs))
-        for i, pr in enumerate(pairs):
-            block = eri_quartet(pr, pr)          # (nC, 1, nC, 1)
-            diag = np.abs(np.diagonal(block[:, 0, :, 0]))
-            out[i] = float(np.sqrt(diag.max()))
-        aux.__dict__["_aux_schwarz_cache"] = out
-        cached = out
+        cached = schwarz_diagonals(aux_hermite_pairs(aux))
+        aux.__dict__["_aux_schwarz_cache"] = cached
     return cached
-
-
-def _class_key(pr) -> tuple[int, int, int]:
-    """Kernel-class signature ``(la, lb, nprim)`` of a pair-like object
-    — everything that fixes the batched kernel's array shapes."""
-    sha = getattr(pr, "sha", None)
-    if sha is not None:
-        return (sha.l, pr.shb.l, pr.nprim)
-    return (pr.shell.l, 0, pr.nprim)
-
-
-def _class_groups(pairs_by_index) -> dict[tuple[int, int, int], list]:
-    """Group pair-like objects by their kernel class."""
-    groups: dict[tuple[int, int, int], list] = {}
-    for i, pr in pairs_by_index:
-        groups.setdefault(_class_key(pr), []).append(i)
-    return groups
 
 
 def metric_2c(aux: BasisSet) -> np.ndarray:
     """The Coulomb metric ``V[P,Q] = (P|Q)``, shape ``(naux, naux)``.
 
     Evaluated class-batched: auxiliary shells are grouped by
-    ``(l, nprim)`` and every class combination goes through one
-    batched-kernel call.
+    ``(l, nprim)``, every class combination goes through one
+    batched-kernel call, and its blocks land in ``V`` with one fancy
+    write per triangle (a diagonal ``(P|P)`` block takes the transposed
+    write, which comes second).
     """
     pairs = aux_hermite_pairs(aux)
-    slices = aux.shell_slices()
+    start = np.array([sl.start for sl in aux.shell_slices()])
     V = np.zeros((aux.nbf, aux.nbf))
-    groups = _class_groups(enumerate(pairs))
+    groups = pair_class_groups(enumerate(pairs))
     keys = sorted(groups)
     for a, ka in enumerate(keys):
-        ia = groups[ka]
+        ia = np.array(groups[ka])
         for kb in keys[a:]:
-            ib = groups[kb]
-            if ka == kb:
-                sel = [(x, y) for x in range(len(ia))
-                       for y in range(len(ib)) if ia[x] <= ib[y]]
-            else:
-                sel = [(x, y) for x in range(len(ia))
-                       for y in range(len(ib))]
-            bra_ids = np.array([x for x, _ in sel], dtype=np.int64)
-            ket_ids = np.array([y for _, y in sel], dtype=np.int64)
+            ib = np.array(groups[kb])
+            bra_ids, ket_ids = np.nonzero(
+                ia[:, None] <= ib[None, :] if ka == kb
+                else np.ones((len(ia), len(ib)), dtype=bool))
             blocks = _eri_class_batch([pairs[i] for i in ia], bra_ids,
-                                      [pairs[j] for j in ib], ket_ids)
-            for q in range(len(sel)):
-                i, j = ia[bra_ids[q]], ib[ket_ids[q]]
-                blk = blocks[q, :, 0, :, 0]
-                V[slices[i], slices[j]] = blk
-                V[slices[j], slices[i]] = blk.T
+                                      [pairs[j] for j in ib], ket_ids,
+                                      max_elements=SETUP_SCRATCH)
+            blk = blocks[:, :, 0, :, 0]                  # (nq, nA, nB)
+            rows = start[ia[bra_ids]][:, None] + np.arange(blk.shape[1])
+            cols = start[ib[ket_ids]][:, None] + np.arange(blk.shape[2])
+            V[rows[:, :, None], cols[:, None, :]] = blk
+            V[cols[:, :, None], rows[:, None, :]] = blk.transpose(0, 2, 1)
     return V
 
 
+def cholesky_fit(V: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The fitted tensor ``B = L^-1 P^T T``, written over ``T``.
+
+    ``P^T V P = L L^T`` is LAPACK's pivoted Cholesky (``dpstrf``) of the
+    metric, stopped once the largest remaining pivot is at most
+    ``METRIC_COND * max diag V``: every auxiliary function not chosen by
+    then is a combination of the chosen ones to that tolerance and is
+    dropped — what the eigenvalue trim of :func:`inv_sqrt_metric` does
+    for near-dependent directions, and what makes an exactly singular
+    metric (a duplicated shell) safe, where a plain Cholesky can
+    "succeed" on rounding noise.  ``B^T B = T^T V^-1 T`` on the retained
+    span.
+
+    ``V`` is ``(naux, naux)`` and ``T`` ``(naux, ...)``; both are
+    overwritten (the factor takes ``V``'s storage, the solve runs in
+    column blocks of ``SETUP_SCRATCH`` gathered doubles and writes
+    back into ``T``).  Returns a view of ``T``'s leading ``rank`` rows,
+    shape ``(rank,) + T.shape[1:]``: Cholesky vectors in pivot order,
+    not auxiliary functions.
+    """
+    naux = len(V)
+    # V.T is the Fortran-ordered view of V's buffer: factoring its upper
+    # triangle in place reads V's lower triangle and leaves L = U^T in
+    # it, C-ordered
+    U, piv, rank, info = dpstrf(V.T,
+                                tol=METRIC_COND * float(V.diagonal().max()),
+                                lower=0, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"dpstrf: illegal argument {-info}")
+    L = np.ascontiguousarray(U.T[:rank, :rank])
+    piv = piv[:rank] - 1
+    flat = T.reshape(naux, -1)
+    width = max(1, SETUP_SCRATCH // rank)
+    for lo in range(0, flat.shape[1], width):
+        cols = slice(lo, lo + width)
+        flat[:rank, cols] = solve_triangular(L, flat[piv, cols], lower=True,
+                                             overwrite_b=True,
+                                             check_finite=False)
+    return flat[:rank].reshape((rank,) + T.shape[1:])
+
+
 def inv_sqrt_metric(V: np.ndarray, cond: float = METRIC_COND) -> np.ndarray:
-    """Symmetric ``V^{-1/2}`` with small-eigenvalue trimming.
+    """Symmetric ``V^{-1/2}`` with small-eigenvalue trimming — the
+    reference :func:`cholesky_fit` is checked against
+    (``B = V^{-1/2} T`` has the same ``B^T B``).
 
     Near-linear-dependent fitting directions (eigenvalues below
     ``cond * max``) are projected out rather than amplified — the
@@ -223,9 +250,8 @@ def three_center_slab(basis: BasisSet, aux: BasisSet, aux_idx,
         nrow += aux.shells[ai].nfunc
     slab = np.zeros((nrow, basis.nbf, basis.nbf))
     oslices = basis.shell_slices()
-    ogroups = _class_groups(
-        ((key, pr) for key, pr in engine.pairs.items()))
-    agroups = _class_groups((ai, apairs[ai]) for ai in aux_idx)
+    ogroups = pair_class_groups(engine.pairs.items())
+    agroups = pair_class_groups((ai, apairs[ai]) for ai in aux_idx)
     oQ = engine.schwarz_bounds() if eps > 0.0 else None
     aQ = aux_schwarz_bounds(aux) if eps > 0.0 else None
     nints = 0

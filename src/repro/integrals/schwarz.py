@@ -3,7 +3,9 @@
 The rigorous bound |(ij|kl)| <= Q_ij Q_kl with Q_ij = sqrt((ij|ij)) is
 the paper's accuracy knob: a single threshold epsilon decides which
 quartets are evaluated, and the total neglected contribution is bounded
-in a controllable way.  This module also provides the cheap
+in a controllable way.  :func:`schwarz_diagonals` is the one routine
+under every bound table — orbital pairs, auxiliary shells, the synthetic
+workload's calibration scans.  This module also provides the cheap
 distance-decay *estimate* used by the synthetic condensed-phase workload
 generator (where real integrals are never computed).
 """
@@ -13,10 +15,34 @@ from __future__ import annotations
 import numpy as np
 
 from ..basis.basisset import BasisSet
-from .eri import eri_quartet
+from .batch import SETUP_SCRATCH, _eri_class_batch, pair_class_groups
 
-__all__ = ["schwarz_bounds", "schwarz_matrix", "pair_extent_estimate",
-           "count_surviving_quartets"]
+__all__ = ["schwarz_diagonals", "schwarz_bounds", "schwarz_matrix",
+           "pair_extent_estimate", "count_surviving_quartets"]
+
+
+def schwarz_diagonals(pairs) -> np.ndarray:
+    """``Q = sqrt(max |(ab|ab)|)`` over the diagonal of each pair's
+    ``(ab|ab)`` block, one entry per item of ``pairs``
+    (:class:`~repro.basis.shellpair.ShellPair` or
+    :class:`~repro.integrals.ri.AuxShellPair` objects).
+
+    The pairs of one kernel class go through one class batch of their
+    diagonal quartets with the Boys table recursed from ``3L``, so every
+    block has the bits :func:`~repro.integrals.eri.eri_quartet` gives it.
+    """
+    pairs = list(pairs)
+    out = np.empty(len(pairs))
+    for members in pair_class_groups(enumerate(pairs)).values():
+        sub = [pairs[i] for i in members]
+        ids = np.arange(len(sub))
+        blocks = _eri_class_batch(sub, ids, sub, ids,
+                                  max_elements=SETUP_SCRATCH,
+                                  boys_order=3 * (2 * sub[0].lab))
+        n = blocks.shape[1] * blocks.shape[2]
+        diag = np.abs(blocks.reshape(len(sub), n, n).diagonal(0, 1, 2))
+        out[members] = np.sqrt(diag.max(axis=1))
+    return out
 
 
 def schwarz_bounds(basis: BasisSet,
@@ -25,13 +51,7 @@ def schwarz_bounds(basis: BasisSet,
     ``i <= j``)."""
     if pairs is None:
         pairs = basis.shell_pairs()
-    out = {}
-    for key, pair in pairs.items():
-        block = eri_quartet(pair, pair)
-        n1, n2 = block.shape[0], block.shape[1]
-        diag = np.abs(block.reshape(n1 * n2, n1 * n2).diagonal())
-        out[key] = float(np.sqrt(diag.max()))
-    return out
+    return dict(zip(pairs, schwarz_diagonals(pairs.values()).tolist()))
 
 
 def schwarz_matrix(basis: BasisSet, pairs=None) -> np.ndarray:

@@ -18,7 +18,8 @@ from ..basis.shell import cartesian_components
 from ..chem.elements import covalent_radius_bohr
 from ..chem.molecule import Molecule
 
-__all__ = ["lebedev_points", "radial_points", "MolecularGrid", "eval_aos"]
+__all__ = ["lebedev_points", "radial_points", "becke_cell", "becke_partition",
+           "MolecularGrid", "eval_aos"]
 
 
 # --------------------------------------------------------------------------
@@ -145,6 +146,51 @@ def radial_points(n: int, rm: float) -> tuple[np.ndarray, np.ndarray]:
     return r, w
 
 
+def becke_cell(mu: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Becke's cell function ``s(mu) = (1 - f_k(mu)) / 2`` and its
+    derivative ``ds/dmu``, where ``f_k`` is ``iters`` steps of
+    ``f -> f (3 - f^2) / 2`` from ``f = mu``.
+
+    ``f`` is odd, so ``s(-mu) = 1 - s(mu)``; the partition uses that to
+    visit each atom pair once.
+    """
+    f, df = mu, np.ones_like(mu)
+    for _ in range(iters):
+        f2 = f * f
+        df = df * 1.5 * (1.0 - f2)
+        f = f * (1.5 - 0.5 * f2)
+    return 0.5 * (1.0 - f), -0.5 * df
+
+
+def becke_partition(mol: Molecule, points: np.ndarray,
+                    iters: int) -> np.ndarray:
+    """Becke fuzzy-cell weights ``P_A(r)`` of every atom at every point,
+    shape ``(npts, natom)``; every row sums to one.
+
+    One pass over all points: each unordered atom pair ``(A, B)`` is
+    visited once, its cell factor ``s(mu_AB)`` multiplied into cell
+    ``A`` and ``1 - s(mu_AB) = s(mu_BA)`` into cell ``B``, partners in
+    ascending order for every cell.
+    """
+    n = mol.natom
+    if n == 1:
+        return np.ones((len(points), 1))
+    d = np.empty((len(points), n))
+    for a in range(n):
+        d[:, a] = np.linalg.norm(points - mol.coords[a], axis=1)
+    R = mol.distance_matrix()
+    cell = np.ones((len(points), n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            s, _ = becke_cell((d[:, a] - d[:, b]) / R[a, b], iters)
+            cell[:, a] *= s
+            cell[:, b] *= 1.0 - s
+    total = cell.sum(axis=1)
+    total[total == 0.0] = 1.0
+    cell /= total[:, None]
+    return cell
+
+
 @dataclass
 class MolecularGrid:
     """Becke-partitioned molecular quadrature grid.
@@ -177,44 +223,19 @@ class MolecularGrid:
               becke_iters: int = 3) -> "MolecularGrid":
         """Assemble atom-centered product grids with Becke weights."""
         ang_pts, ang_wts = lebedev_points(n_angular)
-        all_pts, all_wts, all_quad = [], [], []
+        all_pts, all_quad = [], []
         for ia in range(mol.natom):
             rm = max(0.5 * covalent_radius_bohr(int(mol.numbers[ia])), 0.4)
             rad, wrad = radial_points(n_radial, rm)
             pts = (rad[:, None, None] * ang_pts[None, :, :]).reshape(-1, 3)
-            pts = pts + mol.coords[ia]
-            wts = (wrad[:, None] * ang_wts[None, :]).reshape(-1) * 4.0 * np.pi
-            becke = cls._becke_weights(mol, pts, ia, becke_iters)
-            all_pts.append(pts)
-            all_wts.append(wts * becke)
-            all_quad.append(wts)
-        return cls(np.vstack(all_pts), np.concatenate(all_wts),
-                   owner=np.repeat(np.arange(mol.natom), len(wts)),
-                   quadrature=np.concatenate(all_quad),
-                   becke_iters=becke_iters)
-
-    @staticmethod
-    def _becke_weights(mol: Molecule, pts: np.ndarray, center: int,
-                       iters: int) -> np.ndarray:
-        """Becke fuzzy-cell partition weight of atom ``center`` at ``pts``."""
-        if mol.natom == 1:
-            return np.ones(len(pts))
-        # distances of every point to every atom
-        d = np.linalg.norm(pts[:, None, :] - mol.coords[None, :, :], axis=2)
-        R = mol.distance_matrix()
-        cell = np.ones((len(pts), mol.natom))
-        for a in range(mol.natom):
-            for b in range(mol.natom):
-                if a == b:
-                    continue
-                mu = (d[:, a] - d[:, b]) / R[a, b]
-                f = mu
-                for _ in range(iters):
-                    f = 1.5 * f - 0.5 * f ** 3
-                cell[:, a] *= 0.5 * (1.0 - f)
-        total = cell.sum(axis=1)
-        total[total == 0.0] = 1.0
-        return cell[:, center] / total
+            all_pts.append(pts + mol.coords[ia])
+            all_quad.append((wrad[:, None] * ang_wts[None, :]).reshape(-1)
+                            * 4.0 * np.pi)
+        points, quad = np.vstack(all_pts), np.concatenate(all_quad)
+        owner = np.repeat(np.arange(mol.natom), n_radial * len(ang_pts))
+        P = becke_partition(mol, points, becke_iters)
+        return cls(points, quad * P[np.arange(len(points)), owner],
+                   owner=owner, quadrature=quad, becke_iters=becke_iters)
 
     def weight_gradient(self, mol: Molecule, sel) -> np.ndarray:
         """``d weights[sel] / d R_C``, shape ``(len(sel), natom, 3)``
@@ -239,12 +260,9 @@ class MolecularGrid:
         Rinv = 1.0 / np.where(eye, 1.0, mol.distance_matrix())
         e = (coords[:, None, :] - coords[None, :, :]) * Rinv[:, :, None]
         mu = (d[:, :, None] - d[:, None, :]) * Rinv[None]    # mu_AB
-        f, df = mu, np.ones_like(mu)
-        for _ in range(self.becke_iters):
-            df = df * 1.5 * (1.0 - f * f)
-            f = 1.5 * f - 0.5 * f ** 3
-        s = np.where(eye[None], 1.0, 0.5 * (1.0 - f))        # cell factors
-        ds = np.where(eye[None], 0.0, -0.5 * df)
+        s, ds = becke_cell(mu, self.becke_iters)
+        s = np.where(eye[None], 1.0, s)                      # cell factors
+        ds = np.where(eye[None], 0.0, ds)
         # dP_A/dmu_AB = s'(mu_AB) prod_{B' != A, B} s(mu_AB'), without
         # dividing by a factor that may vanish
         pre = np.cumprod(s, axis=2)

@@ -1,17 +1,18 @@
 """Density-fitted (RI) J/K builder: drop-in replacement for the direct
 quartet walk.
 
-One fitted tensor ``B[P,uv] = (P|Q)^{-1/2} (Q|uv)`` is assembled per
-geometry (serially or sharded over the worker pool by auxiliary-shell
-slices) and then *every* J/K build of every SCF iteration is dense
-linear algebra:
+One fitted tensor ``B = L^-1 P^T (Q|uv)`` (pivoted Cholesky of the
+metric, :func:`~repro.integrals.ri.cholesky_fit`) is assembled per
+geometry — the 3-index integrals serially or sharded over the worker
+pool by auxiliary-shell slices — and then *every* J/K build of every
+SCF iteration is dense linear algebra over its ``rank`` rows:
 
-* RI-J — two GEMMs: ``gamma_P = B[P,uv] D_uv``, then
-  ``J_uv = gamma_P B[P,uv]``;
+* RI-J — two GEMMs: ``gamma_K = B[K,uv] D_uv``, then
+  ``J_uv = gamma_K B[K,uv]``;
 * RI-K — a half-transform over the occupied space of the density:
   ``D = V diag(w) V^T`` (rank ``nocc`` for SCF densities; signed ``w``
   keeps response densities from the Newton solver exact), then
-  ``Y[P,u,i] = B[P,u,v] V_vi`` and ``K = sum_i w_i Y_i Y_i^T``.
+  ``Y[K,u,i] = B[K,u,v] V_vi`` and ``K = sum_i w_i Y_i Y_i^T``.
 
 The builder is a :class:`~repro.scf.fock.JKEngine`
 (``build``/``reset``/``close``), so the SCF drivers, the SOSCF response
@@ -29,7 +30,7 @@ import numpy as np
 from ..basis.basisset import BasisSet
 from ..basis.auxbasis import build_aux_basis
 from ..integrals.eri import ERIEngine
-from ..integrals.ri import (aux_shard_slices, inv_sqrt_metric, metric_2c,
+from ..integrals.ri import (aux_shard_slices, cholesky_fit, metric_2c,
                             three_center_slab)
 from .fock import JKEngine
 
@@ -70,7 +71,7 @@ class RIJKBuilder(JKEngine):
         self.eps = eps
         self.engine = ERIEngine(basis)
         self.aux = aux if aux is not None else build_aux_basis(basis)
-        self._B: np.ndarray | None = None      # (naux, nbf, nbf)
+        self._B: np.ndarray | None = None      # (rank, nbf, nbf)
         self.b_builds = 0                      # B assemblies (geometries)
         self.b_reuses = 0                      # builds served from cache
         self.ints_3c = 0                       # shell triples, last assembly
@@ -139,14 +140,16 @@ class RIJKBuilder(JKEngine):
             if tr.enabled:
                 tr.metrics.count("scf.ri_b_reuses", 1)
             return self._B
-        with tr.span("ri.metric", cat="ri", naux=self.aux.nbf):
-            Vh = inv_sqrt_metric(metric_2c(self.aux))
+        # the metric after the 3-index tensor: the slab kernel's scratch
+        # is then never live next to V
         with tr.span("ri.assemble", cat="ri", naux=self.aux.nbf,
                      executor=self.executor):
             T = self.lease.run(self._assemble_pooled, self._assemble_serial,
                                tr)
-            naux, nbf = self.aux.nbf, self.basis.nbf
-            self._B = (Vh @ T.reshape(naux, -1)).reshape(naux, nbf, nbf)
+        with tr.span("ri.metric", cat="ri", naux=self.aux.nbf):
+            V = metric_2c(self.aux)
+        with tr.span("ri.fit", cat="ri", naux=self.aux.nbf):
+            self._B = cholesky_fit(V, T)
         self.b_builds += 1
         if tr.enabled:
             tr.metrics.count("scf.ri_b_builds", 1)
@@ -155,7 +158,8 @@ class RIJKBuilder(JKEngine):
         return self._B
 
     def fitted_tensor(self) -> np.ndarray:
-        """The cached ``B[P,uv]`` tensor (assembled on first use).
+        """The cached ``B[K,uv]`` tensor (assembled on first use), shape
+        ``(rank, nbf, nbf)``.
 
         Exposed for consumers that contract B themselves — e.g. the
         distributed-exchange rank loop, which needs per-rank *partial*
@@ -174,7 +178,7 @@ class RIJKBuilder(JKEngine):
             J = K = None
             with tr.span("ri.contract", cat="ri", want_j=want_j,
                          want_k=want_k):
-                Bf = B.reshape(self.aux.nbf, nbf * nbf)
+                Bf = B.reshape(len(B), nbf * nbf)
                 if want_j:
                     gamma = Bf @ np.asarray(D, dtype=np.float64).ravel()
                     J = (gamma @ Bf).reshape(nbf, nbf)
@@ -186,8 +190,8 @@ class RIJKBuilder(JKEngine):
                         K = np.zeros((nbf, nbf))
                     else:
                         Vk = V[:, keep]                 # (nbf, k)
-                        # Y[P,u,i] = sum_v B[P,u,v] Vk[v,i]
-                        Y = B @ Vk                      # (naux, nbf, k)
+                        # Y[K,u,i] = sum_v B[K,u,v] Vk[v,i]
+                        Y = B @ Vk                      # (rank, nbf, k)
                         Yw = Y * w[keep][None, None, :]
                         K = np.einsum("Pui,Pvi->uv", Yw, Y, optimize=True)
                         K = 0.5 * (K + K.T)

@@ -76,3 +76,34 @@ def test_nfunc_matches_l():
         sh = Shell(l, np.array([1.0]), np.array([1.0]), np.zeros(3))
         assert sh.nfunc == ncart(l)
         assert len(sh.components) == sh.nfunc
+
+
+def test_double_factorial_is_exact():
+    """``_df(n) = (2n-1)!!`` as the correctly rounded double of the exact
+    integer (``scipy.special.factorial2`` read ``3!! = 3.0000000000000004``
+    and ``13!! = 135135.00000000003``)."""
+    from fractions import Fraction
+    from math import prod
+
+    from repro.basis.shell import _df
+
+    assert _df(0) == 1.0
+    for n in range(1, 21):
+        exact = prod(range(2 * n - 1, 0, -2))
+        assert _df(n) == float(exact), n
+        if exact < 2 ** 53:
+            assert Fraction(_df(n)) == exact, n
+
+
+def test_aux_d_and_f_shells_have_unit_self_overlap():
+    """Every auxiliary component — one primitive, l up to 3 — integrates
+    to one through the overlap integrals, which never see the double
+    factorials the normalisation uses."""
+    from repro.basis import build_aux_basis, build_basis
+    from repro.chem import builders
+    from repro.integrals import overlap_matrix
+
+    aux = build_aux_basis(build_basis(builders.water()))
+    assert {sh.l for sh in aux.shells} >= {2, 3}
+    S = overlap_matrix(aux)
+    assert np.abs(np.diag(S) - 1.0).max() <= 1e-15
