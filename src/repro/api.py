@@ -98,10 +98,12 @@ def run_scf(spec: JobSpec | dict,
         from .scf import run_uhf
 
         if cfg.scf_solver not in ("diis", "auto"):
-            # JobSpec.validate owns soscf x open-shell for builder
-            # molecules; an inline geometry carries its multiplicity
-            # past it, so refuse here instead of silently downgrading
-            # the requested solver (or failing deep inside UHF.__init__)
+            # JobSpec.validate owns soscf x open-shell for the
+            # multiplicity a spec states; a builder molecule that is
+            # open-shell by itself (li_atom) or an explicit config
+            # carries it past that, so refuse here instead of silently
+            # downgrading the requested solver (or failing deep inside
+            # UHF.__init__)
             raise ValueError(
                 f"scf_solver={cfg.scf_solver!r} is not available for the "
                 f"UHF/open-shell route (molecule "

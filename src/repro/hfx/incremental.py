@@ -49,7 +49,6 @@ class IncrementalExchange(JKEngine):
         from ..runtime.execconfig import resolve_execution
 
         self.config = resolve_execution(config, owner="IncrementalExchange")
-        self.eps = eps
         self.rebuild_every = rebuild_every
         self.full = DirectJKBuilder(basis, eps=eps, pool=pool,
                                     config=self.config)
@@ -67,6 +66,12 @@ class IncrementalExchange(JKEngine):
     def engine(self):
         """The ERI engine (and its quartet counters) of the full builder."""
         return self.full.engine
+
+    @property
+    def eps(self) -> float:
+        """Screening threshold — the full builder's, which runs both the
+        full and the increment screen."""
+        return self.full.eps
 
     @property
     def Q(self) -> dict:
@@ -140,7 +145,7 @@ class IncrementalExchange(JKEngine):
                 f"IncrementalExchange: snapshot was taken on a "
                 f"{state['nbf']}-function basis; this builder has "
                 f"{self.basis.nbf}")
-        self.eps = float(state["eps"])
+        self.full.eps = float(state["eps"])
         self.rebuild_every = int(state["rebuild_every"])
         self.K = np.array(state["K"], dtype=np.float64, copy=True)
         self.D_ref = np.array(state["D_ref"], dtype=np.float64, copy=True)
@@ -161,40 +166,18 @@ class IncrementalExchange(JKEngine):
                 out[i, j] = np.abs(M[si, slices[j]]).max()
         return out
 
-    def _screen(self, dmax: np.ndarray
-                ) -> tuple[list[tuple[int, int, np.ndarray]], int, int]:
-        """Surviving ket lists per bra pair under the increment screen.
-
-        The screen is deliberately *per shell pair*: each quartet is
-        bounded by ``Q_ij Q_kl`` times ``max|dD|`` over the four density
-        blocks the exchange contraction actually touches —
-        ``(j,l), (j,k), (i,l), (i,k)`` — never by the global ``max|dD|``,
-        which would keep quartets whose own density blocks are already
-        converged (and never by the bra/ket-internal blocks ``(i,j)``/
-        ``(k,l)``, which only Coulomb touches and whose use here would
-        over-screen and inflate the skip rate).
-        """
-        keys = self.full._keys
-        surviving: list[tuple[int, int, np.ndarray]] = []
-        computed = 0
-        skipped = 0
-        for a, (i, j) in enumerate(keys):
-            qa = self.Q[(i, j)]
-            kept: list[tuple[int, int]] = []
-            for (k, l) in keys[a:]:
-                bound = qa * self.Q[(k, l)]
-                dloc = max(dmax[j, l], dmax[j, k], dmax[i, l], dmax[i, k])
-                if bound * dloc < self.eps:
-                    skipped += 1
-                    continue
-                kept.append((k, l))
-            if kept:
-                surviving.append((i, j, np.asarray(kept, dtype=np.int64)))
-                computed += len(kept)
-        return surviving, computed, skipped
-
     def update(self, D: np.ndarray) -> np.ndarray:
-        """Advance to density ``D``; returns the current K estimate."""
+        """Advance to density ``D``; returns the current K estimate.
+
+        The increment screen is the full builder's, fed per-shell-block
+        ``max|dD|``: each quartet is bounded by ``Q_ij Q_kl`` times the
+        four density blocks the exchange contraction actually touches —
+        never by the global ``max|dD|``, which would keep quartets whose
+        own density blocks are already converged (and never by the
+        bra/ket-internal blocks ``(i,j)``/``(k,l)``, which only Coulomb
+        touches and whose use here would over-screen and inflate the
+        skip rate).
+        """
         tr = self.config.trace
         full = (self.builds % self.rebuild_every == 0)
         with tr.span("kinc.update", cat="hfx", full=full,
@@ -203,8 +186,9 @@ class IncrementalExchange(JKEngine):
             if full:
                 self.K[:] = 0.0
             with tr.span("kinc.screen", cat="screening", eps=self.eps):
-                dmax = self._block_max(dD)
-                surviving, computed, skipped = self._screen(dmax)
+                surviving = self.full._screened_pairs(self._block_max(dD))
+            computed = sum(len(kets) for _, _, kets in surviving)
+            skipped = self.full.quartets_total - computed
             _, Kdelta, _ = self.full.eval_pairs(surviving, dD, want_j=False,
                                                 want_k=True)
             self.K += Kdelta

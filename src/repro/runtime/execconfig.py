@@ -79,7 +79,7 @@ class ExecutionConfig:
     scf_solver:
         SCF convergence strategy for the closed-shell drivers:
         ``"diis"`` (Pulay DIIS only; the bit-exact reference),
-        ``"soscf"`` (ADIIS/EDIIS rough phase, then trust-radius Newton
+        ``"soscf"`` (ADIIS rough phase, then trust-radius Newton
         micro-iterations), or ``"auto"`` (DIIS until the commutator
         norm crosses the handoff threshold or stalls, then Newton) —
         see :mod:`repro.scf.soscf`.  The accelerated solvers agree with

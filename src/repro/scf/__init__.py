@@ -8,7 +8,7 @@ from .guess import (ASPCExtrapolator, aspc_coefficients, core_guess,
                     density_from_orbitals, orthogonalizer)
 from .rhf import RHF, SCFResult, run_rhf
 from .ri_jk import RIJKBuilder
-from .soscf import ADIIS, EDIIS, NewtonSOSCF
+from .soscf import ADIIS, NewtonSOSCF
 from .uhf import UHF, UHFResult, run_uhf
 from .gradient import scf_gradient, nuclear_repulsion_gradient
 
@@ -20,7 +20,7 @@ __all__ = [
     "core_guess", "density_from_orbitals", "orthogonalizer",
     "RHF", "SCFResult", "run_rhf",
     "RIJKBuilder",
-    "ADIIS", "EDIIS", "NewtonSOSCF",
+    "ADIIS", "NewtonSOSCF",
     "UHF", "UHFResult", "run_uhf",
     "scf_gradient", "nuclear_repulsion_gradient",
 ]

@@ -110,13 +110,13 @@ class RKS(RHF):
     def run(self, D0: np.ndarray | None = None) -> SCFResult:
         """Iterate the Kohn-Sham equations to self-consistency.
 
-        The loops are :class:`RHF`'s — the DIIS reference loop and the
-        accelerated solvers both iterate this class's
-        :meth:`_fock_energy` / :meth:`_soscf_response` hooks.
+        The loop is :class:`RHF`'s — its DIIS and rough phases and the
+        Newton solver all iterate this class's :meth:`_fock_energy` /
+        :meth:`_soscf_response` hooks.
         """
         return self._run(D0)
 
-    # --- Fock hooks (see RHF._run_diis / RHF._run_soscf) ----------------------
+    # --- Fock hooks (see RHF._run) -------------------------------------------
 
     def _fock_energy(self, hcore: np.ndarray, enuc: float):
         """Kohn-Sham ``fock_energy(D)``: Coulomb + scaled exact

@@ -501,18 +501,30 @@ class DirectJKBuilder(JKEngine):
                 tr.metrics.absorb_engine(self.engine)
             return J, K
 
-    def _screened_pairs(self, dmax: float) -> list[tuple[int, int, np.ndarray]]:
+    def _screened_pairs(self, dmax) -> list[tuple[int, int, np.ndarray]]:
         """Per-bra surviving ket lists under the density-aware screen.
 
-        Uses the same float arithmetic as the serial loop's test so both
-        executors keep or drop exactly the same boundary quartets.
+        ``dmax`` is the global ``max|D|`` of a full build (a float: every
+        quartet is bounded by ``Q_ij Q_kl max(dmax, 1)``) or an
+        ``(nshell, nshell)`` table of per-shell-block ``max|dD|`` (the
+        incremental screen: each quartet is bounded by the four blocks
+        its exchange contraction touches, ``(j,l), (j,k), (i,l),
+        (i,k)``).  The float test is ``Q_ij * Q_kl * d < eps`` in that
+        order either way, so every executor and caller keeps or drops
+        exactly the same boundary quartets.
         """
         out = []
         self.quartets_total = 0
-        m = max(dmax, 1.0)
+        blocks = np.ndim(dmax) == 2
+        m = dmax if blocks else max(dmax, 1.0)
+        ks, ls = self._keys_arr[:, 0], self._keys_arr[:, 1]
         for a, (i, j) in enumerate(self._keys):
             qk = self._qvals[a:]
             self.quartets_total += len(qk)
+            if blocks:
+                k, l = ks[a:], ls[a:]
+                m = np.maximum(np.maximum(dmax[j, l], dmax[j, k]),
+                               np.maximum(dmax[i, l], dmax[i, k]))
             keep = ~(self._qvals[a] * qk * m < self.eps)
             if keep.any():
                 out.append((i, j, self._keys_arr[a:][keep]))

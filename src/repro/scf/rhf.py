@@ -23,7 +23,7 @@ from ..integrals import (eri_tensor, kinetic_matrix,  # noqa: F401
                          nuclear_matrix, overlap_matrix)
 from .diis import DIIS
 from .fock import JKEngine, check_jk_mode, make_jk_engine
-from .guess import core_guess, density_from_orbitals, orthogonalizer
+from .guess import density_from_orbitals, orthogonalizer
 
 __all__ = ["SCFResult", "RHF", "run_rhf"]
 
@@ -159,12 +159,6 @@ class RHF:
         which carries its worker pool, fitted-tensor cache or increment
         history across SCFs).  The driver re-targets it if it serves
         another basis and never closes it.
-    soscf_rough:
-        Rough-phase interpolation for ``scf_solver="soscf"``:
-        ``"adiis"`` (default) or ``"ediis"`` — see
-        :mod:`repro.scf.soscf`.  Ignored by the other solvers
-        (``"auto"`` roughs with plain DIIS so its pre-handoff iterates
-        match the reference loop).
     soscf_state:
         Warm-start state for the Newton solver (a dict previously
         returned on :attr:`SCFResult.soscf_state`): restores the
@@ -176,19 +170,19 @@ class RHF:
     #: (:class:`repro.scf.dft.RKS` overrides this).
     xc = None
 
+    #: Electrons per occupied orbital of one spin channel (UHF: 1).
+    occupation = 2.0
+
     def __init__(self, mol: Molecule, basis: str | BasisSet = "sto-3g",
                  mode: str = "incore", screen_eps: float = 1e-10,
                  conv_tol: float = 1e-8, max_iter: int = 100,
                  diis_size: int = 8, level_shift: float = 0.0,
                  damping: float = 0.0, smearing: float = 0.0,
                  jk_engine: JKEngine | None = None, config=None,
-                 soscf_rough: str = "adiis",
                  soscf_state: dict | None = None):
         from ..runtime.execconfig import resolve_execution
 
-        if mol.nelectron % 2 != 0:
-            raise ValueError("RHF requires an even electron count; "
-                             f"{mol.name or 'molecule'} has {mol.nelectron}")
+        self._nocc = self._spin_channels(mol)
         self.config = resolve_execution(config, owner=type(self).__name__)
         check_jk_mode(mode, self.config, engine=jk_engine)
         self.mol = mol
@@ -201,14 +195,8 @@ class RHF:
         self.level_shift = level_shift
         self.damping = damping
         self.smearing = smearing
-        self.executor = self.config.executor
-        self.nworkers = self.config.nworkers
         self.scf_solver = self.config.scf_solver
-        self.soscf_rough = soscf_rough
         self.soscf_state = soscf_state
-        if soscf_rough not in ("adiis", "ediis"):
-            raise ValueError(f"soscf_rough must be 'adiis' or 'ediis', "
-                             f"got {soscf_rough!r}")
         if self.scf_solver != "diis" and smearing > 0.0:
             raise ValueError(
                 "fractional (smeared) occupations break the "
@@ -221,9 +209,48 @@ class RHF:
             raise ValueError("smearing must be non-negative")
         self._jk: JKEngine | None = None
 
+    # --- spin-channel hooks (UHF overrides these) ----------------------------
+
+    def _spin_channels(self, mol: Molecule) -> tuple[int, ...]:
+        """Occupied orbitals per spin channel: one closed-shell channel."""
+        if mol.nelectron % 2 != 0:
+            raise ValueError("RHF requires an even electron count; "
+                             f"{mol.name or 'molecule'} has {mol.nelectron}")
+        return (mol.nelectron // 2,)
+
+    def _guess(self, hcore: np.ndarray, X: np.ndarray, D0):
+        """Starting ``(densities, orbitals)`` per channel: the core
+        Hamiltonian's orbitals, or a supplied ``D0`` (no orbitals)."""
+        if self._nocc[0] == 0:
+            raise ValueError("no electrons to correlate — check charge")
+        if D0 is not None:
+            return [D0.copy()], [None]
+        C, _ = _canonical(hcore, X)
+        return [self._density(C, self._nocc[0])], [C]
+
+    def _density(self, C: np.ndarray, nocc: int) -> np.ndarray:
+        """One channel's density from its orbitals."""
+        return density_from_orbitals(C, nocc)
+
+    def _channel_fock_energy(self, fock_energy):
+        """The loop's per-channel view of :meth:`_fock_energy`'s
+        closure: ``(D,) -> ((F,), E, E_x)``."""
+        def per_channel(Ds):
+            F, energy, ex_energy = fock_energy(Ds[0])
+            return (F,), energy, ex_energy
+        return per_channel
+
+    def _result(self, Ds, Fs, orbitals, **kw) -> SCFResult:
+        """The run's result from its final per-channel densities, Fock
+        matrices and canonical ``(C, eps)`` pairs."""
+        (C, eps), = orbitals
+        return SCFResult(C=C, eps=eps, D=Ds[0], F=Fs[0], basis=self.basis,
+                         energy_electronic=kw["energy"] - kw["energy_nuc"],
+                         solver=self.scf_solver, **kw)
+
     def _next_density(self, Fd, X, S, D_old, nocc):
-        """Diagonalize the (possibly level-shifted) Fock matrix and form
-        the next (possibly damped) density.
+        """Diagonalize one channel's (possibly level-shifted) Fock
+        matrix and form its next (possibly damped) density and orbitals.
 
         Level shifting raises the virtual orbitals by ``level_shift``
         Hartree (projector built from the current density), damping
@@ -233,7 +260,7 @@ class RHF:
         f = X.T @ Fd @ X
         if self.level_shift > 0.0:
             # occupied projector in the orthonormal basis
-            half = X.T @ S @ (0.5 * D_old) @ S @ X
+            half = X.T @ S @ (D_old / self.occupation) @ S @ X
             f = f + self.level_shift * (np.eye(f.shape[0]) - half)
         eps, Cp = np.linalg.eigh(f)
         C = X @ Cp
@@ -243,10 +270,10 @@ class RHF:
             occ = fermi_occupations(eps, 2.0 * nocc, self.smearing)
             D = density_from_occupations(C, occ)
         else:
-            D = density_from_orbitals(C, nocc)
+            D = self._density(C, nocc)
         if self.damping > 0.0:
             D = (1.0 - self.damping) * D + self.damping * D_old
-        return D, C, eps
+        return D, C
 
     # --- integral plumbing ---------------------------------------------------
 
@@ -270,91 +297,6 @@ class RHF:
         if self._jk is not self.jk_engine:
             self._jk.close()
 
-    # --- SCF loop -------------------------------------------------------------
-
-    def run(self, D0: np.ndarray | None = None) -> SCFResult:
-        """Iterate to self-consistency and return the result.
-
-        ``scf_solver="diis"`` (the default) runs the bit-exact DIIS
-        reference loop (:meth:`_run_diis`); ``"soscf"``/``"auto"``
-        dispatch to the accelerated Newton path (:meth:`_run_soscf`),
-        which agrees with the reference energies to the convergence
-        tolerance while spending fewer Fock builds.
-        """
-        return self._run(D0)
-
-    def _run(self, D0):
-        if self.scf_solver != "diis":
-            return self._run_soscf(D0)
-        return self._run_diis(D0)
-
-    def _run_diis(self, D0: np.ndarray | None = None) -> SCFResult:
-        """The DIIS reference loop, shared by every closed-shell driver
-        through the :meth:`_fock_energy` hook."""
-        t0 = time.perf_counter()
-        S, hcore = self._setup()
-        self._prepare_xc()
-        nocc = self.mol.nelectron // 2
-        if nocc == 0:
-            raise ValueError("no electrons to correlate — check charge")
-        if D0 is None:
-            D, C, eps = core_guess(hcore, S, nocc)
-        else:
-            D, C, eps = D0.copy(), None, None
-        X = orthogonalizer(S)
-        enuc = nuclear_repulsion(self.mol)
-        fock_energy = self._fock_energy(hcore, enuc)
-        diis = DIIS(self.diis_size)
-        F = hcore
-        energy = 0.0
-        ex_energy = 0.0
-        history: list[float] = []
-        converged = False
-        it = 0
-        tr = self.config.trace
-        try:
-            for it in range(1, self.max_iter + 1):
-                with tr.span("scf.iteration", cat="scf", it=it):
-                    F, energy, ex_energy = fock_energy(D)
-                    tr.count("scf.fock_builds", 1)
-                    history.append(energy)
-                    with tr.span("scf.diis", cat="diis"):
-                        err = X.T @ (F @ D @ S - S @ D @ F) @ X
-                        diis.push(F, err)
-                        err_norm = diis.error_norm()
-                    # a supplied D0 can have a vanishing commutator while
-                    # being mis-normalized for this geometry; require at
-                    # least one orbital update before trusting the
-                    # convergence test
-                    may_exit = D0 is None or it > 1
-                    if may_exit and err_norm < self.conv_tol:
-                        converged = True
-                        break
-                    with tr.span("scf.update", cat="scf"):
-                        Fd = diis.extrapolate()
-                        D, C, eps = self._next_density(Fd, X, S, D, nocc)
-        finally:
-            self._close_jk()
-        if tr.enabled:
-            tr.metrics.set("scf.niter", it)
-            tr.metrics.set("scf.converged", int(converged))
-            tr.metrics.set("scf.diis_fallbacks", diis.fallbacks)
-        # canonicalize against the final Fock matrix: the loop's C/eps
-        # lag one iteration behind (and are the bare core-guess values
-        # when convergence hits on iteration 1)
-        f = X.T @ F @ X
-        eps, Cp = np.linalg.eigh(f)
-        C = X @ Cp
-        return SCFResult(
-            energy=energy, energy_nuc=enuc, energy_electronic=energy - enuc,
-            converged=converged, niter=it, C=C, eps=eps, D=D, F=F, S=S,
-            hcore=hcore, basis=self.basis, exchange_energy=ex_energy,
-            history=history, solver="diis", fock_builds=it,
-            wall_s=time.perf_counter() - t0,
-        )
-
-    # --- accelerated (SOSCF) path --------------------------------------------
-
     def _prepare_xc(self) -> None:
         """Hook: build grid/XC machinery before Fock evaluation.
 
@@ -364,8 +306,8 @@ class RHF:
 
     def _fock_energy(self, hcore: np.ndarray, enuc: float):
         """Hook: the ``fock_energy(D) -> (F, E_total, E_x)`` closure
-        both the DIIS reference loop and the Newton path iterate, so
-        they optimize exactly the same energy.
+        both the SCF loop and the Newton solver iterate, so they
+        optimize exactly the same energy.
         """
         def fock_energy(D):
             J, K = self._jk.build(D)
@@ -393,75 +335,91 @@ class RHF:
             return J - 0.5 * K
         return response
 
-    def _run_soscf(self, D0: np.ndarray | None = None) -> SCFResult:
-        """The accelerated convergence stack (``scf_solver != "diis"``).
+    # --- the SCF loop -------------------------------------------------------
 
-        Phase 1 (*rough*): ``"auto"`` runs plain DIIS iterations —
-        identical stabilizers (level shift, damping) to the reference
-        loop — until the commutator norm crosses the handoff threshold
-        or visibly stalls; ``"soscf"`` instead interpolates with
-        ADIIS/EDIIS, which tolerates far-from-converged starts.
-        Phase 2: trust-radius Newton micro-iterations
-        (:class:`repro.scf.soscf.NewtonSOSCF`) to the final tolerance.
+    def run(self, D0: np.ndarray | None = None) -> SCFResult:
+        """Iterate to self-consistency and return the result.
+
+        ``scf_solver="diis"`` (the default) is the bit-exact DIIS
+        reference; ``"soscf"``/``"auto"`` run the same loop as a rough
+        phase and hand off to the Newton solver, which agrees with the
+        reference energies to the convergence tolerance while spending
+        fewer Fock builds (see :meth:`_run`).
         """
-        from .soscf import ADIIS, DEFAULT_HANDOFF, EDIIS, NewtonSOSCF
+        return self._run(D0)
+
+    def _run(self, D0):
+        """The one SCF iteration loop, over spin channels.
+
+        Closed shell is one channel (occupation 2), UHF two (occupation
+        1); the per-channel algebra is 2-D and DIIS extrapolates the
+        channels stacked.  ``scf_solver="diis"`` iterates to
+        convergence.  The accelerated solvers run at most 12 iterations
+        of it as the *rough* phase — ``"soscf"`` interpolating with
+        ADIIS from the start, ``"auto"`` with DIIS until it visibly
+        stalls far from the handoff — and leave it once the commutator
+        norm crosses :data:`~repro.scf.soscf.DEFAULT_HANDOFF`, for
+        trust-radius Newton micro-iterations
+        (:class:`~repro.scf.soscf.NewtonSOSCF`) to the final tolerance.
+        """
+        from .soscf import ADIIS, DEFAULT_HANDOFF, NewtonSOSCF
 
         t0 = time.perf_counter()
-        S, hcore = self._setup()
-        self._prepare_xc()
-        nocc = self.mol.nelectron // 2
-        if nocc == 0:
-            raise ValueError("no electrons to correlate — check charge")
-        if D0 is None:
-            D, C, _ = core_guess(hcore, S, nocc)
-        else:
-            D, C = D0.copy(), None
-        X = orthogonalizer(S)
-        enuc = nuclear_repulsion(self.mol)
-        fock_energy = self._fock_energy(hcore, enuc)
         tr = self.config.trace
-        auto = self.scf_solver == "auto"
-        diis = DIIS(self.diis_size)
-        rough = None if auto else \
-            (EDIIS if self.soscf_rough == "ediis" else ADIIS)(self.diis_size)
-        solver = NewtonSOSCF(fock_energy, self._soscf_response(), S, X,
-                             nocc, conv_tol=self.conv_tol, trace=tr)
-        if self.soscf_state is not None:
-            solver.set_state(self.soscf_state)
-        builds0, micro0 = solver.fock_builds, solver.micro_iters
-        energy = 0.0
-        ex_energy = 0.0
-        history: list[float] = []
-        err_hist: list[float] = []
-        converged = False
-        nrough = 0
-        rough_builds = 0
+        newton = self.scf_solver != "diis"
+        S, hcore = self._setup()
         try:
-            # --- phase 1: rough convergence ------------------------------
-            max_rough = min(self.max_iter, 12)
-            F = None
-            fresh = False       # F/energy match the current D and C?
-            while nrough < max_rough:
-                nrough += 1
-                with tr.span("scf.iteration", cat="scf", it=nrough,
-                             phase="rough"):
-                    F, energy, ex_energy = fock_energy(D)
+            self._prepare_xc()
+            X = orthogonalizer(S)
+            Ds, Cs = self._guess(hcore, X, D0)
+            enuc = nuclear_repulsion(self.mol)
+            fock_energy = self._fock_energy(hcore, enuc)
+            channel_fock_energy = self._channel_fock_energy(fock_energy)
+            diis = DIIS(self.diis_size)
+            rough = ADIIS(self.diis_size) if self.scf_solver == "soscf" \
+                else None
+            if newton:
+                solver = NewtonSOSCF(fock_energy, self._soscf_response(), S,
+                                     X, self._nocc[0], conv_tol=self.conv_tol,
+                                     trace=tr)
+                if self.soscf_state is not None:
+                    solver.set_state(self.soscf_state)
+                builds0, micro0 = solver.fock_builds, solver.micro_iters
+            Fs = [hcore] * len(Ds)
+            energy = ex_energy = 0.0
+            history: list[float] = []
+            err_hist: list[float] = []
+            converged = False
+            fresh = False       # Fs/energy match the current Ds and Cs?
+            phase = {"phase": "rough"} if newton else {}
+            it = 0
+            for it in range(1, (min(self.max_iter, 12) if newton
+                                else self.max_iter) + 1):
+                with tr.span("scf.iteration", cat="scf", it=it, **phase):
+                    Fs, energy, ex_energy = channel_fock_energy(Ds)
                     fresh = True
-                    rough_builds += 1
                     tr.count("scf.fock_builds", 1)
                     history.append(energy)
-                    err = X.T @ (F @ D @ S - S @ D @ F) @ X
-                    err_norm = float(np.abs(err).max())
-                    err_hist.append(err_norm)
-                    # see _run_diis(): a supplied D0 can have a vanishing
-                    # commutator while being wrong for this geometry
-                    may_exit = D0 is None or nrough > 1
+                    with tr.span("scf.diis", cat="diis"):
+                        F = np.vstack(Fs)
+                        err = np.vstack([X.T @ (Fc @ Dc @ S - S @ Dc @ Fc) @ X
+                                         for Fc, Dc in zip(Fs, Ds)])
+                        if rough is None:
+                            diis.push(F, err)
+                        err_norm = float(np.abs(err).max())
+                        err_hist.append(err_norm)
+                    # a supplied D0 can have a vanishing commutator while
+                    # being mis-normalized for this geometry; require at
+                    # least one orbital update before trusting the
+                    # convergence test
+                    may_exit = D0 is None or it > 1
                     if may_exit and err_norm < self.conv_tol:
                         converged = True
                         break
-                    if may_exit and err_norm < DEFAULT_HANDOFF:
-                        break                      # hand off to Newton
-                    if auto and rough is None and len(err_hist) >= 6 \
+                    if newton and may_exit and err_norm < DEFAULT_HANDOFF:
+                        break
+                    if self.scf_solver == "auto" and rough is None \
+                            and len(err_hist) >= 6 \
                             and err_hist[-1] > 0.5 * err_hist[-4]:
                         # DIIS is stalling.  Close to convergence the
                         # Newton solver takes it from here; far out a
@@ -473,54 +431,59 @@ class RHF:
                         rough = ADIIS(self.diis_size)
                     with tr.span("scf.update", cat="scf"):
                         if rough is None:
-                            diis.push(F, err)
                             Fd = diis.extrapolate()
                         else:
-                            rough.push(D, F, energy)
+                            rough.push(np.vstack(Ds), F)
                             Fd = rough.fock() if rough.nvec >= 2 else F
-                        D, C, _ = self._next_density(Fd, X, S, D, nocc)
+                        Ds, Cs = zip(*(
+                            self._next_density(Fc, X, S, Dc, n)
+                            for Fc, Dc, n in zip(np.split(Fd, len(Ds)), Ds,
+                                                 self._nocc)))
                         fresh = False
-            # --- phase 2: Newton macro/micro iterations ------------------
-            niter = nrough
-            if not converged:
-                # the rough phase's (F, E) pair is reusable when it
-                # still matches the orbitals: no update ran after the
-                # build, and no damping mixed D away from 2 C_o C_o^T
-                state = (F, energy, ex_energy) \
-                    if (fresh and C is not None and self.damping == 0.0) \
-                    else None
-                if C is None:
-                    # a supplied D0 carries no orbitals: canonicalize
-                    f = X.T @ F @ X
-                    _, Cp = np.linalg.eigh(f)
-                    C = X @ Cp
-                out = solver.solve(
-                    C, max_macro=max(self.max_iter - nrough, 1),
-                    history=history, state=state)
-                converged = out["converged"]
-                D, F = out["D"], out["F"]
-                energy, ex_energy = out["energy"], out["exchange_energy"]
-                niter = nrough + out["niter"]
+            niter = fock_builds = it
+            micro_iters = 0
+            if newton:
+                if not converged:
+                    # the rough phase's (F, E) pair is reusable when it
+                    # still matches the orbitals: no update ran after the
+                    # build, and no damping mixed D away from 2 C_o C_o^T
+                    C = Cs[0]
+                    state = (Fs[0], energy, ex_energy) \
+                        if (fresh and C is not None and self.damping == 0.0) \
+                        else None
+                    if C is None:
+                        # a supplied D0 carries no orbitals: canonicalize
+                        C, _ = _canonical(Fs[0], X)
+                    out = solver.solve(C, max_macro=max(self.max_iter - it, 1),
+                                       history=history, state=state)
+                    converged = out["converged"]
+                    Ds, Fs = [out["D"]], [out["F"]]
+                    energy, ex_energy = out["energy"], out["exchange_energy"]
+                    niter += out["niter"]
+                fock_builds += solver.fock_builds - builds0
+                micro_iters = solver.micro_iters - micro0
         finally:
             self._close_jk()
         if tr.enabled:
             tr.metrics.set("scf.niter", niter)
             tr.metrics.set("scf.converged", int(converged))
             tr.metrics.set("scf.diis_fallbacks", diis.fallbacks)
-        # canonicalize against the final Fock matrix (see _run_diis())
-        f = X.T @ F @ X
-        eps, Cp = np.linalg.eigh(f)
-        C = X @ Cp
-        return SCFResult(
-            energy=energy, energy_nuc=enuc, energy_electronic=energy - enuc,
-            converged=converged, niter=niter, C=C, eps=eps, D=D, F=F, S=S,
-            hcore=hcore, basis=self.basis, exchange_energy=ex_energy,
-            history=history, solver=self.scf_solver,
-            fock_builds=rough_builds + solver.fock_builds - builds0,
-            micro_iters=solver.micro_iters - micro0,
-            soscf_state=solver.get_state(),
-            wall_s=time.perf_counter() - t0,
-        )
+        # canonicalize against the final Fock matrices: the loop's
+        # orbitals lag one iteration behind (and are the bare core-guess
+        # values when convergence hits on iteration 1)
+        return self._result(
+            Ds, Fs, [_canonical(F, X) for F in Fs], energy=energy,
+            energy_nuc=enuc, exchange_energy=ex_energy, converged=converged,
+            niter=niter, S=S, hcore=hcore, history=history,
+            fock_builds=fock_builds, micro_iters=micro_iters,
+            soscf_state=solver.get_state() if newton else None,
+            wall_s=time.perf_counter() - t0)
+
+
+def _canonical(F: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical orbitals and energies ``(C, eps)`` of ``F``."""
+    eps, Cp = np.linalg.eigh(X.T @ F @ X)
+    return X @ Cp, eps
 
 
 def run_rhf(mol: Molecule, basis: str = "sto-3g", **kw) -> SCFResult:

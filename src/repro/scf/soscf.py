@@ -1,4 +1,4 @@
-"""Second-order SCF: Newton orbital optimization + ADIIS/EDIIS.
+"""Second-order SCF: Newton orbital optimization + ADIIS.
 
 Every SCF iteration costs one J/K build — the exact operation the
 paper distributes across millions of BG/Q threads — so cutting the
@@ -6,11 +6,12 @@ iteration count is the biggest remaining lever on time-to-solution.
 This module supplies the two pieces of the accelerated convergence
 stack the drivers dispatch on (``ExecutionConfig(scf_solver=...)``):
 
-* :class:`ADIIS` / :class:`EDIIS` — energy-aware Fock interpolation
-  over the *simplex* of stored iterates (coefficients are nonnegative
-  and sum to one, so the interpolated state is always physical), which
-  is what makes rough starting guesses tractable where plain DIIS
-  oscillates;
+* :class:`ADIIS` — energy-aware Fock interpolation over the *simplex*
+  of stored iterates (coefficients are nonnegative and sum to one, so
+  the interpolated state is always physical), which is what makes
+  rough starting guesses tractable where plain DIIS oscillates; the
+  SCF loop (:meth:`repro.scf.rhf.RHF._run`) runs it as the rough phase
+  of ``scf_solver="soscf"`` and after an ``"auto"`` DIIS stall;
 * :class:`NewtonSOSCF` — a trust-radius Newton (augmented-Hessian
   family) orbital optimizer: the SCF energy is parametrized by an
   anti-symmetric occupied-virtual rotation ``C(kappa) = C exp(kappa)``
@@ -51,10 +52,10 @@ import scipy.optimize as sopt
 
 from ..runtime.checkpoint import CheckpointError
 
-__all__ = ["ADIIS", "EDIIS", "NewtonSOSCF"]
+__all__ = ["ADIIS", "NewtonSOSCF"]
 
-#: Commutator-norm threshold below which the rough (ADIIS/EDIIS or
-#: DIIS) phase hands the SCF to the Newton solver.  Tuned on the
+#: Commutator-norm threshold below which the rough (ADIIS or DIIS)
+#: phase hands the SCF to the Newton solver.  Tuned on the
 #: electrolyte test set: a later handoff wastes rough iterations that
 #: Newton would cover quadratically, a much earlier one risks dropping
 #: the solver into the basin of a metastable saddle.
@@ -75,10 +76,14 @@ def _trace_dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b))
 
 
-class _SimplexFock:
-    """Shared machinery of ADIIS/EDIIS: store ``(D, F, E)`` iterates,
-    minimize the subclass objective over the coefficient simplex, and
-    hand back the interpolated Fock matrix.
+class ADIIS:
+    """Augmented-Roothaan-Hall DIIS (Hu & Yang, JCP 132, 054109, 2010).
+
+    Stores ``(D, F)`` iterates and interpolates the Fock matrix over the
+    *simplex* of them, minimizing ``f(c) = 2 sum_i c_i <D_i - D_n, F_n>
+    + sum_ij c_i c_j <D_i - D_n, F_j - F_n>`` — an energy-function model
+    anchored at the *latest* iterate, which makes it robust from rough
+    starting guesses.
 
     The simplex constraint is enforced by the smooth substitution
     ``c_k = t_k^2 / sum(t^2)`` so an unconstrained BFGS solves the
@@ -88,47 +93,50 @@ class _SimplexFock:
 
     def __init__(self, max_vec: int = 6):
         if max_vec < 2:
-            raise ValueError(f"{type(self).__name__} needs max_vec >= 2")
+            raise ValueError("ADIIS needs max_vec >= 2")
         self.max_vec = max_vec
         self._D: list[np.ndarray] = []
         self._F: list[np.ndarray] = []
-        self._E: list[float] = []
 
     @property
     def nvec(self) -> int:
         """Number of stored iterates."""
         return len(self._F)
 
-    def push(self, D: np.ndarray, F: np.ndarray, energy: float) -> None:
-        """Add a density/Fock/energy triple, evicting the oldest."""
+    def push(self, D: np.ndarray, F: np.ndarray) -> None:
+        """Add a density/Fock pair, evicting the oldest."""
         self._D.append(D.copy())
         self._F.append(F.copy())
-        self._E.append(float(energy))
         if len(self._F) > self.max_vec:
             self._D.pop(0)
             self._F.pop(0)
-            self._E.pop(0)
-
-    def _objective(self, c: np.ndarray) -> float:
-        raise NotImplementedError
 
     def coefficients(self) -> np.ndarray:
-        """Simplex coefficients minimizing the subclass objective."""
+        """Simplex coefficients minimizing the ARH energy model."""
         n = self.nvec
         if n == 0:
-            raise RuntimeError(
-                f"{type(self).__name__}: no iterates stored — push() "
-                f"at least one (D, F, E) triple first")
+            raise RuntimeError("ADIIS: no iterates stored — push() at least "
+                               "one (D, F) pair first")
         if n == 1:
             return np.ones(1)
+        Dn, Fn = self._D[-1], self._F[-1]
+        dD = [Di - Dn for Di in self._D]
+        dF = [Fj - Fn for Fj in self._F]
+        d = np.array([_trace_dot(dD[i], Fn) for i in range(n)])
+        B = np.empty((n, n))
+        for i in range(n):
+            for j in range(n):
+                B[i, j] = _trace_dot(dD[i], dF[j])
+
+        def objective(c):
+            return float(2.0 * c @ d + c @ B @ c)
 
         def f(t):
             t2 = t * t
-            return self._objective(t2 / t2.sum())
+            return objective(t2 / t2.sum())
 
         starts = [np.ones(n)]
-        vertex = int(np.argmin([self._objective(np.eye(n)[k])
-                                for k in range(n)]))
+        vertex = int(np.argmin([objective(np.eye(n)[k]) for k in range(n)]))
         e = np.full(n, 1e-4)
         e[vertex] = 1.0
         starts.append(e)
@@ -141,7 +149,7 @@ class _SimplexFock:
             if not np.isfinite(s) or s <= 0.0:
                 continue
             c = t2 / s
-            val = self._objective(c)
+            val = objective(c)
             if val < best_f:
                 best_c, best_f = c, val
         if best_c is None:      # pathological optimizer failure
@@ -156,49 +164,6 @@ class _SimplexFock:
         for ck, Fk in zip(c, self._F):
             out += ck * Fk
         return out
-
-
-class ADIIS(_SimplexFock):
-    """Augmented-Roothaan-Hall DIIS (Hu & Yang, JCP 132, 054109, 2010).
-
-    Minimizes ``f(c) = 2 sum_i c_i <D_i - D_n, F_n>
-    + sum_ij c_i c_j <D_i - D_n, F_j - F_n>`` over the simplex — an
-    energy-function model anchored at the *latest* iterate, which makes
-    it the robust default for rough starting guesses.
-    """
-
-    def _objective(self, c: np.ndarray) -> float:
-        n = self.nvec
-        Dn, Fn = self._D[-1], self._F[-1]
-        d = np.array([_trace_dot(self._D[i] - Dn, Fn) for i in range(n)])
-        B = np.empty((n, n))
-        dD = [self._D[i] - Dn for i in range(n)]
-        dF = [self._F[j] - Fn for j in range(n)]
-        for i in range(n):
-            for j in range(n):
-                B[i, j] = _trace_dot(dD[i], dF[j])
-        return float(2.0 * c @ d + c @ B @ c)
-
-
-class EDIIS(_SimplexFock):
-    """Energy-DIIS (Kudin, Scuseria & Cancès, JCP 116, 8255, 2002).
-
-    Minimizes ``f(c) = sum_i c_i E_i
-    - 1/2 sum_ij c_i c_j <D_i - D_j, F_i - F_j>`` over the simplex —
-    interpolating the actual SCF energies, which damps the large
-    oscillations of a far-from-converged start.
-    """
-
-    def _objective(self, c: np.ndarray) -> float:
-        n = self.nvec
-        E = np.asarray(self._E)
-        B = np.empty((n, n))
-        for i in range(n):
-            B[i, i] = 0.0
-            for j in range(i + 1, n):
-                B[i, j] = B[j, i] = _trace_dot(
-                    self._D[i] - self._D[j], self._F[i] - self._F[j])
-        return float(c @ E - 0.5 * c @ B @ c)
 
 
 class NewtonSOSCF:

@@ -2,10 +2,10 @@
 
 The lithium/air problem is full of radicals — superoxide O2^-, LiO2,
 atomic Li — and the paper's MD treats them spin-unrestricted.  This
-driver provides the same machinery as :class:`~repro.scf.rhf.RHF` for
-arbitrary spin multiplicities: separate alpha/beta Fock operators,
-commutator-DIIS on the stacked spin blocks, level shifting, and the
-spin-contamination diagnostic <S^2>.
+driver runs :class:`~repro.scf.rhf.RHF`'s SCF loop for arbitrary spin
+multiplicities: separate alpha/beta Fock operators, commutator-DIIS on
+the stacked spin blocks, level shifting, and the spin-contamination
+diagnostic <S^2>.
 
 Execution rides the same :class:`repro.runtime.ExecutionConfig` as the
 restricted driver, through the same
@@ -17,17 +17,14 @@ build and *both* spin exchange builds of every iteration.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..basis.basisset import BasisSet, build_basis
-from ..chem.molecule import Molecule, nuclear_repulsion
-from ..integrals import kinetic_matrix, nuclear_matrix, overlap_matrix
-from .diis import DIIS
-from .fock import JKEngine, check_jk_mode, make_jk_engine
-from .guess import orthogonalizer
+from ..basis.basisset import BasisSet
+from ..chem.molecule import Molecule
+from .fock import JKEngine
+from .rhf import RHF, _canonical
 
 __all__ = ["UHFResult", "UHF", "run_uhf"]
 
@@ -102,14 +99,20 @@ class UHFResult:
         )
 
 
-class UHF:
+class UHF(RHF):
     """Unrestricted Hartree-Fock driver.
 
     Parameters mirror :class:`~repro.scf.rhf.RHF` (``mode``/``config``/
     ``jk_engine`` select in-core vs direct vs fitted integral plumbing);
     ``break_symmetry`` mixes the alpha HOMO/LUMO of the initial guess,
     which lets singlet-biradical states escape the restricted solution.
+
+    The iterations are :class:`RHF`'s loop over two spin channels with
+    one electron per occupied orbital; this class supplies only the
+    spin counts, the guess, the ``(Fa, Fb)`` Fock build and its result.
     """
+
+    occupation = 1.0
 
     def __init__(self, mol: Molecule, basis: str | BasisSet = "sto-3g",
                  mode: str = "incore",
@@ -117,157 +120,85 @@ class UHF:
                  diis_size: int = 8, level_shift: float = 0.0,
                  break_symmetry: bool = False, screen_eps: float = 1e-10,
                  jk_engine: JKEngine | None = None, config=None):
-        from ..runtime.execconfig import resolve_execution
+        super().__init__(mol, basis, mode=mode, screen_eps=screen_eps,
+                         conv_tol=conv_tol, max_iter=max_iter,
+                         diis_size=diis_size, level_shift=level_shift,
+                         jk_engine=jk_engine, config=config)
+        if self.scf_solver != "diis":
+            raise ValueError("UHF runs the DIIS loop only; the Newton "
+                             "solver's rotation parametrization is "
+                             "closed-shell")
+        self.nalpha, self.nbeta = self._nocc
+        self.break_symmetry = break_symmetry
 
+    def run(self, D0: tuple[np.ndarray, np.ndarray] | None = None
+            ) -> UHFResult:
+        """Iterate the unrestricted SCF equations to self-consistency
+        (``D0`` is an optional ``(Da, Db)`` starting pair)."""
+        return self._run(D0)
+
+    # --- spin-channel hooks of the RHF loop ----------------------------------
+
+    def _spin_channels(self, mol: Molecule) -> tuple[int, int]:
+        """``(nalpha, nbeta)`` for the molecule's multiplicity."""
         nel = mol.nelectron
         nunpaired = mol.multiplicity - 1
         if (nel - nunpaired) % 2 != 0 or nunpaired > nel:
             raise ValueError(
                 f"multiplicity {mol.multiplicity} is impossible for "
                 f"{nel} electrons")
-        self.config = resolve_execution(config, owner="UHF")
-        check_jk_mode(mode, self.config, engine=jk_engine)
-        if self.config.scf_solver != "diis":
-            raise ValueError("UHF implements the DIIS reference loop only; "
-                             "the Newton solver's rotation parametrization "
-                             "is closed-shell")
-        self.mol = mol
-        self.basis = basis if isinstance(basis, BasisSet) \
-            else build_basis(mol, basis)
-        self.mode = mode
-        self.screen_eps = screen_eps
-        self.nalpha = (nel + nunpaired) // 2
-        self.nbeta = (nel - nunpaired) // 2
-        self.conv_tol = conv_tol
-        self.max_iter = max_iter
-        self.diis_size = diis_size
-        self.level_shift = level_shift
-        self.break_symmetry = break_symmetry
-        self.jk_engine = jk_engine
-        self._jk: JKEngine | None = None
+        return (nel + nunpaired) // 2, (nel - nunpaired) // 2
 
-    # --- integral plumbing ---------------------------------------------------
-
-    def _build_jk(self, Da: np.ndarray, Db: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(J[Da+Db], K[Da], K[Db])`` for the current spin densities."""
-        J, _ = self._jk.build(Da + Db, want_k=False)
-        _, Ka = self._jk.build(Da, want_j=False)
-        _, Kb = self._jk.build(Db, want_j=False)
-        return J, Ka, Kb
-
-    # --- SCF loop ------------------------------------------------------------
-
-    def run(self, D0: tuple[np.ndarray, np.ndarray] | None = None
-            ) -> UHFResult:
-        """Iterate the unrestricted SCF equations to self-consistency."""
-        t0 = time.perf_counter()
-        tr = self.config.trace
-        with tr.span("scf.setup", cat="scf", mode=self.mode,
-                     nbf=self.basis.nbf):
-            S = overlap_matrix(self.basis)
-            hcore = kinetic_matrix(self.basis) + nuclear_matrix(self.basis)
-            # a caller-owned engine is re-targeted if needed, never closed
-            self._jk = self.jk_engine or make_jk_engine(
-                self.basis, self.config, self.screen_eps, mode=self.mode)
-            if self._jk.basis is not self.basis:
-                self._jk.reset(self.basis)
-        X = orthogonalizer(S)
-        enuc = nuclear_repulsion(self.mol)
-        na, nb = self.nalpha, self.nbeta
-
-        def make_density(C, nocc):
-            return C[:, :nocc] @ C[:, :nocc].T
-
+    def _guess(self, hcore, X, D0):
+        """Core-Hamiltonian orbitals for both spins (the alpha HOMO/LUMO
+        rotated by pi/8 under ``break_symmetry``), or a supplied
+        ``(Da, Db)``."""
         if D0 is not None:
-            Da, Db = D0[0].copy(), D0[1].copy()
-            Ca = Cb = None
-            eps_a = eps_b = None
-        else:
-            f = X.T @ hcore @ X
-            eps_a, Cp = np.linalg.eigh(f)
-            Ca = X @ Cp
-            Cb = Ca.copy()
-            eps_b = eps_a.copy()
-            if self.break_symmetry and na < Ca.shape[1]:
-                theta = 0.25 * np.pi / 2
-                h, l = Ca[:, na - 1].copy(), Ca[:, na].copy()
-                Ca[:, na - 1] = np.cos(theta) * h + np.sin(theta) * l
-                Ca[:, na] = -np.sin(theta) * h + np.cos(theta) * l
-            Da = make_density(Ca, na)
-            Db = make_density(Cb, nb)
+            return [D0[0].copy(), D0[1].copy()], [None, None]
+        na, nb = self._nocc
+        Ca, _ = _canonical(hcore, X)
+        Cb = Ca.copy()
+        if self.break_symmetry and na < Ca.shape[1]:
+            theta = 0.25 * np.pi / 2
+            h, l = Ca[:, na - 1].copy(), Ca[:, na].copy()
+            Ca[:, na - 1] = np.cos(theta) * h + np.sin(theta) * l
+            Ca[:, na] = -np.sin(theta) * h + np.cos(theta) * l
+        return [self._density(Ca, na), self._density(Cb, nb)], [Ca, Cb]
 
-        diis = DIIS(self.diis_size)
-        nbf = self.basis.nbf
-        energy = 0.0
-        history: list[float] = []
-        converged = False
-        fock_builds = 0
-        it = 0
-        try:
-            for it in range(1, self.max_iter + 1):
-                with tr.span("scf.iteration", cat="scf", it=it):
-                    Dt = Da + Db
-                    J, Ka, Kb = self._build_jk(Da, Db)
-                    fock_builds += 1
-                    Fa = hcore + J - Ka
-                    Fb = hcore + J - Kb
-                    e_el = 0.5 * float(np.einsum("pq,pq->", Dt, hcore)
-                                       + np.einsum("pq,pq->", Da, Fa)
-                                       + np.einsum("pq,pq->", Db, Fb))
-                    energy = e_el + enuc
-                    history.append(energy)
-                    err_a = X.T @ (Fa @ Da @ S - S @ Da @ Fa) @ X
-                    err_b = X.T @ (Fb @ Db @ S - S @ Db @ Fb) @ X
-                    err = np.vstack([err_a, err_b])
-                    stacked = np.vstack([Fa, Fb])
-                    with tr.span("scf.diis", cat="diis"):
-                        diis.push(stacked, err)
-                    may_exit = D0 is None or it > 1
-                    if may_exit and diis.error_norm() < self.conv_tol:
-                        converged = True
-                        break
-                    with tr.span("scf.update", cat="scf"):
-                        Fd = diis.extrapolate()
-                        Fa_d, Fb_d = Fd[:nbf], Fd[nbf:]
+    def _density(self, C, nocc):
+        """One electron per occupied spin orbital."""
+        return C[:, :nocc] @ C[:, :nocc].T
 
-                        def advance(F, D_old, nocc):
-                            f = X.T @ F @ X
-                            if self.level_shift > 0.0:
-                                proj = X.T @ S @ D_old @ S @ X
-                                f = f + self.level_shift * (
-                                    np.eye(f.shape[0]) - proj)
-                            eps, Cp = np.linalg.eigh(f)
-                            C = X @ Cp
-                            return make_density(C, nocc), C, eps
+    def _fock_energy(self, hcore, enuc):
+        """``fock_energy((Da, Db)) -> ((Fa, Fb), E_total, 0.0)``: one J
+        of the total density and one K per spin."""
+        def fock_energy(Ds):
+            Da, Db = Ds
+            Dt = Da + Db
+            J, _ = self._jk.build(Dt, want_k=False)
+            _, Ka = self._jk.build(Da, want_j=False)
+            _, Kb = self._jk.build(Db, want_j=False)
+            Fa = hcore + J - Ka
+            Fb = hcore + J - Kb
+            e_el = 0.5 * float(np.einsum("pq,pq->", Dt, hcore)
+                               + np.einsum("pq,pq->", Da, Fa)
+                               + np.einsum("pq,pq->", Db, Fb))
+            return (Fa, Fb), e_el + enuc, 0.0
+        return fock_energy
 
-                        Da, Ca, eps_a = advance(Fa_d, Da, na)
-                        Db, Cb, eps_b = advance(Fb_d, Db, nb)
-        finally:
-            # an engine (and pool) this run made dies with the run
-            if self._jk is not self.jk_engine:
-                self._jk.close()
-        if tr.enabled:
-            tr.metrics.set("scf.niter", it)
-            tr.metrics.set("scf.converged", int(converged))
-            tr.metrics.count("scf.fock_builds", fock_builds)
-        # canonicalize against the final Fock matrices (the loop's
-        # orbitals lag one iteration behind; see RHF.run)
-        _, Ca, eps_a = self._final_orbitals(Fa, X)
-        _, Cb, eps_b = self._final_orbitals(Fb, X)
+    def _channel_fock_energy(self, fock_energy):
+        """:meth:`_fock_energy`'s closure is per channel already."""
+        return fock_energy
+
+    def _result(self, Ds, Fs, orbitals, *, energy, energy_nuc, converged,
+                niter, S, history, fock_builds, wall_s, **_) -> UHFResult:
+        (Ca, eps_a), (Cb, eps_b) = orbitals
         return UHFResult(
-            energy=energy, energy_nuc=enuc, converged=converged, niter=it,
-            C_a=Ca, C_b=Cb, eps_a=eps_a, eps_b=eps_b, D_a=Da, D_b=Db,
-            S=S, basis=self.basis, nalpha=na, nbeta=nb, history=history,
-            solver=self.config.scf_solver, fock_builds=fock_builds,
-            wall_s=time.perf_counter() - t0,
-        )
-
-    @staticmethod
-    def _final_orbitals(F, X):
-        f = X.T @ F @ X
-        eps, Cp = np.linalg.eigh(f)
-        return None, X @ Cp, eps
+            energy=energy, energy_nuc=energy_nuc, converged=converged,
+            niter=niter, C_a=Ca, C_b=Cb, eps_a=eps_a, eps_b=eps_b,
+            D_a=Ds[0], D_b=Ds[1], S=S, basis=self.basis, nalpha=self.nalpha,
+            nbeta=self.nbeta, history=history, solver=self.scf_solver,
+            fock_builds=fock_builds, wall_s=wall_s)
 
 
 def run_uhf(mol: Molecule, basis: str = "sto-3g", **kw) -> UHFResult:

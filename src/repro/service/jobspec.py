@@ -190,9 +190,8 @@ class JobSpec:
         if self.jk == "ri" and self.mode == "incore":
             raise ValueError("JobSpec: jk='ri' requires direct J/K "
                              "builds, not mode='incore'")
+        mult = self._multiplicity()
         if self.kind == "md":
-            mult = self.molecule.get("multiplicity", 1) \
-                if isinstance(self.molecule, dict) else self.multiplicity
             if mult != 1:
                 raise ValueError(
                     f"JobSpec.multiplicity must be 1 for kind='md' (the "
@@ -208,13 +207,20 @@ class JobSpec:
             if self.mode == "incore":
                 raise ValueError("JobSpec: executor='process' requires "
                                  "direct J/K builds, not mode='incore'")
-        if self.scf_solver != "diis" and \
-                (self.method == "uhf" or self.multiplicity > 1):
+        if self.scf_solver != "diis" and (self.method == "uhf" or mult > 1):
             raise ValueError(
                 "JobSpec: scf_solver='soscf'/'auto' is wired through "
                 "the closed-shell drivers; the UHF path is DIIS-only")
 
     # --- molecule resolution --------------------------------------------------
+
+    def _multiplicity(self) -> int:
+        """The multiplicity the job runs at: an inline geometry carries
+        its own (the top-level field overrides builder molecules only,
+        see :meth:`resolve_molecule`)."""
+        if isinstance(self.molecule, dict):
+            return self.molecule.get("multiplicity", 1)
+        return self.multiplicity
 
     def resolve_molecule(self) -> Molecule:
         """The concrete (possibly perturbed) geometry this spec names."""

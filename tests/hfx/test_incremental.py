@@ -100,6 +100,62 @@ def test_screen_is_per_shell_pair_not_global(water_scf_sequence):
     assert inc.savings > 0.0
 
 
+def _screen_oracle(inc, dmax):
+    """The per-quartet increment screen the engine ran before it shared
+    the direct builder's vectorized one: surviving ket lists plus the
+    computed and skipped counts."""
+    keys = inc.full._keys
+    surviving, computed, skipped = [], 0, 0
+    for a, (i, j) in enumerate(keys):
+        qa = inc.Q[(i, j)]
+        kept = []
+        for (k, l) in keys[a:]:
+            bound = qa * inc.Q[(k, l)]
+            dloc = max(dmax[j, l], dmax[j, k], dmax[i, l], dmax[i, k])
+            if bound * dloc < inc.eps:
+                skipped += 1
+                continue
+            kept.append((k, l))
+        if kept:
+            surviving.append((i, j, np.asarray(kept, dtype=np.int64)))
+            computed += len(kept)
+    return surviving, computed, skipped
+
+
+@pytest.mark.parametrize("builder", ["water", "li2o2",
+                                     "propylene_carbonate"])
+def test_increment_screen_equals_the_per_quartet_loop(builder):
+    """The increment screen is the direct builder's, fed per-block
+    ``max|dD|``: the same survivors, in the same order, with the same
+    computed/skipped counts as the per-quartet loop, at three |dD|
+    scales spanning keep-all to skip-most."""
+    basis = build_basis(getattr(builders, builder)())
+    inc = IncrementalExchange(basis, eps=1e-10, rebuild_every=100)
+    rng = np.random.default_rng(7)
+    shape = (basis.nbf, basis.nbf)
+    # block maxima spread over six decades, so the four-block bound and
+    # the global one disagree on many quartets
+    base = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 0, size=shape)
+    base = base + base.T
+    kept = []
+    for scale in (1.0, 1e-4, 1e-8):
+        dmax = inc._block_max(scale * base)
+        ref, computed, skipped = _screen_oracle(inc, dmax)
+        got = inc.full._screened_pairs(dmax)
+        assert [(i, j) for i, j, _ in got] == [(i, j) for i, j, _ in ref]
+        assert all(np.array_equal(a[2], b[2]) for a, b in zip(got, ref))
+        assert sum(len(kets) for _, _, kets in got) == computed
+        assert inc.full.quartets_total - computed == skipped
+        kept.append(computed)
+    assert kept[0] > kept[1] > kept[2]
+    # update() books the same counts (the smallest increment keeps the
+    # quartet evaluation cheap)
+    inc.builds = 1                          # an increment, not a rebuild
+    inc.update(inc.D_ref + scale * base)
+    assert inc.last_quartets == computed
+    assert inc.total_quartets_full == computed + skipped
+
+
 def test_survival_model_monotone_in_delta():
     q = np.geomspace(1e-6, 1.0, 200)
     s_big, tot = incremental_survival(q, eps=1e-8, delta=1.0)

@@ -1,4 +1,4 @@
-"""Second-order SCF tests: ADIIS/EDIIS, the Newton solver, solver
+"""Second-order SCF tests: ADIIS, the Newton solver, solver
 dispatch, Fock-build accounting, and the DIIS satellite fixes that
 shipped with it."""
 
@@ -11,8 +11,7 @@ from repro.scf.diis import DIIS
 from repro.scf.dft import RKS
 from repro.scf.guess import fermi_occupations
 from repro.scf.rhf import RHF, SCFResult
-from repro.scf.soscf import (ADIIS, EDIIS, TRUST_MAX, TRUST_MIN,
-                             NewtonSOSCF)
+from repro.scf.soscf import ADIIS, TRUST_MAX, TRUST_MIN, NewtonSOSCF
 
 pytestmark = pytest.mark.soscf
 
@@ -109,7 +108,7 @@ def test_smearing_rejected_by_newton_solvers():
         RHF(builders.water(), smearing=0.01, config=_cfg("soscf"))
 
 
-# --- ADIIS / EDIIS ----------------------------------------------------------
+# --- ADIIS ------------------------------------------------------------------
 
 
 def _iterates(rng, n, size=3):
@@ -119,15 +118,15 @@ def _iterates(rng, n, size=3):
         D = D + D.T
         F = rng.normal(size=(size, size))
         F = F + F.T
-        out.append((D, F, float(rng.normal())))
+        out.append((D, F))
     return out
 
 
-@pytest.mark.parametrize("cls", [ADIIS, EDIIS])
+@pytest.mark.parametrize("cls", [ADIIS])
 def test_simplex_coefficients(cls, rng):
     acc = cls()
-    for D, F, E in _iterates(rng, 4):
-        acc.push(D, F, E)
+    for D, F in _iterates(rng, 4):
+        acc.push(D, F)
     c = acc.coefficients()
     assert c.shape == (4,)
     assert np.all(c >= -1e-12)
@@ -136,17 +135,17 @@ def test_simplex_coefficients(cls, rng):
     assert Fmix.shape == (3, 3) and np.all(np.isfinite(Fmix))
 
 
-@pytest.mark.parametrize("cls", [ADIIS, EDIIS])
+@pytest.mark.parametrize("cls", [ADIIS])
 def test_simplex_empty_store_raises(cls):
     with pytest.raises(RuntimeError, match="push"):
         cls().coefficients()
 
 
-@pytest.mark.parametrize("cls", [ADIIS, EDIIS])
+@pytest.mark.parametrize("cls", [ADIIS])
 def test_simplex_eviction(cls, rng):
     acc = cls(max_vec=3)
-    for D, F, E in _iterates(rng, 5):
-        acc.push(D, F, E)
+    for D, F in _iterates(rng, 5):
+        acc.push(D, F)
     assert acc.nvec == 3
 
 
@@ -255,18 +254,6 @@ def test_pbe0_soscf_parity(water):
     assert res.converged
     assert abs(res.energy - ref.energy) < 1e-8
     assert res.fock_builds < ref.fock_builds
-
-
-def test_ediis_rough_phase_converges(water):
-    ref = RHF(water).run()
-    res = RHF(water, soscf_rough="ediis", config=_cfg("soscf")).run()
-    assert res.converged
-    assert abs(res.energy - ref.energy) < 1e-8
-
-
-def test_unknown_rough_interpolation_rejected(water):
-    with pytest.raises(ValueError, match="soscf_rough"):
-        RHF(water, soscf_rough="kdiis", config=_cfg("soscf"))
 
 
 def test_stretched_lio2_anion_with_stabilizers():

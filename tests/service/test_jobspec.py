@@ -60,6 +60,30 @@ def test_rejects_malformed(bad):
         JobSpec.from_dict({**JobSpec().to_dict(), **bad})
 
 
+_O2_TRIPLET = {"symbols": ["O", "O"],
+               "coords_angstrom": [[0.0, 0.0, 0.0], [0.0, 0.0, 1.2075]],
+               "multiplicity": 3}
+
+
+@pytest.mark.parametrize("solver", ["soscf", "auto"])
+def test_inline_open_shell_refuses_the_newton_solvers(solver):
+    """The solver rule reads an inline geometry's own multiplicity, as
+    the MD rule does: the job is refused at submit instead of failing in
+    its lane after every retry."""
+    with pytest.raises(ValueError, match="DIIS-only"):
+        JobSpec(molecule=_O2_TRIPLET, scf_solver=solver)
+    with pytest.raises(ValueError, match="DIIS-only"):
+        JobSpec.from_dict({**JobSpec().to_dict(), "molecule": _O2_TRIPLET,
+                           "scf_solver": solver})
+    with pytest.raises(ValueError, match="multiplicity"):
+        JobSpec(kind="md", molecule=_O2_TRIPLET)
+    assert JobSpec(molecule=_O2_TRIPLET).resolve_molecule().multiplicity == 3
+    # the top-level field shapes builder molecules only, for both rules
+    singlet = {k: v for k, v in _O2_TRIPLET.items() if k != "multiplicity"}
+    JobSpec(molecule=singlet, multiplicity=3, scf_solver=solver)
+    JobSpec(kind="md", molecule=singlet, multiplicity=3)
+
+
 def test_replace_revalidates():
     spec = JobSpec()
     with pytest.raises(ValueError):
