@@ -12,11 +12,14 @@ import numpy as np
 from repro.analysis.report import format_table
 from repro.chem import builders
 from repro.hfx import IncrementalExchange, incremental_survival
+from repro.hfx.workload import _model_pair_bounds
 from repro.scf import RHF
 from repro.scf.guess import core_guess
 
+from conftest import EPS, N_WATERS
 
-def test_f8_incremental_builds(report, benchmark, condensed_workload):
+
+def test_f8_incremental_builds(report, benchmark):
     # (a) real molecule: density sequence approaching convergence
     mol = builders.water_dimer()
     res = RHF(mol, conv_tol=1e-10).run()
@@ -37,17 +40,23 @@ def test_f8_incremental_builds(report, benchmark, condensed_workload):
         title=f"F8a: incremental exchange on {mol.name} "
               f"(eps=1e-8, full build = {full} quartets)")
 
-    # (b) condensed-phase model: surviving unique quartets vs |dD|
-    q_pairs = np.sort(np.asarray(
-        [np.exp(lnq0) for (lnq0, _) in _model_q(condensed_workload)]))
+    # (b) condensed-phase model: surviving unique quartets vs |dD| over
+    # the modelled pair bounds of the same water box every figure uses
+    mol, _ = builders.water_box(N_WATERS, seed=0)
+    _, _, q_pairs = _model_pair_bounds(mol, EPS, "sto-3g")
     rows_b = []
+    survs = []
     for delta in (1.0, 1e-2, 1e-4, 1e-6):
-        surv, tot = incremental_survival(q_pairs, eps=1e-8, delta=delta)
-        rows_b.append([f"{delta:.0e}", surv, f"{surv / tot:.4f}"])
+        surv, tot = incremental_survival(q_pairs, eps=EPS, delta=delta)
+        survs.append(surv)
+        rows_b.append([f"{delta:.0e}", surv, f"{surv / tot:.4f}",
+                       f"{surv / survs[0]:.3f}"])
     table_b = format_table(
-        rows_b, headers=["|dD|", "surviving quartets", "fraction"],
-        title="F8b: modeled incremental survival, condensed phase "
-              "(class-level)")
+        rows_b, headers=["|dD|", "surviving quartets", "fraction",
+                         "vs |dD|=1"],
+        title=f"F8b: modeled incremental survival, (H2O){N_WATERS} box "
+              f"({len(q_pairs)} modelled pair bounds, "
+              f"{tot} unique pair-of-pairs, eps={EPS:g})")
     report(table_a + "\n\n" + table_b +
            f"\n\ncumulative savings on the real sequence: "
            f"{inc.savings * 100:.1f}% of quartets skipped")
@@ -55,20 +64,7 @@ def test_f8_incremental_builds(report, benchmark, condensed_workload):
     # shape: late iterations compute a small fraction of the full build
     assert rows[-1][2] < full / 2
     assert inc.savings > 0.2
-    # model: survival monotone in |dD|
-    survs = [r[1] for r in rows_b]
-    assert all(a >= b for a, b in zip(survs, survs[1:]))
+    # model: survival strictly decreasing in |dD|
+    assert all(a > b for a, b in zip(survs, survs[1:]))
 
-    benchmark(lambda: incremental_survival(q_pairs, 1e-8, 1e-4))
-
-
-def _model_q(wl):
-    """Representative pair-bound classes from the workload's Schwarz
-    model (keeps F8b independent of the full pair list)."""
-    from repro.basis import build_basis
-    from repro.chem import builders as b
-    from repro.hfx.workload import _cached_model
-
-    shells = build_basis(b.water()).shells
-    model = _cached_model("sto-3g", shells)
-    return list(model.params.values())
+    benchmark(lambda: incremental_survival(q_pairs, EPS, 1e-4))

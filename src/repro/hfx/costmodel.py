@@ -18,11 +18,9 @@ calibration constant folded into the machine model's sustained rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..basis.shell import ncart
 
-__all__ = ["QuartetCost", "quartet_flops", "pair_weight", "BOYS_FLOPS"]
+__all__ = ["quartet_flops", "pair_weight", "BOYS_FLOPS"]
 
 BOYS_FLOPS = 35.0  # per primitive combination and Boys order
 
@@ -57,11 +55,3 @@ def pair_weight(l_ab: int, nprim_ab: int) -> float:
     """
     return float(nprim_ab) * (1.0 + l_ab) ** 2.75 * 16.0
 
-
-@dataclass(frozen=True)
-class QuartetCost:
-    """Flop estimate plus quartet identity — what a task list stores."""
-
-    bra: tuple[int, int]
-    ket: tuple[int, int]
-    flops: float

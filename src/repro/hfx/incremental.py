@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..basis.basisset import BasisSet
+from ..integrals.schwarz import surviving_partners
 from ..scf.fock import DirectJKBuilder, JKEngine, shell_slices
 
 __all__ = ["IncrementalExchange", "incremental_survival"]
@@ -216,19 +217,14 @@ class IncrementalExchange(JKEngine):
 def incremental_survival(q: np.ndarray, eps: float,
                          delta: float) -> tuple[int, int]:
     """Model: quartets surviving ``Q_ij Q_kl * delta >= eps`` out of the
-    unique pairs of the Schwarz list ``q`` (vectorized, used for
-    condensed-phase statistics where quartets are never materialized).
+    unique pairs of the Schwarz list ``q`` (the one surviving-partner
+    count, :func:`repro.integrals.schwarz.surviving_partners`, with
+    ``scale=delta``; used for condensed-phase statistics where quartets
+    are never materialized).
 
     Returns ``(surviving, total)`` unique quartet counts.
     """
     q = np.sort(np.asarray(q, dtype=np.float64))[::-1]
     n = len(q)
-    total = n * (n + 1) // 2
-    if n == 0 or delta <= 0.0:
-        return 0, total
-    eff = eps / delta
-    asc = q[::-1]
-    cnt_ge = n - np.searchsorted(asc, eff / np.maximum(q, 1e-300),
-                                 side="left")
-    nb = np.maximum(cnt_ge - np.arange(n), 0)
-    return int(nb.sum()), total
+    end = surviving_partners(q, eps, scale=delta)
+    return int((end - np.arange(n)).sum()), n * (n + 1) // 2

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["Partition", "round_robin", "block_contiguous",
-           "block_equal_counts", "serpentine", "lpt", "partition_tasks",
-           "PARTITIONERS"]
+           "block_equal_counts", "serpentine", "lpt", "lpt_bins",
+           "partition_tasks", "PARTITIONERS"]
 
 
 @dataclass
@@ -111,18 +111,34 @@ def serpentine(costs: np.ndarray, nranks: int) -> Partition:
     return _tally(rk, costs, nranks, "serpentine")
 
 
-def lpt(costs: np.ndarray, nranks: int) -> Partition:
-    """Longest-processing-time greedy (exact list scheduling; O(n log p)
-    with a heap — reference quality for small/medium inputs)."""
+def lpt_bins(costs, nbins: int) -> list[list[int]]:
+    """The one longest-processing-time greedy under every static schedule
+    (this module's :func:`lpt`, the worker pool's dispatch and recovery
+    re-pack, its pair balancing, the RI aux-shell shards).
+
+    Tasks go in descending cost — a stable sort, so equal costs keep
+    index order — each onto the least-loaded bin, the lowest bin on
+    equal load (a heap: O(n log p)).  Returns the task indices of every
+    bin in assignment order.
+    """
     costs = np.asarray(costs, dtype=np.float64)
-    order = np.argsort(costs)[::-1]
-    heap = [(0.0, r) for r in range(nranks)]
-    heapq.heapify(heap)
+    cost = costs.tolist()
+    heap = [(0.0, b) for b in range(nbins)]
+    bins: list[list[int]] = [[] for _ in range(nbins)]
+    for t in np.argsort(-costs, kind="stable").tolist():
+        load, b = heapq.heappop(heap)
+        bins[b].append(t)
+        heapq.heappush(heap, (load + cost[t], b))
+    return bins
+
+
+def lpt(costs: np.ndarray, nranks: int) -> Partition:
+    """Longest-processing-time greedy (:func:`lpt_bins`; reference
+    quality for small/medium inputs)."""
+    costs = np.asarray(costs, dtype=np.float64)
     rk = np.empty(len(costs), dtype=np.int64)
-    for t in order:
-        load, r = heapq.heappop(heap)
-        rk[t] = r
-        heapq.heappush(heap, (load + costs[t], r))
+    for r, tasks in enumerate(lpt_bins(costs, nranks)):
+        rk[tasks] = r
     return _tally(rk, costs, nranks, "lpt")
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from ..basis.basisset import BasisSet
 from ..integrals.eri import ERIEngine
+from ..integrals.schwarz import surviving_partners
 from .costmodel import quartet_flops
 
 __all__ = ["TaskList", "build_tasklist"]
@@ -130,45 +131,45 @@ def build_tasklist(basis: BasisSet, eps: float = 1e-8,
     Computes the Schwarz bounds, keeps bra pairs with any surviving
     partner, and prices every surviving quartet with the cost model.
     Unique quartets only (8-fold symmetry): a quartet belongs to the
-    lexicographically smaller of its two pairs.
+    earlier of its two pairs in descending-bound order.  Each bra's
+    kets are a slice of the sorted pairs
+    (:func:`~repro.integrals.schwarz.surviving_partners`), and its flops
+    are its per-class partner counts times a class-pair table of
+    :func:`~repro.hfx.costmodel.quartet_flops` — integer-valued, so the
+    sum is exact in any order.
     """
     if engine is None:
         engine = ERIEngine(basis)
     Q = engine.schwarz_bounds()
     keys = sorted(Q)
     qvals = np.array([Q[k] for k in keys])
-    shells = basis.shells
-    # per-pair static data for the cost model
-    lab = np.array([shells[i].l + shells[j].l for i, j in keys])
-    npb = np.array([shells[i].nprim * shells[j].nprim for i, j in keys])
-
     order = np.argsort(qvals)[::-1]
-    pair_idx, flops, nquart, kets = [], [], [], []
-    for a_pos, a in enumerate(order):
-        qa = qvals[a]
-        if qa <= 0.0:
-            continue
-        partners = order[a_pos:]
-        surviving = partners[qvals[partners] * qa >= eps]
-        if surviving.size == 0:
-            continue
-        i, j = keys[a]
-        la, npa = int(lab[a]), int(npb[a])
-        task_flops = 0.0
-        for b in surviving:
-            k, l = keys[b]
-            task_flops += quartet_flops(shells[i].l, shells[j].l,
-                                        shells[k].l, shells[l].l,
-                                        npa,
-                                        shells[k].nprim * shells[l].nprim)
-        pair_idx.append((i, j))
-        flops.append(task_flops)
-        nquart.append(surviving.size)
-        kets.append(np.array([keys[b] for b in surviving], dtype=np.int64))
+    qs = qvals[order]
+    kets = np.asarray(keys, dtype=np.int64).reshape(-1, 2)[order]
+    end = surviving_partners(qs, eps)
+    alive = np.flatnonzero((qs > 0.0) & (end > np.arange(len(qs))))
+    # cost classes: the pair's two angular momenta and primitive product
+    ls = np.array([sh.l for sh in basis.shells], dtype=np.int64)
+    nps = np.array([sh.nprim for sh in basis.shells], dtype=np.int64)
+    sig = np.stack([ls[kets[:, 0]], ls[kets[:, 1]],
+                    nps[kets[:, 0]] * nps[kets[:, 1]]], axis=1)
+    classes, cls = np.unique(sig, axis=0, return_inverse=True)
+    cls = cls.reshape(-1)
+    table = np.array([[quartet_flops(la, lb, lc, ld, nab, ncd)
+                       for lc, ld, ncd in classes.tolist()]
+                      for la, lb, nab in classes.tolist()])
+    # partners per class over [a, end): differences of running counts
+    seen = np.zeros((len(qs) + 1, len(classes)), dtype=np.int64)
+    np.cumsum(np.eye(len(classes), dtype=np.int64)[cls], axis=0,
+              out=seen[1:])
+    counts = seen[end[alive]] - seen[alive]
     return TaskList(
-        pair_index=np.asarray(pair_idx, dtype=np.int64).reshape(-1, 2),
-        flops=np.asarray(flops), nquartets=np.asarray(nquart, dtype=np.int64),
+        pair_index=kets[alive],
+        flops=(counts * table[cls[alive]]).sum(axis=1),
+        nquartets=end[alive] - alive,
         eps=eps, nbf=basis.nbf,
         nocc=(basis.molecule.nelectron // 2 if nocc is None else nocc),
-        label=basis.molecule.name or "molecule", ket_lists=kets,
+        label=basis.molecule.name or "molecule",
+        ket_lists=[kets[a:e] for a, e in zip(alive.tolist(),
+                                              end[alive].tolist())],
     )

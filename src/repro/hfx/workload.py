@@ -12,9 +12,12 @@ generator reproduces those statistics exactly:
    (:func:`calibrate_schwarz_model` fits ln Q = ln q0 - mu r^2 per
    shell-class pair from isolated two-shell scans),
 3. exact vectorized counting of surviving quartets and their cost-model
-   flops under the unique-quartet convention — the same arithmetic as
-   the real :func:`repro.hfx.tasklist.build_tasklist`, just with modeled
-   Q values.
+   flops under the unique-quartet convention — the same count and float
+   test (``Q_bra * Q_ket >= eps``, one
+   :func:`~repro.integrals.schwarz.surviving_partners`) as the real
+   :func:`repro.hfx.tasklist.build_tasklist`, just with modeled Q values
+   and the separable :func:`~repro.hfx.costmodel.pair_weight` in place
+   of the per-class flop table.
 
 The output is a :class:`~repro.hfx.tasklist.TaskList`, indistinguishable
 to the partitioner/simulator from a real one.
@@ -32,7 +35,7 @@ from ..basis.shell import Shell
 from ..basis.shellpair import ShellPair
 from ..chem import builders
 from ..chem.molecule import Molecule
-from ..integrals.schwarz import schwarz_diagonals
+from ..integrals.schwarz import schwarz_diagonals, surviving_partners
 from .costmodel import pair_weight
 from .tasklist import TaskList
 
@@ -130,11 +133,10 @@ def _cached_model(basis_name: str, shells: list[Shell]) -> SchwarzModel:
     return _MODEL_CACHE[key]
 
 
-def synthetic_tasklist(mol: Molecule, eps: float = 1e-8,
-                       basis_name: str = "sto-3g",
-                       pair_cutoff_eps: float | None = None,
-                       label: str = "") -> TaskList:
-    """Build a synthetic (model-Schwarz) task list for a large system.
+def _model_pair_bounds(mol: Molecule, eps: float, basis_name: str,
+                       pair_cutoff_eps: float | None = None):
+    """The modelled Schwarz bound of every shell pair within the
+    geometric cutoff of the softest class pair: ``(basis, pairs, q)``.
 
     Only shell *positions* and classes are used; no integrals are
     computed over the large system itself.
@@ -171,6 +173,17 @@ def synthetic_tasklist(mol: Molecule, eps: float = 1e-8,
         m = group == g
         ka, kb = uniq[int(g) // len(uniq)], uniq[int(g) % len(uniq)]
         q[m] = model.estimate(ka, kb, d2[m])
+    return basis, pairs, q
+
+
+def synthetic_tasklist(mol: Molecule, eps: float = 1e-8,
+                       basis_name: str = "sto-3g",
+                       pair_cutoff_eps: float | None = None,
+                       label: str = "") -> TaskList:
+    """Build a synthetic (model-Schwarz) task list for a large system."""
+    basis, pairs, q = _model_pair_bounds(mol, eps, basis_name,
+                                         pair_cutoff_eps)
+    shells = basis.shells
 
     # per-pair separable cost weight
     ls = np.array([s.l for s in shells])
@@ -185,17 +198,14 @@ def synthetic_tasklist(mol: Molecule, eps: float = 1e-8,
     keep = q * qmax >= eps
     pairs, q, h = pairs[keep], q[keep], h[keep]
 
-    # vectorized unique-quartet survival counting (same arithmetic as
-    # the exact tasklist builder)
+    # unique-quartet survival: the real screen's count and float test
     order = np.argsort(q)[::-1]
     qs, hs = q[order], h[order]
     csum = np.concatenate([[0.0], np.cumsum(hs)])
-    asc = qs[::-1]
-    thresholds = eps / qs
-    cnt_ge = len(qs) - np.searchsorted(asc, thresholds, side="left")
+    end = surviving_partners(qs, eps)
     a_idx = np.arange(len(qs))
-    nb = np.maximum(cnt_ge - a_idx, 0)
-    cost = hs * (csum[np.maximum(cnt_ge, a_idx)] - csum[a_idx])
+    nb = end - a_idx
+    cost = hs * (csum[end] - csum[a_idx])
     alive = nb > 0
     return TaskList(
         pair_index=pairs[order][alive],

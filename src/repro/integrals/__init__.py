@@ -10,8 +10,7 @@ from .eri import eri_quartet, eri_tensor, ERIEngine
 from .ri import (AuxShellPair, aux_shard_slices, inv_sqrt_metric, metric_2c,
                  three_center_slab)
 from .batch import eri_quartet_batch, quartet_class_groups, flatten_pairs
-from .schwarz import (schwarz_bounds, schwarz_matrix, pair_extent_estimate,
-                      count_surviving_quartets)
+from .schwarz import schwarz_bounds, surviving_partners
 from .moments import dipole_block, dipole_matrices, dipole_moment
 from .gradients import (DerivativePairs, overlap_gradient,
                         kinetic_gradient, nuclear_gradient)
@@ -26,8 +25,7 @@ __all__ = [
     "AuxShellPair", "aux_shard_slices", "inv_sqrt_metric", "metric_2c",
     "three_center_slab",
     "eri_quartet_batch", "quartet_class_groups", "flatten_pairs",
-    "schwarz_bounds", "schwarz_matrix", "pair_extent_estimate",
-    "count_surviving_quartets",
+    "schwarz_bounds", "surviving_partners",
     "dipole_block", "dipole_matrices", "dipole_moment",
     "DerivativePairs", "overlap_gradient", "kinetic_gradient",
     "nuclear_gradient",

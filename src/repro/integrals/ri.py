@@ -291,23 +291,16 @@ def three_center_slab(basis: BasisSet, aux: BasisSet, aux_idx,
 
 
 def aux_shard_slices(aux: BasisSet, nshards: int) -> list[list[int]]:
-    """LPT-pack auxiliary shells into ``nshards`` contiguous-cost shards.
+    """LPT-pack auxiliary shells into at most ``nshards`` shards.
 
     Cost model: the work of aux shell ``P`` is proportional to its
     function count (every shard walks the same screened orbital-pair
-    list).  Shells are assigned largest-first onto the least-loaded
-    shard, then each shard's list is sorted so assembly order — and
-    therefore the scatter — is deterministic regardless of packing.
+    list).  :func:`repro.hfx.partition.lpt_bins` packs the shells, then
+    each shard's list is sorted so assembly order — and therefore the
+    scatter — is deterministic regardless of packing; empty shards are
+    dropped.
     """
-    nshards = max(1, int(nshards))
-    costs = [(aux.shells[i].nfunc, i) for i in range(aux.nshell)]
-    costs.sort(key=lambda t: (-t[0], t[1]))
-    loads = [0.0] * nshards
-    shards: list[list[int]] = [[] for _ in range(nshards)]
-    for cost, i in costs:
-        w = min(range(nshards), key=lambda k: (loads[k], k))
-        shards[w].append(i)
-        loads[w] += cost
-    for sh in shards:
-        sh.sort()
-    return [sh for sh in shards if sh]
+    from ..hfx.partition import lpt_bins
+
+    shards = lpt_bins([sh.nfunc for sh in aux.shells], max(1, int(nshards)))
+    return [sorted(sh) for sh in shards if sh]

@@ -5,9 +5,9 @@ the paper's accuracy knob: a single threshold epsilon decides which
 quartets are evaluated, and the total neglected contribution is bounded
 in a controllable way.  :func:`schwarz_diagonals` is the one routine
 under every bound table — orbital pairs, auxiliary shells, the synthetic
-workload's calibration scans.  This module also provides the cheap
-distance-decay *estimate* used by the synthetic condensed-phase workload
-generator (where real integrals are never computed).
+workload's calibration scans — and :func:`surviving_partners` is the
+one count of the quartets that pass the screen, under the real and the
+synthetic task lists and the incremental survival model.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import numpy as np
 from ..basis.basisset import BasisSet
 from .batch import SETUP_SCRATCH, _eri_class_batch, pair_class_groups
 
-__all__ = ["schwarz_diagonals", "schwarz_bounds", "schwarz_matrix",
-           "pair_extent_estimate", "count_surviving_quartets"]
+__all__ = ["schwarz_diagonals", "schwarz_bounds", "surviving_partners"]
 
 
 def schwarz_diagonals(pairs) -> np.ndarray:
@@ -54,55 +53,27 @@ def schwarz_bounds(basis: BasisSet,
     return dict(zip(pairs, schwarz_diagonals(pairs.values()).tolist()))
 
 
-def schwarz_matrix(basis: BasisSet, pairs=None) -> np.ndarray:
-    """Dense ``(nshell, nshell)`` matrix of Schwarz bounds (symmetric,
-    zero where the pair was dropped by the overlap prescreen)."""
-    bounds = schwarz_bounds(basis, pairs)
-    n = basis.nshell
-    Q = np.zeros((n, n))
-    for (i, j), q in bounds.items():
-        Q[i, j] = Q[j, i] = q
-    return Q
+def surviving_partners(q: np.ndarray, eps: float,
+                       scale: float = 1.0) -> np.ndarray:
+    """The end of every bra's surviving ket range: for pair bounds ``q``
+    sorted in descending order, ket ``b >= a`` survives with bra ``a``
+    (one unique quartet) exactly when ``(q[a] * q[b]) * scale >= eps`` —
+    the float test of the real screens, ``scale`` being the density
+    factor (``|dD|`` of the incremental model).  Returns ``end`` with the
+    survivors of bra ``a`` at ``[a, end[a])``; ``end[a] - a`` is its
+    surviving-partner count.
 
-
-def pair_extent_estimate(min_exp_i: float, min_exp_j: float,
-                         dist: float) -> float:
-    """Cheap upper-bound *estimate* of a pair's Schwarz factor from the
-    Gaussian-product prefactor exp(-mu R^2).
-
-    Used by the synthetic workload generator: it has the same
-    exponential distance decay as the exact bound, which is all the
-    task-count statistics depend on.
+    The test is monotone along the sorted kets, so one bisection runs
+    over all bras at once (``log2 n`` vectorised steps).
     """
-    mu = min_exp_i * min_exp_j / (min_exp_i + min_exp_j)
-    return float(np.exp(-mu * dist * dist))
-
-
-def count_surviving_quartets(Q: np.ndarray, eps: float) -> int:
-    """Number of unique shell quartets (8-fold symmetry) passing the
-    screen ``Q_ij * Q_kl >= eps``.
-
-    Vectorized: builds the list of significant pairs and counts ordered
-    pair-of-pairs combinations.
-    """
-    n = Q.shape[0]
-    iu = np.triu_indices(n)
-    qpairs = Q[iu]
-    sig = qpairs[qpairs > 0.0]
-    sig = np.sort(sig)[::-1]
-    if sig.size == 0:
-        return 0
-    # For each pair a, count pairs b (b after a in the sorted order,
-    # inclusive of itself) with q_a * q_b >= eps.  Sorting lets us use
-    # searchsorted instead of an O(n^2) outer product.
-    asc = sig[::-1]
-    count = 0
-    for ia, qa in enumerate(sig):
-        if qa * qa < eps:
-            break
-        thresh = eps / qa
-        nge = sig.size - np.searchsorted(asc, thresh, side="left")
-        nafter = nge - ia  # partners ranked at or after a (unique pairs)
-        if nafter > 0:
-            count += int(nafter)
-    return count
+    q = np.asarray(q, dtype=np.float64)
+    n = len(q)
+    lo = np.arange(n)
+    hi = np.full(n, n)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) // 2
+        live = lo < hi
+        ok = live & ((q * q[np.minimum(mid, n - 1)]) * scale >= eps)
+        lo = np.where(ok, mid + 1, lo)
+        hi = np.where(live & ~ok, mid, hi)
+    return lo

@@ -4,7 +4,7 @@ loop on real local cores, and the telemetry layer (hierarchical span
 tracer + metrics registry) behind the unified :class:`ExecutionConfig`
 API."""
 
-from .comm import CommLog, SimComm, SimWorld
+from .comm import CommLog, SimWorld
 from .threads import ScheduleResult, ThreadTeam
 from .simd import SIMDModel, KernelProfile, ERI_KERNEL, DGEMM_KERNEL, SCALAR_KERNEL
 from .telemetry import (Span, Tracer, NullTracer, NULL_TRACER,
@@ -26,7 +26,7 @@ from .pool import (ExchangeWorkerPool, PoolLease, RankJob, WorkerDeathError,
 from .supervisor import WorkerDeath
 
 __all__ = [
-    "CommLog", "SimComm", "SimWorld",
+    "CommLog", "SimWorld",
     "ScheduleResult", "ThreadTeam",
     "SIMDModel", "KernelProfile", "ERI_KERNEL", "DGEMM_KERNEL", "SCALAR_KERNEL",
     "Span", "Tracer", "NullTracer", "NULL_TRACER",

@@ -1,23 +1,24 @@
 """In-process simulated communicator with MPI-like semantics.
 
 Executes a *real* SPMD program over N logical ranks inside one Python
-process: rank bodies run sequentially, exchanging data through this
-communicator, while every operation is metered (bytes moved, number of
-collectives) so the machine model can price the run afterwards.  This
-is how the distributed HFX build is verified bit-for-bit against the
-serial reference without mpi4py.
+process: rank bodies run sequentially and hand their contributions to
+this world's collectives, while every operation is metered (bytes
+moved, number of collectives) so the machine model can price the run
+afterwards.  This is how the distributed HFX build is verified
+bit-for-bit against the serial reference without mpi4py.
 
-The API mirrors the mpi4py lowercase conventions the project guides
-describe (``bcast``/``allreduce``/``allgather``/``send``/``recv``).
+The one collective the scheme's build needs is the allreduce of the
+per-rank partial exchange matrices (the mpi4py lowercase ``allreduce``
+the project guides describe).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CommLog", "SimComm", "SimWorld"]
+__all__ = ["CommLog", "SimWorld"]
 
 
 @dataclass
@@ -25,13 +26,7 @@ class CommLog:
     """Byte/op accounting of a simulated SPMD execution."""
 
     allreduce_bytes: int = 0
-    allgather_bytes: int = 0
-    bcast_bytes: int = 0
-    p2p_bytes: int = 0
     allreduce_calls: int = 0
-    allgather_calls: int = 0
-    bcast_calls: int = 0
-    p2p_messages: int = 0
 
     def merge(self, other: "CommLog") -> None:
         """Accumulate another log into this one."""
@@ -40,20 +35,13 @@ class CommLog:
 
 
 class SimWorld:
-    """Shared state of a simulated SPMD program: mailboxes + metering."""
+    """Shared state of a simulated SPMD program: the metering log."""
 
     def __init__(self, nranks: int):
         if nranks < 1:
             raise ValueError("world needs at least one rank")
         self.nranks = nranks
         self.log = CommLog()
-        self._mailboxes: dict[tuple[int, int, int], list] = {}
-        # staging areas for collectives executed in two phases
-        self._gathered: dict[str, list] = {}
-
-    def comm(self, rank: int) -> "SimComm":
-        """The communicator endpoint of ``rank``."""
-        return SimComm(self, rank)
 
     @staticmethod
     def _nbytes(obj) -> int:
@@ -66,8 +54,6 @@ class SimWorld:
         if isinstance(obj, (list, tuple)):
             return sum(SimWorld._nbytes(x) for x in obj)
         return 64  # rough pickle overhead for odd objects
-
-    # --- whole-world collectives (driver-invoked) --------------------------------
 
     def allreduce_sum(self, contributions: list) -> list:
         """Sum one contribution per rank; every rank receives the total."""
@@ -83,51 +69,3 @@ class SimWorld:
         self.log.allreduce_calls += 1
         return [total.copy() if isinstance(total, np.ndarray) else total
                 for _ in range(self.nranks)]
-
-    def allgather(self, contributions: list) -> list:
-        """Concatenate per-rank contributions; every rank receives all."""
-        if len(contributions) != self.nranks:
-            raise ValueError("one contribution per rank required")
-        self.log.allgather_bytes += self._nbytes(contributions)
-        self.log.allgather_calls += 1
-        return [list(contributions) for _ in range(self.nranks)]
-
-    def bcast(self, obj, root: int = 0) -> list:
-        """Every rank receives the root's object."""
-        self.log.bcast_bytes += self._nbytes(obj)
-        self.log.bcast_calls += 1
-        return [obj for _ in range(self.nranks)]
-
-
-@dataclass
-class SimComm:
-    """Per-rank endpoint; point-to-point goes through rank mailboxes."""
-
-    world: SimWorld
-    rank: int
-    _seq: int = field(default=0, repr=False)
-
-    @property
-    def size(self) -> int:
-        """World size."""
-        return self.world.nranks
-
-    def send(self, obj, dest: int, tag: int = 0) -> None:
-        """Deposit a message in the destination mailbox."""
-        if not 0 <= dest < self.size:
-            raise ValueError(f"invalid destination rank {dest}")
-        box = self.world._mailboxes.setdefault((self.rank, dest, tag), [])
-        box.append(obj)
-        self.world.log.p2p_bytes += SimWorld._nbytes(obj)
-        self.world.log.p2p_messages += 1
-
-    def recv(self, source: int, tag: int = 0):
-        """Pop the oldest matching message (raises if none — simulated
-        ranks run sequentially, so a blocking recv with no message is a
-        deadlock in the real program too)."""
-        box = self.world._mailboxes.get((source, self.rank, tag))
-        if not box:
-            raise RuntimeError(
-                f"deadlock: rank {self.rank} recv from {source} tag {tag} "
-                "with empty mailbox")
-        return box.pop(0)

@@ -14,9 +14,12 @@ local cores:
   density lives in a ``multiprocessing`` shared-memory buffer the parent
   rewrites before every build — workers never receive matrices over the
   pipe;
-* **static balancing**: rank jobs are assigned to workers by greedy LPT
-  on their cost-model flops, mirroring the paper's master-less static
-  schedule (no runtime dispatch);
+* **static balancing**: rank jobs are assigned to workers by the one
+  greedy LPT, :func:`repro.hfx.partition.lpt_bins`, on each job's
+  ``cost`` (surviving quartets for the direct builder, the partitioner's
+  flops for ``distributed_exchange``, function counts for RI shards),
+  mirroring the paper's master-less static schedule (no runtime
+  dispatch);
 * the per-rank partial J/K matrices are summed in the parent exactly
   like the scheme's allreduce.
 
@@ -57,7 +60,6 @@ survive it):
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing as mp
 import time
 import warnings
@@ -112,29 +114,17 @@ class RankJob:
     cost: float = 0.0
 
 
-def _lpt_assign(costs: list[float], nworkers: int) -> list[list[int]]:
-    """Greedy longest-processing-time assignment of jobs to workers."""
-    heap = [(0.0, w) for w in range(nworkers)]
-    heapq.heapify(heap)
-    out: list[list[int]] = [[] for _ in range(nworkers)]
-    for t in sorted(range(len(costs)), key=lambda t: -costs[t]):
-        load, w = heapq.heappop(heap)
-        out[w].append(t)
-        heapq.heappush(heap, (load + costs[t], w))
-    for lst in out:
-        lst.sort()
-    return out
-
-
 def balance_pairs(pairs, nworkers: int) -> list[RankJob]:
     """One rank job per worker from a screened ``(i, j, kets)`` list,
-    greedily balanced by surviving quartet count (largest bra first)."""
-    jobs = [RankJob(rank=w) for w in range(nworkers)]
-    for p in sorted(pairs, key=lambda p: -len(p[2])):
-        job = min(jobs, key=lambda job: job.cost)
-        job.pairs.append(p)
-        job.cost += len(p[2])
-    return jobs
+    balanced by :func:`repro.hfx.partition.lpt_bins` on the surviving
+    quartet count of each bra (each job keeps its pairs largest first,
+    ties in list order)."""
+    from ..hfx.partition import lpt_bins
+
+    costs = [len(p[2]) for p in pairs]
+    return [RankJob(rank=w, pairs=[pairs[t] for t in mine],
+                    cost=float(sum(costs[t] for t in mine)))
+            for w, mine in enumerate(lpt_bins(costs, nworkers))]
 
 
 def _parse_fault(spec: str | None):
@@ -464,6 +454,7 @@ class ExchangeWorkerPool:
         tears itself down and raises :class:`WorkerDeathError`; callers
         degrade to the serial executor.
         """
+        from ..hfx.partition import lpt_bins
         from .telemetry import NULL_TRACER
 
         tr = tracer if tracer is not None else NULL_TRACER
@@ -486,9 +477,9 @@ class ExchangeWorkerPool:
             with tr.span("pool.dispatch", cat="pool", njobs=len(outstanding),
                          nworkers=len(live), kernel=kernel, op=op):
                 # LPT on job cost over whoever is alive this round
-                assign = _lpt_assign([jobs[t].cost for t in outstanding],
-                                     len(live))
-                holds = {w: [outstanding[k] for k in sub]
+                assign = lpt_bins([jobs[t].cost for t in outstanding],
+                                  len(live))
+                holds = {w: [outstanding[k] for k in sorted(sub)]
                          for w, sub in zip(live, assign) if sub}
                 held = {w: [jobs[t].rank for t in mine]
                         for w, mine in holds.items()}

@@ -199,14 +199,9 @@ class JobSpec:
             if self.thermostat != "none" and self.temperature is None:
                 raise ValueError("JobSpec: a thermostat needs a "
                                  "temperature (--temperature)")
-        if self.executor == "process":
-            if self.method not in ("hf", "uhf"):
-                raise ValueError(
-                    "JobSpec: executor='process' is wired through the "
-                    "direct HF builders; use method='hf' or 'uhf'")
-            if self.mode == "incore":
-                raise ValueError("JobSpec: executor='process' requires "
-                                 "direct J/K builds, not mode='incore'")
+        if self.executor == "process" and self.mode == "incore":
+            raise ValueError("JobSpec: executor='process' requires "
+                             "direct J/K builds, not mode='incore'")
         if self.scf_solver != "diis" and (self.method == "uhf" or mult > 1):
             raise ValueError(
                 "JobSpec: scf_solver='soscf'/'auto' is wired through "

@@ -4,9 +4,7 @@ import numpy as np
 
 from repro.basis import build_basis
 from repro.chem import builders
-from repro.integrals import (count_surviving_quartets, eri_tensor,
-                             pair_extent_estimate, schwarz_bounds,
-                             schwarz_matrix)
+from repro.integrals import eri_tensor, schwarz_bounds, surviving_partners
 
 
 def test_bounds_never_underestimate(water_basis, water_eri):
@@ -20,12 +18,6 @@ def test_bounds_never_underestimate(water_basis, water_eri):
             assert np.abs(blk).max() <= qij * qkl + 1e-10
 
 
-def test_schwarz_matrix_symmetric(water_basis):
-    Q = schwarz_matrix(water_basis)
-    assert np.allclose(Q, Q.T)
-    assert np.all(np.diag(Q) > 0)
-
-
 def test_bounds_decay_with_distance():
     near = build_basis(builders.h2(0.7))
     far = build_basis(builders.h2(5.0))
@@ -34,46 +26,33 @@ def test_bounds_decay_with_distance():
     assert qf < qn
 
 
-def test_pair_extent_estimate_gaussian_decay():
-    e1 = pair_extent_estimate(0.5, 0.5, 0.0)
-    e2 = pair_extent_estimate(0.5, 0.5, 4.0)
-    assert np.isclose(e1, 1.0)
-    assert np.isclose(e2, np.exp(-0.25 * 16.0))
-
-
 def test_count_surviving_quartets_limits():
     q = np.array([1.0, 0.5, 0.1])
     # eps = 0-ish: all unique pairs of pairs survive: n(n+1)/2 = 6
-    assert count_surviving_quartets(_as_matrix(q), 1e-30) == 6
+    assert _count(q, 1e-30) == 6
     # eps huge: none
-    assert count_surviving_quartets(_as_matrix(q), 10.0) == 0
+    assert _count(q, 10.0) == 0
 
 
 def test_count_surviving_quartets_threshold():
     q = np.array([1.0, 0.1])
-    Q = _as_matrix(q)
     # products: 1*1=1, 1*.1=.1, .1*.1=.01
-    assert count_surviving_quartets(Q, 0.5) == 1
-    assert count_surviving_quartets(Q, 0.05) == 2
-    assert count_surviving_quartets(Q, 0.005) == 3
+    assert _count(q, 0.5) == 1
+    assert _count(q, 0.05) == 2
+    assert _count(q, 0.005) == 3
 
 
 def test_count_matches_bruteforce(rng):
     vals = rng.uniform(0.0, 1.0, size=8)
-    Q = _as_matrix(vals)
     for eps in (0.9, 0.3, 0.05, 0.001):
-        fast = count_surviving_quartets(Q, eps)
-        brute = _brute_count(vals, eps)
-        assert fast == brute, eps
+        assert _count(vals, eps) == _brute_count(vals, eps), eps
 
 
-def _as_matrix(diag_vals):
-    """Embed a list of pair bounds as the diagonal of a 'pair matrix'
-    whose upper triangle is otherwise zero (count only sees nonzeros)."""
-    n = len(diag_vals)
-    Q = np.zeros((n, n))
-    np.fill_diagonal(Q, diag_vals)
-    return Q
+def _count(vals, eps):
+    """Unique quartets passing the screen, from the per-bra ranges of
+    :func:`surviving_partners` over the bounds sorted descending."""
+    q = np.sort(np.asarray(vals, dtype=np.float64))[::-1]
+    return int((surviving_partners(q, eps) - np.arange(len(q))).sum())
 
 
 def _brute_count(vals, eps):

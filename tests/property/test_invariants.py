@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hfx.partition import PARTITIONERS, partition_tasks
 from repro.integrals.boys import boys
-from repro.integrals.schwarz import count_surviving_quartets
+from repro.integrals.schwarz import surviving_partners
 from repro.machine.torus import Torus
 from repro.runtime.threads import ThreadTeam
 
@@ -93,17 +93,27 @@ def test_schedule_conserves_work_and_bounds(costs, nthreads, policy):
 
 # --- screening ------------------------------------------------------------------
 
+def _count(vals, eps):
+    q = np.sort(np.asarray(vals, dtype=np.float64))[::-1]
+    return int((surviving_partners(q, eps) - np.arange(len(q))).sum())
+
+
 @given(vals=st.lists(st.floats(min_value=1e-12, max_value=10.0),
                      min_size=1, max_size=40),
-       eps=st.floats(min_value=1e-20, max_value=1.0))
-def test_count_surviving_matches_bruteforce(vals, eps):
+       eps=st.floats(min_value=1e-20, max_value=1.0), data=st.data())
+def test_count_surviving_matches_bruteforce(vals, eps, data):
+    """Free ``eps`` and ``eps`` on a bound product ``q_i q_j`` or one ulp
+    either side (the boundary a threshold form ``q_j >= eps / q_i``
+    miscounts)."""
     vals_arr = np.asarray(sorted(vals, reverse=True))
-    Q = np.diag(vals_arr)
-    fast = count_surviving_quartets(Q, eps)
-    brute = sum(1 for i in range(len(vals_arr))
-                for j in range(i, len(vals_arr))
-                if vals_arr[i] * vals_arr[j] >= eps)
-    assert fast == brute
+    i = data.draw(st.integers(0, len(vals_arr) - 1))
+    j = data.draw(st.integers(0, len(vals_arr) - 1))
+    at = vals_arr[i] * vals_arr[j]
+    for e in (eps, at, np.nextafter(at, 0.0), np.nextafter(at, np.inf)):
+        brute = sum(1 for a in range(len(vals_arr))
+                    for b in range(a, len(vals_arr))
+                    if vals_arr[a] * vals_arr[b] >= e)
+        assert _count(vals_arr, e) == brute
 
 
 @given(vals=st.lists(st.floats(min_value=1e-10, max_value=10.0),
@@ -111,9 +121,8 @@ def test_count_surviving_matches_bruteforce(vals, eps):
        e1=st.floats(min_value=1e-12, max_value=1e-2),
        e2=st.floats(min_value=1e-12, max_value=1e-2))
 def test_count_monotone_in_eps(vals, e1, e2):
-    Q = np.diag(np.asarray(vals))
     lo, hi = min(e1, e2), max(e1, e2)
-    assert count_surviving_quartets(Q, lo) >= count_surviving_quartets(Q, hi)
+    assert _count(vals, lo) >= _count(vals, hi)
 
 
 # --- Boys function ----------------------------------------------------------------

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.runtime.pool import (ExchangeWorkerPool, RankJob, _lpt_assign,
-                                default_nworkers)
+from repro.hfx.partition import lpt_bins
+from repro.runtime.pool import ExchangeWorkerPool, RankJob, default_nworkers
 from repro.scf.fock import scatter_exchange
 
 pytestmark = pytest.mark.pool
@@ -29,7 +29,7 @@ def _serial_partial(basis, D, pairs):
 
 
 def test_lpt_assign_covers_all_jobs():
-    assign = _lpt_assign([5.0, 1.0, 3.0, 2.0, 4.0], 2)
+    assign = lpt_bins([5.0, 1.0, 3.0, 2.0, 4.0], 2)
     placed = sorted(t for lst in assign for t in lst)
     assert placed == [0, 1, 2, 3, 4]
     loads = [sum([5.0, 1.0, 3.0, 2.0, 4.0][t] for t in lst)

@@ -34,7 +34,7 @@ def test_defaults_validate():
     dict(perturb=-0.1),
     dict(kind="md", steps=0),
     dict(kind="md", thermostat="csvr"),     # thermostat needs T
-    dict(executor="process", method="pbe"),
+    dict(executor="process", method="pbe0", mode="incore"),
     dict(executor="process", mode="incore"),
     dict(scf_solver="soscf", method="uhf"),
     dict(scf_solver="auto", multiplicity=3),
@@ -82,6 +82,46 @@ def test_inline_open_shell_refuses_the_newton_solvers(solver):
     singlet = {k: v for k, v in _O2_TRIPLET.items() if k != "multiplicity"}
     JobSpec(molecule=singlet, multiplicity=3, scf_solver=solver)
     JobSpec(kind="md", molecule=singlet, multiplicity=3)
+
+
+@pytest.mark.parametrize("method", ["lda", "pbe", "pbe0"])
+def test_process_executor_serves_every_dft_method(method):
+    """The pooled direct builder runs RKS (and PBE0 force calls) too:
+    the spec is accepted for SCF and MD, and placement stays out of the
+    key.  The ``mode="incore"`` refusal still holds."""
+    for kind in ("scf", "md"):
+        spec = JobSpec(kind=kind, method=method, executor="process",
+                       nworkers=2)
+        assert spec.canonical_key() == \
+            JobSpec(kind=kind, method=method).canonical_key()
+    with pytest.raises(ValueError, match="incore"):
+        JobSpec(method=method, executor="process", mode="incore")
+
+
+# canonical keys of specs that were valid before the process executor
+# took DFT methods: the hash must not move
+_KEYS = [
+    ({}, "9028a3e595f329ca05a36716212afc35"
+         "5434670acfa7f8fa9110a3a268d10e95"),
+    ({"method": "uhf", "molecule": "li_atom", "executor": "process",
+      "nworkers": 2}, "48ef7b12020c2a4d0dee436f98782abe"
+                      "ca23e16fef8acac2149be14fa3762106"),
+    ({"method": "pbe0"}, "a298d14510c5e6d3a7e66b2c246bd2bf"
+                         "5b78a660d2184e1946c7cc0edea6c7ea"),
+    ({"method": "pbe", "jk": "ri"}, "39cd9a08f67134516482e5431b3c8245"
+                                    "4a17aef1489cad52c45c04b688f7725c"),
+    ({"kind": "md", "method": "pbe0", "steps": 2},
+     "0f2a026d2f08fdcff360be1a01f2c237"
+     "5c5c00d9104e2fe8daa51ff966813033"),
+    ({"executor": "process", "nworkers": 3, "mode": "direct"},
+     "61bca7a1d863c3c5a05600f310a020b2"
+     "7e8b983b0b02b04ededf016471e9c155"),
+]
+
+
+@pytest.mark.parametrize("fields, key", _KEYS)
+def test_canonical_key_unchanged_for_specs_valid_before(fields, key):
+    assert JobSpec(**fields).canonical_key() == key
 
 
 def test_replace_revalidates():

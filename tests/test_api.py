@@ -1,5 +1,6 @@
 """The repro.api facade: uniform envelopes, dispatch, restore/preempt."""
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -48,6 +49,30 @@ def test_run_md_envelope():
     assert md["restored_from"] is None
     assert len(res["final"]["coords"]) == 2
     assert res["counters"]["md.steps"] == 3
+
+
+@pytest.mark.pool
+def test_process_executor_pbe0_matches_serial():
+    """A PBE0 spec on the worker pool (``JobSpec`` used to refuse it)
+    runs the pooled direct builder: its SCF and a 2-step BOMD on water
+    match the serial run to 1e-10."""
+    scf = {}
+    for executor in ("serial", "process"):
+        scf[executor] = api.run_scf(JobSpec(
+            molecule="water", method="pbe0", mode="direct",
+            executor=executor, nworkers=2))["scf"]["energy"]
+    assert abs(scf["process"] - scf["serial"]) < 1e-10
+    md = {}
+    for executor in ("serial", "process"):
+        md[executor] = api.run_md(JobSpec(
+            kind="md", molecule="water", method="pbe0", steps=2,
+            temperature=300.0, seed=3, executor=executor,
+            nworkers=2))["final"]
+    assert abs(md["process"]["energy_pot"] - md["serial"]["energy_pot"]) \
+        < 1e-10
+    for key in ("coords", "velocities"):
+        assert np.abs(np.subtract(md["process"][key],
+                                  md["serial"][key])).max() < 1e-10
 
 
 def test_run_md_until_step_and_resume(tmp_path):
