@@ -1,7 +1,7 @@
-"""Process-safe filesystem primitives: atomic writes, advisory locks.
+"""Process-safe filesystem primitives: atomic writes, appends, locks.
 
 Every durable artifact in the repo — checkpoint snapshots, campaign
-manifests, cache records, results-store records — needs the same two
+snapshots, cache records, results-store records — needs the same two
 guarantees once *concurrent processes* share a directory:
 
 * **atomic replace**: a reader never observes a torn file.  The write
@@ -9,7 +9,10 @@ guarantees once *concurrent processes* share a directory:
   rename cannot cross filesystems and two writers can never collide on
   the temp name), is flushed and ``fsync``'d, and is ``os.replace``'d
   into place.  A crash at any instant leaves either the old file or the
-  new one.
+  new one.  Logs that grow by one record at a time (the campaign
+  journal) use :func:`append_durable` instead: one ``write`` of the
+  whole record, then ``fsync`` — a crash leaves at most a torn tail,
+  which the log's own per-record checksum lets its reader detect.
 * **advisory locking**: cooperating writers (e.g. two campaigns sharing
   one result cache) serialize through an ``flock(2)`` on a sidecar
   file.  ``flock`` locks die with the process that holds them, so a
@@ -30,8 +33,8 @@ try:
 except ImportError:         # non-POSIX platforms
     fcntl = None
 
-__all__ = ["atomic_write_bytes", "atomic_write_text", "fsync_dir",
-           "FileLock", "HAVE_FLOCK"]
+__all__ = ["atomic_write_bytes", "atomic_write_text", "append_durable",
+           "fsync_dir", "FileLock", "HAVE_FLOCK"]
 
 #: Whether real inter-process locking is available on this platform.
 HAVE_FLOCK = fcntl is not None
@@ -74,6 +77,25 @@ def atomic_write_text(path, text: str, *, fsync: bool = True,
     """:func:`atomic_write_bytes` for UTF-8 text."""
     return atomic_write_bytes(path, text.encode("utf-8"), fsync=fsync,
                               sync_dir=sync_dir)
+
+
+def append_durable(path, data: bytes) -> None:
+    """Append ``data`` to ``path`` (created when missing) and ``fsync``.
+
+    The file is opened ``O_APPEND`` and ``data`` goes down in one
+    ``write`` (looping only on a short write), so the record is on disk
+    when this returns and a crash mid-call can only tear the tail.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def fsync_dir(directory) -> None:

@@ -25,12 +25,19 @@ the one-shot CLI into a long-running screening service.  A
   with cheap single points,
 * a **content-addressed result cache** (duplicate or resubmitted specs
   are served for free) and a **JSON results store** the analysis layer
-  reads back.
+  reads back,
+* a **snapshot + journal** queue store: every transition (submit,
+  finish, retire, preempt, requeue) appends one self-checking line to
+  ``campaign.journal`` and fsyncs it before the service acts on it;
+  ``run`` compacts the journal into the ``campaign.json`` snapshot.  A
+  transition costs one job record, not a rewrite of every record.
 
 Telemetry: ``service.jobs_submitted`` / ``_completed`` / ``_failed`` /
 ``_retried`` / ``_preempted``, ``service.cache_hits`` /
-``service.cache_misses`` — accumulated on the service's own metrics
-registry and mirrored into the campaign tracer when one is attached.
+``service.cache_misses``, ``service.journal_appends`` /
+``service.compactions`` — accumulated on the service's own metrics
+registry and mirrored into the campaign tracer when one is attached,
+which also receives ``campaign.journal`` / ``campaign.compact`` spans.
 
 Deterministic fault injection (tests/benchmarks only):
 ``REPRO_SERVICE_FAULT="job=N[,times=K]"`` makes the first ``K``
@@ -42,7 +49,10 @@ wedges a process-transport lane worker (see
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
+import os
 import threading
 import time
 import warnings
@@ -51,7 +61,7 @@ from pathlib import Path
 
 from ..runtime.boundary import KNOBS, check, env_text, resolve
 from ..runtime.execconfig import ExecutionConfig, resolve_execution
-from ..runtime.fsio import atomic_write_text
+from ..runtime.fsio import append_durable, atomic_write_text
 from ..runtime.schema import check_envelope, result_envelope
 from ..runtime.telemetry import MetricsRegistry
 from .cache import ResultCache
@@ -67,6 +77,24 @@ __all__ = ["Job", "CampaignService", "InjectedWorkerDeath",
 DEFAULT_MAX_RETRIES = KNOBS["max_retries"].default
 
 _JOB_STATUSES = ("pending", "running", "done", "failed")
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _journal_line(entry: dict) -> bytes:
+    """One self-checking journal line: ``<sha256 of body> <body>\\n``."""
+    body = json.dumps(entry, sort_keys=True).encode()
+    return _digest(body).encode() + b" " + body + b"\n"
+
+
+def _read_journal_line(line: bytes) -> dict:
+    """The entry a journal line carries; ``ValueError`` unless intact."""
+    digest, _, body = line.partition(b" ")
+    if _digest(body).encode() != digest:
+        raise ValueError("checksum mismatch")
+    return check_envelope(json.loads(body), kind="campaign_journal")
 
 
 class InjectedWorkerDeath(RuntimeError):
@@ -89,7 +117,8 @@ class Job:
     result: dict | None = field(default=None, repr=False)
 
     def record(self) -> dict:
-        """Schema-versioned job record (manifest / results store)."""
+        """Schema-versioned job record (snapshot, journal, results
+        store)."""
         return result_envelope(
             "job", wall_s=self.wall_s,
             job_id=self.id, label=self.spec.label or f"job-{self.id}",
@@ -101,7 +130,7 @@ class Job:
 
     @classmethod
     def from_record(cls, record: dict) -> "Job":
-        """Rebuild a job from a manifest record (crash-interrupted
+        """Rebuild a job from a stored record (crash-interrupted
         ``running`` jobs rejoin the queue as ``pending``)."""
         check_envelope(record, kind="job")
         status = record["status"]
@@ -126,13 +155,14 @@ class CampaignService:
     Parameters
     ----------
     directory:
-        Campaign home.  When given, the queue manifest
-        (``campaign.json``), the result cache (``cache/``), the results
-        store (``results/``), and MD preemption checkpoints
-        (``ckpt/job-NNNNN/``) all live under it, and a new service on
-        the same directory resumes the existing campaign.  ``None``
-        runs fully in memory (no preemption — slicing needs the
-        snapshot store).
+        Campaign home.  When given, the queue snapshot
+        (``campaign.json``) and its journal (``campaign.journal``), the
+        result cache (``cache/``), the results store (``results/``),
+        and MD preemption checkpoints (``ckpt/job-NNNNN/``) all live
+        under it, and a new service on the same directory resumes the
+        existing campaign.  A directory has one owning service at a
+        time.  ``None`` runs fully in memory (no preemption — slicing
+        needs the snapshot store).
     config:
         Base :class:`~repro.runtime.ExecutionConfig` for every job;
         each spec's execution fields (executor/nworkers/kernel/
@@ -183,6 +213,11 @@ class CampaignService:
         self._cond = threading.Condition(self._lock)
         self._inflight: set[str] = set()
         self._fault_budget: dict[int, int] = {}
+        # digest of the snapshot the journal extends (None: no snapshot)
+        self._base: str | None = None
+        # set when the load met damage: the next transition rewrites
+        # the snapshot instead of appending behind a bad line
+        self._snapshot_due = False
         if self.directory is not None:
             self._load()
 
@@ -191,55 +226,142 @@ class CampaignService:
     def _count(self, name: str, n: int = 1) -> None:
         """Bump a service counter (and mirror it into the tracer)."""
         with self._lock:
-            self.metrics.count(name, n)
+            self._bump(name, n)
+
+    def _bump(self, name: str, n: int = 1) -> None:
+        """:meth:`_count` for callers already holding the lock."""
+        self.metrics.count(name, n)
         tr = self.config.trace
         if tr.enabled:
             tr.metrics.count(name, n)
 
     # --- persistence ----------------------------------------------------------
+    #
+    # ``campaign.json`` is the compacted snapshot (the envelope every
+    # earlier version wrote); ``campaign.journal`` holds one line per
+    # transition since then: ``<sha256> <entry>`` where the entry carries
+    # the job's record, ``next_id``, the counters and ``base`` — the
+    # digest of the snapshot it extends.  Loading replays the lines
+    # whose base is the snapshot on disk, last record per job winning,
+    # and stops at the first line that fails its checksum.
 
-    def _manifest_path(self) -> Path:
+    def _snapshot_path(self) -> Path:
         return self.directory / "campaign.json"
 
-    def _save(self) -> None:
+    def _journal_path(self) -> Path:
+        return self.directory / "campaign.journal"
+
+    def _persist(self, job: Job) -> None:
+        """Make one transition durable before the service acts on it.
+
+        A retired job's record lands in ``results/`` first; the same
+        record then rides one journal line.
+        """
+        if self.directory is None:
+            return
+        record = job.record()
+        if job.status in ("done", "failed"):
+            self.store.write(job.id, record)
+        with self._lock:
+            if self._snapshot_due:
+                self._compact_locked()
+                return
+            with self.config.trace.span("campaign.journal", cat="service",
+                                        job=job.id):
+                self._bump("service.journal_appends")
+                entry = result_envelope(
+                    "campaign_journal", counters=self.metrics.to_dict(),
+                    next_id=self._next_id, base=self._base, job=record)
+                append_durable(self._journal_path(), _journal_line(entry))
+
+    def _compact(self) -> None:
+        """Fold the journal into a fresh snapshot."""
         if self.directory is None:
             return
         with self._lock:
-            manifest = result_envelope(
+            self._compact_locked()
+
+    def _compact_locked(self) -> None:
+        with self.config.trace.span("campaign.compact", cat="service",
+                                    njobs=len(self.jobs)):
+            self._bump("service.compactions")
+            text = json.dumps(result_envelope(
                 "campaign",
                 counters=self.metrics.to_dict(),
                 next_id=self._next_id,
                 jobs=[self.jobs[i].record() for i in sorted(self.jobs)],
-            )
-        # unique-temp + fsync + replace: concurrent campaigns on one
-        # directory race complete manifests, never fragments
-        atomic_write_text(self._manifest_path(),
-                          json.dumps(manifest, sort_keys=True))
+            ), sort_keys=True)
+            # the replace is durable before the truncate: a crash in
+            # between leaves lines naming the old snapshot, which the
+            # load skips
+            atomic_write_text(self._snapshot_path(), text, sync_dir=True)
+            self._base = _digest(text.encode())
+            self._snapshot_due = False
+            with contextlib.suppress(FileNotFoundError):
+                os.truncate(self._journal_path(), 0)
 
     def _load(self) -> None:
-        path = self._manifest_path()
-        if not path.is_file():
-            return
-        try:
-            manifest = check_envelope(json.loads(path.read_text()),
-                                      kind="campaign")
-            jobs: dict[int, Job] = {}
-            for record in manifest.get("jobs", ()):
-                job = Job.from_record(record)
-                jobs[job.id] = job
-            next_id = int(manifest.get("next_id", len(jobs)))
-        except (OSError, ValueError, TypeError, KeyError) as e:
-            # a torn or foreign manifest must not brick the campaign
-            # directory: warn, keep the file for post-mortem, start
-            # with an empty queue (results/cache records are untouched)
-            warnings.warn(
-                f"campaign manifest '{path}' is unreadable "
-                f"({type(e).__name__}: {e}); starting with an empty "
-                f"queue", RuntimeWarning, stacklevel=2)
-            return
+        jobs: dict[int, Job] = {}
+        next_id, counters = 0, {}
+        path = self._snapshot_path()
+        if path.is_file():
+            try:
+                raw = path.read_bytes()
+                manifest = check_envelope(json.loads(raw), kind="campaign")
+                for record in manifest.get("jobs", ()):
+                    job = Job.from_record(record)
+                    jobs[job.id] = job
+                next_id = int(manifest.get("next_id", len(jobs)))
+                counters = manifest.get("counters", {})
+            except (OSError, ValueError, TypeError, KeyError) as e:
+                # a torn or foreign snapshot must not brick the campaign
+                # directory: warn, keep the file for post-mortem, start
+                # with an empty queue (results/cache records are
+                # untouched; the journal extends a state we cannot read)
+                warnings.warn(
+                    f"campaign manifest '{path}' is unreadable "
+                    f"({type(e).__name__}: {e}); starting with an empty "
+                    f"queue", RuntimeWarning, stacklevel=3)
+                self._snapshot_due = True
+                return
+            self._base = _digest(raw)
+        for job, next_id, counters in self._replay():
+            jobs[job.id] = job
         self.jobs = jobs
         self._next_id = next_id
-        self.metrics.set_state(manifest.get("counters", {}))
+        self.metrics.set_state(counters)
+
+    def _replay(self) -> list[tuple[Job, int, dict]]:
+        """``(job, next_id, counters)`` of each intact journal line that
+        extends the snapshot, up to the first damaged one."""
+        path = self._journal_path()
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return []
+        except OSError as e:
+            return self._damaged(path, [], f"{type(e).__name__}: {e}")
+        *lines, tail = data.split(b"\n")
+        out = []
+        for n, line in enumerate(lines, 1):
+            try:
+                entry = _read_journal_line(line)
+                if entry["base"] != self._base:
+                    continue        # compacted into the snapshot already
+                out.append((Job.from_record(entry["job"]),
+                            int(entry["next_id"]), dict(entry["counters"])))
+            except (ValueError, TypeError, KeyError) as e:
+                return self._damaged(path, out, f"line {n}: {e}")
+        if tail:
+            return self._damaged(path, out, f"line {len(lines) + 1} is torn")
+        return out
+
+    def _damaged(self, path: Path, good: list, why: str) -> list:
+        warnings.warn(
+            f"campaign journal '{path}' is damaged ({why}); resuming from "
+            f"the last good record", RuntimeWarning, stacklevel=5)
+        self._snapshot_due = True
+        return good
 
     # --- queue API ------------------------------------------------------------
 
@@ -263,7 +385,7 @@ class CampaignService:
             self._next_id += 1
             self.jobs[job.id] = job
         self._count("service.jobs_submitted")
-        self._save()
+        self._persist(job)
         return job
 
     def status(self) -> dict:
@@ -317,7 +439,7 @@ class CampaignService:
             lanes.drain()
         finally:
             lanes.close()
-        self._save()
+        self._compact()
         with self._lock:
             jobs = [self.jobs[i] for i in sorted(self.jobs)]
             return result_envelope(
@@ -391,11 +513,12 @@ class CampaignService:
             return any(j.status == "pending" for j in self.jobs.values())
 
     def _finish(self, job: Job) -> None:
-        """Release a job's in-flight slot and persist the manifest."""
+        """Persist a job's transition, then release its in-flight slot
+        (only then may another lane claim its twin or its requeue)."""
+        self._persist(job)
         with self._cond:
             self._inflight.discard(job.key)
             self._cond.notify_all()
-        self._save()
 
     def _lane(self, config: ExecutionConfig) -> None:
         """One dispatch lane: claim, run, retire, repeat."""
@@ -445,17 +568,18 @@ class CampaignService:
         return api.run_job(job.spec, config=self._job_config(job, config),
                            until_step=self._until_step(job))
 
-    def _serve_cached(self, job: Job) -> bool:
-        """Retire ``job`` from the cache if its record is in."""
+    def _serve_cached(self, job: Job, t0: float) -> bool:
+        """Complete ``job`` from the cache if its record is in, charging
+        the lookup since ``t0`` to its wall time."""
         cached = self.cache.get(job.key)
         if cached is None:
             return False
+        job.wall_s += time.perf_counter() - t0
         job.result = cached
         job.cache_hit = True
         job.status = "done"
         self._count("service.cache_hits")
         self._count("service.jobs_completed")
-        self._retire(job)
         return True
 
     def _record_success(self, job: Job, result: dict,
@@ -481,7 +605,6 @@ class CampaignService:
         job.result = result
         job.status = "done"
         self._count("service.jobs_completed")
-        self._retire(job)
 
     def _record_failure(self, job: Job, error: str, elapsed: float,
                         counter: str = "service.jobs_retried") -> None:
@@ -497,7 +620,6 @@ class CampaignService:
         job.status = "failed"
         job.error = error
         self._count("service.jobs_failed")
-        self._retire(job)
 
     def _run_one(self, job: Job, config: ExecutionConfig) -> None:
         """Serve one claimed job: cache, execute, retire (or requeue).
@@ -509,12 +631,10 @@ class CampaignService:
         moment the twin's record lands.
         """
         t0 = time.perf_counter()
-        if self._serve_cached(job):
-            job.wall_s += time.perf_counter() - t0
+        if self._serve_cached(job, t0):
             return
         with self.cache.lock(job.key):
-            if self._serve_cached(job):
-                job.wall_s += time.perf_counter() - t0
+            if self._serve_cached(job, t0):
                 return
             try:
                 if self._take_injected_fault(job):
@@ -527,7 +647,3 @@ class CampaignService:
                                      time.perf_counter() - t0)
                 return
             self._record_success(job, result, time.perf_counter() - t0)
-
-    def _retire(self, job: Job) -> None:
-        if self.store is not None:
-            self.store.write(job.id, job.record())

@@ -1,12 +1,15 @@
 """JSON results store: the campaign's durable output surface.
 
-One record per job, written atomically as the scheduler retires jobs,
-plus a campaign manifest (``campaign.json``) holding the queue state so
-``repro campaign submit`` / ``run`` / ``status`` / ``results`` can be
-separate processes.  The analysis layer reads this store back through
-:func:`repro.analysis.report.campaign_table` — the service writes, the
-analysis reads, and the schema envelope (:mod:`repro.runtime.schema`)
-is the contract between them.
+One record per job, written atomically as the scheduler retires jobs.
+The queue state beside it is a compacted snapshot (``campaign.json``)
+plus an append-only, per-line checksummed journal
+(``campaign.journal``, one fsync'd line per transition) that the
+scheduler owns, so ``repro campaign submit`` / ``run`` / ``status`` /
+``results`` can be separate processes.  A retiring job's record lands
+here before its journal line.  The analysis layer reads this store
+back through :func:`repro.analysis.report.campaign_table` — the
+service writes, the analysis reads, and the schema envelope
+(:mod:`repro.runtime.schema`) is the contract between them.
 """
 
 from __future__ import annotations

@@ -329,7 +329,7 @@ class LaneTransport:
     A transport owns lane *execution* only; the
     :class:`~repro.service.CampaignService` keeps owning the queue,
     the in-flight dedup, the cache, the retry budgets, and the
-    manifest.  ``drain()`` runs until the queue has no runnable work;
+    queue store.  ``drain()`` runs until the queue has no runnable work;
     ``close()`` releases lane resources (idempotent).
     """
 
@@ -490,20 +490,21 @@ class ProcessLaneTransport(LaneTransport):
             job = svc._claim_nowait(skip=self._skip)
             if job is None:
                 return
-            if svc._serve_cached(job):
+            t0 = time.perf_counter()
+            if svc._serve_cached(job, t0):
                 svc._finish(job)
                 continue
             lk = svc.cache.try_lock(job.key)
             if lk is None:
                 # a twin campaign is computing this key right now:
                 # either its record just landed, or we defer briefly
-                if svc._serve_cached(job):
+                if svc._serve_cached(job, t0):
                     svc._finish(job)
                 else:
                     svc._unclaim(job)
                     self._skip[job.key] = time.monotonic() + _EXTERN_RETRY
                 continue
-            if svc._serve_cached(job):     # landed while we took the lock
+            if svc._serve_cached(job, t0):  # landed while we took the lock
                 lk.release()
                 svc._finish(job)
                 continue

@@ -209,7 +209,7 @@ def test_interrupted_running_job_rejoins_queue(tmp_path):
     job = svc.submit(H2_SCF)
     with svc._lock:
         svc.jobs[job.id].status = "running"
-    svc._save()
+    svc._compact()
     resumed = CampaignService(tmp_path)
     assert resumed.jobs[job.id].status == "pending"
 
