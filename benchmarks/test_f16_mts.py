@@ -3,7 +3,7 @@
 The paper's cost center is the screened HFX build inside every BOMD
 force evaluation; at paper scale (TZV2P, condensed phase) the hybrid
 build dwarfs everything else in the step.  The r-RESPA integrator
-(:class:`repro.md.MTSBOMD`) attacks exactly that: the full hybrid
+(``repro.md.BOMD(n_outer=...)``) attacks exactly that: the full hybrid
 surface is evaluated only every ``n_outer`` steps, with the cheap
 inner surface — here the matching *pure-GGA* functional, whose build
 has **no** exact-exchange term — carrying the fast motion in between.
@@ -53,7 +53,7 @@ import numpy as np
 import pytest
 
 from repro.chem import builders
-from repro.md import BOMD, MTSBOMD
+from repro.md import BOMD
 from repro.md.observables import energy_drift
 
 T_SIM_FS = float(os.environ.get("REPRO_BENCH_MTS_FS", "100.0"))
@@ -81,9 +81,9 @@ def _run_config(n_outer: int) -> dict:
         traj = b.run(int(round(T_SIM_FS / DT_BASE)))
         inner_builds = 0
     else:
-        b = MTSBOMD(mol, method="pbe0", dt_fs=DT_INNER,
-                    temperature=TEMP_K, seed=SEED,
-                    n_outer=n_outer, inner="pbe")
+        b = BOMD(mol, method="pbe0", dt_fs=DT_INNER,
+                 temperature=TEMP_K, seed=SEED,
+                 n_outer=n_outer, inner="pbe", aspc_order=2)
         traj = b.run(int(round(T_SIM_FS / (DT_INNER * n_outer))))
         inner_builds = len(b.fast_engine.scf_iterations)
     wall = time.perf_counter() - t0

@@ -142,16 +142,14 @@ def _build_bomd(spec: JobSpec, cfg: ExecutionConfig,
     restores automatically whenever the config's checkpoint directory
     already holds a snapshot; ``False`` never restores (fresh start
     even over an existing checkpoint directory).  Restores dispatch on
-    the snapshot's own ``kind`` tag (:func:`repro.md.restore_md`), so
-    a plain BOMD checkpoint and a multiple-time-stepping one both
-    revive into the runner class that wrote them.
+    the snapshot's own ``kind`` tag (:func:`repro.md.restore_md`).
 
-    A spec with ``mts_outer > 1`` builds an
-    :class:`repro.md.MTSBOMD` — the r-RESPA integrator with the full
-    SCF force every ``mts_outer`` steps and the ``mts_inner`` surface
-    in between.
+    ``mts_outer > 1`` runs :class:`repro.md.BOMD` on the r-RESPA
+    integrator: the full SCF force every ``mts_outer`` steps, the
+    ``mts_inner`` surface in between, and ``mts_aspc_order`` ASPC warm
+    starts (which ride the RESPA outer loop only).
     """
-    from .md import BOMD, MTSBOMD, SCFForceEngine, restore_md
+    from .md import BOMD, SCFForceEngine, restore_md
     from .runtime.checkpoint import CheckpointStore
 
     if restore_from is None and cfg.checkpoint_dir is not None and \
@@ -172,19 +170,17 @@ def _build_bomd(spec: JobSpec, cfg: ExecutionConfig,
                    "berendsen": BerendsenThermostat}[spec.thermostat]
             kw = {"seed": spec.seed} if spec.thermostat == "csvr" else {}
             thermostat = cls(T=spec.temperature, tau=tau, **kw)
-        common = dict(method=spec.method, basis=spec.basis,
-                      dt_fs=spec.dt_fs, temperature=spec.temperature,
-                      seed=spec.seed, thermostat=thermostat, config=cfg)
-        if spec.mts_outer > 1:
-            b = MTSBOMD(spec.resolve_molecule(), n_outer=spec.mts_outer,
-                        inner=spec.mts_inner,
-                        aspc_order=spec.mts_aspc_order, **common)
-        else:
-            b = BOMD(spec.resolve_molecule(), **common)
+        b = BOMD(spec.resolve_molecule(), method=spec.method,
+                 basis=spec.basis, dt_fs=spec.dt_fs,
+                 temperature=spec.temperature, seed=spec.seed,
+                 thermostat=thermostat, config=cfg,
+                 n_outer=spec.mts_outer, inner=spec.mts_inner,
+                 aspc_order=(spec.mts_aspc_order if spec.mts_outer > 1
+                             else None))
     # the spec's hashed SCF numerics: neither a runner's constructor
     # nor its snapshot carries them, so fresh and revived runners alike
     # get them here, on the fields the engines already have
-    for engine in (b.engine, getattr(b, "fast_engine", None)):
+    for engine in (b.engine, b.fast_engine):
         if isinstance(engine, SCFForceEngine):
             engine.conv_tol = spec.conv_tol
             engine.scf_kwargs.update(
@@ -235,8 +231,8 @@ def run_md(spec: JobSpec | dict, config: ExecutionConfig | None = None,
             "energy_pot_final": float(final.energy_pot),
             "temperature_final": float(t_final),
             "drift": float(energy_drift(traj, masses)),
-            "mts_outer": int(getattr(b, "n_outer", 1)),
-            "mts_inner": getattr(b, "inner", None),
+            "mts_outer": int(b.n_outer),
+            "mts_inner": b.inner if b.n_outer > 1 else None,
             "restored_from": restored_from},
         final={"step": int(final.step),
                "energy_pot": float(final.energy_pot),

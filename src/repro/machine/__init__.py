@@ -9,7 +9,7 @@ from .node import NodeComputeModel
 from .mapping import (Mapping, abcdet_mapping, random_mapping,
                       blocked_mapping, dilation)
 from .simulator import (BuildTiming, CommPlan, simulate_static_build,
-                        simulate_dynamic_build, parallel_efficiency)
+                        parallel_efficiency)
 from .power import PowerModel, energy_to_solution
 
 __all__ = [
@@ -21,6 +21,6 @@ __all__ = [
     "Mapping", "abcdet_mapping", "random_mapping", "blocked_mapping",
     "dilation",
     "BuildTiming", "CommPlan", "simulate_static_build",
-    "simulate_dynamic_build", "parallel_efficiency",
+    "parallel_efficiency",
     "PowerModel", "energy_to_solution",
 ]

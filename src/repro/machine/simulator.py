@@ -1,20 +1,14 @@
 """Execution simulator: price a parallel HFX build on a BG/Q partition.
 
-Two execution styles are simulated, matching the two contenders of the
-paper's evaluation:
-
-* :func:`simulate_static_build` — the paper's scheme: statically
-  load-balanced pair tasks per rank, threads self-schedule quartet
-  chunks inside the rank, two cheap collectives per build.
-* :func:`simulate_dynamic_build` — the "directly comparable approach":
-  replicated data with a master-worker dynamic task queue; every chunk
-  acquisition is a round-trip to rank 0, and the collectives move whole
-  replicated matrices.
-
-Both return a :class:`BuildTiming` with a breakdown the benchmarks
-print.  The model is analytic per rank (in-rank threading over quartets
-is near-perfectly divisible, as in the paper) and exact across ranks
-(the inter-rank imbalance of the pair-task partition is fully resolved).
+:func:`simulate_static_build` prices the paper's scheme: statically
+load-balanced pair tasks per rank, threads self-schedule quartet chunks
+inside the rank, two cheap collectives per build.  It returns a
+:class:`BuildTiming` with a breakdown the benchmarks print; the
+replicated-data baseline it is compared with is priced by
+:class:`repro.hfx.baseline.ReplicatedDynamicBaseline`.  The model is
+analytic per rank (in-rank threading over quartets is near-perfectly
+divisible, as in the paper) and exact across ranks (the inter-rank
+imbalance of the pair-task partition is fully resolved).
 """
 
 from __future__ import annotations
@@ -24,12 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bgq import BGQConfig
-from .collectives import CollectiveModel, point_to_point_time
+from .collectives import CollectiveModel
 from .node import NodeComputeModel
 from .torus import Torus
 
 __all__ = ["BuildTiming", "CommPlan", "simulate_static_build",
-           "simulate_dynamic_build", "parallel_efficiency"]
+           "parallel_efficiency"]
 
 
 @dataclass(frozen=True)
@@ -147,60 +141,6 @@ def simulate_static_build(rank_flops: np.ndarray,
         nranks=cfg.nranks, nthreads=cfg.total_threads,
         breakdown={"compute": compute, "allgather": t_gather,
                    "allreduce": t_reduce, "bcast": t_bcast},
-    )
-
-
-def simulate_dynamic_build(total_flops: float,
-                           ntasks: int,
-                           cfg: BGQConfig,
-                           comm: CommPlan,
-                           node: NodeComputeModel | None = None,
-                           chunk_tasks: int = 4,
-                           collective_algorithm: str = "torus_tree",
-                           dilation: float = 1.0) -> BuildTiming:
-    """Price the replicated-data master-worker baseline.
-
-    Workers round-trip to rank 0 for every chunk of ``chunk_tasks``
-    tasks.  The master serializes dispatches: with service time t_s per
-    request, aggregate dispatch throughput is capped at 1/t_s, which is
-    the scaling wall the paper's static scheme removes.
-    """
-    if node is None:
-        node = NodeComputeModel(cfg)
-    torus = Torus(cfg.torus_dims)
-    coll = CollectiveModel(cfg, torus, collective_algorithm, dilation)
-    p = max(cfg.nranks - 1, 1)              # workers (rank 0 is the master)
-    rate = node.thread_rate() * node.nthreads
-    nchunks = max(int(np.ceil(ntasks / chunk_tasks)), 1)
-    chunk_cost = (total_flops / rate) / nchunks
-
-    # master service time per request: a small message each way across
-    # ~half the machine plus software overhead
-    avg_hops = max(torus.average_distance(), 1.0) * dilation
-    req_rtt = 2.0 * point_to_point_time(cfg, 64, int(round(avg_hops)))
-    service = cfg.mpi_overhead + 0.5e-6     # master-side handling per request
-
-    # compute-bound: workers stream chunks, hiding request latency
-    t_compute_bound = nchunks / p * (chunk_cost + req_rtt)
-    # dispatch-bound: the master can hand out at most 1/service chunks/s
-    t_dispatch_bound = nchunks * service
-    compute = max(t_compute_bound, t_dispatch_bound) + chunk_cost
-
-    t_bcast = coll.broadcast(comm.bcast_bytes) if comm.bcast_bytes else 0.0
-    t_reduce = coll.allreduce(comm.allreduce_bytes) \
-        if comm.allreduce_bytes else 0.0
-    comm_time = t_bcast + t_reduce
-    makespan = compute + comm_time
-    rank_times = np.full(cfg.nranks, t_compute_bound)
-    rank_times[0] = t_dispatch_bound
-    return BuildTiming(
-        makespan=makespan, compute_time=compute, comm_time=comm_time,
-        rank_compute=rank_times, total_flops=total_flops,
-        nranks=cfg.nranks, nthreads=cfg.total_threads,
-        breakdown={"compute": t_compute_bound,
-                   "dispatch": t_dispatch_bound,
-                   "bcast": t_bcast, "allreduce": t_reduce,
-                   "request_rtt": req_rtt},
     )
 
 

@@ -7,7 +7,7 @@ from .thermostat import (BerendsenThermostat, CSVRThermostat,
                          VelocityRescale, restore_thermostat)
 from .forcefield import ForceField, LJParams, detect_bonds, detect_angles
 from .bomd import BOMD, CheckpointedMD, SCFForceEngine, restore_md
-from .respa import MTSBOMD, RESPAIntegrator
+from .respa import RESPAIntegrator
 from .classical import ClassicalMD
 from .observables import energy_drift, temperature_series, rdf, msd
 from .optimize import OptimizationResult, optimize_geometry
@@ -19,7 +19,7 @@ __all__ = [
     "restore_thermostat",
     "ForceField", "LJParams", "detect_bonds", "detect_angles",
     "BOMD", "CheckpointedMD", "SCFForceEngine", "restore_md",
-    "MTSBOMD", "RESPAIntegrator",
+    "RESPAIntegrator",
     "ClassicalMD",
     "energy_drift", "temperature_series", "rdf", "msd",
     "OptimizationResult", "optimize_geometry",

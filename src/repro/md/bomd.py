@@ -22,13 +22,17 @@ Two paper-specific behaviors are reproduced:
 * per-step SCF iteration and screened-quartet statistics are recorded,
   feeding the incremental-build experiment (F8).
 
+:class:`BOMD` is the one trajectory runner: ``n_outer=1`` is plain
+velocity Verlet, ``n_outer > 1`` multiple time steps (r-RESPA, Mandal
+et al.) with the full SCF force every ``n_outer`` inner steps.
+
 Checkpoint/restart (the job-level counterpart to the pool's
 worker-level fault tolerance): :class:`BOMD` and
 :class:`SCFForceEngine` implement the
 :class:`repro.runtime.Restartable` protocol, and a trajectory run with
 ``ExecutionConfig(checkpoint_dir=...)`` auto-snapshots every
 ``checkpoint_every`` steps (plus once whenever the worker pool degrades
-to serial).  :meth:`BOMD.restore` revives the newest uncorrupted
+to serial).  :func:`restore_md` revives the newest uncorrupted
 snapshot and continues **bit-identically** — warm-start density,
 thermostat random stream, and step counter included — on a freshly
 spawned pool (live pool state is never serialized).
@@ -36,19 +40,22 @@ spawned pool (live pool state is never serialized).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..chem.molecule import Molecule
+from ..runtime.boundary import check, resolve_mts_outer
 from ..runtime.checkpoint import CheckpointError, SnapshotInfo
 from ..runtime.execconfig import ExecutionConfig
 from ..basis.basisset import build_basis
 from ..scf.dft import RKS
 from ..scf.fock import check_jk_mode, jk_build_mode, make_jk_engine
 from ..scf.gradient import scf_gradient
+from ..scf.guess import ASPCExtrapolator
 from ..scf.rhf import RHF, SCFResult
-from .integrator import MDState
+from .integrator import MDState, VelocityVerlet
+from .respa import RESPAIntegrator
 
 __all__ = ["SCFForceEngine", "BOMD", "CheckpointedMD", "restore_md"]
 
@@ -322,66 +329,39 @@ class SCFForceEngine:
 
 
 class CheckpointedMD:
-    """Shared machinery for checkpointed, resume-aware MD runners.
+    """Shared core of the checkpointed, resume-aware MD runners.
 
-    :class:`BOMD`, :class:`repro.md.respa.MTSBOMD` and
-    :class:`repro.md.classical.ClassicalMD` all inherit the same
-    ``run``/``checkpoint``/``restore`` core; each subclass supplies its
-    force engine, integrator, snapshot ``_KIND`` tag and identity
-    parameters.  Auto-snapshots (initial state, cadence, pool
-    degradation, final step) are all funneled through
-    :meth:`_snapshot_if_new`, which dedupes by logical step id — a
-    trajectory never writes two snapshots of the same step, even when
-    the final step also lands on the cadence.
+    :class:`BOMD` (plain or multiple-time-stepping) and
+    :class:`repro.md.classical.ClassicalMD` are dataclasses on this one
+    ``run``/``checkpoint``/``restore`` core; each supplies its force
+    engine and integrator, its snapshot ``_KIND`` tag and the
+    ``_IDENTITY`` parameters a snapshot must match.  A runner's snapshot
+    parameters are its constructor arguments less the molecule, the
+    thermostat and the config (the first two ride the snapshot on their
+    own, the last never does), so one rule writes them, checks them and
+    rebuilds the runner from them.  Every auto-snapshot — initial state,
+    cadence, pool degradation, final step — goes through one
+    :class:`repro.runtime.checkpoint.AutoCheckpoint`, which writes at
+    most one snapshot per logical step.
     """
 
     _KIND = "md"
-
-    # --- subclass hooks -------------------------------------------------------
+    _IDENTITY: tuple = ()
 
     def _integrator(self):
         raise NotImplementedError
-
-    def _params(self) -> dict:
-        """Identity parameters stored in (and checked against) snapshots."""
-        raise NotImplementedError
-
-    def _param_checks(self) -> tuple:
-        """(key, my_value) pairs that must match the snapshot params."""
-        raise NotImplementedError
-
-    def _extra_state(self) -> dict:
-        """Subclass additions to the snapshot envelope."""
-        return {}
-
-    def _load_extra(self, state: dict) -> None:
-        """Load subclass additions written by :meth:`_extra_state`."""
-
-    @classmethod
-    def _from_snapshot(cls, state: dict, cfg: ExecutionConfig
-                       ) -> "CheckpointedMD":
-        """Construct a matching runner from a snapshot envelope."""
-        raise NotImplementedError
-
-    # --- shared core ----------------------------------------------------------
 
     def _init_runtime_state(self) -> None:
         """Called from each subclass ``__post_init__`` after the config
         is resolved: trajectory bookkeeping + checkpoint store setup."""
         self.state: MDState | None = None
         self.trajectory: list[MDState] = []
-        self._store = None
-        self._checkpoint_every = None
-        self._last_saved_step: int | None = None
+        self._auto = None
         self._degrade_snapshotted = False
         if self.config.checkpoint_dir is not None:
-            from ..runtime.checkpoint import (CheckpointStore,
-                                              resolve_checkpoint_every)
+            from ..runtime.checkpoint import AutoCheckpoint
 
-            self._store = CheckpointStore(self.config.checkpoint_dir,
-                                          keep=self.config.checkpoint_keep)
-            self._checkpoint_every = resolve_checkpoint_every(
-                self.config.checkpoint_every)
+            self._auto = AutoCheckpoint(self.config)
 
     def run(self, nsteps: int) -> list[MDState]:
         """Integrate until logical step ``nsteps``; returns the
@@ -403,57 +383,45 @@ class CheckpointedMD:
                                            self.temperature, self.seed)
             self.state = vv.initial_state(self.mol.coords, v0)
             self.trajectory = [self.state]
-            self._snapshot_if_new()
+            self._snapshot(force=True)
         while self.state.step < nsteps:
             self.state = vv.step(self.state)
             self.trajectory.append(self.state)
             if tr.enabled:
                 tr.metrics.count("md.steps", 1)
-            if self._store is not None:
-                degraded = bool(getattr(self.engine, "degraded", False))
-                if self.state.step % self._checkpoint_every == 0 or \
-                        (degraded and not self._degrade_snapshotted):
-                    # cadence hit, or the pool just died for good:
-                    # secure the trajectory (at most once per step)
-                    self._snapshot_if_new()
-                if degraded:
-                    self._degrade_snapshotted = True
-        self._snapshot_if_new()
+            # cadence hit, or the pool just died for good: secure the
+            # trajectory (at most once per step)
+            degraded = bool(getattr(self.engine, "degraded", False))
+            self._snapshot(force=degraded and not self._degrade_snapshotted)
+            self._degrade_snapshotted |= degraded
+        self._snapshot(force=True)
         return list(self.trajectory)
 
     # --- checkpoint/restart ---------------------------------------------------
 
-    def _snapshot_if_new(self) -> None:
-        """Auto-snapshot the current step unless it was already saved.
-
-        Every automatic write (initial state, cadence, degradation,
-        final step) goes through this guard, so overlapping triggers —
-        e.g. a final step that also satisfies the cadence — produce
-        exactly one snapshot per logical step.
-        """
-        if self._store is not None and \
-                self._last_saved_step != self.state.step:
-            self.checkpoint()
+    def _snapshot(self, force: bool = False) -> None:
+        if self._auto is not None:
+            self._auto.offer(int(self.state.step), self.get_state, force)
 
     def checkpoint(self) -> SnapshotInfo:
         """Write one snapshot of the current trajectory state now."""
         name = type(self).__name__
-        if self._store is None:
+        if self._auto is None:
             raise CheckpointError(
                 f"{name} has no checkpoint store — construct it with "
                 f"ExecutionConfig(checkpoint_dir=...)")
         if self.state is None:
             raise CheckpointError(
                 f"{name}.checkpoint: no trajectory state yet (run() first)")
-        tr = self.config.trace
-        step = int(self.state.step)
-        with tr.span("checkpoint.write", cat="checkpoint", step=step):
-            info = self._store.save(self.get_state(), step=step)
-        self._last_saved_step = step
-        if tr.enabled:
-            tr.metrics.count("checkpoint.writes", 1)
-            tr.metrics.set("checkpoint.last_step", step)
-        return info
+        return self._auto.save(self.get_state(), int(self.state.step))
+
+    def _params(self) -> dict:
+        """Identity parameters stored in (and checked against)
+        snapshots."""
+        p = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.init and f.name not in ("mol", "thermostat", "config")}
+        p["natom"] = self.mol.natom
+        return p
 
     def get_state(self) -> dict:
         """Full Restartable state of the trajectory.
@@ -474,7 +442,7 @@ class CheckpointedMD:
             thermo = self.thermostat.get_state()
         engine_state = (self.engine.get_state()
                         if hasattr(self.engine, "get_state") else None)
-        state = {
+        return {
             "kind": self._KIND,
             "mol": self.mol,
             "params": self._params(),
@@ -484,22 +452,26 @@ class CheckpointedMD:
             "thermostat": thermo,
             "counters": tr.metrics.get_state() if tr.enabled else {},
         }
-        state.update(self._extra_state())
-        return state
 
     def set_state(self, state: dict) -> None:
         """Load a snapshot into this (matching) runner."""
         name = type(self).__name__
-        if state.get("kind") != self._KIND:
+        kind = state.get("kind")
+        runner = _runner_for(kind)
+        if runner is None or not isinstance(self, runner):
             raise CheckpointError(
-                f"{name}: snapshot holds {state.get('kind')!r} state, "
-                f"not '{self._KIND}'")
+                f"{name}: snapshot holds {kind!r} state, not "
+                f"'{self._KIND}'")
         p = state.get("params", {})
+        mine = self._params()
+        # a parameter an older snapshot lacks ran at its default
+        default = {f.name: f.default for f in fields(self)}
         mismatches = []
-        for key, mine in self._param_checks():
-            if p.get(key) != mine:
+        for key in self._IDENTITY:
+            theirs = p.get(key, default.get(key))
+            if theirs != mine[key]:
                 mismatches.append(
-                    f"{key}: snapshot {p.get(key)!r} != {mine!r}")
+                    f"{key}: snapshot {theirs!r} != {mine[key]!r}")
         if mismatches:
             raise CheckpointError(
                 f"{name}: snapshot does not match this run — "
@@ -520,7 +492,6 @@ class CheckpointedMD:
                 self.thermostat = restore_thermostat(state["thermostat"])
             else:
                 self.thermostat.set_state(state["thermostat"])
-        self._load_extra(state)
         tr = self.config.trace
         if tr.enabled and state.get("counters"):
             # counters continue from their saved totals so --profile
@@ -528,69 +499,38 @@ class CheckpointedMD:
             tr.metrics.set_state(state["counters"])
 
     @classmethod
+    def _from_snapshot(cls, state: dict, cfg: ExecutionConfig
+                       ) -> "CheckpointedMD":
+        """A runner built from a snapshot's molecule and parameters:
+        the ones that are constructor arguments (not ``natom``, nor an
+        older snapshot's ``analytic_forces``); absent ones default."""
+        names = {f.name for f in fields(cls) if f.init}
+        kwargs = {k: v for k, v in state["params"].items() if k in names}
+        return cls(mol=state["mol"], config=cfg, **kwargs)
+
+    @classmethod
     def restore(cls, checkpoint_dir=None, config: ExecutionConfig | None = None
                 ) -> "CheckpointedMD":
-        """Revive a trajectory from the newest uncorrupted snapshot.
-
-        The snapshot is self-describing (molecule, method, thermostat
-        kind, step counter all ride in it), so the only inputs are the
-        store location and — because execution resources are never
-        serialized — a fresh :class:`ExecutionConfig`: the restored
-        run spawns a fresh worker pool on its first SCF rather than
-        attempting to revive pickled pool state.  Corrupted snapshots
-        fall back through the ring with a warning; a missing directory
-        raises :class:`repro.runtime.CheckpointError`.
-        """
-        from ..runtime.execconfig import resolve_execution
-
-        cfg = resolve_execution(config, owner=f"{cls.__name__}.restore")
-        return cls._revive(*cls._load_snapshot(checkpoint_dir, cfg))
-
-    @classmethod
-    def _revive(cls, state: dict, info: SnapshotInfo, cfg: ExecutionConfig
-                ) -> "CheckpointedMD":
-        """A runner of this class continuing the loaded snapshot."""
-        if state.get("kind") != cls._KIND:
+        """:func:`restore_md`, refusing a snapshot of another runner."""
+        b = restore_md(checkpoint_dir, config)
+        if not isinstance(b, cls):
             raise CheckpointError(
-                f"{cls.__name__}.restore: snapshot holds "
-                f"{state.get('kind')!r} state, not '{cls._KIND}'")
-        b = cls._from_snapshot(state, cfg)
-        b.set_state(state)
-        b._last_saved_step = info.step
-        tr = cfg.trace
-        if tr.enabled:
-            tr.metrics.count("checkpoint.restores", 1)
-            tr.metrics.set("checkpoint.restored_step", float(info.step))
-            tr.metrics.set("checkpoint.snapshot_age_s", info.age_s)
+                f"{cls.__name__}.restore: snapshot holds a "
+                f"'{b._KIND}' trajectory, not '{cls._KIND}'")
         return b
-
-    @classmethod
-    def _load_snapshot(cls, checkpoint_dir, cfg: ExecutionConfig):
-        """Locate the store, load the newest good snapshot, and pin the
-        restored run's checkpoint directory to where it restored from."""
-        from ..runtime.checkpoint import CheckpointStore
-
-        directory = checkpoint_dir if checkpoint_dir is not None \
-            else cfg.checkpoint_dir
-        if directory is None:
-            raise CheckpointError(
-                f"{cls.__name__}.restore: no checkpoint directory — pass "
-                f"checkpoint_dir= or set ExecutionConfig.checkpoint_dir")
-        store = CheckpointStore(directory, keep=cfg.checkpoint_keep)
-        with cfg.trace.span("checkpoint.restore", cat="checkpoint"):
-            state, info = store.load_latest()
-        if cfg.checkpoint_dir is None:
-            # keep checkpointing where we restored from
-            cfg = cfg.replace(checkpoint_dir=str(directory))
-        return state, info, cfg
 
 
 @dataclass
 class BOMD(CheckpointedMD):
-    """Convenience Born-Oppenheimer MD runner on one
-    :class:`SCFForceEngine`: each step is one SCF plus its analytic
-    gradient (a ``6N + 1`` finite-difference stencil under
-    ``jk="ri"``, see the engine).
+    """Born-Oppenheimer MD on one :class:`SCFForceEngine`: each full
+    force is one SCF plus its analytic gradient (a ``6N + 1``
+    finite-difference stencil under ``jk="ri"``, see the engine).
+
+    ``n_outer`` picks the integrator.  At 1 it is velocity Verlet on the
+    full surface.  Above 1 it is reversible RESPA
+    (:class:`repro.md.respa.RESPAIntegrator`): the full force enters as
+    an impulse every ``n_outer`` inner steps of ``dt_fs`` on the cheap
+    ``inner`` surface, and each ``run`` step is one outer step.
 
     ``run(nsteps)`` is **resume-aware**: it integrates *until logical
     step* ``nsteps``, continuing from wherever the trajectory currently
@@ -600,7 +540,23 @@ class BOMD(CheckpointedMD):
     snapshots the full :class:`repro.runtime.Restartable` state every
     ``checkpoint_every`` steps (and once more when the worker pool
     degrades to serial), through an atomic, checksummed, ring-pruned
-    :class:`repro.runtime.CheckpointStore`.
+    :class:`repro.runtime.CheckpointStore`; under RESPA the ASPC
+    history, the cached fast forces and the inner engine's warm start
+    ride along.
+
+    Parameters beyond the SCF ones:
+
+    n_outer:
+        Full-force stride (``None`` reads ``REPRO_MTS_OUTER``).
+    inner:
+        Fast surface when ``n_outer > 1``: ``"ff"`` (classical force
+        field) or a pure DFT functional (``"lda"``/``"pbe"``, serial
+        direct J/K — one SCF plus its analytic gradient per inner
+        step).
+    aspc_order:
+        ASPC extrapolation order ``k`` (history ``k + 2``) for the outer
+        SCF warm starts; ``None`` reuses the previous density.  ASPC
+        rides the RESPA outer loop, so it needs ``n_outer > 1``.
     """
 
     mol: Molecule
@@ -612,81 +568,146 @@ class BOMD(CheckpointedMD):
     thermostat: object | None = None
     incremental: bool = False
     config: ExecutionConfig | None = None
+    n_outer: int = 1
+    inner: str = "ff"
+    aspc_order: int | None = None
     engine: object = field(init=False)
 
     _KIND = "bomd"
+    _IDENTITY = ("method", "basis", "dt_fs", "natom", "n_outer", "inner",
+                 "aspc_order")
 
     def __post_init__(self) -> None:
+        from ..constants import fs_to_aut
         from ..runtime.execconfig import resolve_execution
 
         self.config = resolve_execution(self.config, owner="BOMD")
+        self.n_outer = resolve_mts_outer(self.n_outer)
+        check("mts_inner", self.inner, owner="BOMD")
+        if self.aspc_order is not None and self.n_outer == 1:
+            raise ValueError(
+                f"BOMD: aspc_order={self.aspc_order!r} needs n_outer > 1 "
+                f"(ASPC warm-starts the RESPA outer force only)")
         self.engine = SCFForceEngine(self.mol, self.method, self.basis,
                                      incremental=self.incremental,
                                      config=self.config)
+        dt = fs_to_aut(self.dt_fs)
+        self.fast_engine = self._aspc = None
+        if self.n_outer == 1:
+            self._stepper = VelocityVerlet(self.engine, self.mol.masses, dt)
+        else:
+            if self.inner == "ff":
+                from .forcefield import ForceField, detect_bonds
+
+                # a generous bond-detection scale: MD samples stretched
+                # geometries, and an undetected bond would swap the
+                # smooth harmonic fast surface for a violent bare-LJ
+                # repulsion
+                self.fast_engine = ForceField(
+                    self.mol, bonds=detect_bonds(self.mol, scale=1.6))
+            else:
+                # serial, direct JK (no pool, no RI — the fast loop must
+                # never compete for the full engine's resources)
+                self.fast_engine = SCFForceEngine(
+                    self.mol, method=self.inner, basis=self.basis,
+                    config=self.config.replace(
+                        executor="serial", jk="direct", checkpoint_dir=None,
+                        checkpoint_every=None))
+            if self.aspc_order is not None:
+                self._aspc = ASPCExtrapolator(self.aspc_order)
+            self._stepper = RESPAIntegrator(
+                self.engine, self.fast_engine, self.mol.masses, dt,
+                self.n_outer, aspc=self._aspc, tracer=self.config.trace)
         self._init_runtime_state()
 
     def _integrator(self):
-        from ..constants import fs_to_aut
-        from .integrator import VelocityVerlet
+        # set_state may have attached a thermostat after construction
+        self._stepper.thermostat = self.thermostat
+        return self._stepper
 
-        return VelocityVerlet(self.engine, self.mol.masses,
-                              fs_to_aut(self.dt_fs),
-                              thermostat=self.thermostat)
+    def get_state(self) -> dict:
+        state = super().get_state()
+        if self.n_outer > 1:
+            ff = self._stepper.fast_forces
+            state["mts"] = {
+                "aspc": (self._aspc.get_state()
+                         if self._aspc is not None else None),
+                "fast_forces": None if ff is None else ff.copy(),
+                "fast_engine": (self.fast_engine.get_state()
+                                if hasattr(self.fast_engine, "get_state")
+                                else None),
+            }
+        return state
 
-    def _params(self) -> dict:
-        return {"method": self.method, "basis": self.basis,
-                "dt_fs": float(self.dt_fs),
-                "temperature": self.temperature,
-                "seed": self.seed,
-                "incremental": self.incremental,
-                "natom": self.mol.natom}
-
-    def _param_checks(self) -> tuple:
-        return (("method", self.method), ("basis", self.basis),
-                ("dt_fs", float(self.dt_fs)),
-                ("natom", self.mol.natom))
-
-    @classmethod
-    def _from_snapshot(cls, state: dict, cfg: ExecutionConfig) -> "BOMD":
-        # older snapshots also carry an "analytic_forces" param; the
-        # route is no longer a choice, so it is read past
-        p = state["params"]
-        return cls(mol=state["mol"], method=p["method"], basis=p["basis"],
-                   dt_fs=p["dt_fs"], temperature=p["temperature"],
-                   seed=p["seed"], incremental=p.get("incremental", False),
-                   config=cfg)
-
-
-#: snapshot ``kind`` tag -> runner class, for :func:`restore_md`.
-_MD_KINDS = {"bomd": BOMD}
+    def set_state(self, state: dict) -> None:
+        super().set_state(state)
+        if self.n_outer > 1:
+            mts = state["mts"]
+            if self._aspc is not None:
+                self._aspc.set_state(mts["aspc"])
+            ff = mts["fast_forces"]
+            self._stepper.fast_forces = (
+                None if ff is None
+                else np.array(ff, dtype=np.float64, copy=True))
+            if mts["fast_engine"] is not None:
+                self.fast_engine.set_state(mts["fast_engine"])
 
 
-def _register_md_kind(kind: str, cls) -> None:
-    _MD_KINDS[kind] = cls
+def _runner_for(kind):
+    """The runner class that continues a snapshot of ``kind`` — the one
+    kind table (``None`` for an unknown kind).  ``mts_bomd`` is the tag
+    multiple-time-stepping trajectories carried before :class:`BOMD`
+    took the stride."""
+    from .classical import ClassicalMD
+
+    return {"bomd": BOMD, "mts_bomd": BOMD,
+            "classical_md": ClassicalMD}.get(kind)
 
 
 def restore_md(checkpoint_dir=None, config: ExecutionConfig | None = None
                ) -> CheckpointedMD:
-    """Revive whatever MD runner a checkpoint directory holds.
+    """Revive the MD trajectory a checkpoint directory holds.
 
-    Snapshots are self-describing (their ``kind`` tag names the runner
-    class), so callers that only know "this job has a checkpoint dir" —
-    the service scheduler, ``repro md --restore`` — need not remember
-    whether the trajectory was plain :class:`BOMD`, multiple-time-
-    stepping :class:`repro.md.respa.MTSBOMD`, or classical
-    :class:`repro.md.classical.ClassicalMD`.
+    The one reviver: the snapshot's ``kind`` tag picks the runner, so
+    callers that only know "this job has a checkpoint dir" — the
+    service scheduler, ``repro md --restore`` — need not know what
+    wrote it.  The snapshot is self-describing (molecule, parameters,
+    thermostat, step counter all ride in it), so the only inputs are
+    the store location and — because execution resources are never
+    serialized — a fresh :class:`ExecutionConfig`: the restored run
+    spawns a fresh worker pool on its first SCF.  Corrupted snapshots
+    fall back through the ring with a warning; a missing directory, an
+    unknown kind, or parameters no runner accepts any more (an
+    ``mts_bomd`` snapshot at ``n_outer=1`` with an ASPC history) raise
+    :class:`repro.runtime.CheckpointError`.
     """
-    # importing the siblings registers their kinds
-    from . import classical as _classical   # noqa: F401
-    from . import respa as _respa           # noqa: F401
+    from ..runtime.checkpoint import AutoCheckpoint
     from ..runtime.execconfig import resolve_execution
 
     cfg = resolve_execution(config, owner="restore_md")
-    state, info, cfg = CheckpointedMD._load_snapshot(checkpoint_dir, cfg)
-    kind = state.get("kind")
-    cls = _MD_KINDS.get(kind)
-    if cls is None:
+    directory = cfg.checkpoint_dir if checkpoint_dir is None \
+        else checkpoint_dir
+    if directory is None:
         raise CheckpointError(
-            f"restore_md: snapshot holds unknown trajectory kind "
-            f"{kind!r} (known: {sorted(_MD_KINDS)})")
-    return cls._revive(state, info, cfg)
+            "restore_md: no checkpoint directory — pass checkpoint_dir= "
+            "or set ExecutionConfig.checkpoint_dir")
+    if cfg.checkpoint_dir is None:
+        # keep checkpointing where we restored from
+        cfg = cfg.replace(checkpoint_dir=str(directory))
+    loader = AutoCheckpoint(cfg, directory)
+    state, info = loader.load()
+    kind = state.get("kind")
+    runner = _runner_for(kind)
+    if runner is None:
+        raise CheckpointError(
+            f"restore_md: snapshot holds unknown trajectory kind {kind!r}")
+    try:
+        b = runner._from_snapshot(state, cfg)
+    except ValueError as e:
+        raise CheckpointError(
+            f"restore_md: cannot continue the {kind!r} snapshot — {e}"
+        ) from e
+    b.set_state(state)
+    b._auto.last_step = info.step
+    loader.count_restore(info)
+    return b

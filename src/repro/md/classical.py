@@ -26,7 +26,7 @@ import numpy as np
 from ..chem.molecule import Molecule
 from ..runtime.execconfig import ExecutionConfig
 from ..chem.pbc import Cell
-from .bomd import CheckpointedMD, _register_md_kind
+from .bomd import CheckpointedMD
 from .forcefield import ForceField
 
 __all__ = ["ClassicalMD"]
@@ -55,6 +55,7 @@ class ClassicalMD(CheckpointedMD):
     config: ExecutionConfig | None = None
 
     _KIND = "classical_md"
+    _IDENTITY = ("dt_fs", "kbond", "kangle", "natom")
 
     def __post_init__(self) -> None:
         from ..runtime.execconfig import resolve_execution
@@ -72,32 +73,3 @@ class ClassicalMD(CheckpointedMD):
         return VelocityVerlet(self.engine, self.mol.masses,
                               fs_to_aut(self.dt_fs),
                               thermostat=self.thermostat)
-
-    def _params(self) -> dict:
-        return {"dt_fs": float(self.dt_fs),
-                "temperature": self.temperature,
-                "seed": self.seed,
-                "kbond": float(self.kbond),
-                "kangle": float(self.kangle),
-                "cell": self.cell,
-                "charges": (np.asarray(self.charges, dtype=np.float64)
-                            if self.charges is not None else None),
-                "natom": self.mol.natom}
-
-    def _param_checks(self) -> tuple:
-        return (("dt_fs", float(self.dt_fs)),
-                ("kbond", float(self.kbond)),
-                ("kangle", float(self.kangle)),
-                ("natom", self.mol.natom))
-
-    @classmethod
-    def _from_snapshot(cls, state: dict, cfg: ExecutionConfig
-                       ) -> "ClassicalMD":
-        p = state["params"]
-        return cls(mol=state["mol"], dt_fs=p["dt_fs"],
-                   temperature=p["temperature"], seed=p["seed"],
-                   cell=p.get("cell"), charges=p.get("charges"),
-                   kbond=p["kbond"], kangle=p["kangle"], config=cfg)
-
-
-_register_md_kind("classical_md", ClassicalMD)

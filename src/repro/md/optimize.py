@@ -71,25 +71,18 @@ def optimize_geometry(engine: ForceEngine, coords0: np.ndarray,
         that directory is resumed instead of restarting from
         ``coords0``.
     """
-    store = every = None
-    tr = None
+    auto = None
     if config is not None:
+        from ..runtime.checkpoint import AutoCheckpoint
         from ..runtime.execconfig import resolve_execution
 
         cfg = resolve_execution(config, owner="optimize_geometry")
-        tr = cfg.trace if cfg.trace.enabled else None
         if cfg.checkpoint_dir is not None:
-            from ..runtime.checkpoint import (CheckpointStore,
-                                              resolve_checkpoint_every)
-
-            store = CheckpointStore(cfg.checkpoint_dir,
-                                    keep=cfg.checkpoint_keep)
-            every = resolve_checkpoint_every(cfg.checkpoint_every)
+            auto = AutoCheckpoint(cfg)
     x = np.asarray(coords0, dtype=np.float64).reshape(-1).copy()
     n = x.size
-    last_saved = None
-    if store is not None and store.snapshots():
-        state, info = store.load_latest()
+    if auto is not None and auto.store.snapshots():
+        state, info = auto.load()
         if state.get("kind") != "geom_opt":
             raise CheckpointError(
                 f"optimize_geometry: snapshot holds {state.get('kind')!r} "
@@ -105,20 +98,20 @@ def optimize_geometry(engine: ForceEngine, coords0: np.ndarray,
         g = np.asarray(state["g"], dtype=np.float64).copy()
         it = int(state["it"])
         history = list(state["history"])
-        last_saved = info.step
-        if tr is not None:
-            tr.metrics.count("checkpoint.restores", 1)
+        auto.count_restore(info)
     else:
         H = np.eye(n)   # inverse-Hessian approximation
         e, f = engine.energy_forces(x.reshape(-1, 3))
         g = -f.reshape(-1)
         history = [e]
         it = 0
-        if store is not None:
-            store.save(_opt_state(n, x, H, e, f, g, it, history), step=it)
-            last_saved = it
-            if tr is not None:
-                tr.metrics.count("checkpoint.writes", 1)
+
+    def snapshot(force=False):
+        if auto is not None:
+            auto.offer(it, lambda: _opt_state(n, x, H, e, f, g, it, history),
+                       force)
+
+    snapshot(force=True)
     converged = bool(np.abs(g).max() < fmax)
     while not converged and it < max_steps:
         it += 1
@@ -148,16 +141,7 @@ def optimize_geometry(engine: ForceEngine, coords0: np.ndarray,
         x, g, e, f = x_new, g_new, e_new, f_new
         history.append(e)
         converged = bool(np.abs(g).max() < fmax)
-        if store is not None and it % every == 0 and last_saved != it:
-            store.save(_opt_state(n, x, H, e, f, g, it, history), step=it)
-            last_saved = it
-            if tr is not None:
-                tr.metrics.count("checkpoint.writes", 1)
-    if store is not None and last_saved != it:
-        # final state, deduplicated against a cadence-aligned last
-        # iteration exactly like the MD loops
-        store.save(_opt_state(n, x, H, e, f, g, it, history), step=it)
-        if tr is not None:
-            tr.metrics.count("checkpoint.writes", 1)
+        snapshot()
+    snapshot(force=True)
     return OptimizationResult(x.reshape(-1, 3), e, f, converged, it,
                               history)

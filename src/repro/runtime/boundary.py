@@ -30,7 +30,7 @@ __all__ = [
     "SCF_METHODS", "MD_METHODS", "WORKLOAD_SYSTEMS",
     "resolve_pool_timeout", "resolve_nworkers", "resolve_pool_max_retries",
     "resolve_checkpoint_every", "resolve_mts_outer",
-    "resolve_service_transport",
+    "resolve_service_transport", "check_jk_route",
 ]
 
 EXECUTORS = ("serial", "process")
@@ -259,6 +259,22 @@ resolve_pool_max_retries = partial(resolve, "pool_max_retries")
 resolve_service_transport = partial(resolve, "service_transport")
 resolve_mts_outer = partial(resolve, "mts_outer")
 resolve_checkpoint_every = partial(resolve, "checkpoint_every")
+
+
+def check_jk_route(mode: str | None, executor: str, jk: str) -> None:
+    """Refuse the J/K routes the in-core tensor path cannot serve — the
+    one owner of these rules for ``JobSpec.validate`` and
+    :func:`repro.scf.fock.check_jk_mode`."""
+    if mode != "incore":
+        return
+    if executor == "process":
+        raise ValueError("executor='process' requires mode='direct', not "
+                         "mode='incore' (the in-core tensor path has no "
+                         "quartet loop to distribute)")
+    if jk == "ri":
+        raise ValueError("jk='ri' requires mode='direct', not "
+                         "mode='incore' (the in-core path materializes the "
+                         "exact 4-index tensor — fitting it buys nothing)")
 
 
 # --- fault-injection grammar (tests and benchmarks only) ----------------------

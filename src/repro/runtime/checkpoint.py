@@ -60,7 +60,7 @@ from .fsio import atomic_write_bytes, fsync_dir
 
 __all__ = [
     "CheckpointError", "CheckpointCorruptError", "Restartable",
-    "RestartableRNG", "SnapshotInfo", "CheckpointStore",
+    "RestartableRNG", "SnapshotInfo", "CheckpointStore", "AutoCheckpoint",
     "resolve_checkpoint_every", "DEFAULT_CHECKPOINT_EVERY", "DEFAULT_KEEP",
 ]
 
@@ -342,3 +342,61 @@ class CheckpointStore:
         raise CheckpointError(
             f"no usable snapshot in '{self.directory}': all "
             f"{len(candidates)} candidate(s) failed validation")
+
+
+class AutoCheckpoint:
+    """One checkpointed loop's snapshot plumbing: the store, its
+    cadence, the last step written, and the ``checkpoint.*`` spans and
+    counters.
+
+    The MD runners (:class:`repro.md.bomd.CheckpointedMD`) and the
+    geometry optimizer write and restore through this one object, so
+    they share the cadence rule, the one-snapshot-per-step dedup and the
+    telemetry.  ``config`` is a resolved
+    :class:`repro.runtime.ExecutionConfig`; ``directory`` overrides its
+    ``checkpoint_dir``.
+    """
+
+    def __init__(self, config, directory=None):
+        if directory is None:
+            directory = config.checkpoint_dir
+        self.store = CheckpointStore(directory, keep=config.checkpoint_keep)
+        self.every = resolve_checkpoint_every(config.checkpoint_every)
+        self.trace = config.trace
+        self.last_step: int | None = None
+
+    def offer(self, step: int, get_state, force: bool = False) -> None:
+        """Write ``get_state()`` as the snapshot of ``step`` when the
+        cadence (or ``force``) asks for one and ``step`` is not written
+        yet — overlapping triggers (a final step on the cadence) make
+        one snapshot."""
+        if (force or step % self.every == 0) and step != self.last_step:
+            self.save(get_state(), step)
+
+    def save(self, state: dict, step: int) -> SnapshotInfo:
+        """Write one snapshot now."""
+        tr = self.trace
+        with tr.span("checkpoint.write", cat="checkpoint", step=step):
+            info = self.store.save(state, step=step)
+        self.last_step = step
+        if tr.enabled:
+            tr.metrics.count("checkpoint.writes", 1)
+            tr.metrics.set("checkpoint.last_step", step)
+        return info
+
+    def load(self) -> tuple[dict, SnapshotInfo]:
+        """The newest good snapshot; the next write dedups against its
+        step."""
+        with self.trace.span("checkpoint.restore", cat="checkpoint"):
+            state, info = self.store.load_latest()
+        self.last_step = info.step
+        return state, info
+
+    def count_restore(self, info: SnapshotInfo) -> None:
+        """Record a restore — after the snapshot's own counters are
+        loaded, which would overwrite it."""
+        tr = self.trace
+        if tr.enabled:
+            tr.metrics.count("checkpoint.restores", 1)
+            tr.metrics.set("checkpoint.restored_step", float(info.step))
+            tr.metrics.set("checkpoint.snapshot_age_s", info.age_s)

@@ -34,7 +34,7 @@ class ExecutionConfig:
     which also validates every one of them.  What a trajectory
     *samples* (the RESPA stride and inner surface) is not here: it is
     hashed physics owned by ``JobSpec.mts_outer``/``mts_inner`` and
-    ``MTSBOMD(n_outer=, inner=)`` alone.
+    ``BOMD(n_outer=, inner=)`` alone.
 
     Parameters
     ----------

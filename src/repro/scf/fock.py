@@ -28,7 +28,7 @@ import numpy as np
 
 from ..basis.basisset import BasisSet
 from ..integrals.eri import PERM_AXES, ERIEngine, eri_tensor
-from ..runtime.boundary import JK_BUILD_MODES
+from ..runtime.boundary import JK_BUILD_MODES, check_jk_route
 
 __all__ = ["jk_from_tensor", "coulomb_from_tensor", "exchange_from_tensor",
            "JKEngine", "TensorJKEngine", "DirectJKBuilder", "make_jk_engine",
@@ -542,19 +542,11 @@ def check_jk_mode(mode: str, config, incremental: bool = False,
     """
     if mode not in JK_BUILD_MODES:
         raise ValueError(f"mode must be 'incore' or 'direct', got {mode!r}")
-    if mode != "direct":
-        if config.executor == "process":
-            raise ValueError("executor='process' requires mode='direct' "
-                             "(the in-core tensor path has no quartet loop "
-                             "to distribute)")
-        if config.jk == "ri":
-            raise ValueError("jk='ri' requires mode='direct' (the in-core "
-                             "path materializes the exact 4-index tensor — "
-                             "fitting it buys nothing)")
-        if incremental:
-            raise ValueError("incremental exchange requires mode='direct' "
-                             "(the in-core tensor path has no quartets to "
-                             "screen away)")
+    check_jk_route(mode, config.executor, config.jk)
+    if mode != "direct" and incremental:
+        raise ValueError("incremental exchange requires mode='direct' "
+                         "(the in-core tensor path has no quartets to "
+                         "screen away)")
     if incremental and config.jk == "ri":
         raise ValueError("incremental exchange and jk='ri' are mutually "
                          "exclusive K strategies: the fitted K is rebuilt "

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from ..chem.molecule import Molecule
-from ..runtime.boundary import KNOBS, check
+from ..runtime.boundary import KNOBS, check, check_jk_route
 
 __all__ = ["JobSpec", "solvent_screening_specs"]
 
@@ -112,7 +112,8 @@ class JobSpec:
         force every ``mts_outer`` steps and the ``mts_inner`` surface
         (``"ff"``/``"lda"``/``"pbe"``) in between; ``mts_aspc_order``
         sets the ASPC density-extrapolation order for the outer SCF
-        warm starts (``None`` disables it).  For ``kind="md"`` these
+        warm starts (``None`` disables it; unused at ``mts_outer=1``,
+        where there is no outer loop).  For ``kind="md"`` these
         are hashed — MTS changes the sampled path, so it is physics,
         not placement.
     executor / nworkers:
@@ -187,9 +188,7 @@ class JobSpec:
                 raise ValueError(
                     "inline JobSpec.molecule needs 'symbols' plus "
                     "'coords_angstrom' or 'coords_bohr'")
-        if self.jk == "ri" and self.mode == "incore":
-            raise ValueError("JobSpec: jk='ri' requires direct J/K "
-                             "builds, not mode='incore'")
+        check_jk_route(self.mode, self.executor, self.jk)
         mult = self._multiplicity()
         if self.kind == "md":
             if mult != 1:
@@ -199,9 +198,6 @@ class JobSpec:
             if self.thermostat != "none" and self.temperature is None:
                 raise ValueError("JobSpec: a thermostat needs a "
                                  "temperature (--temperature)")
-        if self.executor == "process" and self.mode == "incore":
-            raise ValueError("JobSpec: executor='process' requires "
-                             "direct J/K builds, not mode='incore'")
         if self.scf_solver != "diis" and (self.method == "uhf" or mult > 1):
             raise ValueError(
                 "JobSpec: scf_solver='soscf'/'auto' is wired through "

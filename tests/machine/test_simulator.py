@@ -1,11 +1,10 @@
-"""Tests for the build simulator (static scheme + dynamic baseline)."""
+"""Tests for the build simulator (the paper's static scheme)."""
 
 import numpy as np
 
 from repro.machine.bgq import bgq_racks
 from repro.machine.simulator import (BuildTiming, CommPlan,
                                      parallel_efficiency,
-                                     simulate_dynamic_build,
                                      simulate_static_build)
 
 
@@ -65,29 +64,6 @@ def test_strong_scaling_near_perfect_for_abundant_work():
             rf, rt, cfg, CommPlan())
     eff = parallel_efficiency(timings)
     assert all(e > 0.97 for e in eff.values())
-
-
-def test_dynamic_build_master_wall():
-    """At fixed work, the dynamic baseline stops improving once the
-    dispatch rate saturates the master."""
-    total, ntasks = 1e16, 2_000_000
-    cfg_small = bgq_racks(1)
-    cfg_big = bgq_racks(32)
-    t_small = simulate_dynamic_build(total, ntasks, cfg_small,
-                                     CommPlan(), chunk_tasks=1).makespan
-    t_big = simulate_dynamic_build(total, ntasks, cfg_big,
-                                   CommPlan(), chunk_tasks=1).makespan
-    ideal = t_small / 32
-    assert t_big > 2.5 * ideal   # far from ideal scaling
-
-
-def test_dynamic_breakdown_reports_bounds():
-    cfg = bgq_racks(1)
-    bt = simulate_dynamic_build(1e15, 10000, cfg, CommPlan())
-    assert "dispatch" in bt.breakdown
-    assert "compute" in bt.breakdown
-    assert bt.makespan >= max(bt.breakdown["dispatch"],
-                              bt.breakdown["compute"])
 
 
 def test_parallel_efficiency_reference():

@@ -167,12 +167,15 @@ def test_optimize_checkpoint_counts_writes_and_restores(tmp_path):
                       config=cfg)
     writes = tr.metrics.get("checkpoint.writes")
     assert writes >= 2              # initial + at least one cadence/final
+    # the MD runners' checkpoint plumbing: one span per write
+    assert [s.name for s in tr.spans].count("checkpoint.write") == writes
     tr2 = Tracer()
     cfg2 = cfg.replace(tracer=tr2)
     optimize_geometry(_CountingQuadratic(np.ones(3)), np.full((1, 3), 5.0),
                       fmax=1e-10, max_steps=4, max_step_length=0.5,
                       config=cfg2)
     assert tr2.metrics.get("checkpoint.restores") == 1
+    assert [s.name for s in tr2.spans].count("checkpoint.restore") == 1
 
 
 def test_optimize_rejects_md_snapshot(tmp_path):

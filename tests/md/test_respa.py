@@ -1,6 +1,7 @@
-"""r-RESPA multiple-time-stepping BOMD: reduction to plain BOMD,
-reversibility, NVE conservation, ASPC extrapolation, and bit-identical
-kill/restore/continue with the extrapolation history.
+"""r-RESPA multiple-time-stepping BOMD (``BOMD(n_outer > 1)``): the
+``n_outer=1`` velocity-Verlet path, reversibility, NVE conservation,
+ASPC extrapolation, and bit-identical kill/restore/continue with the
+extrapolation history.
 """
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 
 from repro.chem import builders
 from repro.constants import fs_to_aut
-from repro.md import (BOMD, CSVRThermostat, ClassicalMD, ForceField, MTSBOMD,
-                      RESPAIntegrator, restore_md)
+from repro.md import (BOMD, CSVRThermostat, ClassicalMD, ForceField,
+                      RESPAIntegrator, SCFForceEngine, VelocityVerlet,
+                      restore_md)
 from repro.md.observables import energy_drift
-from repro.runtime import (CheckpointError, ExecutionConfig, Tracer,
-                           resolve_mts_outer)
+from repro.runtime import (CheckpointError, CheckpointStore, ExecutionConfig,
+                           Tracer, resolve_mts_outer)
 from repro.scf.guess import ASPCExtrapolator, aspc_coefficients
 
 pytestmark = pytest.mark.mts
@@ -143,15 +145,23 @@ def test_envelope_stride_is_the_hashed_specs(n_outer, config):
 
 def test_mtsbomd_rejects_hybrid_inner_and_analytic_forces():
     with pytest.raises(ValueError, match="inner"):
-        MTSBOMD(builders.h2(0.75), n_outer=3, inner="pbe0")
+        BOMD(builders.h2(0.75), n_outer=3, inner="pbe0")
     # there is no force-route argument to refuse any more: the outer
     # engine and a DFT inner engine both take the analytic route, which
     # follows from their configs
     with pytest.raises(TypeError, match="analytic_forces"):
-        MTSBOMD(builders.h2(0.75), n_outer=3, analytic_forces=True)
-    mts = MTSBOMD(builders.h2(0.75), n_outer=3, inner="pbe")
+        BOMD(builders.h2(0.75), n_outer=3, analytic_forces=True)
+    mts = BOMD(builders.h2(0.75), n_outer=3, inner="pbe")
     assert mts.engine.analytic and mts.fast_engine.analytic
     assert mts.fast_engine.method == "pbe"
+
+
+def test_aspc_rides_the_respa_outer_loop_only():
+    """ASPC warm-starts the outer force of the RESPA split; plain BOMD
+    (``n_outer=1``) refuses an ``aspc_order`` instead of ignoring it."""
+    with pytest.raises(ValueError, match="aspc_order"):
+        BOMD(builders.h2(0.75), aspc_order=2)
+    assert BOMD(builders.h2(0.75), n_outer=2, aspc_order=2)._aspc.order == 2
 
 
 def test_respa_integrator_rejects_bad_n_inner():
@@ -164,13 +174,20 @@ def test_respa_integrator_rejects_bad_n_inner():
 
 
 def test_n_outer_1_reduces_bit_identically_to_bomd():
-    """With n_outer=1 and ASPC off, the RESPA integrator short-circuits
-    to the exact velocity-Verlet operation sequence: the MTS trajectory
-    is bitwise equal to plain BOMD, not merely close."""
-    want = BOMD(builders.h2(0.80), method="hf", dt_fs=0.2).run(6)
-    got = MTSBOMD(builders.h2(0.80), method="hf", dt_fs=0.2,
-                  n_outer=1, aspc_order=None).run(6)
-    _assert_traj_identical(got, want)
+    """At n_outer=1 the runner is velocity Verlet on the full surface:
+    bitwise equal to a hand-driven loop over the SCF engine, whatever
+    ``inner`` says (no fast surface is built)."""
+    vv = VelocityVerlet(SCFForceEngine(builders.h2(0.80), method="hf"),
+                        builders.h2(0.80).masses, fs_to_aut(0.2))
+    s = vv.initial_state(builders.h2(0.80).coords)
+    want = [s]
+    for _ in range(6):
+        s = vv.step(s)
+        want.append(s)
+    for inner in ("ff", "pbe"):
+        b = BOMD(builders.h2(0.80), method="hf", dt_fs=0.2, inner=inner)
+        assert b.n_outer == 1 and b.fast_engine is None
+        _assert_traj_identical(b.run(6), want)
 
 
 def test_respa_is_time_reversible():
@@ -212,8 +229,8 @@ def test_mts_nve_drift_bounded_vs_baseline():
     base = BOMD(builders.h2(0.74), method="hf", dt_fs=0.15,
                 temperature=250.0, seed=3)
     t_base = base.run(18)
-    mts = MTSBOMD(builders.h2(0.74), method="hf", dt_fs=0.15,
-                  temperature=250.0, seed=3, n_outer=3)
+    mts = BOMD(builders.h2(0.74), method="hf", dt_fs=0.15,
+               temperature=250.0, seed=3, n_outer=3, aspc_order=2)
     t_mts = mts.run(6)              # 18 inner-equivalent steps
     # 3x fewer SCF force builds...
     assert len(mts.engine.scf_iterations) * 2 < \
@@ -226,11 +243,10 @@ def test_mts_nve_drift_bounded_vs_baseline():
 def test_aspc_warm_start_cuts_outer_scf_iterations():
     """The ASPC-predicted density must not be worse than plain
     previous-density reuse (and the trajectory stays sane)."""
-    plain = MTSBOMD(builders.h2(0.78), method="hf", dt_fs=0.2,
-                    n_outer=2, aspc_order=None)
+    plain = BOMD(builders.h2(0.78), method="hf", dt_fs=0.2, n_outer=2)
     plain.run(5)
-    aspc = MTSBOMD(builders.h2(0.78), method="hf", dt_fs=0.2,
-                   n_outer=2, aspc_order=2)
+    aspc = BOMD(builders.h2(0.78), method="hf", dt_fs=0.2,
+                n_outer=2, aspc_order=2)
     aspc.run(5)
     assert sum(aspc.engine.scf_iterations) <= \
         sum(plain.engine.scf_iterations) + 2
@@ -240,8 +256,8 @@ def test_aspc_warm_start_cuts_outer_scf_iterations():
 def test_mts_counters_track_full_and_inner_builds():
     tr = Tracer(name="mts")
     cfg = ExecutionConfig(tracer=tr)
-    m = MTSBOMD(builders.h2(0.78), method="hf", dt_fs=0.2, n_outer=3,
-                config=cfg)
+    m = BOMD(builders.h2(0.78), method="hf", dt_fs=0.2, n_outer=3,
+             aspc_order=2, config=cfg)
     m.run(2)
     counters = tr.metrics.get_state()
     assert counters["mts.full_builds"] == 3      # initial + 2 outer
@@ -257,8 +273,8 @@ def test_mts_kill_restore_continue_bit_identical(tmp_path):
     restores (ASPC history, cached fast forces, inner state included)
     and continues bitwise identically to the uninterrupted run."""
     def make(config=None):
-        return MTSBOMD(builders.h2(0.80), method="hf", dt_fs=0.2,
-                       n_outer=3, aspc_order=2, config=config)
+        return BOMD(builders.h2(0.80), method="hf", dt_fs=0.2,
+                    n_outer=3, aspc_order=2, config=config)
 
     want = make().run(8)
 
@@ -269,7 +285,7 @@ def test_mts_kill_restore_continue_bit_identical(tmp_path):
     hist_len = len(victim._aspc)
     del victim                      # the "crash"
 
-    revived = MTSBOMD.restore(str(ckdir))
+    revived = BOMD.restore(str(ckdir))
     assert revived.state.step == 4
     assert revived.n_outer == 3
     assert len(revived._aspc) == hist_len
@@ -281,10 +297,10 @@ def test_mts_kill_restore_with_csvr_thermostat(tmp_path):
     """Stochastic NVT under MTS: one thermostat draw per outer step, so
     the restored CSVR stream continues bit-identically."""
     def make(config=None):
-        return MTSBOMD(builders.h2(0.78), method="hf", dt_fs=0.2,
-                       n_outer=2, temperature=300.0, seed=11,
-                       thermostat=CSVRThermostat(300.0, fs_to_aut(10.0),
-                                                 seed=11), config=config)
+        return BOMD(builders.h2(0.78), method="hf", dt_fs=0.2,
+                    n_outer=2, aspc_order=2, temperature=300.0, seed=11,
+                    thermostat=CSVRThermostat(300.0, fs_to_aut(10.0),
+                                              seed=11), config=config)
 
     want = make().run(9)
 
@@ -294,7 +310,7 @@ def test_mts_kill_restore_with_csvr_thermostat(tmp_path):
     victim.run(4)
     del victim
 
-    revived = MTSBOMD.restore(str(ckdir))
+    revived = BOMD.restore(str(ckdir))
     assert isinstance(revived.thermostat, CSVRThermostat)
     got = revived.run(9)
     _assert_traj_identical(got, want)
@@ -308,8 +324,8 @@ def test_mts_kill_restore_continue_process_executor(tmp_path):
     def make(ckdir=None):
         cfg = ExecutionConfig(executor="process", nworkers=2,
                               checkpoint_dir=ckdir, checkpoint_every=2)
-        return MTSBOMD(builders.h2(0.80), method="hf", dt_fs=0.2,
-                       n_outer=2, config=cfg)
+        return BOMD(builders.h2(0.80), method="hf", dt_fs=0.2,
+                    n_outer=2, aspc_order=2, config=cfg)
 
     ref = make()
     try:
@@ -325,7 +341,7 @@ def test_mts_kill_restore_continue_process_executor(tmp_path):
         victim.engine.close()
     del victim
 
-    revived = MTSBOMD.restore(
+    revived = BOMD.restore(
         str(ckdir), config=ExecutionConfig(executor="process", nworkers=2))
     try:
         assert revived.engine._jk is None
@@ -348,9 +364,9 @@ def test_mts_analytic_route_restarts_bit_identically(tmp_path, inner,
     both on analytic forces: warm-start densities of both, ASPC history
     and cached fast forces ride the snapshot, on either executor."""
     def make(**extra):
-        return MTSBOMD(builders.lih(), method="pbe0", dt_fs=0.25, n_outer=2,
-                       inner=inner, temperature=300.0, seed=3,
-                       config=ExecutionConfig(**pool_cfg, **extra))
+        return BOMD(builders.lih(), method="pbe0", dt_fs=0.25, n_outer=2,
+                    aspc_order=2, inner=inner, temperature=300.0, seed=3,
+                    config=ExecutionConfig(**pool_cfg, **extra))
 
     ref = make()
     try:
@@ -368,7 +384,7 @@ def test_mts_analytic_route_restarts_bit_identically(tmp_path, inner,
         victim.engine.close()
     del victim
 
-    revived = MTSBOMD.restore(str(ckdir), config=ExecutionConfig(**pool_cfg))
+    revived = BOMD.restore(str(ckdir), config=ExecutionConfig(**pool_cfg))
     try:
         assert revived.state.step == 2
         got = revived.run(3)
@@ -382,8 +398,8 @@ def test_mts_pbe_inner_surface_costs_one_scf_per_inner_step():
     """The GGA inner surface used to pay a 6N + 1 stencil per inner
     step; now every force call of either engine is one SCF."""
     tr = Tracer()
-    mts = MTSBOMD(builders.lih(), method="pbe0", dt_fs=0.25, n_outer=3,
-                  inner="pbe", config=ExecutionConfig(tracer=tr))
+    mts = BOMD(builders.lih(), method="pbe0", dt_fs=0.25, n_outer=3,
+               aspc_order=2, inner="pbe", config=ExecutionConfig(tracer=tr))
     mts.run(2)
     scfs = sum(1 for s in tr.spans if s.name == "md.scf")
     calls = sum(1 for s in tr.spans if s.name == "md.force_eval")
@@ -399,31 +415,29 @@ def test_restore_md_dispatches_on_snapshot_kind(tmp_path):
     cfg1 = ExecutionConfig(checkpoint_dir=str(tmp_path / "bomd"))
     BOMD(builders.h2(0.78), dt_fs=0.5, config=cfg1).run(2)
     cfg2 = ExecutionConfig(checkpoint_dir=str(tmp_path / "mts"))
-    MTSBOMD(builders.h2(0.78), dt_fs=0.2, n_outer=2, config=cfg2).run(2)
+    BOMD(builders.h2(0.78), dt_fs=0.2, n_outer=2, config=cfg2).run(2)
     cfg3 = ExecutionConfig(checkpoint_dir=str(tmp_path / "classical"))
     ClassicalMD(builders.water(), dt_fs=0.5, config=cfg3).run(2)
 
-    assert type(restore_md(str(tmp_path / "bomd"))) is BOMD
-    # ... from one read of the snapshot, not one to learn its kind and
-    # another inside the class's own restore
+    assert restore_md(str(tmp_path / "bomd")).n_outer == 1
+    # ... from one read of the snapshot
     tr = Tracer()
-    assert type(restore_md(str(tmp_path / "mts"),
-                           ExecutionConfig(tracer=tr))) is MTSBOMD
+    mts = restore_md(str(tmp_path / "mts"), ExecutionConfig(tracer=tr))
+    assert type(mts) is BOMD and mts.n_outer == 2
     assert [s.name for s in tr.spans].count("checkpoint.restore") == 1
     assert tr.metrics.get("checkpoint.restores") == 1
     assert type(restore_md(str(tmp_path / "classical"))) is ClassicalMD
-    # the class-specific entrypoints still refuse foreign snapshots
-    with pytest.raises(CheckpointError, match="mts_bomd"):
-        BOMD.restore(str(tmp_path / "mts"))
-    with pytest.raises(CheckpointError, match="not 'mts_bomd'"):
-        MTSBOMD.restore(str(tmp_path / "bomd"))
+    # the class-specific entrypoints refuse another runner's snapshot
+    with pytest.raises(CheckpointError, match="not 'bomd'"):
+        BOMD.restore(str(tmp_path / "classical"))
+    with pytest.raises(CheckpointError, match="not 'classical_md'"):
+        ClassicalMD.restore(str(tmp_path / "mts"))
 
 
 def test_mts_restore_rejects_parameter_mismatch(tmp_path):
     cfg = ExecutionConfig(checkpoint_dir=str(tmp_path / "ck"))
-    MTSBOMD(builders.h2(0.78), dt_fs=0.2, n_outer=3, config=cfg).run(2)
-    state, _ = MTSBOMD(builders.h2(0.78), dt_fs=0.2, n_outer=3,
-                       config=cfg)._store.load_latest()
-    other = MTSBOMD(builders.h2(0.78), dt_fs=0.2, n_outer=5)
+    BOMD(builders.h2(0.78), dt_fs=0.2, n_outer=3, config=cfg).run(2)
+    state, _ = CheckpointStore(str(tmp_path / "ck")).load_latest()
+    other = BOMD(builders.h2(0.78), dt_fs=0.2, n_outer=5)
     with pytest.raises(CheckpointError, match="n_outer"):
         other.set_state(state)

@@ -139,13 +139,15 @@ def test_eri_tensor_keeps_the_signature_the_bench_hook_reads():
 def test_bomd_takes_no_force_route_argument():
     import dataclasses
 
-    from repro.md import BOMD, MTSBOMD
+    import repro.md
+    from repro.md import BOMD
     from repro.runtime.boundary import KNOBS
     from repro.runtime.execconfig import ExecutionConfig
 
+    # one runner: the stride, inner surface and ASPC order are BOMD's
     init = [f.name for f in dataclasses.fields(BOMD) if f.init]
-    assert len(init) == 9 and "analytic_forces" not in init
-    assert len([f for f in dataclasses.fields(MTSBOMD) if f.init]) == 12
+    assert len(init) == 12 and "analytic_forces" not in init
+    assert not hasattr(repro.md, "MTSBOMD")
     assert len(dataclasses.fields(ExecutionConfig)) == 12
     assert len(KNOBS) == 34
     assert not any("force" in name for name in KNOBS)
