@@ -1,18 +1,18 @@
-"""F17 — lane transports: thread vs forked-process campaign drains.
+"""F17 — lane kinds: the inline serial reference vs forked-process lanes.
 
-The campaign scheduler's dispatch lanes were threads (PR 7): correct,
-but the Python-heavy SCF path holds the GIL, so ``--lanes 4`` bought
-bookkeeping overlap, not compute overlap.  The process transport forks
-one persistent lane worker per lane and speaks a framed RPC protocol
-over socketpairs — the lanes become real OS processes that the kernel
-can schedule on real cores.
+The campaign dispatch loop runs a job either on its inline lane (in
+the campaign process, one job at a time — ``transport="local"``) or on
+forked lane workers that speak a framed RPC protocol over socketpairs
+— real OS processes that the kernel can schedule on real cores.  The
+Python-heavy SCF path holds the GIL, so only process lanes can
+overlap compute.
 
 Three legs, one GIL-bound SCF mix (perturbed water geometries — every
 spec a distinct cache key, no dedup shortcuts):
 
-* **local, 4 lanes** — the thread reference;
-* **process, 4 lanes** — must answer float-for-float what the thread
-  lanes answer, and on a multi-core host must win wall-clock;
+* **local, 1 inline lane** — the serial reference;
+* **process, 4 lanes** — must answer float-for-float what the inline
+  lane answers, and on a multi-core host must win wall-clock;
 * **process + injected worker kill** (``worker=0,mode=kill``) — the
   leased job is requeued against its retry budget, the dead lane is
   respawned, and the campaign's answers must *still* match the clean
@@ -54,12 +54,12 @@ def _strip(record):
     return record
 
 
-def _drain(home, transport):
+def _drain(home, transport, lanes=NLANES):
     svc = CampaignService(home)
     for spec in SPECS:
         svc.submit(spec)
     t0 = time.perf_counter()
-    rep = svc.run(nworkers=NLANES, transport=transport)
+    rep = svc.run(nworkers=lanes, transport=transport)
     wall = time.perf_counter() - t0
     answers = {r["label"]: _strip(r["result"]) for r in svc.results()}
     return wall, rep, answers
@@ -67,7 +67,7 @@ def _drain(home, transport):
 
 def test_f17_transport_lanes(tmp_path, report, monkeypatch):
     monkeypatch.delenv("REPRO_SERVICE_FAULT", raising=False)
-    t_local, rep_local, ans_local = _drain(tmp_path / "local", "local")
+    t_local, rep_local, ans_local = _drain(tmp_path / "local", "local", 1)
     t_proc, rep_proc, ans_proc = _drain(tmp_path / "process", "process")
 
     monkeypatch.setenv("REPRO_SERVICE_FAULT", "worker=0,mode=kill")
@@ -79,8 +79,10 @@ def test_f17_transport_lanes(tmp_path, report, monkeypatch):
     report(
         f"campaign          {NJOBS} GIL-bound SCF jobs "
         f"(perturbed water, all distinct keys)\n"
-        f"lanes             {NLANES}  ({cores} usable cores)\n"
-        f"t(local lanes)    {t_local:.3f} s   (threads, one interpreter)\n"
+        f"lanes             1 inline vs {NLANES} process  "
+        f"({cores} usable cores)\n"
+        f"t(inline lane)    {t_local:.3f} s   (serial, in the campaign "
+        f"process)\n"
         f"t(process lanes)  {t_proc:.3f} s   (forked workers, framed RPC)\n"
         f"speedup           {speedup:.2f}x   "
         f"(floor {SPEEDUP_FLOOR}x armed at >= {NLANES} cores)\n"

@@ -15,8 +15,8 @@ three calls over declarative :class:`repro.service.JobSpec` values:
 * :func:`submit` — enqueue a spec on a campaign service (the
   high-throughput path) instead of running it inline;
 * :func:`run_campaign` — submit a batch of specs to a campaign and
-  drain it in one call, with ``lanes`` / ``transport`` (thread or
-  forked-process lanes) / shared ``cache_dir`` knobs exposed.
+  drain it in one call, with ``lanes`` / ``transport`` (one inline
+  lane or forked-process lanes) / shared ``cache_dir`` knobs exposed.
 
 Every result is a schema-versioned envelope (see
 :mod:`repro.runtime.schema`): ``kind`` (``"scf_result"`` /
@@ -254,7 +254,6 @@ def run_job(spec: JobSpec | dict, config: ExecutionConfig | None = None,
 
 
 _DEFAULT_SERVICE = None
-_DEFAULT_SERVICE_LOCK = None
 
 
 def default_service():
@@ -291,9 +290,10 @@ def run_campaign(specs, directory=None, *, lanes: int = 1,
     The one-call facade over :class:`repro.service.CampaignService`:
     ``directory`` makes the campaign durable (manifest, results store,
     cache, checkpoints), ``lanes``/``transport`` pick the dispatch
-    width and lane backend (``"local"`` threads or ``"process"``
-    forked workers; ``None`` defers to the config /
-    ``REPRO_SERVICE_TRANSPORT`` / ``"local"``), and ``cache_dir``
+    width and lane kind (``"local"``: one inline lane in this process;
+    ``"process"``: forked workers; ``None`` defers to the config, then
+    ``REPRO_SERVICE_TRANSPORT``, then the lane count — ``"local"`` for
+    one lane, ``"process"`` for more), and ``cache_dir``
     points the content-addressed result cache somewhere shareable so
     concurrent campaigns dedup each other's work.  Returns the
     campaign report envelope.

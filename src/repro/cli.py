@@ -125,8 +125,8 @@ def _config_from_args(args, tracer):
                          checkpoint_every=resolve("checkpoint_every",
                                                   args.checkpoint_every))
         if hasattr(args, "transport"):
-            given["service_transport"] = resolve("service_transport",
-                                                 args.transport)
+            # unnamed stays None: the campaign picks by lane count
+            given["service_transport"] = args.transport
         return ExecutionConfig(pool_timeout=resolve("pool_timeout"),
                                pool_max_retries=resolve("pool_max_retries"),
                                tracer=tracer, **given)
@@ -325,7 +325,7 @@ def _cmd_campaign(args) -> int:
                                 cache_dir=args.cache_dir)
         try:
             report = svc.run(nworkers=args.lanes)
-        except ValueError as e:     # a malformed REPRO_SERVICE_FAULT
+        except ValueError as e:     # bad REPRO_SERVICE_*, local x lanes
             raise SystemExit(f"error: {e}") from None
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))
@@ -641,11 +641,15 @@ def build_parser() -> argparse.ArgumentParser:
                          "physics axis — every stride is its own cache "
                          "entry")
     gr = gsub.add_parser("run", help="drain the queue")
-    _knob_flag(gr, "lanes", help="concurrent dispatch lanes (default 1)")
+    _knob_flag(gr, "lanes",
+               help="concurrent dispatch lanes (default 1); more than "
+                    "one runs forked 'process' lanes")
     _knob_flag(gr, "service_transport",
-               help="lane backend: 'local' threads or 'process' "
-                    "forked workers (default: "
-                    "REPRO_SERVICE_TRANSPORT or local)")
+               help="lane kind: 'local' is one inline lane in this "
+                    "process (refused with --lanes > 1), 'process' forks "
+                    "one worker per lane (default: "
+                    "REPRO_SERVICE_TRANSPORT, else local for one lane "
+                    "and process for more)")
     gr.add_argument("--cache-dir", default=None, metavar="DIR",
                     help="shared result-cache directory (default: "
                          "<campaign>/cache); point concurrent campaigns "

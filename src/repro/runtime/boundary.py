@@ -38,8 +38,8 @@ KERNELS = ("quartet", "batched")
 JK_ENGINES = ("direct", "ri")
 SCF_SOLVERS = ("diis", "soscf", "auto")
 JK_BUILD_MODES = ("incore", "direct")
-#: ``"local"`` thread lanes (the bit-exact reference) or ``"process"``
-#: forked lane workers (:mod:`repro.service.transport`).
+#: ``"local"`` (one inline lane, the bit-exact reference) or
+#: ``"process"`` forked lane workers (:mod:`repro.service.transport`).
 SERVICE_TRANSPORTS = ("local", "process")
 #: Cheap inner-loop force surfaces the RESPA integrator accepts: the
 #: classical force field, or a pure (no-HFX) DFT functional.  Hybrids

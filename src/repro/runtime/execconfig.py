@@ -53,12 +53,14 @@ class ExecutionConfig:
         ``REPRO_POOL_MAX_RETRIES`` or 2; ``0`` disables recovery).
     service_transport:
         How the campaign service runs its dispatch lanes: ``"local"``
-        (threads inside the service process; the bit-exact reference)
-        or ``"process"`` (persistent forked lane workers speaking the
-        framed RPC protocol of :mod:`repro.service.transport`, with
-        heartbeat liveness, job leases, and requeue-on-death).
-        ``None`` defaults to ``REPRO_SERVICE_TRANSPORT`` or
-        ``"local"``.  Only the campaign layer reads this field.
+        (one inline lane inside the service process; the bit-exact
+        reference) or ``"process"`` (persistent forked lane workers
+        speaking the framed RPC protocol of
+        :mod:`repro.service.transport`, with heartbeat liveness, job
+        leases, and requeue-on-death).  ``None`` defers to
+        ``REPRO_SERVICE_TRANSPORT``, then to the lane count (``"local"``
+        for one lane, ``"process"`` for more).  Only the campaign layer
+        reads this field.
     kernel:
         ERI evaluation granularity: ``"quartet"`` (one shell quartet per
         call; the bit-exact reference) or ``"batched"`` (whole L-class

@@ -13,19 +13,16 @@ end; :mod:`repro.api` is the programmatic one.
 from .jobspec import JobSpec, solvent_screening_specs
 from .cache import ResultCache
 from .store import ResultsStore
-from .transport import (FrameError, LaneTransport, LaneWorkerDeath,
-                        LocalLaneTransport, ProcessLaneTransport,
-                        encode_frame, make_transport, read_frame,
+from .transport import (FrameError, InjectedWorkerDeath, LaneWorkerDeath,
+                        ProcessLaneTransport, encode_frame, read_frame,
                         try_decode)
-from .scheduler import (CampaignService, Job, InjectedWorkerDeath,
-                        DEFAULT_MAX_RETRIES)
+from .scheduler import CampaignService, Job, DEFAULT_MAX_RETRIES
 
 __all__ = [
     "JobSpec", "solvent_screening_specs",
     "ResultCache", "ResultsStore",
     "CampaignService", "Job", "InjectedWorkerDeath",
     "DEFAULT_MAX_RETRIES",
-    "FrameError", "LaneTransport", "LaneWorkerDeath",
-    "LocalLaneTransport", "ProcessLaneTransport",
-    "encode_frame", "read_frame", "try_decode", "make_transport",
+    "FrameError", "LaneWorkerDeath", "ProcessLaneTransport",
+    "encode_frame", "read_frame", "try_decode",
 ]

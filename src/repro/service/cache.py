@@ -15,16 +15,16 @@ processes**:
   :func:`repro.runtime.fsio.atomic_write_text`) and serialized through
   an advisory ``flock`` on the directory's ``.lock`` sidecar, so any
   number of writers leave every record complete and readable;
-* :meth:`lock`/:meth:`try_lock` expose a **per-key compute lock**
+* :meth:`try_lock` exposes a non-blocking **per-key compute lock**
   (``<key>.lock`` sidecars): a campaign about to compute a missing key
   takes it first, so a twin spec submitted to a *different* campaign on
-  the same cache directory blocks until the first compute lands and is
-  then served from the cache — duplicate specs across concurrent
+  the same cache directory is deferred until the first compute lands
+  and is then served from the cache — duplicate specs across concurrent
   campaigns cost one compute, not two.  ``flock`` locks die with their
   holder, so a killed campaign never wedges its siblings.
 
 With ``directory=None`` it degrades to a per-process in-memory dict
-(the compute locks degrade to always-granted no-ops).  A record that
+(the compute lock degrades to an always-granted no-op).  A record that
 fails to parse or fails the envelope check is treated as a miss (and
 the stale file is ignored, not trusted) — a corrupt cache can cost a
 recompute, never a wrong answer.
@@ -32,7 +32,6 @@ recompute, never a wrong answer.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import re
 from pathlib import Path
@@ -49,12 +48,6 @@ class _HeldNothing:
     """The granted no-op compute lock of the in-memory cache."""
 
     def release(self) -> None:
-        pass
-
-    def __enter__(self) -> "_HeldNothing":
-        return self
-
-    def __exit__(self, *exc) -> None:
         pass
 
 
@@ -122,27 +115,15 @@ class ResultCache:
             atomic_write_text(self._path(key),
                               json.dumps(result, sort_keys=True))
 
-    def lock(self, key: str):
-        """Blocking per-key compute lock (context manager).
-
-        The cross-campaign dedup protocol: check :meth:`get`, then take
-        this lock, then check :meth:`get` **again** before computing —
-        a twin campaign that held the lock has landed its record by the
-        time the second check runs.
-        """
-        self._check_key(key)
-        if self.directory is None:
-            return contextlib.nullcontext()
-        self.directory.mkdir(parents=True, exist_ok=True)
-        return FileLock(self.directory / f"{key}.lock")
-
     def try_lock(self, key: str):
         """Non-blocking per-key compute lock.
 
         Returns a held lock (``release()`` it when the record is in) or
-        ``None`` when another process is already computing this key —
-        the event-loop flavour of :meth:`lock` for callers that must
-        not block (the process lane transport's dispatch loop).
+        ``None`` when another process is already computing this key.
+        The cross-campaign dedup protocol: check :meth:`get`, then take
+        this lock, then check :meth:`get` **again** before computing;
+        a key whose lock is taken is retried a little later, by which
+        time the twin campaign's record has landed or is close.
         """
         self._check_key(key)
         if self.directory is None:

@@ -10,11 +10,11 @@ the one-shot CLI into a long-running screening service.  A
   dispatch lanes — each lane runs jobs through the one public
   :mod:`repro.api` entrypoint, and a job that uses
   ``executor="process"`` gets its own persistent worker pool
-  underneath (PR 4's fault-tolerant pool).  *How* the lanes execute is
-  a pluggable :mod:`~repro.service.transport`: ``"local"`` lanes are
-  threads in this process (the bit-exact reference), ``"process"``
-  lanes are persistent forked workers behind a framed RPC protocol
-  with heartbeat liveness and job leases,
+  underneath (PR 4's fault-tolerant pool).  One single-threaded
+  dispatch loop (:mod:`~repro.service.transport`) drives every lane:
+  ``"local"`` is one inline lane in this process (the bit-exact
+  reference), ``"process"`` lanes are persistent forked workers behind
+  a framed RPC protocol with heartbeat liveness and job leases,
 * **per-job fault isolation**: an exception (a dead pool, a diverged
   SCF, an injected worker death) fails *that job* after its retry
   budget — never the campaign,
@@ -41,9 +41,10 @@ which also receives ``campaign.journal`` / ``campaign.compact`` spans.
 
 Deterministic fault injection (tests/benchmarks only):
 ``REPRO_SERVICE_FAULT="job=N[,times=K]"`` makes the first ``K``
-execution attempts of job ``N`` die with :class:`InjectedWorkerDeath`
-(any transport); ``"worker=W[,exec=N][,mode=kill|hang]"`` kills or
-wedges a process-transport lane worker (see
+execution attempts of job ``N`` die with
+:class:`~repro.service.transport.InjectedWorkerDeath` (either lane
+kind); ``"worker=W[,exec=N][,mode=kill|hang]"`` kills or wedges a
+process lane worker (see
 :func:`~repro.service.transport.parse_service_fault`).
 """
 
@@ -53,7 +54,6 @@ import contextlib
 import hashlib
 import json
 import os
-import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -67,10 +67,9 @@ from ..runtime.telemetry import MetricsRegistry
 from .cache import ResultCache
 from .jobspec import JobSpec
 from .store import ResultsStore
-from .transport import make_transport, parse_service_fault
+from .transport import ProcessLaneTransport, parse_service_fault
 
-__all__ = ["Job", "CampaignService", "InjectedWorkerDeath",
-           "DEFAULT_MAX_RETRIES"]
+__all__ = ["Job", "CampaignService", "DEFAULT_MAX_RETRIES"]
 
 #: Execution attempts a job gets beyond its first (per-job isolation:
 #: exhausting the budget fails the job, never the campaign).
@@ -95,10 +94,6 @@ def _read_journal_line(line: bytes) -> dict:
     if _digest(body).encode() != digest:
         raise ValueError("checksum mismatch")
     return check_envelope(json.loads(body), kind="campaign_journal")
-
-
-class InjectedWorkerDeath(RuntimeError):
-    """Deterministic test fault: a job's execution lane 'died'."""
 
 
 @dataclass
@@ -167,9 +162,9 @@ class CampaignService:
         Base :class:`~repro.runtime.ExecutionConfig` for every job;
         each spec's execution fields (executor/nworkers/kernel/
         scf_solver) override their base values per job.  The tracer
-        (if any) receives the ``service.*`` counters; it is only
-        threaded into the jobs themselves on single-lane runs (the
-        span tracer is not thread-safe).
+        (if any) receives the ``service.*`` counters, the dispatch
+        loop's ``transport.*`` spans, and the spans of every job the
+        inline lane runs (process lanes run their jobs untraced).
     max_retries:
         Execution attempts each job gets beyond its first.
     preempt_steps:
@@ -209,8 +204,6 @@ class CampaignService:
             self.cache = ResultCache(self.directory / "cache"
                                      if self.directory else None)
         self.store = ResultsStore(self.directory) if self.directory else None
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
         self._inflight: set[str] = set()
         self._fault_budget: dict[int, int] = {}
         # digest of the snapshot the journal extends (None: no snapshot)
@@ -225,11 +218,6 @@ class CampaignService:
 
     def _count(self, name: str, n: int = 1) -> None:
         """Bump a service counter (and mirror it into the tracer)."""
-        with self._lock:
-            self._bump(name, n)
-
-    def _bump(self, name: str, n: int = 1) -> None:
-        """:meth:`_count` for callers already holding the lock."""
         self.metrics.count(name, n)
         tr = self.config.trace
         if tr.enabled:
@@ -262,29 +250,24 @@ class CampaignService:
         record = job.record()
         if job.status in ("done", "failed"):
             self.store.write(job.id, record)
-        with self._lock:
-            if self._snapshot_due:
-                self._compact_locked()
-                return
-            with self.config.trace.span("campaign.journal", cat="service",
-                                        job=job.id):
-                self._bump("service.journal_appends")
-                entry = result_envelope(
-                    "campaign_journal", counters=self.metrics.to_dict(),
-                    next_id=self._next_id, base=self._base, job=record)
-                append_durable(self._journal_path(), _journal_line(entry))
+        if self._snapshot_due:
+            self._compact()
+            return
+        with self.config.trace.span("campaign.journal", cat="service",
+                                    job=job.id):
+            self._count("service.journal_appends")
+            entry = result_envelope(
+                "campaign_journal", counters=self.metrics.to_dict(),
+                next_id=self._next_id, base=self._base, job=record)
+            append_durable(self._journal_path(), _journal_line(entry))
 
     def _compact(self) -> None:
         """Fold the journal into a fresh snapshot."""
         if self.directory is None:
             return
-        with self._lock:
-            self._compact_locked()
-
-    def _compact_locked(self) -> None:
         with self.config.trace.span("campaign.compact", cat="service",
                                     njobs=len(self.jobs)):
-            self._bump("service.compactions")
+            self._count("service.compactions")
             text = json.dumps(result_envelope(
                 "campaign",
                 counters=self.metrics.to_dict(),
@@ -379,155 +362,137 @@ class CampaignService:
             raise TypeError(
                 f"submit needs a JobSpec or a spec dict, "
                 f"got {type(spec).__name__}")
-        key = spec.canonical_key()
-        with self._lock:
-            job = Job(id=self._next_id, spec=spec, key=key)
-            self._next_id += 1
-            self.jobs[job.id] = job
+        job = Job(id=self._next_id, spec=spec, key=spec.canonical_key())
+        self._next_id += 1
+        self.jobs[job.id] = job
         self._count("service.jobs_submitted")
         self._persist(job)
         return job
 
     def status(self) -> dict:
         """Queue counts and counters (schema envelope)."""
-        with self._lock:
-            by_status: dict[str, int] = {}
-            for job in self.jobs.values():
-                by_status[job.status] = by_status.get(job.status, 0) + 1
-            return result_envelope(
-                "campaign_status",
-                counters=self.metrics.to_dict(),
-                njobs=len(self.jobs),
-                by_status=dict(sorted(by_status.items())),
-                jobs=[{"id": j.id, "label": j.spec.label or f"job-{j.id}",
-                       "kind": j.spec.kind, "status": j.status,
-                       "jk": j.spec.jk,
-                       "attempts": j.attempts, "cache_hit": j.cache_hit,
-                       "steps_done": j.steps_done, "error": j.error}
-                      for _, j in sorted(self.jobs.items())],
-            )
+        by_status: dict[str, int] = {}
+        for job in self.jobs.values():
+            by_status[job.status] = by_status.get(job.status, 0) + 1
+        return result_envelope(
+            "campaign_status",
+            counters=self.metrics.to_dict(),
+            njobs=len(self.jobs),
+            by_status=dict(sorted(by_status.items())),
+            jobs=[{"id": j.id, "label": j.spec.label or f"job-{j.id}",
+                   "kind": j.spec.kind, "status": j.status,
+                   "jk": j.spec.jk,
+                   "attempts": j.attempts, "cache_hit": j.cache_hit,
+                   "steps_done": j.steps_done, "error": j.error}
+                  for _, j in sorted(self.jobs.items())],
+        )
 
     def results(self) -> list[dict]:
         """Every retired job record (store-backed when durable)."""
         if self.store is not None:
             return self.store.read_all()
-        with self._lock:
-            return [self.jobs[i].record() for i in sorted(self.jobs)
-                    if self.jobs[i].status in ("done", "failed")]
+        return [self.jobs[i].record() for i in sorted(self.jobs)
+                if self.jobs[i].status in ("done", "failed")]
 
     # --- scheduler ------------------------------------------------------------
+
+    def _transport(self, nworkers: int, transport: str | None) -> str:
+        """The lane kind a drain over ``nworkers`` lanes runs on.
+
+        A transport is named by ``transport``, else the config's
+        ``service_transport``, else ``REPRO_SERVICE_TRANSPORT``; with
+        none named one lane runs ``"local"`` and more run ``"process"``.
+        ``"local"`` is one inline lane, so naming it with more lanes is
+        refused.
+        """
+        named = transport if transport is not None \
+            else self.config.service_transport
+        if named is None and \
+                env_text(KNOBS["service_transport"].env) is None:
+            return "local" if nworkers == 1 else "process"
+        name = resolve("service_transport", named)
+        if name == "local" and nworkers > 1:
+            raise ValueError(
+                f"transport 'local' is one inline lane and cannot run "
+                f"{nworkers} lanes; name transport 'process' for more "
+                f"than one")
+        return name
 
     def run(self, nworkers: int = 1, transport: str | None = None) -> dict:
         """Drain the queue across ``nworkers`` dispatch lanes.
 
-        ``transport`` picks the lane backend (``"local"`` threads or
-        ``"process"`` forked workers); ``None`` falls back to the
+        ``transport`` picks the lane kind: ``"local"`` runs every job
+        on one inline lane in this process, ``"process"`` on
+        ``nworkers`` forked workers.  ``None`` falls back to the
         config's ``service_transport``, then ``REPRO_SERVICE_TRANSPORT``,
-        then ``"local"``.  Returns a campaign report envelope (job
-        outcomes + ``service.*`` counters).  Safe to call again after
-        further ``submit``\\ s.
+        then the lane count (``"local"`` for one lane, ``"process"``
+        for more).  Returns a campaign report envelope (job outcomes +
+        ``service.*`` counters).  Safe to call again after further
+        ``submit``\\ s.
         """
         check("lanes", nworkers, owner="CampaignService.run")
-        name = resolve("service_transport", transport if transport is not None
-                       else self.config.service_transport)
+        name = self._transport(nworkers, transport)
         fault = parse_service_fault(env_text("REPRO_SERVICE_FAULT"))
         self._fault_budget = dict(fault[1]) \
             if fault is not None and fault[0] == "job" else {}
         t0 = time.perf_counter()
-        lanes = make_transport(name, self, nworkers, self.config)
+        lanes = ProcessLaneTransport(
+            self, nworkers if name == "process" else 0, self.config)
         try:
             lanes.drain()
         finally:
             lanes.close()
         self._compact()
-        with self._lock:
-            jobs = [self.jobs[i] for i in sorted(self.jobs)]
-            return result_envelope(
-                "campaign_report",
-                wall_s=time.perf_counter() - t0,
-                counters=self.metrics.to_dict(),
-                njobs=len(jobs),
-                transport=name,
-                completed=sum(j.status == "done" for j in jobs),
-                failed=sum(j.status == "failed" for j in jobs),
-                jobs=[{"id": j.id,
-                       "label": j.spec.label or f"job-{j.id}",
-                       "status": j.status, "jk": j.spec.jk,
-                       "cache_hit": j.cache_hit,
-                       "attempts": j.attempts, "error": j.error}
-                      for j in jobs],
-            )
+        jobs = [self.jobs[i] for i in sorted(self.jobs)]
+        return result_envelope(
+            "campaign_report",
+            wall_s=time.perf_counter() - t0,
+            counters=self.metrics.to_dict(),
+            njobs=len(jobs),
+            transport=name,
+            completed=sum(j.status == "done" for j in jobs),
+            failed=sum(j.status == "failed" for j in jobs),
+            jobs=[{"id": j.id,
+                   "label": j.spec.label or f"job-{j.id}",
+                   "status": j.status, "jk": j.spec.jk,
+                   "cache_hit": j.cache_hit,
+                   "attempts": j.attempts, "error": j.error}
+                  for j in jobs],
+        )
 
-    def _claim(self) -> Job | None:
-        """Next runnable pending job, or ``None`` when drained.
+    def _next_pending(self, skip=()) -> Job | None:
+        """Claim the next runnable pending job, or ``None`` when nothing
+        is claimable *right now* — the dispatch loop keeps draining
+        leases and asks again.
 
-        A pending job whose key is currently in flight on another lane
-        is deferred (its twin's result will serve it from the cache);
-        the lane blocks while other lanes still run — their failures or
-        completions can unblock deferred work.
+        A pending job whose key is in flight on another lane is passed
+        over (its twin's result will serve it from the cache), and so
+        are the keys in ``skip`` (keys whose compute lock a twin
+        campaign currently holds).
         """
-        with self._cond:
-            while True:
-                running = False
-                for jid in sorted(self.jobs):
-                    job = self.jobs[jid]
-                    if job.status == "running":
-                        running = True
-                    if job.status == "pending" and \
-                            job.key not in self._inflight:
-                        job.status = "running"
-                        self._inflight.add(job.key)
-                        return job
-                if not running:
-                    return None
-                self._cond.wait(timeout=0.2)
-
-    def _claim_nowait(self, skip=()) -> Job | None:
-        """Non-blocking :meth:`_claim` for event-loop transports.
-
-        ``skip`` holds cache keys to pass over this round (keys whose
-        compute lock a twin campaign currently holds).  Returns
-        ``None`` when nothing is claimable *right now* — the caller
-        keeps draining leases and asks again.
-        """
-        with self._cond:
-            for jid in sorted(self.jobs):
-                job = self.jobs[jid]
-                if job.status == "pending" and \
-                        job.key not in self._inflight and \
-                        job.key not in skip:
-                    job.status = "running"
-                    self._inflight.add(job.key)
-                    return job
-            return None
+        for jid in sorted(self.jobs):
+            job = self.jobs[jid]
+            if job.status == "pending" and \
+                    job.key not in self._inflight and \
+                    job.key not in skip:
+                job.status = "running"
+                self._inflight.add(job.key)
+                return job
+        return None
 
     def _unclaim(self, job: Job) -> None:
         """Put a claimed-but-undispatched job back in the queue."""
-        with self._cond:
-            job.status = "pending"
-            self._inflight.discard(job.key)
-            self._cond.notify_all()
+        job.status = "pending"
+        self._inflight.discard(job.key)
 
     def _has_pending(self) -> bool:
-        with self._lock:
-            return any(j.status == "pending" for j in self.jobs.values())
+        return any(j.status == "pending" for j in self.jobs.values())
 
     def _finish(self, job: Job) -> None:
         """Persist a job's transition, then release its in-flight slot
         (only then may another lane claim its twin or its requeue)."""
         self._persist(job)
-        with self._cond:
-            self._inflight.discard(job.key)
-            self._cond.notify_all()
-
-    def _lane(self, config: ExecutionConfig) -> None:
-        """One dispatch lane: claim, run, retire, repeat."""
-        while True:
-            job = self._claim()
-            if job is None:
-                return
-            self._run_one(job, config)
-            self._finish(job)
+        self._inflight.discard(job.key)
 
     # --- per-job execution ----------------------------------------------------
 
@@ -554,19 +519,11 @@ class CampaignService:
 
     def _take_injected_fault(self, job: Job) -> bool:
         """Consume one ``job=N`` fault charge, if this job has any."""
-        with self._lock:
-            remaining = self._fault_budget.get(job.id, 0)
-            if remaining > 0:
-                self._fault_budget[job.id] = remaining - 1
-                return True
-            return False
-
-    def _execute(self, job: Job, config: ExecutionConfig) -> dict:
-        """One execution attempt (the fault-isolation boundary)."""
-        from .. import api
-
-        return api.run_job(job.spec, config=self._job_config(job, config),
-                           until_step=self._until_step(job))
+        remaining = self._fault_budget.get(job.id, 0)
+        if remaining > 0:
+            self._fault_budget[job.id] = remaining - 1
+            return True
+        return False
 
     def _serve_cached(self, job: Job, t0: float) -> bool:
         """Complete ``job`` from the cache if its record is in, charging
@@ -620,30 +577,3 @@ class CampaignService:
         job.status = "failed"
         job.error = error
         self._count("service.jobs_failed")
-
-    def _run_one(self, job: Job, config: ExecutionConfig) -> None:
-        """Serve one claimed job: cache, execute, retire (or requeue).
-
-        The get → lock → get-again dance is the cross-campaign dedup
-        protocol (:meth:`ResultCache.lock`): when a twin campaign in
-        another process is already computing this key, this lane blocks
-        on the key's compute lock and is served from the cache the
-        moment the twin's record lands.
-        """
-        t0 = time.perf_counter()
-        if self._serve_cached(job, t0):
-            return
-        with self.cache.lock(job.key):
-            if self._serve_cached(job, t0):
-                return
-            try:
-                if self._take_injected_fault(job):
-                    raise InjectedWorkerDeath(
-                        f"injected worker death on job {job.id} "
-                        f"(REPRO_SERVICE_FAULT)")
-                result = self._execute(job, config)
-            except Exception as e:  # per-job isolation: never the campaign
-                self._record_failure(job, f"{type(e).__name__}: {e}",
-                                     time.perf_counter() - t0)
-                return
-            self._record_success(job, result, time.perf_counter() - t0)

@@ -1,18 +1,22 @@
-"""Pluggable lane transports: how campaign dispatch lanes execute.
+"""The campaign dispatch loop and its two lane kinds.
 
-PR 7's :class:`~repro.service.CampaignService` ran every dispatch lane
-as a *thread* inside one interpreter — correct, but GIL-bound on the
-Python-heavy SCF paths, and a single interpreter crash took the whole
-queue with it.  This module makes the lane layer a pluggable subsystem
-with two backends behind one interface:
+The Python-heavy SCF paths hold the GIL, so only separate processes
+overlap campaign compute; the paper likewise spreads work over
+processes and keeps threads inside a rank.  :class:`ProcessLaneTransport`
+is the one dispatcher of a :class:`~repro.service.CampaignService`: a
+single-threaded event loop in the campaign parent that claims jobs,
+runs the cache protocol, dispatches to a lane and folds the answer
+back into the service.  It has two lane kinds:
 
-* :class:`LocalLaneTransport` (``"local"``) — the PR 7 threads, kept as
-  the bit-exact reference;
-* :class:`ProcessLaneTransport` (``"process"``) — persistent **forked
-  lane workers**, one OS process per lane, speaking a length-prefixed,
-  versioned pickle **frame codec** over ``socketpair`` connections.
+* **process lanes** — persistent **forked lane workers**, one OS
+  process per lane, speaking a length-prefixed, versioned pickle
+  **frame codec** over ``socketpair`` connections (``"process"``);
+* the **inline lane** — runs the job in the parent the moment the loop
+  dispatches to it and records the answer at once.  ``"local"`` is
+  exactly this one lane (the bit-exact reference), and it is where the
+  loop finishes the queue when every process lane is gone.
 
-The process backend follows the PR 4 pool's detect → retry → degrade
+The process lanes follow the PR 4 pool's detect → retry → degrade
 idiom one level up the stack, on the same process-lifecycle core
 (:mod:`repro.runtime.supervisor`: start, sentinel-aware wait, reap,
 respawn, shutdown); what stays here is the wire format and the lease:
@@ -23,37 +27,37 @@ respawn, shutdown); what stays here is the wire format and the lease:
   are diagnosed as :class:`FrameError`, never half-parsed and never
   hung on;
 * **heartbeat liveness** — each worker streams ``hb`` frames from a
-  daemon thread (cadence ``REPRO_SERVICE_HEARTBEAT``, default 1 s), so
-  the parent can tell "still computing a long job" from "wedged": a
-  lane that goes silent past the ``pool_timeout`` deadline is killed
-  and treated as dead;
+  daemon thread in the child (cadence ``REPRO_SERVICE_HEARTBEAT``,
+  default 1 s), so the parent can tell "still computing a long job"
+  from "wedged": a lane that goes silent past the ``pool_timeout``
+  deadline is killed and treated as dead;
 * **job leases** — a dispatched job is *leased* to its worker; when
   the worker dies or hangs mid-lease, the job is requeued against the
   campaign's existing per-job retry budget
   (``service.requeued_jobs``) and the worker slot is respawned with
   bounded backoff (``pool_max_retries`` respawns per slot);
 * **degradation** — when every lane slot is dead and unrespawnable the
-  transport warns once, counts ``service.degraded_drains``, and drains
-  the remaining queue through the local (thread) transport instead of
-  aborting the campaign;
+  loop warns once, counts ``service.degraded_drains``, and drains the
+  remaining queue on its inline lane instead of aborting the campaign;
 * **graceful drain** — shutdown sends ``stop`` frames, joins, and only
   then escalates terminate → kill.
 
 Cross-campaign work sharing rides on the
 :class:`~repro.service.ResultCache` compute locks: before computing a
-missing key a lane takes the key's advisory file lock, so duplicate
-specs submitted to *different campaigns in different processes* on one
-cache directory cost a single compute (the loser blocks, then hits the
-cache on recheck).  The thread lanes take the lock blocking; the
-process transport's single-threaded parent uses the non-blocking
-flavour and defers the job instead.
+missing key the loop takes the key's advisory file lock without
+blocking, so duplicate specs submitted to *different campaigns in
+different processes* on one cache directory cost a single compute.  A
+key another campaign holds is skipped for a short retry interval (the
+loop sleeps until then when nothing else is runnable) and is served
+from the cache once the twin's record lands.
 
 Deterministic fault injection (tests/benchmarks only), extending the
 PR 7 ``REPRO_SERVICE_FAULT`` grammar:
 
 * ``job=N[,times=K]`` — the first K execution attempts of job N fail
-  with an injected error (any transport; the per-job isolation path);
-* ``worker=W[,exec=N][,mode=kill|hang]`` — process transport: lane
+  with an injected error (either lane kind: the loop consumes the
+  charge when it dispatches; the per-job isolation path);
+* ``worker=W[,exec=N][,mode=kill|hang]`` — process lanes: lane
   worker W (or ``*`` = any) dies with SIGKILL — or goes silent — at
   the start of its N-th job (default 1st).  Only the *original* worker
   generation triggers, so the respawned lane proves the requeue path
@@ -61,7 +65,8 @@ PR 7 ``REPRO_SERVICE_FAULT`` grammar:
 
 Telemetry: ``transport.dispatch`` / ``transport.requeue`` /
 ``transport.respawn`` / ``transport.degrade`` spans on the campaign
-tracer, plus ``service.frames_sent`` / ``service.frames_recv`` /
+tracer (inline jobs keep the tracer, so their spans land there too),
+plus ``service.frames_sent`` / ``service.frames_recv`` /
 ``service.worker_deaths`` / ``service.worker_respawns`` /
 ``service.requeued_jobs`` / ``service.degraded_drains`` counters in
 ``--profile``.
@@ -85,8 +90,8 @@ from ..runtime.supervisor import FaultGate, Slot, Supervisor, WorkerDeath
 __all__ = [
     "FrameError", "FRAME_MAGIC", "FRAME_VERSION", "MAX_FRAME_BYTES",
     "encode_frame", "try_decode", "read_frame",
-    "LaneTransport", "LocalLaneTransport", "ProcessLaneTransport",
-    "LaneWorkerDeath", "make_transport", "parse_service_fault",
+    "ProcessLaneTransport", "LaneWorkerDeath", "InjectedWorkerDeath",
+    "parse_service_fault",
 ]
 
 # --- frame codec --------------------------------------------------------------
@@ -240,17 +245,42 @@ class LaneWorkerDeath(WorkerDeath):
         super().__init__(worker, held=held, **diagnosis)
 
 
-# --- worker process -----------------------------------------------------------
+class InjectedWorkerDeath(RuntimeError):
+    """Deterministic test fault: a job's execution lane 'died'."""
+
+
+# --- job execution (both lane kinds) ------------------------------------------
+
+def _serve(msg: dict) -> dict:
+    """Execute one ``job`` request; returns its ``result`` reply.
+
+    Every job runs through the one public :func:`repro.api.run_job`
+    entrypoint; the reply carries either the result envelope or the
+    formatted error (per-job isolation — an exception never kills the
+    lane).  A process lane worker frames the reply back to the parent;
+    the inline lane hands it straight to the dispatch loop.
+    """
+    job_id = msg["job_id"]
+    try:
+        if msg.get("inject_fail"):
+            raise InjectedWorkerDeath(f"injected worker death on job "
+                                      f"{job_id} (REPRO_SERVICE_FAULT)")
+        from .. import api
+
+        result = api.run_job(msg["spec"], config=msg["config"],
+                             until_step=msg["until_step"])
+    except Exception as e:
+        return {"op": "result", "job_id": job_id, "ok": False,
+                "error": f"{type(e).__name__}: {e}"}
+    return {"op": "result", "job_id": job_id, "ok": True, "result": result}
+
 
 def _lane_worker_main(sock: socket.socket, wid: int, gen: int) -> None:
     """Lane worker loop: serve framed job requests until told to stop.
 
-    Runs in the child process.  Every job request is executed through
-    the one public :func:`repro.api.run_job` entrypoint; the reply is a
-    ``result`` frame carrying either the result envelope or the
-    formatted error (per-job isolation — an exception never kills the
-    lane).  A daemon thread streams ``hb`` frames so the parent can
-    distinguish a long job from a wedged worker.
+    Runs in the child process; each ``job`` frame is answered with the
+    :func:`_serve` reply.  A daemon thread streams ``hb`` frames so the
+    parent can distinguish a long job from a wedged worker.
 
     ``gen`` is the slot's spawn generation: the ``REPRO_SERVICE_FAULT``
     worker fault only fires on generation 0, so a respawned lane
@@ -292,27 +322,8 @@ def _lane_worker_main(sock: socket.socket, wid: int, gen: int) -> None:
                 continue
             if op != "job":
                 continue            # unknown ops are ignored, not fatal
-            job_id = msg["job_id"]
             gate.tick(silence=hb_stop.set)  # a hang goes silent, not idle
-            if msg.get("inject_fail"):
-                _send({"op": "result", "job_id": job_id, "ok": False,
-                       "error": f"InjectedWorkerDeath: injected worker "
-                                f"death on job {job_id} "
-                                f"(REPRO_SERVICE_FAULT)"})
-                continue
-            try:
-                from .. import api
-                from .jobspec import JobSpec
-
-                result = api.run_job(JobSpec.from_dict(msg["spec"]),
-                                     config=msg["config"],
-                                     until_step=msg["until_step"])
-            except Exception as e:
-                _send({"op": "result", "job_id": job_id, "ok": False,
-                       "error": f"{type(e).__name__}: {e}"})
-            else:
-                _send({"op": "result", "job_id": job_id, "ok": True,
-                       "result": result})
+            _send(_serve(msg))
     finally:
         hb_stop.set()
         try:
@@ -321,63 +332,14 @@ def _lane_worker_main(sock: socket.socket, wid: int, gen: int) -> None:
             pass
 
 
-# --- transports ---------------------------------------------------------------
-
-class LaneTransport:
-    """How a campaign's dispatch lanes execute.
-
-    A transport owns lane *execution* only; the
-    :class:`~repro.service.CampaignService` keeps owning the queue,
-    the in-flight dedup, the cache, the retry budgets, and the
-    queue store.  ``drain()`` runs until the queue has no runnable work;
-    ``close()`` releases lane resources (idempotent).
-    """
-
-    #: The :func:`resolve_service_transport` name of this backend.
-    name: str = "?"
-
-    def __init__(self, service, nlanes: int, config: ExecutionConfig):
-        self.service = service
-        self.nlanes = int(nlanes)
-        self.config = config
-
-    def drain(self) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
-
-
-class LocalLaneTransport(LaneTransport):
-    """The PR 7 reference: ``nlanes`` threads inside this process.
-
-    Single-lane drains run on the caller's thread with the campaign
-    tracer attached; multi-lane drains strip the tracer from the lane
-    configs (the span tracer is not thread-safe) — counters still
-    accumulate on the service's lock-guarded registry.
-    """
-
-    name = "local"
-
-    def drain(self) -> None:
-        svc = self.service
-        if self.nlanes == 1:
-            svc._lane(self.config)
-            return
-        lane_cfg = self.config.replace(tracer=None)
-        threads = [threading.Thread(target=svc._lane, args=(lane_cfg,),
-                                    name=f"campaign-lane-{i}")
-                   for i in range(self.nlanes)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
+# --- the dispatch loop --------------------------------------------------------
 
 @dataclass
 class _Lane(Slot):
-    """One process lane: a supervised worker slot (``chan`` is its
-    socket) plus the framed-RPC receive state and the job lease."""
+    """One dispatch lane: a supervised worker slot (``chan`` is its
+    socket) plus the framed-RPC receive state and the job lease.  The
+    inline lane is a ``_Lane`` outside the supervisor — no process, no
+    socket — whose lease ends inside the dispatch that starts it."""
 
     buf: bytearray = field(default_factory=bytearray)
     job: object | None = None    # leased Job (None = idle)
@@ -403,26 +365,34 @@ class _Lane(Slot):
 _EXTERN_RETRY = 0.05
 
 
-class ProcessLaneTransport(LaneTransport):
-    """Persistent forked lane workers behind the framed RPC protocol.
+class ProcessLaneTransport:
+    """The campaign dispatch loop over ``nlanes`` forked lane workers.
 
     The parent side is a single-threaded event loop: dispatch jobs to
     idle lanes, wait on every lane socket *and* worker sentinel, and
     fold results / deaths / hangs back into the service's bookkeeping.
-    Because the loop is single-threaded, the campaign tracer stays
-    attached even at ``nlanes > 1`` — the process transport is the
-    first multi-lane configuration with full span telemetry.
+    With ``nlanes == 0`` nothing forks and every job runs on the inline
+    lane (the ``"local"`` transport); a drain whose process slots are
+    all dead and unrespawnable moves to the inline lane too.  Because
+    the loop is single-threaded, the campaign tracer stays attached at
+    any lane count.
+
+    The loop owns lane *execution* only; the
+    :class:`~repro.service.CampaignService` keeps owning the queue,
+    the in-flight dedup, the cache, the retry budgets, and the queue
+    store.  ``drain()`` runs until the queue has no runnable work;
+    ``close()`` stops the workers (idempotent).
     """
 
-    name = "process"
-
     def __init__(self, service, nlanes: int, config: ExecutionConfig):
-        super().__init__(service, nlanes, config)
+        self.service = service
+        self.nlanes = int(nlanes)
+        self.config = config
         self.timeout = resolve("pool_timeout", config.pool_timeout)
         self.max_respawns = resolve("pool_max_retries",
                                     config.pool_max_retries)
         heartbeat = resolve("heartbeat")     # validated here, pre-fork
-        if heartbeat >= self.timeout:
+        if self.nlanes and heartbeat >= self.timeout:
             # a busy lane is reaped as hung after ``timeout`` s without
             # a frame, so every job outliving the timeout would be too
             raise ValueError(
@@ -431,6 +401,9 @@ class ProcessLaneTransport(LaneTransport):
                 f"got {heartbeat:g}")
         self._closed = False
         self._skip: dict[str, float] = {}    # key -> retry-at (monotonic)
+        # the inline lane: from the start with no process lanes, else
+        # installed by ``_degrade`` once every process slot is gone
+        self._inline = _Lane(wid=0) if self.nlanes == 0 else None
         self._sup = Supervisor(
             self.nlanes, _lane_worker_main, pair=socket.socketpair,
             death=LaneWorkerDeath, slot=_Lane, timeout=self.timeout)
@@ -449,6 +422,13 @@ class ProcessLaneTransport(LaneTransport):
     def _live(self) -> list[_Lane]:
         return self._sup.live
 
+    def _idle(self) -> list[_Lane]:
+        """Lanes a job can go to now: the inline lane once the loop runs
+        on it, else every live process lane without a lease."""
+        if self._inline is not None:
+            return [self._inline]
+        return [ln for ln in self._live() if not ln.busy]
+
     def close(self) -> None:
         """Graceful drain: ``stop`` frames, join, escalate, release."""
         if self._closed:
@@ -462,15 +442,14 @@ class ProcessLaneTransport(LaneTransport):
     # --- the drain loop -------------------------------------------------------
 
     def drain(self) -> None:
-        svc = self.service
         while True:
             self._dispatch_ready()
             if not self._outstanding():
                 return
-            if not self._live():
+            if self._inline is None and not self._live():
                 self._degrade()
-                return
-            self._wait_events()
+            else:
+                self._wait_events()
 
     def _outstanding(self) -> bool:
         """Whether any lease is held or any job is still pending."""
@@ -479,15 +458,19 @@ class ProcessLaneTransport(LaneTransport):
         return self.service._has_pending()
 
     def _dispatch_ready(self) -> None:
-        """Fill idle live lanes from the queue (cache- and lock-aware)."""
+        """Fill idle lanes from the queue (cache- and lock-aware).
+
+        The inline lane stays idle across its dispatches — each runs
+        the job to its recorded answer — so it drains everything
+        claimable in one call."""
         svc = self.service
         tr = self.config.trace
         now = time.monotonic()
         for key in [k for k, t in self._skip.items() if t <= now]:
             del self._skip[key]
-        idle = [ln for ln in self._live() if not ln.busy]
+        idle = self._idle()
         while idle:
-            job = svc._claim_nowait(skip=self._skip)
+            job = svc._next_pending(skip=self._skip)
             if job is None:
                 return
             t0 = time.perf_counter()
@@ -509,23 +492,28 @@ class ProcessLaneTransport(LaneTransport):
                 svc._finish(job)
                 continue
             lane = idle.pop()
+            cfg = svc._job_config(job, self.config)
             msg = {"op": "job", "job_id": job.id,
                    "spec": job.spec.to_dict(),
-                   "config": svc._job_config(job, self.config)
-                                .replace(tracer=None),
+                   "config": cfg if lane is self._inline
+                   else cfg.replace(tracer=None),
                    "until_step": svc._until_step(job)}
             if svc._take_injected_fault(job):
                 msg["inject_fail"] = True
+            lane.job, lane.key_lock = job, lk
+            lane.t_dispatch = time.monotonic()
+            if lane is self._inline:
+                self._handle(lane, _serve(msg))
+                idle.append(lane)
+                continue
             with tr.span("transport.dispatch", cat="transport",
                          job=job.id, worker=lane.wid):
                 sent = self._send(lane, msg)
-            lane.job, lane.key_lock = job, lk
-            lane.t_dispatch = time.monotonic()
             if not sent:
                 # the lane died at send time: requeue-and-respawn, then
                 # try the remaining idle lanes with the same queue
                 self._on_lane_death(lane, hung=False)
-                idle = [ln for ln in self._live() if not ln.busy]
+                idle = self._idle()
 
     def _send(self, lane: _Lane, msg) -> bool:
         """Frame ``msg`` to a lane; ``False`` when the lane is dead."""
@@ -549,6 +537,11 @@ class ProcessLaneTransport(LaneTransport):
         if self._skip:
             deadlines.append(min(self._skip.values()))
         deadline = min(min(deadlines, default=now + 0.2), now + 0.5)
+        if not live:
+            # the inline lane: what is left waits on a twin campaign's
+            # compute lock, so sleep until the next skipped key is due
+            time.sleep(max(0.0, deadline - now))
+            return
         for lane, readable in self._sup.wait(live, deadline):
             if readable:
                 self._pump(lane)
@@ -640,27 +633,14 @@ class ProcessLaneTransport(LaneTransport):
                 svc._count("service.worker_respawns")
 
     def _degrade(self) -> None:
-        """Every lane slot is dead and unrespawnable: finish the drain
-        on the thread transport instead of abandoning the queue."""
-        svc = self.service
-        if not svc._has_pending():
-            return
+        """Every lane slot is dead and unrespawnable: the loop finishes
+        the drain on its inline lane instead of abandoning the queue."""
         warnings.warn(
             "every process lane worker is dead and the respawn budget "
-            "is exhausted; degrading the campaign drain to the local "
-            "(thread) transport", RuntimeWarning, stacklevel=2)
-        svc._count("service.degraded_drains")
+            "is exhausted; degrading the campaign drain to one inline "
+            "lane in this process", RuntimeWarning, stacklevel=2)
+        self.service._count("service.degraded_drains")
         with self.config.trace.span("transport.degrade", cat="transport",
                                     nlanes=self.nlanes):
             pass
-        LocalLaneTransport(svc, self.nlanes, self.config).drain()
-
-
-def make_transport(name: str, service, nlanes: int,
-                   config: ExecutionConfig) -> LaneTransport:
-    """Build the named lane transport for one campaign drain."""
-    if name == "local":
-        return LocalLaneTransport(service, nlanes, config)
-    if name == "process":
-        return ProcessLaneTransport(service, nlanes, config)
-    raise ValueError(f"unknown lane transport {name!r}")
+        self._inline = _Lane(wid=self.nlanes)

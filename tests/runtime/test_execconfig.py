@@ -126,40 +126,3 @@ def test_hfx_scheme_legacy_fields_removed():
     sch = HFXScheme(wl, bgq_racks(0.25),
                     config=ExecutionConfig(executor="process", nworkers=2))
     assert sch.executor == "process" and sch.nworkers == 2
-
-
-# --- service transport (lane backend) boundary --------------------------------
-
-
-def test_service_transport_default_and_values():
-    from repro.runtime.execconfig import (SERVICE_TRANSPORTS,
-                                          resolve_service_transport)
-
-    assert ExecutionConfig().service_transport is None
-    assert resolve_service_transport() == "local"
-    for name in SERVICE_TRANSPORTS:
-        assert resolve_service_transport(name) == name
-        assert ExecutionConfig(service_transport=name) \
-            .service_transport == name
-
-
-@pytest.mark.parametrize("bad", ["", "thread", "remote", True, False, 7])
-def test_service_transport_rejects_garbage(bad):
-    from repro.runtime.execconfig import resolve_service_transport
-
-    with pytest.raises(ValueError, match="transport"):
-        resolve_service_transport(bad)
-    with pytest.raises(ValueError, match="transport"):
-        ExecutionConfig(service_transport=bad)
-
-
-def test_service_transport_env_fallback(monkeypatch):
-    from repro.runtime.execconfig import resolve_service_transport
-
-    monkeypatch.setenv("REPRO_SERVICE_TRANSPORT", "process")
-    assert resolve_service_transport() == "process"
-    # an explicit value beats the env
-    assert resolve_service_transport("local") == "local"
-    monkeypatch.setenv("REPRO_SERVICE_TRANSPORT", "telegraph")
-    with pytest.raises(ValueError, match="REPRO_SERVICE_TRANSPORT"):
-        resolve_service_transport()

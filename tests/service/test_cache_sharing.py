@@ -5,11 +5,13 @@ writers can only ever race complete records."""
 import hashlib
 import json
 import multiprocessing as mp
+import time
 
 import pytest
 
+from repro import api
 from repro.runtime.schema import result_envelope
-from repro.service import CampaignService, JobSpec, ResultCache
+from repro.service import CampaignService, JobSpec, ResultCache, transport
 
 pytestmark = [pytest.mark.service, pytest.mark.transport]
 
@@ -69,6 +71,36 @@ def test_concurrent_campaigns_share_one_compute(tmp_path):
     assert misses == 1 and hits == 1    # deterministic, any interleaving
     energies = {o["energy"] for o in outcomes}
     assert len(energies) == 1           # both serve the one computed answer
+
+
+def test_inline_lane_sleeps_until_a_locked_key_is_due(tmp_path,
+                                                      monkeypatch):
+    """A key a twin campaign is computing is skipped, and the inline lane
+    sleeps until the key's retry time instead of spinning; the twin's
+    record then serves it without a compute here."""
+    shared = tmp_path / "shared-cache"
+    svc = CampaignService(tmp_path / "camp", cache_dir=shared)
+    job = svc.submit(H2_SCF)
+    twin = ResultCache(shared)
+    held = twin.try_lock(job.key)
+    record = api.run_scf(H2_SCF)
+    naps = []
+    real_sleep = time.sleep
+
+    def nap(seconds):
+        naps.append(seconds)
+        real_sleep(seconds)
+        if len(naps) == 2:          # the twin lands its record, lets go
+            twin.put(job.key, record)
+            held.release()
+
+    monkeypatch.setattr(transport.time, "sleep", nap)
+    report = svc.run()
+    assert report["transport"] == "local" and report["completed"] == 1
+    assert report["counters"]["service.cache_hits"] == 1
+    assert "service.cache_misses" not in report["counters"]
+    assert len(naps) == 2
+    assert all(0.02 < s <= transport._EXTERN_RETRY for s in naps)
 
 
 def _hammer(cache_dir, nrecords, salt, barrier):

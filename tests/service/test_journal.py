@@ -2,17 +2,15 @@
 
 Loader fuzz (truncated and bit-flipped journals load the longest intact
 prefix), the directory states that must load, the kill-and-resume drill
-at the three crash points, the one-record-per-transition guard, append
-order under four thread lanes, the cache-hit wall time every store
-agrees on, and the journal telemetry.
+at the three crash points, the one-record-per-transition guard, the
+cache-hit wall time every store agrees on (on both lane kinds), and the
+journal telemetry.
 """
 
 import json
 import multiprocessing
 import os
 import shutil
-import sys
-import threading
 import warnings
 from pathlib import Path
 
@@ -21,7 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import ExecutionConfig, Tracer
-from repro.service import CampaignService, Job, JobSpec, make_transport
+from repro.service import (CampaignService, Job, JobSpec,
+                           ProcessLaneTransport)
 from repro.service import scheduler
 
 pytestmark = pytest.mark.service
@@ -47,7 +46,7 @@ def _state(svc):
 
 def _drain(svc):
     """Drain without ``run()``'s compaction: the journal keeps every line."""
-    lanes = make_transport("local", svc, 1, svc.config)
+    lanes = ProcessLaneTransport(svc, 0, svc.config)    # the inline lane
     lanes.drain()
     lanes.close()
 
@@ -305,43 +304,6 @@ def test_drain_builds_one_record_per_transition(tmp_path, monkeypatch):
     assert len(calls) == transitions + njobs
 
 
-def test_thread_lanes_share_one_journal(tmp_path):
-    """Four thread lanes, a tiny switch interval, 36 cache hits over 12
-    keys: every transition is one intact line, in an order that
-    replays to the live state."""
-    warm = CampaignService(tmp_path / "warm")
-    variants = [H2_SCF.replace(perturb=0.01, perturb_seed=s)
-                for s in range(12)]
-    for spec in variants:
-        warm.submit(spec)
-    warm.run()
-    svc = CampaignService(tmp_path / "campaign",
-                          cache_dir=tmp_path / "warm" / "cache")
-    for spec in variants * 3:
-        svc.submit(spec)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        lanes = make_transport("local", svc, 4, svc.config)
-        drain = threading.Thread(target=lanes.drain)
-        drain.start()
-        drain.join(60)
-    finally:
-        sys.setswitchinterval(interval)
-        lanes.close()
-    assert not drain.is_alive()
-    counters = svc.metrics.to_dict()
-    assert counters["service.cache_hits"] == 36
-    journal = (tmp_path / "campaign" / "campaign.journal").read_bytes()
-    assert journal.count(b"\n") == counters["service.journal_appends"] == 72
-    # line k was the k-th append: no lane wrote out of turn
-    assert [json.loads(line.partition(b" ")[2])["counters"]
-            ["service.journal_appends"]
-            for line in journal.splitlines()] == list(range(1, 73))
-    resumed, caught = _resume(tmp_path / "campaign")
-    assert not caught and _state(resumed) == _state(svc)
-
-
 @pytest.mark.parametrize("transport", [
     "local", pytest.param("process", marks=pytest.mark.transport)])
 def test_cache_hit_wall_time_agrees_across_stores(tmp_path, transport):
@@ -350,7 +312,8 @@ def test_cache_hit_wall_time_agrees_across_stores(tmp_path, transport):
     svc = CampaignService(tmp_path)
     svc.submit(H2_SCF)
     twin = svc.submit(H2_SCF.replace(label="twin"))
-    lanes = make_transport(transport, svc, 1, svc.config)
+    lanes = ProcessLaneTransport(svc, int(transport == "process"),
+                                 svc.config)
     try:
         lanes.drain()
     finally:

@@ -1,5 +1,6 @@
-"""Lane transports: frame-codec properties, forked process lanes,
-worker-death requeue, hang detection, degradation, parity vs local."""
+"""The dispatch loop: frame-codec properties, transport resolution,
+forked process lanes, worker-death requeue, hang detection, degradation
+to the inline lane, parity with the inline (local) reference."""
 
 import functools
 import io
@@ -10,10 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import ExecutionConfig
+from repro import api
+from repro.runtime import ExecutionConfig, Tracer
 from repro.service import (CampaignService, FrameError, JobSpec,
-                           LocalLaneTransport, ProcessLaneTransport,
-                           encode_frame, make_transport, read_frame,
+                           ProcessLaneTransport, encode_frame, read_frame,
                            try_decode)
 from repro.service import transport
 from repro.service.transport import (FRAME_MAGIC, FRAME_VERSION,
@@ -140,8 +141,6 @@ def test_unknown_transport_rejected(tmp_path):
     svc.submit(H2_SCF)
     with pytest.raises(ValueError, match="carrier-pigeon"):
         svc.run(transport="carrier-pigeon")
-    with pytest.raises(ValueError):
-        make_transport("carrier-pigeon", svc, 1, svc.config)
 
 
 def test_transport_from_config_and_env(tmp_path, monkeypatch):
@@ -156,17 +155,68 @@ def test_transport_from_config_and_env(tmp_path, monkeypatch):
         CampaignService().run()
 
 
-# --- process lanes: parity with the local reference ---------------------------
+def test_transport_resolution_by_lane_count(tmp_path, monkeypatch):
+    """Unnamed, one lane runs local and more run process; a named local
+    with more than one lane is refused naming process — on the service,
+    the facade and the CLI alike."""
+    from repro.cli import main
+    from repro.runtime.execconfig import SERVICE_TRANSPORTS
+
+    monkeypatch.delenv("REPRO_SERVICE_TRANSPORT", raising=False)
+    assert ExecutionConfig().service_transport is None
+    for name in SERVICE_TRANSPORTS:
+        assert ExecutionConfig(service_transport=name) \
+            .service_transport == name
+    with pytest.raises(ValueError, match="transport"):
+        ExecutionConfig(service_transport="thread")
+
+    for lanes, want in ((1, "local"), (2, "process")):
+        svc = CampaignService()
+        svc.submit(H2_SCF)
+        assert svc.run(nworkers=lanes)["transport"] == want
+        assert api.run_campaign([H2_SCF], lanes=lanes)["transport"] == want
+
+    refusals = [lambda: CampaignService().run(nworkers=2, transport="local"),
+                lambda: CampaignService(config=ExecutionConfig(
+                    service_transport="local")).run(nworkers=2),
+                lambda: api.run_campaign([H2_SCF], lanes=2,
+                                         transport="local")]
+    for refused in refusals:
+        with pytest.raises(ValueError, match="'process'"):
+            refused()
+
+    # the environment names a transport too: it beats the lane count,
+    # an explicit argument beats it, and a named local stays one lane
+    monkeypatch.setenv("REPRO_SERVICE_TRANSPORT", "process")
+    assert CampaignService().run()["transport"] == "process"
+    assert CampaignService().run(transport="local")["transport"] == "local"
+    monkeypatch.setenv("REPRO_SERVICE_TRANSPORT", "local")
+    with pytest.raises(ValueError, match="'process'"):
+        CampaignService().run(nworkers=2)
+    monkeypatch.delenv("REPRO_SERVICE_TRANSPORT")
+
+    d = str(tmp_path / "camp")
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text('{"kind": "scf", "molecule": "h2"}')
+    assert main(["campaign", "--dir", d, "submit",
+                 "--spec", str(spec_file)]) == 0
+    with pytest.raises(SystemExit, match="^error: .*'process'"):
+        main(["campaign", "--dir", d, "run", "--lanes", "2",
+              "--transport", "local"])
+    assert CampaignService(d).status()["by_status"] == {"pending": 1}
+
+
+# --- process lanes: parity with the inline (local) reference -------------------
 
 def test_process_transport_bit_identical_to_local(tmp_path):
     specs = [H2_SCF, LIH_SCF, H2_MD]
     reports = {}
     results = {}
-    for name in ("local", "process"):
+    for name, lanes in (("local", 1), ("process", 2)):
         svc = CampaignService(tmp_path / name)
         for spec in specs:
             svc.submit(spec)
-        reports[name] = svc.run(nworkers=2, transport=name)
+        reports[name] = svc.run(nworkers=lanes, transport=name)
         results[name] = {r["label"]: _strip(r["result"])
                          for r in svc.results()}
     assert reports["local"]["completed"] == 3
@@ -254,8 +304,10 @@ def test_job_exhausting_budget_fails_only_itself(tmp_path, monkeypatch):
 
 def test_all_lanes_dead_degrades_to_local(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SERVICE_FAULT", "worker=*,mode=kill")
+    tracer = Tracer(name="campaign")
     svc = CampaignService(tmp_path,
-                          config=ExecutionConfig(pool_max_retries=0),
+                          config=ExecutionConfig(pool_max_retries=0,
+                                                 tracer=tracer),
                           max_retries=3)
     svc.submit(H2_SCF)
     svc.submit(LIH_SCF)
@@ -264,7 +316,36 @@ def test_all_lanes_dead_degrades_to_local(tmp_path, monkeypatch):
         report = svc.run(nworkers=2, transport="process")
     assert report["completed"] == 2 and report["failed"] == 0
     assert report["counters"]["service.degraded_drains"] == 1
-    assert any("degrading" in str(w.message) for w in caught)
+    assert [str(w.message) for w in caught].count(
+        "every process lane worker is dead and the respawn budget is "
+        "exhausted; degrading the campaign drain to one inline lane in "
+        "this process") == 1
+    # the inline remainder runs traced: its jobs' spans sit after the
+    # degrade span on the campaign tracer
+    names = [s.name for s in sorted(tracer.spans, key=lambda s: s.start)]
+    assert names.count("transport.degrade") == 1
+    assert names.count("transport.requeue") == 2
+    after = names[names.index("transport.degrade"):]
+    assert after.count("scf.setup") == 2 and "scf.iteration" in after
+
+
+def test_traced_process_drain_keeps_dispatch_spans_and_counters(tmp_path):
+    tracer = Tracer(name="campaign")
+    svc = CampaignService(tmp_path, config=ExecutionConfig(tracer=tracer))
+    for spec in (H2_SCF, LIH_SCF, H2_SCF.replace(label="twin")):
+        svc.submit(spec)
+    report = svc.run(nworkers=2)
+    assert report["transport"] == "process" and report["completed"] == 3
+    names = [s.name for s in tracer.spans]
+    assert names.count("transport.dispatch") == 2
+    assert "scf.setup" not in names     # process lanes run untraced
+    counters = tracer.metrics.to_dict()
+    for name in ("service.jobs_submitted", "service.jobs_completed",
+                 "service.cache_hits", "service.cache_misses",
+                 "service.frames_sent", "service.frames_recv",
+                 "service.journal_appends", "service.compactions"):
+        assert counters[name] == report["counters"][name], name
+    assert counters["service.frames_sent"] == 2
 
 
 def _wrong_job(msg):
@@ -372,11 +453,21 @@ def test_close_reaps_every_lane_worker(tmp_path):
     assert all(s.proc is None and s.chan is None for s in lanes._sup.slots)
 
 
-def test_local_transport_is_the_thread_reference(tmp_path):
+def test_local_transport_is_one_inline_lane(tmp_path, monkeypatch):
+    """No lane worker forks: the loop runs every job in this process,
+    recorded the moment it returns, with no frame on any wire."""
+    from multiprocessing.process import BaseProcess
+
+    monkeypatch.setattr(BaseProcess, "start",
+                        lambda self: pytest.fail("forked a lane"))
     svc = CampaignService(tmp_path)
     svc.submit(H2_SCF)
-    lanes = make_transport("local", svc, 2, svc.config)
-    assert isinstance(lanes, LocalLaneTransport)
+    svc.submit(H2_SCF.replace(label="twin"))
+    lanes = ProcessLaneTransport(svc, 0, svc.config)
+    assert lanes._sup.slots == []
     lanes.drain()
     lanes.close()
-    assert svc.status()["by_status"] == {"done": 1}
+    assert svc.status()["by_status"] == {"done": 2}
+    counters = svc.metrics.to_dict()
+    assert counters["service.cache_hits"] == 1
+    assert "service.frames_sent" not in counters
