@@ -52,16 +52,27 @@ def test_f5_node_performance(report, benchmark, condensed_workload):
     rows.append(["16 cores / SMT4 / QPX", f"{t_full:.3f}",
                  f"{base_time / t_full:.2f}x"])
 
-    # scheduling policies at full threading over the rank's pair-task
-    # batch (per-task costs; quartet chunking inside)
+    # scheduling policies at full threading over the rank's pair tasks
+    # cut into 64-quartet chunks (the threads' loop grain, as F5a's
+    # uniform path assumes); a chunk costs its quartets at its task's
+    # per-quartet flops, so heavy pair classes make heavy chunks
     from repro.hfx import partition_tasks
+    from repro.hfx.tasklist import TaskList
 
     part = partition_tasks(condensed_workload.flops, 1024, "serpentine")
-    task_costs = condensed_workload.flops[part.rank_of_task == 0] * FLOP_SCALE
+    rank0 = part.rank_of_task == 0
+    task_flops = condensed_workload.flops[rank0] * FLOP_SCALE
+    task_nq = condensed_workload.nquartets[rank0]
+    # split in quartet units; pair_index carries each chunk's task
+    chunks = TaskList(pair_index=np.arange(len(task_nq))[:, None],
+                      flops=task_nq.astype(np.float64), nquartets=task_nq,
+                      eps=condensed_workload.eps).split(64)
+    chunk_costs = (chunks.nquartets
+                   * (task_flops / task_nq)[chunks.pair_index[:, 0]])
     sched_rows = []
     for policy in ("static", "static_block", "dynamic", "guided"):
         node = NodeComputeModel(cfg, schedule=policy, chunk=1)
-        r = node.compute_time(task_costs)
+        r = node.compute_time(chunk_costs)
         sched_rows.append([policy, f"{r.makespan:.3f}",
                            f"{r.efficiency:.3f}", f"{r.imbalance:.3f}"])
 
@@ -73,16 +84,18 @@ def test_f5_node_performance(report, benchmark, condensed_workload):
                           headers=["schedule", "t (s)", "thread eff",
                                    "imbalance"],
                           title="F5b: quartet-loop scheduling policy "
-                                "(64 hardware threads)")
+                                "(64 hardware threads, 64-quartet "
+                                "chunks)")
     report(table1 + "\n\n" + table2)
 
     speedup_full = base_time / t_full
     # the paper-range expectations: 16 cores x ~1.8 SMT x ~2.9 QPX
     assert 50 < speedup_full < 120
-    # dynamic/guided beat cost-oblivious static on heavy-tailed batches
-    t_static = float(sched_rows[0][1])
-    t_dyn = float(sched_rows[2][1])
-    assert t_dyn <= t_static * 1.05
+    # the policies differ on the chunked loop, and dynamic
+    # self-scheduling is within 5 % of the best of them
+    times = {row[0]: float(row[1]) for row in sched_rows}
+    assert len(set(times.values())) > 1
+    assert all(times["dynamic"] <= 1.05 * t for t in times.values())
 
     node = NodeComputeModel(cfg)
     benchmark(lambda: node.compute_time_uniform(flops, nq))

@@ -1,17 +1,21 @@
-"""Attack-complex construction: peroxide approaching a solvent fragment.
+"""Attack-complex construction: a reduced-oxygen nucleophile approaching
+a solvent fragment.
 
 The degradation mechanism established for propylene carbonate is
-nucleophilic attack of the (super)peroxide species formed at the cathode
+nucleophilic attack of the reduced oxygen species formed at the cathode
 on the electrophilic center of the solvent.  We build rigid approach
-complexes with the **peroxide dianion O2^2-** (the closed-shell
-nucleophile; the lithium counter-ions act as spectators at the attack
-geometry): one oxygen points at the solvent's attack atom, at a
+complexes with one of three nucleophiles: the closed-shell **peroxide
+dianion O2^2-** (the default; the lithium counter-ions act as
+spectators at the attack geometry), molecular **Li2O2**, or the
+**superoxide radical anion O2^-**, whose complex keeps its doublet
+multiplicity.  One oxygen points at the solvent's attack atom, at a
 controllable distance along the attack vector.
 
-Because the nucleophile carries charge, absolute interaction energies
-are dominated by long-range Coulomb terms identical for all solvents;
-the chemistry lives in the *approach energetics* relative to a far
-reference point, which is what :mod:`repro.liair.degradation` reports.
+Because the anionic nucleophiles carry charge, absolute interaction
+energies are dominated by long-range Coulomb terms identical for all
+solvents; the chemistry lives in the *approach energetics* relative to
+a far reference point, which is what :mod:`repro.liair.degradation`
+reports.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = ["attack_complex", "approach_scan_geometries", "NUCLEOPHILES"]
 NUCLEOPHILES = {
     "peroxide": builders.peroxide_dianion,
     "li2o2": builders.li2o2,
+    "superoxide": builders.superoxide_anion,
 }
 
 
@@ -52,7 +57,11 @@ def _orient_nucleophile(nuc: Molecule, direction: np.ndarray) -> Molecule:
 def attack_complex(solvent: Solvent, distance_angstrom: float,
                    nucleophile: str = "peroxide") -> Molecule:
     """Solvent model fragment + nucleophile with the leading oxygen
-    ``distance_angstrom`` from the attack atom, along the attack vector."""
+    ``distance_angstrom`` from the attack atom, along the attack vector.
+
+    The complex carries the nucleophile's multiplicity (the model
+    fragments are closed-shell), so the superoxide complex is a doublet.
+    """
     try:
         nuc = NUCLEOPHILES[nucleophile]()
     except KeyError:
@@ -67,14 +76,21 @@ def attack_complex(solvent: Solvent, distance_angstrom: float,
     offset = site + d * distance_angstrom * BOHR_PER_ANGSTROM
     oriented = oriented.translated(offset)
     cplx = frag + oriented
+    cplx.multiplicity = nuc.multiplicity
     cplx.name = f"{frag.name}+{nuc.name}@{distance_angstrom:.2f}A"
     return cplx
 
 
 def approach_scan_geometries(solvent: Solvent, distances_angstrom=None,
-                             nucleophile: str = "peroxide") -> list[Molecule]:
-    """Rigid approach scan (decreasing distance)."""
+                             nucleophile: str = "peroxide"
+                             ) -> tuple[np.ndarray, list[Molecule]]:
+    """Rigid approach scan: ``(distances, complexes)``, farthest first.
+
+    The default ladder is six points from 4.0 down to 1.8 Angstrom.
+    """
     if distances_angstrom is None:
         distances_angstrom = np.linspace(4.0, 1.8, 6)
-    return [attack_complex(solvent, float(d), nucleophile)
-            for d in distances_angstrom]
+    distances = np.sort(np.asarray(distances_angstrom,
+                                   dtype=np.float64))[::-1]
+    return distances, [attack_complex(solvent, float(d), nucleophile)
+                       for d in distances]

@@ -1,8 +1,9 @@
-"""Degradation energetics: peroxide-attack profiles per solvent.
+"""Degradation energetics: reduced-oxygen attack profiles per solvent.
 
-For each solvent the rigid approach scan of the peroxide dianion yields
-an energy profile referenced to its own *far point* (the longest scan
-distance):
+For each solvent the rigid approach scan of a nucleophile (the peroxide
+dianion by default, Li2O2 or the superoxide radical anion on request)
+yields an energy profile referenced to its own *far point* (the longest
+scan distance):
 
     dE(r) = E[complex at r] - E[complex at r_far]
 
@@ -14,6 +15,12 @@ sulfinyl/nitrile centers of the stabler alternatives).  That contrast is
 exactly the paper's chemistry conclusion, and the attack energy
 (contact minus far) is the stability descriptor the solvent screening
 ranks by.
+
+Each point routes the way :func:`repro.api.run_scf` does: UHF for
+``method="uhf"`` or an open-shell complex (the superoxide doublet),
+restricted Hartree-Fock or Kohn-Sham otherwise.  There is no
+unrestricted Kohn-Sham, so an open-shell complex with a DFT method is
+refused before any SCF runs.
 """
 
 from __future__ import annotations
@@ -21,74 +28,70 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from ..chem.molecule import Molecule
 from ..constants import KCALMOL_PER_HARTREE
-from ..scf.dft import run_rks
-from .complexes import attack_complex
+from ..scf.dft import RKS
+from ..scf.uhf import UHF
+from .complexes import NUCLEOPHILES, approach_scan_geometries
 from .solvents import Solvent, get_solvent
 
-__all__ = ["AttackProfile", "attack_profile", "attack_energy"]
+__all__ = ["AttackProfile", "attack_profile"]
 
 
-def _energy(mol: Molecule, method: str, basis: str,
-            D0: np.ndarray | None = None, **kw) -> float:
+def _energy(mol: Molecule, route: str, basis: str, D0, **kw) -> float:
+    """One profile point on ``route``: ``"uhf"``, ``"hf"`` (restricted)
+    or a Kohn-Sham functional name."""
     kw.setdefault("max_iter", 300)
-    from ..scf.dft import RKS
-
-    if method.lower() == "hf":
-        res = RKS(mol, basis, functional=method, **kw).run(D0=D0)
+    if route == "uhf":
+        res = UHF(mol, basis, **kw).run(D0=D0)
         if not res.converged:
-            res = RKS(mol, basis, functional=method, level_shift=0.5,
+            res = UHF(mol, basis, level_shift=0.4, **kw).run(D0=D0)
+    elif route == "hf":
+        res = RKS(mol, basis, functional=route, **kw).run(D0=D0)
+        if not res.converged:
+            res = RKS(mol, basis, functional=route, level_shift=0.5,
                       damping=0.3, **kw).run(D0=D0)
     else:
         # the DFT gap of the anionic complexes is near-degenerate:
         # converge with Fermi smearing, then anneal it down so the
         # final (uniform across all profile points) width is small —
         # the standard condensed-phase recipe
-        warm = RKS(mol, basis, functional=method, smearing=0.01,
+        warm = RKS(mol, basis, functional=route, smearing=0.01,
                    **kw).run(D0=D0)
-        res = RKS(mol, basis, functional=method, smearing=0.002,
+        res = RKS(mol, basis, functional=route, smearing=0.002,
                   **kw).run(D0=warm.D)
     if not res.converged:
-        raise RuntimeError(f"SCF not converged for {mol.name} ({method})")
+        raise RuntimeError(f"SCF not converged for {mol.name} ({route})")
     return res.energy
 
 
-def _fragment_guess(sv: Solvent, cplx: Molecule, method: str, basis: str,
-                    nucleophile: str, cache: dict, **kw) -> np.ndarray:
+def _fragment_guess(sv: Solvent, nucleophile: str, route: str,
+                    basis: str):
     """Block-diagonal density guess from separately converged
     fragment + nucleophile SCFs (the anionic complexes rarely converge
-    from a core guess)."""
-    from ..basis.basisset import build_basis
-    from ..scf.dft import RKS
-    from .complexes import NUCLEOPHILES
+    from a core guess).
 
-    key = (sv.name, method, basis, nucleophile)
-    if key not in cache:
-        kw.setdefault("max_iter", 300)
-        if method.lower() != "hf":
-            kw.setdefault("smearing", 0.01)
-        frag = sv.build_model()
-        nuc = NUCLEOPHILES[nucleophile]()
-        rf = RKS(frag, basis, functional=method, **kw).run()
-        rn = RKS(nuc, basis, functional=method, **kw).run()
-        cache[key] = (rf.D, rn.D)
-    Df, Dn = cache[key]
-    nbf = build_basis(cplx, basis).nbf
-    D0 = np.zeros((nbf, nbf))
-    nf = Df.shape[0]
-    D0[:nf, :nf] = Df
-    D0[nf:, nf:] = Dn
-    if nf + Dn.shape[0] != nbf:
-        raise RuntimeError("fragment/nucleophile basis sizes do not tile "
-                           "the complex basis")
-    return D0
+    Closed shell: ``[D_frag, D_nuc]``.  UHF: one ``(Da, Db)`` pair of
+    ``[D_frag / 2, D_nuc^sigma]`` blocks — the fragment is
+    closed-shell, so each spin carries half its density.
+    """
+    frag, nuc = sv.build_model(), NUCLEOPHILES[nucleophile]()
+    if route == "uhf":
+        rf = UHF(frag, basis, max_iter=300).run()
+        rn = UHF(nuc, basis, max_iter=300).run()
+        return (block_diag(0.5 * rf.D_total, rn.D_a),
+                block_diag(0.5 * rf.D_total, rn.D_b))
+    smear = {} if route == "hf" else {"smearing": 0.01}
+    rf = RKS(frag, basis, functional=route, max_iter=300, **smear).run()
+    rn = RKS(nuc, basis, functional=route, max_iter=300, **smear).run()
+    return block_diag(rf.D, rn.D)
 
 
 @dataclass
 class AttackProfile:
-    """Approach-energy profile of peroxide attack on one solvent.
+    """Approach-energy profile of nucleophilic attack on one solvent.
 
     ``distances`` are in Angstrom, descending (long range first);
     ``energies`` are in Hartree relative to the far point.
@@ -132,7 +135,7 @@ class AttackProfile:
         return self.well_depth_kcal < threshold_kcal
 
     def stability_score(self) -> float:
-        """More positive = more stable against peroxide attack.
+        """More positive = more stable against nucleophilic attack.
 
         Dominated by the chemical well depth (deeply negative when the
         solvent is attacked, 0 for all-uphill approaches); the contact
@@ -146,34 +149,20 @@ class AttackProfile:
 def attack_profile(solvent: str | Solvent, method: str = "hf",
                    basis: str = "sto-3g", distances_angstrom=None,
                    nucleophile: str = "peroxide", **scf_kw) -> AttackProfile:
-    """Compute the peroxide-attack profile for one solvent."""
+    """Compute the attack profile of ``nucleophile`` on one solvent."""
     sv = get_solvent(solvent) if isinstance(solvent, str) else solvent
-    if distances_angstrom is None:
-        distances_angstrom = np.linspace(4.0, 1.8, 6)
-    distances = np.sort(np.asarray(distances_angstrom, dtype=np.float64))[::-1]
-    absolute = []
-    cache: dict = {}
-    for d in distances:
-        cplx = attack_complex(sv, float(d), nucleophile)
-        D0 = _fragment_guess(sv, cplx, method, basis, nucleophile, cache)
-        absolute.append(_energy(cplx, method, basis, D0=D0, **scf_kw))
-    absolute = np.asarray(absolute)
+    route = method.lower()
+    distances, geoms = approach_scan_geometries(sv, distances_angstrom,
+                                                nucleophile)
+    if geoms[0].multiplicity > 1 and route != "uhf":
+        if route != "hf":
+            raise ValueError(
+                f"method={method!r} cannot run the open-shell "
+                f"{nucleophile} complex: there is no unrestricted "
+                f"Kohn-Sham; use method='uhf'")
+        route = "uhf"           # api.run_scf's rule: open shells run UHF
+    D0 = _fragment_guess(sv, nucleophile, route, basis)
+    absolute = np.array([_energy(g, route, basis, D0, **scf_kw)
+                         for g in geoms])
     return AttackProfile(sv.name, method, distances,
                          absolute - absolute[0], float(absolute[0]))
-
-
-def attack_energy(solvent: str | Solvent, method: str = "hf",
-                  basis: str = "sto-3g", far_angstrom: float = 4.0,
-                  contact_angstrom: float = 2.3, **scf_kw) -> float:
-    """Two-point attack energy (kcal/mol): E(contact) - E(far).
-    The cheap screening descriptor; negative means the solvent is
-    attacked."""
-    sv = get_solvent(solvent) if isinstance(solvent, str) else solvent
-    cache: dict = {}
-    cf = attack_complex(sv, far_angstrom)
-    cc = attack_complex(sv, contact_angstrom)
-    D0f = _fragment_guess(sv, cf, method, basis, "peroxide", cache)
-    D0c = _fragment_guess(sv, cc, method, basis, "peroxide", cache)
-    e_far = _energy(cf, method, basis, D0=D0f, **scf_kw)
-    e_contact = _energy(cc, method, basis, D0=D0c, **scf_kw)
-    return (e_contact - e_far) * KCALMOL_PER_HARTREE

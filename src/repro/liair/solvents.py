@@ -36,8 +36,8 @@ class Solvent:
     attack_atom:
         Index of the electrophilic atom in the *model* fragment.
     attack_direction:
-        Unit-ish vector (model frame) along which the peroxide oxygen
-        approaches the attack atom.
+        Unit-ish vector (model frame) along which the nucleophile's
+        leading oxygen approaches the attack atom.
     paper_role:
         How the solvent figures in the paper's narrative.
     """

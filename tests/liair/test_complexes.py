@@ -37,6 +37,16 @@ def test_li2o2_nucleophile_option():
     assert "Li" in cplx.symbols
 
 
+@pytest.mark.parametrize("nucleophile", sorted(NUCLEOPHILES))
+def test_complex_keeps_nucleophile_multiplicity(nucleophile):
+    """``Molecule.__add__`` resets multiplicity to 1; the complex keeps
+    the nucleophile's (the model fragments are closed-shell)."""
+    cplx = attack_complex(get_solvent("ACN"), 3.0, nucleophile)
+    want = 2 if nucleophile == "superoxide" else 1
+    assert cplx.multiplicity == want
+    assert cplx.nelectron % 2 == want - 1
+
+
 def test_unknown_nucleophile():
     with pytest.raises(ValueError):
         attack_complex(get_solvent("PC"), 3.0, nucleophile="hydroxide")
@@ -52,7 +62,8 @@ def test_no_atom_collisions_at_contact():
 
 def test_scan_monotone_distances():
     sv = get_solvent("DMSO")
-    geoms = approach_scan_geometries(sv, [4.0, 3.0, 2.0])
+    distances, geoms = approach_scan_geometries(sv, [3.0, 4.0, 2.0])
+    assert list(distances) == [4.0, 3.0, 2.0]
     frag_n = sv.build_model().natom
     site_idx = sv.attack_atom
     dists = []

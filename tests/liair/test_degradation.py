@@ -5,6 +5,7 @@ benchmark)."""
 import numpy as np
 import pytest
 
+from repro.liair import degradation
 from repro.liair.degradation import AttackProfile, attack_profile
 
 
@@ -57,3 +58,17 @@ def test_attack_profile_synthetic_descriptors():
     # well depth -6.3 kcal/mol crosses the -5 threshold
     assert p.is_degrading(threshold_kcal=-5.0)
     assert not p.is_degrading(threshold_kcal=-10.0)
+
+
+@pytest.mark.parametrize("method", ["pbe0", "lda"])
+def test_open_shell_dft_refused_before_scf(method, monkeypatch):
+    """No unrestricted Kohn-Sham: the doublet complex with a DFT method
+    is refused before any SCF (fragment guess included) runs."""
+    def no_scf(*args, **kw):
+        raise AssertionError("an SCF ran")
+
+    monkeypatch.setattr(degradation, "RKS", no_scf)
+    monkeypatch.setattr(degradation, "UHF", no_scf)
+    with pytest.raises(ValueError, match="unrestricted Kohn-Sham"):
+        attack_profile("ACN", method=method, nucleophile="superoxide",
+                       distances_angstrom=[4.0, 3.0])

@@ -83,14 +83,21 @@ def test_wrong_type_is_refused_naming_the_field(key):
     for bad in wrong[knob.kind]:
         with pytest.raises(ValueError, match=rf"Owner\.{knob.name} must be"):
             check(key, bad, owner="Owner")
+        # the API path refuses numeric text too: only the environment
+        # and the CLI spell a value as text
+        with pytest.raises(ValueError, match=rf"^{knob.name} must be"):
+            resolve(key, bad)
 
 
 @pytest.mark.parametrize("key", BOUNDED)
 def test_range_edge(key):
     knob = KNOBS[key]
     below = knob.lo - 1 if knob.kind == "int" else knob.lo - 0.25
-    with pytest.raises(ValueError, match=knob.name):
-        check(key, below)
+    for value in (below, below - 1):
+        with pytest.raises(ValueError, match=knob.name):
+            check(key, value)
+        with pytest.raises(ValueError, match=knob.name):
+            resolve(key, value)
     if knob.open:
         with pytest.raises(ValueError, match="positive"):
             check(key, knob.lo)
@@ -141,6 +148,8 @@ def test_text_path_names_its_label(key):
 
 def test_describe_phrases():
     assert KNOBS["nworkers"].describe() == "a positive integer"
+    assert KNOBS["checkpoint_every"].describe() == \
+        "a positive integer (MD steps)"
     assert KNOBS["pool_max_retries"].describe() == "a non-negative integer"
     assert KNOBS["charge"].describe() == "an integer"
     assert KNOBS["pool_timeout"].describe() == "a positive number (seconds)"

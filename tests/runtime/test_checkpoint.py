@@ -16,8 +16,7 @@ from repro.constants import fs_to_aut
 from repro.md import BOMD, CSVRThermostat, SCFForceEngine, restore_thermostat
 from repro.runtime import (CheckpointCorruptError, CheckpointError,
                            CheckpointStore, ExecutionConfig, MetricsRegistry,
-                           Restartable, RestartableRNG, Tracer,
-                           resolve_checkpoint_every)
+                           Restartable, RestartableRNG, Tracer)
 from repro.runtime.checkpoint import _HEADER, FORMAT_VERSION, MAGIC
 
 pytestmark = pytest.mark.checkpoint
@@ -155,36 +154,7 @@ def test_save_is_atomic_over_existing_snapshot(tmp_path):
     assert len(store.snapshots()) == 1
 
 
-# --- resolve_checkpoint_every -------------------------------------------------
-
-
-def test_resolve_checkpoint_every_default(monkeypatch):
-    monkeypatch.delenv("REPRO_CHECKPOINT_EVERY", raising=False)
-    assert resolve_checkpoint_every() == 10
-    assert resolve_checkpoint_every(3) == 3
-    # numeric text is the environment's spelling only: the API path
-    # refuses it like every other table row does
-    with pytest.raises(ValueError, match="positive integer"):
-        resolve_checkpoint_every("7")
-
-
-def test_resolve_checkpoint_every_env(monkeypatch):
-    monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "4")
-    assert resolve_checkpoint_every() == 4
-    monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "zero")
-    with pytest.raises(ValueError, match="positive integer"):
-        resolve_checkpoint_every()
-
-
-@pytest.mark.parametrize("bad", [True, False, 0, -1, 2.5, "many", None])
-def test_resolve_checkpoint_every_rejects(bad, monkeypatch):
-    if bad is None:
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "-3")
-        with pytest.raises(ValueError, match="positive integer"):
-            resolve_checkpoint_every()
-    else:
-        with pytest.raises(ValueError, match="positive integer"):
-            resolve_checkpoint_every(bad)
+# --- ExecutionConfig checkpoint fields ----------------------------------------
 
 
 def test_execconfig_checkpoint_fields_validated():
