@@ -185,8 +185,7 @@ def _build_bomd(spec: JobSpec, cfg: ExecutionConfig,
             engine.conv_tol = spec.conv_tol
             engine.scf_kwargs.update(
                 screen_eps=spec.screen_eps,
-                mode=jk_build_mode(engine.config, spec.mode,
-                                   engine.incremental))
+                mode=jk_build_mode(engine.config, spec.mode))
     return b, restored_from
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..machine.bgq import BGQConfig
 from ..machine.simulator import BuildTiming
+from .incremental import REBUILD_EVERY
 from .scheme import HFXScheme
 from .tasklist import TaskList
 
@@ -78,7 +79,7 @@ def simulate_scf_cycle(tasks: TaskList, cfg: BGQConfig, n_iter: int = 8,
                        delta0: float = DEFAULT_DELTA0,
                        decay: float = DEFAULT_DECAY,
                        flop_scale: float = 1.0,
-                       rebuild_every: int = 8,
+                       rebuild_every: int = REBUILD_EVERY,
                        survival: Callable[[float], float] | None = None,
                        **scheme_kw) -> SCFCycleResult:
     """Price ``n_iter`` exchange builds of one SCF cycle.

@@ -50,7 +50,7 @@ from ..runtime.checkpoint import CheckpointError, SnapshotInfo
 from ..runtime.execconfig import ExecutionConfig
 from ..basis.basisset import build_basis
 from ..scf.dft import RKS
-from ..scf.fock import check_jk_mode, jk_build_mode, make_jk_engine
+from ..scf.fock import jk_build_mode, make_jk_engine
 from ..scf.gradient import scf_gradient
 from ..scf.guess import ASPCExtrapolator
 from ..scf.rhf import RHF, SCFResult
@@ -91,11 +91,6 @@ class SCFForceEngine:
         route only).
     reuse_density:
         Seed each SCF with the previous converged density.
-    incremental:
-        Route the exchange builds of every SCF through an
-        :class:`repro.hfx.IncrementalExchange`, so the
-        density-difference screen spans the SCF iterations of one
-        geometry but never a stale one (not with ``jk="ri"``).
     config:
         :class:`repro.runtime.ExecutionConfig`.  Every SCF of the
         trajectory — HF or Kohn-Sham — builds through *one*
@@ -104,9 +99,11 @@ class SCFForceEngine:
         ``reset()`` at each geometry jump: with ``executor="process"``
         its worker pool is spawned at the first SCF and each new
         geometry re-targets the live workers instead of respawning
-        them; with ``jk="ri"`` it carries the fitted-tensor cache.
-        ``executor="process"``, ``jk="ri"`` and ``incremental`` imply
-        direct-mode SCFs.  The tracer (if any) records the per-step
+        them; with ``jk="ri"`` it carries the fitted-tensor cache; a
+        direct-mode exact engine carries the increment history across
+        the SCF iterations of one geometry, never to the next.
+        ``executor="process"`` and ``jk="ri"`` imply direct-mode
+        SCFs.  The tracer (if any) records the per-step
         force-evaluation spans.  If the pool becomes unrecoverable
         mid-trajectory (worker deaths past the retry budget), the
         engine finishes the run on the serial executor — one
@@ -119,7 +116,6 @@ class SCFForceEngine:
     fd_step: float = 1e-3
     reuse_density: bool = True
     conv_tol: float = 1e-8
-    incremental: bool = False
     config: ExecutionConfig | None = None
     scf_kwargs: dict = field(default_factory=dict)
     last_result: SCFResult | None = None
@@ -131,9 +127,6 @@ class SCFForceEngine:
         from ..runtime.execconfig import resolve_execution
 
         self.config = resolve_execution(self.config, owner="SCFForceEngine")
-        # an impossible engine (incremental x ri) fails here, not at
-        # the first force call
-        check_jk_mode("direct", self.config, self.incremental)
 
     @property
     def analytic(self) -> bool:
@@ -167,13 +160,12 @@ class SCFForceEngine:
             # adaptive state (trust radius, cumulative counters)
             kwargs.setdefault("soscf_state", self._soscf_state)
         kwargs.setdefault("config", self.config)
-        kwargs.setdefault("mode", jk_build_mode(
-            self.config, incremental=self.incremental))
+        kwargs.setdefault("mode", jk_build_mode(self.config))
         basis = build_basis(mol, self.basis)
         if self._jk is None:
             self._jk = make_jk_engine(
                 basis, self.config, kwargs.get("screen_eps", 1e-10),
-                incremental=self.incremental, mode=kwargs["mode"])
+                mode=kwargs["mode"])
         else:
             # geometry jump: shell pairs, Schwarz keys, the fitted
             # tensor and any increment history refer to the previous
@@ -472,6 +464,12 @@ class CheckpointedMD:
             if theirs != mine[key]:
                 mismatches.append(
                     f"{key}: snapshot {theirs!r} != {mine[key]!r}")
+        if p.get("incremental"):
+            # the retired switch forced direct-mode SCFs, which no
+            # runner parameter selects; a stored False is dropped
+            mismatches.append(
+                "incremental: snapshot ran the retired switch on "
+                "(direct-mode SCFs), which no runner parameter selects")
         if mismatches:
             raise CheckpointError(
                 f"{name}: snapshot does not match this run — "
@@ -503,7 +501,8 @@ class CheckpointedMD:
                        ) -> "CheckpointedMD":
         """A runner built from a snapshot's molecule and parameters:
         the ones that are constructor arguments (not ``natom``, nor an
-        older snapshot's ``analytic_forces``); absent ones default."""
+        older snapshot's ``analytic_forces`` or ``incremental``);
+        absent ones default."""
         names = {f.name for f in fields(cls) if f.init}
         kwargs = {k: v for k, v in state["params"].items() if k in names}
         return cls(mol=state["mol"], config=cfg, **kwargs)
@@ -566,7 +565,6 @@ class BOMD(CheckpointedMD):
     temperature: float | None = None
     seed: int = 0
     thermostat: object | None = None
-    incremental: bool = False
     config: ExecutionConfig | None = None
     n_outer: int = 1
     inner: str = "ff"
@@ -589,7 +587,6 @@ class BOMD(CheckpointedMD):
                 f"BOMD: aspc_order={self.aspc_order!r} needs n_outer > 1 "
                 f"(ASPC warm-starts the RESPA outer force only)")
         self.engine = SCFForceEngine(self.mol, self.method, self.basis,
-                                     incremental=self.incremental,
                                      config=self.config)
         dt = fs_to_aut(self.dt_fs)
         self.fast_engine = self._aspc = None

@@ -118,17 +118,19 @@ class RKS(RHF):
 
     # --- Fock hooks (see RHF._run) -------------------------------------------
 
-    def _fock_energy(self, hcore: np.ndarray, enuc: float):
+    def _fock_energy(self, hcore: np.ndarray, enuc: float, build=None):
         """Kohn-Sham ``fock_energy(D)``: Coulomb + scaled exact
         exchange + grid-integrated semilocal XC.  A pure functional
-        (``hfx_fraction == 0``) never asks the engine for K."""
+        (``hfx_fraction == 0``) never asks the engine for K.  ``build``
+        as in :meth:`RHF._fock_energy`."""
         a_hfx = self.functional.hfx_fraction
         pure_hf = self.functional.name.lower() == "hf"
         tr = self.config.trace
+        build = build or self._jk.build
 
         def fock_energy(D):
             need_k = a_hfx > 0.0
-            J, K = self._jk.build(D, want_k=need_k)
+            J, K = build(D, want_k=need_k)
             F = hcore + J
             e2 = 0.5 * float(np.einsum("pq,pq->", D, J))
             exc = 0.0

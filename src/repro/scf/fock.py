@@ -17,9 +17,10 @@ Two accumulation granularities, mirroring the two ERI kernels:
   quartet;
 * :func:`scatter_exchange_batch` / :func:`scatter_coulomb_batch` —
   whole L-class batches: the density sub-blocks every quartet needs are
-  gathered into one batch tensor, contracted in a single vectorized
-  ``einsum`` per permutation slot, and scattered back through
-  precomputed index arrays with ``np.add.at``.
+  gathered into one batch tensor, contracted in a single batched
+  matrix product per permutation slot (no per-call contraction
+  planning), and scattered back through precomputed index arrays with
+  ``np.add.at``.
 """
 
 from __future__ import annotations
@@ -171,14 +172,16 @@ def scatter_exchange_batch(basis: BasisSet, K: np.ndarray,
         if not mask.any():
             continue
         sub = idx[mask]
+        # axes (q, a, c, b, d): the K block first, the contracted D
+        # block last, so the slot is one batched matrix-vector product
         blk = blocks[mask].transpose(
-            (0, ax[0] + 1, ax[1] + 1, ax[2] + 1, ax[3] + 1))
-        na, nb, nc, nd = blk.shape[1:]
+            (0, ax[0] + 1, ax[2] + 1, ax[1] + 1, ax[3] + 1))
+        nq, na, nc, nb, nd = blk.shape
         rows_b = _ao_rows(off, sub[:, ax[1]], nb)
         cols_d = _ao_rows(off, sub[:, ax[3]], nd)
         # K_ac += (ab|cd) D_bd, one contraction for the whole sub-batch
-        kblk = np.einsum("qxyzw,qyw->qxz", blk,
-                         _gather_blocks(D, rows_b, cols_d), optimize=True)
+        dbd = _gather_blocks(D, rows_b, cols_d).reshape(nq, nb * nd, 1)
+        kblk = (blk.reshape(nq, na * nc, nb * nd) @ dbd).reshape(nq, na, nc)
         rows_a = _ao_rows(off, sub[:, ax[0]], na)
         cols_c = _ao_rows(off, sub[:, ax[2]], nc)
         np.add.at(K, (rows_a[:, :, None], cols_c[:, None, :]), kblk)
@@ -196,22 +199,24 @@ def scatter_coulomb_batch(basis: BasisSet, J: np.ndarray,
     idx = np.asarray(idx, dtype=np.int64).reshape(-1, 4)
     off = basis.offsets
     i, j, k, l = idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3]
-    nA, nB, nC, nD = blocks.shape[1:]
+    nq, nA, nB, nC, nD = blocks.shape
+    # (q, ij, kl) matrices: both contractions are batched products
+    bmat = blocks.reshape(nq, nA * nB, nC * nD)
     dkl = np.where(k == l, 1.0, 2.0)
     rows_k = _ao_rows(off, k, nC)
     cols_l = _ao_rows(off, l, nD)
-    jblk = np.einsum("qxyzw,qzw->qxy", blocks,
-                     _gather_blocks(D, rows_k, cols_l),
-                     optimize=True) * dkl[:, None, None]
+    dkl_blk = _gather_blocks(D, rows_k, cols_l).reshape(nq, nC * nD, 1)
+    jblk = (bmat @ dkl_blk).reshape(nq, nA, nB) * dkl[:, None, None]
     rows_i = _ao_rows(off, i, nA)
     cols_j = _ao_rows(off, j, nB)
     np.add.at(J, (rows_i[:, :, None], cols_j[:, None, :]), jblk)
     mirror = ~((i == k) & (j == l))
     if mirror.any():
+        nm = int(mirror.sum())
         dij = np.where(i[mirror] == j[mirror], 1.0, 2.0)
-        jblk = np.einsum("qxyzw,qxy->qzw", blocks[mirror],
-                         _gather_blocks(D, rows_i[mirror], cols_j[mirror]),
-                         optimize=True) * dij[:, None, None]
+        dij_blk = _gather_blocks(D, rows_i[mirror], cols_j[mirror])
+        jblk = (dij_blk.reshape(nm, 1, nA * nB) @ bmat[mirror]).reshape(
+            nm, nC, nD) * dij[:, None, None]
         np.add.at(J, (rows_k[mirror][:, :, None],
                       cols_l[mirror][:, None, :]), jblk)
 
@@ -287,8 +292,8 @@ class JKEngine:
     Implementations: :class:`TensorJKEngine` (in-core reference),
     :class:`DirectJKBuilder` (screened quartet walk),
     :class:`repro.scf.ri_jk.RIJKBuilder` (density fitting) and
-    :class:`repro.hfx.IncrementalExchange` (density-difference
-    screening over a direct builder); :func:`make_jk_engine` picks one.
+    :class:`repro.hfx.IncrementalExchange` (the direct walk of the
+    density increment); :func:`make_jk_engine` picks one.
     Engines that can run on the worker pool hold a
     :class:`repro.runtime.pool.PoolLease` in ``lease``.
     """
@@ -473,19 +478,30 @@ class DirectJKBuilder(JKEngine):
 
         return self.lease.run(pooled, serial, tr)
 
-    def build(self, D: np.ndarray, want_j: bool = True, want_k: bool = True
+    def build(self, D: np.ndarray, want_j: bool = True, want_k: bool = True,
+              blocks: np.ndarray | None = None, eps: float | None = None
               ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Build J and/or K for density ``D`` (AO basis, symmetric)."""
+        """Build J and/or K for density ``D`` (AO basis, symmetric).
+
+        A plain call is the full build: every quartet is screened by
+        the global ``max|D|``.  ``blocks`` is an ``(nshell, nshell)``
+        table of per-shell-block ``max|D|`` (the density-increment walk
+        of :class:`repro.hfx.IncrementalExchange`): each quartet is then
+        screened by the six blocks its J and K contractions touch, and
+        ``eps`` (default: the builder's) is the threshold of that walk.
+        """
         tr = self.config.trace
+        eps = self.eps if eps is None else eps
         with tr.span("jk.build", cat="scf", executor=self.executor,
                      kernel=self.kernel):
-            dmax = float(np.abs(D).max()) if D.size else 0.0
+            dmax = blocks if blocks is not None else (
+                float(np.abs(D).max()) if D.size else 0.0)
             # the vectorized screen walks bra pairs and surviving kets in
             # the same order (and with the same float test) as the older
             # fused quartet loop, so the accumulation order — and thus
             # the bitwise result — is unchanged
-            with tr.span("jk.screen", cat="screening", eps=self.eps):
-                pairs = self._screened_pairs(dmax)
+            with tr.span("jk.screen", cat="screening", eps=eps):
+                pairs = self._screened_pairs(dmax, eps)
             J, K, self.quartets_computed = self.eval_pairs(pairs, D,
                                                            want_j, want_k)
             if want_j:
@@ -501,18 +517,21 @@ class DirectJKBuilder(JKEngine):
                 tr.metrics.absorb_engine(self.engine)
             return J, K
 
-    def _screened_pairs(self, dmax) -> list[tuple[int, int, np.ndarray]]:
+    def _screened_pairs(self, dmax, eps: float | None = None
+                        ) -> list[tuple[int, int, np.ndarray]]:
         """Per-bra surviving ket lists under the density-aware screen.
 
         ``dmax`` is the global ``max|D|`` of a full build (a float: every
         quartet is bounded by ``Q_ij Q_kl max(dmax, 1)``) or an
         ``(nshell, nshell)`` table of per-shell-block ``max|dD|`` (the
-        incremental screen: each quartet is bounded by the four blocks
-        its exchange contraction touches, ``(j,l), (j,k), (i,l),
-        (i,k)``).  The float test is ``Q_ij * Q_kl * d < eps`` in that
-        order either way, so every executor and caller keeps or drops
-        exactly the same boundary quartets.
+        increment screen: each quartet is bounded by the six blocks its
+        contractions touch — ``(k,l)`` and ``(i,j)`` for J, ``(j,l),
+        (j,k), (i,l), (i,k)`` for K).  The float test is
+        ``Q_ij * Q_kl * d < eps`` in that order either way, so every
+        executor and caller keeps or drops exactly the same boundary
+        quartets.  ``eps`` defaults to the builder's threshold.
         """
+        eps = self.eps if eps is None else eps
         out = []
         self.quartets_total = 0
         blocks = np.ndim(dmax) == 2
@@ -523,16 +542,18 @@ class DirectJKBuilder(JKEngine):
             self.quartets_total += len(qk)
             if blocks:
                 k, l = ks[a:], ls[a:]
-                m = np.maximum(np.maximum(dmax[j, l], dmax[j, k]),
-                               np.maximum(dmax[i, l], dmax[i, k]))
-            keep = ~(self._qvals[a] * qk * m < self.eps)
+                m = np.maximum(
+                    np.maximum(np.maximum(dmax[j, l], dmax[j, k]),
+                               np.maximum(dmax[i, l], dmax[i, k])),
+                    np.maximum(dmax[k, l], dmax[i, j]))
+            keep = ~(self._qvals[a] * qk * m < eps)
             if keep.any():
                 out.append((i, j, self._keys_arr[a:][keep]))
         return out
 
 
-def check_jk_mode(mode: str, config, incremental: bool = False,
-                  engine: JKEngine | None = None) -> None:
+def check_jk_mode(mode: str, config, engine: JKEngine | None = None
+                  ) -> None:
     """Refuse integral-plumbing combinations no engine serves.
 
     Shared by the SCF drivers (so a bad combination — or a caller-owned
@@ -543,62 +564,53 @@ def check_jk_mode(mode: str, config, incremental: bool = False,
     if mode not in JK_BUILD_MODES:
         raise ValueError(f"mode must be 'incore' or 'direct', got {mode!r}")
     check_jk_route(mode, config.executor, config.jk)
-    if mode != "direct" and incremental:
-        raise ValueError("incremental exchange requires mode='direct' "
-                         "(the in-core tensor path has no quartets to "
-                         "screen away)")
-    if incremental and config.jk == "ri":
-        raise ValueError("incremental exchange and jk='ri' are mutually "
-                         "exclusive K strategies: the fitted K is rebuilt "
-                         "from the cached B tensor instead")
     if engine is not None and engine.jk != config.jk:
         raise ValueError(f"jk_engine implements jk={engine.jk!r} but the "
                          f"config says jk={config.jk!r}")
 
 
-def jk_build_mode(config, requested: str | None = None,
-                  incremental: bool = False) -> str:
+def jk_build_mode(config, requested: str | None = None) -> str:
     """The build style a driver runs under ``config``: ``"direct"``
-    whenever a pool, the fitted engine or incremental exchange needs
-    the quartet loop (none has anything to accelerate on the in-core
-    tensor — :func:`check_jk_mode` refuses those combinations), else
+    whenever a pool or the fitted engine needs the quartet loop (neither
+    has anything to accelerate on the in-core tensor —
+    :func:`check_jk_mode` refuses those combinations), else
     ``requested`` (``None`` = in-core)."""
-    if config.executor == "process" or config.jk == "ri" or incremental:
+    if config.executor == "process" or config.jk == "ri":
         return "direct"
     return requested or "incore"
 
 
 def make_jk_engine(basis: BasisSet, config=None, eps: float = 1e-10,
-                   pool=None, incremental: bool = False,
-                   mode: str = "direct") -> JKEngine:
+                   pool=None, mode: str = "direct") -> JKEngine:
     """The one J/K engine for ``basis`` under ``config``.
 
-    ===========  ========  ===========  ================================
-    ``mode``     ``jk``    incremental  engine
-    ===========  ========  ===========  ================================
-    ``incore``   direct    no           :class:`TensorJKEngine`
-    ``direct``   ``ri``    no           :class:`~repro.scf.ri_jk.RIJKBuilder`
-    ``direct``   direct    yes          :class:`~repro.hfx.IncrementalExchange`
-    ``direct``   direct    no           :class:`DirectJKBuilder`
-    ===========  ========  ===========  ================================
+    ===========  ========  ===========================================
+    ``mode``     ``jk``    engine
+    ===========  ========  ===========================================
+    ``incore``   direct    :class:`TensorJKEngine`
+    ``direct``   ``ri``    :class:`~repro.scf.ri_jk.RIJKBuilder`
+    ``direct``   direct    :class:`~repro.hfx.IncrementalExchange`
+    ===========  ========  ===========================================
 
-    ``executor``/``kernel`` ride inside ``config`` and apply to every
-    direct-mode engine; ``pool`` shares a caller-owned worker pool
+    Every direct-mode exact engine builds its J/K pairs from the
+    density increment (the first build at a geometry and every
+    ``REBUILD_EVERY``-th one are full builds); a caller that wants the
+    plain full build every time constructs a :class:`DirectJKBuilder`
+    itself.  ``executor``/``kernel`` ride inside ``config`` and apply to
+    every direct-mode engine; ``pool`` shares a caller-owned worker pool
     (the engine then never closes it).  The caller owns the returned
     engine: ``reset(basis)`` at geometry jumps, ``close()`` when done.
     """
     from ..runtime.execconfig import resolve_execution
 
     cfg = resolve_execution(config, owner="make_jk_engine")
-    check_jk_mode(mode, cfg, incremental)
+    check_jk_mode(mode, cfg)
     if mode == "incore":
         return TensorJKEngine(basis, cfg)
     if cfg.jk == "ri":
         from .ri_jk import RIJKBuilder
 
         return RIJKBuilder(basis, eps=eps, pool=pool, config=cfg)
-    if incremental:
-        from ..hfx.incremental import IncrementalExchange
+    from ..hfx.incremental import IncrementalExchange
 
-        return IncrementalExchange(basis, eps=eps, pool=pool, config=cfg)
-    return DirectJKBuilder(basis, eps=eps, pool=pool, config=cfg)
+    return IncrementalExchange(basis, eps=eps, pool=pool, config=cfg)

@@ -304,13 +304,21 @@ class RHF:
         overrides this to build its Becke grid integrator.
         """
 
-    def _fock_energy(self, hcore: np.ndarray, enuc: float):
+    def _fock_energy(self, hcore: np.ndarray, enuc: float, build=None):
         """Hook: the ``fock_energy(D) -> (F, E_total, E_x)`` closure
         both the SCF loop and the Newton solver iterate, so they
         optimize exactly the same energy.
+
+        ``build`` is the engine call it builds J/K through: the SCF
+        loop's ``self._jk.build`` by default; the Newton phase passes
+        ``build_response``, the plain full build that leaves an
+        increment history alone (its trial densities are not points the
+        history should be anchored to).
         """
+        build = build or self._jk.build
+
         def fock_energy(D):
-            J, K = self._jk.build(D)
+            J, K = build(D)
             F = hcore + J - 0.5 * K
             e_el = 0.5 * float(np.einsum("pq,pq->", D, hcore + F))
             ex = -0.25 * float(np.einsum("pq,pq->", K, D))
@@ -328,7 +336,7 @@ class RHF:
         engine with cross-build history (an
         :class:`~repro.hfx.IncrementalExchange` is anchored to the SCF
         density trajectory — a response density would poison it)
-        serves without touching that history.
+        serves as a plain full build without touching that history.
         """
         def response(d, D=None):
             J, K = self._jk.build_response(d)
@@ -379,9 +387,10 @@ class RHF:
             rough = ADIIS(self.diis_size) if self.scf_solver == "soscf" \
                 else None
             if newton:
-                solver = NewtonSOSCF(fock_energy, self._soscf_response(), S,
-                                     X, self._nocc[0], conv_tol=self.conv_tol,
-                                     trace=tr)
+                solver = NewtonSOSCF(
+                    self._fock_energy(hcore, enuc, self._jk.build_response),
+                    self._soscf_response(), S, X, self._nocc[0],
+                    conv_tol=self.conv_tol, trace=tr)
                 if self.soscf_state is not None:
                     solver.set_state(self.soscf_state)
                 builds0, micro0 = solver.fock_builds, solver.micro_iters

@@ -131,8 +131,10 @@ class TestRIForces:
         assert fresh._jk is None
 
     def test_ri_rejects_incremental(self):
+        # the switch is gone: the direct engine is always incremental,
+        # the fitted one never
         from repro.runtime import ExecutionConfig
 
-        with pytest.raises(ValueError, match="incremental"):
+        with pytest.raises(TypeError, match="incremental"):
             SCFForceEngine(builders.h2(), method="hf", incremental=True,
                            config=ExecutionConfig(jk="ri"))

@@ -46,7 +46,7 @@ def _bomd_params(b, **more):
     """Pre-fold ``BOMD`` params, plus ``MTSBOMD``'s or a retired key."""
     return {"method": b.method, "basis": b.basis, "dt_fs": float(b.dt_fs),
             "temperature": b.temperature, "seed": b.seed,
-            "incremental": b.incremental, "natom": b.mol.natom, **more}
+            "incremental": False, "natom": b.mol.natom, **more}
 
 
 def _mts_block(b):
@@ -142,4 +142,18 @@ def test_mts_bomd_at_n_outer_1_with_aspc_history_is_refused(tmp_path):
     with pytest.raises(CheckpointError, match="aspc_order"):
         restore_md(str(tmp_path))
     with pytest.raises(CheckpointError, match="aspc_order"):
+        BOMD(builders.h2(0.80), dt_fs=0.2).set_state(state)
+
+
+def test_retired_incremental_switch_is_refused_by_name(tmp_path):
+    """A stored ``incremental: False`` is dropped (the cases above carry
+    it); ``True`` ran direct-mode SCFs, which no parameter selects any
+    more, so that snapshot is refused rather than continued in-core."""
+    b = BOMD(builders.h2(0.80), dt_fs=0.2)
+    b.run(2)
+    state = _envelope(b, "bomd", _bomd_params(b, incremental=True))
+    CheckpointStore(tmp_path).save(state, step=2)
+    with pytest.raises(CheckpointError, match="incremental"):
+        restore_md(str(tmp_path))
+    with pytest.raises(CheckpointError, match="incremental"):
         BOMD(builders.h2(0.80), dt_fs=0.2).set_state(state)

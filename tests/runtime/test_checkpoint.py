@@ -237,53 +237,6 @@ def test_null_metrics_never_absorb_state():
     assert NULL_TRACER.metrics.get("poison") == 0
 
 
-def test_incremental_exchange_round_trip():
-    from repro.basis.basisset import build_basis
-    from repro.hfx.incremental import IncrementalExchange
-
-    basis = build_basis(builders.h2(0.74), "sto-3g")
-    rng = np.random.default_rng(1)
-    D = rng.normal(size=(basis.nbf, basis.nbf))
-    D = 0.5 * (D + D.T)
-    k1 = IncrementalExchange(basis)
-    k1.update(D)
-    k1.update(D + 1e-5)
-    k2 = IncrementalExchange(basis)
-    k2.set_state(k1.get_state())
-    assert np.array_equal(k2.K, k1.K)
-    D2 = D + 3e-5
-    assert np.array_equal(k2.update(D2), k1.update(D2))
-
-
-def test_incremental_exchange_rejects_wrong_basis():
-    from repro.basis.basisset import build_basis
-    from repro.hfx.incremental import IncrementalExchange
-
-    kh = IncrementalExchange(build_basis(builders.h2(0.74), "sto-3g"))
-    kw = IncrementalExchange(build_basis(builders.water(), "sto-3g"))
-    with pytest.raises(CheckpointError, match="function basis"):
-        kw.set_state(kh.get_state())
-
-
-def test_incremental_exchange_reset_keeps_savings_totals():
-    from repro.basis.basisset import build_basis
-    from repro.hfx.incremental import IncrementalExchange
-
-    basis = build_basis(builders.h2(0.74), "sto-3g")
-    D = np.eye(basis.nbf)
-    kinc = IncrementalExchange(basis)
-    kinc.update(D)
-    kinc.update(D + 1e-9)          # incremental build: quartets screened out
-    total_before = kinc.total_quartets_full
-    kinc.reset()
-    assert kinc.builds == 0
-    assert not kinc.D_ref.any()
-    assert not kinc.K.any()
-    # cumulative stats survive so `savings` spans the whole logical run
-    assert kinc.total_quartets_full == total_before
-    assert np.array_equal(kinc.update(D), kinc.K)
-
-
 def test_scf_engine_round_trip_warm_start():
     mol = builders.h2(0.76)
     e1 = SCFForceEngine(mol, method="hf")
@@ -528,22 +481,32 @@ def test_snapshot_with_the_old_analytic_forces_param_still_loads(tmp_path):
 
 
 def test_bomd_incremental_engine_round_trip(tmp_path):
-    """The incremental-exchange engine checkpoints and resumes
-    bit-identically too (its screen history resets at every geometry
-    jump, so nothing beyond the warm start needs to ride along)."""
-    ref = BOMD(builders.h2(0.80), dt_fs=0.5, incremental=True)
-    want = ref.run(8)
+    """A direct-mode trajectory builds through the incremental engine
+    and resumes bit-identically: the increment history resets at every
+    geometry jump, so nothing beyond the warm start rides along."""
+    from repro.hfx import IncrementalExchange
+
+    def direct(b):
+        # what api.run_md does for a JobSpec(mode="direct"), fresh or
+        # revived: the SCF mode rides no snapshot
+        b.engine.scf_kwargs["mode"] = "direct"
+        return b
+
+    ref = direct(BOMD(builders.water(), dt_fs=0.5, temperature=300.0,
+                      seed=2))
+    want = ref.run(4)
+    assert isinstance(ref.engine._jk, IncrementalExchange)
 
     ckdir = tmp_path / "ck"
-    cfg = ExecutionConfig(checkpoint_dir=str(ckdir), checkpoint_every=3)
-    victim = BOMD(builders.h2(0.80), dt_fs=0.5, incremental=True,
-                  config=cfg)
-    victim.run(3)
+    cfg = ExecutionConfig(checkpoint_dir=str(ckdir), checkpoint_every=2)
+    victim = direct(BOMD(builders.water(), dt_fs=0.5, temperature=300.0,
+                         seed=2, config=cfg))
+    victim.run(2)
     del victim
 
-    revived = BOMD.restore(str(ckdir))
-    assert revived.incremental
-    got = revived.run(8)
+    revived = direct(BOMD.restore(str(ckdir)))
+    got = revived.run(4)
+    assert isinstance(revived.engine._jk, IncrementalExchange)
     _assert_traj_identical(got, want)
 
 

@@ -177,7 +177,9 @@ def soscf_loop(drv, D0=None) -> SCFResult:
     auto = drv.scf_solver == "auto"
     diis = DIIS(drv.diis_size)
     rough = None if auto else ADIIS(drv.diis_size)
-    solver = NewtonSOSCF(fock_energy, drv._soscf_response(), S, X,
+    # the Newton phase's Fock builds bypass an increment history
+    solver = NewtonSOSCF(drv._fock_energy(hcore, enuc, drv._jk.build_response),
+                         drv._soscf_response(), S, X,
                          nocc, conv_tol=drv.conv_tol, trace=tr)
     if drv.soscf_state is not None:
         solver.set_state(drv.soscf_state)

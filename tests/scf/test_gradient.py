@@ -576,11 +576,16 @@ def test_route_is_independent_of_kernel_and_solver(cfg):
 
 
 def test_incremental_engine_takes_the_analytic_route():
+    """A direct-mode engine builds through the incremental engine and
+    still differentiates the energy it minimised."""
+    from repro.hfx import IncrementalExchange
+
     mol = builders.water()
     _, F_ref = SCFForceEngine(mol, conv_tol=1e-10).energy_forces(mol.coords)
-    eng = SCFForceEngine(mol, conv_tol=1e-10, incremental=True)
+    eng = SCFForceEngine(mol, conv_tol=1e-10, scf_kwargs={"mode": "direct"})
     assert eng.analytic
     _, F = eng.energy_forces(mol.coords)
+    assert isinstance(eng._jk, IncrementalExchange)
     assert np.abs(F - F_ref).max() < 1e-6
 
 

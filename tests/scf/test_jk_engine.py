@@ -1,10 +1,11 @@
 """Conformance + parity of every engine ``make_jk_engine`` can return.
 
-One parametrization — {tensor, direct, direct+incremental, ri} x
-{serial, process} x {quartet, batched} — against the in-core tensor
-reference, replacing per-builder hand-picked pairs: the surface
-(``build``/``reset``/``close``), pool ownership, and the rule that a
-response density never enters an increment history.
+One parametrization — {tensor, plain direct, the factory's direct
+engine (incremental), ri} x {serial, process} x {quartet, batched} —
+against the in-core tensor reference, replacing per-builder hand-picked
+pairs: the surface (``build``/``reset``/``close``), pool ownership, and
+the rule that neither a response density nor a Newton-phase Fock build
+enters an increment history.
 """
 
 import numpy as np
@@ -43,8 +44,10 @@ def _make(kind, executor, kernel, basis, pool=None):
     cfg = ExecutionConfig(executor=executor, kernel=kernel,
                           nworkers=2 if executor == "process" else None,
                           jk="ri" if kind == "ri" else "direct")
+    if kind == "direct":
+        # the plain full build is the caller's to make
+        return DirectJKBuilder(basis, EPS, pool=pool, config=cfg)
     return make_jk_engine(basis, cfg, EPS, pool=pool,
-                          incremental=kind == "incremental",
                           mode="incore" if kind == "tensor" else "direct")
 
 
@@ -76,7 +79,12 @@ def test_build_matches_tensor_reference(kind, executor, kernel, water_basis,
             assert np.abs(J - coulomb_from_tensor(water_eri, D)).max() < tol_j
             assert np.abs(K - exchange_from_tensor(water_eri, D)).max() < tol_k
         J_only, none = engine.build(D, want_k=False)
-        assert none is None and np.array_equal(J_only, J)
+        assert none is None
+        assert np.abs(J_only - coulomb_from_tensor(water_eri, D)).max() \
+            < tol_j
+        if kind != "incremental":
+            # (the incremental J is the running sum; J-only is full)
+            assert np.array_equal(J_only, J)
         none, K_only = engine.build(D, want_j=False)
         assert none is None and K_only is not None
         assert not engine.degraded
@@ -137,8 +145,9 @@ def test_factory_refuses_impossible_engines(water_basis):
     proc = ExecutionConfig(executor="process")
     with pytest.raises(ValueError, match="mode='direct'"):
         make_jk_engine(water_basis, proc, mode="incore")
-    with pytest.raises(ValueError, match="mode='direct'"):
-        make_jk_engine(water_basis, incremental=True, mode="incore")
+    # the incremental switch is gone: every direct engine is incremental
+    with pytest.raises(TypeError, match="incremental"):
+        make_jk_engine(water_basis, incremental=True)
     with pytest.raises(ValueError, match="mode must be"):
         make_jk_engine(water_basis, mode="semidirect")
 
@@ -146,33 +155,36 @@ def test_factory_refuses_impossible_engines(water_basis):
 @pytest.mark.soscf
 def test_response_density_never_enters_increment_history(water, water_rhf):
     """The Newton micro-iterations contract indefinite, traceless
-    perturbation densities; only real SCF densities (tr(DS) = N) may
-    become the incremental engine's ``D_ref``."""
+    perturbation densities, and the Newton phase's own Fock builds are
+    trial points: both run the plain full build.  Only the rough
+    phase's SCF densities (tr(DS) = N) become the incremental engine's
+    ``D_ref``."""
     basis = build_basis(water)
-    engine = IncrementalExchange(basis, eps=1e-12)
-    updates, responses = [], []
-    update, full_build = engine.update, engine.full.build
-
-    def spy_full(d, want_j=True, want_k=True):
-        # the full builder serves J for SCF densities (want_k=False)
-        # and whole J/K pairs only for response densities
-        if want_k:
-            responses.append(d)
-        return full_build(d, want_j, want_k)
-
-    engine.update = lambda D: updates.append(D) or update(D)
-    engine.full.build = spy_full
+    engine = make_jk_engine(basis, eps=1e-12)
+    assert isinstance(engine, IncrementalExchange)
+    history, plain = [], []
+    build, respond = engine.build, engine.build_response
+    engine.build = lambda D, want_j=True, want_k=True: \
+        history.append(D) or build(D, want_j, want_k)
+    engine.build_response = lambda d, want_j=True, want_k=True: \
+        plain.append(d) or respond(d, want_j, want_k)
     res = RHF(water, basis, mode="direct", jk_engine=engine,
               config=ExecutionConfig(scf_solver="soscf")).run()
     assert res.converged and abs(res.energy - water_rhf.energy) < 1e-8
+
+    def trace(d):
+        return np.einsum("pq,qp->", d, res.S)
+
+    responses = [d for d in plain if abs(trace(d)) < 1e-8]
+    newton = [d for d in plain if abs(trace(d) - water.nelectron) < 1e-8]
     assert responses, "the Newton phase never built a response"
-    assert len(updates) == res.fock_builds
-    for D in updates:
-        assert abs(np.einsum("pq,qp->", D, res.S) - water.nelectron) < 1e-8
-    for d in responses:
-        assert abs(np.einsum("pq,qp->", d, res.S)) < 1e-8
-    assert abs(np.einsum("pq,qp->", engine.D_ref, res.S)
-               - water.nelectron) < 1e-8
+    assert newton, "the Newton phase never built a Fock matrix"
+    assert len(responses) + len(newton) == len(plain)
+    assert len(history) + len(newton) == res.fock_builds
+    assert engine.builds == len(history)
+    for D in history:
+        assert abs(trace(D) - water.nelectron) < 1e-8
+    assert np.array_equal(engine.D_ref, history[-1])
 
 
 class _SpyEngine(TensorJKEngine):
@@ -234,3 +246,72 @@ def test_caller_owned_process_engine_survives_rks(water, water_basis):
         engine.close()
     engine.close()
     assert pool.closed and closes == [1]
+
+
+def _scf_hexes(res):
+    """Energy and density bits of a restricted or unrestricted result."""
+    dens = [res.D] if hasattr(res, "D") else [res.D_a, res.D_b]
+    return [float(res.energy).hex(), res.niter] + [
+        [float(x).hex() for x in D.ravel()] for D in dens]
+
+
+@pytest.mark.parametrize("driver", ["uhf", "pbe"])
+def test_single_matrix_builds_never_touch_the_history(driver, water,
+                                                      water_basis):
+    """UHF (one J, one K per spin) and a pure functional (J only) build
+    no J/K pair, so the factory's direct engine runs them as the plain
+    full build: the SCF is bit-identical to one through a caller-passed
+    ``DirectJKBuilder``."""
+    from repro.scf.uhf import UHF
+
+    def run(engine):
+        if driver == "uhf":
+            return UHF(water, water_basis, mode="direct",
+                       jk_engine=engine, break_symmetry=True).run()
+        return RKS(water, water_basis, functional="pbe", mode="direct",
+                   jk_engine=engine).run()
+
+    engine = make_jk_engine(water_basis)
+    assert isinstance(engine, IncrementalExchange)
+    got = run(engine)
+    assert engine.builds == 0 and not engine.D_ref.any()
+    assert _scf_hexes(got) == _scf_hexes(run(DirectJKBuilder(water_basis)))
+
+
+@pytest.mark.pool
+@pytest.mark.parametrize("nworkers", [1, 2, 4])
+def test_pooled_direct_scf_matches_serial(nworkers):
+    """A whole direct SCF through the incremental engine on the pool
+    walks the serial SCF's quartet lists build for build.  The pool sums
+    per-worker partial matrices, so J/K agree with the serial ones to
+    rounding (~1e-15), not bit for bit; the energy to 1e-10 Ha."""
+    from repro.chem import builders
+
+    mol = builders.water_cluster(2)
+    basis = build_basis(mol)
+
+    def run(cfg):
+        engine = make_jk_engine(basis, cfg)
+        counts = []
+        build = engine.build
+
+        def counted(D, want_j=True, want_k=True):
+            out = build(D, want_j, want_k)
+            counts.append(engine.last_quartets)
+            return out
+
+        engine.build = counted
+        try:
+            res = RHF(mol, basis, mode="direct", config=cfg,
+                      jk_engine=engine).run()
+        finally:
+            engine.close()
+        return res, counts
+
+    serial, s_counts = run(ExecutionConfig(kernel="batched"))
+    pooled, p_counts = run(ExecutionConfig(kernel="batched",
+                                           executor="process",
+                                           nworkers=nworkers))
+    assert serial.converged and pooled.converged
+    assert pooled.niter == serial.niter and p_counts == s_counts
+    assert abs(pooled.energy - serial.energy) < 1e-10

@@ -118,12 +118,14 @@ class TestRHFDispatch:
             RHF(builders.water(), config=RI)
 
     def test_k_builder_rejected(self):
-        # the factory is where incremental x ri is refused now
+        # the incremental switch is gone: the factory's fitted engine
+        # is never incremental, its exact direct engine always
         from repro.scf import make_jk_engine
 
         basis = build_basis(builders.water(), "sto-3g")
-        with pytest.raises(ValueError, match="incremental"):
+        with pytest.raises(TypeError, match="incremental"):
             make_jk_engine(basis, RI, incremental=True)
+        assert isinstance(make_jk_engine(basis, RI), RIJKBuilder)
 
     def test_ri_builder_requires_ri(self):
         mol = builders.water()

@@ -146,7 +146,8 @@ def test_bomd_takes_no_force_route_argument():
 
     # one runner: the stride, inner surface and ASPC order are BOMD's
     init = [f.name for f in dataclasses.fields(BOMD) if f.init]
-    assert len(init) == 12 and "analytic_forces" not in init
+    assert len(init) == 11 and "analytic_forces" not in init
+    assert "incremental" not in init
     assert not hasattr(repro.md, "MTSBOMD")
     assert len(dataclasses.fields(ExecutionConfig)) == 12
     assert len(KNOBS) == 34
