@@ -16,38 +16,34 @@ exchange contributions — both tiny thanks to orbital locality in
 condensed phase, which is what lets the scheme ride the 5-D torus to
 6.3M threads.
 
-Two execution paths:
+Two paths, kept apart:
 
 * :meth:`HFXScheme.simulate` prices a build on a BG/Q partition
-  (any size up to the full 96 racks);
-* :func:`distributed_exchange` actually runs the distributed build on a
-  real (small) molecule through the in-process communicator and is
-  verified against the serial reference in the tests — the scheme is a
-  real algorithm, not only a model.
-
-``distributed_exchange(..., config=ExecutionConfig(executor="process"))``
-additionally runs the rank loop *in parallel* on local cores through
-:class:`repro.runtime.pool.ExchangeWorkerPool`: each simulated rank's
-screened quartet batch executes in a persistent worker process and the
-per-rank partial K matrices are reduced exactly like the serial path's
-allreduce.  The serial executor remains the reference.
+  (any size up to the full 96 racks) in modelled seconds;
+* :func:`distributed_exchange` runs the same static partition on a
+  real (small) molecule: each rank's screened pair tasks go through the
+  one rank loop, :func:`repro.scf.fock.eval_rank_jobs`, of a
+  :class:`repro.scf.fock.DirectJKBuilder` (in-process, or on its worker
+  pool under ``ExecutionConfig(executor="process")``), and the per-rank
+  partial K matrices are summed in rank order like the scheme's one
+  allreduce.  It is checked against the serial reference in the tests,
+  so the scheme is a real algorithm, not only a model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from ..basis.basisset import BasisSet
-from ..integrals.eri import ERIEngine
 from ..machine.bgq import BGQConfig
 from ..machine.node import NodeComputeModel
 from ..machine.simulator import BuildTiming, CommPlan, simulate_static_build
-from ..runtime.comm import CommLog, SimWorld
 from ..runtime.execconfig import ExecutionConfig, resolve_execution
-from ..runtime.pool import PoolLease, RankJob
-from ..scf.fock import eval_screened_pairs, make_jk_engine
+from ..runtime.pool import RankJob
+from ..scf.fock import DirectJKBuilder, make_jk_engine
 from .partition import Partition, partition_tasks
 from .tasklist import TaskList, build_tasklist
 
@@ -95,10 +91,6 @@ class HFXScheme:
     orbital_partners:
         Significant exchange partners per localized orbital (allreduce
         payload model).
-    config:
-        :class:`repro.runtime.ExecutionConfig` for :meth:`execute` (and
-        the telemetry sink :meth:`simulate` records its logical phase
-        spans into).
     """
 
     tasks: TaskList
@@ -109,13 +101,6 @@ class HFXScheme:
     node: NodeComputeModel | None = None
     collective_algorithm: str = "torus_tree"
     dilation: float = 1.0
-    config: ExecutionConfig | None = None
-
-    def __post_init__(self) -> None:
-        self.config = resolve_execution(self.config, owner="HFXScheme")
-        # readable mirrors of the config's executor knobs
-        self.executor = self.config.executor
-        self.nworkers = self.config.nworkers
 
     def plan(self) -> Partition:
         """Static partition of the pair tasks."""
@@ -140,37 +125,19 @@ class HFXScheme:
             chunk = int(np.clip(mean_nq / (threads * 4.0), 1, 8))
             node = NodeComputeModel(self.cfg, chunk=chunk)
         comm = scheme_comm_plan(self.tasks, self.cfg, self.orbital_partners)
-        bt = simulate_static_build(
+        return simulate_static_build(
             rank_flops, rank_nq, self.cfg, comm, node=node,
             collective_algorithm=self.collective_algorithm,
             dilation=self.dilation)
-        tr = self.config.trace
-        if tr.enabled:
-            # the simulated build's phases as logical spans (simulated
-            # seconds, separate timeline from the wall-clock spans)
-            t = 0.0
-            for phase in ("compute", "allgather", "allreduce", "bcast"):
-                dur = bt.breakdown.get(phase, 0.0)
-                if dur > 0.0:
-                    tr.add_logical(f"sim.{phase}", t, t + dur,
-                                   nranks=bt.nranks)
-                    t += dur
-            tr.metrics.set("sim.makespan", bt.makespan)
-            tr.metrics.set("sim.total_flops", bt.total_flops)
-        return bt
 
-    def execute(self, basis: BasisSet, D: np.ndarray,
-                nranks: int | None = None, pool=None
-                ) -> tuple[np.ndarray, CommLog, TaskList, Partition]:
-        """Run the *real* distributed build with this scheme's knobs.
 
-        ``nranks`` defaults to the configured partition's rank count —
-        pass a small override when the config models a large machine.
-        """
-        return distributed_exchange(
-            basis, D, self.cfg.nranks if nranks is None else nranks,
-            eps=self.tasks.eps, partitioner=self.partitioner,
-            config=self.config, pool=pool)
+@dataclass
+class CommLog:
+    """What a real distributed build moved: the bytes of one rank's
+    contribution to its allreduce, and the number of allreduces."""
+
+    allreduce_bytes: int = 0
+    allreduce_calls: int = 0
 
 
 def _rank_pairs(tasks: TaskList, part: Partition, rank: int) -> list:
@@ -213,27 +180,27 @@ def distributed_exchange(basis: BasisSet, D: np.ndarray, nranks: int,
                          eps: float = 1e-10,
                          partitioner: str = "serpentine",
                          pool=None,
-                         engine: ERIEngine | None = None,
                          config: ExecutionConfig | None = None
                          ) -> tuple[np.ndarray, CommLog, TaskList, Partition]:
     """Actually execute the distributed exchange build (real integrals)
-    over ``nranks`` simulated ranks.
+    over ``nranks`` ranks.
 
-    Every rank computes the quartet batches of its assigned pair tasks
-    and scatters them into a local partial K; a final allreduce sums the
-    partials.  Returns ``(K, comm_log, tasks, partition)``.
+    Every rank evaluates the quartet batches of its assigned pair tasks
+    into a local partial K; one allreduce sums the partials in rank
+    order.  Returns ``(K, comm_log, tasks, partition)``.
 
     ``config`` (an :class:`repro.runtime.ExecutionConfig`) selects the
-    executor and carries the telemetry sinks.
-    ``config.executor="serial"`` (the reference) runs the rank loop
-    in-process; ``"process"`` dispatches the same per-rank batches to a
-    persistent worker pool (``config.nworkers`` processes, or an
+    executor and carries the telemetry sinks.  The rank jobs run through
+    a :class:`repro.scf.fock.DirectJKBuilder`: ``executor="serial"``
+    (the reference) evaluates them in-process, ``"process"`` on that
+    builder's worker pool (``config.nworkers`` processes, or an
     externally owned ``pool``) so the build really runs on multiple
-    cores.  Both paths accumulate identical per-rank partials, so they
-    agree to reduction roundoff.  An unrecoverable pool failure (worker
-    deaths past the retry budget) degrades the build to the serial rank
-    loop — one ``RuntimeWarning`` plus a ``pool.degraded_builds``
-    count — instead of raising.
+    cores.  Both evaluate each rank through the one rank loop,
+    :func:`repro.scf.fock.eval_rank_jobs`, so their K are the same
+    bits.  An unrecoverable pool failure (worker deaths past the retry
+    budget) degrades the build to the serial executor — one
+    ``RuntimeWarning`` plus a ``pool.degraded_builds`` count — instead
+    of raising.
 
     ``config.jk="ri"`` swaps the quartet rank loop for the
     density-fitted one: the fitted ``B`` tensor is assembled once
@@ -243,54 +210,35 @@ def distributed_exchange(basis: BasisSet, D: np.ndarray, nranks: int,
     """
     cfg = resolve_execution(config, owner="distributed_exchange")
     tr = cfg.trace
-    if engine is None:
-        engine = ERIEngine(basis)
-    with tr.span("hfx.build", cat="hfx", nranks=nranks,
-                 executor=cfg.executor, kernel=cfg.kernel):
-        with tr.span("hfx.screening", cat="screening", eps=eps):
-            tasks = build_tasklist(basis, eps, engine=engine)
-        with tr.span("hfx.partition", cat="hfx", partitioner=partitioner):
-            part = partition_tasks(tasks.flops, nranks, partitioner)
-        world = SimWorld(nranks)
-        nbf = basis.nbf
-        if cfg.jk == "ri":
-            partials = _ri_rank_partials(basis, D, nranks, eps, cfg,
-                                         pool, tr)
-        else:
-            rank_pairs = [_rank_pairs(tasks, part, r) for r in range(nranks)]
-
-            def pooled(pool):
-                jobs = [RankJob(rank=r, pairs=rank_pairs[r],
+    builder = (None if cfg.jk == "ri" else
+               DirectJKBuilder(basis, eps, pool=pool, config=cfg))
+    try:
+        with tr.span("hfx.build", cat="hfx", nranks=nranks,
+                     executor=cfg.executor, kernel=cfg.kernel):
+            with tr.span("hfx.screening", cat="screening", eps=eps):
+                tasks = build_tasklist(
+                    basis, eps, engine=None if builder is None
+                    else builder.engine)
+            with tr.span("hfx.partition", cat="hfx",
+                         partitioner=partitioner):
+                part = partition_tasks(tasks.flops, nranks, partitioner)
+            if builder is None:
+                partials = _ri_rank_partials(basis, D, nranks, eps, cfg,
+                                             pool, tr)
+            else:
+                jobs = [RankJob(rank=r, pairs=_rank_pairs(tasks, part, r),
                                 cost=float(part.rank_flops[r]))
                         for r in range(nranks)]
-                results, nq = pool.exchange(D, jobs, want_j=False,
-                                            want_k=True, tracer=tr,
-                                            kernel=cfg.kernel)
-                # fold the workers' evaluations into the parent engine so
-                # the counter stays consistent across executors
-                engine.quartets_computed += nq
-                return [results[r][1] for r in range(nranks)]
-
-            def serial():
-                out = []
-                for rank, pairs in enumerate(rank_pairs):
-                    with tr.span("hfx.rank", cat="hfx", rank=rank,
-                                 ntasks=len(pairs)):
-                        Kr = np.zeros((nbf, nbf))
-                        eval_screened_pairs(engine, basis, pairs, D, None,
-                                            Kr, cfg.kernel, tr)
-                    out.append(Kr)
-                return out
-
-            lease = PoolLease(basis, cfg, pool, owner="distributed_exchange")
-            try:
-                partials = lease.run(pooled, serial, tr)
-            finally:
-                lease.close()
-        with tr.span("hfx.reduce", cat="comm"):
-            summed = world.allreduce_sum(partials)
+                results, _ = builder.eval_jobs(lambda pool: jobs, D,
+                                               want_j=False, want_k=True)
+                partials = [results[r][1] for r in range(nranks)]
+            with tr.span("hfx.reduce", cat="comm"):
+                K = reduce(np.add, partials)
+    finally:
+        if builder is not None:
+            builder.close()
     if tr.enabled:
-        tr.metrics.absorb_commlog(world.log)
-        tr.metrics.absorb_engine(engine)
+        if builder is not None:
+            tr.metrics.absorb_engine(builder.engine)
         tr.metrics.count("hfx.builds", 1)
-    return summed[0], world.log, tasks, part
+    return K, CommLog(partials[0].nbytes, 1), tasks, part

@@ -1,10 +1,8 @@
-"""Parallel runtime: MPI-like communicator, OpenMP-like thread teams,
-QPX-like SIMD model, the process-pool backend that runs the HFX rank
-loop on real local cores, and the telemetry layer (hierarchical span
-tracer + metrics registry) behind the unified :class:`ExecutionConfig`
-API."""
+"""Parallel runtime: OpenMP-like thread teams, QPX-like SIMD model, the
+process-pool backend that runs the HFX rank loop on real local cores,
+and the telemetry layer (hierarchical span tracer + metrics registry)
+behind the unified :class:`ExecutionConfig` API."""
 
-from .comm import CommLog, SimWorld
 from .threads import ScheduleResult, ThreadTeam
 from .simd import SIMDModel, KernelProfile, ERI_KERNEL, DGEMM_KERNEL, SCALAR_KERNEL
 from .telemetry import (Span, Tracer, NullTracer, NULL_TRACER,
@@ -26,7 +24,6 @@ from .pool import (ExchangeWorkerPool, PoolLease, RankJob, WorkerDeathError,
 from .supervisor import WorkerDeath
 
 __all__ = [
-    "CommLog", "SimWorld",
     "ScheduleResult", "ThreadTeam",
     "SIMDModel", "KernelProfile", "ERI_KERNEL", "DGEMM_KERNEL", "SCALAR_KERNEL",
     "Span", "Tracer", "NullTracer", "NULL_TRACER",

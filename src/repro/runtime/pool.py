@@ -1,10 +1,9 @@
 """Process-pool execution backend for the HFX build.
 
 The paper's scheme runs the exchange build over p MPI ranks times 64
-hardware threads; the in-process :class:`repro.runtime.comm.SimWorld`
-executes those ranks *sequentially* and only meters the communication.
-This module is the first backend that actually runs them in parallel on
-local cores:
+hardware threads.  The serial executor runs those ranks one after the
+other through :func:`repro.scf.fock.eval_rank_jobs`; this module runs
+the same rank loop in parallel on local cores:
 
 * a pool of **persistent worker processes**, forked once per basis and
   reused across SCF iterations and MD steps (an MD step re-targets the
@@ -102,7 +101,7 @@ class WorkerDeathError(WorkerDeath):
 
 @dataclass
 class RankJob:
-    """One simulated rank's slice of the build.
+    """One rank's slice of the build.
 
     ``pairs`` lists ``(i, j, kets)`` bra tasks where ``kets`` is an
     ``(m, 2)`` integer array of surviving ket shell pairs — the exact
@@ -161,7 +160,7 @@ def _worker_main(conn, wid: int, _gen: int, dbuf, basis, nbf: int) -> None:
 
     from ..integrals.eri import ERIEngine
     from ..integrals.ri import three_center_slab
-    from ..scf.fock import eval_screened_pairs
+    from ..scf.fock import eval_rank_jobs
     from .telemetry import NULL_TRACER
 
     gate = FaultGate(_parse_fault(env_text("REPRO_POOL_FAULT")), wid)
@@ -188,9 +187,6 @@ def _worker_main(conn, wid: int, _gen: int, dbuf, basis, nbf: int) -> None:
                 conn.send(("ok", None, 0, None))
             elif cmd == "exec":
                 _, jobs, want_j, want_k, kernel, op, aux, eps = msg
-                results = []
-                timings = []
-                nq = 0
                 if op == "ri3c":
                     # 3-index RI assembly: each rank job carries a list
                     # of auxiliary shell indices; the slab rides back in
@@ -198,28 +194,22 @@ def _worker_main(conn, wid: int, _gen: int, dbuf, basis, nbf: int) -> None:
                     # aux basis travels in the message, so a respawned
                     # worker needs no extra setup and the same
                     # death/retry machinery applies unchanged.
+                    done = []
                     for rank, aux_idx in jobs:
                         t0 = time.perf_counter()
                         slab, nints = three_center_slab(
                             basis, aux, aux_idx, eps, engine=engine)
-                        results.append((rank, slab, None))
-                        timings.append((rank, t0, time.perf_counter(),
-                                        nints))
-                        nq += nints
-                    conn.send(("ok", results, nq, timings))
-                    continue
-                for rank, pairs in jobs:
-                    t0 = time.perf_counter()
-                    J = np.zeros((nbf, nbf)) if want_j else None
-                    K = np.zeros((nbf, nbf)) if want_k else None
-                    # the parent already screened, so this rank's slice
+                        done.append((rank, slab, None, nints, t0,
+                                     time.perf_counter()))
+                else:
+                    # the parent already screened, so each rank's slice
                     # is exactly the serial path's quartet list
-                    nq_rank = eval_screened_pairs(engine, basis, pairs, D,
-                                                  J, K, kernel, NULL_TRACER)
-                    results.append((rank, J, K))
-                    timings.append((rank, t0, time.perf_counter(), nq_rank))
-                    nq += nq_rank
-                conn.send(("ok", results, nq, timings))
+                    done = eval_rank_jobs(engine, basis, jobs, D, want_j,
+                                          want_k, kernel, NULL_TRACER)
+                conn.send(("ok", [(rank, J, K) for rank, J, K, *_ in done],
+                           sum(d[3] for d in done),
+                           [(rank, t0, t1, n)
+                            for rank, _, _, n, t0, t1 in done]))
             elif cmd == "ping":
                 conn.send(("ok", None, 0, None))
             else:

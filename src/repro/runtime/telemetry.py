@@ -8,12 +8,10 @@ measurement layer the reproduction reports against.  Three pieces:
   with logical sequence numbers, per-span arguments, and thread/worker
   attribution (pool workers ship their batch timings back over the
   result pipes and the parent grafts them in as ``worker-N`` lanes).
-  Logical (simulated) spans from the machine model live on a separate
-  ``simulated`` timeline in the same trace.
-* :class:`MetricsRegistry` — named counters/gauges that absorb the
-  pre-existing ad-hoc instruments
-  (:class:`~repro.runtime.comm.CommLog`, the
-  :class:`~repro.integrals.eri.ERIEngine` quartet counters) into one
+  It records measured wall-clock only; the machine model's modelled
+  BG/Q seconds stay in its own results.
+* :class:`MetricsRegistry` — named counters/gauges that also absorb the
+  :class:`~repro.integrals.eri.ERIEngine` quartet counters into one
   coherent namespace.
 * Exporters — Chrome-trace JSON (``chrome://tracing`` / Perfetto), a
   flat metrics dict, and (via :func:`repro.analysis.report.profile_table`)
@@ -37,18 +35,13 @@ __all__ = [
     "MetricsRegistry", "TelemetrySnapshot", "chrome_trace",
 ]
 
-WALL = "wall"
-LOGICAL = "logical"
-
-
 @dataclass
 class Span:
     """One traced interval.
 
-    ``start``/``end`` are ``time.perf_counter()`` seconds for wall
-    spans and simulated seconds for logical spans; ``seq`` is the
-    logical timestamp (global creation order), ``tid`` the attributed
-    execution lane (``main``, ``worker-3``, ``sim`` ...).
+    ``start``/``end`` are ``time.perf_counter()`` seconds; ``seq`` is
+    the logical timestamp (global creation order), ``tid`` the
+    attributed execution lane (``main``, ``worker-3`` ...).
     """
 
     name: str
@@ -56,7 +49,6 @@ class Span:
     start: float
     end: float
     tid: str = "main"
-    clock: str = WALL
     seq: int = 0
     depth: int = 0
     parent: int | None = None     # index of the enclosing span
@@ -64,7 +56,7 @@ class Span:
 
     @property
     def duration(self) -> float:
-        """Span length in its own clock's seconds."""
+        """Span length in seconds."""
         return self.end - self.start
 
     def to_dict(self) -> dict:
@@ -72,18 +64,18 @@ class Span:
         return {
             "name": self.name, "cat": self.cat,
             "start": self.start, "end": self.end, "duration": self.duration,
-            "tid": self.tid, "clock": self.clock, "seq": self.seq,
+            "tid": self.tid, "seq": self.seq,
             "depth": self.depth, "parent": self.parent,
             "args": dict(self.args) if self.args else {},
         }
 
 
 class MetricsRegistry:
-    """Named counters and gauges with absorbers for the legacy
-    instruments.
+    """Named counters and gauges, with an absorber for the ERI engine's
+    counters.
 
-    ``count`` accumulates; ``set`` overwrites (gauge semantics) — the
-    ``absorb_*`` helpers use gauge semantics so re-absorbing the same
+    ``count`` accumulates; ``set`` overwrites (gauge semantics) —
+    :meth:`absorb_engine` uses gauge semantics so re-absorbing the same
     source (e.g. an engine counter read after every build) never double
     counts.
     """
@@ -102,13 +94,6 @@ class MetricsRegistry:
     def get(self, name: str, default: float = 0) -> float:
         """Current value of ``name`` (``default`` when unset)."""
         return self._values.get(name, default)
-
-    # --- absorbers for the pre-telemetry instruments -------------------------
-
-    def absorb_commlog(self, log, prefix: str = "comm.") -> None:
-        """Record a :class:`repro.runtime.comm.CommLog`'s meters."""
-        for f in log.__dataclass_fields__:
-            self.set(f"{prefix}{f}", getattr(log, f))
 
     def absorb_engine(self, engine, prefix: str = "eri.") -> None:
         """Record an :class:`repro.integrals.eri.ERIEngine`'s counters."""
@@ -152,21 +137,17 @@ class TelemetrySnapshot:
     counters: dict = field(default_factory=dict)
 
     def by_name(self) -> dict[str, tuple[int, float]]:
-        """``span name -> (calls, total seconds)`` (wall spans only)."""
+        """``span name -> (calls, total seconds)``."""
         out: dict[str, tuple[int, float]] = {}
         for s in self.spans:
-            if s.clock != WALL:
-                continue
             calls, total = out.get(s.name, (0, 0.0))
             out[s.name] = (calls + 1, total + s.duration)
         return out
 
     def by_category(self) -> dict[str, float]:
-        """``category -> total seconds`` (wall spans only)."""
+        """``category -> total seconds``."""
         out: dict[str, float] = {}
         for s in self.spans:
-            if s.clock != WALL:
-                continue
             key = s.cat or "default"
             out[key] = out.get(key, 0.0) + s.duration
         return out
@@ -175,12 +156,11 @@ class TelemetrySnapshot:
         """Compact scalar surface: span totals + counters.
 
         ``wall_s`` is the traced root interval (sum of the top-level
-        wall spans) — the denominator for per-span time shares.
+        spans) — the denominator for per-span time shares.
         """
         from .schema import result_envelope
 
-        wall_s = sum(s.duration for s in self.spans
-                     if s.clock == WALL and s.depth == 0)
+        wall_s = sum(s.duration for s in self.spans if s.depth == 0)
         return result_envelope(
             "telemetry", wall_s=wall_s,
             counters=dict(sorted(self.counters.items())),
@@ -203,44 +183,38 @@ class TelemetrySnapshot:
 def chrome_trace(snapshot: TelemetrySnapshot) -> dict:
     """Chrome trace-event JSON (load in ``chrome://tracing``/Perfetto).
 
-    Wall spans land on pid 1 (one ``tid`` lane per attributed
-    thread/worker); logical (simulated) spans land on pid 2 with their
-    simulated-seconds timeline.  Counters ride along as one final
-    instant event so the exported file is self-contained.
+    Spans land on pid 1, one ``tid`` lane per attributed
+    thread/worker.  Counters ride along as one final instant event so
+    the exported file is self-contained.
     """
-    tids: dict[tuple[int, str], int] = {}
+    tids: dict[str, int] = {}
     events: list[dict] = [
         {"ph": "M", "name": "process_name", "pid": 1, "tid": 0,
          "args": {"name": snapshot.name}},
-        {"ph": "M", "name": "process_name", "pid": 2, "tid": 0,
-         "args": {"name": f"{snapshot.name} (simulated)"}},
     ]
 
-    def tid_of(pid: int, lane: str) -> int:
-        key = (pid, lane)
-        if key not in tids:
-            tids[key] = len(tids) + 1
-            events.append({"ph": "M", "name": "thread_name", "pid": pid,
-                           "tid": tids[key], "args": {"name": lane}})
-        return tids[key]
+    def tid_of(lane: str) -> int:
+        if lane not in tids:
+            tids[lane] = len(tids) + 1
+            events.append({"ph": "M", "name": "thread_name", "pid": 1,
+                           "tid": tids[lane], "args": {"name": lane}})
+        return tids[lane]
 
     for s in snapshot.spans:
-        wall = s.clock == WALL
-        pid = 1 if wall else 2
-        ts = (s.start - snapshot.epoch) if wall else s.start
         args = dict(s.args) if s.args else {}
         args["seq"] = s.seq
         args["depth"] = s.depth
         events.append({
             "ph": "X", "name": s.name, "cat": s.cat or "default",
-            "pid": pid, "tid": tid_of(pid, s.tid),
-            "ts": ts * 1e6, "dur": max(s.duration, 0.0) * 1e6,
+            "pid": 1, "tid": tid_of(s.tid),
+            "ts": (s.start - snapshot.epoch) * 1e6,
+            "dur": max(s.duration, 0.0) * 1e6,
             "args": args,
         })
     if snapshot.counters:
         events.append({
             "ph": "i", "s": "g", "name": "counters", "pid": 1,
-            "tid": tid_of(1, "main"), "ts": 0.0,
+            "tid": tid_of("main"), "ts": 0.0,
             "args": dict(sorted(snapshot.counters.items())),
         })
     return {"traceEvents": events, "displayTimeUnit": "ms"}
@@ -342,16 +316,6 @@ class Tracer:
         self.spans.append(s)
         return s
 
-    def add_logical(self, name: str, start: float, end: float,
-                    cat: str = "simulated", tid: str = "sim",
-                    **args) -> Span:
-        """Record a span on the logical (simulated-seconds) timeline."""
-        self._seq += 1
-        s = Span(name=name, cat=cat, start=start, end=end, tid=tid,
-                 clock=LOGICAL, seq=self._seq, args=args or None)
-        self.spans.append(s)
-        return s
-
     def count(self, name: str, n: float = 1) -> None:
         """Shorthand for ``tracer.metrics.count``."""
         self.metrics.count(name, n)
@@ -366,7 +330,7 @@ class Tracer:
         spans = []
         for s in self.spans:
             if s.end != s.end:          # NaN: still open
-                s = Span(s.name, s.cat, s.start, now, s.tid, s.clock,
+                s = Span(s.name, s.cat, s.start, now, s.tid,
                          s.seq, s.depth, s.parent,
                          dict(s.args) if s.args else None)
             spans.append(s)
@@ -405,10 +369,6 @@ class NullTracer:
         return _SHARED_NULL_CTX
 
     def add_span(self, name, start, end, cat="", tid="main", **args) -> None:
-        """No-op."""
-
-    def add_logical(self, name, start, end, cat="simulated", tid="sim",
-                    **args) -> None:
         """No-op."""
 
     def count(self, name, n=1) -> None:

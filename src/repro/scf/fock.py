@@ -25,15 +25,19 @@ Two accumulation granularities, mirroring the two ERI kernels:
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from ..basis.basisset import BasisSet
 from ..integrals.eri import PERM_AXES, ERIEngine, eri_tensor
 from ..runtime.boundary import JK_BUILD_MODES, check_jk_route
+from ..runtime.pool import PoolLease, RankJob, balance_pairs
 
 __all__ = ["jk_from_tensor", "coulomb_from_tensor", "exchange_from_tensor",
            "JKEngine", "TensorJKEngine", "DirectJKBuilder", "make_jk_engine",
            "check_jk_mode", "jk_build_mode", "eval_screened_pairs",
+           "eval_rank_jobs",
            "scatter_exchange", "scatter_coulomb",
            "scatter_exchange_batch", "scatter_coulomb_batch",
            "shell_slices", "reflect_triangle"]
@@ -246,13 +250,11 @@ def eval_screened_pairs(engine: ERIEngine, basis: BasisSet, pairs,
                         K: np.ndarray | None, kernel: str, tr) -> int:
     """Evaluate a screened ``(i, j, kets)`` list and scatter it into J/K.
 
-    The one place a quartet block meets a density: the direct builder,
-    the incremental builder, the pool workers and the
-    ``distributed_exchange`` rank loop all hand their already-screened
-    pair lists here, so every executor accumulates the same quartets in
-    the same order.  ``J``/``K`` are accumulated in place (``None``
-    skips that matrix; J fills the upper shell triangle only — see
-    :func:`scatter_coulomb`).  ``kernel="quartet"`` is the bit-exact
+    The one place a quartet block meets a density; its one caller is
+    :func:`eval_rank_jobs`, so every executor accumulates the same
+    quartets in the same order.  ``J``/``K`` are accumulated in place
+    (``None`` skips that matrix; J fills the upper shell triangle only —
+    see :func:`scatter_coulomb`).  ``kernel="quartet"`` is the bit-exact
     per-quartet reference, ``"batched"`` groups the list by L-class.
     Returns the number of quartets evaluated.
     """
@@ -283,6 +285,29 @@ def eval_screened_pairs(engine: ERIEngine, basis: BasisSet, pairs,
                     scatter_exchange(basis, K, block, D, (i, j, k, l))
         nq += len(kets)
     return nq
+
+
+def eval_rank_jobs(engine: ERIEngine, basis: BasisSet, jobs, D: np.ndarray,
+                   want_j: bool, want_k: bool, kernel: str, tr) -> list:
+    """The one rank loop: each screened ``(rank, pairs)`` job into its
+    own J/K.
+
+    Runs in-process for :class:`DirectJKBuilder`'s serial path and
+    ``distributed_exchange``, and inside every pool worker, so a rank's
+    partial is the same bits wherever it runs.  Returns one
+    ``(rank, J, K, nquartets, t0, t1)`` per job: ``J``/``K`` are
+    ``None`` when not requested, ``t0``/``t1`` the job's
+    ``perf_counter`` interval.
+    """
+    nbf = basis.nbf
+    out = []
+    for rank, pairs in jobs:
+        t0 = time.perf_counter()
+        J = np.zeros((nbf, nbf)) if want_j else None
+        K = np.zeros((nbf, nbf)) if want_k else None
+        nq = eval_screened_pairs(engine, basis, pairs, D, J, K, kernel, tr)
+        out.append((rank, J, K, nq, t0, time.perf_counter()))
+    return out
 
 
 class JKEngine:
@@ -417,7 +442,6 @@ class DirectJKBuilder(JKEngine):
     def __init__(self, basis: BasisSet, eps: float = 1e-10,
                  pool=None, config=None):
         from ..runtime.execconfig import resolve_execution
-        from ..runtime.pool import PoolLease
 
         self.config = resolve_execution(config, owner="DirectJKBuilder")
         self.eps = eps
@@ -442,39 +466,30 @@ class DirectJKBuilder(JKEngine):
         self._bind(basis)
         self.lease.reset(basis)
 
-    def eval_pairs(self, pairs, D: np.ndarray, want_j: bool, want_k: bool
-                   ) -> tuple[np.ndarray | None, np.ndarray | None, int]:
-        """Raw ``(J, K, nquartets)`` sums of an already-screened pair
-        list — on the pool while it is healthy (one rank job per worker,
-        balanced by surviving quartet count), else in-process."""
+    def eval_jobs(self, jobs, D: np.ndarray, want_j: bool, want_k: bool
+                  ) -> tuple[dict, int]:
+        """Per-rank ``{rank: (J, K)}`` partials of screened rank jobs and
+        the quartet count they took.  ``jobs(pool)`` returns the
+        :class:`~repro.runtime.pool.RankJob` list to run on ``pool``
+        while it is healthy; ``jobs(None)`` the list to run in-process
+        through :func:`eval_rank_jobs`."""
         tr = self.config.trace
-        nbf = self.basis.nbf
-
-        def zeros():
-            return (np.zeros((nbf, nbf)) if want_j else None,
-                    np.zeros((nbf, nbf)) if want_k else None)
 
         def serial():
-            J, K = zeros()
-            return J, K, eval_screened_pairs(self.engine, self.basis, pairs,
-                                             D, J, K, self.kernel, tr)
+            mine = [(job.rank, job.pairs) for job in jobs(None)]
+            done = eval_rank_jobs(self.engine, self.basis, mine, D, want_j,
+                                  want_k, self.kernel, tr)
+            return ({rank: (J, K) for rank, J, K, *_ in done},
+                    sum(d[3] for d in done))
 
         def pooled(pool):
-            from ..runtime.pool import balance_pairs
-
-            results, nq = pool.exchange(
-                D, balance_pairs(pairs, pool.nworkers), want_j=want_j,
-                want_k=want_k, tracer=tr, kernel=self.kernel)
+            results, nq = pool.exchange(D, jobs(pool), want_j=want_j,
+                                        want_k=want_k, tracer=tr,
+                                        kernel=self.kernel)
             # keep the parent engine's counter consistent with the
             # serial executor, where the kernel counts every evaluation
             self.engine.quartets_computed += nq
-            J, K = zeros()
-            for Jw, Kw in results.values():
-                if want_j:
-                    J += Jw
-                if want_k:
-                    K += Kw
-            return J, K, nq
+            return results, nq
 
         return self.lease.run(pooled, serial, tr)
 
@@ -502,8 +517,19 @@ class DirectJKBuilder(JKEngine):
             # the bitwise result — is unchanged
             with tr.span("jk.screen", cat="screening", eps=eps):
                 pairs = self._screened_pairs(dmax, eps)
-            J, K, self.quartets_computed = self.eval_pairs(pairs, D,
-                                                           want_j, want_k)
+            # serially one job in pair order, pooled one per worker
+            results, self.quartets_computed = self.eval_jobs(
+                lambda pool: ([RankJob(0, pairs)] if pool is None
+                              else balance_pairs(pairs, pool.nworkers)),
+                D, want_j, want_k)
+            nbf = self.basis.nbf
+            J = np.zeros((nbf, nbf)) if want_j else None
+            K = np.zeros((nbf, nbf)) if want_k else None
+            for Jr, Kr in results.values():
+                if want_j:
+                    J += Jr
+                if want_k:
+                    K += Kr
             if want_j:
                 with tr.span("jk.assemble", cat="scf"):
                     # the unique walk fills the upper shell triangle

@@ -18,7 +18,7 @@ from repro.basis import build_basis
 from repro.chem import builders
 from repro.hfx import IncrementalExchange, distributed_exchange
 from repro.integrals.eri import ERIEngine
-from repro.runtime import ExecutionConfig
+from repro.runtime import ExecutionConfig, Tracer
 from repro.runtime.pool import ExchangeWorkerPool
 from repro.scf import RHF, DirectJKBuilder, run_rhf
 
@@ -47,18 +47,36 @@ def test_process_executor_bit_identical(dimer_state, nworkers):
     assert part.nranks == 4
 
 
+@pytest.mark.parametrize("partitioner", ["serpentine", "lpt"])
+@pytest.mark.parametrize("nranks", [1, 3, 7])
+def test_process_ranks_are_the_serial_bits(dimer_state, nranks,
+                                          partitioner):
+    """Both executors evaluate every rank through the one rank loop and
+    sum the partials in rank order, so K is the same bits; the one
+    allreduce moves one nbf x nbf double matrix per rank."""
+    basis, D = dimer_state
+    K_s, _, _, _ = distributed_exchange(basis, D, nranks,
+                                        partitioner=partitioner)
+    K_p, log, _, _ = distributed_exchange(
+        basis, D, nranks, partitioner=partitioner,
+        config=ExecutionConfig(executor="process", nworkers=2))
+    assert np.array_equal(K_p, K_s)
+    assert log.allreduce_calls == 1
+    assert log.allreduce_bytes == basis.nbf ** 2 * 8
+
+
 @pytest.mark.parametrize("executor", ["serial", "process"])
 def test_quartet_counter_matches_tasklist(dimer_state, executor):
     """The engine's build counter equals the surviving-quartet count of
     the task list under both executors (Schwarz-bound evaluations are
     tallied separately)."""
     basis, D = dimer_state
-    engine = ERIEngine(basis)
+    tr = Tracer("counter")
     nworkers = 2 if executor == "process" else None
-    cfg = ExecutionConfig(executor=executor, nworkers=nworkers)
+    cfg = ExecutionConfig(executor=executor, nworkers=nworkers, tracer=tr)
     _, _, tasks, _ = distributed_exchange(basis, D, nranks=3, eps=1e-9,
-                                          engine=engine, config=cfg)
-    assert engine.quartets_computed == tasks.total_quartets
+                                          config=cfg)
+    assert tr.metrics.get("eri.quartets_computed") == tasks.total_quartets
     # Schwarz bounds are cached per basis object: exactly one engine per
     # basis pays for the diagonal quartets, every later engine reads the
     # cache and tallies nothing

@@ -122,7 +122,7 @@ def test_hfx_scheme_legacy_fields_removed():
     wl = water_box_workload(2)
     with pytest.raises(TypeError):
         HFXScheme(wl, bgq_racks(0.25), nworkers=2)
-    # the config route still mirrors the knobs onto readable attrs
-    sch = HFXScheme(wl, bgq_racks(0.25),
-                    config=ExecutionConfig(executor="process", nworkers=2))
-    assert sch.executor == "process" and sch.nworkers == 2
+    # the model prices a build; it takes no execution config
+    with pytest.raises(TypeError):
+        HFXScheme(wl, bgq_racks(0.25),
+                  config=ExecutionConfig(executor="process", nworkers=2))

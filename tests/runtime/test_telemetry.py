@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.runtime.comm import CommLog
 from repro.runtime.telemetry import (NULL_TRACER, MetricsRegistry, NullTracer,
                                      Span, TelemetrySnapshot, Tracer,
                                      chrome_trace)
@@ -59,15 +58,6 @@ def test_add_span_nests_under_open_span():
     assert s.duration == 1.0
 
 
-def test_logical_spans_separate_clock():
-    tr = Tracer("t")
-    tr.add_logical("sim.compute", 0.0, 2.5, nranks=1024)
-    s = tr.spans[0]
-    assert s.clock == "logical" and s.tid == "sim"
-    # logical spans don't pollute the wall-span totals
-    assert tr.snapshot().by_name() == {}
-
-
 def test_snapshot_summary_and_to_dict():
     tr = Tracer("run")
     with tr.span("a"):
@@ -101,17 +91,14 @@ def test_chrome_trace_structure():
     with tr.span("outer", cat="scf"):
         with tr.span("inner", cat="quartets"):
             pass
-    tr.add_logical("sim.compute", 0.0, 1.0)
     tr.count("n", 3)
     doc = tr.chrome_trace()
     text = json.dumps(doc)
     doc2 = json.loads(text)
     events = doc2["traceEvents"]
     xs = [e for e in events if e["ph"] == "X"]
-    assert {e["name"] for e in xs} == {"outer", "inner", "sim.compute"}
-    # wall spans on pid 1, logical on pid 2
-    assert all(e["pid"] == 1 for e in xs if e["name"] != "sim.compute")
-    assert next(e for e in xs if e["name"] == "sim.compute")["pid"] == 2
+    assert {e["name"] for e in xs} == {"outer", "inner"}
+    assert all(e["pid"] == 1 for e in xs)
     assert all(e["dur"] >= 0 for e in xs)
     # metadata names the lanes
     meta = [e for e in events if e["ph"] == "M"]
@@ -137,7 +124,6 @@ def test_null_tracer_is_inert(tmp_path):
     with nt.span("anything", cat="x", foo=1) as ctx:
         ctx.add(bar=2)
     nt.add_span("a", 0.0, 1.0)
-    nt.add_logical("b", 0.0, 1.0)
     nt.count("c", 5)
     nt.metrics.count("d", 5)
     nt.metrics.set("e", 5)
@@ -169,10 +155,6 @@ def test_metrics_count_and_set():
 
 def test_metrics_absorbers():
     m = MetricsRegistry()
-    log = CommLog()
-    log.allreduce_calls = 3
-    m.absorb_commlog(log)
-    assert m.get("comm.allreduce_calls") == 3
 
     class FakeEngine:
         quartets_computed = 10

@@ -63,3 +63,51 @@ def test_engine_surface_is_public_and_dead_wood_is_gone():
     assert "PoolLease" in repro.runtime.__all__
     for name in ("Timer", "Trace", "TraceEvent"):
         assert not hasattr(repro.runtime, name), name
+
+
+def _calls_under_src(callee: str) -> set[str]:
+    """``module:function`` of every call to ``callee`` under
+    ``src/repro`` (``module`` alone for a call at module level)."""
+    import ast
+    import pathlib
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    callers = set()
+    for path in sorted(src.rglob("*.py")):
+        mod = path.relative_to(src).as_posix()
+
+        def walk(node, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                    walk(child, child.name)
+                    continue
+                if isinstance(child, ast.Call):
+                    f = child.func
+                    name = f.attr if isinstance(f, ast.Attribute) else (
+                        f.id if isinstance(f, ast.Name) else None)
+                    if name == callee:
+                        callers.add(f"{mod}:{where}" if where else mod)
+                walk(child, where)
+
+        walk(ast.parse(path.read_text()), None)
+    return callers
+
+
+def test_one_rank_loop_and_one_clock():
+    """The real distributed build runs through the one rank loop, owns
+    no pool of its own, and the tracer keeps one (wall) clock: the
+    machine model's communicator and simulated timeline are gone."""
+    import repro.runtime
+    from repro.runtime.telemetry import NullTracer, Span, Tracer
+
+    assert _calls_under_src("eval_screened_pairs") == {
+        "scf/fock.py:eval_rank_jobs"}
+    assert {c.split("/")[0] for c in _calls_under_src("PoolLease")} == {
+        "scf"}
+    for name in ("SimWorld", "CommLog"):
+        assert not hasattr(repro.runtime, name), name
+        assert name not in repro.runtime.__all__, name
+    for cls in (Tracer, NullTracer):
+        assert not hasattr(cls, "add_logical"), cls
+    assert "clock" not in Span.__dataclass_fields__
