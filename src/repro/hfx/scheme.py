@@ -22,12 +22,12 @@ Two paths, kept apart:
   (any size up to the full 96 racks) in modelled seconds;
 * :func:`distributed_exchange` runs the same static partition on a
   real (small) molecule: each rank's screened pair tasks go through the
-  one rank loop, :func:`repro.scf.fock.eval_rank_jobs`, of a
-  :class:`repro.scf.fock.DirectJKBuilder` (in-process, or on its worker
-  pool under ``ExecutionConfig(executor="process")``), and the per-rank
-  partial K matrices are summed in rank order like the scheme's one
-  allreduce.  It is checked against the serial reference in the tests,
-  so the scheme is a real algorithm, not only a model.
+  one rank loop, :func:`repro.runtime.pool.run_rank_jobs`, with the J/K
+  unit of a :class:`repro.scf.fock.DirectJKBuilder` (in-process, or on
+  its worker pool under ``ExecutionConfig(executor="process")``), and
+  the per-rank partial K matrices are summed in rank order like the
+  scheme's one allreduce.  It is checked against the serial reference
+  in the tests, so the scheme is a real algorithm, not only a model.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def distributed_exchange(basis: BasisSet, D: np.ndarray, nranks: int,
     builder's worker pool (``config.nworkers`` processes, or an
     externally owned ``pool``) so the build really runs on multiple
     cores.  Both evaluate each rank through the one rank loop,
-    :func:`repro.scf.fock.eval_rank_jobs`, so their K are the same
+    :func:`repro.runtime.pool.run_rank_jobs`, so their K are the same
     bits.  An unrecoverable pool failure (worker deaths past the retry
     budget) degrades the build to the serial executor — one
     ``RuntimeWarning`` plus a ``pool.degraded_builds`` count — instead

@@ -24,10 +24,11 @@ code.
 Assembly is blocked by auxiliary-shell slices (the out-of-core chunk
 axis) and Schwarz-screened per ``(uv, P)`` combination with
 ``|(uv|P)| <= Q_uv * Q_P``; the same slices are the sharding unit for
-the process pool (see :meth:`repro.runtime.pool.ExchangeWorkerPool.
-ri3c`).  Orbital-pair Schwarz bounds come from the per-``BasisSet``
-cache shared with the direct J/K path; auxiliary bounds are cached the
-same way on the auxiliary basis object.
+the process pool (one rank job per shard, see
+:meth:`repro.scf.ri_jk.RIJKBuilder._assemble`).  Orbital-pair Schwarz
+bounds come from the per-``BasisSet`` cache shared with the direct J/K
+path; auxiliary bounds are cached the same way on the auxiliary basis
+object.
 """
 
 from __future__ import annotations

@@ -1,9 +1,16 @@
-"""Process-pool execution backend for the HFX build.
+"""Process-pool execution backend: a rank-job executor.
 
 The paper's scheme runs the exchange build over p MPI ranks times 64
-hardware threads.  The serial executor runs those ranks one after the
-other through :func:`repro.scf.fock.eval_rank_jobs`; this module runs
-the same rank loop in parallel on local cores:
+hardware threads, as one static, master-less partition of independent
+rank jobs.  :func:`run_rank_jobs` is that one rank loop: it hands each
+job's work list to a *unit* — a module-level function
+``unit(engine, basis, D, work, tr, *args) -> (A, B, count)`` — and runs
+in-process for the serial executor and inside every pool worker, so a
+rank's result is the same bits wherever it runs.  The pool knows
+nothing about J/K or RI; the units live with their builders (the
+screened J/K walk :func:`repro.scf.fock.eval_screened_pairs`, the RI
+3-index slab ``repro.scf.ri_jk._slab_unit``).  This module runs the
+loop in parallel on local cores:
 
 * a pool of **persistent worker processes**, forked once per basis and
   reused across SCF iterations and MD steps (an MD step re-targets the
@@ -12,19 +19,21 @@ the same rank loop in parallel on local cores:
   each worker rebuilds from it) rides along on the fork, while the
   density lives in a ``multiprocessing`` shared-memory buffer the parent
   rewrites before every build — workers never receive matrices over the
-  pipe;
+  pipe, and an ``exec`` message is ``("exec", unit, jobs, args)`` (the
+  unit pickles by name);
 * **static balancing**: rank jobs are assigned to workers by the one
   greedy LPT, :func:`repro.hfx.partition.lpt_bins`, on each job's
   ``cost`` (surviving quartets for the direct builder, the partitioner's
   flops for ``distributed_exchange``, function counts for RI shards),
   mirroring the paper's master-less static schedule (no runtime
   dispatch);
-* the per-rank partial J/K matrices are summed in the parent exactly
-  like the scheme's allreduce.
+* the per-rank results come back keyed by rank id; the caller reduces
+  them (the J/K partials are summed exactly like the scheme's
+  allreduce, RI slabs are scattered by aux-shell slice).
 
 All Cauchy-Schwarz / density screening happens in the parent so the
-serial and process executors walk byte-identical quartet lists — the
-pool changes only *where* quartets are evaluated, never *which*.
+serial and process executors walk byte-identical work lists — the pool
+changes only *where* a rank job runs, never *what* it computes.
 
 Fault tolerance (the paper's 96-rack reality, one level down: node
 failure is a fact of life and the static master-less schedule must
@@ -47,8 +56,8 @@ survive it):
   bit-identical to an undisturbed build;
 * **degradation** — when the pool cannot be healed it tears itself down
   and raises; every caller holds its pool through a :class:`PoolLease`,
-  whose ``run`` catches that and falls back to the serial executor
-  instead of aborting the SCF/trajectory;
+  whose ``map`` catches that and runs the rank jobs in-process instead
+  of aborting the SCF/trajectory;
 * **fault injection** — ``REPRO_POOL_FAULT="worker=1,build=2,
   mode=kill"`` makes worker 1 die at the start of its 2nd ``exec``
   message (``worker=*`` matches every worker; modes: ``kill`` = SIGKILL
@@ -72,8 +81,9 @@ from .boundary import (KNOBS, default_nworkers, env_text, parse_fault,
 from .supervisor import FaultGate, Supervisor, WorkerDeath
 
 __all__ = ["RankJob", "ExchangeWorkerPool", "PoolLease", "WorkerDeathError",
-           "balance_pairs", "default_nworkers", "resolve_nworkers",
-           "resolve_pool_timeout", "resolve_pool_max_retries"]
+           "run_rank_jobs", "balance_pairs", "default_nworkers",
+           "resolve_nworkers", "resolve_pool_timeout",
+           "resolve_pool_max_retries"]
 
 # The pool knobs are rows of the boundary table: ``pool_timeout``, the
 # hard ceiling on any single wait for a worker reply (a forked worker
@@ -103,14 +113,33 @@ class WorkerDeathError(WorkerDeath):
 class RankJob:
     """One rank's slice of the build.
 
-    ``pairs`` lists ``(i, j, kets)`` bra tasks where ``kets`` is an
-    ``(m, 2)`` integer array of surviving ket shell pairs — the exact
-    screened quartet batch of the serial path.
+    ``pairs`` is the work list the unit is handed: for the J/K unit the
+    ``(i, j, kets)`` bra tasks, ``kets`` an ``(m, 2)`` integer array of
+    surviving ket shell pairs (the exact screened quartet batch of the
+    serial path); for the RI slab unit a list of auxiliary shell
+    indices.  ``cost`` is the job's weight in the LPT assignment.
     """
 
     rank: int
     pairs: list = field(default_factory=list)
     cost: float = 0.0
+
+
+def run_rank_jobs(unit, engine, basis, D, jobs, tr, args=()) -> list:
+    """The one rank loop: each ``(rank, work)`` job through ``unit``.
+
+    ``unit(engine, basis, D, work, tr, *args)`` returns ``(A, B,
+    count)``.  Runs in-process (:meth:`PoolLease.map`) and inside every
+    pool worker, so a rank's result is the same bits wherever it runs.
+    Returns one ``(rank, A, B, count, t0, t1)`` per job, ``t0``/``t1``
+    the job's ``perf_counter`` interval.
+    """
+    out = []
+    for rank, work in jobs:
+        t0 = time.perf_counter()
+        A, B, n = unit(engine, basis, D, work, tr, *args)
+        out.append((rank, A, B, n, t0, time.perf_counter()))
+    return out
 
 
 def balance_pairs(pairs, nworkers: int) -> list[RankJob]:
@@ -140,16 +169,18 @@ def _parse_fault(spec: str | None):
 
 
 def _worker_main(conn, wid: int, _gen: int, dbuf, basis, nbf: int) -> None:
-    """Worker loop: serve quartet batches until told to stop.
+    """Worker loop: run rank jobs until told to stop.
 
     Runs in the child process.  The engine (shell pairs) is rebuilt
     locally from the fork-inherited basis; the density is read from the
-    shared buffer, so an ``exec`` message carries only index arrays.
+    shared buffer, so an ``exec`` message ``("exec", unit, jobs, args)``
+    carries only the unit's name, work lists and small arguments.
 
-    Every reply is ``(status, payload, nquartets, timings)``; for
-    ``exec``, ``timings`` lists one ``(rank, t0, t1, nq)`` record per
-    rank batch (``perf_counter`` is CLOCK_MONOTONIC under fork, so the
-    parent's tracer can graft the spans onto its own timeline).
+    Every reply is ``(status, payload, count, timings)``; for ``exec``,
+    ``payload`` lists one ``(rank, A, B)`` per job and ``timings`` one
+    ``(rank, t0, t1, count)`` record (``perf_counter`` is
+    CLOCK_MONOTONIC under fork, so the parent's tracer can graft the
+    spans onto its own timeline).
 
     ``wid`` is this worker's pool slot — only used to match the
     test-only ``REPRO_POOL_FAULT`` injection spec, which fires in every
@@ -159,8 +190,6 @@ def _worker_main(conn, wid: int, _gen: int, dbuf, basis, nbf: int) -> None:
     import traceback
 
     from ..integrals.eri import ERIEngine
-    from ..integrals.ri import three_center_slab
-    from ..scf.fock import eval_rank_jobs
     from .telemetry import NULL_TRACER
 
     gate = FaultGate(_parse_fault(env_text("REPRO_POOL_FAULT")), wid)
@@ -186,27 +215,12 @@ def _worker_main(conn, wid: int, _gen: int, dbuf, basis, nbf: int) -> None:
                 engine = ERIEngine(basis)
                 conn.send(("ok", None, 0, None))
             elif cmd == "exec":
-                _, jobs, want_j, want_k, kernel, op, aux, eps = msg
-                if op == "ri3c":
-                    # 3-index RI assembly: each rank job carries a list
-                    # of auxiliary shell indices; the slab rides back in
-                    # the J slot of the usual (rank, J, K) triple.  The
-                    # aux basis travels in the message, so a respawned
-                    # worker needs no extra setup and the same
-                    # death/retry machinery applies unchanged.
-                    done = []
-                    for rank, aux_idx in jobs:
-                        t0 = time.perf_counter()
-                        slab, nints = three_center_slab(
-                            basis, aux, aux_idx, eps, engine=engine)
-                        done.append((rank, slab, None, nints, t0,
-                                     time.perf_counter()))
-                else:
-                    # the parent already screened, so each rank's slice
-                    # is exactly the serial path's quartet list
-                    done = eval_rank_jobs(engine, basis, jobs, D, want_j,
-                                          want_k, kernel, NULL_TRACER)
-                conn.send(("ok", [(rank, J, K) for rank, J, K, *_ in done],
+                # the parent already screened, so each rank's work list
+                # is exactly the serial path's
+                _, unit, jobs, args = msg
+                done = run_rank_jobs(unit, engine, basis, D, jobs,
+                                     NULL_TRACER, args)
+                conn.send(("ok", [(rank, A, B) for rank, A, B, *_ in done],
                            sum(d[3] for d in done),
                            [(rank, t0, t1, n)
                             for rank, _, _, n, t0, t1 in done]))
@@ -220,7 +234,7 @@ def _worker_main(conn, wid: int, _gen: int, dbuf, basis, nbf: int) -> None:
 
 
 class ExchangeWorkerPool:
-    """Persistent worker processes executing screened quartet batches.
+    """Persistent worker processes executing rank jobs.
 
     Parameters
     ----------
@@ -251,7 +265,6 @@ class ExchangeWorkerPool:
         self.nworkers = resolve_nworkers(nworkers)
         self.timeout = resolve_pool_timeout(timeout)
         self.max_retries = resolve_pool_max_retries(max_retries)
-        self.quartets_computed = 0   # quartets evaluated by workers, total
         self.nbuilds = 0
         self.worker_deaths = 0       # diagnosed deaths (incl. hangs), total
         self.respawns = 0            # successful worker respawns, total
@@ -372,10 +385,10 @@ class ExchangeWorkerPool:
                 sent.append(w)
         return sent, deaths
 
-    def _collect(self, sent, phase: str, held, tr):
+    def _collect(self, sent, phase: str, held, tr, unit: str = ""):
         """One reply from each worker in ``sent``, under one deadline.
 
-        Returns ``({w: (payload, nquartets, timings)}, deaths)``: a
+        Returns ``({w: (payload, count, timings)}, deaths)``: a
         worker whose pipe closes (possibly mid-message), whose sentinel
         fires, or that stays silent past the deadline (``hung``) is
         reaped and diagnosed; its siblings' replies are kept.  A worker
@@ -398,48 +411,38 @@ class ExchangeWorkerPool:
                     deaths.append(self._death(w, phase, held.get(w, ()),
                                               hung=not news))
                     continue
-                status, payload, nq, timings = reply
+                status, payload, n, timings = reply
                 if status != "ok":
                     self.close(force=True)
                     raise RuntimeError(f"pool worker {w} failed:\n{payload}")
-                replies[w] = (payload, nq, timings)
+                replies[w] = (payload, n, timings)
                 if tr.enabled and timings:
-                    for rank, t0, t1, nq_rank in timings:
-                        tr.add_span("worker.quartet_batch", t0, t1,
-                                    cat="quartets", tid=f"worker-{w}",
-                                    rank=rank, nq=nq_rank)
+                    for rank, t0, t1, n_rank in timings:
+                        tr.add_span("worker.rank_job", t0, t1, cat="pool",
+                                    tid=f"worker-{w}", unit=unit,
+                                    rank=rank, n=n_rank)
         return replies, deaths
 
-    def exchange(self, D: np.ndarray | None, jobs: list[RankJob],
-                 want_j: bool = False, want_k: bool = True, tracer=None,
-                 kernel: str = "quartet", op: str = "jk", aux=None,
-                 eps: float = 0.0
-                 ) -> tuple[dict[int, tuple[np.ndarray | None,
-                                            np.ndarray | None]], int]:
-        """Execute rank jobs against density ``D``.
+    def run(self, unit, jobs: list[RankJob], args=(), D=None, tracer=None
+            ) -> tuple[dict[int, tuple], int]:
+        """Run ``unit`` over rank jobs on the workers, against density
+        ``D`` (``None`` leaves the shared buffer untouched).
 
-        Returns ``(results, nquartets)`` where ``results`` maps each
-        job's rank id to its partial ``(J, K)`` matrices (``None`` for
-        the unrequested one) and ``nquartets`` counts the quartets the
-        workers evaluated — the caller folds it into its engine counter
-        so the bookkeeping matches the serial path.
-
-        ``kernel`` selects the workers' evaluation granularity:
-        ``"quartet"`` (reference) or ``"batched"`` (each worker groups
-        its rank slices by L-class and runs the batched kernel +
-        class-level scatters).  Both see the identical screened quartet
-        lists and report identical counts.
+        Each worker runs its jobs through :func:`run_rank_jobs`.
+        Returns ``(results, count)``: ``results`` maps each job's rank
+        id to the unit's ``(A, B)`` and ``count`` sums the units'
+        counts.
 
         ``tracer`` (a :class:`repro.runtime.telemetry.Tracer`) records
-        the dispatch/wait phases and grafts each worker's per-rank
-        batch timings — shipped back over the result pipes — into the
-        trace as ``worker-N`` lanes.
+        the dispatch/wait phases and grafts each worker's per-rank job
+        timings — shipped back over the result pipes — into the trace
+        as ``worker.rank_job`` spans on ``worker-N`` lanes.
 
         A worker death mid-build triggers recovery: dead slots are
         respawned (up to ``max_retries`` rounds, with backoff; a failed
         respawn leaves the lost jobs to the LPT pass over the
         survivors) and exactly the lost rank jobs re-run, so the
-        returned partials are bit-identical to an undisturbed build.
+        returned results are bit-identical to an undisturbed run.
         When the budget is exhausted — or no worker survives — the pool
         tears itself down and raises :class:`WorkerDeathError`; callers
         degrade to the serial executor.
@@ -451,21 +454,20 @@ class ExchangeWorkerPool:
         if self._closed:
             raise RuntimeError("pool is closed")
         if D is not None:
-            # density-free operations (op="ri3c") leave the shared
-            # buffer untouched
             D = np.asarray(D, dtype=np.float64)
             if D.shape != self._D.shape:
                 raise ValueError(f"density shape {D.shape} does not match "
                                  f"the pool's basis ({self._D.shape})")
             self._D[:] = D
-        results: dict[int, tuple[np.ndarray | None, np.ndarray | None]] = {}
-        nq_total = 0
+        name = unit.__name__
+        results: dict[int, tuple] = {}
+        total = 0
         outstanding = list(range(len(jobs)))
         rounds = 0
         while outstanding:
             live = self._live()
             with tr.span("pool.dispatch", cat="pool", njobs=len(outstanding),
-                         nworkers=len(live), kernel=kernel, op=op):
+                         nworkers=len(live), unit=name):
                 # LPT on job cost over whoever is alive this round
                 assign = lpt_bins([jobs[t].cost for t in outstanding],
                                   len(live))
@@ -474,15 +476,14 @@ class ExchangeWorkerPool:
                 held = {w: [jobs[t].rank for t in mine]
                         for w, mine in holds.items()}
                 sent, deaths = self._post(
-                    {w: ("exec", [(jobs[t].rank, jobs[t].pairs)
-                                  for t in mine],
-                         want_j, want_k, kernel, op, aux, eps)
+                    {w: ("exec", unit, [(jobs[t].rank, jobs[t].pairs)
+                                        for t in mine], args)
                      for w, mine in holds.items()}, "dispatch", held)
-            replies, dead = self._collect(sent, "build", held, tr)
-            for payload, nq, _ in replies.values():
-                nq_total += nq
-                for rank, J, K in payload:
-                    results[rank] = (J, K)
+            replies, dead = self._collect(sent, "build", held, tr, name)
+            for payload, n, _ in replies.values():
+                total += n
+                for rank, A, B in payload:
+                    results[rank] = (A, B)
             deaths += dead
             if not deaths:
                 break
@@ -500,38 +501,15 @@ class ExchangeWorkerPool:
                 raise deaths[-1]
             self.retried_jobs += len(lost)
             outstanding = lost
-        self.quartets_computed += nq_total
         self.nbuilds += 1
         if tr.enabled:
             tr.metrics.count("pool.builds", 1)
-            tr.metrics.count("pool.quartets", nq_total)
             # gauge semantics (like the absorb_* helpers): the pool's
             # cumulative fault counters, re-published every build
             tr.metrics.set("pool.worker_deaths", self.worker_deaths)
             tr.metrics.set("pool.respawns", self.respawns)
             tr.metrics.set("pool.retried_jobs", self.retried_jobs)
-        return results, nq_total
-
-    def ri3c(self, aux, jobs: list[RankJob], eps: float = 0.0,
-             tracer=None) -> tuple[dict[int, np.ndarray], int]:
-        """Assemble 3-index RI slabs ``(uv|P)`` sharded by aux shells.
-
-        Each rank job's ``pairs`` is a list of auxiliary shell indices;
-        the returned dict maps the job's rank id to its slab (rows
-        ordered by that index list; see
-        :func:`repro.integrals.ri.three_center_slab`).  The second
-        element counts evaluated shell triples.
-
-        Rides the ``exec`` retry loop, so worker death/hang recovery,
-        respawn budgets, and ``REPRO_POOL_FAULT`` injection behave
-        exactly as for J/K builds — and since slabs for distinct aux
-        shells are disjoint, a recovered assembly is bit-identical to
-        an undisturbed one.
-        """
-        results, nints = self.exchange(None, jobs, want_j=False,
-                                       want_k=False, tracer=tracer,
-                                       op="ri3c", aux=aux, eps=eps)
-        return {rank: slab for rank, (slab, _) in results.items()}, nints
+        return results, total
 
 
 class PoolLease:
@@ -539,17 +517,18 @@ class PoolLease:
 
     With ``config.executor == "process"`` the lease shares a
     caller-owned ``pool`` (re-targeting it when it serves another
-    basis) or spawns — and then owns — one.  :meth:`run` executes the
-    pooled variant of an operation while the pool is healthy; when the
-    pool is gone (closed under another builder, or a
-    :class:`WorkerDeathError` past the retry budget) the lease warns
-    once, counts ``pool.degraded_builds``, and runs this and every
-    later operation through the serial variant.  :meth:`close` only
-    ever closes a pool the lease spawned.
+    basis) or spawns — and then owns — one.  :meth:`map` is the one
+    serial-or-pooled choice: it runs a unit's rank jobs on the pool
+    while the pool is healthy; when the pool is gone (closed under
+    another builder, or a :class:`WorkerDeathError` past the retry
+    budget) the lease warns once, counts ``pool.degraded_builds``, and
+    runs this and every later map in-process.  :meth:`close` only ever
+    closes a pool the lease spawned.
     """
 
     def __init__(self, basis, config, pool=None, owner: str = "builder"):
         self.owner = owner
+        self.trace = config.trace
         self.executor = config.executor
         self.degraded = False
         self.pool = None
@@ -567,7 +546,7 @@ class PoolLease:
 
     def reset(self, basis) -> None:
         """Re-target a live pool at a new geometry (no-op when the pool
-        already serves ``basis``; a dead pool is left for :meth:`run`
+        already serves ``basis``; a dead pool is left for :meth:`map`
         to degrade)."""
         if self.pool is not None and not self.pool.closed \
                 and self.pool.basis is not basis:
@@ -580,22 +559,34 @@ class PoolLease:
             self.pool.close()
             self.pool = None
 
-    def run(self, pooled, serial, tr):
-        """``pooled(pool)`` on a healthy pool, else ``serial()``."""
+    def map(self, unit, jobs, engine, D=None, args=()
+            ) -> tuple[dict[int, tuple], int]:
+        """``unit`` over rank jobs: ``({rank: (A, B)}, count)``.
+
+        ``jobs(pool)`` returns the :class:`RankJob` list to run on a
+        healthy pool (:meth:`ExchangeWorkerPool.run`); ``jobs(None)``
+        the list to run in-process on ``engine`` through
+        :func:`run_rank_jobs`.
+        """
         if self.executor == "process":
             if self.pool is None or self.pool.closed:
                 # closed by its owner, or died under another builder
-                self._degrade("pool already closed", tr)
+                self._degrade("pool already closed")
             else:
                 try:
-                    return pooled(self.pool)
+                    return self.pool.run(unit, jobs(self.pool), args, D,
+                                         self.trace)
                 except WorkerDeathError as e:
-                    # partial worker results are discarded: the serial
-                    # variant re-runs the whole operation
-                    self._degrade(e, tr)
-        return serial()
+                    # partial worker results are discarded: the
+                    # in-process loop re-runs every job
+                    self._degrade(e)
+        done = run_rank_jobs(unit, engine, engine.basis, D,
+                             [(job.rank, job.pairs) for job in jobs(None)],
+                             self.trace, args)
+        return ({rank: (A, B) for rank, A, B, *_ in done},
+                sum(d[3] for d in done))
 
-    def _degrade(self, reason, tr) -> None:
+    def _degrade(self, reason) -> None:
         warnings.warn(
             f"{self.owner}: worker pool is unrecoverable ({reason}); "
             "falling back to the serial executor for this and later "
@@ -605,5 +596,5 @@ class PoolLease:
             pool.close(force=True)
         self.executor = "serial"
         self.degraded = True
-        if tr.enabled:
-            tr.metrics.count("pool.degraded_builds", 1)
+        if self.trace.enabled:
+            self.trace.metrics.count("pool.degraded_builds", 1)

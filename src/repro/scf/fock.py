@@ -25,8 +25,6 @@ Two accumulation granularities, mirroring the two ERI kernels:
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..basis.basisset import BasisSet
@@ -37,7 +35,6 @@ from ..runtime.pool import PoolLease, RankJob, balance_pairs
 __all__ = ["jk_from_tensor", "coulomb_from_tensor", "exchange_from_tensor",
            "JKEngine", "TensorJKEngine", "DirectJKBuilder", "make_jk_engine",
            "check_jk_mode", "jk_build_mode", "eval_screened_pairs",
-           "eval_rank_jobs",
            "scatter_exchange", "scatter_coulomb",
            "scatter_exchange_batch", "scatter_coulomb_batch",
            "shell_slices", "reflect_triangle"]
@@ -245,19 +242,23 @@ def jk_from_tensor(eri: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return coulomb_from_tensor(eri, D), exchange_from_tensor(eri, D)
 
 
-def eval_screened_pairs(engine: ERIEngine, basis: BasisSet, pairs,
-                        D: np.ndarray, J: np.ndarray | None,
-                        K: np.ndarray | None, kernel: str, tr) -> int:
-    """Evaluate a screened ``(i, j, kets)`` list and scatter it into J/K.
+def eval_screened_pairs(engine: ERIEngine, basis: BasisSet, D: np.ndarray,
+                        pairs, tr, want_j: bool, want_k: bool, kernel: str
+                        ) -> tuple[np.ndarray | None, np.ndarray | None, int]:
+    """The J/K rank-job unit: a screened ``(i, j, kets)`` list into
+    its own partial J and K.
 
-    The one place a quartet block meets a density; its one caller is
-    :func:`eval_rank_jobs`, so every executor accumulates the same
-    quartets in the same order.  ``J``/``K`` are accumulated in place
-    (``None`` skips that matrix; J fills the upper shell triangle only —
-    see :func:`scatter_coulomb`).  ``kernel="quartet"`` is the bit-exact
+    The one place a quartet block meets a density; it runs through
+    :func:`repro.runtime.pool.run_rank_jobs` in-process and inside every
+    pool worker, so every executor accumulates the same quartets in the
+    same order.  Returns ``(J, K, nquartets)``: ``None`` for an
+    unrequested matrix, and J fills the upper shell triangle only (see
+    :func:`scatter_coulomb`).  ``kernel="quartet"`` is the bit-exact
     per-quartet reference, ``"batched"`` groups the list by L-class.
-    Returns the number of quartets evaluated.
     """
+    nbf = basis.nbf
+    J = np.zeros((nbf, nbf)) if want_j else None
+    K = np.zeros((nbf, nbf)) if want_k else None
     if kernel == "batched":
         from ..integrals.batch import flatten_pairs
 
@@ -271,7 +272,7 @@ def eval_screened_pairs(engine: ERIEngine, basis: BasisSet, pairs,
                     scatter_coulomb_batch(basis, J, blocks, D, grp)
                 if K is not None:
                     scatter_exchange_batch(basis, K, blocks, D, grp)
-        return sum(len(grp) for grp in groups)
+        return J, K, sum(len(grp) for grp in groups)
     nq = 0
     for (i, j, kets) in pairs:
         with tr.span("jk.quartet_batch", cat="quartets", nkets=len(kets)):
@@ -284,30 +285,7 @@ def eval_screened_pairs(engine: ERIEngine, basis: BasisSet, pairs,
                     # all distinct index permutations contribute
                     scatter_exchange(basis, K, block, D, (i, j, k, l))
         nq += len(kets)
-    return nq
-
-
-def eval_rank_jobs(engine: ERIEngine, basis: BasisSet, jobs, D: np.ndarray,
-                   want_j: bool, want_k: bool, kernel: str, tr) -> list:
-    """The one rank loop: each screened ``(rank, pairs)`` job into its
-    own J/K.
-
-    Runs in-process for :class:`DirectJKBuilder`'s serial path and
-    ``distributed_exchange``, and inside every pool worker, so a rank's
-    partial is the same bits wherever it runs.  Returns one
-    ``(rank, J, K, nquartets, t0, t1)`` per job: ``J``/``K`` are
-    ``None`` when not requested, ``t0``/``t1`` the job's
-    ``perf_counter`` interval.
-    """
-    nbf = basis.nbf
-    out = []
-    for rank, pairs in jobs:
-        t0 = time.perf_counter()
-        J = np.zeros((nbf, nbf)) if want_j else None
-        K = np.zeros((nbf, nbf)) if want_k else None
-        nq = eval_screened_pairs(engine, basis, pairs, D, J, K, kernel, tr)
-        out.append((rank, J, K, nq, t0, time.perf_counter()))
-    return out
+    return J, K, nq
 
 
 class JKEngine:
@@ -469,29 +447,16 @@ class DirectJKBuilder(JKEngine):
     def eval_jobs(self, jobs, D: np.ndarray, want_j: bool, want_k: bool
                   ) -> tuple[dict, int]:
         """Per-rank ``{rank: (J, K)}`` partials of screened rank jobs and
-        the quartet count they took.  ``jobs(pool)`` returns the
-        :class:`~repro.runtime.pool.RankJob` list to run on ``pool``
-        while it is healthy; ``jobs(None)`` the list to run in-process
-        through :func:`eval_rank_jobs`."""
-        tr = self.config.trace
-
-        def serial():
-            mine = [(job.rank, job.pairs) for job in jobs(None)]
-            done = eval_rank_jobs(self.engine, self.basis, mine, D, want_j,
-                                  want_k, self.kernel, tr)
-            return ({rank: (J, K) for rank, J, K, *_ in done},
-                    sum(d[3] for d in done))
-
-        def pooled(pool):
-            results, nq = pool.exchange(D, jobs(pool), want_j=want_j,
-                                        want_k=want_k, tracer=tr,
-                                        kernel=self.kernel)
-            # keep the parent engine's counter consistent with the
-            # serial executor, where the kernel counts every evaluation
+        the quartet count they took, through the lease's
+        :meth:`~repro.runtime.pool.PoolLease.map` of
+        :func:`eval_screened_pairs` (``jobs`` as that method takes it)."""
+        results, nq = self.lease.map(eval_screened_pairs, jobs, self.engine,
+                                     D, (want_j, want_k, self.kernel))
+        if self.executor == "process":
+            # the workers' engines evaluated the quartets: fold their
+            # count in, as the in-process kernel counts its own
             self.engine.quartets_computed += nq
-            return results, nq
-
-        return self.lease.run(pooled, serial, tr)
+        return results, nq
 
     def build(self, D: np.ndarray, want_j: bool = True, want_k: bool = True,
               blocks: np.ndarray | None = None, eps: float | None = None

@@ -42,6 +42,14 @@ __all__ = ["RIJKBuilder"]
 DENSITY_EIG_CUT = 1e-12
 
 
+def _slab_unit(engine, basis, D, aux_idx, tr, aux, eps):
+    """The RI rank-job unit: the 3-index slab of one aux-shell shard
+    (``D`` and ``tr`` unused).  Returns ``(slab, aux_idx, nints)``: the
+    slab's rows follow ``aux_idx``."""
+    slab, nints = three_center_slab(basis, aux, aux_idx, eps, engine=engine)
+    return slab, aux_idx, nints
+
+
 class RIJKBuilder(JKEngine):
     """Density-fitted J/K builds with a cached per-geometry ``B`` tensor.
 
@@ -94,36 +102,38 @@ class RIJKBuilder(JKEngine):
 
     # --- B-tensor assembly ---------------------------------------------------
 
-    def _assemble_serial(self) -> np.ndarray:
-        slab, nints = three_center_slab(self.basis, self.aux,
-                                        range(self.aux.nshell), self.eps,
-                                        engine=self.engine)
-        self.ints_3c = nints
-        return slab
+    def _assemble(self) -> np.ndarray:
+        """The 3-index tensor ``(P|uv)``, one rank job per aux-shell
+        shard through the lease.
 
-    def _assemble_pooled(self, pool) -> np.ndarray:
-        """Shard the 3-index assembly over the pool by aux-shell slices.
-
-        Rank ``r`` evaluates the aux shells of shard ``r`` (LPT-packed
-        by function count); the parent scatters each slab's rows into
-        the full tensor by aux-shell slice.  Rows for distinct aux
-        shells are disjoint, so any shard count — and any recovery
-        re-run — assembles the bit-identical tensor.
+        In-process one job walks every aux shell and its slab *is* the
+        tensor.  On the pool, rank ``r`` evaluates the aux shells of
+        shard ``r`` (LPT-packed by function count) and the parent
+        scatters each slab's rows into the full tensor by aux-shell
+        slice.  Rows for distinct aux shells are disjoint, so any shard
+        count — and any recovery re-run — assembles the bit-identical
+        tensor.
         """
         from ..runtime.pool import RankJob
 
-        shards = aux_shard_slices(self.aux, pool.nworkers)
-        jobs = [RankJob(rank=r, pairs=list(shard),
-                        cost=float(sum(self.aux.shells[i].nfunc
-                                       for i in shard)))
-                for r, shard in enumerate(shards)]
-        slabs, nints = pool.ri3c(self.aux, jobs, eps=self.eps,
-                                 tracer=self.config.trace)
-        self.ints_3c = nints
-        T = np.empty((self.aux.nbf, self.basis.nbf, self.basis.nbf))
-        aslices = self.aux.shell_slices()
-        for r, shard in enumerate(shards):
-            slab = slabs[r]
+        aux = self.aux
+
+        def jobs(pool):
+            shards = ([list(range(aux.nshell))] if pool is None
+                      else aux_shard_slices(aux, pool.nworkers))
+            return [RankJob(rank=r, pairs=shard,
+                            cost=float(sum(aux.shells[i].nfunc
+                                           for i in shard)))
+                    for r, shard in enumerate(shards)]
+
+        slabs, self.ints_3c = self.lease.map(_slab_unit, jobs, self.engine,
+                                             args=(aux, self.eps))
+        if len(slabs) == 1:
+            # one shard holds every aux shell in order
+            return slabs[0][0]
+        T = np.empty((aux.nbf, self.basis.nbf, self.basis.nbf))
+        aslices = aux.shell_slices()
+        for slab, shard in slabs.values():
             row = 0
             for ai in shard:
                 sl = aslices[ai]
@@ -144,8 +154,7 @@ class RIJKBuilder(JKEngine):
         # is then never live next to V
         with tr.span("ri.assemble", cat="ri", naux=self.aux.nbf,
                      executor=self.executor):
-            T = self.lease.run(self._assemble_pooled, self._assemble_serial,
-                               tr)
+            T = self._assemble()
         with tr.span("ri.metric", cat="ri", naux=self.aux.nbf):
             V = metric_2c(self.aux)
         with tr.span("ri.fit", cat="ri", naux=self.aux.nbf):

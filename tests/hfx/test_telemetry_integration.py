@@ -57,7 +57,7 @@ def test_traced_pool_run_chrome_trace(tmp_path):
     events = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
     names = {e["name"] for e in events}
     assert "jk.screen" in names            # screening
-    assert "worker.quartet_batch" in names  # quartet batches
+    assert "worker.rank_job" in names      # per-worker rank jobs
     assert "pool.dispatch" in names        # per-worker dispatch
     assert "pool.wait" in names
 
@@ -76,18 +76,39 @@ def test_traced_pool_run_chrome_trace(tmp_path):
     assert "scf.iteration" in chain(screen)
     dispatch = next(s for s in tr.spans if s.name == "pool.dispatch")
     assert "jk.build" in chain(dispatch)
-    # worker batches carry per-worker lanes and nest under pool.wait
-    batches = [s for s in tr.spans if s.name == "worker.quartet_batch"]
+    # worker rank jobs carry per-worker lanes and nest under pool.wait
+    batches = [s for s in tr.spans if s.name == "worker.rank_job"]
     assert batches
     assert {s.tid for s in batches} <= {"worker-0", "worker-1"}
+    assert {s.args["unit"] for s in batches} == {"eval_screened_pairs"}
     assert all("pool.wait" in chain(s) for s in batches)
     # per-rank batch timestamps are parent-comparable perf_counter times
     wait = next(s for s in tr.spans if s.name == "pool.wait")
     assert all(s.start >= wait.start - 1.0 for s in batches)
 
-    # pool metrics were absorbed
+    # pool metrics were absorbed; the quartets are the J/K builder's
     assert tr.metrics.get("pool.builds") >= 1
-    assert tr.metrics.get("pool.quartets") > 0
+    assert tr.metrics.get("jk.quartets") > 0
+
+
+@pytest.mark.pool
+@pytest.mark.ri
+def test_pooled_ri_scf_traces_no_quartets():
+    """A pooled RI SCF evaluates no four-index quartet, and its trace
+    says so: the 3-index shards are ``worker.rank_job`` spans of the
+    slab unit, counted by ``scf.ri_ints3c`` alone."""
+    tr = Tracer("pool-ri")
+    cfg = ExecutionConfig(executor="process", nworkers=2, jk="ri",
+                          tracer=tr)
+    res = run_rhf(builders.water(), mode="direct", config=cfg)
+    assert res.converged
+    counters = tr.snapshot().counters
+    assert counters["scf.ri_ints3c"] > 0
+    # the absorbed ERI-engine gauges read zero: workers own the engines
+    assert {k: v for k, v in counters.items() if "quartet" in k and v} == {}
+    assert not [s.name for s in tr.spans if "quartet" in s.name]
+    jobs = [s for s in tr.spans if s.name == "worker.rank_job"]
+    assert jobs and {s.args["unit"] for s in jobs} == {"_slab_unit"}
 
 
 @pytest.mark.pool

@@ -14,7 +14,7 @@ from repro.md import (BOMD, CSVRThermostat, ClassicalMD, ForceField,
                       restore_md)
 from repro.md.observables import energy_drift
 from repro.runtime import (CheckpointError, CheckpointStore, ExecutionConfig,
-                           Tracer, resolve_mts_outer)
+                           Tracer)
 from repro.scf.guess import ASPCExtrapolator, aspc_coefficients
 
 pytestmark = pytest.mark.mts
@@ -101,26 +101,6 @@ def test_aspc_set_state_rejects_order_mismatch():
     a.push(np.eye(2))
     with pytest.raises(ValueError, match="order"):
         ASPCExtrapolator(order=2).set_state(a.get_state())
-
-
-# --- boundary validation ------------------------------------------------------
-
-
-def test_resolve_mts_outer_defaults_and_env(monkeypatch):
-    monkeypatch.delenv("REPRO_MTS_OUTER", raising=False)
-    assert resolve_mts_outer() == 1
-    assert resolve_mts_outer(5) == 5
-    monkeypatch.setenv("REPRO_MTS_OUTER", "4")
-    assert resolve_mts_outer() == 4
-    monkeypatch.setenv("REPRO_MTS_OUTER", "zero")
-    with pytest.raises(ValueError, match="REPRO_MTS_OUTER"):
-        resolve_mts_outer()
-
-
-@pytest.mark.parametrize("bad", [0, -3, True, 2.0, "3"])
-def test_resolve_mts_outer_rejects(bad):
-    with pytest.raises(ValueError, match="mts_outer"):
-        resolve_mts_outer(bad)
 
 
 @pytest.mark.parametrize("config", [None, ExecutionConfig(),

@@ -5,9 +5,13 @@ import pytest
 
 from repro.hfx.partition import lpt_bins
 from repro.runtime.pool import ExchangeWorkerPool, RankJob, default_nworkers
-from repro.scf.fock import scatter_exchange
+from repro.scf.fock import eval_screened_pairs, scatter_exchange
 
 pytestmark = pytest.mark.pool
+
+
+#: ``pool.run`` arguments of a K-only build with the reference kernel
+K_ONLY = (False, True, "quartet")
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +52,7 @@ def test_pool_exchange_matches_serial(water_pool, water_basis, rng):
              (0, 1, np.array([[0, 1], [2, 3]]))]
     jobs = [RankJob(rank=0, pairs=pairs[:1], cost=3.0),
             RankJob(rank=1, pairs=pairs[1:], cost=2.0)]
-    results, nq = water_pool.exchange(D, jobs)
+    results, nq = water_pool.run(eval_screened_pairs, jobs, K_ONLY, D)
     assert nq == 5
     assert set(results) == {0, 1}
     K = results[0][1] + results[1][1]
@@ -61,9 +65,9 @@ def test_pool_counts_quartets_across_builds(water_basis):
     D = np.eye(water_basis.nbf)
     jobs = [RankJob(rank=0, pairs=[(0, 0, np.array([[0, 0]]))], cost=1.0)]
     with ExchangeWorkerPool(water_basis, nworkers=1) as pool:
-        pool.exchange(D, jobs)
-        pool.exchange(D, jobs)
-        assert pool.quartets_computed == 2
+        _, nq1 = pool.run(eval_screened_pairs, jobs, K_ONLY, D)
+        _, nq2 = pool.run(eval_screened_pairs, jobs, K_ONLY, D)
+        assert (nq1, nq2) == (1, 1)
         assert pool.nbuilds == 2
 
 
@@ -80,7 +84,7 @@ def test_pool_reset_retargets_workers(water, rng):
     jobs = [RankJob(rank=0, pairs=pairs, cost=1.0)]
     with ExchangeWorkerPool(basis0, nworkers=1) as pool:
         pool.reset(basis1)
-        results, _ = pool.exchange(D, jobs)
+        results, _ = pool.run(eval_screened_pairs, jobs, K_ONLY, D)
     K_ref = _serial_partial(basis1, D, pairs)
     assert np.abs(results[0][1] - K_ref).max() < 1e-14
 
@@ -95,10 +99,10 @@ def test_pool_worker_error_propagates(water_basis):
     bad = [RankJob(rank=0, pairs=[(99, 99, np.array([[0, 0]]))], cost=1.0)]
     pool = ExchangeWorkerPool(water_basis, nworkers=1)
     with pytest.raises(RuntimeError, match="worker 0 failed"):
-        pool.exchange(np.eye(water_basis.nbf), bad)
+        pool.run(eval_screened_pairs, bad, K_ONLY, np.eye(water_basis.nbf))
     # a failed pool tears itself down
     with pytest.raises(RuntimeError, match="closed"):
-        pool.exchange(np.eye(water_basis.nbf), bad)
+        pool.run(eval_screened_pairs, bad, K_ONLY, np.eye(water_basis.nbf))
 
 
 def test_pool_close_idempotent(water_basis):
@@ -106,9 +110,9 @@ def test_pool_close_idempotent(water_basis):
     pool.close()
     pool.close()
     with pytest.raises(RuntimeError, match="closed"):
-        pool.exchange(np.eye(water_basis.nbf), [])
+        pool.run(eval_screened_pairs, [], K_ONLY, np.eye(water_basis.nbf))
 
 
 def test_pool_rejects_wrong_density_shape(water_pool):
     with pytest.raises(ValueError, match="density shape"):
-        water_pool.exchange(np.eye(3), [])
+        water_pool.run(eval_screened_pairs, [], K_ONLY, np.eye(3))

@@ -29,9 +29,13 @@ from repro.runtime import ExecutionConfig, Tracer
 from repro.runtime.pool import (DEFAULT_MAX_RETRIES, ExchangeWorkerPool,
                                 RankJob, WorkerDeathError, _parse_fault,
                                 resolve_nworkers, resolve_pool_max_retries,
-                                resolve_pool_timeout)
+                                resolve_pool_timeout, run_rank_jobs)
+from repro.scf.fock import eval_screened_pairs
 
 pytestmark = [pytest.mark.pool, pytest.mark.fault]
+
+#: ``pool.run`` arguments of a K-only build with the reference kernel
+K_ONLY = (False, True, "quartet")
 
 
 @pytest.fixture(scope="module")
@@ -135,12 +139,53 @@ def test_hung_worker_is_killed_and_retried(clean_fault_env, water_basis,
     clean_fault_env.setenv("REPRO_POOL_FAULT", "worker=0,build=2,mode=hang")
     jobs = [RankJob(rank=0, pairs=[(0, 0, np.array([[0, 0]]))], cost=1.0)]
     with ExchangeWorkerPool(water_basis, nworkers=1, timeout=0.5) as pool:
-        pool.exchange(np.eye(water_basis.nbf), jobs)
+        D = np.eye(water_basis.nbf)
+        pool.run(eval_screened_pairs, jobs, K_ONLY, D)
         # build 2 hangs; the 0.5 s deadline converts it into a death
-        results, nq = pool.exchange(np.eye(water_basis.nbf), jobs)
+        results, nq = pool.run(eval_screened_pairs, jobs, K_ONLY, D)
         assert nq == 1 and 0 in results
         assert pool.worker_deaths == 1
         assert pool.respawns == 1
+
+
+def _row_unit(engine, basis, D, work, tr, scale):
+    """A unit that knows nothing about J/K: scaled density rows and the
+    worker engine's Schwarz diagonal for each shell index it is handed."""
+    Q = engine.schwarz_bounds()
+    rows = scale * D[[basis.shell_slice(i).start for i in work]]
+    return rows, np.array([Q[(i, i)] for i in work]), len(work)
+
+
+def test_pool_runs_any_unit_like_the_rank_loop(clean_fault_env, water_basis,
+                                                density):
+    """The executor's contract, independent of J/K: a unit defined here
+    returns the same bits through ``pool.run`` as through
+    ``run_rank_jobs`` in-process — also when a worker is killed and its
+    jobs recovered."""
+    from repro.integrals.eri import ERIEngine
+
+    shells = list(range(water_basis.nshell))
+    jobs = [RankJob(rank=r, pairs=shells[r::3], cost=float(r + 1))
+            for r in range(3)]
+    done = run_rank_jobs(_row_unit, ERIEngine(water_basis), water_basis,
+                         density, [(j.rank, j.pairs) for j in jobs], None,
+                         (0.5,))
+    want = {rank: (A, B) for rank, A, B, *_ in done}
+    assert sum(d[3] for d in done) == len(shells)
+    clean_fault_env.setenv("REPRO_POOL_FAULT", "worker=0,build=1,mode=kill")
+    with ExchangeWorkerPool(water_basis, nworkers=2) as pool:
+        # only the first generation is armed: the respawn recovers
+        clean_fault_env.delenv("REPRO_POOL_FAULT")
+        results, n = pool.run(_row_unit, jobs, (0.5,), density)
+        assert (pool.worker_deaths, pool.respawns) == (1, 1)
+        assert pool.retried_jobs >= 1
+        again, _ = pool.run(_row_unit, jobs, (0.5,), density)
+    assert n == len(shells)
+    for got in (results, again):
+        assert set(got) == set(want)
+        for rank, (A, B) in want.items():
+            assert np.array_equal(got[rank][0], A)
+            assert np.array_equal(got[rank][1], B)
 
 
 # --- degradation: retries exhausted -> serial fallback -----------------------
@@ -272,7 +317,8 @@ def test_death_error_diagnosis(clean_fault_env, water_basis):
     jobs = [RankJob(rank=5, pairs=[(0, 0, np.array([[0, 0]]))], cost=1.0)]
     pool = ExchangeWorkerPool(water_basis, nworkers=1, max_retries=0)
     with pytest.raises(WorkerDeathError) as exc:
-        pool.exchange(np.eye(water_basis.nbf), jobs)
+        pool.run(eval_screened_pairs, jobs, K_ONLY,
+                 np.eye(water_basis.nbf))
     e = exc.value
     assert isinstance(e, RuntimeError)  # existing handlers keep working
     assert e.worker == 0
@@ -300,7 +346,8 @@ def test_dead_worker_at_reset_is_respawned(clean_fault_env, water_basis,
         assert pool.worker_deaths == 1
         assert pool.respawns == 1
         assert all(s.alive and s.proc.is_alive() for s in pool._sup.slots)
-        results, nq = pool.exchange(np.eye(basis1.nbf), jobs)
+        results, nq = pool.run(eval_screened_pairs, jobs, K_ONLY,
+                               np.eye(basis1.nbf))
         assert nq == 1 and 0 in results
 
 

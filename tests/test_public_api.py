@@ -95,14 +95,38 @@ def _calls_under_src(callee: str) -> set[str]:
 
 
 def test_one_rank_loop_and_one_clock():
-    """The real distributed build runs through the one rank loop, owns
-    no pool of its own, and the tracer keeps one (wall) clock: the
-    machine model's communicator and simulated timeline are gone."""
+    """Every rank job runs through the one rank loop, whose executor
+    knows nothing about J/K or RI, and the tracer keeps one (wall)
+    clock: the machine model's communicator and simulated timeline are
+    gone."""
+    import ast
+    import pathlib
+
     import repro.runtime
+    from repro.runtime.pool import ExchangeWorkerPool, PoolLease
     from repro.runtime.telemetry import NullTracer, Span, Tracer
 
-    assert _calls_under_src("eval_screened_pairs") == {
-        "scf/fock.py:eval_rank_jobs"}
+    assert _calls_under_src("run_rank_jobs") == {
+        "runtime/pool.py:_worker_main", "runtime/pool.py:map"}
+    assert _calls_under_src("eval_screened_pairs") == set()
+    assert _calls_under_src("three_center_slab") == {
+        "scf/ri_jk.py:_slab_unit"}
+    for name in ("exchange", "ri3c"):
+        assert not hasattr(ExchangeWorkerPool, name), name
+    assert not hasattr(PoolLease, "run")
+    pool_src = (pathlib.Path(__file__).resolve().parents[1] / "src"
+                / "repro" / "runtime" / "pool.py")
+    package, imported = ["repro", "runtime"], set()
+    for node in ast.walk(ast.parse(pool_src.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            head = package[:len(package) + 1 - node.level] \
+                if node.level else []
+            imported.add(".".join(head + [node.module or ""]).rstrip("."))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "repro.integrals.eri" in imported      # the resolver sees it
+    assert not [m for m in imported
+                if m.startswith(("repro.scf", "repro.integrals.ri"))]
     assert {c.split("/")[0] for c in _calls_under_src("PoolLease")} == {
         "scf"}
     for name in ("SimWorld", "CommLog"):
