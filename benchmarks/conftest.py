@@ -7,6 +7,7 @@ figure reuses the same system.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.hfx import water_box_workload
+from repro.runtime.fsio import atomic_write_bytes
 
 CACHE_DIR = Path(__file__).parent / ".cache"
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -30,15 +32,33 @@ FLOP_SCALE = 50.0
 TZV2P_NBF_FACTOR = 58.0 / 7.0
 
 
+# The sources the condensed-phase workload is generated from: a change
+# to any of them keys a new cache file instead of reusing a stale pickle.
+WORKLOAD_SOURCES = ("hfx/workload.py", "hfx/tasklist.py", "hfx/costmodel.py",
+                    "integrals/schwarz.py", "chem/builders.py")
+
+
+def _source_digest() -> str:
+    """sha256 over the workload generator's sources (first 12 hex)."""
+    import repro
+
+    root = Path(repro.__file__).parent
+    h = hashlib.sha256()
+    for rel in WORKLOAD_SOURCES:
+        h.update(rel.encode() + b"\0" + (root / rel).read_bytes())
+    return h.hexdigest()[:12]
+
+
 def _cached(name, builder):
-    CACHE_DIR.mkdir(exist_ok=True)
-    path = CACHE_DIR / f"{name}.pkl"
+    """``builder()``, pickled under ``benchmarks/.cache`` keyed by
+    ``name`` and the generator sources; written atomically, so a run
+    killed mid-dump never leaves a truncated pickle behind."""
+    path = CACHE_DIR / f"{name}_{_source_digest()}.pkl"
     if path.exists():
         with open(path, "rb") as fh:
             return pickle.load(fh)
     obj = builder()
-    with open(path, "wb") as fh:
-        pickle.dump(obj, fh)
+    atomic_write_bytes(path, pickle.dumps(obj))
     return obj
 
 

@@ -35,7 +35,7 @@ def test_f5_node_performance(report, benchmark, condensed_workload):
     # cores sweep at SMT1, scalar
     for cores in (1, 2, 4, 8, 16):
         node = NodeComputeModel(cfg, cores=cores, smt=1, simd=False, chunk=8)
-        t = node.compute_time_uniform(flops, nq).makespan
+        t = node.rank_time(flops, nq)
         if base_time is None:
             base_time = t
         rows.append([f"{cores} cores / SMT1 / scalar", f"{t:.3f}",
@@ -43,12 +43,12 @@ def test_f5_node_performance(report, benchmark, condensed_workload):
     # SMT sweep at 16 cores, scalar
     for smt in (2, 4):
         node = NodeComputeModel(cfg, cores=16, smt=smt, simd=False, chunk=8)
-        t = node.compute_time_uniform(flops, nq).makespan
+        t = node.rank_time(flops, nq)
         rows.append([f"16 cores / SMT{smt} / scalar", f"{t:.3f}",
                      f"{base_time / t:.2f}x"])
     # QPX on at the full configuration
     node = NodeComputeModel(cfg, cores=16, smt=4, simd=True, chunk=8)
-    t_full = node.compute_time_uniform(flops, nq).makespan
+    t_full = node.rank_time(flops, nq)
     rows.append(["16 cores / SMT4 / QPX", f"{t_full:.3f}",
                  f"{base_time / t_full:.2f}x"])
 
@@ -98,4 +98,4 @@ def test_f5_node_performance(report, benchmark, condensed_workload):
     assert all(times["dynamic"] <= 1.05 * t for t in times.values())
 
     node = NodeComputeModel(cfg)
-    benchmark(lambda: node.compute_time_uniform(flops, nq))
+    benchmark(lambda: node.rank_time(flops, nq))

@@ -11,9 +11,13 @@ hfx
     hierarchically threaded Hartree-Fock exact-exchange scheme, its
     task lists and partitioners, the synthetic condensed-phase workload
     generator, and the replicated/dynamic baseline.
-machine / runtime
-    The Blue Gene/Q machine model (5-D torus, collectives, node/SMT/
-    SIMD) and the simulated MPI/OpenMP/SIMD runtime.
+machine
+    The Blue Gene/Q machine model (5-D torus, collectives, OpenMP-like
+    thread teams, QPX-like SIMD, node compute model, build simulator):
+    every modelled price.
+runtime
+    What executes: the rank-job executor and its process pool, worker
+    supervision, checkpoints and the wall-clock tracer.
 md / liair
     Molecular dynamics (classical + Born-Oppenheimer) and the
     lithium/air electrolyte degradation application.

@@ -1,5 +1,5 @@
 """Scaling-law analysis: Amdahl/Gustafson fits, efficiency metrics,
-iso-efficiency thread counts."""
+load imbalance, iso-efficiency thread counts."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["amdahl_time", "fit_amdahl", "speedup", "efficiency",
-           "max_threads_at_efficiency", "ScalingSeries"]
+           "imbalance", "max_threads_at_efficiency", "ScalingSeries"]
 
 
 def amdahl_time(p: np.ndarray, t1: float, serial_fraction: float) -> np.ndarray:
@@ -46,6 +46,15 @@ def efficiency(threads: np.ndarray, times: np.ndarray) -> np.ndarray:
     threads = np.asarray(threads, dtype=np.float64)
     i0 = int(np.argmin(threads))
     return speedup(threads, times) / (threads / threads[i0])
+
+
+def imbalance(loads: np.ndarray) -> float:
+    """Load imbalance (max - mean) / mean; 0 when there is no load."""
+    loads = np.asarray(loads, dtype=np.float64)
+    mean = float(loads.mean()) if loads.size else 0.0
+    if mean <= 0.0:
+        return 0.0
+    return float((loads.max() - mean) / mean)
 
 
 def max_threads_at_efficiency(threads: np.ndarray, times: np.ndarray,

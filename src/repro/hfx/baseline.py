@@ -32,10 +32,9 @@ import numpy as np
 
 from ..machine.bgq import BGQConfig
 from ..machine.node import NodeComputeModel
-from ..machine.simulator import (BuildTiming, CommPlan, simulate_static_build)
-from ..machine.collectives import CollectiveModel
-from ..machine.torus import Torus
+from ..machine.simulator import BuildTiming, CommPlan, comm_times
 from .partition import partition_tasks
+from .scheme import simulate_partition
 from .tasklist import TaskList
 
 __all__ = ["ReplicatedDynamicBaseline", "baseline_comm_plan",
@@ -95,15 +94,6 @@ class ReplicatedDynamicBaseline:
         node = self.node_model()
         return self.cfg.nranks * node.nthreads
 
-
-    def _comm_time(self) -> tuple[float, dict[str, float]]:
-        comm = baseline_comm_plan(self.tasks)
-        coll = CollectiveModel(self.cfg, Torus(self.cfg.torus_dims),
-                               self.collective_algorithm, self.dilation)
-        t_bcast = coll.broadcast(comm.bcast_bytes)
-        t_reduce = coll.allreduce(comm.allreduce_bytes)
-        return t_bcast + t_reduce, {"bcast": t_bcast, "allreduce": t_reduce}
-
     def simulate(self) -> BuildTiming:
         """Price one baseline HFX build."""
         if self.scheduling == "static_naive":
@@ -115,13 +105,9 @@ class ReplicatedDynamicBaseline:
     def _simulate_static_naive(self) -> BuildTiming:
         part = partition_tasks(self.tasks.flops, self.cfg.nranks,
                                "block_equal_counts")
-        rank_flops = part.rank_flops * self.flop_scale
-        rank_nq = np.zeros(part.nranks, dtype=np.float64)
-        np.add.at(rank_nq, part.rank_of_task,
-                  self.tasks.nquartets.astype(np.float64))
-        comm = baseline_comm_plan(self.tasks)
-        return simulate_static_build(
-            rank_flops, rank_nq, self.cfg, comm, node=self.node_model(),
+        return simulate_partition(
+            self.tasks, part, self.cfg, baseline_comm_plan(self.tasks),
+            node=self.node_model(), flop_scale=self.flop_scale,
             collective_algorithm=self.collective_algorithm,
             dilation=self.dilation)
 
@@ -143,7 +129,9 @@ class ReplicatedDynamicBaseline:
         service = self.counter_service * (1.0 + p / 16384.0)
         t_counter_bound = nbatches * service
         compute = max(t_compute_bound, t_counter_bound) + batch_cost
-        comm_time, comm_detail = self._comm_time()
+        comm_time, comm_detail = comm_times(
+            cfg, baseline_comm_plan(self.tasks), self.collective_algorithm,
+            self.dilation)
         makespan = compute + comm_time
         rank_times = np.full(cfg.nranks, t_compute_bound)
         rank_times[0] = max(t_counter_bound, t_compute_bound)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..analysis.scaling import imbalance
+
 __all__ = ["Partition", "round_robin", "block_contiguous",
            "block_equal_counts", "serpentine", "lpt", "lpt_bins",
            "partition_tasks", "PARTITIONERS"]
@@ -36,10 +38,7 @@ class Partition:
     @property
     def imbalance(self) -> float:
         """(max - mean) / mean of per-rank flops."""
-        mean = float(self.rank_flops.mean())
-        if mean <= 0.0:
-            return 0.0
-        return float((self.rank_flops.max() - mean) / mean)
+        return imbalance(self.rank_flops)
 
     def validate(self, costs: np.ndarray) -> None:
         """Internal consistency: totals conserved, every task placed."""

@@ -47,7 +47,8 @@ from ..scf.fock import DirectJKBuilder, make_jk_engine
 from .partition import Partition, partition_tasks
 from .tasklist import TaskList, build_tasklist
 
-__all__ = ["HFXScheme", "distributed_exchange", "scheme_comm_plan"]
+__all__ = ["HFXScheme", "distributed_exchange", "scheme_comm_plan",
+           "simulate_partition"]
 
 # Mean number of significant exchange partners per localized occupied
 # orbital in condensed phase (sets the allreduce payload).
@@ -69,6 +70,32 @@ def scheme_comm_plan(tasks: TaskList, cfg: BGQConfig,
     reduce_ = int(max(tasks.nocc, 1) * orbital_partners * 8)
     return CommPlan(allgather_bytes_per_rank=gather,
                     allreduce_bytes=reduce_)
+
+
+def simulate_partition(tasks: TaskList, part: Partition, cfg: BGQConfig,
+                       comm: CommPlan, node: NodeComputeModel | None = None,
+                       flop_scale: float = 1.0,
+                       collective_algorithm: str = "torus_tree",
+                       dilation: float = 1.0) -> BuildTiming:
+    """Price one statically partitioned build — the scheme's and the
+    cost-oblivious baseline's alike.
+
+    Each rank's flops are scaled by ``flop_scale`` and its tasks'
+    quartets are its threads' loop grain.  ``node=None`` picks the
+    scheme's adaptive dynamic chunk: amortize dispatch overhead when
+    quartets are abundant, shrink to 1 near the strong-scaling limit so
+    every hardware thread stays busy.
+    """
+    rank_flops = part.rank_flops * flop_scale
+    rank_nq = np.zeros(part.nranks, dtype=np.float64)
+    np.add.at(rank_nq, part.rank_of_task, tasks.nquartets.astype(np.float64))
+    if node is None:
+        mean_nq = float(rank_nq.mean()) if rank_nq.size else 0.0
+        chunk = int(np.clip(mean_nq / (cfg.threads_per_rank * 4.0), 1, 8))
+        node = NodeComputeModel(cfg, chunk=chunk)
+    return simulate_static_build(rank_flops, rank_nq, cfg, comm, node=node,
+                                 collective_algorithm=collective_algorithm,
+                                 dilation=dilation)
 
 
 @dataclass
@@ -110,23 +137,10 @@ class HFXScheme:
     def simulate(self, partition: Partition | None = None) -> BuildTiming:
         """Price one HFX build on the configured machine."""
         part = self.plan() if partition is None else partition
-        # distribute each task's quartets as the threading grain
-        rank_flops = part.rank_flops * self.flop_scale
-        rank_nq = np.zeros(part.nranks, dtype=np.float64)
-        np.add.at(rank_nq, part.rank_of_task,
-                  self.tasks.nquartets.astype(np.float64))
-        node = self.node
-        if node is None:
-            # adaptive dynamic chunk: amortize dispatch overhead when
-            # quartets are abundant, shrink to 1 near the strong-scaling
-            # limit so every hardware thread stays busy
-            mean_nq = float(rank_nq.mean()) if rank_nq.size else 0.0
-            threads = self.cfg.threads_per_rank
-            chunk = int(np.clip(mean_nq / (threads * 4.0), 1, 8))
-            node = NodeComputeModel(self.cfg, chunk=chunk)
-        comm = scheme_comm_plan(self.tasks, self.cfg, self.orbital_partners)
-        return simulate_static_build(
-            rank_flops, rank_nq, self.cfg, comm, node=node,
+        return simulate_partition(
+            self.tasks, part, self.cfg,
+            scheme_comm_plan(self.tasks, self.cfg, self.orbital_partners),
+            node=self.node, flop_scale=self.flop_scale,
             collective_algorithm=self.collective_algorithm,
             dilation=self.dilation)
 

@@ -53,8 +53,9 @@ class BGQConfig:
         Multiplicative core-throughput factor when running 1/2/3/4
         hardware threads per core.
     simd_width / simd_efficiency:
-        QPX vector width and the fraction of ideal vector speedup the
-        ERI kernel achieves.
+        QPX vector width and per-lane efficiency; the one per-thread
+        rate, :meth:`repro.machine.node.NodeComputeModel.thread_rate`,
+        turns them into the ERI kernel's vector speedup.
     """
 
     nodes: int
@@ -110,7 +111,7 @@ class BGQConfig:
         """Rack count (1,024 nodes per rack)."""
         return self.nodes / 1024.0
 
-    # --- per-thread compute rate ----------------------------------------------
+    # --- core throughput ------------------------------------------------------
 
     def core_throughput(self, threads_per_core: int) -> float:
         """Core-aggregate instruction throughput (fraction of peak) when
@@ -119,20 +120,6 @@ class BGQConfig:
             raise ValueError(f"threads_per_core must be in [1, {self.smt_per_core}]")
         return (self.thread_throughput_fraction
                 * self.smt_efficiency[threads_per_core - 1])
-
-    def thread_flops(self, threads_per_core: int, simd: bool = True) -> float:
-        """Sustained flop/s of one hardware thread on the ERI kernel."""
-        core_flops = self.clock_hz * self.flops_per_core_cycle
-        agg = self.core_throughput(threads_per_core) * core_flops
-        if not simd:
-            agg /= self.simd_width * self.simd_efficiency
-        return agg / threads_per_core
-
-    def rank_flops(self, threads_per_core: int | None = None,
-                   simd: bool = True) -> float:
-        """Sustained flop/s of one rank with all its threads active."""
-        tpc = self.smt_per_core if threads_per_core is None else threads_per_core
-        return (self.thread_flops(tpc, simd) * tpc * self.cores_per_rank)
 
 
 def _torus_shape(nodes: int) -> tuple[int, int, int, int, int]:

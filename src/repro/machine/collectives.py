@@ -26,8 +26,7 @@ import numpy as np
 from .bgq import BGQConfig
 from .torus import Torus
 
-__all__ = ["CollectiveModel", "allreduce_time", "allgather_time",
-           "broadcast_time", "point_to_point_time"]
+__all__ = ["CollectiveModel", "point_to_point_time"]
 
 
 def point_to_point_time(cfg: BGQConfig, nbytes: int, hops: int) -> float:
@@ -122,22 +121,3 @@ class CollectiveModel:
         avg_hops = max(self.torus.average_distance(), 1.0) * self.dilation
         return steps * (cfg.mpi_overhead + avg_hops * cfg.link_latency
                         + nbytes / cfg.link_bandwidth)
-
-
-def allreduce_time(cfg: BGQConfig, nbytes: int,
-                   algorithm: str = "torus_tree") -> float:
-    """Convenience one-shot allreduce cost."""
-    return CollectiveModel(cfg, Torus(cfg.torus_dims), algorithm).allreduce(nbytes)
-
-
-def allgather_time(cfg: BGQConfig, nbytes_per_rank: int,
-                   algorithm: str = "torus_tree") -> float:
-    """Convenience one-shot allgather cost."""
-    return CollectiveModel(cfg, Torus(cfg.torus_dims),
-                           algorithm).allgather(nbytes_per_rank)
-
-
-def broadcast_time(cfg: BGQConfig, nbytes: int,
-                   algorithm: str = "torus_tree") -> float:
-    """Convenience one-shot broadcast cost."""
-    return CollectiveModel(cfg, Torus(cfg.torus_dims), algorithm).broadcast(nbytes)

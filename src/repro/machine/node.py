@@ -3,8 +3,9 @@
 Bridges the machine description (:class:`~repro.machine.bgq.BGQConfig`)
 and the thread-team scheduler: given the flop costs of a rank's task
 batch, produce the rank's compute time under a given threading/SIMD
-configuration.  This is the model behind the F5 node-performance
-ablation (cores sweep, SMT sweep, SIMD on/off, schedule policy).
+configuration.  This is the model behind every modelled build price
+and the F5 node-performance ablation (cores sweep, SMT sweep, SIMD
+on/off, schedule policy).
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..runtime.simd import ERI_KERNEL, KernelProfile, SIMDModel
-from ..runtime.threads import ScheduleResult, ThreadTeam
 from .bgq import BGQConfig
+from .simd import ERI_KERNEL, SIMDModel
+from .threads import DISPATCH_OVERHEAD, POLICIES, ScheduleResult, ThreadTeam
 
 __all__ = ["NodeComputeModel"]
 
@@ -33,7 +34,9 @@ class NodeComputeModel:
     simd:
         Whether the ERI kernel uses the QPX unit.
     schedule / chunk:
-        Loop scheduling policy for the in-rank quartet loop.
+        Loop scheduling policy (one of
+        :data:`repro.machine.threads.POLICIES`) and chunk size of the
+        in-rank quartet loop.
     """
 
     cfg: BGQConfig
@@ -42,7 +45,6 @@ class NodeComputeModel:
     simd: bool = True
     schedule: str = "dynamic"
     chunk: int = 8
-    kernel: KernelProfile = ERI_KERNEL
 
     def __post_init__(self) -> None:
         if self.cores is None:
@@ -53,6 +55,11 @@ class NodeComputeModel:
             raise ValueError(f"cores must be in [1, {self.cfg.cores_per_rank}]")
         if not 1 <= self.smt <= self.cfg.smt_per_core:
             raise ValueError(f"smt must be in [1, {self.cfg.smt_per_core}]")
+        if self.chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {self.chunk}")
+        if self.schedule not in POLICIES:
+            raise ValueError(f"schedule must be one of {POLICIES}, "
+                             f"got {self.schedule!r}")
 
     @property
     def nthreads(self) -> int:
@@ -60,7 +67,8 @@ class NodeComputeModel:
         return self.cores * self.smt
 
     def thread_rate(self) -> float:
-        """Sustained flop/s of one active hardware thread.
+        """Sustained flop/s of one active hardware thread on the ERI
+        kernel — the one per-thread rate every modelled price uses.
 
         SIMD is modeled through the kernel profile rather than a flat
         factor: peak assumes full vector issue, so scalar code loses the
@@ -69,7 +77,7 @@ class NodeComputeModel:
         core_flops = self.cfg.clock_hz * self.cfg.flops_per_core_cycle
         agg = self.cfg.core_throughput(self.smt) * core_flops
         vec_model = SIMDModel(self.cfg.simd_width, self.cfg.simd_efficiency)
-        achieved = vec_model.speedup(self.kernel)
+        achieved = vec_model.speedup(ERI_KERNEL)
         ideal = self.cfg.simd_width
         factor = achieved / ideal if self.simd else 1.0 / ideal
         return agg * factor / self.smt
@@ -81,27 +89,19 @@ class NodeComputeModel:
         team = ThreadTeam(self.nthreads)
         return team.schedule(costs, policy=self.schedule, chunk=self.chunk)
 
-    def compute_time_uniform(self, total_flops: float, ntasks: int
-                             ) -> ScheduleResult:
-        """Fast path for many identical tasks: analytic schedule without
-        materializing the cost array (used at full-machine scale).
+    def rank_time(self, flops: np.ndarray | float,
+                  ntasks: np.ndarray | float) -> np.ndarray:
+        """Closed-form compute seconds of ranks holding ``flops`` of
+        near-divisible work in ``ntasks`` quartets (arrays or scalars).
 
-        Dynamic self-scheduling of ``ntasks`` equal chunks onto T
-        threads: makespan = ceil(ntasks / T) * (chunk_cost + overhead).
+        The threads self-schedule ``ceil(ntasks / chunk)`` equal chunks,
+        so a rank takes ``ceil(nchunks / T)`` rounds of one chunk plus
+        its dispatch overhead — no cost array is materialized, which is
+        what prices a full-machine build.
         """
-        team = ThreadTeam(self.nthreads)
-        rate = self.thread_rate()
-        if ntasks <= 0:
-            return ScheduleResult(np.zeros(self.nthreads), 0.0, 0.0, 0.0)
-        # honor the chunking the real schedule would apply
-        nchunks = int(np.ceil(ntasks / self.chunk))
-        chunk_cost = (total_flops / rate) / nchunks
-        rounds = int(np.ceil(nchunks / self.nthreads))
-        makespan = rounds * (chunk_cost + team.dispatch_overhead)
-        per_thread = np.full(self.nthreads, makespan)
-        # threads idle in the last partial round
-        extra = rounds * self.nthreads - nchunks
-        if extra > 0:
-            per_thread[-extra:] -= chunk_cost + team.dispatch_overhead
-        return ScheduleResult(per_thread, makespan, total_flops / rate,
-                              nchunks * team.dispatch_overhead)
+        flops = np.asarray(flops, dtype=np.float64)
+        ntasks = np.maximum(np.asarray(ntasks, dtype=np.float64), 0.0)
+        nchunks = np.ceil(ntasks / self.chunk)
+        chunk_cost = (flops / self.thread_rate()) / np.maximum(nchunks, 1.0)
+        rounds = np.ceil(nchunks / self.nthreads)
+        return rounds * (chunk_cost + DISPATCH_OVERHEAD)

@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..analysis.scaling import efficiency, imbalance
 from .bgq import BGQConfig
 from .collectives import CollectiveModel
 from .node import NodeComputeModel
 from .torus import Torus
 
-__all__ = ["BuildTiming", "CommPlan", "simulate_static_build",
-           "parallel_efficiency"]
+__all__ = ["BuildTiming", "CommPlan", "comm_times",
+           "simulate_static_build", "parallel_efficiency"]
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,7 @@ class BuildTiming:
     @property
     def imbalance(self) -> float:
         """(max - mean) / mean of per-rank compute time."""
-        mean = float(self.rank_compute.mean()) if self.rank_compute.size else 0.0
-        if mean <= 0.0:
-            return 0.0
-        return float((self.rank_compute.max() - mean) / mean)
+        return imbalance(self.rank_compute)
 
     @property
     def compute_fraction(self) -> float:
@@ -93,24 +91,19 @@ class BuildTiming:
         return d
 
 
-def _rank_compute_times(rank_flops: np.ndarray,
-                        rank_ntasks: np.ndarray,
-                        node: NodeComputeModel) -> np.ndarray:
-    """Per-rank compute time: divisible quartet work at the thread level
-    plus chunk-dispatch overhead and the last-chunk tail (vectorized
-    across ranks)."""
-    rate = node.thread_rate()
-    T = node.nthreads
-    from ..runtime.threads import ThreadTeam
-
-    dispatch = ThreadTeam(T).dispatch_overhead
-    flops = np.asarray(rank_flops, dtype=np.float64)
-    ntasks = np.maximum(np.asarray(rank_ntasks, dtype=np.float64), 0.0)
-    nchunks = np.ceil(ntasks / node.chunk)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        chunk_cost = np.where(nchunks > 0, (flops / rate) / np.maximum(nchunks, 1), 0.0)
-    rounds = np.ceil(nchunks / T)
-    return rounds * (chunk_cost + dispatch)
+def comm_times(cfg: BGQConfig, comm: CommPlan,
+               algorithm: str = "torus_tree",
+               dilation: float = 1.0) -> tuple[float, dict[str, float]]:
+    """Seconds of one build's collectives: the total and the per-
+    collective breakdown (a collective with no payload is not issued)."""
+    coll = CollectiveModel(cfg, Torus(cfg.torus_dims), algorithm, dilation)
+    t_gather = coll.allgather(comm.allgather_bytes_per_rank) \
+        if comm.allgather_bytes_per_rank else 0.0
+    t_reduce = coll.allreduce(comm.allreduce_bytes) \
+        if comm.allreduce_bytes else 0.0
+    t_bcast = coll.broadcast(comm.bcast_bytes) if comm.bcast_bytes else 0.0
+    return (t_gather + t_reduce + t_bcast,
+            {"allgather": t_gather, "allreduce": t_reduce, "bcast": t_bcast})
 
 
 def simulate_static_build(rank_flops: np.ndarray,
@@ -124,32 +117,24 @@ def simulate_static_build(rank_flops: np.ndarray,
     two collectives."""
     if node is None:
         node = NodeComputeModel(cfg)
-    torus = Torus(cfg.torus_dims)
-    coll = CollectiveModel(cfg, torus, collective_algorithm, dilation)
-    rank_times = _rank_compute_times(rank_flops, rank_ntasks, node)
+    rank_times = node.rank_time(rank_flops, rank_ntasks)
     compute = float(rank_times.max()) if rank_times.size else 0.0
-    t_gather = coll.allgather(comm.allgather_bytes_per_rank) \
-        if comm.allgather_bytes_per_rank else 0.0
-    t_reduce = coll.allreduce(comm.allreduce_bytes) \
-        if comm.allreduce_bytes else 0.0
-    t_bcast = coll.broadcast(comm.bcast_bytes) if comm.bcast_bytes else 0.0
-    comm_time = t_gather + t_reduce + t_bcast
+    comm_time, comm_detail = comm_times(cfg, comm, collective_algorithm,
+                                        dilation)
     makespan = compute + comm_time
     return BuildTiming(
         makespan=makespan, compute_time=compute, comm_time=comm_time,
         rank_compute=rank_times, total_flops=float(np.sum(rank_flops)),
         nranks=cfg.nranks, nthreads=cfg.total_threads,
-        breakdown={"compute": compute, "allgather": t_gather,
-                   "allreduce": t_reduce, "bcast": t_bcast},
+        breakdown={"compute": compute, **comm_detail},
     )
 
 
-def parallel_efficiency(timings: dict[int, BuildTiming],
-                        ref_threads: int | None = None) -> dict[int, float]:
-    """Strong-scaling parallel efficiency relative to the smallest (or
-    given) thread count: E(n) = T_ref * n_ref / (T(n) * n)."""
+def parallel_efficiency(timings: dict[int, BuildTiming]) -> dict[int, float]:
+    """Strong-scaling parallel efficiency of each build relative to the
+    smallest thread count (:func:`repro.analysis.scaling.efficiency`)."""
     if not timings:
         return {}
-    ref = min(timings) if ref_threads is None else ref_threads
-    t_ref = timings[ref].makespan
-    return {n: (t_ref * ref) / (t.makespan * n) for n, t in timings.items()}
+    threads = list(timings)
+    eff = efficiency(threads, [timings[n].makespan for n in threads])
+    return {n: float(e) for n, e in zip(threads, eff)}

@@ -1,10 +1,11 @@
-"""Parallel runtime: OpenMP-like thread teams, QPX-like SIMD model, the
-process-pool backend that runs the HFX rank loop on real local cores,
-and the telemetry layer (hierarchical span tracer + metrics registry)
-behind the unified :class:`ExecutionConfig` API."""
+"""Parallel runtime — code that executes, never a model of the machine:
+the process-pool backend that runs the HFX rank loop on real local
+cores, worker supervision, checkpoints, durable file I/O, and the
+telemetry layer (hierarchical wall-clock span tracer + metrics
+registry) behind the unified :class:`ExecutionConfig` API.  The
+modelled OpenMP thread teams and QPX SIMD live in
+:mod:`repro.machine`."""
 
-from .threads import ScheduleResult, ThreadTeam
-from .simd import SIMDModel, KernelProfile, ERI_KERNEL, DGEMM_KERNEL, SCALAR_KERNEL
 from .telemetry import (Span, Tracer, NullTracer, NULL_TRACER,
                         MetricsRegistry, TelemetrySnapshot, chrome_trace)
 from .execconfig import (ExecutionConfig, DEFAULT_EXECUTION,
@@ -24,8 +25,6 @@ from .pool import (ExchangeWorkerPool, PoolLease, RankJob, WorkerDeathError,
 from .supervisor import WorkerDeath
 
 __all__ = [
-    "ScheduleResult", "ThreadTeam",
-    "SIMDModel", "KernelProfile", "ERI_KERNEL", "DGEMM_KERNEL", "SCALAR_KERNEL",
     "Span", "Tracer", "NullTracer", "NULL_TRACER",
     "MetricsRegistry", "TelemetrySnapshot", "chrome_trace",
     "ExecutionConfig", "DEFAULT_EXECUTION", "resolve_execution",

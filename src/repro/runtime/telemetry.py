@@ -128,7 +128,7 @@ class TelemetrySnapshot:
     ``to_dict()`` is the full JSON-serializable dump — the same
     convention :class:`~repro.scf.rhf.SCFResult`,
     :class:`~repro.machine.simulator.BuildTiming` and
-    :class:`~repro.runtime.threads.ScheduleResult` follow.
+    :class:`~repro.machine.threads.ScheduleResult` follow.
     """
 
     name: str

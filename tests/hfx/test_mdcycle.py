@@ -9,6 +9,9 @@ from repro.hfx.workload import water_box_workload
 from repro.machine import bgq_racks
 
 
+pytestmark = pytest.mark.model
+
+
 @pytest.fixture(scope="module")
 def wl():
     return water_box_workload(16, eps=1e-7, seed=0)

@@ -8,6 +8,9 @@ from repro.hfx.partition import (PARTITIONERS, block_contiguous,
                                  round_robin, serpentine)
 
 
+pytestmark = pytest.mark.model
+
+
 def _heavy_tail(n=5000, seed=0):
     rng = np.random.default_rng(seed)
     return rng.pareto(1.5, size=n) + 0.01

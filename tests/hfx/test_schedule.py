@@ -238,7 +238,7 @@ def _modules():
 
 def test_heapq_only_in_the_two_schedulers():
     """The one LPT lives in ``hfx/partition.py``; the OpenMP model in
-    ``runtime/threads.py`` schedules in arrival order, not by LPT."""
+    ``machine/threads.py`` schedules in arrival order, not by LPT."""
     users = set()
     for path, tree in _modules():
         for node in ast.walk(tree):
@@ -248,7 +248,7 @@ def test_heapq_only_in_the_two_schedulers():
                      else [])
             if "heapq" in names:
                 users.add(path.relative_to(SRC).as_posix())
-    assert users == {"hfx/partition.py", "runtime/threads.py"}
+    assert users == {"hfx/partition.py", "machine/threads.py"}
 
 
 def test_replaced_names_are_gone():

@@ -11,6 +11,9 @@ from repro.machine import bgq_racks
 from repro.scf import DirectJKBuilder, run_rhf
 
 
+pytestmark = pytest.mark.model
+
+
 @pytest.fixture(scope="module")
 def water_state():
     res = run_rhf(builders.water())

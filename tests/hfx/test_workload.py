@@ -13,6 +13,9 @@ from repro.hfx.workload import (calibrate_schwarz_model, synthetic_tasklist,
 from repro.integrals.schwarz import schwarz_bounds
 
 
+pytestmark = pytest.mark.model
+
+
 @pytest.fixture(scope="module")
 def model():
     shells = build_basis(builders.water()).shells

@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 from repro.machine.bgq import BGQConfig, SEQUOIA_TORUS, bgq_racks
+from repro.machine.node import NodeComputeModel
+from repro.machine.simd import ERI_KERNEL, SIMDModel
+
+
+pytestmark = pytest.mark.model
 
 
 def test_full_machine_headline_numbers():
@@ -63,23 +68,34 @@ def test_smt_bounds():
 def test_thread_flops_per_thread_decreases_with_smt():
     """4 threads share a core: per-thread rate drops, aggregate rises."""
     cfg = bgq_racks(1)
-    per1 = cfg.thread_flops(1)
-    per4 = cfg.thread_flops(4)
+    per1 = NodeComputeModel(cfg, smt=1).thread_rate()
+    per4 = NodeComputeModel(cfg, smt=4).thread_rate()
     assert per4 < per1
     assert 4 * per4 > per1  # but the core gets faster overall
 
 
 def test_simd_multiplier():
+    """QPX multiplies the one thread rate by the ERI kernel's vector
+    speedup, not by a flat width x efficiency."""
     cfg = bgq_racks(1)
-    with_simd = cfg.thread_flops(4, simd=True)
-    without = cfg.thread_flops(4, simd=False)
-    assert np.isclose(with_simd / without,
-                      cfg.simd_width * cfg.simd_efficiency)
+    with_simd = NodeComputeModel(cfg, simd=True).thread_rate()
+    without = NodeComputeModel(cfg, simd=False).thread_rate()
+    speedup = SIMDModel(cfg.simd_width, cfg.simd_efficiency).speedup(ERI_KERNEL)
+    assert np.isclose(with_simd / without, speedup)
+    assert 1.0 < speedup < cfg.simd_width * cfg.simd_efficiency
 
 
 def test_rank_flops_aggregates():
+    """A rank's 64 threads together sustain every core's SMT4
+    throughput at the kernel's vector speedup."""
     cfg = bgq_racks(1)
-    assert np.isclose(cfg.rank_flops(4), cfg.thread_flops(4) * 64)
+    node = NodeComputeModel(cfg)
+    peak_core = cfg.clock_hz * cfg.flops_per_core_cycle
+    speedup = SIMDModel(cfg.simd_width, cfg.simd_efficiency).speedup(ERI_KERNEL)
+    assert node.nthreads == 64
+    assert np.isclose(node.thread_rate() * node.nthreads,
+                      cfg.cores_per_rank * cfg.core_throughput(4) * peak_core
+                      * speedup / cfg.simd_width)
 
 
 def test_peak_per_node_204_gflops():

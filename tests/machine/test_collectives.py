@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.machine.bgq import bgq_racks
-from repro.machine.collectives import (CollectiveModel, allgather_time,
-                                       allreduce_time, broadcast_time,
-                                       point_to_point_time)
+from repro.machine.collectives import CollectiveModel, point_to_point_time
 from repro.machine.torus import Torus
+
+
+pytestmark = pytest.mark.model
 
 
 def _model(racks=1, algorithm="torus_tree", dilation=1.0):
@@ -90,9 +91,3 @@ def test_unknown_algorithm_raises():
     with pytest.raises(ValueError):
         m.allreduce(8)
 
-
-def test_convenience_wrappers():
-    cfg = bgq_racks(1)
-    assert allreduce_time(cfg, 4096) > 0
-    assert allgather_time(cfg, 4096) > 0
-    assert broadcast_time(cfg, 4096) > 0

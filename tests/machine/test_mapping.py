@@ -8,6 +8,9 @@ from repro.machine.mapping import (Mapping, abcdet_mapping, blocked_mapping,
 from repro.machine.torus import Torus
 
 
+pytestmark = pytest.mark.model
+
+
 def test_abcdet_identity():
     t = Torus((4, 4, 2))
     m = abcdet_mapping(t)

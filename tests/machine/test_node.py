@@ -5,6 +5,10 @@ import pytest
 
 from repro.machine.bgq import bgq_racks
 from repro.machine.node import NodeComputeModel
+from repro.machine.threads import POLICIES
+
+
+pytestmark = pytest.mark.model
 
 
 def test_defaults_use_all_threads():
@@ -19,6 +23,23 @@ def test_bounds_checked():
         NodeComputeModel(cfg, cores=17)
     with pytest.raises(ValueError):
         NodeComputeModel(cfg, smt=5)
+
+
+def test_chunk_and_schedule_validated_at_construction():
+    """A zero chunk (an infinite, warning-laden makespan) and a
+    misspelled schedule (silently priced as dynamic) are refused
+    before anything is priced."""
+    cfg = bgq_racks(1)
+    with pytest.raises(ValueError, match="chunk"):
+        NodeComputeModel(cfg, chunk=0)
+    with pytest.raises(ValueError, match="chunk"):
+        NodeComputeModel(cfg, chunk=-3)
+    with pytest.raises(ValueError, match="schedule"):
+        NodeComputeModel(cfg, schedule="bogus")
+    with pytest.raises(ValueError):
+        NodeComputeModel(cfg, chunk=0, schedule="bogus")
+    for policy in POLICIES:
+        assert NodeComputeModel(cfg, schedule=policy, chunk=1).chunk == 1
 
 
 def test_more_threads_faster():
@@ -52,20 +73,31 @@ def test_simd_speedup_in_range():
 
 
 def test_uniform_fast_path_matches_explicit():
+    """The closed-form rank time agrees with list-scheduling the
+    explicit cost array, for one rank and for a vector of ranks."""
     cfg = bgq_racks(1)
     node = NodeComputeModel(cfg, schedule="dynamic", chunk=8)
     ntasks, per = 4096, 2e8
     explicit = node.compute_time(np.full(ntasks, per))
-    fast = node.compute_time_uniform(ntasks * per, ntasks)
-    assert np.isclose(explicit.makespan, fast.makespan, rtol=0.05)
-    assert np.isclose(explicit.total_work, fast.total_work, rtol=1e-12)
+    fast = node.rank_time(ntasks * per, ntasks)
+    assert np.isclose(explicit.makespan, fast, rtol=0.05)
+    assert np.isclose(explicit.total_work, ntasks * per / node.thread_rate(),
+                      rtol=1e-12)
+    ranks = node.rank_time([ntasks * per, 0.5 * ntasks * per],
+                           [ntasks, ntasks // 2])
+    assert ranks.shape == (2,)
+    assert ranks[0] == fast
+    assert np.isclose(ranks[1],
+                      node.compute_time(np.full(ntasks // 2, per)).makespan,
+                      rtol=0.05)
 
 
 def test_uniform_zero_tasks():
     cfg = bgq_racks(1)
     node = NodeComputeModel(cfg)
-    res = node.compute_time_uniform(0.0, 0)
-    assert res.makespan == 0.0
+    assert node.rank_time(0.0, 0) == 0.0
+    assert np.array_equal(node.rank_time(np.zeros(3), np.zeros(3)),
+                          np.zeros(3))
 
 
 def test_thread_rate_positive_and_below_peak():

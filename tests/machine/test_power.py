@@ -1,10 +1,14 @@
 """Tests for the power/energy model."""
 
 import numpy as np
+import pytest
 
 from repro.machine.bgq import bgq_racks
 from repro.machine.power import PowerModel, energy_to_solution
 from repro.machine.simulator import BuildTiming
+
+
+pytestmark = pytest.mark.model
 
 
 def test_node_power_range():

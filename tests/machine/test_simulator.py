@@ -1,11 +1,15 @@
 """Tests for the build simulator (the paper's static scheme)."""
 
 import numpy as np
+import pytest
 
 from repro.machine.bgq import bgq_racks
 from repro.machine.simulator import (BuildTiming, CommPlan,
                                      parallel_efficiency,
                                      simulate_static_build)
+
+
+pytestmark = pytest.mark.model
 
 
 def _uniform(cfg, per_rank_flops=1e12, per_rank_tasks=64):

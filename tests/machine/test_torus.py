@@ -6,6 +6,9 @@ import pytest
 from repro.machine.torus import Torus
 
 
+pytestmark = pytest.mark.model
+
+
 def test_basic_counts():
     t = Torus((4, 4, 4, 4, 2))
     assert t.nnodes == 512

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from repro.hfx.partition import PARTITIONERS, partition_tasks
 from repro.integrals.boys import boys
 from repro.integrals.schwarz import surviving_partners
+from repro.machine.threads import ThreadTeam
 from repro.machine.torus import Torus
-from repro.runtime.threads import ThreadTeam
 
 settings.register_profile("suite", max_examples=25, deadline=None)
 settings.load_profile("suite")

@@ -135,3 +135,49 @@ def test_one_rank_loop_and_one_clock():
     for cls in (Tracer, NullTracer):
         assert not hasattr(cls, "add_logical"), cls
     assert "clock" not in Span.__dataclass_fields__
+
+
+def test_the_model_lives_in_machine_and_prices_one_way():
+    """``repro.runtime`` holds only code that executes: the modelled
+    thread and SIMD models live in ``repro.machine``, nothing under
+    ``src/repro/runtime`` imports ``repro.machine``, and the second
+    rate, schedule, comm pricer and wrappers are gone."""
+    import ast
+    import pathlib
+
+    import repro.machine
+    import repro.runtime
+    from repro.hfx.baseline import ReplicatedDynamicBaseline
+    from repro.machine import BGQConfig, NodeComputeModel, collectives
+
+    for name in ("ThreadTeam", "ScheduleResult", "SIMDModel",
+                 "KernelProfile", "ERI_KERNEL", "DGEMM_KERNEL",
+                 "SCALAR_KERNEL"):
+        assert not hasattr(repro.runtime, name), name
+        assert name not in repro.runtime.__all__, name
+        assert name in repro.machine.__all__, name
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    assert not (src / "runtime" / "threads.py").exists()
+    assert not (src / "runtime" / "simd.py").exists()
+    for path in sorted((src / "runtime").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                mod = ("." * node.level) + (node.module or "")
+                names = [mod] + [f"{mod}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            assert not [n for n in names if n.startswith(
+                ("repro.machine", "..machine"))], (path.name, names)
+    for owner, name in ((BGQConfig, "thread_flops"),
+                        (BGQConfig, "rank_flops"),
+                        (NodeComputeModel, "compute_time_uniform"),
+                        (ReplicatedDynamicBaseline, "_comm_time"),
+                        (collectives, "allreduce_time"),
+                        (collectives, "allgather_time"),
+                        (collectives, "broadcast_time"),
+                        (repro.machine.simulator, "_rank_compute_times")):
+        assert not hasattr(owner, name), name
+    assert "kernel" not in NodeComputeModel.__dataclass_fields__
+    assert len(NodeComputeModel.__dataclass_fields__) == 6
