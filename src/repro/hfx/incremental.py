@@ -63,6 +63,16 @@ class IncrementalExchange(DirectJKBuilder):
     geometry jump drops it, so it never spans two geometries and no
     snapshot carries it.
 
+    With ``kernel="batched"`` every one of those walks also reads the
+    engine's class store (:meth:`repro.integrals.ERIEngine.stored_batch`)
+    that the first full build filled: each surviving quartet is
+    evaluated once per geometry (within the store's byte budget).  A
+    ``reset`` to a new basis drops the store with the history; one
+    without a basis (same geometry) keeps it.  The quartet
+    counts here (:attr:`last_quartets`, ``kinc.quartets``, the
+    ``total_quartets_*`` totals) count quartets *walked*, so
+    :attr:`savings` keeps measuring the increment screen alone.
+
     Executor, kernel and fault tolerance are the direct builder's: an
     unrecoverable pool degrades this and later builds to the serial
     executor, and the running pair is unaffected because the lost walk

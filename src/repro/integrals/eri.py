@@ -33,7 +33,8 @@ from .batch import (_eri_class_batch, quartet_class_groups,
 from .mcmurchie import hermite_r_tri
 from .schwarz import schwarz_bounds
 
-__all__ = ["eri_quartet", "eri_tensor", "ERIEngine", "PERM_AXES"]
+__all__ = ["eri_quartet", "eri_tensor", "ERIEngine", "PERM_AXES",
+           "CLASS_STORE_BYTES"]
 
 _TWO_PI_POW = 2.0 * np.pi ** 2.5
 
@@ -51,6 +52,20 @@ PERM_AXES = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
 # stay resident under a non-trimming allocator (the bench pins one) and
 # count in full against the process peak.
 _TENSOR_SCRATCH = 1 << 16
+
+# Byte budget of one engine's class store: the blocks the batched direct
+# walk evaluated at this geometry, kept for every later walk (256 MiB
+# holds every unique quartet of a basis up to nbf ~ 120).  Misses are
+# admitted until the budget is reached and nothing is evicted: a block
+# that does not fit is evaluated on every walk.  The store lives and
+# dies with its engine, which every process rebuilds per geometry, so
+# it never spans two geometries and no snapshot carries it.
+CLASS_STORE_BYTES = 256 << 20
+
+# The engine counters a pool worker reports back (:meth:`ERIEngine.tally`)
+# and the parent's engine sums in (:meth:`ERIEngine.absorb`).
+_TALLIED = ("quartets_computed", "class_batches", "store_hits",
+            "store_misses")
 
 
 def eri_quartet(bra: ShellPair, ket: ShellPair) -> np.ndarray:
@@ -100,6 +115,15 @@ class ERIEngine:
     This is the serial reference engine; the distributed scheme in
     :mod:`repro.hfx` consumes the same quartets but partitions them
     across simulated ranks/threads.
+
+    The engine also keeps a *class store* for the batched direct walk
+    (:meth:`stored_batch`): per angular-momentum class, the blocks
+    evaluated so far and their quartet codes, under the byte budget
+    :data:`CLASS_STORE_BYTES`.  One engine serves one geometry, so the
+    store does too; every later walk of the same SCF (increment walks,
+    full rebuilds, response builds, J- or K-only builds) reads what an
+    earlier one evaluated.  ``quartets_computed`` counts evaluations
+    only, ``store_hits``/``store_misses`` the store's lookups.
     """
 
     def __init__(self, basis: BasisSet):
@@ -114,6 +138,15 @@ class ERIEngine:
         self.quartets_screening = 0
         # class-batch kernel calls (one per L-class of a quartet list)
         self.class_batches = 0
+        # class store: {(l_i, l_j, l_k, l_l): (codes, blocks, sorted
+        # codes, rows)}, codes and blocks in admission order
+        self._store: dict[tuple, tuple] = {}
+        self.store_bytes = 0
+        self.store_hits = 0
+        self.store_misses = 0
+        # largest store of any process that evaluated for this engine
+        # (its own, or a pool worker's reported through absorb)
+        self.store_peak = 0
 
     @property
     def pairs(self) -> dict[tuple[int, int], ShellPair]:
@@ -181,6 +214,80 @@ class ERIEngine:
         """
         return self._class_batch(
             np.asarray(idx, dtype=np.int64).reshape(-1, 4))
+
+    def stored_batch(self, idx: np.ndarray) -> np.ndarray:
+        """:meth:`quartet_batch` through the class store.
+
+        Blocks the store holds are gathered from it; the misses go
+        through :meth:`quartet_batch` in one call and are admitted while
+        the store stays within :data:`CLASS_STORE_BYTES`.  A class-batch
+        block is the same bits whatever batch evaluated it, so the
+        result is ``np.array_equal`` to ``quartet_batch(idx)``.  Counts
+        ``store_hits`` and ``store_misses`` (only the misses count on
+        ``quartets_computed``: they are the evaluations).
+        """
+        idx = np.asarray(idx, dtype=np.int64).reshape(-1, 4)
+        nsh = self.basis.nshell
+        codes = ((idx[:, 0] * nsh + idx[:, 1]) * nsh + idx[:, 2]) * nsh \
+            + idx[:, 3]
+        key = tuple(self.basis.shells[s].l for s in idx[0].tolist())
+        slot = self._store.get(key)
+        if slot is None:
+            hit = np.zeros(len(idx), dtype=bool)
+        else:
+            _, blocks, stored, rows = slot
+            pos = np.minimum(np.searchsorted(stored, codes), len(stored) - 1)
+            hit = stored[pos] == codes
+        nhit = int(hit.sum())
+        self.store_hits += nhit
+        self.store_misses += len(idx) - nhit
+        if nhit == len(idx):
+            return blocks[rows[pos]]
+        miss = ~hit
+        fresh = self.quartet_batch(idx[miss])
+        out = fresh
+        if nhit:
+            out = np.empty((len(idx),) + fresh.shape[1:])
+            out[hit] = blocks[rows[pos[hit]]]
+            out[miss] = fresh
+        self._admit(key, codes[miss], fresh)
+        return out
+
+    def _admit(self, key: tuple, codes: np.ndarray, fresh: np.ndarray
+               ) -> None:
+        """Store the leading blocks of ``fresh`` (quartet ``codes``) that
+        fit in what is left of :data:`CLASS_STORE_BYTES`."""
+        n = min(len(fresh), max(0, (CLASS_STORE_BYTES - self.store_bytes)
+                                // fresh[0].nbytes))
+        if n == 0:
+            return
+        new = fresh if n == len(fresh) else fresh[:n].copy()
+        codes = codes[:n]
+        slot = self._store.get(key)
+        if slot is not None:
+            codes = np.concatenate([slot[0], codes])
+            new = np.concatenate([slot[1], new])
+        rows = np.argsort(codes)
+        self._store[key] = (codes, new, codes[rows], rows)
+        self.store_bytes += n * fresh[0].nbytes
+        self.store_peak = max(self.store_peak, self.store_bytes)
+
+    def tally(self, since: dict | None = None) -> dict[str, int]:
+        """The evaluation and store-lookup counters (less those of an
+        earlier tally ``since``) and ``store_bytes``, the store's size
+        now: what a pool worker's engine reports after each exec."""
+        out = {k: getattr(self, k) - (since[k] if since else 0)
+               for k in _TALLIED}
+        out["store_bytes"] = self.store_bytes
+        return out
+
+    def absorb(self, tally: dict[str, int]) -> None:
+        """Fold in a pool worker's :meth:`tally` of work done for this
+        engine: the counters add, and ``store_peak`` keeps the largest
+        store one process held."""
+        for k in _TALLIED:
+            setattr(self, k, getattr(self, k) + tally[k])
+        self.store_peak = max(self.store_peak, tally["store_bytes"])
 
 
 def eri_tensor(basis: BasisSet, screen: float = 0.0,

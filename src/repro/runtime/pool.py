@@ -176,11 +176,15 @@ def _worker_main(conn, wid: int, _gen: int, dbuf, basis, nbf: int) -> None:
     shared buffer, so an ``exec`` message ``("exec", unit, jobs, args)``
     carries only the unit's name, work lists and small arguments.
 
-    Every reply is ``(status, payload, count, timings)``; for ``exec``,
-    ``payload`` lists one ``(rank, A, B)`` per job and ``timings`` one
-    ``(rank, t0, t1, count)`` record (``perf_counter`` is
+    Every reply is ``(status, payload, count, timings, tally)``; for
+    ``exec``, ``payload`` lists one ``(rank, A, B)`` per job, ``timings``
+    one ``(rank, t0, t1, count)`` record (``perf_counter`` is
     CLOCK_MONOTONIC under fork, so the parent's tracer can graft the
-    spans onto its own timeline).
+    spans onto its own timeline) and ``tally`` is what the worker's
+    engine evaluated and looked up in its class store for the message
+    (:meth:`~repro.integrals.eri.ERIEngine.tally`).  The engine, and
+    with it the store, is rebuilt on every ``reset``, so a worker's
+    store never spans two geometries; a respawned worker starts empty.
 
     ``wid`` is this worker's pool slot — only used to match the
     test-only ``REPRO_POOL_FAULT`` injection spec, which fires in every
@@ -213,23 +217,25 @@ def _worker_main(conn, wid: int, _gen: int, dbuf, basis, nbf: int) -> None:
                         f"reset changed nbf {nbf} -> {basis.nbf}; the "
                         "shared density buffer is sized at pool creation")
                 engine = ERIEngine(basis)
-                conn.send(("ok", None, 0, None))
+                conn.send(("ok", None, 0, None, None))
             elif cmd == "exec":
                 # the parent already screened, so each rank's work list
                 # is exactly the serial path's
                 _, unit, jobs, args = msg
+                before = engine.tally()
                 done = run_rank_jobs(unit, engine, basis, D, jobs,
                                      NULL_TRACER, args)
                 conn.send(("ok", [(rank, A, B) for rank, A, B, *_ in done],
                            sum(d[3] for d in done),
                            [(rank, t0, t1, n)
-                            for rank, _, _, n, t0, t1 in done]))
+                            for rank, _, _, n, t0, t1 in done],
+                           engine.tally(since=before)))
             elif cmd == "ping":
-                conn.send(("ok", None, 0, None))
+                conn.send(("ok", None, 0, None, None))
             else:
                 raise ValueError(f"unknown pool command {cmd!r}")
         except Exception:
-            conn.send(("err", traceback.format_exc(), 0, None))
+            conn.send(("err", traceback.format_exc(), 0, None, None))
     conn.close()
 
 
@@ -388,7 +394,7 @@ class ExchangeWorkerPool:
     def _collect(self, sent, phase: str, held, tr, unit: str = ""):
         """One reply from each worker in ``sent``, under one deadline.
 
-        Returns ``({w: (payload, count, timings)}, deaths)``: a
+        Returns ``({w: (payload, count, timings, tally)}, deaths)``: a
         worker whose pipe closes (possibly mid-message), whose sentinel
         fires, or that stays silent past the deadline (``hung``) is
         reaped and diagnosed; its siblings' replies are kept.  A worker
@@ -411,11 +417,11 @@ class ExchangeWorkerPool:
                     deaths.append(self._death(w, phase, held.get(w, ()),
                                               hung=not news))
                     continue
-                status, payload, n, timings = reply
+                status, payload, n, timings, tally = reply
                 if status != "ok":
                     self.close(force=True)
                     raise RuntimeError(f"pool worker {w} failed:\n{payload}")
-                replies[w] = (payload, n, timings)
+                replies[w] = (payload, n, timings, tally)
                 if tr.enabled and timings:
                     for rank, t0, t1, n_rank in timings:
                         tr.add_span("worker.rank_job", t0, t1, cat="pool",
@@ -423,15 +429,18 @@ class ExchangeWorkerPool:
                                     rank=rank, n=n_rank)
         return replies, deaths
 
-    def run(self, unit, jobs: list[RankJob], args=(), D=None, tracer=None
-            ) -> tuple[dict[int, tuple], int]:
+    def run(self, unit, jobs: list[RankJob], args=(), D=None, tracer=None,
+            engine=None) -> tuple[dict[int, tuple], int]:
         """Run ``unit`` over rank jobs on the workers, against density
         ``D`` (``None`` leaves the shared buffer untouched).
 
         Each worker runs its jobs through :func:`run_rank_jobs`.
         Returns ``(results, count)``: ``results`` maps each job's rank
         id to the unit's ``(A, B)`` and ``count`` sums the units'
-        counts.
+        counts.  ``engine`` (the caller's
+        :class:`~repro.integrals.eri.ERIEngine`), when given, absorbs
+        the workers' engine tallies of a run that completes, so it
+        counts the evaluations done on its behalf as if it had run them.
 
         ``tracer`` (a :class:`repro.runtime.telemetry.Tracer`) records
         the dispatch/wait phases and grafts each worker's per-rank job
@@ -462,6 +471,7 @@ class ExchangeWorkerPool:
         name = unit.__name__
         results: dict[int, tuple] = {}
         total = 0
+        tallies = []
         outstanding = list(range(len(jobs)))
         rounds = 0
         while outstanding:
@@ -480,8 +490,9 @@ class ExchangeWorkerPool:
                                         for t in mine], args)
                      for w, mine in holds.items()}, "dispatch", held)
             replies, dead = self._collect(sent, "build", held, tr, name)
-            for payload, n, _ in replies.values():
+            for payload, n, _, tally in replies.values():
                 total += n
+                tallies.append(tally)
                 for rank, A, B in payload:
                     results[rank] = (A, B)
             deaths += dead
@@ -502,6 +513,9 @@ class ExchangeWorkerPool:
             self.retried_jobs += len(lost)
             outstanding = lost
         self.nbuilds += 1
+        if engine is not None:
+            for tally in tallies:
+                engine.absorb(tally)
         if tr.enabled:
             tr.metrics.count("pool.builds", 1)
             # gauge semantics (like the absorb_* helpers): the pool's
@@ -564,9 +578,11 @@ class PoolLease:
         """``unit`` over rank jobs: ``({rank: (A, B)}, count)``.
 
         ``jobs(pool)`` returns the :class:`RankJob` list to run on a
-        healthy pool (:meth:`ExchangeWorkerPool.run`); ``jobs(None)``
-        the list to run in-process on ``engine`` through
-        :func:`run_rank_jobs`.
+        healthy pool (:meth:`ExchangeWorkerPool.run`, whose workers'
+        engine tallies ``engine`` absorbs); ``jobs(None)`` the list to
+        run in-process on ``engine`` through :func:`run_rank_jobs`.
+        Either way ``engine``'s counters end up counting what was
+        evaluated for it.
         """
         if self.executor == "process":
             if self.pool is None or self.pool.closed:
@@ -575,7 +591,7 @@ class PoolLease:
             else:
                 try:
                     return self.pool.run(unit, jobs(self.pool), args, D,
-                                         self.trace)
+                                         self.trace, engine)
                 except WorkerDeathError as e:
                     # partial worker results are discarded: the
                     # in-process loop re-runs every job

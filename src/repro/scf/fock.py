@@ -150,6 +150,19 @@ def _ao_rows(offsets: np.ndarray, shells: np.ndarray, n: int) -> np.ndarray:
     return offsets[shells][:, None] + np.arange(n)
 
 
+def _add_blocks(M: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                vals: np.ndarray) -> None:
+    """``M[rows[q][:, None], cols[q][None, :]] += vals[q]`` for every
+    ``q`` in order, colliding indices included: ``np.add.at`` over flat
+    indices into ``M``, the same additions in the same (C) order as the
+    2-D index form (so the same bits), at about half its cost."""
+    if not M.flags.c_contiguous:        # no flat view to scatter into
+        np.add.at(M, (rows[:, :, None], cols[:, None, :]), vals)
+        return
+    flat = rows[:, :, None] * M.shape[1] + cols[:, None, :]
+    np.add.at(M.reshape(-1), flat.reshape(-1), vals.reshape(-1))
+
+
 def scatter_exchange_batch(basis: BasisSet, K: np.ndarray,
                            blocks: np.ndarray, D: np.ndarray,
                            idx: np.ndarray) -> None:
@@ -164,28 +177,30 @@ def scatter_exchange_batch(basis: BasisSet, K: np.ndarray,
     assignment would drop contributions).
     """
     idx = np.asarray(idx, dtype=np.int64).reshape(-1, 4)
-    off = basis.offsets
     i, j, k, l = idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3]
     code = ((i == j).astype(np.int64) + 2 * (k == l)
             + 4 * ((i == k) & (j == l)))
+    # AO rows of each index position, shared by the eight slots
+    ao = [_ao_rows(basis.offsets, idx[:, p], blocks.shape[p + 1])
+          for p in range(4)]
     for s, ax in enumerate(PERM_AXES):
         mask = _SLOT_ACTIVE[code, s]
-        if not mask.any():
+        if mask.all():
+            blk, rows = blocks, ao
+        elif mask.any():
+            blk, rows = blocks[mask], [r[mask] for r in ao]
+        else:
             continue
-        sub = idx[mask]
         # axes (q, a, c, b, d): the K block first, the contracted D
         # block last, so the slot is one batched matrix-vector product
-        blk = blocks[mask].transpose(
-            (0, ax[0] + 1, ax[2] + 1, ax[1] + 1, ax[3] + 1))
+        blk = blk.transpose((0, ax[0] + 1, ax[2] + 1, ax[1] + 1, ax[3] + 1))
         nq, na, nc, nb, nd = blk.shape
-        rows_b = _ao_rows(off, sub[:, ax[1]], nb)
-        cols_d = _ao_rows(off, sub[:, ax[3]], nd)
+        rows_a, rows_b, cols_c, cols_d = (rows[ax[0]], rows[ax[1]],
+                                          rows[ax[2]], rows[ax[3]])
         # K_ac += (ab|cd) D_bd, one contraction for the whole sub-batch
         dbd = _gather_blocks(D, rows_b, cols_d).reshape(nq, nb * nd, 1)
         kblk = (blk.reshape(nq, na * nc, nb * nd) @ dbd).reshape(nq, na, nc)
-        rows_a = _ao_rows(off, sub[:, ax[0]], na)
-        cols_c = _ao_rows(off, sub[:, ax[2]], nc)
-        np.add.at(K, (rows_a[:, :, None], cols_c[:, None, :]), kblk)
+        _add_blocks(K, rows_a, cols_c, kblk)
 
 
 def scatter_coulomb_batch(basis: BasisSet, J: np.ndarray,
@@ -210,7 +225,7 @@ def scatter_coulomb_batch(basis: BasisSet, J: np.ndarray,
     jblk = (bmat @ dkl_blk).reshape(nq, nA, nB) * dkl[:, None, None]
     rows_i = _ao_rows(off, i, nA)
     cols_j = _ao_rows(off, j, nB)
-    np.add.at(J, (rows_i[:, :, None], cols_j[:, None, :]), jblk)
+    _add_blocks(J, rows_i, cols_j, jblk)
     mirror = ~((i == k) & (j == l))
     if mirror.any():
         nm = int(mirror.sum())
@@ -218,8 +233,7 @@ def scatter_coulomb_batch(basis: BasisSet, J: np.ndarray,
         dij_blk = _gather_blocks(D, rows_i[mirror], cols_j[mirror])
         jblk = (dij_blk.reshape(nm, 1, nA * nB) @ bmat[mirror]).reshape(
             nm, nC, nD) * dij[:, None, None]
-        np.add.at(J, (rows_k[mirror][:, :, None],
-                      cols_l[mirror][:, None, :]), jblk)
+        _add_blocks(J, rows_k[mirror], cols_l[mirror], jblk)
 
 
 def reflect_triangle(J: np.ndarray) -> np.ndarray:
@@ -254,7 +268,14 @@ def eval_screened_pairs(engine: ERIEngine, basis: BasisSet, D: np.ndarray,
     same order.  Returns ``(J, K, nquartets)``: ``None`` for an
     unrequested matrix, and J fills the upper shell triangle only (see
     :func:`scatter_coulomb`).  ``kernel="quartet"`` is the bit-exact
-    per-quartet reference, ``"batched"`` groups the list by L-class.
+    per-quartet reference.  ``"batched"`` groups the list by L-class and
+    takes each class's blocks from ``engine``'s class store
+    (:meth:`~repro.integrals.eri.ERIEngine.stored_batch`): what an
+    earlier walk at this geometry evaluated is gathered, only the rest
+    is evaluated, and the blocks are the same bits either way, so the
+    scatters (same additions, same order) give the same J and K.
+    ``nquartets`` counts the quartets walked, wherever their blocks
+    came from.
     """
     nbf = basis.nbf
     J = np.zeros((nbf, nbf)) if want_j else None
@@ -266,7 +287,7 @@ def eval_screened_pairs(engine: ERIEngine, basis: BasisSet, D: np.ndarray,
             groups = engine.group_quartets(flatten_pairs(pairs))
         for grp in groups:
             with tr.span("batch.eval", cat="batch", nq=len(grp)):
-                blocks = engine.quartet_batch(grp)
+                blocks = engine.stored_batch(grp)
             with tr.span("batch.scatter", cat="batch", nq=len(grp)):
                 if J is not None:
                     scatter_coulomb_batch(basis, J, blocks, D, grp)
@@ -410,6 +431,22 @@ class DirectJKBuilder(JKEngine):
     owned pool can be shared (e.g. across the SCFs of an MD
     trajectory); otherwise the builder spawns and owns one.
 
+    The batched walk reads and fills the class store of the engine that
+    runs it (:meth:`~repro.integrals.eri.ERIEngine.stored_batch`): the
+    builder's own engine in-process, each worker's engine on the pool
+    (each keeps the blocks of the rank jobs it ran).  Every ``reset``
+    rebuilds those engines, so a store holds one geometry.  Memory: at
+    most :data:`~repro.integrals.eri.CLASS_STORE_BYTES` plus O(nbf²)
+    per process, ``nworkers`` times that on the pool.
+
+    Counters: ``quartets_computed`` (and ``jk.quartets``) counts the
+    quartets *walked* per build; ``engine.quartets_computed`` the
+    blocks *evaluated*, on either executor (pool workers report theirs
+    back).  Each build adds ``jk.store.hits`` and ``jk.store.misses``
+    (hits + misses = walked on the batched kernel) and raises the
+    ``jk.store.bytes`` maximum, the largest store one process holds;
+    the ``jk.build`` span carries the same three as ``store_*``.
+
     Fault tolerance: the pool heals worker deaths itself (respawn +
     re-run the lost rank jobs, bit-identically); if it cannot, the
     builder's :class:`~repro.runtime.pool.PoolLease` warns once,
@@ -447,16 +484,12 @@ class DirectJKBuilder(JKEngine):
     def eval_jobs(self, jobs, D: np.ndarray, want_j: bool, want_k: bool
                   ) -> tuple[dict, int]:
         """Per-rank ``{rank: (J, K)}`` partials of screened rank jobs and
-        the quartet count they took, through the lease's
+        the quartet count they walked, through the lease's
         :meth:`~repro.runtime.pool.PoolLease.map` of
-        :func:`eval_screened_pairs` (``jobs`` as that method takes it)."""
-        results, nq = self.lease.map(eval_screened_pairs, jobs, self.engine,
-                                     D, (want_j, want_k, self.kernel))
-        if self.executor == "process":
-            # the workers' engines evaluated the quartets: fold their
-            # count in, as the in-process kernel counts its own
-            self.engine.quartets_computed += nq
-        return results, nq
+        :func:`eval_screened_pairs` (``jobs`` as that method takes it;
+        the pool workers' evaluations land on ``self.engine``)."""
+        return self.lease.map(eval_screened_pairs, jobs, self.engine,
+                              D, (want_j, want_k, self.kernel))
 
     def build(self, D: np.ndarray, want_j: bool = True, want_k: bool = True,
               blocks: np.ndarray | None = None, eps: float | None = None
@@ -472,8 +505,9 @@ class DirectJKBuilder(JKEngine):
         """
         tr = self.config.trace
         eps = self.eps if eps is None else eps
+        before = self.engine.tally()
         with tr.span("jk.build", cat="scf", executor=self.executor,
-                     kernel=self.kernel):
+                     kernel=self.kernel) as span:
             dmax = blocks if blocks is not None else (
                 float(np.abs(D).max()) if D.size else 0.0)
             # the vectorized screen walks bra pairs and surviving kets in
@@ -502,9 +536,18 @@ class DirectJKBuilder(JKEngine):
                     # the full symmetric matrix (diagonal shell blocks
                     # are complete and symmetric already)
                     J = reflect_triangle(J)
+            store = self.engine.tally(since=before)
+            span.add(store_hits=store["store_hits"],
+                     store_misses=store["store_misses"],
+                     store_bytes=self.engine.store_peak)
             if tr.enabled:
                 tr.metrics.count("jk.builds", 1)
                 tr.metrics.count("jk.quartets", self.quartets_computed)
+                tr.metrics.count("jk.store.hits", store["store_hits"])
+                tr.metrics.count("jk.store.misses", store["store_misses"])
+                tr.metrics.set("jk.store.bytes", max(
+                    tr.metrics.get("jk.store.bytes"),
+                    self.engine.store_peak))
                 tr.metrics.absorb_engine(self.engine)
             return J, K
 

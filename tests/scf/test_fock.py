@@ -1,6 +1,7 @@
 """Tests for J/K Fock builds: in-core vs direct vs reference."""
 
 import numpy as np
+import pytest
 
 from repro.chem import builders
 from repro.basis import build_basis
@@ -87,3 +88,29 @@ def test_hetero_molecule_direct_consistency():
     Jd, Kd = DirectJKBuilder(b, eps=1e-14).build(D)
     assert np.abs(Jd - Jt).max() < 1e-10
     assert np.abs(Kd - Kt).max() < 1e-10
+
+
+@pytest.mark.reference
+def test_flat_block_accumulation_is_the_2d_add_at():
+    """The batched scatters' accumulation (``_add_blocks``: ``np.add.at``
+    over flat indices) makes the additions of the 2-D index form in the
+    same order — colliding blocks included — so the same bits; a
+    non-contiguous target takes the 2-D form itself."""
+    from repro.scf.fock import _add_blocks
+
+    rng = np.random.default_rng(11)
+    nbf, nq = 13, 400
+    rows = rng.integers(0, nbf - 2, nq)[:, None] + np.arange(3)
+    cols = rng.integers(0, nbf - 1, nq)[:, None] + np.arange(2)
+    vals = rng.standard_normal((nq, 3, 2))
+    start = rng.standard_normal((nbf, nbf))
+    ref = start.copy()
+    np.add.at(ref, (rows[:, :, None], cols[:, None, :]), vals)
+    got = start.copy()
+    _add_blocks(got, rows, cols, vals)
+    assert np.array_equal(got, ref)
+    wide = np.zeros((nbf, 2 * nbf))
+    view = wide[:, ::2]                   # not C-contiguous: no flat view
+    view[:] = start
+    _add_blocks(view, rows, cols, vals)
+    assert np.array_equal(view, ref)
