@@ -66,7 +66,8 @@ def test_f8_incremental_builds(report, benchmark):
     blocks = []
     for mol in (builders.water_cluster(4), builders.propylene_carbonate()):
         e_ref = _incore_energy(mol)
-        engine = make_jk_engine(RHF(mol).basis, BATCHED, SCF_EPS)
+        engine = make_jk_engine(RHF(mol).basis, BATCHED, SCF_EPS,
+                                mode="direct")
         assert isinstance(engine, IncrementalExchange)
         res, counts = _counted_scf(mol, engine)
         rows = [[k, full, inc, f"{inc / full:.3f}",
@@ -151,7 +152,7 @@ def test_f8c_rebuild_sweep(report):
             engine.divisor = divisor
             row("hf", "never" if cadence == never else cadence,
                 f"eps/{divisor}" if divisor > 1 else "eps", engine)
-    shipped = make_jk_engine(basis, BATCHED, SCF_EPS)
+    shipped = make_jk_engine(basis, BATCHED, SCF_EPS, mode="direct")
     err_pbe0 = row("pbe0", REBUILD_EVERY, f"eps/{REBUILD_EVERY}", shipped,
                    method="pbe0")
     report(format_table(

@@ -36,7 +36,6 @@ import time
 
 from .runtime.execconfig import ExecutionConfig, resolve_execution
 from .runtime.schema import result_envelope
-from .scf.fock import jk_build_mode
 from .service.jobspec import JobSpec
 
 __all__ = ["run_scf", "run_md", "run_job", "submit", "default_service",
@@ -81,49 +80,22 @@ def run_scf(spec: JobSpec | dict,
             config: ExecutionConfig | None = None) -> dict:
     """One SCF single point; returns a ``"scf_result"`` envelope.
 
-    Routes exactly like the ``repro scf`` command always did: UHF for
-    ``method="uhf"`` or open shells, direct RHF for ``method="hf"``,
-    Kohn-Sham otherwise.  The process executor and the density-fitted
-    path (``jk="ri"``) both force direct J/K builds — neither has
-    anything to accelerate on the in-core tensor.
+    The driver is :func:`repro.scf.scf_driver`'s (UHF for
+    ``method="uhf"`` or an open-shell ``hf``, RHF for ``hf``, Kohn-Sham
+    otherwise; open-shell Kohn-Sham is refused) and the J/K route
+    :func:`repro.scf.fock.make_jk_engine`'s (``mode=None`` derives it).
     """
+    from .scf import RHF, UHF, scf_driver
+
     spec = _as_spec(spec, kind="scf")
     cfg = _config_for(spec, config)
     mol = spec.resolve_molecule()
     t0 = time.perf_counter()
-    kwargs = {"config": cfg, "conv_tol": spec.conv_tol,
-              "screen_eps": spec.screen_eps,
-              "mode": jk_build_mode(cfg, spec.mode)}
-    if spec.method == "uhf" or mol.multiplicity > 1:
-        from .scf import run_uhf
-
-        if cfg.scf_solver not in ("diis", "auto"):
-            # JobSpec.validate owns soscf x open-shell for the
-            # multiplicity a spec states; a builder molecule that is
-            # open-shell by itself (li_atom) or an explicit config
-            # carries it past that, so refuse here instead of silently
-            # downgrading the requested solver (or failing deep inside
-            # UHF.__init__)
-            raise ValueError(
-                f"scf_solver={cfg.scf_solver!r} is not available for the "
-                f"UHF/open-shell route (molecule "
-                f"{mol.name!r}, multiplicity {mol.multiplicity}): the "
-                f"Newton solver's rotation parametrization is "
-                f"closed-shell only — use scf_solver='diis'")
-        kwargs["config"] = cfg.replace(scf_solver="diis")
-        res = run_uhf(mol, basis=spec.basis, **kwargs)
-        label = "UHF"
-    elif spec.method == "hf":
-        from .scf import run_rhf
-
-        res = run_rhf(mol, basis=spec.basis, **kwargs)
-        label = "RHF"
-    else:
-        from .scf.dft import run_rks
-
-        res = run_rks(mol, basis=spec.basis, functional=spec.method,
-                      **kwargs)
-        label = spec.method.upper()
+    driver = scf_driver(mol, spec.method, spec.basis, config=cfg,
+                        conv_tol=spec.conv_tol, screen_eps=spec.screen_eps,
+                        mode=spec.mode)
+    res = driver.run()
+    label = {UHF: "UHF", RHF: "RHF"}.get(type(driver), spec.method.upper())
     scf = res.summary()
     counters = dict(scf.get("counters", {}))
     return result_envelope(
@@ -183,9 +155,8 @@ def _build_bomd(spec: JobSpec, cfg: ExecutionConfig,
     for engine in (b.engine, b.fast_engine):
         if isinstance(engine, SCFForceEngine):
             engine.conv_tol = spec.conv_tol
-            engine.scf_kwargs.update(
-                screen_eps=spec.screen_eps,
-                mode=jk_build_mode(engine.config, spec.mode))
+            engine.scf_kwargs.update(screen_eps=spec.screen_eps,
+                                     mode=spec.mode)
     return b, restored_from
 
 

@@ -90,7 +90,7 @@ def _spec_from_args(args, kind: str):
                           temperature=args.temperature,
                           thermostat=args.thermostat, tau_fs=args.tau,
                           seed=args.seed,
-                          mts_outer=resolve("mts_outer", args.mts_outer),
+                          mts_outer=args.mts_outer,
                           mts_inner=args.mts_inner,
                           mts_aspc_order=None if order < 0 else order)
         return JobSpec(**common)
@@ -172,7 +172,10 @@ def _cmd_scf(args) -> int:
     if config.executor == "process":
         say(f"executor: process pool, {resolve('nworkers', config.nworkers)} "
             "workers (direct J/K builds)")
-    out = api.run_scf(spec, config)
+    try:
+        out = api.run_scf(spec, config)
+    except ValueError as e:         # a route the driver rule refuses
+        raise SystemExit(f"error: {e}") from None
     scf, label = out["scf"], out["method"]
     say(f"E({label}/{args.basis}) = {scf['energy']:.8f} Ha  "
         f"converged={scf['converged']} niter={scf['niter']}")
@@ -228,7 +231,7 @@ def _cmd_md(args) -> int:
         out = api.run_md(spec, config,
                          restore_from=restore_from if restore_from
                          else False)
-    except CheckpointError as e:
+    except (CheckpointError, ValueError) as e:
         raise SystemExit(f"error: {e}") from None
     md = out["md"]
     if restore_from is not None:
@@ -553,8 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     _knob_flag(ps, "method")
     ps.add_argument("--basis", default="sto-3g")
     _knob_flag(ps, "mode",
-               help="J/K build style for --method hf "
-                    "(default incore; process executor forces direct)")
+               help="J/K build style (default: direct under --executor "
+                    "process or --jk ri, else incore)")
     ps.set_defaults(func=_cmd_scf)
 
     pm = sub.add_parser("md", help="Born-Oppenheimer MD with "
@@ -579,11 +582,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="thermostat time constant in fs (default 50)")
     pm.add_argument("--seed", type=int, default=0,
                     help="velocity/thermostat RNG seed")
-    pm.add_argument("--mts-outer", type=int, default=None, metavar="N",
+    pm.add_argument("--mts-outer", type=int,
+                    default=KNOBS["mts_outer"].default, metavar="N",
                     help="r-RESPA multiple time stepping: evaluate the "
                          "full SCF force every N steps, integrating the "
                          "inner motion on the --mts-inner surface "
-                         "(default: REPRO_MTS_OUTER or 1 = off)")
+                         "(default 1 = off)")
     _knob_flag(pm, "mts_inner",
                help="fast-force surface for the MTS inner loop "
                     "(default ff: the classical force field)")

@@ -43,7 +43,7 @@ from ..machine.node import NodeComputeModel
 from ..machine.simulator import BuildTiming, CommPlan, simulate_static_build
 from ..runtime.execconfig import ExecutionConfig, resolve_execution
 from ..runtime.pool import RankJob
-from ..scf.fock import DirectJKBuilder, make_jk_engine
+from ..scf.fock import DirectJKBuilder
 from .partition import Partition, partition_tasks
 from .tasklist import TaskList, build_tasklist
 
@@ -161,35 +161,6 @@ def _rank_pairs(tasks: TaskList, part: Partition, rank: int) -> list:
             for t in np.where(part.rank_of_task == rank)[0]]
 
 
-def _ri_rank_partials(basis: BasisSet, D: np.ndarray, nranks: int,
-                      eps: float, cfg: ExecutionConfig, pool, tr
-                      ) -> list[np.ndarray]:
-    """Per-rank partial exchange matrices on the density-fitted path.
-
-    The fitted tensor ``B[K,uv]`` is assembled once (pooled and
-    fault-tolerant via the factory's :class:`repro.scf.ri_jk.RIJKBuilder`
-    when the config says ``executor="process"``), then its rows — the
-    ``rank`` Cholesky vectors, all of one cost — are cut into ``nranks``
-    contiguous blocks whose sizes differ by at most one, and rank ``r``
-    contracts only its own rows: ``K_r = sum_{K in r} B_K D B_K``.  The
-    caller's allreduce over the partials recovers the full fitted K
-    exactly, mirroring the quartet path's per-rank accumulation.
-    """
-    builder = make_jk_engine(basis, cfg, eps, pool=pool)
-    try:
-        B = builder.fitted_tensor()
-    finally:
-        builder.close()
-    bounds = [len(B) * r // nranks for r in range(nranks + 1)]
-    partials = []
-    for rank in range(nranks):
-        with tr.span("hfx.rank", cat="hfx", rank=rank, mode="ri"):
-            Br = B[bounds[rank]:bounds[rank + 1]]
-            Kr = np.einsum("Puv,vw,Pwx->ux", Br, D, Br, optimize=True)
-            partials.append(Kr)
-    return partials
-
-
 def distributed_exchange(basis: BasisSet, D: np.ndarray, nranks: int,
                          eps: float = 1e-10,
                          partitioner: str = "serpentine",
@@ -216,43 +187,38 @@ def distributed_exchange(basis: BasisSet, D: np.ndarray, nranks: int,
     ``RuntimeWarning`` plus a ``pool.degraded_builds`` count — instead
     of raising.
 
-    ``config.jk="ri"`` swaps the quartet rank loop for the
-    density-fitted one: the fitted ``B`` tensor is assembled once
-    (pooled when ``executor="process"``), each rank contracts its own
-    contiguous block of the tensor's rows into a partial K, and the same
-    allreduce recovers the full fitted exchange.
+    The build is the exact quartet walk the paper distributes;
+    ``config.jk="ri"`` is refused (the fitted engine is
+    :class:`repro.scf.ri_jk.RIJKBuilder`, which shards its own 3-index
+    assembly over the pool).
     """
     cfg = resolve_execution(config, owner="distributed_exchange")
+    if cfg.jk == "ri":
+        raise ValueError(
+            "distributed_exchange runs the exact quartet partition; "
+            "jk='ri' has no rank partition here — build fitted "
+            "exchange with repro.scf.ri_jk.RIJKBuilder")
     tr = cfg.trace
-    builder = (None if cfg.jk == "ri" else
-               DirectJKBuilder(basis, eps, pool=pool, config=cfg))
+    builder = DirectJKBuilder(basis, eps, pool=pool, config=cfg)
     try:
         with tr.span("hfx.build", cat="hfx", nranks=nranks,
                      executor=cfg.executor, kernel=cfg.kernel):
             with tr.span("hfx.screening", cat="screening", eps=eps):
-                tasks = build_tasklist(
-                    basis, eps, engine=None if builder is None
-                    else builder.engine)
+                tasks = build_tasklist(basis, eps, engine=builder.engine)
             with tr.span("hfx.partition", cat="hfx",
                          partitioner=partitioner):
                 part = partition_tasks(tasks.flops, nranks, partitioner)
-            if builder is None:
-                partials = _ri_rank_partials(basis, D, nranks, eps, cfg,
-                                             pool, tr)
-            else:
-                jobs = [RankJob(rank=r, pairs=_rank_pairs(tasks, part, r),
-                                cost=float(part.rank_flops[r]))
-                        for r in range(nranks)]
-                results, _ = builder.eval_jobs(lambda pool: jobs, D,
-                                               want_j=False, want_k=True)
-                partials = [results[r][1] for r in range(nranks)]
+            jobs = [RankJob(rank=r, pairs=_rank_pairs(tasks, part, r),
+                            cost=float(part.rank_flops[r]))
+                    for r in range(nranks)]
+            results, _ = builder.eval_jobs(lambda pool: jobs, D,
+                                           want_j=False, want_k=True)
+            partials = [results[r][1] for r in range(nranks)]
             with tr.span("hfx.reduce", cat="comm"):
                 K = reduce(np.add, partials)
     finally:
-        if builder is not None:
-            builder.close()
+        builder.close()
     if tr.enabled:
-        if builder is not None:
-            tr.metrics.absorb_engine(builder.engine)
+        tr.metrics.absorb_engine(builder.engine)
         tr.metrics.count("hfx.builds", 1)
     return K, CommLog(partials[0].nbytes, 1), tasks, part

@@ -298,8 +298,9 @@ def eri_tensor(basis: BasisSet, screen: float = 0.0,
     when ``screen > 0``, skips quartets whose Cauchy-Schwarz bound
     ``Q_ij * Q_kl`` falls below the threshold.
 
-    This is the in-core SCF path (``mode="incore"``, the default of
-    :class:`~repro.scf.rhf.RHF`/``RKS``/``UHF`` and of BOMD) and the bit-exact reference the direct, batched and fitted
+    This is the in-core SCF path (``mode="incore"``, the route
+    :func:`~repro.scf.fock.make_jk_engine` derives for a serial exact
+    SCF) and the bit-exact reference the direct, batched and fitted
     builds are checked against; the paper's HFX scheme never
     materializes it.  The surviving unique quartets are grouped by
     L-class and every class goes through one

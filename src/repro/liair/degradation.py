@@ -16,9 +16,10 @@ exactly the paper's chemistry conclusion, and the attack energy
 (contact minus far) is the stability descriptor the solvent screening
 ranks by.
 
-Each point routes the way :func:`repro.api.run_scf` does: UHF for
-``method="uhf"`` or an open-shell complex (the superoxide doublet),
-restricted Hartree-Fock or Kohn-Sham otherwise.  There is no
+Each profile takes its open-shell decision from
+:func:`repro.scf.scf_driver`, the rule :func:`repro.api.run_scf` runs:
+UHF for ``method="uhf"`` or an open-shell complex (the superoxide
+doublet), restricted Hartree-Fock or Kohn-Sham otherwise.  There is no
 unrestricted Kohn-Sham, so an open-shell complex with a DFT method is
 refused before any SCF runs.
 """
@@ -33,6 +34,7 @@ from scipy.linalg import block_diag
 from ..chem.molecule import Molecule
 from ..constants import KCALMOL_PER_HARTREE
 from ..scf.dft import RKS
+from ..scf.route import scf_driver
 from ..scf.uhf import UHF
 from .complexes import NUCLEOPHILES, approach_scan_geometries
 from .solvents import Solvent, get_solvent
@@ -151,16 +153,10 @@ def attack_profile(solvent: str | Solvent, method: str = "hf",
                    nucleophile: str = "peroxide", **scf_kw) -> AttackProfile:
     """Compute the attack profile of ``nucleophile`` on one solvent."""
     sv = get_solvent(solvent) if isinstance(solvent, str) else solvent
-    route = method.lower()
     distances, geoms = approach_scan_geometries(sv, distances_angstrom,
                                                 nucleophile)
-    if geoms[0].multiplicity > 1 and route != "uhf":
-        if route != "hf":
-            raise ValueError(
-                f"method={method!r} cannot run the open-shell "
-                f"{nucleophile} complex: there is no unrestricted "
-                f"Kohn-Sham; use method='uhf'")
-        route = "uhf"           # api.run_scf's rule: open shells run UHF
+    route = "uhf" if isinstance(scf_driver(geoms[0], method, basis), UHF) \
+        else method.lower()
     D0 = _fragment_guess(sv, nucleophile, route, basis)
     absolute = np.array([_energy(g, route, basis, D0, **scf_kw)
                          for g in geoms])

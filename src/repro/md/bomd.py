@@ -45,15 +45,16 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ..chem.molecule import Molecule
-from ..runtime.boundary import check, resolve_mts_outer
+from ..runtime.boundary import check
 from ..runtime.checkpoint import CheckpointError, SnapshotInfo
 from ..runtime.execconfig import ExecutionConfig
 from ..basis.basisset import build_basis
-from ..scf.dft import RKS
-from ..scf.fock import jk_build_mode, make_jk_engine
+from ..scf.fock import make_jk_engine
 from ..scf.gradient import scf_gradient
 from ..scf.guess import ASPCExtrapolator
-from ..scf.rhf import RHF, SCFResult
+from ..scf.rhf import SCFResult
+from ..scf.route import scf_driver
+from ..scf.uhf import UHF
 from .integrator import MDState, VelocityVerlet
 from .respa import RESPAIntegrator
 
@@ -85,7 +86,9 @@ class SCFForceEngine:
     mol:
         Template molecule (numbers/charge; coordinates replaced per call).
     method:
-        ``"hf"`` or a DFT functional name (``"pbe"``, ``"pbe0"``...).
+        ``"hf"`` or a DFT functional name (``"pbe"``, ``"pbe0"``...);
+        :func:`repro.scf.scf_driver` picks the driver, and an open-shell
+        molecule is refused.
     fd_step:
         Central-difference displacement in Bohr (finite-difference
         route only).
@@ -160,12 +163,11 @@ class SCFForceEngine:
             # adaptive state (trust radius, cumulative counters)
             kwargs.setdefault("soscf_state", self._soscf_state)
         kwargs.setdefault("config", self.config)
-        kwargs.setdefault("mode", jk_build_mode(self.config))
         basis = build_basis(mol, self.basis)
         if self._jk is None:
             self._jk = make_jk_engine(
                 basis, self.config, kwargs.get("screen_eps", 1e-10),
-                mode=kwargs["mode"])
+                mode=kwargs.get("mode"))
         else:
             # geometry jump: shell pairs, Schwarz keys, the fitted
             # tensor and any increment history refer to the previous
@@ -173,9 +175,13 @@ class SCFForceEngine:
             # re-targeted, not respawned)
             self._jk.reset(basis)
         kwargs.update(conv_tol=self.conv_tol, jk_engine=self._jk)
-        if self.method.lower() == "hf":
-            return RHF(mol, basis, **kwargs)
-        return RKS(mol, basis, functional=self.method, **kwargs)
+        solver = scf_driver(mol, self.method, basis, **kwargs)
+        if isinstance(solver, UHF):
+            raise ValueError(
+                f"SCFForceEngine runs the closed-shell drivers; "
+                f"{mol.name or 'the molecule'} is open-shell "
+                f"(multiplicity {mol.multiplicity})")
+        return solver
 
     def _scf(self, coords: np.ndarray, D0: np.ndarray | None):
         """One converged SCF at ``coords``: ``(driver, result)``."""
@@ -546,7 +552,7 @@ class BOMD(CheckpointedMD):
     Parameters beyond the SCF ones:
 
     n_outer:
-        Full-force stride (``None`` reads ``REPRO_MTS_OUTER``).
+        Full-force stride (``1``: every step is a full-force step).
     inner:
         Fast surface when ``n_outer > 1``: ``"ff"`` (classical force
         field) or a pure DFT functional (``"lda"``/``"pbe"``, serial
@@ -580,7 +586,7 @@ class BOMD(CheckpointedMD):
         from ..runtime.execconfig import resolve_execution
 
         self.config = resolve_execution(self.config, owner="BOMD")
-        self.n_outer = resolve_mts_outer(self.n_outer)
+        check("mts_outer", self.n_outer, owner="BOMD")
         check("mts_inner", self.inner, owner="BOMD")
         if self.aspc_order is not None and self.n_outer == 1:
             raise ValueError(

@@ -9,9 +9,8 @@ modelled OpenMP thread teams and QPX SIMD live in
 from .telemetry import (Span, Tracer, NullTracer, NULL_TRACER,
                         MetricsRegistry, TelemetrySnapshot, chrome_trace)
 from .execconfig import (ExecutionConfig, DEFAULT_EXECUTION,
-                         resolve_execution, resolve_mts_outer,
-                         MTS_INNER_ENGINES, SERVICE_TRANSPORTS,
-                         resolve_service_transport)
+                         resolve_execution, MTS_INNER_ENGINES,
+                         SERVICE_TRANSPORTS, resolve_service_transport)
 from .fsio import (atomic_write_bytes, atomic_write_text, FileLock,
                    HAVE_FLOCK)
 from .schema import (SCHEMA_VERSION, ENVELOPE_KEYS, result_envelope,
@@ -28,8 +27,7 @@ __all__ = [
     "Span", "Tracer", "NullTracer", "NULL_TRACER",
     "MetricsRegistry", "TelemetrySnapshot", "chrome_trace",
     "ExecutionConfig", "DEFAULT_EXECUTION", "resolve_execution",
-    "resolve_mts_outer", "MTS_INNER_ENGINES", "SERVICE_TRANSPORTS",
-    "resolve_service_transport",
+    "MTS_INNER_ENGINES", "SERVICE_TRANSPORTS", "resolve_service_transport",
     "atomic_write_bytes", "atomic_write_text", "FileLock", "HAVE_FLOCK",
     "SCHEMA_VERSION", "ENVELOPE_KEYS", "result_envelope", "check_envelope",
     "CheckpointError", "CheckpointCorruptError", "CheckpointStore",

@@ -29,8 +29,8 @@ __all__ = [
     "SERVICE_TRANSPORTS", "MTS_INNER_ENGINES", "THERMOSTATS", "JOB_KINDS",
     "SCF_METHODS", "MD_METHODS", "WORKLOAD_SYSTEMS",
     "resolve_pool_timeout", "resolve_nworkers", "resolve_pool_max_retries",
-    "resolve_checkpoint_every", "resolve_mts_outer",
-    "resolve_service_transport", "check_jk_route",
+    "resolve_checkpoint_every", "resolve_service_transport",
+    "check_jk_route",
 ]
 
 EXECUTORS = ("serial", "process")
@@ -162,8 +162,8 @@ _ROWS = (
     Knob("thermostat", "choice", "numerics", "none", choices=THERMOSTATS,
          flag="--thermostat"),
     Knob("seed", "int", "numerics", 0, lo=0, flag="--seed"),
-    Knob("mts_outer", "int", "numerics", 1, lo=1, env="REPRO_MTS_OUTER",
-         flag="--mts-outer", unit="inner steps per full-force step"),
+    Knob("mts_outer", "int", "numerics", 1, lo=1, flag="--mts-outer",
+         unit="inner steps per full-force step"),
     Knob("mts_inner", "choice", "numerics", "ff", choices=MTS_INNER_ENGINES,
          flag="--mts-inner"),
     Knob("mts_aspc_order", "int", "numerics", 2, lo=0,
@@ -257,14 +257,16 @@ resolve_nworkers = partial(resolve, "nworkers")
 resolve_pool_timeout = partial(resolve, "pool_timeout")
 resolve_pool_max_retries = partial(resolve, "pool_max_retries")
 resolve_service_transport = partial(resolve, "service_transport")
-resolve_mts_outer = partial(resolve, "mts_outer")
 resolve_checkpoint_every = partial(resolve, "checkpoint_every")
 
 
 def check_jk_route(mode: str | None, executor: str, jk: str) -> None:
-    """Refuse the J/K routes the in-core tensor path cannot serve — the
-    one owner of these rules for ``JobSpec.validate`` and
-    :func:`repro.scf.fock.check_jk_mode`."""
+    """Validate a requested J/K build ``mode`` (``None`` = let
+    :func:`repro.scf.fock.make_jk_engine` derive it) against the
+    ``mode`` row, and refuse the routes the in-core tensor path cannot
+    serve — the one validator of the choice, for ``JobSpec.validate``,
+    the SCF drivers and the factory."""
+    check("mode", mode)
     if mode != "incore":
         return
     if executor == "process":

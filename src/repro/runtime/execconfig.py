@@ -17,11 +17,11 @@ import os
 from dataclasses import dataclass, fields, replace
 
 from .boundary import (KNOBS, MTS_INNER_ENGINES, SERVICE_TRANSPORTS, check,
-                       resolve_mts_outer, resolve_service_transport)
+                       resolve_service_transport)
 from .telemetry import NULL_TRACER, Tracer
 
 __all__ = ["ExecutionConfig", "DEFAULT_EXECUTION", "resolve_execution",
-           "resolve_mts_outer", "MTS_INNER_ENGINES", "SERVICE_TRANSPORTS",
+           "MTS_INNER_ENGINES", "SERVICE_TRANSPORTS",
            "resolve_service_transport"]
 
 

@@ -10,6 +10,7 @@ from .rhf import RHF, SCFResult, run_rhf
 from .ri_jk import RIJKBuilder
 from .soscf import ADIIS, NewtonSOSCF
 from .uhf import UHF, UHFResult, run_uhf
+from .route import scf_driver
 from .gradient import scf_gradient, nuclear_repulsion_gradient
 
 __all__ = [
@@ -21,6 +22,6 @@ __all__ = [
     "RHF", "SCFResult", "run_rhf",
     "RIJKBuilder",
     "ADIIS", "NewtonSOSCF",
-    "UHF", "UHFResult", "run_uhf",
+    "UHF", "UHFResult", "run_uhf", "scf_driver",
     "scf_gradient", "nuclear_repulsion_gradient",
 ]

@@ -29,12 +29,12 @@ import numpy as np
 
 from ..basis.basisset import BasisSet
 from ..integrals.eri import PERM_AXES, ERIEngine, eri_tensor
-from ..runtime.boundary import JK_BUILD_MODES, check_jk_route
+from ..runtime.boundary import check_jk_route
 from ..runtime.pool import PoolLease, RankJob, balance_pairs
 
 __all__ = ["jk_from_tensor", "coulomb_from_tensor", "exchange_from_tensor",
            "JKEngine", "TensorJKEngine", "DirectJKBuilder", "make_jk_engine",
-           "check_jk_mode", "jk_build_mode", "eval_screened_pairs",
+           "eval_screened_pairs",
            "scatter_exchange", "scatter_coulomb",
            "scatter_exchange_batch", "scatter_coulomb_batch",
            "shell_slices", "reflect_triangle"]
@@ -524,7 +524,9 @@ class DirectJKBuilder(JKEngine):
             nbf = self.basis.nbf
             J = np.zeros((nbf, nbf)) if want_j else None
             K = np.zeros((nbf, nbf)) if want_k else None
-            for Jr, Kr in results.values():
+            # rank order, whatever order the workers replied in
+            for rank in sorted(results):
+                Jr, Kr = results[rank]
                 if want_j:
                     J += Jr
                 if want_k:
@@ -586,59 +588,40 @@ class DirectJKBuilder(JKEngine):
         return out
 
 
-def check_jk_mode(mode: str, config, engine: JKEngine | None = None
-                  ) -> None:
-    """Refuse integral-plumbing combinations no engine serves.
-
-    Shared by the SCF drivers (so a bad combination — or a caller-owned
-    ``engine`` whose exact/fitted strategy contradicts ``config.jk``,
-    which results and checkpoints are labelled with — fails at
-    construction) and :func:`make_jk_engine`.
-    """
-    if mode not in JK_BUILD_MODES:
-        raise ValueError(f"mode must be 'incore' or 'direct', got {mode!r}")
-    check_jk_route(mode, config.executor, config.jk)
-    if engine is not None and engine.jk != config.jk:
-        raise ValueError(f"jk_engine implements jk={engine.jk!r} but the "
-                         f"config says jk={config.jk!r}")
-
-
-def jk_build_mode(config, requested: str | None = None) -> str:
-    """The build style a driver runs under ``config``: ``"direct"``
-    whenever a pool or the fitted engine needs the quartet loop (neither
-    has anything to accelerate on the in-core tensor —
-    :func:`check_jk_mode` refuses those combinations), else
-    ``requested`` (``None`` = in-core)."""
-    if config.executor == "process" or config.jk == "ri":
-        return "direct"
-    return requested or "incore"
-
-
 def make_jk_engine(basis: BasisSet, config=None, eps: float = 1e-10,
-                   pool=None, mode: str = "direct") -> JKEngine:
-    """The one J/K engine for ``basis`` under ``config``.
+                   pool=None, mode: str | None = None) -> JKEngine:
+    """The one J/K engine for ``basis`` under ``config`` — the only place
+    that picks the in-core or the direct route.
 
     ===========  ========  ===========================================
     ``mode``     ``jk``    engine
     ===========  ========  ===========================================
+    ``None``     any       derived: ``direct`` when ``executor=
+                           "process"`` or ``jk="ri"``, else ``incore``
     ``incore``   direct    :class:`TensorJKEngine`
     ``direct``   ``ri``    :class:`~repro.scf.ri_jk.RIJKBuilder`
     ``direct``   direct    :class:`~repro.hfx.IncrementalExchange`
     ===========  ========  ===========================================
 
-    Every direct-mode exact engine builds its J/K pairs from the
-    density increment (the first build at a geometry and every
-    ``REBUILD_EVERY``-th one are full builds); a caller that wants the
-    plain full build every time constructs a :class:`DirectJKBuilder`
-    itself.  ``executor``/``kernel`` ride inside ``config`` and apply to
-    every direct-mode engine; ``pool`` shares a caller-owned worker pool
-    (the engine then never closes it).  The caller owns the returned
-    engine: ``reset(basis)`` at geometry jumps, ``close()`` when done.
+    A pool and the fitted engine need the quartet walk, so an explicit
+    ``incore`` with either is refused
+    (:func:`~repro.runtime.boundary.check_jk_route`).  Every direct-mode
+    exact engine builds its J/K pairs from the density increment (the
+    first build at a geometry and every ``REBUILD_EVERY``-th one are
+    full builds); a caller that wants the plain full build every time
+    constructs a :class:`DirectJKBuilder` itself.  ``executor``/
+    ``kernel`` ride inside ``config`` and apply to every direct-mode
+    engine; ``pool`` shares a caller-owned worker pool (the engine then
+    never closes it).  The caller owns the returned engine:
+    ``reset(basis)`` at geometry jumps, ``close()`` when done.
     """
     from ..runtime.execconfig import resolve_execution
 
     cfg = resolve_execution(config, owner="make_jk_engine")
-    check_jk_mode(mode, cfg)
+    check_jk_route(mode, cfg.executor, cfg.jk)
+    if mode is None:
+        mode = "direct" if cfg.executor == "process" or cfg.jk == "ri" \
+            else "incore"
     if mode == "incore":
         return TensorJKEngine(basis, cfg)
     if cfg.jk == "ri":

@@ -21,8 +21,9 @@ from ..chem.molecule import Molecule, nuclear_repulsion
 # the span patcher reaches every namespace — the name stays importable
 from ..integrals import (eri_tensor, kinetic_matrix,  # noqa: F401
                          nuclear_matrix, overlap_matrix)
+from ..runtime.boundary import check_jk_route
 from .diis import DIIS
-from .fock import JKEngine, check_jk_mode, make_jk_engine
+from .fock import JKEngine, make_jk_engine
 from .guess import density_from_orbitals, orthogonalizer
 
 __all__ = ["SCFResult", "RHF", "run_rhf"]
@@ -142,15 +143,18 @@ class RHF:
     mode:
         ``"incore"`` materializes the ERI tensor (small systems);
         ``"direct"`` uses screened shell-quartet builds — the execution
-        style of the paper.
+        style of the paper; ``None`` (the default) lets
+        :func:`repro.scf.fock.make_jk_engine` derive it from ``config``
+        (direct for ``executor="process"`` or ``jk="ri"``, else
+        in-core).
     screen_eps:
         Cauchy-Schwarz threshold for direct mode (the paper's
         controllable-accuracy knob).
     config:
         :class:`repro.runtime.ExecutionConfig` selecting the J/K
         engine (:func:`repro.scf.fock.make_jk_engine`:
-        ``executor="process"`` and ``jk="ri"`` require
-        ``mode="direct"``; a pool outlives single builds — it is
+        ``executor="process"`` and ``jk="ri"`` refuse an explicit
+        ``mode="incore"``; a pool outlives single builds — it is
         spawned once and reused by every SCF iteration) and carrying
         the telemetry sinks.
     jk_engine:
@@ -174,7 +178,7 @@ class RHF:
     occupation = 2.0
 
     def __init__(self, mol: Molecule, basis: str | BasisSet = "sto-3g",
-                 mode: str = "incore", screen_eps: float = 1e-10,
+                 mode: str | None = None, screen_eps: float = 1e-10,
                  conv_tol: float = 1e-8, max_iter: int = 100,
                  diis_size: int = 8, level_shift: float = 0.0,
                  damping: float = 0.0, smearing: float = 0.0,
@@ -184,7 +188,11 @@ class RHF:
 
         self._nocc = self._spin_channels(mol)
         self.config = resolve_execution(config, owner=type(self).__name__)
-        check_jk_mode(mode, self.config, engine=jk_engine)
+        check_jk_route(mode, self.config.executor, self.config.jk)
+        if jk_engine is not None and jk_engine.jk != self.config.jk:
+            # results and checkpoints are labelled with config.jk
+            raise ValueError(f"jk_engine implements jk={jk_engine.jk!r} but "
+                             f"the config says jk={self.config.jk!r}")
         self.mol = mol
         self.basis = basis if isinstance(basis, BasisSet) else build_basis(mol, basis)
         self.mode = mode

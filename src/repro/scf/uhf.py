@@ -9,7 +9,7 @@ diagnostic <S^2>.
 
 Execution rides the same :class:`repro.runtime.ExecutionConfig` as the
 restricted driver, through the same
-:func:`~repro.scf.fock.make_jk_engine` factory: ``mode="direct"``
+:func:`~repro.scf.fock.make_jk_engine` factory: the direct route
 builds J/K by the screened quartet walk (optionally on the worker
 pool) or, with ``jk="ri"``, through a fitted tensor shared by the J
 build and *both* spin exchange builds of every iteration.
@@ -103,7 +103,8 @@ class UHF(RHF):
     """Unrestricted Hartree-Fock driver.
 
     Parameters mirror :class:`~repro.scf.rhf.RHF` (``mode``/``config``/
-    ``jk_engine`` select in-core vs direct vs fitted integral plumbing);
+    ``jk_engine`` select in-core vs direct vs fitted integral plumbing;
+    ``mode=None`` lets the factory derive the route from ``config``);
     ``break_symmetry`` mixes the alpha HOMO/LUMO of the initial guess,
     which lets singlet-biradical states escape the restricted solution.
 
@@ -115,7 +116,7 @@ class UHF(RHF):
     occupation = 1.0
 
     def __init__(self, mol: Molecule, basis: str | BasisSet = "sto-3g",
-                 mode: str = "incore",
+                 mode: str | None = None,
                  conv_tol: float = 1e-8, max_iter: int = 150,
                  diis_size: int = 8, level_shift: float = 0.0,
                  break_symmetry: bool = False, screen_eps: float = 1e-10,

@@ -101,8 +101,9 @@ class JobSpec:
         different cache entries.
     conv_tol / screen_eps / kernel / scf_solver / mode:
         The accuracy and algorithm knobs that determine the result
-        (all part of the canonical key).  ``mode=None`` lets the
-        driver pick (incore for serial SCF, direct for pools).
+        (all part of the canonical key).  ``mode=None`` lets
+        :func:`repro.scf.fock.make_jk_engine` derive the route (direct
+        for pools and ``jk="ri"``, else in-core).
     steps / dt_fs / temperature / thermostat / tau_fs / seed:
         MD-only integration setup; ``seed`` seeds both the initial
         Maxwell-Boltzmann velocities and a CSVR thermostat stream.

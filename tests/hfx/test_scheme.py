@@ -53,6 +53,14 @@ def test_distributed_exchange_screened_error_bounded(water_state):
     assert np.abs(K_scr - K_ref).max() < eps * 100
 
 
+def test_distributed_exchange_refuses_the_fitted_engine(water_state):
+    from repro.runtime import ExecutionConfig
+
+    with pytest.raises(ValueError, match="jk='ri'"):
+        distributed_exchange(water_state.basis, water_state.D, nranks=2,
+                             config=ExecutionConfig(jk="ri"))
+
+
 @pytest.fixture(scope="module")
 def box_workload():
     return water_box_workload(16, eps=1e-7, seed=0)

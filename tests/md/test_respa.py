@@ -144,6 +144,17 @@ def test_aspc_rides_the_respa_outer_loop_only():
     assert BOMD(builders.h2(0.75), n_outer=2, aspc_order=2)._aspc.order == 2
 
 
+@pytest.mark.parametrize("bad", [0, None, 2.0, True, "3"])
+def test_bomd_validates_n_outer_through_the_table(bad, monkeypatch):
+    """The stride is an argument, never an environment override: a bad
+    one is refused by the ``mts_outer`` row, and ``REPRO_MTS_OUTER`` is
+    not read."""
+    monkeypatch.setenv("REPRO_MTS_OUTER", "3")
+    with pytest.raises(ValueError, match=r"BOMD\.mts_outer must be"):
+        BOMD(builders.h2(0.75), n_outer=bad)
+    assert BOMD(builders.h2(0.75)).n_outer == 1
+
+
 def test_respa_integrator_rejects_bad_n_inner():
     ff = ForceField(builders.water())
     with pytest.raises(ValueError, match="n_inner"):

@@ -174,9 +174,9 @@ def test_rows_are_well_formed():
     assert len(set(flags)) == len(flags) - 1      # --method: scf and md rows
 
 
-def test_the_eight_variables():
+def test_the_seven_variables():
     assert sorted(ENV_VARS) == [
-        "REPRO_CHECKPOINT_EVERY", "REPRO_MTS_OUTER", "REPRO_POOL_FAULT",
+        "REPRO_CHECKPOINT_EVERY", "REPRO_POOL_FAULT",
         "REPRO_POOL_MAX_RETRIES", "REPRO_POOL_TIMEOUT",
         "REPRO_SERVICE_FAULT", "REPRO_SERVICE_HEARTBEAT",
         "REPRO_SERVICE_TRANSPORT"]
@@ -214,7 +214,6 @@ def test_resolve_names_are_table_bindings():
     homes = {"resolve_pool_timeout": pool, "resolve_nworkers": pool,
              "resolve_pool_max_retries": pool,
              "resolve_checkpoint_every": checkpoint,
-             "resolve_mts_outer": execconfig,
              "resolve_service_transport": execconfig}
     for name, module in homes.items():
         bound = getattr(boundary, name)

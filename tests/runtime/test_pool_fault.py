@@ -237,6 +237,37 @@ def test_direct_builder_degrades_and_stays_serial(clean_fault_env,
         b.close()
 
 
+def test_recovered_direct_build_sums_ranks_in_order(clean_fault_env):
+    """A recovered build gets the respawned worker's partials last; the
+    builder sums them in rank order, so J and K are the undisturbed
+    pooled build's bits, whatever order the replies came in."""
+    from repro.basis import build_basis
+    from repro.chem import builders
+    from repro.scf.fock import DirectJKBuilder
+
+    basis = build_basis(builders.water_cluster(3))
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((basis.nbf, basis.nbf))
+    D = A + A.T
+    cfg = ExecutionConfig(executor="process", nworkers=4)
+
+    def second_build():
+        b = DirectJKBuilder(basis, config=cfg)
+        try:
+            b.build(D)
+            return b.build(D), b.lease.pool.worker_deaths
+        finally:
+            b.close()
+
+    (J_ref, K_ref), _ = second_build()
+    clean_fault_env.setenv("REPRO_POOL_FAULT", "worker=0,build=2,mode=kill")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # recovery must stay silent
+        (J, K), deaths = second_build()
+    assert deaths == 1
+    assert np.array_equal(J, J_ref) and np.array_equal(K, K_ref)
+
+
 def test_incremental_degrades_keeps_running_k(clean_fault_env, water_basis,
                                               density):
     clean_fault_env.setenv("REPRO_POOL_FAULT", "worker=*,build=1,mode=kill")

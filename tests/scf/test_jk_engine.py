@@ -160,7 +160,7 @@ def test_response_density_never_enters_increment_history(water, water_rhf):
     phase's SCF densities (tr(DS) = N) become the incremental engine's
     ``D_ref``."""
     basis = build_basis(water)
-    engine = make_jk_engine(basis, eps=1e-12)
+    engine = make_jk_engine(basis, eps=1e-12, mode="direct")
     assert isinstance(engine, IncrementalExchange)
     history, plain = [], []
     build, respond = engine.build, engine.build_response
@@ -271,7 +271,7 @@ def test_single_matrix_builds_never_touch_the_history(driver, water,
         return RKS(water, water_basis, functional="pbe", mode="direct",
                    jk_engine=engine).run()
 
-    engine = make_jk_engine(water_basis)
+    engine = make_jk_engine(water_basis, mode="direct")
     assert isinstance(engine, IncrementalExchange)
     got = run(engine)
     assert engine.builds == 0 and not engine.D_ref.any()
@@ -291,7 +291,7 @@ def test_pooled_direct_scf_matches_serial(nworkers):
     basis = build_basis(mol)
 
     def run(cfg):
-        engine = make_jk_engine(basis, cfg)
+        engine = make_jk_engine(basis, cfg, mode="direct")
         counts = []
         build = engine.build
 

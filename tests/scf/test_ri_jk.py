@@ -115,7 +115,7 @@ class TestRHFDispatch:
 
     def test_incore_rejected(self):
         with pytest.raises(ValueError, match="mode='direct'"):
-            RHF(builders.water(), config=RI)
+            RHF(builders.water(), mode="incore", config=RI)
 
     def test_k_builder_rejected(self):
         # the incremental switch is gone: the factory's fitted engine
@@ -133,43 +133,6 @@ class TestRHFDispatch:
         with pytest.raises(ValueError, match="jk='ri'"):
             RHF(mol, basis=basis, mode="direct",
                 jk_engine=RIJKBuilder(basis))
-
-
-class TestDistributedExchange:
-    def test_partials_reduce_to_fitted_k(self, water_basis, water_rhf):
-        from repro.hfx.scheme import distributed_exchange
-
-        D = water_rhf.D
-        K, comm, _, _ = distributed_exchange(
-            water_basis, D, nranks=4, config=ExecutionConfig(jk="ri"))
-        _, K_ref = RIJKBuilder(water_basis).build(D, want_j=False)
-        assert np.abs(K - K_ref).max() < 1e-12
-        assert comm.allreduce_calls > 0
-
-    @pytest.mark.parametrize("nranks", [3, 200])
-    def test_partials_follow_b_rows_when_the_metric_is_singular(
-            self, water_basis, water_rhf, monkeypatch, nranks):
-        """A duplicated aux shell: ``B`` has fewer rows than there are
-        aux functions, and the rank shards (more ranks than rows leaves
-        some empty) still reduce to the fitted K."""
-        from repro.basis import BasisSet, build_aux_basis
-        from repro.hfx.scheme import distributed_exchange
-        from repro.scf import ri_jk
-
-        def duplicated(basis):
-            aux = build_aux_basis(basis)
-            d = next(sh for sh in aux.shells if sh.l == 2)
-            return BasisSet(aux.molecule, aux.name, list(aux.shells) + [d])
-
-        monkeypatch.setattr(ri_jk, "build_aux_basis", duplicated)
-        D = water_rhf.D
-        builder = RIJKBuilder(water_basis)
-        B = builder.fitted_tensor()
-        assert len(B) == builder.aux.nbf - builder.aux.shells[-1].nfunc
-        _, K_ref = builder.build(D, want_j=False)
-        K, _, _, _ = distributed_exchange(water_basis, D, nranks=nranks,
-                                          config=RI)
-        assert np.abs(K - K_ref).max() < 1e-12
 
 
 @pytest.mark.pool

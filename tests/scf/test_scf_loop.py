@@ -198,7 +198,7 @@ def test_uhf_constructor_is_unchanged():
     params = inspect.signature(UHF).parameters
     assert [(p.name, p.default) for p in params.values()] == [
         ("mol", inspect.Parameter.empty), ("basis", "sto-3g"),
-        ("mode", "incore"), ("conv_tol", 1e-8), ("max_iter", 150),
+        ("mode", None), ("conv_tol", 1e-8), ("max_iter", 150),
         ("diis_size", 8), ("level_shift", 0.0), ("break_symmetry", False),
         ("screen_eps", 1e-10), ("jk_engine", None), ("config", None)]
     # ``run`` is UHF's own, so a patcher of RHF.run never wraps it

@@ -69,9 +69,10 @@ class TestValidation:
 
     def test_ri_requires_direct(self):
         with pytest.raises(ValueError, match="mode='direct'"):
-            UHF(builders.li_atom(), config=ExecutionConfig(jk="ri"))
+            UHF(builders.li_atom(), mode="incore",
+                config=ExecutionConfig(jk="ri"))
 
     def test_process_requires_direct(self):
         with pytest.raises(ValueError, match="mode='direct'"):
-            UHF(builders.li_atom(),
+            UHF(builders.li_atom(), mode="incore",
                 config=ExecutionConfig(executor="process"))

@@ -308,10 +308,9 @@ def test_md_rejects_bad_mts_outer():
         main(["md", "h2", "--steps", "2", "--mts-outer", "0"])
 
 
-def test_md_rejects_bad_mts_outer_env(monkeypatch):
-    monkeypatch.setenv("REPRO_MTS_OUTER", "many")
-    with pytest.raises(SystemExit, match="REPRO_MTS_OUTER"):
-        main(["md", "h2", "--steps", "2"])
+def test_open_shell_kohn_sham_is_a_clean_error():
+    with pytest.raises(SystemExit, match="no unrestricted Kohn-Sham"):
+        main(["scf", "o2", "--multiplicity", "3", "--method", "pbe0"])
 
 
 def test_md_mts_checkpoint_then_restore(tmp_path, capsys):

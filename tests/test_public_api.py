@@ -181,3 +181,32 @@ def test_the_model_lives_in_machine_and_prices_one_way():
         assert not hasattr(owner, name), name
     assert "kernel" not in NodeComputeModel.__dataclass_fields__
     assert len(NodeComputeModel.__dataclass_fields__) == 6
+
+
+def test_one_jk_route_and_one_driver_rule():
+    """The in-core/direct choice is made in ``make_jk_engine`` alone: no
+    other function under ``src/repro`` constructs one of the engines it
+    picks between (``distributed_exchange`` runs the plain full build
+    on purpose), and the retired route helpers are gone.  The method
+    rule is ``scf_driver``'s: the other constructions of a driver are
+    the ``run_*`` one-liners and the attack profile's recipes."""
+    import pathlib
+
+    for engine in ("TensorJKEngine", "IncrementalExchange", "RIJKBuilder"):
+        assert _calls_under_src(engine) == {"scf/fock.py:make_jk_engine"}, \
+            engine
+    assert _calls_under_src("DirectJKBuilder") == {
+        "hfx/scheme.py:distributed_exchange"}
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        for name in ("jk_build_mode", "check_jk_mode"):
+            assert name not in text, (path.name, name)
+    recipes = {"liair/degradation.py:_energy",
+               "liair/degradation.py:_fragment_guess"}
+    assert _calls_under_src("RHF") == {"scf/route.py:scf_driver",
+                                       "scf/rhf.py:run_rhf"}
+    assert _calls_under_src("RKS") == recipes | {"scf/route.py:scf_driver",
+                                                 "scf/dft.py:run_rks"}
+    assert _calls_under_src("UHF") == recipes | {"scf/route.py:scf_driver",
+                                                 "scf/uhf.py:run_uhf"}
