@@ -24,7 +24,9 @@ from repro.basis import build_basis
 from repro.chem import builders
 from repro.runtime import ExecutionConfig, Tracer
 from repro.scf import DirectJKBuilder
-from repro.scf.fock import reflect_triangle, scatter_coulomb, scatter_exchange
+from repro.integrals.batch import flatten_pairs
+from repro.scf.fock import (reflect_triangle, scatter_coulomb_batch,
+                            scatter_exchange_batch)
 
 N_WATERS = int(os.environ.get("REPRO_BENCH_POOL_WATERS", "4"))
 EPS = 1e-10
@@ -45,19 +47,20 @@ def cluster_state():
 
 
 def _bare_build(builder: DirectJKBuilder, D: np.ndarray):
-    """The same screened J/K build with zero telemetry plumbing —
-    the reference the disabled path is charged against."""
+    """The same screened J/K walk with zero telemetry plumbing — group
+    by class, stack the reference blocks, class scatter — the reference
+    the disabled path is charged against."""
     basis = builder.basis
+    engine = builder.engine
     nbf = basis.nbf
     J = np.zeros((nbf, nbf))
     K = np.zeros((nbf, nbf))
     dmax = float(np.abs(D).max()) if D.size else 0.0
-    for (i, j, kets) in builder._screened_pairs(dmax):
-        for (k, l) in kets:
-            k, l = int(k), int(l)
-            block = builder.engine.quartet(i, j, k, l)
-            scatter_coulomb(basis, J, block, D, (i, j, k, l))
-            scatter_exchange(basis, K, block, D, (i, j, k, l))
+    idx = flatten_pairs(builder._screened_pairs(dmax))
+    for grp in engine.group_quartets(idx):
+        blocks = np.stack([engine.quartet(*q) for q in grp.tolist()])
+        scatter_coulomb_batch(basis, J, blocks, D, grp)
+        scatter_exchange_batch(basis, K, blocks, D, grp)
     return reflect_triangle(J), K
 
 

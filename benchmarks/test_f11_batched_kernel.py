@@ -7,8 +7,9 @@ kernel, J/K verified to 1e-12, speedup recorded per system size.
 
 This is the Python analogue of the paper's QPX measurement — the
 integral kernel's setup costs (Hermite recursion dispatch, GEMM
-planning, per-quartet scatter einsums) amortized over whole
-angular-momentum classes instead of paid per quartet.
+planning) amortized over whole angular-momentum classes instead of paid
+per quartet.  Both kernels add their blocks to J and K through the same
+class scatters, so the ratio is the evaluator's alone.
 
 ``REPRO_BENCH_KERNEL_WATERS`` sets the largest cluster (default 4); the
 sweep runs 1..N so the report shows how the advantage grows with the

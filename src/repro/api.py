@@ -261,9 +261,8 @@ def run_campaign(specs, directory=None, *, lanes: int = 1,
     ``directory`` makes the campaign durable (manifest, results store,
     cache, checkpoints), ``lanes``/``transport`` pick the dispatch
     width and lane kind (``"local"``: one inline lane in this process;
-    ``"process"``: forked workers; ``None`` defers to the config, then
-    ``REPRO_SERVICE_TRANSPORT``, then the lane count — ``"local"`` for
-    one lane, ``"process"`` for more), and ``cache_dir``
+    ``"process"``: forked workers; ``None`` lets the lane count decide —
+    ``"local"`` for one lane, ``"process"`` for more), and ``cache_dir``
     points the content-addressed result cache somewhere shareable so
     concurrent campaigns dedup each other's work.  Returns the
     campaign report envelope.

@@ -124,9 +124,6 @@ def _config_from_args(args, tracer):
             given.update(checkpoint_dir=args.checkpoint,
                          checkpoint_every=resolve("checkpoint_every",
                                                   args.checkpoint_every))
-        if hasattr(args, "transport"):
-            # unnamed stays None: the campaign picks by lane count
-            given["service_transport"] = args.transport
         return ExecutionConfig(pool_timeout=resolve("pool_timeout"),
                                pool_max_retries=resolve("pool_max_retries"),
                                tracer=tracer, **given)
@@ -327,7 +324,7 @@ def _cmd_campaign(args) -> int:
                                 preempt_steps=args.preempt_steps,
                                 cache_dir=args.cache_dir)
         try:
-            report = svc.run(nworkers=args.lanes)
+            report = svc.run(nworkers=args.lanes, transport=args.transport)
         except ValueError as e:     # bad REPRO_SERVICE_*, local x lanes
             raise SystemExit(f"error: {e}") from None
         if args.json:
@@ -651,8 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     _knob_flag(gr, "service_transport",
                help="lane kind: 'local' is one inline lane in this "
                     "process (refused with --lanes > 1), 'process' forks "
-                    "one worker per lane (default: "
-                    "REPRO_SERVICE_TRANSPORT, else local for one lane "
+                    "one worker per lane (default: local for one lane "
                     "and process for more)")
     gr.add_argument("--cache-dir", default=None, metavar="DIR",
                     help="shared result-cache directory (default: "

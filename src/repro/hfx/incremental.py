@@ -96,14 +96,16 @@ class IncrementalExchange(DirectJKBuilder):
         self.last_quartets = 0
 
     def reset(self, basis: BasisSet | None = None) -> None:
-        """Drop the increment history (geometry jump, restore).
+        """Drop the increment history (a new SCF, geometry jump,
+        restore): the next build is a full one.
 
-        With ``basis`` given, the engine also rebinds to the new basis
-        (fresh shell pairs and Schwarz bounds, pool re-targeted);
-        cumulative quartet totals survive so :attr:`savings` still
-        describes the whole logical run.
+        With a new ``basis`` the engine also rebinds to it (fresh shell
+        pairs and Schwarz bounds, pool re-targeted); the basis already
+        served keeps the class stores.  Cumulative quartet totals
+        survive so :attr:`savings` still describes the whole logical
+        run.
         """
-        if basis is not None and basis is not self.basis:
+        if basis is not None:
             super().reset(basis)
         self._drop_history()
 

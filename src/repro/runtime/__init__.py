@@ -10,7 +10,7 @@ from .telemetry import (Span, Tracer, NullTracer, NULL_TRACER,
                         MetricsRegistry, TelemetrySnapshot, chrome_trace)
 from .execconfig import (ExecutionConfig, DEFAULT_EXECUTION,
                          resolve_execution, MTS_INNER_ENGINES,
-                         SERVICE_TRANSPORTS, resolve_service_transport)
+                         SERVICE_TRANSPORTS)
 from .fsio import (atomic_write_bytes, atomic_write_text, FileLock,
                    HAVE_FLOCK)
 from .schema import (SCHEMA_VERSION, ENVELOPE_KEYS, result_envelope,
@@ -27,7 +27,7 @@ __all__ = [
     "Span", "Tracer", "NullTracer", "NULL_TRACER",
     "MetricsRegistry", "TelemetrySnapshot", "chrome_trace",
     "ExecutionConfig", "DEFAULT_EXECUTION", "resolve_execution",
-    "MTS_INNER_ENGINES", "SERVICE_TRANSPORTS", "resolve_service_transport",
+    "MTS_INNER_ENGINES", "SERVICE_TRANSPORTS",
     "atomic_write_bytes", "atomic_write_text", "FileLock", "HAVE_FLOCK",
     "SCHEMA_VERSION", "ENVELOPE_KEYS", "result_envelope", "check_envelope",
     "CheckpointError", "CheckpointCorruptError", "CheckpointStore",

@@ -29,8 +29,7 @@ __all__ = [
     "SERVICE_TRANSPORTS", "MTS_INNER_ENGINES", "THERMOSTATS", "JOB_KINDS",
     "SCF_METHODS", "MD_METHODS", "WORKLOAD_SYSTEMS",
     "resolve_pool_timeout", "resolve_nworkers", "resolve_pool_max_retries",
-    "resolve_checkpoint_every", "resolve_service_transport",
-    "check_jk_route",
+    "resolve_checkpoint_every", "check_jk_route",
 ]
 
 EXECUTORS = ("serial", "process")
@@ -120,9 +119,8 @@ _ROWS = (
          env="REPRO_POOL_TIMEOUT", unit="seconds", optional=True),
     Knob("pool_max_retries", "int", "placement", 2, lo=0,
          env="REPRO_POOL_MAX_RETRIES", optional=True),
-    Knob("service_transport", "choice", "placement", "local",
-         choices=SERVICE_TRANSPORTS, env="REPRO_SERVICE_TRANSPORT",
-         flag="--transport", optional=True),
+    Knob("service_transport", "choice", "placement",
+         choices=SERVICE_TRANSPORTS, flag="--transport", optional=True),
     Knob("heartbeat", "float", "placement", 1.0, lo=0, open=True,
          env="REPRO_SERVICE_HEARTBEAT", unit="seconds"),
     Knob("nworkers", "int", "placement", 1, key="lanes", lo=1,
@@ -256,7 +254,6 @@ def resolve(key: str, value=None, owner: str | None = None):
 resolve_nworkers = partial(resolve, "nworkers")
 resolve_pool_timeout = partial(resolve, "pool_timeout")
 resolve_pool_max_retries = partial(resolve, "pool_max_retries")
-resolve_service_transport = partial(resolve, "service_transport")
 resolve_checkpoint_every = partial(resolve, "checkpoint_every")
 
 

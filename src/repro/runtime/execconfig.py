@@ -16,13 +16,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 
-from .boundary import (KNOBS, MTS_INNER_ENGINES, SERVICE_TRANSPORTS, check,
-                       resolve_service_transport)
+from .boundary import KNOBS, MTS_INNER_ENGINES, SERVICE_TRANSPORTS, check
 from .telemetry import NULL_TRACER, Tracer
 
 __all__ = ["ExecutionConfig", "DEFAULT_EXECUTION", "resolve_execution",
-           "MTS_INNER_ENGINES", "SERVICE_TRANSPORTS",
-           "resolve_service_transport"]
+           "MTS_INNER_ENGINES", "SERVICE_TRANSPORTS"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,23 +49,15 @@ class ExecutionConfig:
         re-running their rank jobs before it declares itself broken and
         the caller degrades to the serial executor (default:
         ``REPRO_POOL_MAX_RETRIES`` or 2; ``0`` disables recovery).
-    service_transport:
-        How the campaign service runs its dispatch lanes: ``"local"``
-        (one inline lane inside the service process; the bit-exact
-        reference) or ``"process"`` (persistent forked lane workers
-        speaking the framed RPC protocol of
-        :mod:`repro.service.transport`, with heartbeat liveness, job
-        leases, and requeue-on-death).  ``None`` defers to
-        ``REPRO_SERVICE_TRANSPORT``, then to the lane count (``"local"``
-        for one lane, ``"process"`` for more).  Only the campaign layer
-        reads this field.
     kernel:
-        ERI evaluation granularity: ``"quartet"`` (one shell quartet per
-        call; the bit-exact reference) or ``"batched"`` (whole L-class
-        quartet lists per call with class-level J/K scatters; agrees
-        with the reference to ~1e-13 and is several times faster).
-        Screening is kernel-independent, so both walk — and count —
-        the identical surviving-quartet list.
+        Evaluator of the direct walk's quartet blocks: ``"quartet"``
+        (one shell quartet per call, the reference evaluator; nothing
+        is kept) or ``"batched"`` (one call per L-class through the
+        class store; agrees with the reference to ~1e-13 and is several
+        times faster).  Either way the blocks reach J and K through the
+        same class-level scatters, and screening is kernel-independent,
+        so both walk — and count — the identical surviving-quartet
+        list.
     jk:
         Coulomb/exchange factorization: ``"direct"`` (screened 4-index
         quartets; the bit-exact reference) or ``"ri"`` (density-fitted
@@ -108,7 +98,6 @@ class ExecutionConfig:
     nworkers: int | None = None
     pool_timeout: float | None = None
     pool_max_retries: int | None = None
-    service_transport: str | None = None
     # --- numerics ---
     kernel: str = "quartet"
     jk: str = "direct"

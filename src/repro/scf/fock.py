@@ -9,18 +9,14 @@ Two execution styles, mirroring the paper:
   paper's distributed HFX build; the parallel scheme in
   :mod:`repro.hfx` partitions exactly these quartets.
 
-Two accumulation granularities, mirroring the two ERI kernels:
-
-* :func:`scatter_exchange` / :func:`scatter_coulomb` — one quartet at a
-  time (the bit-exact reference), with the degeneracy-resolved
-  permutation list precomputed per index pattern instead of rebuilt per
-  quartet;
-* :func:`scatter_exchange_batch` / :func:`scatter_coulomb_batch` —
-  whole L-class batches: the density sub-blocks every quartet needs are
-  gathered into one batch tensor, contracted in a single batched
-  matrix product per permutation slot (no per-call contraction
-  planning), and scattered back through precomputed index arrays with
-  ``np.add.at``.
+One accumulation, mirroring the paper's class-batched exchange kernel:
+:func:`scatter_exchange_batch` / :func:`scatter_coulomb_batch` add a
+whole L-class of quartet blocks at once — the density sub-blocks every
+quartet needs are gathered into one batch tensor, contracted in a
+single batched matrix product per permutation slot, and scattered back
+through precomputed index arrays with ``np.add.at``.  Both ERI kernels
+feed it (:func:`eval_screened_pairs`); they differ only in where a
+class's blocks come from.
 """
 
 from __future__ import annotations
@@ -28,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..basis.basisset import BasisSet
+from ..integrals.batch import flatten_pairs
 from ..integrals.eri import PERM_AXES, ERIEngine, eri_tensor
 from ..runtime.boundary import check_jk_route
 from ..runtime.pool import PoolLease, RankJob, balance_pairs
@@ -35,108 +32,39 @@ from ..runtime.pool import PoolLease, RankJob, balance_pairs
 __all__ = ["jk_from_tensor", "coulomb_from_tensor", "exchange_from_tensor",
            "JKEngine", "TensorJKEngine", "DirectJKBuilder", "make_jk_engine",
            "eval_screened_pairs",
-           "scatter_exchange", "scatter_coulomb",
            "scatter_exchange_batch", "scatter_coulomb_batch",
-           "shell_slices", "reflect_triangle"]
+           "reflect_triangle"]
 
 
-def shell_slices(basis: BasisSet) -> list[slice]:
-    """All shell AO slices, cached per basis object.
+def _slot_table() -> np.ndarray:
+    """``table[code, slot]``: is permutation slot ``slot`` (of
+    :data:`~repro.integrals.eri.PERM_AXES`) a distinct image of a unique
+    quartet whose index pattern is ``code = e1 + 2*e2 + 4*e3``
+    (``e1``: ``i == j``, ``e2``: ``k == l``, ``e3``: ``(i, j) == (k, l)``)?
 
-    Hoists the four ``basis.shell_slice`` lookups out of the innermost
-    scatter loops.  Delegates to :meth:`BasisSet.shell_slices` so the
-    4-index scatters and the 2-/3-index RI builders all read the one
-    list cached on the basis object.
+    A quartet's distinct images depend only on its pattern, so the
+    seen-set dedup runs once per pattern here, on representative
+    indices; of coinciding images the first slot is kept.  Patterns
+    that cannot occur (``e3`` with ``e1 != e2``) keep no slot.
     """
-    return basis.shell_slices()
-
-
-def _build_perm_table() -> dict[tuple[bool, bool, bool], tuple]:
-    """Degeneracy-resolved permutation lists per index pattern.
-
-    A unique quartet's distinct images depend only on its *pattern* —
-    which of ``i == j``, ``k == l``, ``(i, j) == (k, l)`` hold — so the
-    seen-set dedup runs once per pattern here (on representative
-    indices) instead of once per quartet in the hot loop.  The emitted
-    order matches the historical perms list, keeping the accumulation
-    order (and hence K) bit-identical.
-    """
-    table = {}
-    for e1 in (False, True):
-        for e2 in (False, True):
-            for e3 in (False, True):
-                if e3 and e1 != e2:
-                    continue   # (i,j) == (k,l) forces i==j iff k==l
-                i, j = 0, 0 if e1 else 1
-                k, l = (i, j) if e3 else (4, 4 if e2 else 5)
-                quart = (i, j, k, l)
-                seen = set()
-                active = []
-                for ax in PERM_AXES:
-                    t = tuple(quart[a] for a in ax)
-                    if t in seen:
-                        continue
-                    seen.add(t)
-                    active.append(ax)
-                table[(e1, e2, e3)] = tuple(active)
+    table = np.zeros((8, 8), dtype=bool)
+    for code in range(8):
+        e1, e2, e3 = code & 1, code >> 1 & 1, code >> 2 & 1
+        if e3 and e1 != e2:
+            continue   # (i,j) == (k,l) forces i==j iff k==l
+        i, j = 0, 0 if e1 else 1
+        k, l = (i, j) if e3 else (4, 4 if e2 else 5)
+        quart = (i, j, k, l)
+        seen = set()
+        for s, ax in enumerate(PERM_AXES):
+            t = tuple(quart[a] for a in ax)
+            if t not in seen:
+                seen.add(t)
+                table[code, s] = True
     return table
 
 
-_PERM_TABLE = _build_perm_table()
-
-# _SLOT_ACTIVE[pattern_code, slot]: is permutation slot active for the
-# pattern (e1 + 2*e2 + 4*e3)?  Derived from _PERM_TABLE so the batched
-# scatter can never drift from the per-quartet reference.
-_SLOT_ACTIVE = np.zeros((8, 8), dtype=bool)
-for _key, _axes in _PERM_TABLE.items():
-    _code = _key[0] + 2 * _key[1] + 4 * _key[2]
-    for _s, _ax in enumerate(PERM_AXES):
-        _SLOT_ACTIVE[_code, _s] = _ax in _axes
-
-
-def scatter_exchange(basis: BasisSet, K: np.ndarray, block: np.ndarray,
-                     D: np.ndarray, idx: tuple[int, int, int, int]) -> None:
-    """Accumulate one unique quartet's exchange contributions into K.
-
-    The unrestricted sum K_ac = sum_bd (ab|cd) D_bd runs over all
-    *ordered* quartets; a unique quartet expands into up to 8 ordered
-    permutations, each contributing to one ordered (a, c) block.
-    Degenerate permutations (coinciding indices) are counted once — the
-    distinct set per index pattern comes from the precomputed
-    ``_PERM_TABLE``.  Accumulating every ordered permutation leaves K
-    exactly symmetric.
-    """
-    i, j, k, l = idx
-    slices = shell_slices(basis)
-    for ax in _PERM_TABLE[(i == j, k == l, i == k and j == l)]:
-        a, b, c, d = idx[ax[0]], idx[ax[1]], idx[ax[2]], idx[ax[3]]
-        sa, sb = slices[a], slices[b]
-        sc, sd = slices[c], slices[d]
-        # K_ac += (ab|cd) D_bd
-        K[sa, sc] += np.einsum("xyzw,yw->xz", block.transpose(ax),
-                               D[sb, sd])
-
-
-def scatter_coulomb(basis: BasisSet, J: np.ndarray, block: np.ndarray,
-                    D: np.ndarray, idx: tuple[int, int, int, int]) -> None:
-    """Accumulate one unique quartet's Coulomb contributions into J.
-
-    Only the upper shell triangle of J is filled (every unique quartet
-    has ``i <= j`` and ``k <= l``); the caller reflects the triangle
-    once at the end of the build.  Reflection commutes with summation,
-    so partial J matrices from different workers/ranks can be reduced
-    first and reflected once.
-    """
-    i, j, k, l = idx
-    slices = shell_slices(basis)
-    si, sj = slices[i], slices[j]
-    sk, sl = slices[k], slices[l]
-    dij = 1.0 if i == j else 2.0
-    dkl = 1.0 if k == l else 2.0
-    # J_ij += (ij|kl) D_kl  (and the bra<->ket mirror)
-    J[si, sj] += dkl * np.einsum("xyzw,zw->xy", block, D[sk, sl])
-    if (i, j) != (k, l):
-        J[sk, sl] += dij * np.einsum("xyzw,xy->zw", block, D[si, sj])
+_SLOT_ACTIVE = _slot_table()
 
 
 def _gather_blocks(M: np.ndarray, rows: np.ndarray,
@@ -168,9 +96,13 @@ def scatter_exchange_batch(basis: BasisSet, K: np.ndarray,
                            idx: np.ndarray) -> None:
     """Exchange accumulation for a whole same-L-class quartet batch.
 
-    ``blocks`` is ``(nq, nA, nB, nC, nD)`` from the batched kernel and
-    ``idx`` the matching ``(nq, 4)`` shell indices.  Instead of up to
-    ``8 nq`` tiny einsums, each of the 8 permutation slots runs once:
+    ``blocks`` is ``(nq, nA, nB, nC, nD)`` from either ERI kernel and
+    ``idx`` the matching ``(nq, 4)`` shell indices of unique quartets.
+    The unrestricted sum ``K_ac = sum_bd (ab|cd) D_bd`` runs over all
+    *ordered* quartets: a unique quartet expands into up to 8 ordered
+    images, degenerate ones (coinciding indices) counted once
+    (``_SLOT_ACTIVE``), which leaves K exactly symmetric.  Instead of up
+    to ``8 nq`` tiny einsums, each of the 8 permutation slots runs once:
     gather the needed D sub-blocks for every quartet where the slot is
     non-degenerate, contract the whole sub-batch, and scatter through
     ``np.add.at`` (indices may collide across quartets, so plain fancy
@@ -208,9 +140,13 @@ def scatter_coulomb_batch(basis: BasisSet, J: np.ndarray,
                           idx: np.ndarray) -> None:
     """Coulomb accumulation for a whole same-L-class quartet batch.
 
-    Upper-triangle convention as :func:`scatter_coulomb`: the bra slot
-    always contributes (ket degeneracy folded in as a per-quartet
-    factor), the mirrored ket slot only where ``(i, j) != (k, l)``.
+    Only the upper shell triangle of J is filled (every unique quartet
+    has ``i <= j`` and ``k <= l``); the caller reflects the triangle
+    once at the end of the build (:func:`reflect_triangle`), which
+    commutes with summation, so partial J matrices from different
+    workers or ranks can be reduced first.  The bra slot always
+    contributes (ket degeneracy folded in as a per-quartet factor), the
+    mirrored ket slot only where ``(i, j) != (k, l)``.
     """
     idx = np.asarray(idx, dtype=np.int64).reshape(-1, 4)
     off = basis.offsets
@@ -265,48 +201,39 @@ def eval_screened_pairs(engine: ERIEngine, basis: BasisSet, D: np.ndarray,
     The one place a quartet block meets a density; it runs through
     :func:`repro.runtime.pool.run_rank_jobs` in-process and inside every
     pool worker, so every executor accumulates the same quartets in the
-    same order.  Returns ``(J, K, nquartets)``: ``None`` for an
-    unrequested matrix, and J fills the upper shell triangle only (see
-    :func:`scatter_coulomb`).  ``kernel="quartet"`` is the bit-exact
-    per-quartet reference.  ``"batched"`` groups the list by L-class and
-    takes each class's blocks from ``engine``'s class store
+    same order.  The list is flattened, grouped by L-class
+    (:meth:`~repro.integrals.eri.ERIEngine.group_quartets`), and each
+    class's blocks are added to J and K by :func:`scatter_coulomb_batch`
+    and :func:`scatter_exchange_batch`.  ``kernel`` only chooses where a
+    class's blocks come from: ``"quartet"`` evaluates each row with the
+    reference evaluator (:meth:`~repro.integrals.eri.ERIEngine.quartet`)
+    and stores nothing; ``"batched"`` reads ``engine``'s class store
     (:meth:`~repro.integrals.eri.ERIEngine.stored_batch`): what an
     earlier walk at this geometry evaluated is gathered, only the rest
-    is evaluated, and the blocks are the same bits either way, so the
-    scatters (same additions, same order) give the same J and K.
-    ``nquartets`` counts the quartets walked, wherever their blocks
-    came from.
+    is evaluated, and the blocks are the same bits either way.
+
+    Returns ``(J, K, nquartets)``: ``None`` for an unrequested matrix,
+    J filling the upper shell triangle only (see
+    :func:`scatter_coulomb_batch`), and ``nquartets`` the quartets
+    walked, wherever their blocks came from.
     """
     nbf = basis.nbf
     J = np.zeros((nbf, nbf)) if want_j else None
     K = np.zeros((nbf, nbf)) if want_k else None
-    if kernel == "batched":
-        from ..integrals.batch import flatten_pairs
-
-        with tr.span("batch.assemble", cat="batch"):
-            groups = engine.group_quartets(flatten_pairs(pairs))
-        for grp in groups:
-            with tr.span("batch.eval", cat="batch", nq=len(grp)):
+    with tr.span("batch.assemble", cat="batch"):
+        groups = engine.group_quartets(flatten_pairs(pairs))
+    for grp in groups:
+        with tr.span("batch.eval", cat="batch", nq=len(grp)):
+            if kernel == "batched":
                 blocks = engine.stored_batch(grp)
-            with tr.span("batch.scatter", cat="batch", nq=len(grp)):
-                if J is not None:
-                    scatter_coulomb_batch(basis, J, blocks, D, grp)
-                if K is not None:
-                    scatter_exchange_batch(basis, K, blocks, D, grp)
-        return J, K, sum(len(grp) for grp in groups)
-    nq = 0
-    for (i, j, kets) in pairs:
-        with tr.span("jk.quartet_batch", cat="quartets", nkets=len(kets)):
-            for (k, l) in kets:
-                k, l = int(k), int(l)
-                block = engine.quartet(i, j, k, l)
-                if J is not None:
-                    scatter_coulomb(basis, J, block, D, (i, j, k, l))
-                if K is not None:
-                    # all distinct index permutations contribute
-                    scatter_exchange(basis, K, block, D, (i, j, k, l))
-        nq += len(kets)
-    return J, K, nq
+            else:
+                blocks = np.stack([engine.quartet(*q) for q in grp.tolist()])
+        with tr.span("batch.scatter", cat="batch", nq=len(grp)):
+            if J is not None:
+                scatter_coulomb_batch(basis, J, blocks, D, grp)
+            if K is not None:
+                scatter_exchange_batch(basis, K, blocks, D, grp)
+    return J, K, sum(len(grp) for grp in groups)
 
 
 class JKEngine:
@@ -342,7 +269,11 @@ class JKEngine:
         return self.build(d, want_j, want_k)
 
     def reset(self, basis: BasisSet) -> None:
-        """Re-target at a new geometry, dropping all per-geometry state."""
+        """Start over on ``basis``: a new geometry drops all
+        per-geometry state; the basis the engine already serves drops
+        only cross-build history, so the next build is a full one and
+        nothing evaluated at this geometry is evaluated again.  Every
+        SCF driver calls it before its first build."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -384,9 +315,12 @@ class TensorJKEngine(JKEngine):
         from ..runtime.execconfig import resolve_execution
 
         self.config = resolve_execution(config, owner="TensorJKEngine")
+        self.basis = self.eri = None
         self.reset(basis)
 
     def reset(self, basis: BasisSet) -> None:
+        if basis is self.basis and self.eri is not None:
+            return          # the tensor carries no build history
         tr = self.config.trace
         self.basis = basis
         engine = ERIEngine(basis)     # counts the quartets it evaluates
@@ -414,18 +348,20 @@ class TensorJKEngine(JKEngine):
 class DirectJKBuilder(JKEngine):
     """Integral-direct J/K builds with Cauchy-Schwarz + density screening.
 
-    The quartet loop walks unique shell quartets (8-fold symmetry),
-    skips those with ``Q_ij * Q_kl * max|D| < eps``, and scatters each
-    computed block into all symmetry-related positions of J and K.
-    ``eps`` is the paper's controllable-accuracy threshold.
+    The walk covers unique shell quartets (8-fold symmetry), skips those
+    with ``Q_ij * Q_kl * max|D| < eps``, and adds the surviving blocks,
+    one L-class at a time, into all symmetry-related positions of J and
+    K (:func:`eval_screened_pairs`).  ``eps`` is the paper's
+    controllable-accuracy threshold.
 
     Execution behavior (executor, pool size, ERI kernel, telemetry
     sinks) comes from one :class:`repro.runtime.ExecutionConfig` value.
     ``executor="process"`` evaluates the surviving quartets on a
     persistent :class:`repro.runtime.pool.ExchangeWorkerPool` instead of
-    in-process.  ``kernel="batched"`` groups the surviving quartet list
-    by L-class and runs the batched kernel + class-level scatters
-    (agrees with the per-quartet reference to ~1e-13); screening always
+    in-process.  ``kernel`` picks the evaluator of a class's blocks —
+    ``"quartet"`` the per-quartet reference, ``"batched"`` the class
+    kernel through the class store (the two agree to ~1e-13); the
+    accumulation is the same class scatter either way.  Screening always
     stays in the parent and is kernel-independent, so both kernels and
     both executors walk the identical quartet list.  An externally
     owned pool can be shared (e.g. across the SCFs of an MD
@@ -477,7 +413,11 @@ class DirectJKBuilder(JKEngine):
 
     def reset(self, basis: BasisSet) -> None:
         """Re-target at a new geometry: fresh shell pairs and Schwarz
-        keys, and the (possibly shared) pool re-pointed at ``basis``."""
+        keys, and the (possibly shared) pool re-pointed at ``basis``.
+        The basis already served is a no-op: a full build keeps no
+        history, and the class stores hold this geometry's blocks."""
+        if basis is self.basis:
+            return
         self._bind(basis)
         self.lease.reset(basis)
 

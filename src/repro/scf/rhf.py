@@ -160,9 +160,10 @@ class RHF:
     jk_engine:
         Caller-owned :class:`repro.scf.fock.JKEngine` to build through
         instead of making one (e.g. the one engine of an MD trajectory,
-        which carries its worker pool, fitted-tensor cache or increment
-        history across SCFs).  The driver re-targets it if it serves
-        another basis and never closes it.
+        which carries its worker pool across SCFs).  The driver resets
+        it before the first build (:meth:`~repro.scf.fock.JKEngine.reset`:
+        re-targeted if it serves another basis, cross-build history
+        dropped either way) and never closes it.
     soscf_state:
         Warm-start state for the Newton solver (a dict previously
         returned on :attr:`SCFResult.soscf_state`): restores the
@@ -294,14 +295,15 @@ class RHF:
             hcore = T + V
             self._jk = self.jk_engine or make_jk_engine(
                 self.basis, self.config, self.screen_eps, mode=self.mode)
-            if self._jk.basis is not self.basis:
-                self._jk.reset(self.basis)
+            # every SCF starts from a full build, whatever ran before on
+            # a caller-owned engine
+            self._jk.reset(self.basis)
         return S, hcore
 
     def _close_jk(self) -> None:
         """End-of-run: an engine this run made (and any pool it
         spawned) dies with the run; a caller-owned ``jk_engine`` — its
-        pool, B cache or increment history — is left for the caller."""
+        pool or B cache — is left for the caller."""
         if self._jk is not self.jk_engine:
             self._jk.close()
 

@@ -60,8 +60,8 @@ class RIJKBuilder(JKEngine):
     the telemetry sinks, and an externally owned pool can be shared.
 
     The expensive work — metric, 3-index tensor, ``B`` — runs lazily on
-    the first :meth:`build` after construction or :meth:`reset` and is
-    reused by every later build until the next reset; the counters
+    the first :meth:`build` at a geometry and is reused by every later
+    build until a :meth:`reset` to another one; the counters
     ``scf.ri_b_builds`` / ``scf.ri_b_reuses`` in ``--profile`` make the
     caching visible.  :meth:`close` releases an owned pool only: the
     cached tensor survives and keeps serving builds.
@@ -92,8 +92,11 @@ class RIJKBuilder(JKEngine):
         basis, invalidate ``B``, and re-point a shared pool.
 
         This is the MD-step path — the per-geometry tensor must never
-        leak across a geometry jump.
+        leak across a geometry jump.  The basis already served is a
+        no-op: ``B`` is the same tensor whatever ran before.
         """
+        if basis is self.basis:
+            return
         self.basis = basis
         self.engine = ERIEngine(basis)
         self.aux = build_aux_basis(basis)

@@ -103,7 +103,10 @@ class JobSpec:
         The accuracy and algorithm knobs that determine the result
         (all part of the canonical key).  ``mode=None`` lets
         :func:`repro.scf.fock.make_jk_engine` derive the route (direct
-        for pools and ``jk="ri"``, else in-core).
+        for pools and ``jk="ri"``, else in-core).  ``kernel`` picks the
+        direct walk's block evaluator (``"quartet"``: the per-quartet
+        reference, ``"batched"``: the class kernel); both feed the same
+        class scatters, so the two agree to ~1e-13, not bit for bit.
     steps / dt_fs / temperature / thermostat / tau_fs / seed:
         MD-only integration setup; ``seed`` seeds both the initial
         Maxwell-Boltzmann velocities and a CSVR thermostat stream.

@@ -59,7 +59,7 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..runtime.boundary import KNOBS, check, env_text, resolve
+from ..runtime.boundary import KNOBS, check, env_text
 from ..runtime.execconfig import ExecutionConfig, resolve_execution
 from ..runtime.fsio import append_durable, atomic_write_text
 from ..runtime.schema import check_envelope, result_envelope
@@ -397,20 +397,14 @@ class CampaignService:
     # --- scheduler ------------------------------------------------------------
 
     def _transport(self, nworkers: int, transport: str | None) -> str:
-        """The lane kind a drain over ``nworkers`` lanes runs on.
-
-        A transport is named by ``transport``, else the config's
-        ``service_transport``, else ``REPRO_SERVICE_TRANSPORT``; with
-        none named one lane runs ``"local"`` and more run ``"process"``.
-        ``"local"`` is one inline lane, so naming it with more lanes is
-        refused.
+        """The lane kind a drain over ``nworkers`` lanes runs on:
+        ``transport`` if named, else ``"local"`` for one lane and
+        ``"process"`` for more.  ``"local"`` is one inline lane, so
+        naming it with more lanes is refused.
         """
-        named = transport if transport is not None \
-            else self.config.service_transport
-        if named is None and \
-                env_text(KNOBS["service_transport"].env) is None:
+        if transport is None:
             return "local" if nworkers == 1 else "process"
-        name = resolve("service_transport", named)
+        name = check("service_transport", transport)
         if name == "local" and nworkers > 1:
             raise ValueError(
                 f"transport 'local' is one inline lane and cannot run "
@@ -423,10 +417,8 @@ class CampaignService:
 
         ``transport`` picks the lane kind: ``"local"`` runs every job
         on one inline lane in this process, ``"process"`` on
-        ``nworkers`` forked workers.  ``None`` falls back to the
-        config's ``service_transport``, then ``REPRO_SERVICE_TRANSPORT``,
-        then the lane count (``"local"`` for one lane, ``"process"``
-        for more).  Returns a campaign report envelope (job outcomes +
+        ``nworkers`` forked workers.  ``None`` lets the lane count
+        decide (``"local"`` for one lane, ``"process"`` for more).  Returns a campaign report envelope (job outcomes +
         ``service.*`` counters).  Safe to call again after further
         ``submit``\\ s.
         """

@@ -123,6 +123,7 @@ def test_used_basis_pickles_like_a_fresh_one(water):
 
     basis = build_basis(water)
     assert RHF(water, basis, mode="direct").run().converged
+    basis.shell_slices()    # the RI and gradient walks' table
     assert {"_pairs_cache", "_slices_cache", "_schwarz_cache"} \
         <= set(basis.__dict__)
     blob = pickle.dumps(basis)

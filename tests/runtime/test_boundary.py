@@ -174,12 +174,11 @@ def test_rows_are_well_formed():
     assert len(set(flags)) == len(flags) - 1      # --method: scf and md rows
 
 
-def test_the_seven_variables():
+def test_the_six_variables():
     assert sorted(ENV_VARS) == [
         "REPRO_CHECKPOINT_EVERY", "REPRO_POOL_FAULT",
         "REPRO_POOL_MAX_RETRIES", "REPRO_POOL_TIMEOUT",
-        "REPRO_SERVICE_FAULT", "REPRO_SERVICE_HEARTBEAT",
-        "REPRO_SERVICE_TRANSPORT"]
+        "REPRO_SERVICE_FAULT", "REPRO_SERVICE_HEARTBEAT"]
     with pytest.raises(KeyError):
         boundary.env_text("REPRO_NOT_A_KNOB")
 
@@ -209,12 +208,11 @@ def test_enumerations_are_defined_once():
 
 def test_resolve_names_are_table_bindings():
     import repro.runtime as rt
-    from repro.runtime import checkpoint, execconfig, pool
+    from repro.runtime import checkpoint, pool
 
     homes = {"resolve_pool_timeout": pool, "resolve_nworkers": pool,
              "resolve_pool_max_retries": pool,
-             "resolve_checkpoint_every": checkpoint,
-             "resolve_service_transport": execconfig}
+             "resolve_checkpoint_every": checkpoint}
     for name, module in homes.items():
         bound = getattr(boundary, name)
         assert getattr(module, name) is bound and getattr(rt, name) is bound

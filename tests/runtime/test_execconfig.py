@@ -17,7 +17,7 @@ def test_defaults():
     assert cfg.trace is NULL_TRACER
 
 
-def test_fields_are_twelve_in_role_order():
+def test_fields_are_eleven_in_role_order():
     """placement, numerics, observation — and nothing that duplicates
     hashed JobSpec physics (mts_*) or that nobody reads (profile)."""
     import dataclasses
@@ -25,7 +25,7 @@ def test_fields_are_twelve_in_role_order():
     from repro.runtime.boundary import KNOBS
 
     names = [f.name for f in dataclasses.fields(ExecutionConfig)]
-    assert len(names) == 12
+    assert len(names) == 11
     assert not {"profile", "mts_outer", "mts_inner_engine"} & set(names)
     roles = [KNOBS[n].role if n in KNOBS else "observation" for n in names]
     order = ["placement", "numerics", "observation"]

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.hfx.partition import lpt_bins
-from repro.runtime.pool import ExchangeWorkerPool, RankJob, default_nworkers
-from repro.scf.fock import eval_screened_pairs, scatter_exchange
+from repro.integrals.eri import ERIEngine
+from repro.runtime.pool import (ExchangeWorkerPool, RankJob, default_nworkers,
+                                run_rank_jobs)
+from repro.runtime.telemetry import NULL_TRACER
+from repro.scf.fock import eval_screened_pairs
 
 pytestmark = pytest.mark.pool
 
@@ -20,16 +23,19 @@ def water_pool(water_basis):
         yield pool
 
 
-def _serial_partial(basis, D, pairs):
-    from repro.integrals.eri import ERIEngine
+def _in_process(basis, D, jobs):
+    """``{rank: (J, K)}`` of the same K-only jobs run in-process."""
+    done = run_rank_jobs(eval_screened_pairs, ERIEngine(basis), basis, D,
+                         [(j.rank, j.pairs) for j in jobs], NULL_TRACER,
+                         K_ONLY)
+    return {rank: (A, B) for rank, A, B, *_ in done}
 
-    K = np.zeros((basis.nbf, basis.nbf))
-    engine = ERIEngine(basis)
-    for (i, j, kets) in pairs:
-        for (k, l) in kets:
-            block = engine.quartet(i, j, int(k), int(l))
-            scatter_exchange(basis, K, block, D, (i, j, int(k), int(l)))
-    return K
+
+def _assert_same_partials(results, want):
+    assert set(results) == set(want)
+    for rank, (J, K) in want.items():
+        assert J is None and results[rank][0] is None  # J not requested
+        assert np.array_equal(results[rank][1], K)
 
 
 def test_lpt_assign_covers_all_jobs():
@@ -54,11 +60,7 @@ def test_pool_exchange_matches_serial(water_pool, water_basis, rng):
             RankJob(rank=1, pairs=pairs[1:], cost=2.0)]
     results, nq = water_pool.run(eval_screened_pairs, jobs, K_ONLY, D)
     assert nq == 5
-    assert set(results) == {0, 1}
-    K = results[0][1] + results[1][1]
-    K_ref = _serial_partial(water_basis, D, pairs)
-    assert np.abs(K - K_ref).max() < 1e-14
-    assert results[0][0] is None  # J not requested
+    _assert_same_partials(results, _in_process(water_basis, D, jobs))
 
 
 def test_pool_counts_quartets_across_builds(water_basis):
@@ -85,8 +87,7 @@ def test_pool_reset_retargets_workers(water, rng):
     with ExchangeWorkerPool(basis0, nworkers=1) as pool:
         pool.reset(basis1)
         results, _ = pool.run(eval_screened_pairs, jobs, K_ONLY, D)
-    K_ref = _serial_partial(basis1, D, pairs)
-    assert np.abs(results[0][1] - K_ref).max() < 1e-14
+    _assert_same_partials(results, _in_process(basis1, D, jobs))
 
 
 def test_pool_reset_rejects_size_change(water_basis, h2_basis):

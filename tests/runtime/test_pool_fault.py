@@ -26,10 +26,8 @@ import numpy as np
 import pytest
 
 from repro.runtime import ExecutionConfig, Tracer
-from repro.runtime.pool import (DEFAULT_MAX_RETRIES, ExchangeWorkerPool,
-                                RankJob, WorkerDeathError, _parse_fault,
-                                resolve_nworkers, resolve_pool_max_retries,
-                                resolve_pool_timeout, run_rank_jobs)
+from repro.runtime.pool import (ExchangeWorkerPool, RankJob,
+                                WorkerDeathError, _parse_fault, run_rank_jobs)
 from repro.scf.fock import eval_screened_pairs
 
 pytestmark = [pytest.mark.pool, pytest.mark.fault]
@@ -394,39 +392,9 @@ def test_close_warns_about_crashed_worker(clean_fault_env, water_basis):
 # --- knob validation ---------------------------------------------------------
 
 
-def test_resolve_nworkers_rejects_bool():
-    with pytest.raises(ValueError, match="positive integer"):
-        resolve_nworkers(True)
-    with pytest.raises(ValueError, match="positive integer"):
-        resolve_nworkers(False)
-    assert resolve_nworkers(2) == 2
-
-
-def test_resolve_pool_timeout_rejects_bool():
-    with pytest.raises(ValueError, match="positive number"):
-        resolve_pool_timeout(True)
-    assert resolve_pool_timeout(1.5) == 1.5
-
-
 def test_pool_rejects_bool_nworkers(water_basis):
     with pytest.raises(ValueError, match="positive integer"):
         ExchangeWorkerPool(water_basis, nworkers=True)
-
-
-@pytest.mark.parametrize("bad", [True, -1, 1.5, "two"])
-def test_resolve_pool_max_retries_rejects(bad):
-    with pytest.raises(ValueError, match="non-negative integer"):
-        resolve_pool_max_retries(bad)
-
-
-def test_resolve_pool_max_retries_env(monkeypatch):
-    monkeypatch.delenv("REPRO_POOL_MAX_RETRIES", raising=False)
-    assert resolve_pool_max_retries() == DEFAULT_MAX_RETRIES
-    monkeypatch.setenv("REPRO_POOL_MAX_RETRIES", "5")
-    assert resolve_pool_max_retries() == 5
-    monkeypatch.setenv("REPRO_POOL_MAX_RETRIES", "-2")
-    with pytest.raises(ValueError, match="non-negative"):
-        resolve_pool_max_retries()
 
 
 # --- injection spec ----------------------------------------------------------

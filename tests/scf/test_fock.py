@@ -24,6 +24,32 @@ def test_direct_matches_incore_j_and_k(water_basis, water_eri):
     assert np.abs(Kd - Kt).max() < 1e-10
 
 
+@pytest.mark.parametrize("kernel", ["quartet", "batched"])
+@pytest.mark.parametrize("system", ["water", "li2o2"])
+def test_both_evaluators_match_the_tensor_oracle(system, kernel):
+    """Unscreened, every unique quartet — so every degeneracy pattern
+    (``i == j``, ``k == l``, ``(i, j) == (k, l)``) — reaches the class
+    scatters, from either block evaluator."""
+    from repro.integrals import eri_tensor
+    from repro.integrals.batch import flatten_pairs
+    from repro.runtime import ExecutionConfig
+
+    b = build_basis(getattr(builders, system)())
+    D = _random_density(b.nbf, 4)
+    builder = DirectJKBuilder(b, eps=0.0,
+                              config=ExecutionConfig(kernel=kernel))
+    idx = flatten_pairs(builder._screened_pairs(1.0))
+    i, j, k, l = idx.T
+    patterns = {(bool(a), bool(c), bool(e)) for a, c, e in
+                zip(i == j, k == l, (i == k) & (j == l))}
+    assert len(patterns) == 6           # all that can occur
+    Jt, Kt = jk_from_tensor(eri_tensor(b), D)
+    Jd, Kd = builder.build(D)
+    assert builder.quartets_computed == len(idx)
+    assert np.abs(Jd - Jt).max() < 1e-12
+    assert np.abs(Kd - Kt).max() < 1e-12
+
+
 def test_direct_jk_symmetric(water_basis):
     D = _random_density(water_basis.nbf, 5)
     J, K = DirectJKBuilder(water_basis, eps=1e-12).build(D)

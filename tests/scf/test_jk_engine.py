@@ -248,6 +248,25 @@ def test_caller_owned_process_engine_survives_rks(water, water_basis):
     assert pool.closed and closes == [1]
 
 
+def test_caller_owned_serial_engine_repeats_its_scf(water, water_basis):
+    """Every SCF starts from a full build: a second SCF on a
+    caller-owned direct engine at the same geometry does not walk the
+    first one's increment history, so both runs, and a run on a fresh
+    engine, are the same bits."""
+    cfg = ExecutionConfig()
+
+    def run(engine):
+        return RKS(water, water_basis, functional="pbe0", mode="direct",
+                   config=cfg, jk_engine=engine).run()
+
+    engine = make_jk_engine(water_basis, cfg, mode="direct")
+    first, again = run(engine), run(engine)
+    fresh = run(make_jk_engine(water_basis, cfg, mode="direct"))
+    assert float(first.energy).hex() == float(again.energy).hex() \
+        == float(fresh.energy).hex()
+    assert np.array_equal(first.D, again.D)
+
+
 def _scf_hexes(res):
     """Energy and density bits of a restricted or unrestricted result."""
     dens = [res.D] if hasattr(res, "D") else [res.D_a, res.D_b]

@@ -143,32 +143,11 @@ def test_unknown_transport_rejected(tmp_path):
         svc.run(transport="carrier-pigeon")
 
 
-def test_transport_from_config_and_env(tmp_path, monkeypatch):
-    svc = CampaignService(
-        tmp_path, config=ExecutionConfig(service_transport="local"))
-    svc.submit(H2_SCF)
-    assert svc.run()["transport"] == "local"
-    monkeypatch.setenv("REPRO_SERVICE_TRANSPORT", "local")
-    assert CampaignService().run()["transport"] == "local"
-    monkeypatch.setenv("REPRO_SERVICE_TRANSPORT", "smoke-signal")
-    with pytest.raises(ValueError, match="REPRO_SERVICE_TRANSPORT"):
-        CampaignService().run()
-
-
-def test_transport_resolution_by_lane_count(tmp_path, monkeypatch):
+def test_transport_resolution_by_lane_count(tmp_path):
     """Unnamed, one lane runs local and more run process; a named local
     with more than one lane is refused naming process — on the service,
     the facade and the CLI alike."""
     from repro.cli import main
-    from repro.runtime.execconfig import SERVICE_TRANSPORTS
-
-    monkeypatch.delenv("REPRO_SERVICE_TRANSPORT", raising=False)
-    assert ExecutionConfig().service_transport is None
-    for name in SERVICE_TRANSPORTS:
-        assert ExecutionConfig(service_transport=name) \
-            .service_transport == name
-    with pytest.raises(ValueError, match="transport"):
-        ExecutionConfig(service_transport="thread")
 
     for lanes, want in ((1, "local"), (2, "process")):
         svc = CampaignService()
@@ -176,24 +155,16 @@ def test_transport_resolution_by_lane_count(tmp_path, monkeypatch):
         assert svc.run(nworkers=lanes)["transport"] == want
         assert api.run_campaign([H2_SCF], lanes=lanes)["transport"] == want
 
+    # a named transport beats the lane count, and a named local stays
+    # one lane
+    assert CampaignService().run(transport="process")["transport"] \
+        == "process"
     refusals = [lambda: CampaignService().run(nworkers=2, transport="local"),
-                lambda: CampaignService(config=ExecutionConfig(
-                    service_transport="local")).run(nworkers=2),
                 lambda: api.run_campaign([H2_SCF], lanes=2,
                                          transport="local")]
     for refused in refusals:
         with pytest.raises(ValueError, match="'process'"):
             refused()
-
-    # the environment names a transport too: it beats the lane count,
-    # an explicit argument beats it, and a named local stays one lane
-    monkeypatch.setenv("REPRO_SERVICE_TRANSPORT", "process")
-    assert CampaignService().run()["transport"] == "process"
-    assert CampaignService().run(transport="local")["transport"] == "local"
-    monkeypatch.setenv("REPRO_SERVICE_TRANSPORT", "local")
-    with pytest.raises(ValueError, match="'process'"):
-        CampaignService().run(nworkers=2)
-    monkeypatch.delenv("REPRO_SERVICE_TRANSPORT")
 
     d = str(tmp_path / "camp")
     spec_file = tmp_path / "spec.json"

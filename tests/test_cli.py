@@ -78,7 +78,8 @@ def test_scf_trace_writes_chrome_json(tmp_path, capsys):
     names = {e["name"] for e in doc["traceEvents"] if e.get("ph") == "X"}
     assert "scf.iteration" in names
     assert "jk.screen" in names
-    assert "jk.quartet_batch" in names
+    assert {"batch.assemble", "batch.eval", "batch.scatter"} <= names
+    assert "jk.quartet_batch" not in names
 
 
 def test_scf_profile_table(capsys):
@@ -217,18 +218,6 @@ def test_campaign_run_process_transport(tmp_path, capsys):
     assert main(["campaign", "--dir", d2, "run",
                  "--cache-dir", str(tmp_path / "shared-cache")]) == 0
     assert "1 cache hit(s)" in capsys.readouterr().out
-
-
-def test_campaign_run_rejects_bad_transport_env(tmp_path, capsys,
-                                                monkeypatch):
-    d = str(tmp_path / "camp")
-    spec_file = tmp_path / "spec.json"
-    spec_file.write_text('{"kind": "scf", "molecule": "h2"}')
-    assert main(["campaign", "--dir", d, "submit",
-                 "--spec", str(spec_file)]) == 0
-    monkeypatch.setenv("REPRO_SERVICE_TRANSPORT", "telepathy")
-    with pytest.raises(SystemExit, match="REPRO_SERVICE_TRANSPORT"):
-        main(["campaign", "--dir", d, "run"])
 
 
 def test_campaign_run_json_report(tmp_path, capsys):

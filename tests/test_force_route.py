@@ -149,6 +149,6 @@ def test_bomd_takes_no_force_route_argument():
     assert len(init) == 11 and "analytic_forces" not in init
     assert "incremental" not in init
     assert not hasattr(repro.md, "MTSBOMD")
-    assert len(dataclasses.fields(ExecutionConfig)) == 12
+    assert len(dataclasses.fields(ExecutionConfig)) == 11
     assert len(KNOBS) == 34
     assert not any("force" in name for name in KNOBS)

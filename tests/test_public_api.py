@@ -210,3 +210,24 @@ def test_one_jk_route_and_one_driver_rule():
                                                  "scf/dft.py:run_rks"}
     assert _calls_under_src("UHF") == recipes | {"scf/route.py:scf_driver",
                                                  "scf/uhf.py:run_uhf"}
+
+
+def test_one_jk_accumulation():
+    """Both quartet evaluators feed the class scatters: no per-quartet
+    scatter (or its permutation table) is defined, imported, exported
+    or referenced under ``src/repro``, and the reference evaluator
+    ``ERIEngine.quartet`` is called only by the rank-job unit."""
+    import ast
+    import pathlib
+
+    gone = {"scatter_exchange", "scatter_coulomb", "_PERM_TABLE",
+            "_build_perm_table"}
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, attr, None)
+                     for attr in ("id", "attr", "name", "asname")}
+            if isinstance(node, ast.Constant):
+                names.add(node.value)
+            assert not names & gone, (path.name, node.lineno, names & gone)
+    assert _calls_under_src("quartet") == {"scf/fock.py:eval_screened_pairs"}
