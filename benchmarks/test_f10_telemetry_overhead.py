@@ -24,9 +24,7 @@ from repro.basis import build_basis
 from repro.chem import builders
 from repro.runtime import ExecutionConfig, Tracer
 from repro.scf import DirectJKBuilder
-from repro.integrals.batch import flatten_pairs
-from repro.scf.fock import (reflect_triangle, scatter_coulomb_batch,
-                            scatter_exchange_batch)
+from repro.scf.fock import _add_class
 
 N_WATERS = int(os.environ.get("REPRO_BENCH_POOL_WATERS", "4"))
 EPS = 1e-10
@@ -47,21 +45,21 @@ def cluster_state():
 
 
 def _bare_build(builder: DirectJKBuilder, D: np.ndarray):
-    """The same screened J/K walk with zero telemetry plumbing — group
-    by class, stack the reference blocks, class scatter — the reference
-    the disabled path is charged against."""
+    """The same screened J/K walk with zero telemetry plumbing — the
+    class-first screen, the reference blocks stacked per class, the
+    four-image accumulation into half of J and K — the reference the
+    disabled path is charged against."""
     basis = builder.basis
     engine = builder.engine
     nbf = basis.nbf
-    J = np.zeros((nbf, nbf))
-    K = np.zeros((nbf, nbf))
+    Jh = np.zeros(nbf * nbf)
+    Kh = np.zeros(nbf * nbf)
     dmax = float(np.abs(D).max()) if D.size else 0.0
-    idx = flatten_pairs(builder._screened_pairs(dmax))
-    for grp in engine.group_quartets(idx):
-        blocks = np.stack([engine.quartet(*q) for q in grp.tolist()])
-        scatter_coulomb_batch(basis, J, blocks, D, grp)
-        scatter_exchange_batch(basis, K, blocks, D, grp)
-    return reflect_triangle(J), K
+    for cls in builder._screened_classes(dmax):
+        blocks = np.stack([engine.quartet(*q) for q in cls.tolist()])
+        _add_class(Jh, Kh, blocks, cls, basis.offsets, D)
+    J, K = Jh.reshape(nbf, nbf), Kh.reshape(nbf, nbf)
+    return J + J.T, K + K.T
 
 
 def _min_of(n: int, fn) -> tuple[float, object]:

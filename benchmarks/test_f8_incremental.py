@@ -39,8 +39,8 @@ def _counted_scf(mol, engine, method="hf"):
     def counted(D, want_j=True, want_k=True):
         out = build(D, want_j, want_k)
         if want_j and want_k:
-            full = sum(len(kets) for _, _, kets in
-                       engine._screened_pairs(float(np.abs(D).max())))
+            full = sum(len(cls) for cls in engine._screened_classes(
+                float(np.abs(D).max())))
             rows.append((full, engine.quartets_computed))
         return out
 

@@ -38,6 +38,8 @@ from functools import reduce
 import numpy as np
 
 from ..basis.basisset import BasisSet
+from ..integrals.batch import flatten_pairs
+from ..integrals.eri import ERIEngine
 from ..machine.bgq import BGQConfig
 from ..machine.node import NodeComputeModel
 from ..machine.simulator import BuildTiming, CommPlan, simulate_static_build
@@ -154,11 +156,13 @@ class CommLog:
     allreduce_calls: int = 0
 
 
-def _rank_pairs(tasks: TaskList, part: Partition, rank: int) -> list:
-    """One rank's screened ``(i, j, kets)`` quartet batch."""
-    return [(int(tasks.pair_index[t][0]), int(tasks.pair_index[t][1]),
-             tasks.ket_lists[t])
-            for t in np.where(part.rank_of_task == rank)[0]]
+def _rank_classes(tasks: TaskList, part: Partition, rank: int,
+                  engine: ERIEngine) -> list[np.ndarray]:
+    """One rank's screened quartets as the J/K unit's L-class arrays."""
+    return engine.group_quartets(flatten_pairs(
+        [(int(tasks.pair_index[t][0]), int(tasks.pair_index[t][1]),
+          tasks.ket_lists[t])
+         for t in np.where(part.rank_of_task == rank)[0]]))
 
 
 def distributed_exchange(basis: BasisSet, D: np.ndarray, nranks: int,
@@ -208,7 +212,8 @@ def distributed_exchange(basis: BasisSet, D: np.ndarray, nranks: int,
             with tr.span("hfx.partition", cat="hfx",
                          partitioner=partitioner):
                 part = partition_tasks(tasks.flops, nranks, partitioner)
-            jobs = [RankJob(rank=r, pairs=_rank_pairs(tasks, part, r),
+            jobs = [RankJob(rank=r, pairs=_rank_classes(tasks, part, r,
+                                                        builder.engine),
                             cost=float(part.rank_flops[r]))
                     for r in range(nranks)]
             results, _ = builder.eval_jobs(lambda pool: jobs, D,

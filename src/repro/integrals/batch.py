@@ -70,9 +70,9 @@ SETUP_SCRATCH = 1 << 16
 def flatten_pairs(pairs) -> np.ndarray:
     """Flatten per-bra ket lists into one ``(nq, 4)`` quartet array.
 
-    ``pairs`` is the screened-task format used everywhere in the HFX
-    layer: an iterable of ``(i, j, kets)`` with ``kets`` an ``(m, 2)``
-    integer array.  Order is preserved (bra-major, ket order within).
+    ``pairs`` is the task list's screened-task format: an iterable of
+    ``(i, j, kets)`` with ``kets`` an ``(m, 2)`` integer array.  Order
+    is preserved (bra-major, ket order within).
     """
     chunks = []
     for (i, j, kets) in pairs:

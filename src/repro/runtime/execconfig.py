@@ -55,7 +55,7 @@ class ExecutionConfig:
         is kept) or ``"batched"`` (one call per L-class through the
         class store; agrees with the reference to ~1e-13 and is several
         times faster).  Either way the blocks reach J and K through the
-        same class-level scatters, and screening is kernel-independent,
+        same class accumulation, and screening is kernel-independent,
         so both walk — and count — the identical surviving-quartet
         list.
     jk:

@@ -113,11 +113,11 @@ class WorkerDeathError(WorkerDeath):
 class RankJob:
     """One rank's slice of the build.
 
-    ``pairs`` is the work list the unit is handed: for the J/K unit the
-    ``(i, j, kets)`` bra tasks, ``kets`` an ``(m, 2)`` integer array of
-    surviving ket shell pairs (the exact screened quartet batch of the
-    serial path); for the RI slab unit a list of auxiliary shell
-    indices.  ``cost`` is the job's weight in the LPT assignment.
+    ``pairs`` is the work list the unit is handed: for the J/K unit a
+    list of ``(nq, 4)`` arrays of screened unique quartets, one L-class
+    each (the serial path's classes, or the rows of them whose bra the
+    rank owns); for the RI slab unit a list of auxiliary shell indices.
+    ``cost`` is the job's weight in the LPT assignment.
     """
 
     rank: int
@@ -142,17 +142,40 @@ def run_rank_jobs(unit, engine, basis, D, jobs, tr, args=()) -> list:
     return out
 
 
-def balance_pairs(pairs, nworkers: int) -> list[RankJob]:
-    """One rank job per worker from a screened ``(i, j, kets)`` list,
-    balanced by :func:`repro.hfx.partition.lpt_bins` on the surviving
-    quartet count of each bra (each job keeps its pairs largest first,
-    ties in list order)."""
+def balance_pairs(classes, nworkers: int, nshell: int, owner=None
+                  ) -> tuple[list[RankJob], tuple]:
+    """One rank job per worker from the screen's class arrays: the rows
+    of every ``(nq, 4)`` class go to the rank that owns their bra
+    ``(i, j)``, in order (each job keeps the classes it has rows in).
+
+    ``owner`` is what an earlier call returned, ``(rank_of_bra, loads)``
+    with ``rank_of_bra`` indexed by ``i * nshell + j``; without one,
+    every bra is assigned by :func:`repro.hfx.partition.lpt_bins` on its
+    surviving quartets in ``classes``.  Each job's ``cost`` is its load
+    at that assignment, so the pool's dispatch sends it to the same
+    worker on every build that keeps the ownership.  Returns ``(jobs,
+    owner)``.
+    """
     from ..hfx.partition import lpt_bins
 
-    costs = [len(p[2]) for p in pairs]
-    return [RankJob(rank=w, pairs=[pairs[t] for t in mine],
-                    cost=float(sum(costs[t] for t in mine)))
-            for w, mine in enumerate(lpt_bins(costs, nworkers))]
+    bras = [c[:, 0] * nshell + c[:, 1] for c in classes]
+    if owner is None:
+        counts = np.zeros(nshell * nshell)
+        for b in bras:
+            counts += np.bincount(b, minlength=nshell * nshell)
+        rank_of_bra = np.empty(nshell * nshell, dtype=np.int64)
+        loads = []
+        for w, mine in enumerate(lpt_bins(counts, nworkers)):
+            rank_of_bra[mine] = w
+            loads.append(float(counts[mine].sum()))
+        owner = (rank_of_bra, loads)
+    rank_of_bra, loads = owner
+    ranks = [rank_of_bra[b] for b in bras]
+    jobs = [RankJob(rank=w, cost=loads[w],
+                    pairs=[c[r == w] for c, r in zip(classes, ranks)
+                           if (r == w).any()])
+            for w in range(nworkers)]
+    return jobs, owner
 
 
 def _parse_fault(spec: str | None):

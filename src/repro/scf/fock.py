@@ -10,13 +10,13 @@ Two execution styles, mirroring the paper:
   :mod:`repro.hfx` partitions exactly these quartets.
 
 One accumulation, mirroring the paper's class-batched exchange kernel:
-:func:`scatter_exchange_batch` / :func:`scatter_coulomb_batch` add a
-whole L-class of quartet blocks at once — the density sub-blocks every
-quartet needs are gathered into one batch tensor, contracted in a
-single batched matrix product per permutation slot, and scattered back
-through precomputed index arrays with ``np.add.at``.  Both ERI kernels
-feed it (:func:`eval_screened_pairs`); they differ only in where a
-class's blocks come from.
+:func:`eval_screened_pairs` takes the screen's L-classes of unique
+quartets, weights each block by its degeneracy and adds it to *half* of
+J (two contractions) and half of K (four images) through flat-index
+``np.bincount`` scatters; ``J = Jh + Jh^T`` and ``K = Kh + Kh^T`` supply
+the other images, which is exact because the density is symmetric.
+Both ERI kernels feed it; they differ only in where a class's blocks
+come from.
 """
 
 from __future__ import annotations
@@ -24,157 +24,69 @@ from __future__ import annotations
 import numpy as np
 
 from ..basis.basisset import BasisSet
-from ..integrals.batch import flatten_pairs
-from ..integrals.eri import PERM_AXES, ERIEngine, eri_tensor
+from ..integrals.eri import ERIEngine, eri_tensor
 from ..runtime.boundary import check_jk_route
 from ..runtime.pool import PoolLease, RankJob, balance_pairs
 
 __all__ = ["jk_from_tensor", "coulomb_from_tensor", "exchange_from_tensor",
            "JKEngine", "TensorJKEngine", "DirectJKBuilder", "make_jk_engine",
-           "eval_screened_pairs",
-           "scatter_exchange_batch", "scatter_coulomb_batch",
-           "reflect_triangle"]
+           "eval_screened_pairs"]
+
+# Ceiling, in elements, of the screen's transient bound array: one chunk
+# of bra pairs against a whole ket pair class (512 kB of doubles).
+_SCREEN_SCRATCH = 1 << 16
 
 
-def _slot_table() -> np.ndarray:
-    """``table[code, slot]``: is permutation slot ``slot`` (of
-    :data:`~repro.integrals.eri.PERM_AXES`) a distinct image of a unique
-    quartet whose index pattern is ``code = e1 + 2*e2 + 4*e3``
-    (``e1``: ``i == j``, ``e2``: ``k == l``, ``e3``: ``(i, j) == (k, l)``)?
+def _add_class(Jh: np.ndarray | None, Kh: np.ndarray | None,
+               V: np.ndarray, idx: np.ndarray, offsets: np.ndarray,
+               D: np.ndarray) -> None:
+    """Add one L-class of unique-quartet blocks to the flat half
+    matrices ``Jh`` and ``Kh`` (either may be ``None``).
 
-    A quartet's distinct images depend only on its pattern, so the
-    seen-set dedup runs once per pattern here, on representative
-    indices; of coinciding images the first slot is kept.  Patterns
-    that cannot occur (``e3`` with ``e1 != e2``) keep no slot.
+    ``V`` is ``(nq, nA, nB, nC, nD)``, ``idx`` the matching ``(nq, 4)``
+    shell indices ``(i, j, k, l)`` and ``D`` the symmetric density.  The
+    eight ordered images of ``(ij|kl)``, each weighted by
+    ``f = 1 / ((1 + d_ij)(1 + d_kl)(1 + d_(ij),(kl)))`` so that
+    coinciding images count once, add ``2f V.D_kl`` to ``J_ij`` and
+    ``2f D_ij.V`` to ``J_kl``, and ``f`` times the contraction to
+    ``K_ik``, ``K_jk``, ``K_il`` and ``K_jl``; the other half of every
+    sum is the transpose of one of these.  A D block is gathered through
+    the flat indices its partner image scatters through.
     """
-    table = np.zeros((8, 8), dtype=bool)
-    for code in range(8):
-        e1, e2, e3 = code & 1, code >> 1 & 1, code >> 2 & 1
-        if e3 and e1 != e2:
-            continue   # (i,j) == (k,l) forces i==j iff k==l
-        i, j = 0, 0 if e1 else 1
-        k, l = (i, j) if e3 else (4, 4 if e2 else 5)
-        quart = (i, j, k, l)
-        seen = set()
-        for s, ax in enumerate(PERM_AXES):
-            t = tuple(quart[a] for a in ax)
-            if t not in seen:
-                seen.add(t)
-                table[code, s] = True
-    return table
+    nq, nA, nB, nC, nD = V.shape
+    nbf = len(D)
+    Df = np.ascontiguousarray(D).reshape(-1)
+    i, j, k, l = idx.T
+    f = 1.0 / ((1.0 + (i == j)) * (1.0 + (k == l))
+               * (1.0 + ((i == k) & (j == l))))
+    ao = [offsets[s][:, None] + np.arange(n)
+          for s, n in zip((i, j, k, l), (nA, nB, nC, nD))]
 
+    def flat(p: int, q: int) -> np.ndarray:
+        """Flat AO indices of the (p, q) block of every quartet."""
+        return (ao[p][:, :, None] * nbf + ao[q][:, None, :]).reshape(nq, -1)
 
-_SLOT_ACTIVE = _slot_table()
+    def scatter(M: np.ndarray, at: np.ndarray, vals: np.ndarray) -> None:
+        M += np.bincount(at.ravel(), vals.ravel(), nbf * nbf)
 
+    def images(M: np.ndarray, V2: np.ndarray, rows: np.ndarray,
+               cols: np.ndarray, w: np.ndarray) -> None:
+        """The two images of one ``(nq, rows, cols)`` layout of V: the
+        row block contracted against D's column block, and back.  (A
+        batched matrix-vector product is ~2x faster in ``einsum`` than
+        in ``matmul`` at these sizes.)"""
+        scatter(M, rows, np.einsum("qmn,qn->qm", V2, Df[cols]) * w)
+        scatter(M, cols, np.einsum("qmn,qm->qn", V2, Df[rows]) * w)
 
-def _gather_blocks(M: np.ndarray, rows: np.ndarray,
-                   cols: np.ndarray) -> np.ndarray:
-    """Gather ``(m, nr, nc)`` sub-blocks ``M[rows[q], cols[q]]``."""
-    return M[rows[:, :, None], cols[:, None, :]]
-
-
-def _ao_rows(offsets: np.ndarray, shells: np.ndarray, n: int) -> np.ndarray:
-    """AO index rows ``offsets[shells] + arange(n)``, shape ``(m, n)``."""
-    return offsets[shells][:, None] + np.arange(n)
-
-
-def _add_blocks(M: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                vals: np.ndarray) -> None:
-    """``M[rows[q][:, None], cols[q][None, :]] += vals[q]`` for every
-    ``q`` in order, colliding indices included: ``np.add.at`` over flat
-    indices into ``M``, the same additions in the same (C) order as the
-    2-D index form (so the same bits), at about half its cost."""
-    if not M.flags.c_contiguous:        # no flat view to scatter into
-        np.add.at(M, (rows[:, :, None], cols[:, None, :]), vals)
-        return
-    flat = rows[:, :, None] * M.shape[1] + cols[:, None, :]
-    np.add.at(M.reshape(-1), flat.reshape(-1), vals.reshape(-1))
-
-
-def scatter_exchange_batch(basis: BasisSet, K: np.ndarray,
-                           blocks: np.ndarray, D: np.ndarray,
-                           idx: np.ndarray) -> None:
-    """Exchange accumulation for a whole same-L-class quartet batch.
-
-    ``blocks`` is ``(nq, nA, nB, nC, nD)`` from either ERI kernel and
-    ``idx`` the matching ``(nq, 4)`` shell indices of unique quartets.
-    The unrestricted sum ``K_ac = sum_bd (ab|cd) D_bd`` runs over all
-    *ordered* quartets: a unique quartet expands into up to 8 ordered
-    images, degenerate ones (coinciding indices) counted once
-    (``_SLOT_ACTIVE``), which leaves K exactly symmetric.  Instead of up
-    to ``8 nq`` tiny einsums, each of the 8 permutation slots runs once:
-    gather the needed D sub-blocks for every quartet where the slot is
-    non-degenerate, contract the whole sub-batch, and scatter through
-    ``np.add.at`` (indices may collide across quartets, so plain fancy
-    assignment would drop contributions).
-    """
-    idx = np.asarray(idx, dtype=np.int64).reshape(-1, 4)
-    i, j, k, l = idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3]
-    code = ((i == j).astype(np.int64) + 2 * (k == l)
-            + 4 * ((i == k) & (j == l)))
-    # AO rows of each index position, shared by the eight slots
-    ao = [_ao_rows(basis.offsets, idx[:, p], blocks.shape[p + 1])
-          for p in range(4)]
-    for s, ax in enumerate(PERM_AXES):
-        mask = _SLOT_ACTIVE[code, s]
-        if mask.all():
-            blk, rows = blocks, ao
-        elif mask.any():
-            blk, rows = blocks[mask], [r[mask] for r in ao]
-        else:
-            continue
-        # axes (q, a, c, b, d): the K block first, the contracted D
-        # block last, so the slot is one batched matrix-vector product
-        blk = blk.transpose((0, ax[0] + 1, ax[2] + 1, ax[1] + 1, ax[3] + 1))
-        nq, na, nc, nb, nd = blk.shape
-        rows_a, rows_b, cols_c, cols_d = (rows[ax[0]], rows[ax[1]],
-                                          rows[ax[2]], rows[ax[3]])
-        # K_ac += (ab|cd) D_bd, one contraction for the whole sub-batch
-        dbd = _gather_blocks(D, rows_b, cols_d).reshape(nq, nb * nd, 1)
-        kblk = (blk.reshape(nq, na * nc, nb * nd) @ dbd).reshape(nq, na, nc)
-        _add_blocks(K, rows_a, cols_c, kblk)
-
-
-def scatter_coulomb_batch(basis: BasisSet, J: np.ndarray,
-                          blocks: np.ndarray, D: np.ndarray,
-                          idx: np.ndarray) -> None:
-    """Coulomb accumulation for a whole same-L-class quartet batch.
-
-    Only the upper shell triangle of J is filled (every unique quartet
-    has ``i <= j`` and ``k <= l``); the caller reflects the triangle
-    once at the end of the build (:func:`reflect_triangle`), which
-    commutes with summation, so partial J matrices from different
-    workers or ranks can be reduced first.  The bra slot always
-    contributes (ket degeneracy folded in as a per-quartet factor), the
-    mirrored ket slot only where ``(i, j) != (k, l)``.
-    """
-    idx = np.asarray(idx, dtype=np.int64).reshape(-1, 4)
-    off = basis.offsets
-    i, j, k, l = idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3]
-    nq, nA, nB, nC, nD = blocks.shape
-    # (q, ij, kl) matrices: both contractions are batched products
-    bmat = blocks.reshape(nq, nA * nB, nC * nD)
-    dkl = np.where(k == l, 1.0, 2.0)
-    rows_k = _ao_rows(off, k, nC)
-    cols_l = _ao_rows(off, l, nD)
-    dkl_blk = _gather_blocks(D, rows_k, cols_l).reshape(nq, nC * nD, 1)
-    jblk = (bmat @ dkl_blk).reshape(nq, nA, nB) * dkl[:, None, None]
-    rows_i = _ao_rows(off, i, nA)
-    cols_j = _ao_rows(off, j, nB)
-    _add_blocks(J, rows_i, cols_j, jblk)
-    mirror = ~((i == k) & (j == l))
-    if mirror.any():
-        nm = int(mirror.sum())
-        dij = np.where(i[mirror] == j[mirror], 1.0, 2.0)
-        dij_blk = _gather_blocks(D, rows_i[mirror], cols_j[mirror])
-        jblk = (dij_blk.reshape(nm, 1, nA * nB) @ bmat[mirror]).reshape(
-            nm, nC, nD) * dij[:, None, None]
-        _add_blocks(J, rows_k[mirror], cols_l[mirror], jblk)
-
-
-def reflect_triangle(J: np.ndarray) -> np.ndarray:
-    """Restore a full symmetric matrix from an upper-triangle build."""
-    return np.triu(J) + np.triu(J, 1).T
+    if Jh is not None:
+        images(Jh, V.reshape(nq, nA * nB, nC * nD), flat(0, 1), flat(2, 3),
+               (2.0 * f)[:, None])
+    if Kh is not None:
+        # (ik, jl) and (il, jk): each image pair shares one layout of V
+        for (a, c), (b, d) in (((0, 2), (1, 3)), ((0, 3), (1, 2))):
+            Vk = V.transpose(0, a + 1, c + 1, b + 1, d + 1).reshape(
+                nq, ao[a].shape[1] * ao[c].shape[1], -1)
+            images(Kh, Vk, flat(a, c), flat(b, d), f[:, None])
 
 
 def coulomb_from_tensor(eri: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -193,47 +105,51 @@ def jk_from_tensor(eri: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def eval_screened_pairs(engine: ERIEngine, basis: BasisSet, D: np.ndarray,
-                        pairs, tr, want_j: bool, want_k: bool, kernel: str
+                        classes, tr, want_j: bool, want_k: bool, kernel: str
                         ) -> tuple[np.ndarray | None, np.ndarray | None, int]:
-    """The J/K rank-job unit: a screened ``(i, j, kets)`` list into
-    its own partial J and K.
+    """The J/K rank-job unit: screened L-classes into their own J and K.
 
-    The one place a quartet block meets a density; it runs through
+    ``classes`` is a list of ``(nq, 4)`` unique-quartet arrays, one
+    L-class each (what :meth:`DirectJKBuilder._screened_classes`
+    returns, or a rank's share of it).  The one place a quartet block
+    meets a density; it runs through
     :func:`repro.runtime.pool.run_rank_jobs` in-process and inside every
-    pool worker, so every executor accumulates the same quartets in the
-    same order.  The list is flattened, grouped by L-class
-    (:meth:`~repro.integrals.eri.ERIEngine.group_quartets`), and each
-    class's blocks are added to J and K by :func:`scatter_coulomb_batch`
-    and :func:`scatter_exchange_batch`.  ``kernel`` only chooses where a
-    class's blocks come from: ``"quartet"`` evaluates each row with the
-    reference evaluator (:meth:`~repro.integrals.eri.ERIEngine.quartet`)
-    and stores nothing; ``"batched"`` reads ``engine``'s class store
+    pool worker, so a rank job is the same bits wherever it runs.  Each
+    class's blocks are added to half of J and K (:func:`_add_class`);
+    ``J = Jh + Jh^T`` and ``K = Kh + Kh^T`` at the end.  ``D`` must be
+    symmetric (the :meth:`JKEngine.build` contract).  ``kernel`` only
+    chooses where a class's blocks come from: ``"quartet"`` evaluates
+    each row with the reference evaluator
+    (:meth:`~repro.integrals.eri.ERIEngine.quartet`) and stores nothing;
+    ``"batched"`` reads ``engine``'s class store
     (:meth:`~repro.integrals.eri.ERIEngine.stored_batch`): what an
     earlier walk at this geometry evaluated is gathered, only the rest
     is evaluated, and the blocks are the same bits either way.
 
     Returns ``(J, K, nquartets)``: ``None`` for an unrequested matrix,
-    J filling the upper shell triangle only (see
-    :func:`scatter_coulomb_batch`), and ``nquartets`` the quartets
-    walked, wherever their blocks came from.
+    and ``nquartets`` the quartets walked, wherever their blocks came
+    from.
     """
     nbf = basis.nbf
-    J = np.zeros((nbf, nbf)) if want_j else None
-    K = np.zeros((nbf, nbf)) if want_k else None
-    with tr.span("batch.assemble", cat="batch"):
-        groups = engine.group_quartets(flatten_pairs(pairs))
-    for grp in groups:
-        with tr.span("batch.eval", cat="batch", nq=len(grp)):
+    Jh = np.zeros(nbf * nbf) if want_j else None
+    Kh = np.zeros(nbf * nbf) if want_k else None
+    for cls in classes:
+        with tr.span("batch.eval", cat="batch", nq=len(cls)):
             if kernel == "batched":
-                blocks = engine.stored_batch(grp)
+                blocks = engine.stored_batch(cls)
             else:
-                blocks = np.stack([engine.quartet(*q) for q in grp.tolist()])
-        with tr.span("batch.scatter", cat="batch", nq=len(grp)):
-            if J is not None:
-                scatter_coulomb_batch(basis, J, blocks, D, grp)
-            if K is not None:
-                scatter_exchange_batch(basis, K, blocks, D, grp)
-    return J, K, sum(len(grp) for grp in groups)
+                blocks = np.stack([engine.quartet(*q) for q in cls.tolist()])
+        with tr.span("batch.scatter", cat="batch", nq=len(cls)):
+            _add_class(Jh, Kh, blocks, cls, basis.offsets, D)
+    def whole(M: np.ndarray | None) -> np.ndarray | None:
+        if M is None:
+            return None
+        M = M.reshape(nbf, nbf)
+        return M + M.T
+
+    with tr.span("batch.assemble", cat="batch"):
+        J, K = whole(Jh), whole(Kh)
+    return J, K, sum(len(cls) for cls in classes)
 
 
 class JKEngine:
@@ -256,7 +172,12 @@ class JKEngine:
 
     def build(self, D: np.ndarray, want_j: bool = True, want_k: bool = True
               ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """J and/or K for density ``D`` (AO basis, symmetric)."""
+        """J and/or K for density ``D``.
+
+        ``D`` (AO basis) must be symmetric, as every SCF density,
+        increment and response density is: the direct walk adds half of
+        each of J and K and completes it by transposition, which is
+        exact only then."""
         raise NotImplementedError
 
     def build_response(self, d: np.ndarray, want_j: bool = True,
@@ -349,10 +270,11 @@ class DirectJKBuilder(JKEngine):
     """Integral-direct J/K builds with Cauchy-Schwarz + density screening.
 
     The walk covers unique shell quartets (8-fold symmetry), skips those
-    with ``Q_ij * Q_kl * max|D| < eps``, and adds the surviving blocks,
-    one L-class at a time, into all symmetry-related positions of J and
-    K (:func:`eval_screened_pairs`).  ``eps`` is the paper's
-    controllable-accuracy threshold.
+    with ``Q_ij * Q_kl * max|D| < eps`` (one vectorised bound per pair
+    class block, :meth:`_screened_classes`), and adds the surviving
+    blocks, one L-class at a time, to half of J and K, which the
+    transpose completes (:func:`eval_screened_pairs`).  ``eps`` is the
+    paper's controllable-accuracy threshold.
 
     Execution behavior (executor, pool size, ERI kernel, telemetry
     sinks) comes from one :class:`repro.runtime.ExecutionConfig` value.
@@ -361,11 +283,14 @@ class DirectJKBuilder(JKEngine):
     in-process.  ``kernel`` picks the evaluator of a class's blocks —
     ``"quartet"`` the per-quartet reference, ``"batched"`` the class
     kernel through the class store (the two agree to ~1e-13); the
-    accumulation is the same class scatter either way.  Screening always
+    accumulation is the same either way.  Screening always
     stays in the parent and is kernel-independent, so both kernels and
     both executors walk the identical quartet list.  An externally
     owned pool can be shared (e.g. across the SCFs of an MD
-    trajectory); otherwise the builder spawns and owns one.
+    trajectory); otherwise the builder spawns and owns one.  On the
+    pool the rows of each class are split by bra: the first build at a
+    geometry assigns every bra to a rank (LPT on its survivors) and
+    later builds keep that ownership.
 
     The batched walk reads and fills the class store of the engine that
     runs it (:meth:`~repro.integrals.eri.ERIEngine.stored_batch`): the
@@ -407,9 +332,24 @@ class DirectJKBuilder(JKEngine):
         self.basis = basis
         self.engine = ERIEngine(basis)
         self.Q = self.engine.schwarz_bounds()
-        self._keys = sorted(self.engine.pairs)
-        self._keys_arr = np.asarray(self._keys, dtype=np.int64).reshape(-1, 2)
-        self._qvals = np.array([self.Q[k] for k in self._keys])
+        keys = np.asarray(sorted(self.engine.pairs),
+                          dtype=np.int64).reshape(-1, 2)
+        self._qvals = np.array([self.Q[k] for k in map(tuple, keys.tolist())])
+        # pair classes: the shell pairs (in key order) per (l, nprim) of
+        # both shells, so each (bra class, ket class) block of quartets
+        # is one L-class
+        ls = np.array([sh.l for sh in basis.shells])
+        nps = np.array([sh.nprim for sh in basis.shells])
+        i, j = keys.T
+        _, cls = np.unique(np.column_stack([ls[i], nps[i], ls[j], nps[j]]),
+                           axis=0, return_inverse=True)
+        cls = cls.reshape(-1)
+        self._pair_classes = [(pos, keys[pos], self._qvals[pos])
+                              for pos in (np.flatnonzero(cls == c)
+                                          for c in range(cls.max() + 1))]
+        # bra -> rank ownership on the pool, fixed by the first build at
+        # this geometry (balance_pairs)
+        self._owner = None
 
     def reset(self, basis: BasisSet) -> None:
         """Re-target at a new geometry: fresh shell pairs and Schwarz
@@ -450,34 +390,18 @@ class DirectJKBuilder(JKEngine):
                      kernel=self.kernel) as span:
             dmax = blocks if blocks is not None else (
                 float(np.abs(D).max()) if D.size else 0.0)
-            # the vectorized screen walks bra pairs and surviving kets in
-            # the same order (and with the same float test) as the older
-            # fused quartet loop, so the accumulation order — and thus
-            # the bitwise result — is unchanged
             with tr.span("jk.screen", cat="screening", eps=eps):
-                pairs = self._screened_pairs(dmax, eps)
-            # serially one job in pair order, pooled one per worker
+                classes = self._screened_classes(dmax, eps)
+            # serially one job, pooled one per worker
             results, self.quartets_computed = self.eval_jobs(
-                lambda pool: ([RankJob(0, pairs)] if pool is None
-                              else balance_pairs(pairs, pool.nworkers)),
+                lambda pool: [RankJob(0, classes)] if pool is None
+                else self._balance(classes, pool.nworkers),
                 D, want_j, want_k)
-            nbf = self.basis.nbf
-            J = np.zeros((nbf, nbf)) if want_j else None
-            K = np.zeros((nbf, nbf)) if want_k else None
-            # rank order, whatever order the workers replied in
-            for rank in sorted(results):
-                Jr, Kr = results[rank]
-                if want_j:
-                    J += Jr
-                if want_k:
-                    K += Kr
-            if want_j:
-                with tr.span("jk.assemble", cat="scf"):
-                    # the unique walk fills the upper shell triangle
-                    # (i <= j); elementwise triangle reflection restores
-                    # the full symmetric matrix (diagonal shell blocks
-                    # are complete and symmetric already)
-                    J = reflect_triangle(J)
+            with tr.span("jk.assemble", cat="scf"):
+                # rank order, whatever order the workers replied in
+                ranks = sorted(results)
+                J = sum(results[r][0] for r in ranks) if want_j else None
+                K = sum(results[r][1] for r in ranks) if want_k else None
             store = self.engine.tally(since=before)
             span.add(store_hits=store["store_hits"],
                      store_misses=store["store_misses"],
@@ -493,9 +417,19 @@ class DirectJKBuilder(JKEngine):
                 tr.metrics.absorb_engine(self.engine)
             return J, K
 
-    def _screened_pairs(self, dmax, eps: float | None = None
-                        ) -> list[tuple[int, int, np.ndarray]]:
-        """Per-bra surviving ket lists under the density-aware screen.
+    def _balance(self, classes, nworkers: int) -> list[RankJob]:
+        """One rank job per worker (:func:`~repro.runtime.pool.
+        balance_pairs`); the first pooled build at a geometry fixes the
+        bra -> rank ownership every later build keeps, so each worker's
+        class store keeps seeing the same bras."""
+        jobs, self._owner = balance_pairs(classes, nworkers,
+                                          self.basis.nshell, self._owner)
+        return jobs
+
+    def _screened_classes(self, dmax, eps: float | None = None
+                          ) -> list[np.ndarray]:
+        """The surviving unique quartets, one ``(nq, 4)`` array per
+        L-class, bra-major within each.
 
         ``dmax`` is the global ``max|D|`` of a full build (a float: every
         quartet is bounded by ``Q_ij Q_kl max(dmax, 1)``) or an
@@ -503,28 +437,40 @@ class DirectJKBuilder(JKEngine):
         increment screen: each quartet is bounded by the six blocks its
         contractions touch — ``(k,l)`` and ``(i,j)`` for J, ``(j,l),
         (j,k), (i,l), (i,k)`` for K).  The float test is
-        ``Q_ij * Q_kl * d < eps`` in that order either way, so every
+        ``Q_ij * Q_kl * d < eps`` in that order either way, evaluated as
+        one bound array per (bra pair class, ket pair class) block in
+        chunks of bra rows under ``_SCREEN_SCRATCH`` elements, so every
         executor and caller keeps or drops exactly the same boundary
         quartets.  ``eps`` defaults to the builder's threshold.
         """
         eps = self.eps if eps is None else eps
-        out = []
-        self.quartets_total = 0
+        npair = len(self._qvals)
+        self.quartets_total = npair * (npair + 1) // 2
         blocks = np.ndim(dmax) == 2
         m = dmax if blocks else max(dmax, 1.0)
-        ks, ls = self._keys_arr[:, 0], self._keys_arr[:, 1]
-        for a, (i, j) in enumerate(self._keys):
-            qk = self._qvals[a:]
-            self.quartets_total += len(qk)
-            if blocks:
-                k, l = ks[a:], ls[a:]
-                m = np.maximum(
-                    np.maximum(np.maximum(dmax[j, l], dmax[j, k]),
-                               np.maximum(dmax[i, l], dmax[i, k])),
-                    np.maximum(dmax[k, l], dmax[i, j]))
-            keep = ~(self._qvals[a] * qk * m < eps)
-            if keep.any():
-                out.append((i, j, self._keys_arr[a:][keep]))
+        out = []
+        for pos_b, bra, q_b in self._pair_classes:
+            for pos_k, ket, q_k in self._pair_classes:
+                if pos_b[0] > pos_k[-1]:
+                    continue        # every ket pair precedes every bra
+                k, l = ket.T
+                step = max(1, _SCREEN_SCRATCH // len(pos_k))
+                rows = []
+                for s in range(0, len(pos_b), step):
+                    sl = slice(s, s + step)
+                    if blocks:
+                        i, j = bra[sl, :1], bra[sl, 1:]
+                        m = np.maximum(
+                            np.maximum(np.maximum(dmax[j, l], dmax[j, k]),
+                                       np.maximum(dmax[i, l], dmax[i, k])),
+                            np.maximum(dmax[k, l], dmax[i, j]))
+                    keep = (pos_b[sl, None] <= pos_k) \
+                        & ~(q_b[sl, None] * q_k * m < eps)
+                    a, b = np.nonzero(keep)
+                    rows.append(np.hstack([bra[sl][a], ket[b]]))
+                cls = np.concatenate(rows)
+                if len(cls):
+                    out.append(cls)
         return out
 
 

@@ -106,7 +106,7 @@ class JobSpec:
         for pools and ``jk="ri"``, else in-core).  ``kernel`` picks the
         direct walk's block evaluator (``"quartet"``: the per-quartet
         reference, ``"batched"``: the class kernel); both feed the same
-        class scatters, so the two agree to ~1e-13, not bit for bit.
+        class accumulation, so the two agree to ~1e-13, not bit for bit.
     steps / dt_fs / temperature / thermostat / tau_fs / seed:
         MD-only integration setup; ``seed`` seeds both the initial
         Maxwell-Boltzmann velocities and a CSVR thermostat stream.

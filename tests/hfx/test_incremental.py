@@ -110,37 +110,42 @@ def test_screen_is_per_shell_pair_not_global(water_scf_sequence):
 
 
 def _screen_oracle(inc, dmax, eps):
-    """The per-quartet increment screen: surviving ket lists plus the
-    computed and skipped counts.  A quartet is bounded by the six
-    density blocks its J (``(k,l)``, ``(i,j)``) and K (``(j,l)``,
-    ``(j,k)``, ``(i,l)``, ``(i,k)``) contractions touch."""
-    keys = inc._keys
+    """The per-quartet screen: surviving ``(i, j, k, l)`` quartets plus
+    the computed and skipped counts.  A float ``dmax`` is the full
+    build's bound ``max(dmax, 1)``; a table is the increment screen's,
+    where a quartet is bounded by the six density blocks its J
+    (``(k,l)``, ``(i,j)``) and K (``(j,l)``, ``(j,k)``, ``(i,l)``,
+    ``(i,k)``) contractions touch."""
+    keys = sorted(inc.engine.pairs)
     surviving, computed, skipped = [], 0, 0
     for a, (i, j) in enumerate(keys):
         qa = inc.Q[(i, j)]
-        kept = []
         for (k, l) in keys[a:]:
             bound = qa * inc.Q[(k, l)]
-            dloc = max(dmax[j, l], dmax[j, k], dmax[i, l], dmax[i, k],
-                       dmax[k, l], dmax[i, j])
+            dloc = max(dmax, 1.0) if np.ndim(dmax) == 0 else max(
+                dmax[j, l], dmax[j, k], dmax[i, l], dmax[i, k],
+                dmax[k, l], dmax[i, j])
             if bound * dloc < eps:
                 skipped += 1
                 continue
-            kept.append((k, l))
-        if kept:
-            surviving.append((i, j, np.asarray(kept, dtype=np.int64)))
-            computed += len(kept)
+            surviving.append((i, j, k, l))
+            computed += 1
     return surviving, computed, skipped
 
 
+@pytest.mark.reference
 @pytest.mark.parametrize("builder", ["water", "li2o2",
                                      "propylene_carbonate"])
-def test_increment_screen_equals_the_per_quartet_loop(builder):
-    """The increment screen is the direct builder's, fed per-block
-    ``max|dD|`` and the increment threshold: the same survivors, in the
-    same order, with the same computed/skipped counts as the
-    per-quartet loop, at three |dD| scales spanning keep-all to
-    skip-most."""
+def test_increment_screen_equals_the_per_quartet_loop(builder,
+                                                     monkeypatch):
+    """The class-first screen keeps exactly the per-quartet loop's
+    quartets, with the same computed/skipped counts: fed per-block
+    ``max|dD|`` and the increment threshold at three |dD| scales
+    spanning keep-all to skip-most, and fed the global ``max|D|`` at the
+    full build's threshold.  Each class array is one L-class, its rows
+    in bra-major order, and a scratch cap that splits every block into
+    one-row chunks returns the same arrays."""
+    import repro.scf.fock as fock
     basis = build_basis(getattr(builders, builder)())
     inc = IncrementalExchange(basis, eps=1e-10, rebuild_every=100)
     eps = inc.increment_eps
@@ -150,22 +155,37 @@ def test_increment_screen_equals_the_per_quartet_loop(builder):
     # the global one disagree on many quartets
     base = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 0, size=shape)
     base = base + base.T
+    kind = [(sh.l, sh.nprim) for sh in basis.shells]
+    nsh = basis.nshell
     kept = []
     # eps / 100: two decades below the direct builder's threshold
-    for scale in (1.0, 1e-6, 1e-10):
-        dmax = inc._block_max(scale * base)
-        ref, computed, skipped = _screen_oracle(inc, dmax, eps)
-        got = inc._screened_pairs(dmax, eps)
-        assert [(i, j) for i, j, _ in got] == [(i, j) for i, j, _ in ref]
-        assert all(np.array_equal(a[2], b[2]) for a, b in zip(got, ref))
-        assert sum(len(kets) for _, _, kets in got) == computed
+    for dmax, thresh in [(inc._block_max(scale * base), eps)
+                         for scale in (1.0, 1e-6, 1e-10)] \
+            + [(float(np.abs(base).max()), inc.eps)]:
+        ref, computed, skipped = _screen_oracle(inc, dmax, thresh)
+        got = inc._screened_classes(dmax, thresh)
+        with monkeypatch.context() as m:
+            m.setattr(fock, "_SCREEN_SCRATCH", 1)
+            chunked = inc._screened_classes(dmax, thresh)
+        assert len(chunked) == len(got)
+        assert all(np.array_equal(a, b) for a, b in zip(chunked, got))
+        rows = [tuple(q) for cls in got for q in cls.tolist()]
+        assert sorted(rows) == sorted(ref)
+        assert len(rows) == computed
         assert inc.quartets_total - computed == skipped
+        for cls in got:
+            assert len({tuple(kind[s] for s in q) for q in cls.tolist()}) == 1
+            bra = cls[:, 0] * nsh + cls[:, 1]
+            ket = cls[:, 2] * nsh + cls[:, 3]
+            assert np.all(np.lexsort((ket, bra)) == np.arange(len(cls)))
         kept.append(computed)
     assert kept[0] > kept[1] > kept[2]
     # update() books the same counts (the smallest increment keeps the
     # quartet evaluation cheap)
     inc.builds = 1                          # an increment, not a rebuild
-    inc.update(inc.D_ref + scale * base)
+    inc.update(inc.D_ref + 1e-10 * base)
+    ref, computed, skipped = _screen_oracle(
+        inc, inc._block_max(1e-10 * base), eps)
     assert inc.last_quartets == computed
     assert inc.total_quartets_full == computed + skipped
 

@@ -101,7 +101,7 @@ def test_model_counts_what_the_real_screen_keeps(builder):
     q = np.sort(jk._qvals)[::-1]
     for i, j in ((0, 3), (2, 9), (5, 5)):
         jk.eps = q[i] * q[j]
-        kept = sum(len(kets) for _, _, kets in jk._screened_pairs(1.0))
+        kept = sum(len(cls) for cls in jk._screened_classes(1.0))
         assert incremental_survival(q, jk.eps, 1.0)[0] == kept
 
 
@@ -181,16 +181,34 @@ def test_lpt_equals_the_pool_dispatch_balancer(costs, nbins):
 
 @given(costs=_costs, nbins=st.integers(1, 9))
 def test_lpt_equals_the_pair_balancer_in_order(costs, nbins):
-    """Each worker's pair list keeps the old order — descending ket
-    count, ties in input order — so the accumulation order of K does."""
-    pairs = [(t, t, np.zeros((c, 2), dtype=np.int64))
-             for t, c in enumerate(costs)]
-    got = balance_pairs(pairs, nbins)
-    ref = oracle.balance_pairs(pairs, nbins)
+    """Bras go to the ranks the old pair balancer gave them — LPT on the
+    survivors per bra, ties in bra order — each job keeps the rows of
+    its bras in class order, and a later call with the returned
+    ownership keeps every bra on its rank and every job's cost."""
+    nsh = max(len(costs), 1)
+    classes = [rows for rows in (
+        np.array([[t, t, k, k] for t, c in enumerate(costs)
+                  for k in range(c) if t % 2 == parity],
+                 dtype=np.int64).reshape(-1, 4) for parity in (0, 1))
+        if len(rows)]
+    got, owner = balance_pairs(classes, nbins, nsh)
+    ref = oracle.balance_pairs(
+        [(t, t, np.zeros((c, 2), dtype=np.int64))
+         for t, c in enumerate(costs)], nbins)
     assert [job.rank for job in got] == [r for r, _, _ in ref]
-    assert [[p[0] for p in job.pairs] for job in got] == \
-        [[p[0] for p in ps] for _, ps, _ in ref]
     assert [job.cost for job in got] == [c for _, _, c in ref]
+    for job, (_, ps, _) in zip(got, ref):
+        mine = [p[0] for p in ps if len(p[2])]
+        want = [c[np.isin(c[:, 0], mine)] for c in classes]
+        assert len(job.pairs) == sum(len(w) > 0 for w in want)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(job.pairs, [w for w in want if len(w)]))
+    again, same = balance_pairs(classes[:1], nbins, nsh, owner)
+    assert same is owner
+    assert [job.cost for job in again] == [job.cost for job in got]
+    for job, first in zip(again, got):
+        assert {q[0] for c in job.pairs for q in c.tolist()} <= \
+            {q[0] for c in first.pairs for q in c.tolist()}
 
 
 @given(costs=_costs, nbins=st.integers(1, 9))

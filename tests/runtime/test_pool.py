@@ -54,10 +54,11 @@ def test_default_nworkers_positive():
 def test_pool_exchange_matches_serial(water_pool, water_basis, rng):
     A = rng.standard_normal((water_basis.nbf, water_basis.nbf))
     D = A + A.T
-    pairs = [(0, 0, np.array([[0, 0], [0, 1], [1, 1]])),
-             (0, 1, np.array([[0, 1], [2, 3]]))]
-    jobs = [RankJob(rank=0, pairs=pairs[:1], cost=3.0),
-            RankJob(rank=1, pairs=pairs[1:], cost=2.0)]
+    # one L-class array per (s s | s s), (s s | p s) block of quartets
+    jobs = [RankJob(rank=0, pairs=[np.array([[0, 0, 0, 0], [0, 0, 0, 1],
+                                             [0, 0, 1, 1]])], cost=3.0),
+            RankJob(rank=1, pairs=[np.array([[0, 1, 0, 1]]),
+                                   np.array([[0, 1, 2, 3]])], cost=2.0)]
     results, nq = water_pool.run(eval_screened_pairs, jobs, K_ONLY, D)
     assert nq == 5
     _assert_same_partials(results, _in_process(water_basis, D, jobs))
@@ -65,7 +66,7 @@ def test_pool_exchange_matches_serial(water_pool, water_basis, rng):
 
 def test_pool_counts_quartets_across_builds(water_basis):
     D = np.eye(water_basis.nbf)
-    jobs = [RankJob(rank=0, pairs=[(0, 0, np.array([[0, 0]]))], cost=1.0)]
+    jobs = [RankJob(rank=0, pairs=[np.array([[0, 0, 0, 0]])], cost=1.0)]
     with ExchangeWorkerPool(water_basis, nworkers=1) as pool:
         _, nq1 = pool.run(eval_screened_pairs, jobs, K_ONLY, D)
         _, nq2 = pool.run(eval_screened_pairs, jobs, K_ONLY, D)
@@ -82,7 +83,7 @@ def test_pool_reset_retargets_workers(water, rng):
     shifted = water.with_coords(water.coords + 0.1)
     basis1 = build_basis(shifted)
     D = np.eye(basis0.nbf)
-    pairs = [(0, 1, np.array([[1, 2], [2, 2]]))]
+    pairs = [np.array([[0, 1, 1, 2]]), np.array([[0, 1, 2, 2]])]
     jobs = [RankJob(rank=0, pairs=pairs, cost=1.0)]
     with ExchangeWorkerPool(basis0, nworkers=1) as pool:
         pool.reset(basis1)
@@ -97,7 +98,7 @@ def test_pool_reset_rejects_size_change(water_basis, h2_basis):
 
 
 def test_pool_worker_error_propagates(water_basis):
-    bad = [RankJob(rank=0, pairs=[(99, 99, np.array([[0, 0]]))], cost=1.0)]
+    bad = [RankJob(rank=0, pairs=[np.array([[99, 99, 0, 0]])], cost=1.0)]
     pool = ExchangeWorkerPool(water_basis, nworkers=1)
     with pytest.raises(RuntimeError, match="worker 0 failed"):
         pool.run(eval_screened_pairs, bad, K_ONLY, np.eye(water_basis.nbf))

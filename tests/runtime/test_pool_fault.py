@@ -135,7 +135,7 @@ def test_hung_worker_is_killed_and_retried(clean_fault_env, water_basis,
     """A hang is a death with ``hung=True``: the deadline expires, the
     worker is killed, and its jobs re-run on the respawn."""
     clean_fault_env.setenv("REPRO_POOL_FAULT", "worker=0,build=2,mode=hang")
-    jobs = [RankJob(rank=0, pairs=[(0, 0, np.array([[0, 0]]))], cost=1.0)]
+    jobs = [RankJob(rank=0, pairs=[np.array([[0, 0, 0, 0]])], cost=1.0)]
     with ExchangeWorkerPool(water_basis, nworkers=1, timeout=0.5) as pool:
         D = np.eye(water_basis.nbf)
         pool.run(eval_screened_pairs, jobs, K_ONLY, D)
@@ -343,7 +343,7 @@ def test_trajectory_degrades_once_and_finishes_serially(clean_fault_env):
 
 def test_death_error_diagnosis(clean_fault_env, water_basis):
     clean_fault_env.setenv("REPRO_POOL_FAULT", "worker=0,build=1,mode=kill")
-    jobs = [RankJob(rank=5, pairs=[(0, 0, np.array([[0, 0]]))], cost=1.0)]
+    jobs = [RankJob(rank=5, pairs=[np.array([[0, 0, 0, 0]])], cost=1.0)]
     pool = ExchangeWorkerPool(water_basis, nworkers=1, max_retries=0)
     with pytest.raises(WorkerDeathError) as exc:
         pool.run(eval_screened_pairs, jobs, K_ONLY,
@@ -366,7 +366,7 @@ def test_dead_worker_at_reset_is_respawned(clean_fault_env, water_basis,
     from repro.basis import build_basis
 
     basis1 = build_basis(water.with_coords(water.coords + 0.05))
-    jobs = [RankJob(rank=0, pairs=[(0, 1, np.array([[1, 2]]))], cost=1.0)]
+    jobs = [RankJob(rank=0, pairs=[np.array([[0, 1, 1, 2]])], cost=1.0)]
     with ExchangeWorkerPool(water_basis, nworkers=2) as pool:
         victim = pool._sup.slots[1].proc
         victim.kill()

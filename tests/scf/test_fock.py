@@ -24,30 +24,58 @@ def test_direct_matches_incore_j_and_k(water_basis, water_eri):
     assert np.abs(Kd - Kt).max() < 1e-10
 
 
+@pytest.mark.reference
 @pytest.mark.parametrize("kernel", ["quartet", "batched"])
 @pytest.mark.parametrize("system", ["water", "li2o2"])
 def test_both_evaluators_match_the_tensor_oracle(system, kernel):
     """Unscreened, every unique quartet — so every degeneracy pattern
-    (``i == j``, ``k == l``, ``(i, j) == (k, l)``) — reaches the class
-    scatters, from either block evaluator."""
+    (``i == j``, ``k == l``, ``(i, j) == (k, l)``) and so every
+    degeneracy weight — reaches the four-image accumulation, from
+    either block evaluator."""
     from repro.integrals import eri_tensor
-    from repro.integrals.batch import flatten_pairs
     from repro.runtime import ExecutionConfig
 
     b = build_basis(getattr(builders, system)())
     D = _random_density(b.nbf, 4)
     builder = DirectJKBuilder(b, eps=0.0,
                               config=ExecutionConfig(kernel=kernel))
-    idx = flatten_pairs(builder._screened_pairs(1.0))
+    idx = np.concatenate(builder._screened_classes(1.0))
     i, j, k, l = idx.T
     patterns = {(bool(a), bool(c), bool(e)) for a, c, e in
                 zip(i == j, k == l, (i == k) & (j == l))}
     assert len(patterns) == 6           # all that can occur
     Jt, Kt = jk_from_tensor(eri_tensor(b), D)
     Jd, Kd = builder.build(D)
-    assert builder.quartets_computed == len(idx)
+    assert builder.quartets_computed == len(idx) == builder.quartets_total
     assert np.abs(Jd - Jt).max() < 1e-12
     assert np.abs(Kd - Kt).max() < 1e-12
+
+
+@pytest.mark.reference
+def test_a_class_split_over_two_rank_jobs_is_one_job():
+    """Every class's rows split by bra over two rank jobs (as the pool
+    splits them) sum to the J and K of one job over the whole classes,
+    within 1e-14: the accumulation is linear in the quartet list."""
+    from repro.runtime.pool import RankJob, balance_pairs
+
+    b = build_basis(builders.water_cluster(2))
+    D = _random_density(b.nbf, 6)
+    builder = DirectJKBuilder(b)
+    classes = builder._screened_classes(float(np.abs(D).max()))
+    jobs, _ = balance_pairs(classes, 2, b.nshell)
+    # some class has rows in both jobs, and no row is lost or repeated
+    assert sum(len(job.pairs) for job in jobs) > len(classes)
+    assert np.array_equal(
+        np.unique(np.concatenate([c for job in jobs for c in job.pairs]),
+                  axis=0),
+        np.unique(np.concatenate(classes), axis=0))
+    assert sum(len(c) for job in jobs for c in job.pairs) == \
+        sum(len(c) for c in classes)
+    whole, _ = builder.eval_jobs(lambda pool: [RankJob(0, classes)], D,
+                                 True, True)
+    parts, _ = builder.eval_jobs(lambda pool: jobs, D, True, True)
+    for m in (0, 1):
+        assert np.abs(parts[0][m] + parts[1][m] - whole[0][m]).max() < 1e-14
 
 
 def test_direct_jk_symmetric(water_basis):
@@ -114,29 +142,3 @@ def test_hetero_molecule_direct_consistency():
     Jd, Kd = DirectJKBuilder(b, eps=1e-14).build(D)
     assert np.abs(Jd - Jt).max() < 1e-10
     assert np.abs(Kd - Kt).max() < 1e-10
-
-
-@pytest.mark.reference
-def test_flat_block_accumulation_is_the_2d_add_at():
-    """The batched scatters' accumulation (``_add_blocks``: ``np.add.at``
-    over flat indices) makes the additions of the 2-D index form in the
-    same order — colliding blocks included — so the same bits; a
-    non-contiguous target takes the 2-D form itself."""
-    from repro.scf.fock import _add_blocks
-
-    rng = np.random.default_rng(11)
-    nbf, nq = 13, 400
-    rows = rng.integers(0, nbf - 2, nq)[:, None] + np.arange(3)
-    cols = rng.integers(0, nbf - 1, nq)[:, None] + np.arange(2)
-    vals = rng.standard_normal((nq, 3, 2))
-    start = rng.standard_normal((nbf, nbf))
-    ref = start.copy()
-    np.add.at(ref, (rows[:, :, None], cols[:, None, :]), vals)
-    got = start.copy()
-    _add_blocks(got, rows, cols, vals)
-    assert np.array_equal(got, ref)
-    wide = np.zeros((nbf, 2 * nbf))
-    view = wide[:, ::2]                   # not C-contiguous: no flat view
-    view[:] = start
-    _add_blocks(view, rows, cols, vals)
-    assert np.array_equal(view, ref)

@@ -213,15 +213,19 @@ def test_one_jk_route_and_one_driver_rule():
 
 
 def test_one_jk_accumulation():
-    """Both quartet evaluators feed the class scatters: no per-quartet
-    scatter (or its permutation table) is defined, imported, exported
-    or referenced under ``src/repro``, and the reference evaluator
+    """Both quartet evaluators feed the one four-image accumulation: no
+    per-quartet scatter (or its permutation table), no per-slot class
+    scatter (or its slot table, block gather and ``np.add.at`` helper)
+    and no triangle reflection is defined, imported, exported or
+    referenced under ``src/repro``, and the reference evaluator
     ``ERIEngine.quartet`` is called only by the rank-job unit."""
     import ast
     import pathlib
 
     gone = {"scatter_exchange", "scatter_coulomb", "_PERM_TABLE",
-            "_build_perm_table"}
+            "_build_perm_table", "_slot_table", "_SLOT_ACTIVE",
+            "_gather_blocks", "_add_blocks", "scatter_exchange_batch",
+            "scatter_coulomb_batch", "reflect_triangle"}
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
     for path in sorted(src.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
