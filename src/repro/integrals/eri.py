@@ -28,7 +28,7 @@ import numpy as np
 
 from ..basis.basisset import BasisSet
 from ..basis.shellpair import ShellPair
-from .batch import (_eri_class_batch, quartet_class_groups,
+from .batch import (WALK_SCRATCH, _eri_class_batch, quartet_class_groups,
                     unique_shell_pairs)
 from .mcmurchie import hermite_r_tri
 from .schwarz import schwarz_bounds
@@ -44,14 +44,6 @@ _TWO_PI_POW = 2.0 * np.pi ** 2.5
 # block.transpose(ax).
 PERM_AXES = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
              (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0))
-
-# Hermite-intermediate ceiling of the tensor walk's class batches, in
-# doubles (512 kB: L2-sized).  The walk runs once per geometry — every
-# MD step, every point of a force stencil — inside a process whose peak
-# is the one tensor it fills; a slab of the kernel's default size would
-# stay resident under a non-trimming allocator (the bench pins one) and
-# count in full against the process peak.
-_TENSOR_SCRATCH = 1 << 16
 
 # Byte budget of one engine's class store: the blocks the batched direct
 # walk evaluated at this geometry, kept for every later walk (256 MiB
@@ -314,7 +306,8 @@ def eri_tensor(basis: BasisSet, screen: float = 0.0,
 
     Memory: the returned tensor, plus at peak the blocks of one class
     (all classes together hold the unique eighth of the tensor) and a
-    Hermite intermediate capped at ``_TENSOR_SCRATCH`` doubles.
+    Hermite intermediate capped at the per-geometry walk budget
+    :data:`~repro.integrals.batch.WALK_SCRATCH` doubles.
     """
     if engine is None:
         engine = ERIEngine(basis)
@@ -332,7 +325,7 @@ def eri_tensor(basis: BasisSet, screen: float = 0.0,
     strides = basis.nbf ** np.arange(3, -1, -1)
     for grp in engine.group_quartets(np.hstack([keys[a], keys[b]])):
         L = sum(basis.shells[s].l for s in grp[0])
-        blocks = engine._class_batch(grp, max_elements=_TENSOR_SCRATCH,
+        blocks = engine._class_batch(grp, max_elements=WALK_SCRATCH,
                                      boys_order=3 * L)
         # AO index of every block element along each block axis, shaped
         # to broadcast against blocks (nq, nA, nB, nC, nD)

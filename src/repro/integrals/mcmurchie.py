@@ -131,10 +131,12 @@ def hermite_r_tri(L: int, p: np.ndarray, PQ: np.ndarray,
     index is one whole-slab vector operation over the orders and lower
     indices below ``L + 1 - k`` — all that entries with
     ``o + t + u + v <= L`` can still reach.  Entries with
-    ``t + u + v > L`` are outside the contract (zero, or partial sums of
-    that slab rule).  Every operation is elementwise, so an entry's bits
-    depend only on ``boys_order`` and its own ``(t, u, v)`` — never on
-    what else rides in the call.
+    ``t + u + v > L`` are outside the contract: their values are
+    unspecified, and where no slab reaches them the table is left
+    uninitialised (only the ``v = 0`` plane, the one slab read before it
+    is written, is cleared).  Every operation is elementwise, so an
+    entry's bits depend only on ``boys_order`` and its own ``(t, u, v)``
+    — never on what else rides in the call.
     """
     if boys_order is None:
         boys_order = L
@@ -146,7 +148,8 @@ def hermite_r_tri(L: int, p: np.ndarray, PQ: np.ndarray,
     # length-3 reduction per primitive
     F = boys(boys_order, p * (X * X + Y * Y + Z * Z))  # (boys_order+1, n)
     # R[order, t, u, v, n]
-    R = np.zeros((L + 1, L + 1, L + 1, L + 1, n))
+    R = np.empty((L + 1, L + 1, L + 1, L + 1, n))
+    R[:, :, :, 0] = 0.0
     minus2p = -2.0 * p
     pw = np.ones(n)
     for order in range(L + 1):

@@ -14,57 +14,23 @@ from __future__ import annotations
 import numpy as np
 
 from ..basis.basisset import BasisSet
-from ..basis.shellpair import ShellPair
 from ..chem.molecule import Molecule
+from .pairclass import pair_classes
 
-__all__ = ["dipole_block", "dipole_matrices", "dipole_moment"]
-
-_SQRT_PI = np.sqrt(np.pi)
-
-
-def dipole_block(pair: ShellPair, origin: np.ndarray) -> np.ndarray:
-    """Dipole sub-blocks for one shell pair.
-
-    Returns shape ``(3, ncompA, ncompB)`` — the x, y, z operator blocks
-    about ``origin``.
-    """
-    Ex, Ey, Ez = pair.E
-    inv = _SQRT_PI / np.sqrt(pair.p)
-    compsA = pair.sha.components
-    compsB = pair.shb.components
-    out = np.empty((3, len(compsA), len(compsB)))
-    E = (Ex, Ey, Ez)
-    for xa, ca in enumerate(compsA):
-        for xb, cb in enumerate(compsB):
-            # 1-D overlaps and first moments per dimension
-            s1 = [E[d][ca[d], cb[d], 0] * inv for d in range(3)]
-            m1 = []
-            for d in range(3):
-                la, lb = ca[d], cb[d]
-                e1 = E[d][la, lb, 1] if la + lb >= 1 else 0.0
-                m1.append((e1 + (pair.P[:, d] - origin[d])
-                           * E[d][la, lb, 0]) * inv)
-            w = pair.W[xa, xb]
-            out[0, xa, xb] = float(w @ (m1[0] * s1[1] * s1[2]))
-            out[1, xa, xb] = float(w @ (s1[0] * m1[1] * s1[2]))
-            out[2, xa, xb] = float(w @ (s1[0] * s1[1] * m1[2]))
-    return out
+__all__ = ["dipole_matrices", "dipole_moment"]
 
 
 def dipole_matrices(basis: BasisSet, origin=None) -> np.ndarray:
-    """AO dipole operator matrices, shape ``(3, nbf, nbf)``."""
+    """AO dipole operator matrices, shape ``(3, nbf, nbf)``, one pair
+    class at a time (:meth:`repro.integrals.pairclass.PairClass.
+    dipole`)."""
     if origin is None:
         origin = np.zeros(3)
     origin = np.asarray(origin, dtype=np.float64)
-    pairs = basis.shell_pairs()
-    out = np.zeros((3, basis.nbf, basis.nbf))
-    for (i, j), pair in pairs.items():
-        blk = dipole_block(pair, origin)
-        si, sj = basis.shell_slice(i), basis.shell_slice(j)
-        out[:, si, sj] = blk
-        if i != j:
-            out[:, sj, si] = blk.transpose(0, 2, 1)
-    return out
+    table = pair_classes(basis)
+    blocks = [cls.dipole(origin) for cls in table]
+    return np.stack([table.matrix(b[:, d] for b in blocks)
+                     for d in range(3)])
 
 
 def dipole_moment(mol: Molecule, basis: BasisSet, D: np.ndarray,

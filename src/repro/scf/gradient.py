@@ -17,22 +17,29 @@ a pure functional — the exchange half is then skipped).  The terms:
 
 * **one-electron** — Pulay (basis-function) derivatives of T, V and S
   plus the Hellmann-Feynman operator term of V, over *unique* shell
-  pairs; the ket derivative follows from translational invariance.
+  pairs, one pair class at a time from the stacked Hermite E tables the
+  SCF's S, T and V were built from (:mod:`repro.integrals.pairclass`);
+  the ket derivative follows from translational invariance.
 * **two-electron** — the surviving 8-fold-unique shell quartets, walked
   class by class: one Hermite Coulomb table of order ``L + 1`` per chunk
   (:func:`repro.integrals.batch._hermite_stage`) serves the raised and
   lowered shells of all three differentiated centres, because they share
   exponents and product centres with the plain quartet; the raise/lower
-  combination is folded into the pair's Hermite lambda
-  (:meth:`repro.integrals.gradients.DerivativePairs.lam`), so one
-  :func:`~repro.integrals.batch._lambda_stage` per centre yields
-  ``d(ab|cd)/dA`` for the whole chunk, which is contracted with
-  ``Gamma`` on the spot.  The fourth centre follows from translational
-  invariance; a quartet with all four shells on one atom, and a
-  differentiated centre that sits on the fourth shell's atom, cancel
-  identically and are never evaluated.  Memory: the chunk's Hermite
-  table (capped at ``_GRADIENT_SCRATCH`` doubles), its derivative
-  blocks and ``Gamma`` blocks — never anything of size ``nbf^4``.
+  combination is folded into the pair's Hermite lambda, built for every
+  pair of a pair class at once (:meth:`repro.integrals.gradients.
+  DerivativePairs.dlam`), so one :func:`~repro.integrals.batch.
+  _lambda_contract` per centre yields ``d(ab|cd)/dA`` for the whole
+  chunk, which is contracted with ``Gamma`` on the spot; the two bra
+  centres read one gather of the table (:func:`~repro.integrals.batch.
+  _hermite_gather`).  The fourth centre follows from translational
+  invariance; a quartet with all four shells on one atom cancels
+  identically and is never evaluated, and a differentiated centre that
+  sits on the fourth shell's atom is never added.  Memory:
+  the chunk's Hermite table, under the one per-geometry walk budget
+  :data:`~repro.integrals.batch.WALK_SCRATCH` (at 2^19 doubles most
+  classes are one chunk, and the walk is ~40 % faster than under the
+  former 2^17 cap), its derivative blocks and ``Gamma`` blocks — never
+  anything of size ``nbf^4``.
 * **semilocal XC** — on the SCF's own :class:`~repro.scf.dft.
   XCIntegrator` grid: ``v_rho``/``v_sigma`` against AO first and (GGA)
   second derivatives, *and* the derivative of the Becke partition
@@ -53,13 +60,12 @@ import numpy as np
 from ..basis.basisset import BasisSet
 from ..basis.shellpair import hermite_indices
 from ..chem.molecule import Molecule
-from ..integrals.batch import (_bra_layout, _hermite_stage, _ket_layout,
-                               _lambda_stage, _stack_pairs,
-                               quartet_class_groups, unique_shell_pairs)
+from ..integrals.batch import (_STAGE_ROW_EXTRA, WALK_SCRATCH, _bra_layout,
+                               _hermite_gather, _hermite_stage, _ket_layout,
+                               _lambda_contract, quartet_class_groups)
 from ..integrals.eri import ERIEngine
 from ..integrals.gradients import DerivativePairs
-from ..integrals.kinetic import kinetic_block
-from ..integrals.overlap import overlap_block
+from ..integrals.pairclass import pair_classes
 from ..runtime.telemetry import NULL_TRACER
 from .grid import eval_aos
 from .rhf import SCFResult
@@ -70,15 +76,6 @@ __all__ = ["scf_gradient", "nuclear_repulsion_gradient"]
 #: ``Q_ij Q_kl max|D|^2`` falls below it.
 _SCREEN_EPS = 1e-11
 
-#: Hermite-table ceiling of one chunk of the derivative walk, in doubles
-#: (1 MB).  As for the tensor walk (``integrals.eri._TENSOR_SCRATCH``),
-#: a transient slab stays resident under a non-trimming allocator and
-#: counts against the process peak.  One (pp|pp) quartet of three-
-#: primitive shells already needs 105k doubles at order ``L + 1``, so
-#: nothing below this lowers the peak; twice this raises it by 4 MB on
-#: Li2O2 for 5 % of the walk's time.
-_GRADIENT_SCRATCH = 1 << 17
-
 #: Ceiling, in doubles, on the largest per-chunk intermediate of the XC
 #: term (AO Hessians ``9 nbf`` per point, Becke cell derivatives
 #: ``3 natom^2`` per point).
@@ -86,17 +83,13 @@ _XC_SCRATCH = 1 << 16
 
 
 def nuclear_repulsion_gradient(mol: Molecule) -> np.ndarray:
-    """dV_nn/dX, shape ``(natom, 3)``."""
-    g = np.zeros((mol.natom, 3))
+    """dV_nn/dX, shape ``(natom, 3)``: ``-sum_j Z_i Z_j (R_i - R_j) /
+    |R_i - R_j|^3`` over every pair at once."""
     z = mol.numbers.astype(np.float64)
-    for i in range(mol.natom):
-        for j in range(mol.natom):
-            if i == j:
-                continue
-            d = mol.coords[i] - mol.coords[j]
-            r = np.linalg.norm(d)
-            g[i] -= z[i] * z[j] * d / r ** 3
-    return g
+    d = mol.coords[:, None, :] - mol.coords[None, :, :]
+    r = np.sqrt((d * d).sum(axis=2))
+    np.fill_diagonal(r, np.inf)
+    return -((z[:, None] * z[None, :] / r ** 3)[:, :, None] * d).sum(axis=1)
 
 
 def _energy_weighted_density(res: SCFResult) -> np.ndarray:
@@ -118,7 +111,7 @@ def scf_gradient(res: SCFResult, xc=None, trace=None) -> np.ndarray:
     """
     tr = trace if trace is not None else NULL_TRACER
     basis = res.basis
-    table = DerivativePairs(basis.shells, basis.shell_pairs())
+    table = DerivativePairs(basis.shells, pair_classes(basis))
     a_x = 1.0 if xc is None else xc.functional.hfx_fraction
     grad = nuclear_repulsion_gradient(basis.molecule)
     with tr.span("md.gradient.one_electron", cat="gradient"):
@@ -143,7 +136,8 @@ def scf_gradient(res: SCFResult, xc=None, trace=None) -> np.ndarray:
 def _one_electron_gradient(basis: BasisSet, D: np.ndarray, W: np.ndarray,
                            table: DerivativePairs) -> np.ndarray:
     """``sum D dT + D dV - W dS`` over the unique shell pairs ``i <= j``
-    (an off-diagonal pair stands for both orders).
+    (an off-diagonal pair stands for both orders), one pair class at a
+    time.
 
     The bra derivative is evaluated; the ket's is its negative for T and
     S, and ``-(bra + sum of operator terms)`` for V.  On a pair whose
@@ -152,22 +146,25 @@ def _one_electron_gradient(basis: BasisSet, D: np.ndarray, W: np.ndarray,
     """
     mol = basis.molecule
     charges = mol.numbers.astype(np.float64)
+    atom = np.array([sh.atom for sh in basis.shells])
     grad = np.zeros((mol.natom, 3))
-    slc = basis.shell_slices()
-    for (i, j) in basis.shell_pairs():
-        a, b = basis.shells[i].atom, basis.shells[j].atom
-        Dblk = (1.0 if i == j else 2.0) * D[slc[i], slc[j]]
-        dVA, dVC = table.nuclear(i, j, charges, mol.coords, bra=a != b)
-        gC = np.einsum("kdxy,xy->kd", dVC, Dblk)
-        grad += gC
-        grad[b] -= gC.sum(axis=0)
-        if a != b:
-            dh = table.block(kinetic_block, i, j) + dVA
-            gA = np.einsum("dxy,xy->d", dh, Dblk) - 2.0 * np.einsum(
-                "dxy,xy->d", table.block(overlap_block, i, j),
-                W[slc[i], slc[j]])
-            grad[a] += gA
-            grad[b] -= gA
+    for c, cls in enumerate(table.classes):
+        a, b = atom[cls.ij[:, 0]], atom[cls.ij[:, 1]]
+        r, s = table.classes.ao(cls)
+        blk = (r[:, :, None], s[:, None, :])
+        Dm = np.where(cls.ij[:, 0] == cls.ij[:, 1], 1.0, 2.0)[:, None, None] \
+            * D[blk]
+        dS, dT = cls.overlap_kinetic_derivatives()
+        dVA, dVC = cls.nuclear_derivatives(charges, mol.coords,
+                                           table.dlam(c, 0))
+        gC = np.einsum("mkdxy,mxy->mkd", dVC, Dm)
+        grad += gC.sum(axis=0)
+        np.add.at(grad, b, -gC.sum(axis=1))
+        gA = np.einsum("mdxy,mxy->md", dT + dVA, Dm) \
+            - 2.0 * np.einsum("mdxy,mxy->md", dS, W[blk])
+        gA[a == b] = 0.0
+        np.add.at(grad, a, gA)
+        np.add.at(grad, b, -gA)
     return grad
 
 
@@ -211,61 +208,63 @@ def _differentiate_class(basis: BasisSet, D: np.ndarray, a_x: float,
                          atom: np.ndarray, grad: np.ndarray,
                          stats: dict) -> None:
     """Add one L-class of unique quartets ``grp`` ``(nq, 4)`` to
-    ``grad``/``stats`` (its own function so that one class's stacked
-    lambdas are released before the next class stacks its own)."""
-    shells, nsh = basis.shells, basis.nshell
-    ubra, bra_ids = unique_shell_pairs(grp[:, 0], grp[:, 1], nsh)
-    uket, ket_ids = unique_shell_pairs(grp[:, 2], grp[:, 3], nsh)
-    idx1, p_u, Pb_u, lam1_u = _stack_pairs([table.plain(*ij) for ij in ubra])
-    idx2, q_u, Pk_u, lam2_u = _stack_pairs([table.plain(*kl) for kl in uket])
-    L1, L2 = (shells[i].l + shells[j].l for i, j in (grp[0, :2], grp[0, 2:]))
-    nab, ncd = p_u.shape[1], q_u.shape[1]
-    l1_u, l2t_u = _bra_layout(lam1_u), _ket_layout(lam2_u)
+    ``grad``/``stats``.  Its bra pairs are rows of one pair class and
+    its ket pairs rows of another; every kernel input is gathered from
+    the two classes' stacks.  Chunks of the class share one Hermite
+    table each, under :data:`~repro.integrals.batch.WALK_SCRATCH`
+    doubles."""
+    cb, bra_rows = table.locate(grp[:, 0], grp[:, 1])
+    ck, ket_rows = table.locate(grp[:, 2], grp[:, 3])
+    bra, ket = table.pair_class(cb), table.pair_class(ck)
+    L1, L2 = bra.la + bra.lb, ket.la + ket.lb
+    nab, ncd = bra.p.shape[1], ket.p.shape[1]
+    l1_u, l2t_u = _bra_layout(bra.lam()), _ket_layout(ket.lam())
+    idx1, idx2 = hermite_indices(L1), hermite_indices(L2)
     up1, up2 = hermite_indices(L1 + 1), hermite_indices(L2 + 1)
-    # (Hermite orders, bra rows, ket columns) of each differentiated
-    # centre: i and j on the bra, k on the ket
-    stages = (
-        (up1, idx2, _bra_layout(np.stack(
-            [table.lam(i, j, 0) for i, j in ubra])), l2t_u),
-        (up1, idx2, _bra_layout(np.stack(
-            [table.lam(i, j, 1) for i, j in ubra])), l2t_u),
-        (idx1, up2, l1_u, _ket_layout(np.stack(
-            [table.lam(k, l, 0) for k, l in uket]))),
-    )
-    nfn = [shells[s].nfunc for s in grp[0]]
+    # derivative lambdas of the bra's two centres and of the ket's first
+    bra_d = [_bra_layout(table.dlam(cb, side)) for side in (0, 1)]
+    ket_d = _ket_layout(table.dlam(ck, 0))
+    nfn = [basis.shells[s].nfunc for s in grp[0]]
+    nab_f, ncd_f = nfn[0] * nfn[1], nfn[2] * nfn[3]
     ao = [basis.offsets[grp[:, s], None] + np.arange(nfn[s])
           for s in range(4)]
     images = ((1 + (grp[:, 0] != grp[:, 1])) * (1 + (grp[:, 2] != grp[:, 3]))
               * (1 + ((grp[:, 0] != grp[:, 2]) | (grp[:, 1] != grp[:, 3])))
               ).astype(np.float64)
-    chunk = max(1, int(_GRADIENT_SCRATCH
-                       // ((L1 + L2 + 2) ** 4 * nab * ncd)))
+    # a differentiated centre on the fourth shell's atom cancels: its
+    # derivative is evaluated with the chunk and never added
+    moved = atom[grp[:, :3]] != atom[grp[:, 3:]]
+    stats["skipped_by_symmetry"] += int((~moved).sum())
+    chunk = max(1, int(WALK_SCRATCH // (((L1 + L2 + 2) ** 4
+                                         + _STAGE_ROW_EXTRA) * nab * ncd)))
     for lo in range(0, len(grp), chunk):
         s = slice(lo, min(lo + chunk, len(grp)))
-        q, bq, kq = grp[s], bra_ids[s], ket_ids[s]
-        R, pref = _hermite_stage(L1 + L2 + 1, p_u[bq], q_u[kq],
-                                 Pb_u[bq], Pk_u[kq], None)
+        q, bq, kq = grp[s], bra_rows[s], ket_rows[s]
+        R, pref = _hermite_stage(L1 + L2 + 1, bra.p[bq], ket.p[kq],
+                                 bra.P[bq], ket.P[kq], None)
         stats["class_batches"] += 1
-        gamma = _gamma_blocks(D, [x[s] for x in ao], a_x) \
-            * images[s, None, None, None, None]
-        gamma = gamma.reshape(len(q), nfn[0] * nfn[1], nfn[2] * nfn[3])
-        for c, (idx1, idx2, rows_u, cols_u) in enumerate(stages):
-            sel = np.flatnonzero(atom[q[:, c]] != atom[q[:, 3]])
-            stats["skipped_by_symmetry"] += len(q) - len(sel)
-            if len(sel) == 0:
-                continue
-            blocks = _lambda_stage(
-                R, pref, idx1, idx2, rows_u[bq[sel]], cols_u[kq[sel]],
-                None if len(sel) == len(q) else sel)
-            if c < 2:       # (m, 3 * AB, CD)
-                g = np.einsum("mxpq,mpq->mx", blocks.reshape(
-                    len(sel), 3, -1, gamma.shape[2]), gamma[sel])
-            else:           # (m, AB, 3 * CD)
-                g = np.einsum("mpxq,mpq->mx", blocks.reshape(
-                    len(sel), gamma.shape[1], 3, -1), gamma[sel])
-            np.add.at(grad, atom[q[sel, c]], g)
-            # fourth centre from translational invariance
-            np.add.at(grad, atom[q[sel, 3]], -g)
+        gamma = (_gamma_blocks(D, [x[s] for x in ao], a_x)
+                 * images[s, None, None, None, None]).reshape(
+                     len(q), nab_f, ncd_f)
+        g = np.empty((len(q), 3, 3))        # (quartet, centre, direction)
+        # i and j read the bra's raised orders against the plain ket
+        rg = _hermite_gather(R, pref, up1, idx2)
+        for c in (0, 1):
+            blocks = _lambda_contract(rg, bra_d[c][bq], l2t_u[kq], len(idx2))
+            g[:, c] = np.einsum("mxpq,mpq->mx", blocks.reshape(
+                len(q), 3, nab_f, ncd_f), gamma)
+        del rg
+        # k: the plain bra against the ket's raised orders
+        blocks = _lambda_contract(_hermite_gather(R, pref, idx1, up2),
+                                  l1_u[bq], ket_d[kq], len(up2))
+        g[:, 2] = np.einsum("mpxq,mpq->mx", blocks.reshape(
+            len(q), nab_f, 3, ncd_f), gamma)
+        g *= moved[s, :, None]
+        np.add.at(grad, atom[q[:, :3]], g)
+        # fourth centre from translational invariance
+        np.add.at(grad, atom[q[:, 3]], -g.sum(axis=1))
+        # the next chunk's table is built with this one released
+        del R, pref
 
 
 def _gamma_blocks(D: np.ndarray, ao: list[np.ndarray], a_x: float

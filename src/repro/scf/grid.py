@@ -352,13 +352,13 @@ def eval_aos(basis: BasisSet, points: np.ndarray, deriv: int = 0):
             if deriv > 1:
                 d2rad = 4.0 * (exps * sh.exps[None, :] ** 2) \
                     @ sh.norm_coefs[ic]
+                m1 = [_monomial_derivative(r, (lx, ly, lz), (i,))
+                      for i in range(3)]
                 for i in range(3):
-                    mi = _monomial_derivative(r, (lx, ly, lz), (i,))
                     for j in range(i, 3):
-                        mj = _monomial_derivative(r, (lx, ly, lz), (j,))
                         h = (_monomial_derivative(r, (lx, ly, lz), (i, j))
-                             * rad + (mi * r[:, j] + mj * r[:, i]) * drad
-                             + poly * r[:, i] * r[:, j] * d2rad)
+                             * rad + (m1[i] * r[:, j] + m1[j] * r[:, i])
+                             * drad + poly * r[:, i] * r[:, j] * d2rad)
                         if i == j:
                             h = h + poly * drad
                         hess[i, j, :, sl.start + ic] = h

@@ -99,21 +99,23 @@ def test_basisset_is_reusable_across_molecules():
 # --- derived caches: shared in-process, never pickled -------------------------
 
 def test_one_pair_table_for_every_integral_builder(water):
-    from repro.integrals import (ERIEngine, kinetic_matrix, nuclear_matrix,
-                                 overlap_matrix)
+    from repro.integrals import (DerivativePairs, ERIEngine, kinetic_matrix,
+                                 nuclear_matrix, overlap_matrix,
+                                 pair_classes)
 
     basis = build_basis(water)
+    classes = pair_classes(basis)
+    # every unique pair (i <= j) sits in exactly one class
+    assert sorted(tuple(ij) for cls in classes for ij in cls.ij.tolist()) \
+        == [(i, j) for i in range(basis.nshell)
+            for j in range(i, basis.nshell)]
+    for build in (overlap_matrix, kinetic_matrix, nuclear_matrix):
+        build(basis)
+        assert pair_classes(basis) is classes
+    assert DerivativePairs(basis.shells, classes).classes is classes
     table = basis.shell_pairs()
     assert basis.shell_pairs() is table
-    assert sorted(table) == [(i, j) for i in range(basis.nshell)
-                             for j in range(i, basis.nshell)]
-    seen = []
-    for build in (overlap_matrix, kinetic_matrix, nuclear_matrix):
-        # an explicit table and the per-basis one give the same matrix
-        assert np.array_equal(build(basis), build(basis, pairs=table))
-        seen.append(basis.shell_pairs())
-    seen += [ERIEngine(basis).pairs, ERIEngine(basis).pairs]
-    assert all(t is table for t in seen)
+    assert all(ERIEngine(basis).pairs is table for _ in range(2))
 
 
 @pytest.mark.reference
@@ -124,7 +126,8 @@ def test_used_basis_pickles_like_a_fresh_one(water):
     basis = build_basis(water)
     assert RHF(water, basis, mode="direct").run().converged
     basis.shell_slices()    # the RI and gradient walks' table
-    assert {"_pairs_cache", "_slices_cache", "_schwarz_cache"} \
+    assert {"_pairs_cache", "_slices_cache", "_schwarz_cache",
+            "_pairclass_cache"} \
         <= set(basis.__dict__)
     blob = pickle.dumps(basis)
     assert len(blob) == len(pickle.dumps(build_basis(water)))

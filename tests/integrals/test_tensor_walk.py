@@ -12,6 +12,7 @@ import pytest
 from repro.basis import build_basis
 from repro.chem import builders
 from repro.integrals import ERIEngine, eri_quartet, eri_tensor
+from repro.integrals.batch import WALK_SCRATCH
 from repro.scf import TensorJKEngine
 
 pytestmark = pytest.mark.reference
@@ -84,7 +85,7 @@ def test_one_quartet_chunks_leave_the_tensor_unchanged(case, monkeypatch):
     stage is elementwise: a ceiling of one double (every chunk a single
     quartet) fills the same bits."""
     _mol, basis, (ref, nq) = case
-    monkeypatch.setattr("repro.integrals.eri._TENSOR_SCRATCH", 1)
+    monkeypatch.setattr("repro.integrals.eri.WALK_SCRATCH", 1)
     engine = ERIEngine(basis)
     assert np.array_equal(eri_tensor(basis, engine=engine), ref)
     assert engine.quartets_computed == nq
@@ -121,9 +122,9 @@ def test_reset_sequence_never_holds_more_than_one_tensor():
     """Memory contract of the in-core engine: ``reset`` lets go of the
     old tensor before it fills the new one, so a reset peaks where a bare
     ``eri_tensor`` does (the tensor plus scratch that does not scale with
-    the quartet count: 6 MB covers the capped Hermite slab, its gathers
-    and one class's blocks on Li2O2) — a second live tensor would show
-    as one more ``nbf^4``."""
+    the quartet count: the walk budget's Hermite slab, its gathers and
+    one class's blocks on Li2O2) — a second live tensor would show as
+    one more ``nbf^4``."""
     mol = builders.li2o2()
     slack = 1 << 18
     tracemalloc.start()
@@ -133,7 +134,7 @@ def test_reset_sequence_never_holds_more_than_one_tensor():
         tracemalloc.reset_peak()
         nbytes = eri_tensor(basis).nbytes
         bare = tracemalloc.get_traced_memory()[1] - before
-        assert nbytes <= bare <= nbytes + (6 << 20)
+        assert nbytes <= bare <= nbytes + 3 * 8 * WALK_SCRATCH // 2
         engine = TensorJKEngine(build_basis(mol))
         for atom in (2, 0):
             basis = _displaced(mol, atom)

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from repro.basis.shell import Shell
 from repro.basis.shellpair import ShellPair
 from repro.integrals.eri import eri_quartet
-from repro.integrals.overlap import overlap_block
-from repro.integrals.kinetic import kinetic_block
+from repro.integrals.pairclass import PairClasses
+
+from ..integrals.oneelectron_oracle import (kinetic_block, nuclear_block,
+                                            overlap_block)
 
 settings.register_profile("integrals", max_examples=15, deadline=None)
 settings.load_profile("integrals")
@@ -53,6 +55,25 @@ def test_overlap_transpose_symmetry(la, lb, ea, eb, ca, cb):
     S_ab = overlap_block(ShellPair(sa, sb, 0, 1))
     S_ba = overlap_block(ShellPair(sb, sa, 1, 0))
     assert np.allclose(S_ab, S_ba.T, atol=1e-10)
+
+
+@given(la=st.integers(0, 2), lb=st.integers(0, 2),
+       ea=exps_strategy, eb=exps_strategy,
+       ca=center_strategy, cb=center_strategy)
+def test_pair_class_blocks_are_the_per_pair_blocks(la, lb, ea, eb, ca, cb):
+    """The class route's S, T and V of any two shells (d included) are
+    the per-pair oracle's blocks."""
+    sa, sb = _shell(la, ea, ca), _shell(lb, eb, cb)
+    table = PairClasses([sa, sb])
+    cls, row = table.classes[table.cid[0, 1]], table.row[0, 1]
+    pair = ShellPair(sa, sb, 0, 1)
+    charges = np.array([1.0, 8.0])
+    centers = np.array([ca + 0.3, cb - 0.7])
+    for got, want in ((cls.overlap(), overlap_block(pair)),
+                      (cls.kinetic(), kinetic_block(pair)),
+                      (cls.nuclear(charges, centers),
+                       nuclear_block(pair, charges, centers))):
+        assert np.allclose(got[row], want, rtol=1e-12, atol=1e-13)
 
 
 @given(l=st.integers(0, 1), exps=exps_strategy, center=center_strategy)

@@ -15,11 +15,8 @@ from repro.basis.shell import Shell
 from repro.basis.shellpair import ShellPair
 from repro.chem import builders
 from repro.integrals.eri import ERIEngine, eri_quartet
-from repro.integrals.gradients import (DerivativePairs, _assemble,
-                                       kinetic_gradient, nuclear_gradient,
-                                       overlap_gradient, shell_down,
-                                       shell_up)
-from repro.integrals.overlap import overlap_block
+from repro.integrals.gradients import DerivativePairs
+from repro.integrals.pairclass import PairClasses
 from repro.md.bomd import SCFForceEngine
 from repro.runtime import ExecutionConfig, Tracer
 from repro.scf import run_rhf
@@ -27,6 +24,10 @@ from repro.scf.dft import RKS
 from repro.scf.gradient import (_two_electron_gradient, _xc_gradient,
                                 nuclear_repulsion_gradient, scf_gradient)
 from repro.scf.grid import MolecularGrid, eval_aos
+
+from ..integrals.oneelectron_oracle import (assemble, kinetic_block,
+                                            nuclear_block, overlap_block,
+                                            shell_down, shell_up)
 
 pytestmark = pytest.mark.gradient
 
@@ -60,7 +61,7 @@ def eri_gradient_quartet(sha, shb, shc, shd):
         dn_sh = shell_down(s0)
         dn = eri_quartet(ShellPair(dn_sh, s1, 0, 1),
                          ShellPair(s2, s3, 2, 3)) if dn_sh else None
-        return _assemble(s0, up, dn)
+        return assemble(s0, up, dn)
 
     out[0] = d_first(sha, shb, shc, shd)
     out[1] = d_first(shb, sha, shc, shd).transpose(0, 2, 1, 3, 4)
@@ -149,6 +150,28 @@ def _analytic_and_fd(mol, method, components=None, **engine_kw):
 
 # --- derivative integrals -------------------------------------------------------
 
+def _pair(sa, sb):
+    """The pair ``(sa, sb)`` on the pair-class route: its class and row."""
+    table = PairClasses([sa, sb])
+    return table.classes[table.cid[0, 1]], table.row[0, 1]
+
+
+def overlap_gradient(sa, sb):
+    cls, row = _pair(sa, sb)
+    return cls.overlap_kinetic_derivatives()[0][row]
+
+
+def kinetic_gradient(sa, sb):
+    cls, row = _pair(sa, sb)
+    return cls.overlap_kinetic_derivatives()[1][row]
+
+
+def nuclear_gradient(sa, sb, charges, centers):
+    cls, row = _pair(sa, sb)
+    dA, dC = cls.nuclear_derivatives(charges, centers)
+    return dA[row], dC[row]
+
+
 def test_shell_up_down_structure(water_shells):
     p = water_shells[2]   # O 2p
     up = shell_up(p)
@@ -179,8 +202,6 @@ def test_overlap_gradient_vs_fd(water_shells, i, j):
 
 
 def test_kinetic_gradient_vs_fd(water_shells):
-    from repro.integrals.kinetic import kinetic_block
-
     sa, sb = water_shells[2], water_shells[4]
     dT = kinetic_gradient(sa, sb)
     h = 1e-6
@@ -191,8 +212,6 @@ def test_kinetic_gradient_vs_fd(water_shells):
 
 
 def test_nuclear_gradient_operator_term_vs_fd(water_shells):
-    from repro.integrals.nuclear import nuclear_block
-
     mol = builders.water()
     Z = mol.numbers.astype(float)
     sa, sb = water_shells[1], water_shells[3]
@@ -234,19 +253,21 @@ def test_eri_gradient_vs_fd(water_shells):
 def test_gradient_lambda_is_the_lambda_of_the_derivative(water_shells, side):
     """``DerivativePairs.lam`` contracted like any Hermite lambda gives
     d(ab|cd)/dA resp. dB: one Lambda stage per centre is enough."""
-    from repro.integrals.batch import (_bra_layout, _hermite_stage,
-                                       _ket_layout, _lambda_stage)
+    from repro.integrals.batch import (_bra_layout, _hermite_gather,
+                                       _hermite_stage, _ket_layout,
+                                       _lambda_contract)
     from repro.basis.shellpair import hermite_indices
 
     sh = [water_shells[k] for k in (2, 3, 0, 2)]
     table = DerivativePairs(sh)
-    bra, ket = table.plain(0, 1), table.plain(2, 3)
+    bra, ket = ShellPair(sh[0], sh[1], 0, 1), ShellPair(sh[2], sh[3], 2, 3)
     R, pref = _hermite_stage(bra.lab + ket.lab + 1, bra.p[None], ket.p[None],
                              bra.P[None], ket.P[None], None)
-    got = _lambda_stage(
-        R, pref, hermite_indices(bra.lab + 1), hermite_indices(ket.lab),
+    idx2 = hermite_indices(ket.lab)
+    got = _lambda_contract(
+        _hermite_gather(R, pref, hermite_indices(bra.lab + 1), idx2),
         _bra_layout(table.lam(0, 1, side)[None]),
-        _ket_layout(ket.hermite_lambda()[1][None]))
+        _ket_layout(ket.hermite_lambda()[1][None]), len(idx2))
     want = eri_gradient_quartet(*sh)[side]
     assert np.abs(got.reshape(want.shape) - want).max() < 1e-12
 
@@ -258,6 +279,29 @@ def test_nuclear_repulsion_gradient_h2():
     # attractive force toward lower repulsion: dV/dz for the far atom
     assert np.isclose(g[1, 2], -1.0 / r ** 2)
     assert np.allclose(g.sum(axis=0), 0.0, atol=1e-12)
+
+
+def _nuclear_repulsion_gradient_loop(mol):
+    """The O(N^2) double loop over atoms the pairwise expression
+    replaced."""
+    g = np.zeros((mol.natom, 3))
+    z = mol.numbers.astype(np.float64)
+    for i in range(mol.natom):
+        for j in range(mol.natom):
+            if i == j:
+                continue
+            d = mol.coords[i] - mol.coords[j]
+            r = np.linalg.norm(d)
+            g[i] -= z[i] * z[j] * d / r ** 3
+    return g
+
+
+@pytest.mark.parametrize("mk", [builders.h2, builders.water,
+                                lambda: builders.water_box(32)[0]])
+def test_nuclear_repulsion_gradient_is_the_pair_loop(mk):
+    mol = mk()
+    ref = _nuclear_repulsion_gradient_loop(mol)
+    assert np.abs(nuclear_repulsion_gradient(mol) - ref).max() < 1e-14
 
 
 # --- grid derivatives -----------------------------------------------------------
@@ -295,6 +339,45 @@ def test_eval_aos_hessian_vs_fd():
         gp = eval_aos(basis, pts + e, deriv=1)[1]
         gm = eval_aos(basis, pts - e, deriv=1)[1]
         assert np.abs(hess[:, j] - (gp - gm) / (2 * h)).max() < 1e-7
+
+
+def _hessian_per_pair(basis, pts):
+    """``eval_aos``'s Hessian as it was written before the first-derivative
+    monomials were taken once per component: both re-derived inside the
+    ``(i, j)`` loop."""
+    from repro.basis.shell import cartesian_components
+    from repro.scf.grid import _monomial_derivative
+
+    hess = np.zeros((3, 3, len(pts), basis.nbf))
+    for ish, sh in enumerate(basis.shells):
+        sl = basis.shell_slice(ish)
+        r = pts - sh.center[None, :]
+        exps = np.exp(-np.outer((r * r).sum(axis=1), sh.exps))
+        for ic, (lx, ly, lz) in enumerate(cartesian_components(sh.l)):
+            poly = (r[:, 0] ** lx) * (r[:, 1] ** ly) * (r[:, 2] ** lz)
+            rad = exps @ sh.norm_coefs[ic]
+            drad = -2.0 * (exps * sh.exps[None, :]) @ sh.norm_coefs[ic]
+            d2rad = 4.0 * (exps * sh.exps[None, :] ** 2) @ sh.norm_coefs[ic]
+            for i in range(3):
+                mi = _monomial_derivative(r, (lx, ly, lz), (i,))
+                for j in range(i, 3):
+                    mj = _monomial_derivative(r, (lx, ly, lz), (j,))
+                    h = (_monomial_derivative(r, (lx, ly, lz), (i, j))
+                         * rad + (mi * r[:, j] + mj * r[:, i]) * drad
+                         + poly * r[:, i] * r[:, j] * d2rad)
+                    if i == j:
+                        h = h + poly * drad
+                    hess[i, j, :, sl.start + ic] = h
+                    hess[j, i, :, sl.start + ic] = h
+    return hess
+
+
+@pytest.mark.parametrize("mk", [builders.water, builders.li2o2])
+def test_eval_aos_hessian_is_the_per_pair_formula_bit_for_bit(mk):
+    basis = build_basis(mk())
+    pts = np.random.default_rng(8).normal(scale=1.5, size=(30, 3))
+    assert np.array_equal(eval_aos(basis, pts, deriv=2)[2],
+                          _hessian_per_pair(basis, pts))
 
 
 # --- the gradient against the engine's own stencil --------------------------------
@@ -398,7 +481,7 @@ def test_class_walk_equals_the_per_quartet_walk(mk, a_x, screen_eps):
     res = run_rhf(mk(), conv_tol=1e-9)
     basis = res.basis
     ref, n_ref = _two_electron_gradient_oracle(basis, res.D, a_x, screen_eps)
-    table = DerivativePairs(basis.shells, basis.shell_pairs())
+    table = DerivativePairs(basis.shells)
     got, stats = _two_electron_gradient(basis, res.D, a_x, screen_eps, table)
     assert np.abs(got - ref).max() < 1e-12
     npair = basis.nshell * (basis.nshell + 1) // 2
@@ -427,7 +510,7 @@ def test_unique_quartet_walk_equals_the_ordered_walk(mk, screen_eps):
     res = run_rhf(mk(), conv_tol=1e-10)
     ref, n_ordered = _ordered_two_electron_gradient(res.basis, res.D,
                                                     screen_eps)
-    table = DerivativePairs(res.basis.shells, res.basis.shell_pairs())
+    table = DerivativePairs(res.basis.shells)
     got, stats = _two_electron_gradient(res.basis, res.D, 1.0, screen_eps,
                                         table)
     assert np.abs(got - ref).max() < 1e-10
