@@ -61,13 +61,11 @@ class BasisSet:
         return cached
 
     def shell_pairs(self) -> dict[tuple[int, int], ShellPair]:
-        """The full ``(i, j)``, ``i <= j`` shell-pair table, built once
-        per basis object.
-
-        Overlap, kinetic, nuclear-attraction and dipole matrices, the
-        Schwarz bounds and every :class:`~repro.integrals.eri.ERIEngine`
-        on this basis read the same table (and the Hermite expansions
-        its pairs cache) instead of each rebuilding it.
+        """The full ``(i, j)``, ``i <= j`` shell-pair table of the
+        per-quartet reference kernel, built once per basis object (at the
+        first :meth:`repro.integrals.eri.ERIEngine.quartet`); every other
+        integral walk reads the pair classes
+        (:func:`repro.integrals.pairclass.pair_classes`) instead.
         """
         cached = self.__dict__.get("_pairs_cache")
         if cached is None:

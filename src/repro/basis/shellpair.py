@@ -1,12 +1,16 @@
-"""Shell-pair data: the precomputed quantities every integral needs.
+"""Shell-pair data of the per-quartet reference kernel.
 
 A :class:`ShellPair` expands two contracted shells into their primitive
 pair set, applies the Gaussian product rule, and caches the Hermite
-expansion coefficients per Cartesian dimension.  Building these once
-and reusing them across one-electron integrals, Schwarz bounds, and
-every ERI quartet the pair participates in is the single biggest
-serial-performance lever of the engine — exactly the role of CPMD's
-precomputed pair lists in the paper.
+expansion coefficients per Cartesian dimension, one pair at a time in
+Python.  It feeds :func:`~repro.integrals.eri.eri_quartet` — the
+bit-exact reference (``kernel="quartet"``, :meth:`repro.integrals.eri.
+ERIEngine.quartet`) — and :func:`~repro.integrals.batch.
+eri_quartet_batch`, and the tests hold every faster route to it.  Every
+other integral walk (one-electron, in-core tensor, batched direct,
+Schwarz, RI, gradient) reads the same quantities stacked per pair class
+(:mod:`repro.integrals.pairclass`), the role of CPMD's precomputed pair
+lists in the paper.
 """
 
 from __future__ import annotations

@@ -32,9 +32,9 @@ from scipy.spatial import cKDTree
 
 from ..basis.basisset import build_basis
 from ..basis.shell import Shell
-from ..basis.shellpair import ShellPair
 from ..chem import builders
 from ..chem.molecule import Molecule
+from ..integrals.pairclass import PairClass
 from ..integrals.schwarz import schwarz_diagonals, surviving_partners
 from .costmodel import pair_weight
 from .tasklist import TaskList
@@ -96,11 +96,12 @@ def calibrate_schwarz_model(shells: list[Shell],
                       / (sa.exps.min() + sb.exps.min()))
             r_hi = min(rmax, np.sqrt(60.0 / mu_est))
             rs = np.linspace(0.0, r_hi, nr)
-            s1 = Shell(sa.l, sa.exps, sa.coefs, np.zeros(3))
-            qs = schwarz_diagonals(
-                ShellPair(s1, Shell(sb.l, sb.exps, sb.coefs,
-                                    np.array([0.0, 0.0, r])), 0, 1)
-                for r in rs)
+            # one pair class: sa at the origin with sb at every r
+            scan = [Shell(sa.l, sa.exps, sa.coefs, np.zeros(3))] + [
+                Shell(sb.l, sb.exps, sb.coefs, np.array([0.0, 0.0, r]))
+                for r in rs]
+            qs = schwarz_diagonals(PairClass(scan, np.column_stack(
+                [np.zeros(nr, dtype=np.int64), np.arange(1, nr + 1)])))
             # p-function cross pairs peak at r > 0 (lobe overlap), so
             # anchor the fit at the peak and fit the decay of the tail
             ipk = int(np.argmax(qs))

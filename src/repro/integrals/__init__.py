@@ -8,7 +8,7 @@ from .kinetic import kinetic_matrix
 from .nuclear import nuclear_matrix
 from .pairclass import PairClasses, pair_classes
 from .eri import eri_quartet, eri_tensor, ERIEngine
-from .ri import (AuxShellPair, aux_shard_slices, inv_sqrt_metric, metric_2c,
+from .ri import (aux_shard_slices, inv_sqrt_metric, metric_2c,
                  three_center_slab)
 from .batch import eri_quartet_batch, quartet_class_groups, flatten_pairs
 from .schwarz import schwarz_bounds, surviving_partners
@@ -21,7 +21,7 @@ __all__ = [
     "overlap_matrix", "kinetic_matrix", "nuclear_matrix",
     "PairClasses", "pair_classes",
     "eri_quartet", "eri_tensor", "ERIEngine",
-    "AuxShellPair", "aux_shard_slices", "inv_sqrt_metric", "metric_2c",
+    "aux_shard_slices", "inv_sqrt_metric", "metric_2c",
     "three_center_slab",
     "eri_quartet_batch", "quartet_class_groups", "flatten_pairs",
     "schwarz_bounds", "surviving_partners",

@@ -18,8 +18,9 @@ This module restores the paper's structure in numpy terms:
   hermite_r_tri`) and class-level batched GEMMs, turning thousands of
   tiny numpy calls into a handful of large ones;
 * per-pair data (exponents, product centers, Hermite lambda tensors)
-  is stacked once per *unique shell pair* and gathered per quartet by
-  integer indexing, so repeated pairs cost nothing.
+  is read from the geometry's one pair table, stacked once per *pair
+  class* (:mod:`repro.integrals.pairclass`), and gathered per quartet
+  by integer row indexing, so repeated pairs cost nothing.
 
 Every step of the class batch is the per-quartet kernel's step with one
 extra leading axis: the Hermite recursion and the prefactors are
@@ -37,12 +38,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..basis.shellpair import ShellPair
+from ..basis.shellpair import hermite_indices
 from .mcmurchie import hermite_r_tri
 
-__all__ = ["eri_quartet_batch", "quartet_class_groups", "pair_class_groups",
-           "flatten_pairs", "MAX_BATCH_ELEMENTS", "SETUP_SCRATCH",
-           "WALK_SCRATCH"]
+__all__ = ["eri_quartet_batch", "quartet_class_groups", "flatten_pairs",
+           "MAX_BATCH_ELEMENTS", "SETUP_SCRATCH", "WALK_SCRATCH"]
 
 _TWO_PI_POW = 2.0 * np.pi ** 2.5
 
@@ -79,8 +79,22 @@ SETUP_SCRATCH = 1 << 16
 # or a few chunks: the derivative walk builds 114 Hermite tables where a
 # 2^17 cap built 418 and runs ~40 % faster, the tensor walk ~40 %
 # faster than under its former 2^16; 2^21 gains at most 10 % more for
-# four times the scratch (a chunk peaks near 1.4x this budget).
+# four times the scratch.  The budget counts the R stage only: the
+# lambda stage's Hermite gathers and per-quartet lambda gathers ride on
+# top, and ``tracemalloc`` peaks of a walk read 1.3-1.4x its bytes
+# (Li2O2: 5.9 MB derivative walk, 5.5 MB tensor walk against 4.2 MB).
 WALK_SCRATCH = 1 << 19
+
+
+def _stage_chunk(L: int, width: int, budget: int) -> int:
+    """Quartets (or pairs) per chunk of a walk whose R stage is a Hermite
+    table of order ``L`` over ``width`` primitive combinations each: the
+    most that keep ``((L + 1)^4 + _STAGE_ROW_EXTRA) * width`` doubles a
+    quartet under ``budget`` doubles, at least one.  This is the R
+    stage's count alone; the gathers of the lambda stage are not in it,
+    so a chunk's measured peak sits 1.3-1.4x above the budget's bytes
+    (the :data:`WALK_SCRATCH` comment)."""
+    return max(1, int(budget // (((L + 1) ** 4 + _STAGE_ROW_EXTRA) * width)))
 
 
 def flatten_pairs(pairs) -> np.ndarray:
@@ -133,35 +147,6 @@ def quartet_class_groups(shells, idx: np.ndarray) -> list[np.ndarray]:
     return [idx[inv == g] for g in order]
 
 
-def pair_class_groups(pairs_by_index) -> dict[tuple[int, int, int], list]:
-    """Group ``(index, pair)`` items by kernel class ``(la, lb, nprim)``
-    — everything that fixes the class batch's array shapes for one
-    side of a quartet.  ``pair`` is a :class:`ShellPair` or an
-    auxiliary-shell pair (:class:`~repro.integrals.ri.AuxShellPair`,
-    ``lb = 0``)."""
-    groups: dict[tuple[int, int, int], list] = {}
-    for i, pr in pairs_by_index:
-        sha = getattr(pr, "sha", None)
-        key = ((sha.l, pr.shb.l, pr.nprim) if sha is not None
-               else (pr.shell.l, 0, pr.nprim))
-        groups.setdefault(key, []).append(i)
-    return groups
-
-
-def _stack_pairs(pairs: list[ShellPair]):
-    """Per-unique-pair stacked kernel inputs.
-
-    Returns ``(idx_h, p, P, lam)`` where ``idx_h`` is the shared Hermite
-    index list of the pair class and the other arrays carry one leading
-    axis over the unique pairs.
-    """
-    idx_h, _ = pairs[0].hermite_lambda()
-    p = np.stack([pr.p for pr in pairs])
-    P = np.stack([pr.P for pr in pairs])
-    lam = np.stack([pr.hermite_lambda()[1] for pr in pairs])
-    return idx_h, p, P, lam
-
-
 def _bra_layout(lam: np.ndarray) -> np.ndarray:
     """Stacked pair lambdas ``(u, ..., nherm, nprim)`` as the left GEMM
     operand ``(u, rows, nherm*nprim)`` (all leading component axes
@@ -177,30 +162,6 @@ def _ket_layout(lam: np.ndarray) -> np.ndarray:
         u, -1, n * h).transpose(0, 2, 1)
 
 
-def _unique_pairs(pair_list):
-    """Unique :class:`ShellPair` objects (by identity) + gather indices."""
-    seen: dict[int, int] = {}
-    uniq: list[ShellPair] = []
-    ids = np.empty(len(pair_list), dtype=np.int64)
-    for n, pr in enumerate(pair_list):
-        pos = seen.get(id(pr))
-        if pos is None:
-            pos = len(uniq)
-            seen[id(pr)] = pos
-            uniq.append(pr)
-        ids[n] = pos
-    return uniq, ids
-
-
-def unique_shell_pairs(i: np.ndarray, j: np.ndarray, nshell: int
-                       ) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Unique ``(i, j)`` shell-index pairs of two aligned index columns
-    (in lexicographic order) and, per entry, its position among them —
-    one 1-D ``np.unique`` over the pair packed into one integer."""
-    codes, ids = np.unique(i * nshell + j, return_inverse=True)
-    return [divmod(c, nshell) for c in codes.tolist()], ids
-
-
 def eri_quartet_batch(bra_pairs, ket_pairs,
                       max_elements: int = MAX_BATCH_ELEMENTS) -> np.ndarray:
     """ERIs for a whole list of same-class shell quartets.
@@ -208,11 +169,14 @@ def eri_quartet_batch(bra_pairs, ket_pairs,
     Parameters
     ----------
     bra_pairs, ket_pairs:
-        Equal-length lists of :class:`ShellPair`; quartet ``n`` is
+        Equal-length lists of :class:`~repro.basis.shellpair.ShellPair`
+        (the per-quartet reference's pair objects); quartet ``n`` is
         ``(bra_pairs[n] | ket_pairs[n])``.  All bra pairs must share one
         ``(la, lb, na, nb)`` signature and all ket pairs one
         ``(lc, ld, nc, nd)`` signature (one *L-class*), which is what
-        makes every intermediate a rectangular array.
+        makes every intermediate a rectangular array.  The distinct
+        pairs of each side (by identity) are stacked into one
+        :class:`~repro.integrals.pairclass.PairClass` of their shells.
     max_elements:
         Memory ceiling, in doubles, for the R stage (Hermite box, Boys
         rows and geometry temporaries); oversized batches are evaluated
@@ -224,15 +188,29 @@ def eri_quartet_batch(bra_pairs, ket_pairs,
     ``eri_quartet(bra_pairs[n], ket_pairs[n])`` for every ``n`` to
     ~1e-14.
     """
+    from .pairclass import PairClass
+
     nq = len(bra_pairs)
     if nq != len(ket_pairs):
         raise ValueError("bra_pairs and ket_pairs must align "
                          f"({nq} != {len(ket_pairs)})")
     if nq == 0:
         raise ValueError("empty quartet batch")
-    ubra, bra_ids = _unique_pairs(bra_pairs)
-    uket, ket_ids = _unique_pairs(ket_pairs)
-    return _eri_class_batch(ubra, bra_ids, uket, ket_ids, max_elements)
+
+    def stacked(pairs):
+        """The distinct pairs as one class, and each pair's row in it."""
+        rows: dict[int, int] = {}
+        shells = []
+        for pr in pairs:
+            if id(pr) not in rows:
+                rows[id(pr)] = len(rows)
+                shells += [pr.sha, pr.shb]
+        ij = np.arange(len(shells)).reshape(-1, 2)
+        return (PairClass(shells, ij),
+                np.array([rows[id(pr)] for pr in pairs], dtype=np.int64))
+
+    return _eri_class_batch(*stacked(bra_pairs), *stacked(ket_pairs),
+                            max_elements)
 
 
 def _hermite_stage(L: int, p, q, Pb, Pk, boys_order: int | None):
@@ -286,43 +264,45 @@ def _lambda_contract(rg, l1, l2t, h2: int) -> np.ndarray:
     return T @ l2t
 
 
-def _eri_class_batch(ubra, bra_ids, uket, ket_ids,
+def _eri_class_batch(bra, bra_rows, ket, ket_rows,
                      max_elements: int = MAX_BATCH_ELEMENTS,
                      boys_order: int | None = None) -> np.ndarray:
-    """Core class-batch evaluation over *unique* pair lists.
+    """Core class-batch evaluation over two pair classes.
 
-    ``bra_ids``/``ket_ids`` gather one quartet per entry from the unique
-    pair stacks — callers that already know their unique pairs (the
-    engine's index-array path) skip the per-quartet dedup entirely.
-    ``boys_order`` goes to :func:`~repro.integrals.mcmurchie.
-    hermite_r_tri` unchanged: ``None`` recurses the Boys table from
-    ``L``, ``3 * L`` reproduces :func:`~repro.integrals.eri.eri_quartet`
-    bit for bit, whatever the chunking.  Each chunk is one
-    :func:`_hermite_stage`, one :func:`_hermite_gather` and one
-    :func:`_lambda_contract`.
+    Quartet ``n`` is ``(bra[bra_rows[n]] | ket[ket_rows[n]])``: ``bra``
+    and ``ket`` are :class:`~repro.integrals.pairclass.PairClass`
+    objects and every kernel input (exponents, product centres, Hermite
+    lambdas) is gathered from their stacks by row; only the rows the
+    batch touches are laid out for the GEMMs.  ``boys_order`` goes to
+    :func:`~repro.integrals.mcmurchie.hermite_r_tri` unchanged: ``None``
+    recurses the Boys table from ``L``, ``3 * L`` reproduces
+    :func:`~repro.integrals.eri.eri_quartet` bit for bit, whatever the
+    chunking.  Each chunk is one :func:`_hermite_stage`, one
+    :func:`_hermite_gather` and one :func:`_lambda_contract`.
     """
-    nq = len(bra_ids)
-    idx1, p_u, Pb_u, lam1_u = _stack_pairs(ubra)
-    idx2, q_u, Pk_u, lam2_u = _stack_pairs(uket)
-    L = ubra[0].lab + uket[0].lab
-    nab, ncd = ubra[0].nprim, uket[0].nprim
-    nA, nB = lam1_u.shape[1], lam1_u.shape[2]
-    nC, nD = lam2_u.shape[1], lam2_u.shape[2]
-    # unique-pair lambda tensors in GEMM layout
-    l1_u = _bra_layout(lam1_u)
-    l2t_u = _ket_layout(lam2_u)
+    nq = len(bra_rows)
+    ub, bra_ids = np.unique(bra_rows, return_inverse=True)
+    uk, ket_ids = np.unique(ket_rows, return_inverse=True)
+    lam1, lam2 = bra.lam()[ub], ket.lam()[uk]
+    idx1 = hermite_indices(bra.la + bra.lb)
+    idx2 = hermite_indices(ket.la + ket.lb)
+    L = bra.la + bra.lb + ket.la + ket.lb
+    nA, nB = lam1.shape[1], lam1.shape[2]
+    nC, nD = lam2.shape[1], lam2.shape[2]
+    # touched-pair lambda tensors in GEMM layout
+    l1_u = _bra_layout(lam1)
+    l2t_u = _ket_layout(lam2)
     out = np.empty((nq, nA, nB, nC, nD))
-    chunk = max(1, int(max_elements // (((L + 1) ** 4 + _STAGE_ROW_EXTRA)
-                                        * nab * ncd)))
+    chunk = _stage_chunk(L, bra.p.shape[1] * ket.p.shape[1], max_elements)
     for lo in range(0, nq, chunk):
         s = slice(lo, min(lo + chunk, nq))
-        b, k = bra_ids[s], ket_ids[s]
+        b, k = bra_rows[s], ket_rows[s]
         # ONE Hermite recursion for the whole chunk, released once its
         # entries are gathered
-        rg = _hermite_gather(*_hermite_stage(L, p_u[b], q_u[k], Pb_u[b],
-                                             Pk_u[k], boys_order),
+        rg = _hermite_gather(*_hermite_stage(L, bra.p[b], ket.p[k], bra.P[b],
+                                             ket.P[k], boys_order),
                              idx1, idx2)
-        out[s] = _lambda_contract(rg, l1_u[b], l2t_u[k], len(idx2)).reshape(
-            -1, nA, nB, nC, nD)
+        out[s] = _lambda_contract(rg, l1_u[bra_ids[s]], l2t_u[ket_ids[s]],
+                                  len(idx2)).reshape(-1, nA, nB, nC, nD)
         del rg
     return out

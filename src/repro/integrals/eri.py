@@ -28,9 +28,9 @@ import numpy as np
 
 from ..basis.basisset import BasisSet
 from ..basis.shellpair import ShellPair
-from .batch import (WALK_SCRATCH, _eri_class_batch, quartet_class_groups,
-                    unique_shell_pairs)
+from .batch import WALK_SCRATCH, _eri_class_batch, quartet_class_groups
 from .mcmurchie import hermite_r_tri
+from .pairclass import pair_classes
 from .schwarz import schwarz_bounds
 
 __all__ = ["eri_quartet", "eri_tensor", "ERIEngine", "PERM_AXES",
@@ -101,8 +101,10 @@ def eri_quartet(bra: ShellPair, ket: ShellPair) -> np.ndarray:
 
 
 class ERIEngine:
-    """Serves (screened) quartet evaluations over the basis's shell-pair
-    table.
+    """Serves (screened) quartet evaluations over the basis's pair table
+    (:func:`~repro.integrals.pairclass.pair_classes`); the per-quartet
+    reference :meth:`quartet` reads the basis's :class:`ShellPair`
+    objects instead.
 
     This is the serial reference engine; the distributed scheme in
     :mod:`repro.hfx` consumes the same quartets but partitions them
@@ -140,15 +142,12 @@ class ERIEngine:
         # (its own, or a pool worker's reported through absorb)
         self.store_peak = 0
 
-    @property
-    def pairs(self) -> dict[tuple[int, int], ShellPair]:
-        """The basis's one shell-pair table (built at first use, so the
-        cost lands in the integral call that needs it)."""
-        return self.basis.shell_pairs()
-
     def pair(self, i: int, j: int) -> ShellPair:
-        """The shell pair ``(min(i,j), max(i,j))``."""
-        return self.pairs[(i, j) if i <= j else (j, i)]
+        """The per-quartet reference's shell pair ``(min(i,j),
+        max(i,j))``, from the basis's :meth:`~repro.basis.basisset.
+        BasisSet.shell_pairs` table (built at first use: only the
+        reference kernel reads it)."""
+        return self.basis.shell_pairs()[(i, j) if i <= j else (j, i)]
 
     def schwarz_bounds(self) -> dict[tuple[int, int], float]:
         """Cauchy-Schwarz bounds ``Q_ij = sqrt(max |(ij|ij)|)`` per shell
@@ -184,16 +183,18 @@ class ERIEngine:
     def _class_batch(self, idx: np.ndarray, **kernel_args) -> np.ndarray:
         """Count a same-class ``(nq, 4)`` index array on
         ``quartets_computed``/``class_batches`` and evaluate it with one
-        :func:`~repro.integrals.batch._eri_class_batch` call over its
-        unique bra and ket pairs (``kernel_args`` pass through)."""
-        nsh = self.basis.nshell
-        ub, bra_ids = unique_shell_pairs(idx[:, 0], idx[:, 1], nsh)
-        uk, ket_ids = unique_shell_pairs(idx[:, 2], idx[:, 3], nsh)
-        ubra = [self.pair(i, j) for i, j in ub]
-        uket = [self.pair(k, l) for k, l in uk]
+        :func:`~repro.integrals.batch._eri_class_batch` call over the
+        rows of its bra and ket pair classes in the basis's pair table
+        (:func:`~repro.integrals.pairclass.pair_classes`;
+        ``kernel_args`` pass through)."""
+        classes = pair_classes(self.basis)
+        cb, bra_rows = classes.locate(idx[:, 0], idx[:, 1])
+        ck, ket_rows = classes.locate(idx[:, 2], idx[:, 3])
         self.quartets_computed += len(idx)
         self.class_batches += 1
-        return _eri_class_batch(ubra, bra_ids, uket, ket_ids, **kernel_args)
+        return _eri_class_batch(classes.pair_class(cb), bra_rows,
+                                classes.pair_class(ck), ket_rows,
+                                **kernel_args)
 
     def quartet_batch(self, idx: np.ndarray) -> np.ndarray:
         """Blocks for a same-class quartet index array, one kernel call.

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..basis.shell import Shell
-from .pairclass import PairClass, PairClasses
+from .pairclass import PairClasses
 
 __all__ = ["DerivativePairs"]
 
@@ -64,22 +64,12 @@ class DerivativePairs:
             shells)
         self._dlam: dict[tuple[int, int], np.ndarray] = {}
 
-    def locate(self, i: np.ndarray, j: np.ndarray) -> tuple[int, np.ndarray]:
-        """The class of the pairs ``(i[n], j[n])`` (``i <= j``, all of one
-        class) and each pair's row in it."""
-        return (int(self.classes.cid[i[0], j[0]]),
-                self.classes.row[i, j])
-
-    def pair_class(self, c: int) -> PairClass:
-        """Class ``c`` of :attr:`classes`."""
-        return self.classes.classes[c]
-
     def dlam(self, c: int, side: int) -> np.ndarray:
         """:meth:`~repro.integrals.pairclass.PairClass.dlam` of class
         ``c``, ``(M, 3, ncA, ncB, nherm, nprim)``, built once."""
         out = self._dlam.get((c, side))
         if out is None:
-            out = self._dlam[c, side] = self.pair_class(c).dlam(side)
+            out = self._dlam[c, side] = self.classes.pair_class(c).dlam(side)
         return out
 
     def lam(self, i: int, j: int, side: int) -> np.ndarray:

@@ -1,20 +1,24 @@
-"""Shell pairs in classes: the one-electron integrals and the derivative
-tables of a geometry, one pair class at a time.
+"""Shell pairs in classes: the one pair table of a geometry, read by
+every integral walk one pair class at a time.
 
 A *pair class* holds every unique shell pair ``(i, j)``, ``i <= j``,
 whose shells share one signature ``(l_i, nprim_i, l_j, nprim_j)``: one
 side of a quartet class of :func:`~repro.integrals.batch.
-quartet_class_groups`, and the key :class:`~repro.scf.fock.
-DirectJKBuilder` sorts its pairs by.  Every array of a class has one
-leading axis over its pairs, and :func:`~repro.integrals.mcmurchie.
-hermite_e` is elementwise, so the Hermite expansion and every integral
-built on it take a handful of numpy calls per class instead of per pair:
+quartet_class_groups`.  Every array of a class has one leading axis over
+its pairs, and :func:`~repro.integrals.mcmurchie.hermite_e` is
+elementwise, so the Hermite expansion and every integral built on it
+take a handful of numpy calls per class instead of per pair:
 
 * one E table per Cartesian dimension, its bra ladder one step and its
   ket ladder two steps past ``(l_i, l_j)``.  The raised shell of a
   derivative and the ``j + 2`` term of the kinetic operator read the
   same table, and its ``(l_i, l_j)`` corner holds the bits of the
-  per-pair recursion (:attr:`repro.basis.shellpair.ShellPair.E`);
+  per-pair recursion of the per-quartet reference
+  (:mod:`repro.basis.shellpair`);
+* the Hermite lambdas (:meth:`PairClass.lam`) that the class ERI kernel
+  (:func:`~repro.integrals.batch._eri_class_batch`) gathers for the
+  in-core tensor walk, the batched direct walk, the Schwarz diagonals
+  and the RI integrals;
 * S, T and the dipole operators from the 1-D overlaps and first
   moments, V from one Hermite Coulomb table over (pairs x primitives x
   nuclei) per chunk of the class;
@@ -23,9 +27,16 @@ built on it take a handful of numpy calls per class instead of per pair:
   ``d/dA_x G_i(a, A) = 2a G_{i+1} - i G_{i-1}``, and the Hellmann-Feynman
   term of V from ``dR_tuv/dC_x = -R_{t+1,u,v}``.
 
+The auxiliary side of density fitting is a pair table too: each
+auxiliary shell ``|P)`` paired with a unit s *ghost* of exponent 0 on
+its own centre (``ghost=True``), which makes ``(P|Q)`` and ``(uv|P)``
+class batches of the same kernel.
+
 :func:`pair_classes` keeps one table per basis object, built at first
-use: the SCF's S, T and V and the analytic gradient of the same geometry
-read the same E tables.  The Hermite Coulomb chunks stay under
+use: the SCF's S, T and V, its ERI walks, its Schwarz bounds and the
+analytic gradient of the same geometry read the same E tables and
+lambdas.  :meth:`PairClasses.locate` is the one lookup from shell pairs
+to class rows.  The Hermite Coulomb chunks stay under
 :data:`~repro.integrals.batch.WALK_SCRATCH` doubles.
 """
 
@@ -35,7 +46,7 @@ import numpy as np
 
 from ..basis.shell import cartesian_components
 from ..basis.shellpair import hermite_indices
-from .batch import _STAGE_ROW_EXTRA, WALK_SCRATCH
+from .batch import WALK_SCRATCH, _stage_chunk
 from .mcmurchie import hermite_e, hermite_r_tri
 
 __all__ = ["PairClass", "PairClasses", "pair_classes"]
@@ -60,28 +71,44 @@ class PairClass:
     """The unique shell pairs ``ij`` ``(M, 2)`` of one signature, stacked.
 
     ``a``/``b``/``p`` ``(M, n)`` are the primitive-pair exponents (bra
-    major, as in :class:`~repro.basis.shellpair.ShellPair`), ``P``
-    ``(M, n, 3)`` the product centres, ``W`` ``(M, ncA, ncB, n)`` the
-    combined contraction weights and ``E[d]`` ``(M, la + 2, lb + 3,
-    la + lb + 4, n)`` the Hermite coefficients of dimension ``d``.
+    major: ``n = na * nb``, bra primitive outer), ``P`` ``(M, n, 3)``
+    the product centres, ``W`` ``(M, ncA, ncB, n)`` the combined
+    contraction weights and ``E[d]`` ``(M, la + 2, lb + 3, la + lb + 4,
+    n)`` the Hermite coefficients of dimension ``d``; ``sig`` is the
+    class signature ``(la, na, lb, nb)``.
+
+    ``ghost=True`` pairs each bra shell ``ij[:, 0]`` with a unit s
+    function of exponent 0 on its own centre (``ij[:, 1]`` is not read):
+    the auxiliary shell ``|P)`` of density fitting as a pair.  The
+    product rule with ``b = 0`` leaves ``p = a`` and ``P = A`` exactly
+    (``P`` is the bra centre itself, not the rounded weighted mean), an
+    overlap prefactor of 1 and the bra's own contraction weights.
     """
 
-    def __init__(self, shells, ij: np.ndarray):
+    def __init__(self, shells, ij: np.ndarray, ghost: bool = False):
         self.ij = ij
-        sa, sb = shells[ij[0, 0]], shells[ij[0, 1]]
-        self.la, self.lb = sa.l, sb.l
-        na, nb = sa.nprim, sb.nprim
-        A = np.array([shells[i].center for i in ij[:, 0]])
-        B = np.array([shells[j].center for j in ij[:, 1]])
-        self.a = np.repeat(np.array([shells[i].exps for i in ij[:, 0]]),
-                           nb, axis=1)
-        self.b = np.tile(np.array([shells[j].exps for j in ij[:, 1]]),
-                         (1, na))
+        bra = [shells[i] for i in ij[:, 0]]
+        A = np.array([sh.center for sh in bra])
+        ea = np.array([sh.exps for sh in bra])
+        ca = np.array([sh.norm_coefs for sh in bra])
+        if ghost:
+            B, eb, cb = A, np.zeros((len(ij), 1)), np.ones((len(ij), 1, 1))
+            self.lb = 0
+        else:
+            ket = [shells[j] for j in ij[:, 1]]
+            B = np.array([sh.center for sh in ket])
+            eb = np.array([sh.exps for sh in ket])
+            cb = np.array([sh.norm_coefs for sh in ket])
+            self.lb = ket[0].l
+        self.la = bra[0].l
+        na, nb = ea.shape[1], eb.shape[1]
+        self.sig = (self.la, na, self.lb, nb)
+        self.a = np.repeat(ea, nb, axis=1)
+        self.b = np.tile(eb, (1, na))
         self.p = self.a + self.b
-        self.P = (self.a[..., None] * A[:, None, :]
-                  + self.b[..., None] * B[:, None, :]) / self.p[..., None]
-        ca = np.array([shells[i].norm_coefs for i in ij[:, 0]])
-        cb = np.array([shells[j].norm_coefs for j in ij[:, 1]])
+        self.P = np.repeat(A[:, None, :], na, axis=1) if ghost else (
+            self.a[..., None] * A[:, None, :]
+            + self.b[..., None] * B[:, None, :]) / self.p[..., None]
         self.W = (ca[:, :, None, :, None] * cb[:, None, :, None, :]).reshape(
             len(ij), ca.shape[1], cb.shape[1], na * nb)
         m, n = self.p.shape
@@ -114,9 +141,10 @@ class PairClass:
 
     def lam(self) -> np.ndarray:
         """Hermite lambda of every pair, ``(M, ncA, ncB, nherm, n)`` over
-        :func:`~repro.basis.shellpair.hermite_indices` of ``la + lb``:
-        the bits of :meth:`~repro.basis.shellpair.ShellPair.
-        hermite_lambda`, the same products in the same order."""
+        :func:`~repro.basis.shellpair.hermite_indices` of ``la + lb``,
+        built once: the bits of the per-quartet reference's per-pair
+        lambdas (:mod:`repro.basis.shellpair`), the same products in the
+        same order."""
         if self._lam is None:
             gx, gy, gz = self._components(
                 self.E, hermite_indices(self.la + self.lb))
@@ -215,8 +243,7 @@ class PairClass:
         :data:`~repro.integrals.batch.WALK_SCRATCH` doubles."""
         m, n = self.p.shape
         nc = len(centers)
-        step = max(1, WALK_SCRATCH
-                   // (((L + 1) ** 4 + _STAGE_ROW_EXTRA) * n * nc))
+        step = _stage_chunk(L, n * nc, WALK_SCRATCH)
         for lo in range(0, m, step):
             s = slice(lo, min(lo + step, m))
             p = self.p[s]
@@ -271,17 +298,18 @@ class PairClass:
 
 
 class PairClasses:
-    """Every unique shell pair ``(i, j)``, ``i <= j``, of a shell list,
-    grouped into :class:`PairClass` objects (first-seen order of the
-    signature, pairs in ``(i, j)`` order within a class).  ``cid[i, j]``/``row[i, j]``
-    locate a pair (``-1`` below the diagonal); ``offsets`` are the
-    shells' first AO indices."""
+    """Every unique shell pair ``(i, j)``, ``i <= j``, of a shell list —
+    or, with ``ghost=True``, every shell ``i`` paired with its ghost
+    (stored as ``(i, i)``) — grouped into :class:`PairClass` objects
+    (first-seen order of the signature, pairs in ``(i, j)`` order within
+    a class).  ``cid[i, j]``/``row[i, j]`` locate a pair (``-1`` where
+    there is none); ``offsets`` are the shells' first AO indices."""
 
-    def __init__(self, shells):
+    def __init__(self, shells, ghost: bool = False):
         nsh = len(shells)
-        i, j = np.triu_indices(nsh)
+        i, j = (np.arange(nsh),) * 2 if ghost else np.triu_indices(nsh)
         kind = np.array([(sh.l, sh.nprim) for sh in shells])
-        sig = np.column_stack([kind[i], kind[j]])
+        sig = kind[i] if ghost else np.column_stack([kind[i], kind[j]])
         _, first, inv = np.unique(sig, axis=0, return_index=True,
                                   return_inverse=True)
         inv = inv.reshape(-1)
@@ -293,13 +321,27 @@ class PairClasses:
             ij = np.column_stack([i[members], j[members]])
             self.cid[ij[:, 0], ij[:, 1]] = c
             self.row[ij[:, 0], ij[:, 1]] = np.arange(len(ij))
-            self.classes.append(PairClass(shells, ij))
+            self.classes.append(PairClass(shells, ij, ghost))
         nfn = np.array([sh.nfunc for sh in shells], dtype=np.int64)
         self.offsets = np.concatenate([[0], np.cumsum(nfn)[:-1]])
         self.nbf = int(nfn.sum())
 
     def __iter__(self):
         return iter(self.classes)
+
+    def by_signature(self) -> list[PairClass]:
+        """The classes in ascending :attr:`PairClass.sig` order."""
+        return sorted(self.classes, key=lambda cls: cls.sig)
+
+    def locate(self, i: np.ndarray, j: np.ndarray) -> tuple[int, np.ndarray]:
+        """The class of the pairs ``(i[n], j[n])`` (all of one class) and
+        each pair's row in it; a pair ``i > j`` is read as ``(j, i)``."""
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        return int(self.cid[lo[0], hi[0]]), self.row[lo, hi]
+
+    def pair_class(self, c: int) -> PairClass:
+        """Class ``c``."""
+        return self.classes[c]
 
     def ao(self, cls: PairClass) -> tuple[np.ndarray, np.ndarray]:
         """AO indices of every pair's bra and ket shell, ``(M, ncA)`` and
@@ -320,12 +362,13 @@ class PairClasses:
         return out
 
 
-def pair_classes(basis) -> PairClasses:
+def pair_classes(basis, ghost: bool = False) -> PairClasses:
     """The :class:`PairClasses` of a basis, built once per basis object
     (a derived ``_*_cache`` table: never pickled, rebuilt on the other
-    side)."""
-    cached = basis.__dict__.get("_pairclass_cache")
+    side).  ``ghost=True`` is the auxiliary side of density fitting:
+    every shell of ``basis`` paired with a unit s ghost."""
+    key = "_ghostclass_cache" if ghost else "_pairclass_cache"
+    cached = basis.__dict__.get(key)
     if cached is None:
-        cached = basis.__dict__["_pairclass_cache"] = PairClasses(
-            basis.shells)
+        cached = basis.__dict__[key] = PairClasses(basis.shells, ghost)
     return cached

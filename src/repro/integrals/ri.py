@@ -14,12 +14,12 @@ SCF iteration.  The rows ``K`` of ``B`` are Cholesky vectors in pivot
 order — ``rank <= naux`` of them — not auxiliary functions.
 
 Everything here reuses the McMurchie-Davidson Hermite machinery
-verbatim: a single auxiliary shell ``|P)`` is exposed to the quartet
-kernels as :class:`AuxShellPair` — a pair object whose second member is
-a unit s "ghost" on the same center, which makes ``(P|Q)``, ``(P|P)``
-and ``(uv|P)`` class batches of
-:func:`~repro.integrals.batch._eri_class_batch`, with no new recursion
-code.
+verbatim: the auxiliary shells ``|P)`` are a pair table of their own
+(:func:`~repro.integrals.pairclass.pair_classes` with ``ghost=True``),
+each shell paired with a unit s "ghost" of exponent 0 on its centre,
+which makes ``(P|Q)``, ``(P|P)`` and ``(uv|P)`` class batches of
+:func:`~repro.integrals.batch._eri_class_batch` between pair classes,
+with no new recursion code.
 
 Assembly is blocked by auxiliary-shell slices (the out-of-core chunk
 axis) and Schwarz-screened per ``(uv, P)`` combination with
@@ -38,88 +38,19 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpstrf
 
 from ..basis.basisset import BasisSet
-from .mcmurchie import hermite_e
 from .eri import ERIEngine
-from .batch import SETUP_SCRATCH, _eri_class_batch, pair_class_groups
+from .batch import SETUP_SCRATCH, _eri_class_batch
+from .pairclass import pair_classes
 from .schwarz import schwarz_diagonals
 
-__all__ = ["AuxShellPair", "aux_hermite_pairs", "aux_schwarz_bounds",
-           "metric_2c", "cholesky_fit", "inv_sqrt_metric",
-           "three_center_slab", "aux_shard_slices"]
+__all__ = ["aux_schwarz_bounds", "metric_2c", "cholesky_fit",
+           "inv_sqrt_metric", "three_center_slab", "aux_shard_slices"]
 
 #: Relative cutoff of the metric factorisation — the pivoted Cholesky
 #: stops at pivots below ``METRIC_COND * max diag (P|Q)``, the eigenvalue
 #: oracle trims eigenvalues below ``METRIC_COND * max``: the same role as
 #: canonical-orthogonalization trimming in the SCF.
 METRIC_COND = 1e-12
-
-
-class AuxShellPair:
-    """Hermite view of a single auxiliary shell as a (P, ghost-s) pair.
-
-    Duck-types the subset of :class:`~repro.basis.shellpair.ShellPair`
-    the ERI kernels read (``p``, ``P``, ``nprim``, ``lab``,
-    ``hermite_lambda``): the ghost member is a unit s function with
-    zero exponent *folded in analytically* — the Gaussian product rule
-    with ``b = 0`` leaves ``p = a``, ``P = A`` and an overlap prefactor
-    of 1, so :func:`~repro.integrals.mcmurchie.hermite_e` is evaluated
-    at ``lb = 0`` with a zero ``b`` array and zero displacement, which
-    is numerically exact (no actual zero-exponent Shell is ever built —
-    ``Shell`` normalization would divide by zero).
-    """
-
-    __slots__ = ("shell", "index", "p", "P", "_lambda_cache")
-
-    def __init__(self, shell, index: int):
-        self.shell = shell
-        self.index = index
-        self.p = np.asarray(shell.exps, dtype=np.float64)
-        self.P = np.tile(np.asarray(shell.center, dtype=np.float64),
-                         (len(self.p), 1))
-        self._lambda_cache = None
-
-    @property
-    def nprim(self) -> int:
-        return len(self.p)
-
-    @property
-    def lab(self) -> int:
-        return self.shell.l
-
-    def hermite_lambda(self):
-        """``(idx, lam)`` with ``lam`` shaped ``(ncomp, 1, nherm, nprim)``
-        — the ghost axis has length 1."""
-        if self._lambda_cache is None:
-            l = self.shell.l
-            comps = self.shell.components
-            zeros = np.zeros_like(self.p)
-            # same exponents and zero displacement in every dimension:
-            # one E table serves x, y, and z
-            E = hermite_e(l, 0, self.p, zeros, 0.0)
-            idx = np.array([(t, u, v)
-                            for t in range(l + 1)
-                            for u in range(l + 1 - t)
-                            for v in range(l + 1 - t - u)], dtype=np.int64)
-            w = self.shell.norm_coefs            # (ncomp, nprim)
-            lam = np.zeros((len(comps), 1, len(idx), self.nprim))
-            for x, (lx, ly, lz) in enumerate(comps):
-                for h, (t, u, v) in enumerate(idx):
-                    if t > lx or u > ly or v > lz:
-                        continue
-                    lam[x, 0, h] = (w[x] * E[lx, 0, t]
-                                    * E[ly, 0, u] * E[lz, 0, v])
-            self._lambda_cache = (idx, lam)
-        return self._lambda_cache
-
-
-def aux_hermite_pairs(aux: BasisSet) -> list[AuxShellPair]:
-    """One :class:`AuxShellPair` per auxiliary shell (cached per basis
-    object — workers and iterations share one expansion)."""
-    cached = aux.__dict__.get("_aux_pairs_cache")
-    if cached is None:
-        cached = [AuxShellPair(sh, i) for i, sh in enumerate(aux.shells)]
-        aux.__dict__["_aux_pairs_cache"] = cached
-    return cached
 
 
 def aux_schwarz_bounds(aux: BasisSet) -> np.ndarray:
@@ -131,7 +62,9 @@ def aux_schwarz_bounds(aux: BasisSet) -> np.ndarray:
     """
     cached = aux.__dict__.get("_aux_schwarz_cache")
     if cached is None:
-        cached = schwarz_diagonals(aux_hermite_pairs(aux))
+        cached = np.empty(aux.nshell)
+        for cls in pair_classes(aux, ghost=True):
+            cached[cls.ij[:, 0]] = schwarz_diagonals(cls)
         aux.__dict__["_aux_schwarz_cache"] = cached
     return cached
 
@@ -139,26 +72,24 @@ def aux_schwarz_bounds(aux: BasisSet) -> np.ndarray:
 def metric_2c(aux: BasisSet) -> np.ndarray:
     """The Coulomb metric ``V[P,Q] = (P|Q)``, shape ``(naux, naux)``.
 
-    Evaluated class-batched: auxiliary shells are grouped by
-    ``(l, nprim)``, every class combination goes through one
-    batched-kernel call, and its blocks land in ``V`` with one fancy
-    write per triangle (a diagonal ``(P|P)`` block takes the transposed
-    write, which comes second).
+    Evaluated class-batched: the auxiliary pair classes (one per
+    ``(l, nprim)``, in that order) are walked class pair by class pair,
+    each through one batched-kernel call with the earlier class on the
+    bra, and its blocks land in ``V`` with one fancy write per triangle
+    (a diagonal ``(P|P)`` block takes the transposed write, which comes
+    second).
     """
-    pairs = aux_hermite_pairs(aux)
     start = np.array([sl.start for sl in aux.shell_slices()])
     V = np.zeros((aux.nbf, aux.nbf))
-    groups = pair_class_groups(enumerate(pairs))
-    keys = sorted(groups)
-    for a, ka in enumerate(keys):
-        ia = np.array(groups[ka])
-        for kb in keys[a:]:
-            ib = np.array(groups[kb])
+    classes = pair_classes(aux, ghost=True).by_signature()
+    for a, bra in enumerate(classes):
+        ia = bra.ij[:, 0]
+        for ket in classes[a:]:
+            ib = ket.ij[:, 0]
             bra_ids, ket_ids = np.nonzero(
-                ia[:, None] <= ib[None, :] if ka == kb
+                ia[:, None] <= ib[None, :] if ket is bra
                 else np.ones((len(ia), len(ib)), dtype=bool))
-            blocks = _eri_class_batch([pairs[i] for i in ia], bra_ids,
-                                      [pairs[j] for j in ib], ket_ids,
+            blocks = _eri_class_batch(bra, bra_ids, ket, ket_ids,
                                       max_elements=SETUP_SCRATCH)
             blk = blocks[:, :, 0, :, 0]                  # (nq, nA, nB)
             rows = start[ia[bra_ids]][:, None] + np.arange(blk.shape[1])
@@ -242,46 +173,41 @@ def three_center_slab(basis: BasisSet, aux: BasisSet, aux_idx,
     """
     if engine is None:
         engine = ERIEngine(basis)
-    apairs = aux_hermite_pairs(aux)
-    aux_idx = [int(i) for i in aux_idx]
-    row0: dict[int, int] = {}
-    nrow = 0
-    for ai in aux_idx:
-        row0[ai] = nrow
-        nrow += aux.shells[ai].nfunc
-    slab = np.zeros((nrow, basis.nbf, basis.nbf))
-    oslices = basis.shell_slices()
-    ogroups = pair_class_groups(engine.pairs.items())
-    agroups = pair_class_groups((ai, apairs[ai]) for ai in aux_idx)
+    aux_idx = np.array([int(i) for i in aux_idx], dtype=np.int64)
+    # first slab row of every requested auxiliary shell, -1 elsewhere
+    nfn = np.array([aux.shells[ai].nfunc for ai in aux_idx], dtype=np.int64)
+    row0 = np.full(aux.nshell, -1, dtype=np.int64)
+    row0[aux_idx] = np.cumsum(nfn) - nfn
+    slab = np.zeros((int(nfn.sum()), basis.nbf, basis.nbf))
+    oclasses = pair_classes(basis)
+    # each auxiliary class with the rows of it this slab holds
+    aclasses = []
+    for cls in pair_classes(aux, ghost=True):
+        sub = np.flatnonzero(row0[cls.ij[:, 0]] >= 0)
+        if len(sub):
+            aclasses.append((cls, sub))
     oQ = engine.schwarz_bounds() if eps > 0.0 else None
     aQ = aux_schwarz_bounds(aux) if eps > 0.0 else None
     nints = 0
-    for okey in sorted(ogroups):
-        okeys = ogroups[okey]
-        ubra = [engine.pairs[k] for k in okeys]
-        ostart_i = np.array([oslices[i].start for i, _ in okeys])
-        ostart_j = np.array([oslices[j].start for _, j in okeys])
-        qb = (np.array([oQ[k] for k in okeys]) if eps > 0.0 else None)
-        for akey in sorted(agroups):
-            ais = agroups[akey]
-            uket = [apairs[ai] for ai in ais]
+    for bra in oclasses:
+        ao_i, ao_j = oclasses.ao(bra)
+        qb = (np.array([oQ[i, j] for i, j in bra.ij.tolist()])
+              if eps > 0.0 else None)
+        for ket, ksub in aclasses:
+            ais = ket.ij[ksub, 0]
             if eps > 0.0:
-                qa = aQ[np.array(ais, dtype=np.int64)]
-                bsel, ksel = np.nonzero(qb[:, None] * qa[None, :] >= eps)
+                bsel, k = np.nonzero(qb[:, None] * aQ[ais][None, :] >= eps)
             else:
-                nb, nk = len(ubra), len(uket)
-                bsel = np.repeat(np.arange(nb), nk)
-                ksel = np.tile(np.arange(nk), nb)
+                bsel = np.repeat(np.arange(len(bra)), len(ais))
+                k = np.tile(np.arange(len(ais)), len(bra))
             if len(bsel) == 0:
                 continue
-            blocks = _eri_class_batch(ubra, bsel, uket, ksel)
+            blocks = _eri_class_batch(bra, bsel, ket, ksub[k])
             nints += len(bsel)
             blk = blocks[..., 0]                 # (nq, nA, nB, nC)
-            nA, nB, nC = blk.shape[1:]
-            arow = np.array([row0[ai] for ai in ais])
-            rows = arow[ksel][:, None] + np.arange(nC)[None, :]
-            colsA = ostart_i[bsel][:, None] + np.arange(nA)[None, :]
-            colsB = ostart_j[bsel][:, None] + np.arange(nB)[None, :]
+            nC = blk.shape[3]
+            rows = row0[ais[k]][:, None] + np.arange(nC)[None, :]
+            colsA, colsB = ao_i[bsel], ao_j[bsel]
             slab[rows[:, :, None, None],
                  colsA[:, None, :, None],
                  colsB[:, None, None, :]] = blk.transpose(0, 3, 1, 2)

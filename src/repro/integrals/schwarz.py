@@ -4,10 +4,12 @@ The rigorous bound |(ij|kl)| <= Q_ij Q_kl with Q_ij = sqrt((ij|ij)) is
 the paper's accuracy knob: a single threshold epsilon decides which
 quartets are evaluated, and the total neglected contribution is bounded
 in a controllable way.  :func:`schwarz_diagonals` is the one routine
-under every bound table — orbital pairs, auxiliary shells, the synthetic
-workload's calibration scans — and :func:`surviving_partners` is the
-one count of the quartets that pass the screen, under the real and the
-synthetic task lists and the incremental survival model.
+under every bound table — the orbital pair classes, the auxiliary
+(ghost) pair classes, the synthetic workload's calibration scans — and
+walks one :class:`~repro.integrals.pairclass.PairClass` per call;
+:func:`surviving_partners` is the one count of the quartets that pass
+the screen, under the real and the synthetic task lists and the
+incremental survival model.
 """
 
 from __future__ import annotations
@@ -15,42 +17,39 @@ from __future__ import annotations
 import numpy as np
 
 from ..basis.basisset import BasisSet
-from .batch import SETUP_SCRATCH, _eri_class_batch, pair_class_groups
+from .batch import SETUP_SCRATCH, _eri_class_batch
+from .pairclass import PairClass, pair_classes
 
 __all__ = ["schwarz_diagonals", "schwarz_bounds", "surviving_partners"]
 
 
-def schwarz_diagonals(pairs) -> np.ndarray:
+def schwarz_diagonals(cls: PairClass) -> np.ndarray:
     """``Q = sqrt(max |(ab|ab)|)`` over the diagonal of each pair's
-    ``(ab|ab)`` block, one entry per item of ``pairs``
-    (:class:`~repro.basis.shellpair.ShellPair` or
-    :class:`~repro.integrals.ri.AuxShellPair` objects).
+    ``(ab|ab)`` block, one entry per pair (row) of the class ``cls``.
 
-    The pairs of one kernel class go through one class batch of their
-    diagonal quartets with the Boys table recursed from ``3L``, so every
-    block has the bits :func:`~repro.integrals.eri.eri_quartet` gives it.
+    The class goes through one class batch of its diagonal quartets with
+    the Boys table recursed from ``3L``, so every block has the bits
+    :func:`~repro.integrals.eri.eri_quartet` gives it.
     """
-    pairs = list(pairs)
-    out = np.empty(len(pairs))
-    for members in pair_class_groups(enumerate(pairs)).values():
-        sub = [pairs[i] for i in members]
-        ids = np.arange(len(sub))
-        blocks = _eri_class_batch(sub, ids, sub, ids,
-                                  max_elements=SETUP_SCRATCH,
-                                  boys_order=3 * (2 * sub[0].lab))
-        n = blocks.shape[1] * blocks.shape[2]
-        diag = np.abs(blocks.reshape(len(sub), n, n).diagonal(0, 1, 2))
-        out[members] = np.sqrt(diag.max(axis=1))
-    return out
+    rows = np.arange(len(cls))
+    blocks = _eri_class_batch(cls, rows, cls, rows,
+                              max_elements=SETUP_SCRATCH,
+                              boys_order=3 * (2 * (cls.la + cls.lb)))
+    n = blocks.shape[1] * blocks.shape[2]
+    diag = np.abs(blocks.reshape(len(cls), n, n).diagonal(0, 1, 2))
+    return np.sqrt(diag.max(axis=1))
 
 
-def schwarz_bounds(basis: BasisSet,
-                   pairs=None) -> dict[tuple[int, int], float]:
+def schwarz_bounds(basis: BasisSet) -> dict[tuple[int, int], float]:
     """Exact Cauchy-Schwarz bounds per shell pair (dict keyed ``(i, j)``,
-    ``i <= j``)."""
-    if pairs is None:
-        pairs = basis.shell_pairs()
-    return dict(zip(pairs, schwarz_diagonals(pairs.values()).tolist()))
+    ``i <= j``, in ``(i, j)`` order), one :func:`schwarz_diagonals` per
+    class of the basis's pair table."""
+    classes = pair_classes(basis)
+    q = np.empty(classes.cid.shape)
+    for cls in classes:
+        q[cls.ij[:, 0], cls.ij[:, 1]] = schwarz_diagonals(cls)
+    i, j = np.triu_indices(basis.nshell)
+    return dict(zip(zip(i.tolist(), j.tolist()), q[i, j].tolist()))
 
 
 def surviving_partners(q: np.ndarray, eps: float,

@@ -25,6 +25,7 @@ import numpy as np
 
 from ..basis.basisset import BasisSet
 from ..integrals.eri import ERIEngine, eri_tensor
+from ..integrals.pairclass import pair_classes
 from ..runtime.boundary import check_jk_route
 from ..runtime.pool import PoolLease, RankJob, balance_pairs
 
@@ -331,22 +332,18 @@ class DirectJKBuilder(JKEngine):
     def _bind(self, basis: BasisSet) -> None:
         self.basis = basis
         self.engine = ERIEngine(basis)
-        self.Q = self.engine.schwarz_bounds()
-        keys = np.asarray(sorted(self.engine.pairs),
-                          dtype=np.int64).reshape(-1, 2)
-        self._qvals = np.array([self.Q[k] for k in map(tuple, keys.tolist())])
-        # pair classes: the shell pairs (in key order) per (l, nprim) of
-        # both shells, so each (bra class, ket class) block of quartets
-        # is one L-class
-        ls = np.array([sh.l for sh in basis.shells])
-        nps = np.array([sh.nprim for sh in basis.shells])
-        i, j = keys.T
-        _, cls = np.unique(np.column_stack([ls[i], nps[i], ls[j], nps[j]]),
-                           axis=0, return_inverse=True)
-        cls = cls.reshape(-1)
-        self._pair_classes = [(pos, keys[pos], self._qvals[pos])
-                              for pos in (np.flatnonzero(cls == c)
-                                          for c in range(cls.max() + 1))]
+        self.Q = self.engine.schwarz_bounds()      # (i, j) order
+        self._qvals = np.array(list(self.Q.values()))
+        # the basis's pair classes in signature order, each as its pairs'
+        # positions in (i, j) order, the pairs and their bounds: every
+        # (bra class, ket class) block of quartets is one L-class
+        nsh = basis.nshell
+        pos = np.zeros((nsh, nsh), dtype=np.int64)
+        pos[np.triu_indices(nsh)] = np.arange(len(self._qvals))
+        self._pair_classes = []
+        for cls in pair_classes(basis).by_signature():
+            at = pos[cls.ij[:, 0], cls.ij[:, 1]]
+            self._pair_classes.append((at, cls.ij, self._qvals[at]))
         # bra -> rank ownership on the pool, fixed by the first build at
         # this geometry (balance_pairs)
         self._owner = None

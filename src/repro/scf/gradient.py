@@ -60,9 +60,9 @@ import numpy as np
 from ..basis.basisset import BasisSet
 from ..basis.shellpair import hermite_indices
 from ..chem.molecule import Molecule
-from ..integrals.batch import (_STAGE_ROW_EXTRA, WALK_SCRATCH, _bra_layout,
-                               _hermite_gather, _hermite_stage, _ket_layout,
-                               _lambda_contract, quartet_class_groups)
+from ..integrals.batch import (WALK_SCRATCH, _bra_layout, _hermite_gather,
+                               _hermite_stage, _ket_layout, _lambda_contract,
+                               _stage_chunk, quartet_class_groups)
 from ..integrals.eri import ERIEngine
 from ..integrals.gradients import DerivativePairs
 from ..integrals.pairclass import pair_classes
@@ -213,9 +213,9 @@ def _differentiate_class(basis: BasisSet, D: np.ndarray, a_x: float,
     the two classes' stacks.  Chunks of the class share one Hermite
     table each, under :data:`~repro.integrals.batch.WALK_SCRATCH`
     doubles."""
-    cb, bra_rows = table.locate(grp[:, 0], grp[:, 1])
-    ck, ket_rows = table.locate(grp[:, 2], grp[:, 3])
-    bra, ket = table.pair_class(cb), table.pair_class(ck)
+    cb, bra_rows = table.classes.locate(grp[:, 0], grp[:, 1])
+    ck, ket_rows = table.classes.locate(grp[:, 2], grp[:, 3])
+    bra, ket = table.classes.pair_class(cb), table.classes.pair_class(ck)
     L1, L2 = bra.la + bra.lb, ket.la + ket.lb
     nab, ncd = bra.p.shape[1], ket.p.shape[1]
     l1_u, l2t_u = _bra_layout(bra.lam()), _ket_layout(ket.lam())
@@ -235,8 +235,7 @@ def _differentiate_class(basis: BasisSet, D: np.ndarray, a_x: float,
     # derivative is evaluated with the chunk and never added
     moved = atom[grp[:, :3]] != atom[grp[:, 3:]]
     stats["skipped_by_symmetry"] += int((~moved).sum())
-    chunk = max(1, int(WALK_SCRATCH // (((L1 + L2 + 2) ** 4
-                                         + _STAGE_ROW_EXTRA) * nab * ncd)))
+    chunk = _stage_chunk(L1 + L2 + 1, nab * ncd, WALK_SCRATCH)
     for lo in range(0, len(grp), chunk):
         s = slice(lo, min(lo + chunk, len(grp)))
         q, bq, kq = grp[s], bra_rows[s], ket_rows[s]

@@ -99,9 +99,10 @@ def test_basisset_is_reusable_across_molecules():
 # --- derived caches: shared in-process, never pickled -------------------------
 
 def test_one_pair_table_for_every_integral_builder(water):
-    from repro.integrals import (DerivativePairs, ERIEngine, kinetic_matrix,
-                                 nuclear_matrix, overlap_matrix,
-                                 pair_classes)
+    from repro.integrals import (DerivativePairs, ERIEngine, eri_tensor,
+                                 kinetic_matrix, nuclear_matrix,
+                                 overlap_matrix, pair_classes,
+                                 schwarz_bounds)
 
     basis = build_basis(water)
     classes = pair_classes(basis)
@@ -109,13 +110,15 @@ def test_one_pair_table_for_every_integral_builder(water):
     assert sorted(tuple(ij) for cls in classes for ij in cls.ij.tolist()) \
         == [(i, j) for i in range(basis.nshell)
             for j in range(i, basis.nshell)]
-    for build in (overlap_matrix, kinetic_matrix, nuclear_matrix):
+    for build in (overlap_matrix, kinetic_matrix, nuclear_matrix,
+                  schwarz_bounds, eri_tensor):
         build(basis)
         assert pair_classes(basis) is classes
     assert DerivativePairs(basis.shells, classes).classes is classes
+    # the per-quartet reference's own table, shared the same way
     table = basis.shell_pairs()
     assert basis.shell_pairs() is table
-    assert all(ERIEngine(basis).pairs is table for _ in range(2))
+    assert all(ERIEngine(basis).pair(1, 0) is table[0, 1] for _ in range(2))
 
 
 @pytest.mark.reference

@@ -88,7 +88,7 @@ def test_screen_is_per_shell_pair_not_global(water_scf_sequence):
     inc = IncrementalExchange(basis, eps=1e-10, rebuild_every=100)
     direct = DirectJKBuilder(basis, eps=1e-14)
     engine = inc.engine
-    keys = sorted(engine.pairs)
+    keys = sorted(basis.shell_pairs())
     # repeat the converged density once at the end: dD == 0 exactly, so
     # a correct increment screen must skip every quartet
     for D in densities + [densities[-1]]:
@@ -116,7 +116,7 @@ def _screen_oracle(inc, dmax, eps):
     where a quartet is bounded by the six density blocks its J
     (``(k,l)``, ``(i,j)``) and K (``(j,l)``, ``(j,k)``, ``(i,l)``,
     ``(i,k)``) contractions touch."""
-    keys = sorted(inc.engine.pairs)
+    keys = sorted(inc.basis.shell_pairs())
     surviving, computed, skipped = [], 0, 0
     for a, (i, j) in enumerate(keys):
         qa = inc.Q[(i, j)]

@@ -18,6 +18,7 @@ from repro.integrals import (ERIEngine, eri_quartet, eri_quartet_batch,
                              flatten_pairs, hermite_r_tri,
                              quartet_class_groups)
 from repro.integrals.batch import _eri_class_batch
+from repro.integrals.pairclass import pair_classes
 
 from .hermite_oracle import hermite_r
 
@@ -30,7 +31,7 @@ def dimer_basis():
 
 
 def _all_quartets(engine):
-    keys = sorted(engine.pairs)
+    keys = sorted(engine.basis.shell_pairs())
     return [(i, j, k, l) for a, (i, j) in enumerate(keys)
             for (k, l) in keys[a:]]
 
@@ -72,22 +73,23 @@ def test_batch_matches_per_quartet_all_classes(dimer_basis):
 @pytest.fixture(scope="module", params=["li2o2", "water_dimer", "lih",
                                         "sulfoxide_model"])
 def class_groups(request):
-    """Every unique quartet of a molecule, by L-class, with its
-    per-quartet reference blocks: ``[(L, ubra, bra_ids, uket, ket_ids,
-    ref_blocks)]``."""
+    """Every unique quartet of a molecule, by L-class, as rows of the
+    basis's pair classes, with its per-quartet reference blocks (from
+    the reference's ``ShellPair`` objects): ``[(L, bra, bra_rows, ket,
+    ket_rows, ref_blocks)]``."""
     engine = ERIEngine(build_basis(getattr(builders, request.param)()))
+    table = pair_classes(engine.basis)
     idx = np.asarray(_all_quartets(engine), dtype=np.int64)
     out = []
     for grp in engine.group_quartets(idx):
-        ub, bra_ids = np.unique(grp[:, :2], axis=0, return_inverse=True)
-        uk, ket_ids = np.unique(grp[:, 2:], axis=0, return_inverse=True)
-        ubra = [engine.pair(int(i), int(j)) for i, j in ub]
-        uket = [engine.pair(int(k), int(l)) for k, l in uk]
+        cb, bra_rows = table.locate(grp[:, 0], grp[:, 1])
+        ck, ket_rows = table.locate(grp[:, 2], grp[:, 3])
+        bra, ket = table.pair_class(cb), table.pair_class(ck)
         ref = np.stack([eri_quartet(engine.pair(int(i), int(j)),
                                     engine.pair(int(k), int(l)))
                         for i, j, k, l in grp])
-        out.append((ubra[0].lab + uket[0].lab, ubra, bra_ids.reshape(-1),
-                    uket, ket_ids.reshape(-1), ref))
+        out.append((bra.la + bra.lb + ket.la + ket.lb, bra, bra_rows,
+                    ket, ket_rows, ref))
     assert sum(len(g[-1]) for g in out) == len(idx)
     return out
 
@@ -98,8 +100,8 @@ def test_boys_from_3L_is_the_per_quartet_kernel_bit_for_bit(class_groups,
                                                             max_elements):
     """``max_elements=1`` is one quartet per chunk, 1024 puts chunk
     boundaries inside every class, ``1 << 24`` holds every class whole."""
-    for L, ubra, bra_ids, uket, ket_ids, ref in class_groups:
-        blocks = _eri_class_batch(ubra, bra_ids, uket, ket_ids,
+    for L, bra, bra_rows, ket, ket_rows, ref in class_groups:
+        blocks = _eri_class_batch(bra, bra_rows, ket, ket_rows,
                                   max_elements, boys_order=3 * L)
         assert np.array_equal(blocks, ref)
 
@@ -112,13 +114,13 @@ def test_default_boys_order_is_L_and_close_not_bitwise(class_groups):
     the molecule, *not* the reference's bits, or the two contracts have
     silently become one."""
     differs = False
-    for L, ubra, bra_ids, uket, ket_ids, ref in class_groups:
-        blocks = _eri_class_batch(ubra, bra_ids, uket, ket_ids)
+    for L, bra, bra_rows, ket, ket_rows, ref in class_groups:
+        blocks = _eri_class_batch(bra, bra_rows, ket, ket_rows)
         assert np.array_equal(blocks, _eri_class_batch(
-            ubra, bra_ids, uket, ket_ids, boys_order=L))
+            bra, bra_rows, ket, ket_rows, boys_order=L))
         # one quartet per chunk
         assert np.array_equal(blocks, _eri_class_batch(
-            ubra, bra_ids, uket, ket_ids, max_elements=1))
+            bra, bra_rows, ket, ket_rows, max_elements=1))
         assert np.abs(blocks - ref).max() < TOL
         differs = differs or not np.array_equal(blocks, ref)
     assert differs

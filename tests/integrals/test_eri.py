@@ -88,7 +88,7 @@ def test_screening_drops_work():
 def _count_quartets(basis, screen):
     eng = ERIEngine(basis)
     Q = eng.schwarz_bounds()
-    keys = sorted(eng.pairs)
+    keys = sorted(basis.shell_pairs())
     count = 0
     for a, ka in enumerate(keys):
         for kb in keys[a:]:
@@ -124,10 +124,10 @@ def test_engine_counts_screening_separately():
     basis = build_basis(builders.water(), "sto-3g")
     eng = ERIEngine(basis)
     eng.schwarz_bounds()
-    assert eng.quartets_screening == len(eng.pairs)
+    assert eng.quartets_screening == len(basis.shell_pairs())
     assert eng.quartets_computed == 0
     eng.schwarz_bounds()   # cached on the engine: no re-evaluation
-    assert eng.quartets_screening == len(eng.pairs)
+    assert eng.quartets_screening == len(basis.shell_pairs())
     second = ERIEngine(basis)
     bounds = second.schwarz_bounds()   # cached on the basis
     assert second.quartets_screening == 0

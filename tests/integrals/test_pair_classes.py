@@ -3,7 +3,8 @@ against the per-pair code they replaced (``oneelectron_oracle``) and
 against their own memory budget.
 
 * Stacked E tables, weights, product centres and Hermite lambdas are
-  ``np.array_equal`` to the per-pair :class:`ShellPair` ones.
+  ``np.array_equal`` to the per-pair :class:`ShellPair` ones, and the
+  auxiliary (ghost) classes' to the per-shell ``AuxShellPair`` oracle.
 * S, T, V, the dipole operators and the one-electron gradient are within
   1e-13 of the per-pair oracle on water, Li2O2, PC and the PC . Li2O2
   contact complex.
@@ -18,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.basis import build_basis
+from repro.basis import build_aux_basis, build_basis
 from repro.chem import builders
 from repro.integrals import (DerivativePairs, PairClasses, dipole_matrices,
                              eri_tensor, kinetic_matrix, nuclear_matrix,
@@ -33,6 +34,7 @@ from repro.scf.gradient import (_SCREEN_EPS, _one_electron_gradient,
 from repro.scf.guess import core_guess
 
 from . import oneelectron_oracle as oracle
+from .auxpair_oracle import aux_pairs
 
 pytestmark = pytest.mark.reference
 
@@ -47,6 +49,11 @@ def basis(request):
 
 
 def test_stacked_tables_are_the_per_pair_bits(basis):
+    """Both pair tables of a geometry: the orbital classes against the
+    :class:`ShellPair` objects of the per-quartet reference, and the
+    auxiliary (ghost) classes of its fitting basis against the
+    per-shell :class:`AuxShellPair` oracle — exponents, product centres
+    and Hermite lambdas, ``np.array_equal``."""
     table = pair_classes(basis)
     pairs = basis.shell_pairs()
     for cls in table:
@@ -61,7 +68,20 @@ def test_stacked_tables_are_the_per_pair_bits(basis):
                     cls.E[d][row, :cls.la + 1, :cls.lb + 1, :E.shape[2]], E)
             assert np.array_equal(cls.W[row], pair.W)
             assert np.array_equal(cls.P[row], pair.P)
+            assert np.array_equal(cls.p[row], pair.p)
             assert np.array_equal(lam[row], pair.hermite_lambda()[1])
+    aux = build_aux_basis(basis)
+    apairs = aux_pairs(aux)
+    rows = 0
+    for cls in pair_classes(aux, ghost=True):
+        lam = cls.lam()
+        for row, i in enumerate(cls.ij[:, 0].tolist()):
+            pair = apairs[i]
+            assert np.array_equal(cls.p[row], pair.p)
+            assert np.array_equal(cls.P[row], pair.P)
+            assert np.array_equal(lam[row], pair.hermite_lambda()[1])
+            rows += 1
+    assert rows == aux.nshell
 
 
 def _core_state(basis):
@@ -166,3 +186,41 @@ def test_the_walks_stay_within_the_walk_budget(li2o2_state):
     assert peak <= WALK_PEAK
     eri, peak = _peak(lambda: eri_tensor(basis))
     assert eri.nbytes < peak <= eri.nbytes + WALK_PEAK
+
+
+def _no_shell_pair_table(run):
+    """Build a fresh water basis, hand it to ``run`` and check that no
+    ``ShellPair`` table was built on it: the pair classes feed every
+    walk but the per-quartet reference (``kernel="quartet"``)."""
+    basis = build_basis(builders.water())
+    run(basis)
+    assert "_pairclass_cache" in basis.__dict__
+    assert "_pairs_cache" not in basis.__dict__
+
+
+def test_no_walk_but_the_reference_builds_the_shell_pair_table():
+    from repro.md.bomd import SCFForceEngine
+    from repro.runtime.execconfig import ExecutionConfig
+    from repro.scf import RHF
+
+    mol = builders.water()
+    # in-core HF: the tensor walk and its Schwarz bounds
+    _no_shell_pair_table(lambda b: RHF(mol, b, mode="incore").run())
+    # the batched direct walk, in-process and on a two-worker pool
+    for cfg in (ExecutionConfig(kernel="batched"),
+                ExecutionConfig(kernel="batched", executor="process",
+                                nworkers=2)):
+        _no_shell_pair_table(lambda b: RHF(mol, b, mode="direct",
+                                           config=cfg).run())
+    # density fitting: orbital and auxiliary Schwarz, metric, 3-index slab
+    _no_shell_pair_table(
+        lambda b: RHF(mol, b, config=ExecutionConfig(jk="ri")).run())
+    # an analytic PBE0 force call: SCF, one- and two-electron gradient
+    engine = SCFForceEngine(mol, method="pbe0")
+    assert engine.analytic
+    engine.energy_forces(mol.coords)
+    assert "_pairs_cache" not in engine.last_result.basis.__dict__
+    # the per-quartet reference kernel is what builds it
+    basis = build_basis(mol)
+    RHF(mol, basis, mode="direct").run()
+    assert "_pairs_cache" in basis.__dict__

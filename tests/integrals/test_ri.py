@@ -9,9 +9,11 @@ from repro.basis.shell import Shell
 from repro.basis.basisset import BasisSet
 from repro.chem import builders
 from repro.integrals import eri_tensor
-from repro.integrals.ri import (AuxShellPair, aux_shard_slices,
-                                inv_sqrt_metric, metric_2c,
+from repro.integrals.pairclass import pair_classes
+from repro.integrals.ri import (aux_shard_slices, inv_sqrt_metric, metric_2c,
                                 three_center_slab)
+
+from .auxpair_oracle import AuxShellPair
 
 pytestmark = pytest.mark.ri
 
@@ -63,6 +65,12 @@ class TestAuxShellPair:
         idx, lam = pr.hermite_lambda()
         assert lam.shape[0] == aux.shells[0].nfunc
         assert lam.shape[1] == 1
+        # the ghost pair class holding shell 0 stacks the same layout
+        table = pair_classes(aux, ghost=True)
+        c, rows = table.locate(np.array([0]), np.array([0]))
+        cls = table.pair_class(c)
+        assert (cls.la, cls.lb) == (pr.lab, 0)
+        assert cls.lam()[rows[0]].shape == lam.shape
 
 
 class TestThreeCenterSlab:

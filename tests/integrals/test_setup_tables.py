@@ -1,9 +1,10 @@
 """The per-geometry set-up tables against the loops and the
 factorisation they replaced, which live on here as oracles.
 
-* Schwarz diagonals: one class batch per kernel class
+* Schwarz diagonals: one class batch per pair class
   (``schwarz_diagonals``) == one ``eri_quartet(pair, pair)`` per pair,
-  for orbital and auxiliary pairs — ``np.array_equal``.
+  for orbital pairs (the reference's ``ShellPair``) and auxiliary shells
+  (the ``AuxShellPair`` oracle) — ``np.array_equal``.
 * Metric: one fancy write per class triangle == the per-quartet scatter.
 * Fit: ``B = L^-1 P^T T`` (pivoted Cholesky) gives the J, K and
   ``B^T B`` of ``B = V^{-1/2} T`` (eigenvalue-trimmed), also when the
@@ -19,13 +20,15 @@ import pytest
 from repro.basis import BasisSet, build_aux_basis, build_basis
 from repro.chem import builders
 from repro.integrals import ERIEngine, eri_quartet
-from repro.integrals.batch import (SETUP_SCRATCH, _eri_class_batch,
-                                   pair_class_groups)
-from repro.integrals.ri import (aux_hermite_pairs, aux_schwarz_bounds,
-                                cholesky_fit, inv_sqrt_metric, metric_2c,
+from repro.integrals.batch import SETUP_SCRATCH, _eri_class_batch
+from repro.integrals.pairclass import pair_classes
+from repro.integrals.ri import (aux_schwarz_bounds, cholesky_fit,
+                                inv_sqrt_metric, metric_2c,
                                 three_center_slab)
 from repro.integrals.schwarz import schwarz_bounds, schwarz_diagonals
 from repro.scf.ri_jk import RIJKBuilder
+
+from .auxpair_oracle import aux_pairs
 
 pytestmark = [pytest.mark.ri, pytest.mark.reference]
 
@@ -46,21 +49,18 @@ def per_pair_schwarz(pairs) -> np.ndarray:
 def per_quartet_metric(aux) -> np.ndarray:
     """``metric_2c`` as it was: the same class batches, scattered one
     quartet at a time."""
-    pairs = aux_hermite_pairs(aux)
     slices = aux.shell_slices()
     V = np.zeros((aux.nbf, aux.nbf))
-    groups = pair_class_groups(enumerate(pairs))
-    keys = sorted(groups)
-    for a, ka in enumerate(keys):
-        ia = groups[ka]
-        for kb in keys[a:]:
-            ib = groups[kb]
+    classes = pair_classes(aux, ghost=True).by_signature()
+    for a, ca in enumerate(classes):
+        ia = ca.ij[:, 0].tolist()
+        for cb in classes[a:]:
+            ib = cb.ij[:, 0].tolist()
             sel = [(x, y) for x in range(len(ia)) for y in range(len(ib))
-                   if ka != kb or ia[x] <= ib[y]]
+                   if ca is not cb or ia[x] <= ib[y]]
             bra_ids = np.array([x for x, _ in sel], dtype=np.int64)
             ket_ids = np.array([y for _, y in sel], dtype=np.int64)
-            blocks = _eri_class_batch([pairs[i] for i in ia], bra_ids,
-                                      [pairs[j] for j in ib], ket_ids)
+            blocks = _eri_class_batch(ca, bra_ids, cb, ket_ids)
             for q in range(len(sel)):
                 i, j = ia[bra_ids[q]], ib[ket_ids[q]]
                 blk = blocks[q, :, 0, :, 0]
@@ -79,7 +79,10 @@ def test_orbital_schwarz_is_the_per_pair_loop(system):
     _, basis, _ = system
     pairs = basis.shell_pairs()
     oracle = per_pair_schwarz(pairs.values())
-    assert np.array_equal(schwarz_diagonals(pairs.values()), oracle)
+    for cls in pair_classes(basis):
+        assert np.array_equal(schwarz_diagonals(cls), per_pair_schwarz(
+            pairs[i, j] for i, j in cls.ij.tolist()))
+    assert list(schwarz_bounds(basis)) == list(pairs)
     assert np.array_equal(list(schwarz_bounds(basis).values()), oracle)
     engine = ERIEngine(build_basis(basis.molecule))
     assert np.array_equal(list(engine.schwarz_bounds().values()), oracle)
@@ -89,7 +92,7 @@ def test_orbital_schwarz_is_the_per_pair_loop(system):
 def test_aux_schwarz_is_the_per_pair_loop(system):
     _, _, aux = system
     assert np.array_equal(aux_schwarz_bounds(aux),
-                          per_pair_schwarz(aux_hermite_pairs(aux)))
+                          per_pair_schwarz(aux_pairs(aux)))
 
 
 def test_metric_is_the_per_quartet_scatter(system):
@@ -171,13 +174,13 @@ def test_singular_metric_drops_the_duplicate():
 def pc():
     basis = build_basis(builders.propylene_carbonate())
     aux = build_aux_basis(basis)
-    pairs = list(basis.shell_pairs().values())
-    apairs = aux_hermite_pairs(aux)
+    classes = list(pair_classes(basis))
+    aclasses = list(pair_classes(aux, ghost=True))
     # cached pair expansions and Boys tables are not scratch
-    schwarz_diagonals(pairs)
-    schwarz_diagonals(apairs)
+    for cls in classes + aclasses:
+        schwarz_diagonals(cls)
     metric_2c(aux)
-    return basis, aux, pairs, apairs
+    return basis, aux, classes, aclasses
 
 
 def _peak(fn):
@@ -196,9 +199,9 @@ def test_schwarz_scratch_stays_under_its_ceiling(pc):
     """At the kernel's default ceiling the (pp|pp) diagonals of
     propylene carbonate alone take ~12 MB of R stage; the class batch's
     own stacks come on top of ``SETUP_SCRATCH``."""
-    _, _, pairs, apairs = pc
-    for side in (pairs, apairs):
-        _, peak = _peak(lambda: schwarz_diagonals(side))
+    _, _, classes, aclasses = pc
+    for side in (classes, aclasses):
+        _, peak = _peak(lambda: [schwarz_diagonals(cls) for cls in side])
         assert peak <= 8 * SETUP_SCRATCH * 5
 
 

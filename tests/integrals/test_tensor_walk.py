@@ -13,6 +13,7 @@ from repro.basis import build_basis
 from repro.chem import builders
 from repro.integrals import ERIEngine, eri_quartet, eri_tensor
 from repro.integrals.batch import WALK_SCRATCH
+from repro.integrals.pairclass import pair_classes
 from repro.scf import TensorJKEngine
 
 pytestmark = pytest.mark.reference
@@ -97,11 +98,10 @@ def test_overlapping_images_of_diagonal_quartets_keep_the_last_write():
     stays is visible in the bits.  The oracle keeps the last; so must
     one fancy write per image over a whole class."""
     basis = build_basis(builders.li2o2())
-    engine = ERIEngine(basis)
     slices = basis.shell_slices()
     eri = eri_tensor(basis)
     visible = 0
-    for (i, j), pair in engine.pairs.items():
+    for (i, j), pair in basis.shell_pairs().items():
         block = eri_quartet(pair, pair)
         last = block.transpose(3, 2, 1, 0)
         si, sj = slices[i], slices[j]
@@ -114,7 +114,7 @@ def _displaced(mol, atom):
     coords = mol.coords.copy()
     coords[atom, 0] += 1e-3
     basis = build_basis(mol.with_coords(coords))
-    basis.shell_pairs()                   # not the walk's allocation
+    pair_classes(basis)                   # not the walk's allocation
     return basis
 
 

@@ -235,3 +235,50 @@ def test_one_jk_accumulation():
                 names.add(node.value)
             assert not names & gone, (path.name, node.lineno, names & gone)
     assert _calls_under_src("quartet") == {"scf/fock.py:eval_screened_pairs"}
+
+
+def test_one_pair_table():
+    """Every ERI walk reads the pair classes: the per-pair auxiliary
+    pair, its table, the pair grouping, the unique-pair helper and the
+    per-pair stacking are not defined, imported, exported or referenced
+    under ``src/repro``; the per-quartet reference's ``ShellPair``, its
+    ``shell_pairs()`` table and its ``hermite_lambda`` appear only in
+    ``basis/``, ``integrals/eri.py`` and ``eri_quartet_batch``; and one
+    lookup (``PairClasses.locate``) finds the class rows of a quartet
+    list for the ERI and the derivative walks."""
+    import ast
+    import inspect
+    import pathlib
+
+    from repro.integrals import ERIEngine, schwarz_bounds
+
+    gone = {"AuxShellPair", "aux_hermite_pairs", "pair_class_groups",
+            "unique_shell_pairs", "_stack_pairs"}
+    reference = {"ShellPair", "shell_pairs", "hermite_lambda"}
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    readers = set()
+    for path in sorted(src.rglob("*.py")):
+        mod = path.relative_to(src).as_posix()
+
+        def walk(node, where):
+            for child in ast.iter_child_nodes(node):
+                names = {getattr(child, attr, None)
+                         for attr in ("id", "attr", "name", "asname")}
+                if isinstance(child, ast.Constant):
+                    names.add(child.value)
+                assert not names & gone, (mod, child.lineno, names & gone)
+                if names & reference:
+                    readers.add((mod, where))
+                walk(child, where or (
+                    child.name if isinstance(child, (ast.FunctionDef,
+                                                     ast.AsyncFunctionDef))
+                    else None))
+
+        walk(ast.parse(path.read_text()), None)
+    assert {(mod, where) for mod, where in readers
+            if not mod.startswith("basis/") and mod != "integrals/eri.py"} \
+        <= {("integrals/batch.py", "eri_quartet_batch")}
+    assert not hasattr(ERIEngine, "pairs")
+    assert list(inspect.signature(schwarz_bounds).parameters) == ["basis"]
+    assert _calls_under_src("locate") == {"integrals/eri.py:_class_batch",
+                                          "scf/gradient.py:_differentiate_class"}
