@@ -176,7 +176,9 @@ def eri_quartet_batch(bra_pairs, ket_pairs,
         ``(lc, ld, nc, nd)`` signature (one *L-class*), which is what
         makes every intermediate a rectangular array.  The distinct
         pairs of each side (by identity) are stacked into one
-        :class:`~repro.integrals.pairclass.PairClass` of their shells.
+        :class:`~repro.integrals.pairclass.PairClass` of their shells; a
+        side that repeats a single pair reuses the one-row class cached
+        on that pair, so repeated calls skip the pair set-up.
     max_elements:
         Memory ceiling, in doubles, for the R stage (Hermite box, Boys
         rows and geometry temporaries); oversized batches are evaluated
@@ -205,9 +207,15 @@ def eri_quartet_batch(bra_pairs, ket_pairs,
             if id(pr) not in rows:
                 rows[id(pr)] = len(rows)
                 shells += [pr.sha, pr.shb]
+        idx = np.array([rows[id(pr)] for pr in pairs], dtype=np.int64)
         ij = np.arange(len(shells)).reshape(-1, 2)
-        return (PairClass(shells, ij),
-                np.array([rows[id(pr)] for pr in pairs], dtype=np.int64))
+        if len(rows) > 1:
+            return PairClass(shells, ij), idx
+        pr = pairs[0]
+        cls = getattr(pr, "_class_cache", None)
+        if cls is None:
+            cls = pr._class_cache = PairClass(shells, ij)
+        return cls, idx
 
     return _eri_class_batch(*stacked(bra_pairs), *stacked(ket_pairs),
                             max_elements)

@@ -46,32 +46,31 @@ class XCIntegrator:
         return rho, (sigma, grad_rho)
 
     def exc_and_potential(self, D: np.ndarray) -> tuple[float, np.ndarray]:
-        """XC energy and the AO-basis XC potential matrix."""
+        """XC energy and the AO-basis XC potential matrix.
+
+        One GEMM against the cached AO table: ``V = phi^T X`` with
+        ``X = 1/2 w vrho phi + 2 w vsigma grad(rho) . grad(phi)`` (the
+        gradient term only for a GGA), returned as ``V + V^T`` — the
+        integrand of ``d E_xc / d D_pq`` split into its two halves, and
+        exactly symmetric."""
         w = self.grid.weights
-        ao = self.ao
+        rho, grad = self.density_on_grid(D)
         if self.ao_grad is None:
-            rho, _ = self.density_on_grid(D)
             exc, vrho, _ = self.functional.evaluate(rho, np.zeros_like(rho))
-            e = float(w @ exc)
-            wv = w * vrho
-            V = (ao * wv[:, None]).T @ ao
-            return e, 0.5 * (V + V.T)
-        rho, (sigma, grad_rho) = self.density_on_grid(D)
-        exc, vrho, vsigma = self.functional.evaluate(rho, sigma)
-        e = float(w @ exc)
-        wv = w * vrho
-        V = (ao * wv[:, None]).T @ ao
-        # GGA term: 2 vsigma grad_rho . grad(phi_p phi_q)
-        wg = 2.0 * w * vsigma          # (npts,)
-        gvec = grad_rho * wg[None, :]  # (3, npts)
-        half = np.einsum("dg,dgp->gp", gvec, self.ao_grad)
-        V += half.T @ ao + ao.T @ half
-        return e, 0.5 * (V + V.T)
+            X = self.ao * (0.5 * w * vrho)[:, None]
+        else:
+            sigma, grad_rho = grad
+            exc, vrho, vsigma = self.functional.evaluate(rho, sigma)
+            # GGA term: 2 vsigma grad_rho . grad(phi_p phi_q), one half
+            X = np.einsum("dg,dgp->gp", grad_rho * (2.0 * w * vsigma),
+                          self.ao_grad)
+            X += self.ao * (0.5 * w * vrho)[:, None]
+        V = self.ao.T @ X
+        return float(w @ exc), V + V.T
 
     def nelec_on_grid(self, D: np.ndarray) -> float:
         """Integrated density — a grid-quality diagnostic."""
         rho, _ = self.density_on_grid(D)
-        rho = rho if isinstance(rho, np.ndarray) else rho[0]
         return float(self.grid.weights @ rho)
 
 

@@ -9,10 +9,15 @@ SCF iteration is dense linear algebra over its ``rank`` rows:
 
 * RI-J — two GEMMs: ``gamma_K = B[K,uv] D_uv``, then
   ``J_uv = gamma_K B[K,uv]``;
-* RI-K — a half-transform over the occupied space of the density:
-  ``D = V diag(w) V^T`` (rank ``nocc`` for SCF densities; signed ``w``
-  keeps response densities from the Newton solver exact), then
-  ``Y[K,u,i] = B[K,u,v] V_vi`` and ``K = sum_i w_i Y_i Y_i^T``.
+* RI-K — one symmetric rank-k product per eigenvalue sign over the
+  occupied space of the density: ``D = V diag(w) V^T`` (rank ``nocc``
+  for SCF densities; signed ``w`` keeps response densities from the
+  Newton solver exact).  Each sign's scaled orbitals
+  ``Vs = (V_sel sqrt|w_sel|)^T`` half-transform the *first* orbital
+  index of every ``B[K]`` in one batched product,
+  ``W[K,i,v] = Vs[i,u] B[K,u,v]`` (``B[K]`` is symmetric, so this is
+  also the second), and ``K += sign * W^T W`` with ``W`` viewed as
+  ``(rank * k, nbf)`` — a single exactly symmetric rank-k update.
 
 The builder is a :class:`~repro.scf.fock.JKEngine`
 (``build``/``reset``/``close``), so the SCF drivers, the SOSCF response
@@ -173,9 +178,9 @@ class RIJKBuilder(JKEngine):
         """The cached ``B[K,uv]`` tensor (assembled on first use), shape
         ``(rank, nbf, nbf)``.
 
-        Exposed for consumers that contract B themselves — e.g. the
-        distributed-exchange rank loop, which needs per-rank *partial*
-        K matrices rather than the full contraction."""
+        Serves tests and external callers that contract ``B``
+        themselves; no J/K path under ``repro`` reads it (the
+        distributed exchange refuses ``jk="ri"``)."""
         return self._ensure_b()
 
     # --- J/K contractions ----------------------------------------------------
@@ -195,19 +200,27 @@ class RIJKBuilder(JKEngine):
                     gamma = Bf @ np.asarray(D, dtype=np.float64).ravel()
                     J = (gamma @ Bf).reshape(nbf, nbf)
                 if want_k:
-                    w, V = np.linalg.eigh(np.asarray(D, dtype=np.float64))
-                    wmax = float(np.abs(w).max()) if w.size else 0.0
-                    keep = np.abs(w) > DENSITY_EIG_CUT * max(wmax, 1e-300)
-                    if not keep.any():
-                        K = np.zeros((nbf, nbf))
-                    else:
-                        Vk = V[:, keep]                 # (nbf, k)
-                        # Y[K,u,i] = sum_v B[K,u,v] Vk[v,i]
-                        Y = B @ Vk                      # (rank, nbf, k)
-                        Yw = Y * w[keep][None, None, :]
-                        K = np.einsum("Pui,Pvi->uv", Yw, Y, optimize=True)
-                        K = 0.5 * (K + K.T)
+                    K = self._exchange(B, D)
             if tr.enabled:
                 tr.metrics.count("scf.ri_builds", 1)
                 tr.metrics.absorb_engine(self.engine)
         return J, K
+
+    @staticmethod
+    def _exchange(B: np.ndarray, D: np.ndarray) -> np.ndarray:
+        """``K_uv = sum_K (B[K] D B[K])_uv``: one rank-k product
+        ``W^T W`` per eigenvalue sign of ``D``, exactly symmetric."""
+        nbf = B.shape[1]
+        w, V = np.linalg.eigh(np.asarray(D, dtype=np.float64))
+        wmax = float(np.abs(w).max()) if w.size else 0.0
+        keep = np.abs(w) > DENSITY_EIG_CUT * max(wmax, 1e-300)
+        K = np.zeros((nbf, nbf))
+        for sel, sign in ((keep & (w > 0.0), 1.0), (keep & (w < 0.0), -1.0)):
+            if not sel.any():
+                continue
+            Vs = (V[:, sel] * np.sqrt(np.abs(w[sel]))).T   # (k, nbf)
+            # W[K,i,v] = sum_u Vs[i,u] B[K,u,v]
+            W = np.matmul(Vs, B).reshape(-1, nbf)          # (rank*k, nbf)
+            K += sign * (W.T @ W)
+            del W          # one sign's W alive at a time
+        return K

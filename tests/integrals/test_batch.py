@@ -138,6 +138,28 @@ def test_chunked_evaluation_identical(dimer_basis):
     assert np.array_equal(whole, chunked)
 
 
+@pytest.mark.parametrize("ij", [(0, 1), (0, 2), (2, 2)])
+def test_repeated_pair_reuses_its_cached_class(ij):
+    """A side repeating one pair (the bench probe's batch) builds its
+    one-row class once; every call gives the fresh-pair result."""
+    from repro.basis.shellpair import build_shell_pairs
+
+    shells = build_basis(builders.water()).shells
+    pr = build_shell_pairs(shells)[ij]
+    fresh = build_shell_pairs(shells)[ij]
+    first = eri_quartet_batch([pr] * 8, [pr] * 8)
+    cls = pr._class_cache
+    assert np.array_equal(eri_quartet_batch([pr] * 8, [pr] * 8), first)
+    assert pr._class_cache is cls
+    assert np.array_equal(eri_quartet_batch([fresh] * 8, [fresh] * 8),
+                          first)
+    # a side of two distinct pair objects caches nothing on either
+    other = build_shell_pairs(shells)[ij]
+    assert np.array_equal(eri_quartet_batch([pr, other], [pr, other]),
+                          first[:2])
+    assert not hasattr(other, "_class_cache")
+
+
 def test_engine_quartet_batch_counts_and_matches(dimer_basis):
     engine = ERIEngine(dimer_basis)
     idx = np.asarray(_all_quartets(engine), dtype=np.int64)
