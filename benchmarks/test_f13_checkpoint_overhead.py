@@ -5,8 +5,9 @@ its acceptance bar is a measurement: a BOMD run that snapshots **every
 step** — the most aggressive cadence the CLI allows, far denser than
 the default every-10 — must stay within 5% of a bare run with no
 checkpoint store at all.  Each snapshot is a full get_state (trajectory
-arrays, warm-start density, counters) plus a pickle, a SHA-256, two
-fsync'd atomic renames, and ring pruning; the budget covers all of it.
+arrays, warm-start density, counters) plus a boundary-codec encode, a
+SHA-256, two fsync'd atomic renames, and ring pruning; the budget covers
+all of it.
 
 Timings are min-of-N over full short trajectories (the SCF force
 evaluations dominate, which is exactly the production ratio this
@@ -80,7 +81,7 @@ def test_f13_checkpoint_overhead(tmp_path, report, results_dir):
         f"t(every-step ckpt)  {t_ck * 1e3:.2f} ms   ({overhead:+.2%} "
         f"vs bare, {nsnaps} snapshots)\n"
         f"per-snapshot cost   {per_snap * 1e3:.3f} ms   (get_state + "
-        f"pickle + sha256 + 2 fsync'd renames + prune)\n"
+        f"codec + sha256 + 2 fsync'd renames + prune)\n"
         f"acceptance          every-step overhead < {MAX_OVERHEAD:.0%}"
     )
     assert overhead < MAX_OVERHEAD

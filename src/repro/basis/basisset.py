@@ -74,10 +74,12 @@ class BasisSet:
         return cached
 
     def __getstate__(self) -> dict:
-        # derived ``_*_cache`` tables (slices, Schwarz bounds, shell
-        # pairs) rebuild lazily on the other side; shipping them would
-        # multiply every pool message, lane frame and checkpoint that
-        # carries a basis (a used Li2O2 basis: 3.9 kB -> 250 kB)
+        # only a ``spawn``-started pool worker still receives a basis
+        # by pickle (every other boundary carries the codec's
+        # ``BasisSet`` record); the derived ``_*_cache`` tables (slices,
+        # Schwarz bounds, shell pairs) rebuild lazily on the other side,
+        # and shipping them would blow a used Li2O2 basis up from
+        # 3.9 kB to 250 kB
         return {k: v for k, v in self.__dict__.items()
                 if not (k.startswith("_") and k.endswith("_cache"))}
 

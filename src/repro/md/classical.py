@@ -61,10 +61,19 @@ class ClassicalMD(CheckpointedMD):
         from ..runtime.execconfig import resolve_execution
 
         self.config = resolve_execution(self.config, owner="ClassicalMD")
+        if self.cell is not None and not isinstance(self.cell, Cell):
+            self.cell = Cell(self.cell)     # a snapshot's cell vectors
         self.engine = ForceField(self.mol, cell=self.cell,
                                  charges=self.charges, kbond=self.kbond,
                                  kangle=self.kangle)
         self._init_runtime_state()
+
+    def _params(self) -> dict:
+        """Snapshot parameters, the cell as its ``(3, 3)`` vectors."""
+        p = super()._params()
+        if self.cell is not None:
+            p["cell"] = self.cell.vectors.copy()
+        return p
 
     def _integrator(self):
         from ..constants import fs_to_aut

@@ -15,7 +15,13 @@ Snapshot format (one file per snapshot)::
     version  format version         4-byte little-endian unsigned
     length   payload byte count     8-byte little-endian unsigned
     digest   SHA-256 of payload    32 bytes
-    payload  pickled envelope       {"step", "saved_at", "state"}
+    payload  envelope               {"step", "saved_at", "state"}
+
+Version 2 (what :meth:`CheckpointStore.save` writes) encodes the
+envelope with :mod:`repro.runtime.codec`: JSON plus little-endian
+numeric arrays, the molecule as a ``Molecule`` record — reading a
+snapshot runs no code.  Version 1 pickled it; its reader stays so
+existing snapshots still restore.  Any other version is refused.
 
 Durability and corruption safety:
 
@@ -35,7 +41,7 @@ Durability and corruption safety:
 
 What is deliberately **not** serialized: live worker pools (pipes,
 process handles, shared memory) — a restore always respawns a fresh
-pool from the restored basis, because pickled pool state could never be
+pool from the restored basis, because pool state could never be
 revived into live file descriptors; and tracer *spans* (wall-clock
 intervals of a dead process are meaningless) — only the metrics
 counters ride along so ``--profile`` totals span the whole logical run.
@@ -55,6 +61,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from . import codec
 from .boundary import KNOBS, resolve, resolve_checkpoint_every
 from .fsio import atomic_write_bytes, fsync_dir
 
@@ -67,9 +74,10 @@ __all__ = [
 #: File magic: identifies a repro snapshot regardless of extension.
 MAGIC = b"REPROCKPT"
 
-#: Current snapshot format version.  Bump on any envelope change; a
-#: newer-than-known version is refused (never half-parsed).
-FORMAT_VERSION = 1
+#: Snapshot format version :meth:`CheckpointStore.save` writes.  Bump
+#: on any envelope change; a version without a reader is refused
+#: (never half-parsed).
+FORMAT_VERSION = 2
 
 #: Auto-checkpoint cadence (MD steps) when checkpointing is enabled but
 #: no cadence was chosen; REPRO_CHECKPOINT_EVERY overrides via
@@ -82,6 +90,16 @@ DEFAULT_KEEP = KNOBS["checkpoint_keep"].default
 
 _HEADER = struct.Struct("<9sIQ32s")
 _SNAP_RE = re.compile(r"^snap-(\d+)\.ckpt$")
+
+
+def _load_v1(payload: bytes):
+    """The v1 payload reader.  Unpickling can run code; it stays only so
+    snapshots written before v2 still restore, and nothing writes v1."""
+    return pickle.loads(payload)
+
+
+#: Payload reader of every format version this code restores.
+_READERS = {1: _load_v1, 2: codec.decode}
 
 
 class CheckpointError(RuntimeError):
@@ -98,8 +116,9 @@ class CheckpointCorruptError(CheckpointError):
 class Restartable(Protocol):
     """Anything whose state can be captured and later restored.
 
-    ``get_state`` must return a picklable dict of plain values and
-    numpy arrays — never live OS resources (pools, pipes, open files).
+    ``get_state`` must return a dict the :mod:`repro.runtime.codec`
+    admits — plain values, numeric arrays and the codec's records,
+    never live OS resources (pools, pipes, open files).
     ``set_state`` must validate the state against the object it is
     loaded into (shapes, method names) and raise
     :class:`CheckpointError` on mismatch, and must leave the object
@@ -107,7 +126,7 @@ class Restartable(Protocol):
     """
 
     def get_state(self) -> dict:
-        """Picklable snapshot of this object's mutable state."""
+        """Codec-encodable snapshot of this object's mutable state."""
         ...
 
     def set_state(self, state: dict) -> None:
@@ -204,7 +223,7 @@ class CheckpointStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         saved_at = time.time()
         envelope = {"step": int(step), "saved_at": saved_at, "state": state}
-        payload = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = codec.encode(envelope)
         digest = hashlib.sha256(payload).digest()
         header = _HEADER.pack(MAGIC, FORMAT_VERSION, len(payload), digest)
         name = f"snap-{int(step):08d}.ckpt"
@@ -263,8 +282,9 @@ class CheckpointStore:
         path = self.directory / name
         return path if path.is_file() else None
 
-    def _read(self, path: Path) -> dict:
-        """Validate and unpickle one snapshot file."""
+    def _read(self, path: Path) -> tuple[dict, int]:
+        """Validate and decode one snapshot file: ``(envelope,
+        version)``."""
         try:
             blob = path.read_bytes()
         except OSError as e:
@@ -277,10 +297,12 @@ class CheckpointStore:
         if magic != MAGIC:
             raise CheckpointCorruptError(
                 f"bad magic {magic!r} (not a repro snapshot)")
-        if version > FORMAT_VERSION:
+        if version not in _READERS:
             raise CheckpointCorruptError(
                 f"snapshot format v{version} is newer than this code "
-                f"(v{FORMAT_VERSION})")
+                f"(v{FORMAT_VERSION})" if version > FORMAT_VERSION else
+                f"snapshot format v{version} is not one this code reads "
+                f"(v{min(_READERS)}..v{FORMAT_VERSION})")
         payload = blob[_HEADER.size:]
         if len(payload) != length:
             raise CheckpointCorruptError(
@@ -288,23 +310,23 @@ class CheckpointStore:
         if hashlib.sha256(payload).digest() != digest:
             raise CheckpointCorruptError("payload checksum mismatch")
         try:
-            envelope = pickle.loads(payload)
+            envelope = _READERS[version](payload)
         except Exception as e:   # checksummed, so this means a format bug
             raise CheckpointCorruptError(
                 f"undecodable payload: {e}") from e
         if not isinstance(envelope, dict) or "state" not in envelope:
             raise CheckpointCorruptError("payload is not a snapshot "
                                          "envelope")
-        return envelope
+        return envelope, version
 
     def load(self, path) -> tuple[dict, SnapshotInfo]:
         """Load one specific snapshot file (validated)."""
         path = Path(path)
-        envelope = self._read(path)
+        envelope, version = self._read(path)
         info = SnapshotInfo(
             path=path, step=int(envelope.get("step", -1)),
             saved_at=float(envelope.get("saved_at", 0.0)),
-            nbytes=path.stat().st_size)
+            nbytes=path.stat().st_size, version=version)
         return envelope["state"], info
 
     def load_latest(self) -> tuple[dict, SnapshotInfo]:

@@ -19,8 +19,11 @@ loop in parallel on local cores:
   each worker rebuilds from it) rides along on the fork, while the
   density lives in a ``multiprocessing`` shared-memory buffer the parent
   rewrites before every build — workers never receive matrices over the
-  pipe, and an ``exec`` message is ``("exec", unit, jobs, args)`` (the
-  unit pickles by name);
+  pipe.  Every message crosses as :mod:`repro.runtime.codec` bytes
+  (``send_bytes``/``recv_bytes``): an ``exec`` message is ``("exec",
+  "module:qualname", jobs, args)``, the unit looked up by that name in
+  the modules the forked worker already holds, and a ``reset`` carries
+  the new geometry as a ``BasisSet`` record;
 * **static balancing**: rank jobs are assigned to workers by the one
   greedy LPT, :func:`repro.hfx.partition.lpt_bins`, on each job's
   ``cost`` (surviving quartets for the direct builder, the partitioner's
@@ -46,7 +49,8 @@ survive it):
   worker id, exit code / signal, and the rank jobs it held; a worker
   that *hangs* is caught by the deadline (default 120 s,
   ``REPRO_POOL_TIMEOUT`` overrides), killed, and diagnosed the same
-  way;
+  way, and so is one whose reply does not decode or has the wrong
+  shape;
 * **recovery** — screening happens in the parent and rank jobs are
   deterministic, so a dead worker's jobs are simply re-run: the pool
   respawns dead slots (bounded rounds with backoff; default 2,
@@ -69,12 +73,14 @@ survive it):
 from __future__ import annotations
 
 import multiprocessing as mp
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import codec
 from .boundary import (KNOBS, default_nworkers, env_text, parse_fault,
                        resolve_nworkers, resolve_pool_max_retries,
                        resolve_pool_timeout)
@@ -191,13 +197,59 @@ def _parse_fault(spec: str | None):
                        ("kill", "hang", "exc"))
 
 
+def _unit_name(unit) -> str:
+    """``unit``'s ``module:qualname``, the name an ``exec`` message
+    carries; refused unless :func:`_find_unit` resolves it to ``unit``
+    (a lambda or a nested function has no such name)."""
+    name = f"{unit.__module__}:{unit.__qualname__}"
+    if _find_unit(name) is not unit:
+        raise ValueError(f"pool unit {name} is not a module-level "
+                         f"function the workers can look up by name")
+    return name
+
+
+def _find_unit(name: str):
+    """The function ``name`` (``module:qualname``) names, looked up in
+    the modules this process already holds (``None`` when it holds
+    none by that name): no import runs."""
+    module, _, qualname = name.partition(":")
+    obj = sys.modules.get(module)
+    for attr in qualname.split("."):
+        obj = getattr(obj, attr, None)
+    return obj if callable(obj) else None
+
+
+def _send(conn, msg) -> None:
+    conn.send_bytes(codec.encode(msg))
+
+
+def _reply(buf) -> tuple:
+    """A worker's reply, checked for shape: ``(status, payload, count,
+    timings, tally)``.  :class:`~repro.runtime.codec.CodecError` for
+    bytes that do not decode or decode to anything else."""
+    reply = codec.decode(buf)
+    if type(reply) is not tuple or len(reply) != 5 \
+            or reply[0] not in ("ok", "err") or type(reply[2]) is not int:
+        raise codec.CodecError(f"malformed pool reply {reply!r:.80}")
+    status, payload, _, timings, tally = reply
+    if status == "ok" and not (
+            (payload is None or type(payload) is list and all(
+                type(p) is tuple and len(p) == 3 for p in payload))
+            and (timings is None or type(timings) is list and all(
+                type(t) is tuple and len(t) == 4 for t in timings))
+            and (tally is None or type(tally) is dict)):
+        raise codec.CodecError(f"malformed pool reply {reply!r:.80}")
+    return reply
+
+
 def _worker_main(conn, wid: int, _gen: int, dbuf, basis, nbf: int) -> None:
     """Worker loop: run rank jobs until told to stop.
 
     Runs in the child process.  The engine (shell pairs) is rebuilt
     locally from the fork-inherited basis; the density is read from the
     shared buffer, so an ``exec`` message ``("exec", unit, jobs, args)``
-    carries only the unit's name, work lists and small arguments.
+    carries only the unit's ``module:qualname``, work lists and small
+    arguments.
 
     Every reply is ``(status, payload, count, timings, tally)``; for
     ``exec``, ``payload`` lists one ``(rank, A, B)`` per job, ``timings``
@@ -224,10 +276,10 @@ def _worker_main(conn, wid: int, _gen: int, dbuf, basis, nbf: int) -> None:
     D = np.frombuffer(dbuf, dtype=np.float64).reshape(nbf, nbf)
     while True:
         try:
-            msg = conn.recv()
-        except (EOFError, KeyboardInterrupt):
-            break
-        cmd = msg[0]
+            msg = codec.decode(conn.recv_bytes())
+        except (EOFError, OSError, KeyboardInterrupt, codec.CodecError):
+            break               # parent gone, or a stream it never wrote
+        cmd = msg[0] if type(msg) is tuple and msg else None
         if cmd == "stop":
             break
         if cmd == "exec":
@@ -240,25 +292,29 @@ def _worker_main(conn, wid: int, _gen: int, dbuf, basis, nbf: int) -> None:
                         f"reset changed nbf {nbf} -> {basis.nbf}; the "
                         "shared density buffer is sized at pool creation")
                 engine = ERIEngine(basis)
-                conn.send(("ok", None, 0, None, None))
+                _send(conn, ("ok", None, 0, None, None))
             elif cmd == "exec":
                 # the parent already screened, so each rank's work list
                 # is exactly the serial path's
-                _, unit, jobs, args = msg
+                _, name, jobs, args = msg
+                unit = _find_unit(name)
+                if unit is None:
+                    raise ValueError(f"pool unit {name} is not loaded in "
+                                     f"the worker")
                 before = engine.tally()
                 done = run_rank_jobs(unit, engine, basis, D, jobs,
                                      NULL_TRACER, args)
-                conn.send(("ok", [(rank, A, B) for rank, A, B, *_ in done],
-                           sum(d[3] for d in done),
-                           [(rank, t0, t1, n)
-                            for rank, _, _, n, t0, t1 in done],
-                           engine.tally(since=before)))
+                _send(conn, ("ok", [(rank, A, B) for rank, A, B, *_ in done],
+                             int(sum(d[3] for d in done)),
+                             [(rank, t0, t1, n)
+                              for rank, _, _, n, t0, t1 in done],
+                             engine.tally(since=before)))
             elif cmd == "ping":
-                conn.send(("ok", None, 0, None, None))
+                _send(conn, ("ok", None, 0, None, None))
             else:
                 raise ValueError(f"unknown pool command {cmd!r}")
         except Exception:
-            conn.send(("err", traceback.format_exc(), 0, None, None))
+            _send(conn, ("err", traceback.format_exc(), 0, None, None))
     conn.close()
 
 
@@ -269,7 +325,8 @@ class ExchangeWorkerPool:
     ----------
     basis:
         The basis the workers build their ERI engines from.  Forked
-        workers inherit it for free; ``spawn`` fallbacks pickle it.
+        workers inherit it; a ``reset`` sends the next one as a codec
+        ``BasisSet`` record.
     nworkers:
         Pool size (default: the usable core count).
     timeout:
@@ -380,7 +437,8 @@ class ExchangeWorkerPool:
         if self._closed:
             return
         self._closed = True
-        for d in self._sup.shutdown(lambda s: s.chan.send(("stop",)), force):
+        for d in self._sup.shutdown(lambda s: _send(s.chan, ("stop",)),
+                                    force):
             warnings.warn(
                 f"pool worker {d.worker} had crashed ({d.how}) before "
                 "close; its last build may have been recovered or degraded",
@@ -404,10 +462,13 @@ class ExchangeWorkerPool:
         """Send ``outbox[w]`` to each worker.  Returns the workers that
         took their message and the diagnosis of each found dead at send
         time (``held[w]``: the rank ids it would have held)."""
+        # every message is encoded before any is sent: a value the codec
+        # refuses raises while no worker holds a message to answer
+        blobs = {w: codec.encode(msg) for w, msg in outbox.items()}
         sent, deaths = [], []
-        for w, msg in outbox.items():
+        for w, blob in blobs.items():
             try:
-                self._sup.slots[w].chan.send(msg)
+                self._sup.slots[w].chan.send_bytes(blob)
             except OSError:         # BrokenPipeError included
                 deaths.append(self._death(w, phase, held.get(w, ())))
             else:
@@ -418,11 +479,12 @@ class ExchangeWorkerPool:
         """One reply from each worker in ``sent``, under one deadline.
 
         Returns ``({w: (payload, count, timings, tally)}, deaths)``: a
-        worker whose pipe closes (possibly mid-message), whose sentinel
-        fires, or that stays silent past the deadline (``hung``) is
-        reaped and diagnosed; its siblings' replies are kept.  A worker
-        that *answers* with an error is a bug, not a fault: the pool
-        tears down and raises.
+        worker whose pipe closes (possibly mid-message), whose reply
+        does not decode or has the wrong shape, whose sentinel fires, or
+        that stays silent past the deadline (``hung``) is reaped and
+        diagnosed; its siblings' replies are kept.  A worker that
+        *answers* with an error is a bug, not a fault: the pool tears
+        down and raises.
         """
         deadline = time.monotonic() + self.timeout
         replies, deaths = {}, []
@@ -430,14 +492,16 @@ class ExchangeWorkerPool:
             for w in sent:
                 slot = self._sup.slots[w]
                 news = self._sup.wait([slot], deadline)
-                reply = None
+                reply, why = None, phase
                 if news and news[0][1]:
                     try:
-                        reply = slot.chan.recv()
+                        reply = _reply(slot.chan.recv_bytes())
                     except (EOFError, OSError):
                         pass        # pipe closed, possibly mid-message
+                    except codec.CodecError as e:
+                        why = f"{phase} (reply refused: {e})"
                 if reply is None:
-                    deaths.append(self._death(w, phase, held.get(w, ()),
+                    deaths.append(self._death(w, why, held.get(w, ()),
                                               hung=not news))
                     continue
                 status, payload, n, timings, tally = reply
@@ -492,6 +556,7 @@ class ExchangeWorkerPool:
                                  f"the pool's basis ({self._D.shape})")
             self._D[:] = D
         name = unit.__name__
+        qualified = _unit_name(unit)
         results: dict[int, tuple] = {}
         total = 0
         tallies = []
@@ -509,8 +574,8 @@ class ExchangeWorkerPool:
                 held = {w: [jobs[t].rank for t in mine]
                         for w, mine in holds.items()}
                 sent, deaths = self._post(
-                    {w: ("exec", unit, [(jobs[t].rank, jobs[t].pairs)
-                                        for t in mine], args)
+                    {w: ("exec", qualified, [(jobs[t].rank, jobs[t].pairs)
+                                             for t in mine], tuple(args))
                      for w, mine in holds.items()}, "dispatch", held)
             replies, dead = self._collect(sent, "build", held, tr, name)
             for payload, n, _, tally in replies.values():

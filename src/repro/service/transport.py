@@ -9,8 +9,8 @@ runs the cache protocol, dispatches to a lane and folds the answer
 back into the service.  It has two lane kinds:
 
 * **process lanes** — persistent **forked lane workers**, one OS
-  process per lane, speaking a length-prefixed, versioned pickle
-  **frame codec** over ``socketpair`` connections (``"process"``);
+  process per lane, speaking length-prefixed, versioned **frames** over
+  ``socketpair`` connections (``"process"``);
 * the **inline lane** — runs the job in the parent the moment the loop
   dispatches to it and records the answer at once.  ``"local"`` is
   exactly this one lane (the bit-exact reference), and it is where the
@@ -22,10 +22,12 @@ idiom one level up the stack, on the same process-lifecycle core
 respawn, shutdown); what stays here is the wire format and the lease:
 
 * **framed RPC** — every message is ``magic | version | length |
-  pickled payload`` (:func:`encode_frame` / :func:`read_frame` /
-  :func:`try_decode`); truncated, garbage, or future-version frames
-  are diagnosed as :class:`FrameError`, never half-parsed and never
-  hung on;
+  payload`` (:func:`encode_frame` / :func:`read_frame` /
+  :func:`try_decode`), the payload in the :mod:`repro.runtime.codec`
+  format (a job's config crosses as its tracer-less ``ExecutionConfig``
+  record), so no frame byte can run code; truncated, garbage,
+  undecodable or other-version frames are diagnosed as
+  :class:`FrameError`, never half-parsed and never hung on;
 * **heartbeat liveness** — each worker streams ``hb`` frames from a
   daemon thread in the child (cadence ``REPRO_SERVICE_HEARTBEAT``,
   default 1 s), so the parent can tell "still computing a long job"
@@ -74,7 +76,6 @@ plus ``service.frames_sent`` / ``service.frames_recv`` /
 
 from __future__ import annotations
 
-import pickle
 import socket
 import struct
 import threading
@@ -82,6 +83,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 
+from ..runtime import codec
 from ..runtime.boundary import (KNOBS, env_text, fault_fields, parse_fault,
                                 resolve)
 from ..runtime.execconfig import ExecutionConfig
@@ -100,7 +102,8 @@ __all__ = [
 FRAME_MAGIC = b"RLNF"
 
 #: Frame format version; a mismatched peer is refused, never half-read.
-FRAME_VERSION = 1
+#: v1 carried pickled payloads; v2 carries :mod:`repro.runtime.codec`.
+FRAME_VERSION = 2
 
 #: Sanity ceiling on one frame's payload.  A garbage length field must
 #: fail fast instead of "allocating" gigabytes while waiting forever
@@ -116,8 +119,9 @@ class FrameError(RuntimeError):
 
 
 def encode_frame(obj, *, version: int = FRAME_VERSION) -> bytes:
-    """Serialize one message as a self-delimiting frame."""
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    """Serialize one message as a self-delimiting frame (a value the
+    codec refuses raises :class:`~repro.runtime.codec.CodecError`)."""
+    payload = codec.encode(obj)
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame payload of {len(payload)} bytes exceeds the "
@@ -145,11 +149,9 @@ def _check_header(header: bytes) -> int:
 
 def _decode_payload(payload: bytes):
     try:
-        return pickle.loads(payload)
-    except Exception as e:
-        raise FrameError(
-            f"frame payload is undecodable ({type(e).__name__}: {e})"
-        ) from e
+        return codec.decode(payload)
+    except codec.CodecError as e:
+        raise FrameError(f"frame payload is undecodable ({e})") from e
 
 
 def try_decode(buf) -> tuple[object, int] | None:

@@ -67,6 +67,24 @@ def test_classical_md_kill_restore_continue_bit_identical(tmp_path):
     _assert_traj_identical(got, want)
 
 
+def test_classical_md_periodic_cell_kill_restore(tmp_path):
+    """A periodic run's cell rides the snapshot as its vectors and comes
+    back as the same :class:`Cell`."""
+    from repro.chem import Cell
+
+    def make(cfg=None):
+        return ClassicalMD(builders.water(), dt_fs=0.5, temperature=300.0,
+                           seed=2, cell=Cell.cubic(6.0), config=cfg)
+
+    want = make().run(12)
+    ckdir = tmp_path / "ck"
+    make(ExecutionConfig(checkpoint_dir=str(ckdir),
+                         checkpoint_every=5)).run(7)
+    revived = ClassicalMD.restore(str(ckdir))
+    assert np.array_equal(revived.cell.vectors, Cell.cubic(6.0).vectors)
+    _assert_traj_identical(revived.run(12), want)
+
+
 def test_classical_md_csvr_kill_restore(tmp_path):
     """The CSVR RNG stream rides in the snapshot for classical runs
     exactly like for BOMD ones."""

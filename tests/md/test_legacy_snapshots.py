@@ -6,7 +6,8 @@ Before the fold there were three runner classes: ``BOMD`` (kind
 ``bomd``, no ``n_outer``/``inner``/``aspc_order`` params), ``MTSBOMD``
 (kind ``mts_bomd``, its ASPC history, cached fast forces and inner
 engine under ``mts``) and ``ClassicalMD``.  Each envelope below is built
-by hand in that layout and written through ``CheckpointStore.save``.
+by hand in that layout and written in checkpoint format v1 (the pickle
+those runners wrote) and v2 (``CheckpointStore.save``'s codec).
 """
 
 import numpy as np
@@ -103,14 +104,27 @@ _CASES = {
 
 @pytest.mark.parametrize("case", sorted(_CASES))
 def test_pre_fold_snapshot_continues_bit_identically(tmp_path, case):
+    _continue(tmp_path, case, lambda state, step:
+              CheckpointStore(tmp_path).save(state, step=step))
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_pre_fold_v1_snapshot_continues_bit_identically(tmp_path, case,
+                                                        write_v1_snapshot):
+    _continue(tmp_path, case, lambda state, step:
+              write_v1_snapshot(tmp_path, state, step))
+
+
+def _continue(tmp_path, case, write):
+    """Kill a run of ``case``, ``write`` its pre-fold envelope, restore
+    it and check the continuation against the uninterrupted run."""
     make, kill, final, envelope = _CASES[case]
     ref = make()
     want = ref.run(final)
 
     victim = make()
     victim.run(kill)
-    state = envelope(victim)
-    CheckpointStore(tmp_path).save(state, step=kill)
+    write(envelope(victim), kill)
     del victim
 
     revived = restore_md(str(tmp_path))

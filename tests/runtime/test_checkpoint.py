@@ -8,6 +8,8 @@ random stream, and step counter included — on both the serial and the
 process-pool executor.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,73 @@ def test_newer_format_version_refused(tmp_path):
     info.path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointCorruptError, match="newer than this code"):
         store.load(info.path)
+
+
+def _restamp(path, version=None, payload=None):
+    """Rewrite a snapshot's header version and/or payload, with a digest
+    that matches what the file then holds."""
+    blob = path.read_bytes()
+    _, v, _, _ = _HEADER.unpack_from(blob)
+    version = v if version is None else version
+    payload = blob[_HEADER.size:] if payload is None else payload
+    path.write_bytes(_HEADER.pack(MAGIC, version, len(payload),
+                                  hashlib.sha256(payload).digest())
+                     + payload)
+
+
+def test_only_format_versions_with_a_reader_load(tmp_path):
+    """v1 and v2 have readers; v0 and v3 are refused even with a valid
+    digest, and the ring falls back past them."""
+    store = CheckpointStore(tmp_path, keep=3)
+    for step in (1, 2, 3):
+        store.save({"at": step}, step=step)
+    _restamp(tmp_path / "snap-00000003.ckpt", version=FORMAT_VERSION + 1)
+    _restamp(tmp_path / "snap-00000002.ckpt", version=0)
+    with pytest.raises(CheckpointCorruptError, match="newer than this code"):
+        store.load(tmp_path / "snap-00000003.ckpt")
+    with pytest.raises(CheckpointCorruptError, match="v0 is not one"):
+        store.load(tmp_path / "snap-00000002.ckpt")
+    with pytest.warns(RuntimeWarning) as caught:
+        state, info = store.load_latest()
+    assert (state, info.step, info.version) == ({"at": 1}, 1, 2)
+    assert [str(w.message).split(" is ")[0] for w in caught] == [
+        "checkpoint: snapshot snap-00000003.ckpt",
+        "checkpoint: snapshot snap-00000002.ckpt"]
+
+
+def test_v1_snapshot_still_loads(tmp_path, write_v1_snapshot):
+    state = {"kind": "demo", "x": np.arange(3.0), "mol": builders.h2(),
+             "t": (1, 2)}
+    write_v1_snapshot(tmp_path, state, 4)
+    loaded, info = CheckpointStore(tmp_path).load_latest()
+    assert (info.step, info.version) == (4, 1)
+    assert np.array_equal(loaded["x"], state["x"]) and loaded["t"] == (1, 2)
+    assert np.array_equal(loaded["mol"].coords, state["mol"].coords)
+
+
+def test_v2_pickle_payload_never_executes(tmp_path, hostile_pickle):
+    """A v2 snapshot whose digest matches a pickle payload is refused by
+    the codec — the pickle never runs — and the ring falls back."""
+    payload, marker = hostile_pickle
+    store = CheckpointStore(tmp_path, keep=3)
+    store.save({"at": 1}, step=1)
+    info = store.save({"at": 2}, step=2)
+    _restamp(info.path, payload=payload)
+    with pytest.raises(CheckpointCorruptError, match="undecodable"):
+        store.load(info.path)
+    with pytest.warns(RuntimeWarning, match="undecodable"):
+        state, _ = store.load_latest()
+    assert state == {"at": 1}
+    assert not marker.exists()
+
+
+def test_save_refuses_a_state_the_codec_does_not_admit(tmp_path):
+    from repro.runtime.codec import CodecError
+
+    store = CheckpointStore(tmp_path)
+    with pytest.raises(CodecError):
+        store.save({"engine": object()}, step=1)
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
 def test_save_is_atomic_over_existing_snapshot(tmp_path):

@@ -64,6 +64,25 @@ def test_pool_exchange_matches_serial(water_pool, water_basis, rng):
     _assert_same_partials(results, _in_process(water_basis, D, jobs))
 
 
+def test_pool_refuses_what_its_pipes_cannot_carry(water_pool, water_basis):
+    """A unit crosses by ``module:qualname`` and its arguments by the
+    boundary codec: a lambda, or an argument the codec refuses, is
+    refused before any worker holds a message, so the next build's
+    replies are its own."""
+    from repro.runtime.codec import CodecError
+
+    D = np.eye(water_basis.nbf)
+    jobs = [RankJob(rank=r, pairs=[np.array([[0, 0, 0, r]])], cost=1.0)
+            for r in range(2)]
+    with pytest.raises(ValueError, match="module-level"):
+        water_pool.run(lambda *a: (None, None, 0), jobs, (), D)
+    with pytest.raises(CodecError):
+        water_pool.run(eval_screened_pairs, jobs,
+                       (False, True, object()), D)
+    results, _ = water_pool.run(eval_screened_pairs, jobs, K_ONLY, D)
+    _assert_same_partials(results, _in_process(water_basis, D, jobs))
+
+
 def test_pool_counts_quartets_across_builds(water_basis):
     D = np.eye(water_basis.nbf)
     jobs = [RankJob(rank=0, pairs=[np.array([[0, 0, 0, 0]])], cost=1.0)]

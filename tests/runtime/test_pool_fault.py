@@ -186,6 +186,58 @@ def test_pool_runs_any_unit_like_the_rank_loop(clean_fault_env, water_basis,
             assert np.array_equal(got[rank][1], B)
 
 
+@pytest.mark.parametrize("reply", [
+    "hostile pickle", b"\x00garbage", ("ok",), ("ok", [(0, 1)], 0, None, None),
+    ("done", None, 0, None, None)])
+def test_refused_reply_is_a_worker_death(clean_fault_env, water_basis,
+                                         density, hostile_pickle, reply):
+    """A reply that does not decode, or decodes to the wrong shape, is
+    handled like a pipe that closed mid-message: the worker is reaped
+    and diagnosed, its rank jobs re-run, and the pickle a worker might
+    send is never executed."""
+    from repro.integrals.eri import ERIEngine
+    from repro.runtime import codec, pool as pool_mod
+    from repro.runtime.telemetry import NULL_TRACER
+
+    payload, marker = hostile_pickle
+    if reply == "hostile pickle":
+        blob = payload
+    elif isinstance(reply, bytes):
+        blob = reply
+    else:
+        blob = codec.encode(reply)
+    jobs = [RankJob(rank=0, pairs=[np.array([[0, 0, 0, 0], [0, 0, 0, 1],
+                                             [0, 0, 1, 1]])], cost=3.0),
+            RankJob(rank=1, pairs=[np.array([[0, 1, 0, 1]])], cost=1.0)]
+    want = run_rank_jobs(eval_screened_pairs, ERIEngine(water_basis),
+                         water_basis, density,
+                         [(j.rank, j.pairs) for j in jobs], NULL_TRACER,
+                         K_ONLY)
+    # the forked workers inherit the bad sender; respawns do not
+    clean_fault_env.setattr(pool_mod, "_send",
+                            lambda conn, msg: conn.send_bytes(blob))
+    with ExchangeWorkerPool(water_basis, nworkers=2) as pool:
+        clean_fault_env.undo()
+        results, _ = pool.run(eval_screened_pairs, jobs, K_ONLY, density)
+        assert (pool.worker_deaths, pool.respawns) == (2, 2)
+    for rank, _, K, *_ in want:
+        assert np.array_equal(results[rank][1], K)
+    assert not marker.exists()
+
+
+def test_refused_reply_is_diagnosed(clean_fault_env, water_basis, density):
+    from repro.runtime import pool as pool_mod
+
+    jobs = [RankJob(rank=0, pairs=[np.array([[0, 0, 0, 0]])], cost=1.0)]
+    clean_fault_env.setattr(pool_mod, "_send",
+                            lambda conn, msg: conn.send_bytes(b"junk"))
+    pool = ExchangeWorkerPool(water_basis, nworkers=1, max_retries=0)
+    clean_fault_env.undo()
+    with pytest.raises(WorkerDeathError, match="reply refused") as info:
+        pool.run(eval_screened_pairs, jobs, K_ONLY, density)
+    assert info.value.ranks == (0,) and pool.closed
+
+
 # --- degradation: retries exhausted -> serial fallback -----------------------
 
 

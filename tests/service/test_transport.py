@@ -7,9 +7,11 @@ import io
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro import api
 from repro.runtime import ExecutionConfig, Tracer
@@ -17,9 +19,12 @@ from repro.service import (CampaignService, FrameError, JobSpec,
                            ProcessLaneTransport, encode_frame, read_frame,
                            try_decode)
 from repro.service import transport
+from repro.runtime.codec import TAGS
 from repro.service.transport import (FRAME_MAGIC, FRAME_VERSION,
                                      MAX_FRAME_BYTES, _FRAME_HEADER,
                                      parse_service_fault)
+
+from ..runtime.codec_values import same
 
 pytestmark = [pytest.mark.service, pytest.mark.transport]
 
@@ -42,9 +47,14 @@ def _strip(record):
 
 _payloads = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
-    | st.text(max_size=40) | st.binary(max_size=40),
+    | st.text(max_size=40) | st.binary(max_size=40)
+    | hnp.arrays(st.sampled_from([np.float64, np.int64]),
+                 hnp.array_shapes(min_dims=0, max_dims=2, min_side=0,
+                                  max_side=4)),
     lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=8).filter(lambda k: k not in TAGS),
+                      inner, max_size=4),
     max_leaves=12)
 
 
@@ -53,8 +63,8 @@ _payloads = st.recursive(
 def test_codec_round_trips_arbitrary_payloads(obj):
     frame = encode_frame(obj)
     decoded, consumed = try_decode(frame)
-    assert decoded == obj and consumed == len(frame)
-    assert read_frame(io.BytesIO(frame).read) == obj
+    assert same(decoded, obj) and consumed == len(frame)
+    assert same(read_frame(io.BytesIO(frame).read), obj)
 
 
 @settings(max_examples=60, deadline=None)
@@ -62,7 +72,7 @@ def test_codec_round_trips_arbitrary_payloads(obj):
 def test_codec_consumes_exactly_one_frame(obj, trailing):
     frame = encode_frame(obj)
     decoded, consumed = try_decode(frame + trailing)
-    assert decoded == obj and consumed == len(frame)
+    assert same(decoded, obj) and consumed == len(frame)
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,6 +123,34 @@ def test_codec_diagnoses_undecodable_payload():
                                len(payload)) + payload
     with pytest.raises(FrameError, match="undecodable"):
         read_frame(io.BytesIO(frame).read)
+
+
+def test_a_pickled_payload_never_executes(hostile_pickle):
+    """RLNF v2 carries codec payloads: a pickle whose load would run
+    code is refused as undecodable at either entry point, and a v1
+    (pickle-era) frame is refused by its version before any payload
+    byte is read."""
+    payload, marker = hostile_pickle
+    frame = _FRAME_HEADER.pack(FRAME_MAGIC, FRAME_VERSION,
+                               len(payload)) + payload
+    with pytest.raises(FrameError, match="undecodable"):
+        try_decode(frame)
+    with pytest.raises(FrameError, match="undecodable"):
+        read_frame(io.BytesIO(frame).read)
+    old = _FRAME_HEADER.pack(FRAME_MAGIC, 1, len(payload)) + payload
+    with pytest.raises(FrameError, match="version"):
+        try_decode(old)
+    assert not marker.exists()
+
+
+def test_codec_refuses_unencodable_messages():
+    from repro.runtime.codec import CodecError
+
+    with pytest.raises(CodecError, match="tracer=None"):
+        encode_frame({"op": "job", "config": ExecutionConfig(
+            tracer=Tracer())})
+    with pytest.raises(CodecError):
+        encode_frame({"op": "job", "spec": H2_SCF})
 
 
 # --- fault-spec grammar -------------------------------------------------------

@@ -282,3 +282,49 @@ def test_one_pair_table():
     assert list(inspect.signature(schwarz_bounds).parameters) == ["basis"]
     assert _calls_under_src("locate") == {"integrals/eri.py:_class_batch",
                                           "scf/gradient.py:_differentiate_class"}
+
+
+def test_one_boundary_codec():
+    """No byte from a socket, pipe or disk runs code: under
+    ``src/repro`` only ``runtime/checkpoint.py`` imports ``pickle``, and
+    ``pickle.loads`` is the one use of it, in the v1 snapshot reader;
+    the pool's pipes carry bytes only (``send_bytes``/``recv_bytes``,
+    never ``Connection.send``/``.recv``); and the three boundary modules
+    encode and decode through :mod:`repro.runtime.codec`."""
+    import ast
+    import pathlib
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    importers, uses, codec_uses = set(), set(), {}
+    for path in sorted(src.rglob("*.py")):
+        mod = path.relative_to(src).as_posix()
+
+        def walk(node, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Import):
+                    if any(a.name == "pickle" for a in child.names):
+                        importers.add(mod)
+                elif isinstance(child, ast.ImportFrom):
+                    if child.module == "pickle":
+                        importers.add(mod)
+                elif isinstance(child, ast.Attribute) and \
+                        isinstance(child.value, ast.Name):
+                    if child.value.id == "pickle":
+                        uses.add((mod, where, child.attr))
+                    if child.value.id == "codec":
+                        codec_uses.setdefault(mod, set()).add(child.attr)
+                walk(child, child.name if isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    else where)
+
+        walk(ast.parse(path.read_text()), None)
+    assert importers == {"runtime/checkpoint.py"}
+    assert uses == {("runtime/checkpoint.py", "_load_v1", "loads")}
+    for mod in ("runtime/pool.py", "service/transport.py",
+                "runtime/checkpoint.py"):
+        assert {"encode", "decode"} <= codec_uses.get(mod, set()), mod
+    pool_calls = {c.func.attr for c in ast.walk(ast.parse(
+        (src / "runtime" / "pool.py").read_text()))
+        if isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)}
+    assert not pool_calls & {"send", "recv"}
+    assert {"send_bytes", "recv_bytes"} <= pool_calls
