@@ -5,15 +5,12 @@ Spin-restricted (closed-shell) throughout.  Energy densities follow the
 libxc convention: ``exc`` is energy per unit volume as a function of the
 density ``rho`` and the gradient invariant ``sigma = |grad rho|^2``;
 potentials ``vrho = d exc / d rho`` and ``vsigma = d exc / d sigma`` are
-obtained by differentiating the closed forms analytically where cheap
-(LDA) and by high-accuracy central differences for the GGA terms (the
-SCF only needs ~1e-9 consistency, far above the FD noise floor).
+the closed forms' analytic derivatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -42,13 +39,21 @@ _PW92 = dict(A=0.031091, a1=0.21370, b1=7.5957, b2=3.5876, b3=1.6382,
              b4=0.49294)
 
 
-def _pw92_eps(rs: np.ndarray) -> np.ndarray:
-    """PW92 correlation energy per electron (unpolarized)."""
+def _pw92_eps(rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PW92 correlation energy per electron (unpolarized) and its
+    derivative ``d eps / d rs``."""
     p = _PW92
     srs = np.sqrt(rs)
     den = 2.0 * p["A"] * (p["b1"] * srs + p["b2"] * rs
                           + p["b3"] * rs * srs + p["b4"] * rs * rs)
-    return -2.0 * p["A"] * (1.0 + p["a1"] * rs) * np.log1p(1.0 / den)
+    log = np.log1p(1.0 / den)
+    eps = -2.0 * p["A"] * (1.0 + p["a1"] * rs) * log
+    dden = 2.0 * p["A"] * (0.5 * p["b1"] / srs + p["b2"]
+                           + 1.5 * p["b3"] * srs + 2.0 * p["b4"] * rs)
+    # d log1p(1/den) / d rs = -dden / (den (den + 1))
+    deps = -2.0 * p["A"] * (p["a1"] * log
+                            - (1.0 + p["a1"] * rs) * dden / (den * (den + 1.0)))
+    return eps, deps
 
 
 def pw92_correlation(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -58,16 +63,14 @@ def pw92_correlation(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     rho = np.maximum(rho, _TINY)
     rs = (3.0 / (4.0 * np.pi * rho)) ** (1.0 / 3.0)
-    eps = _pw92_eps(rs)
-    drs = rs * 1e-6 + 1e-12
-    deps = (_pw92_eps(rs + drs) - _pw92_eps(rs - drs)) / (2.0 * drs)
+    eps, deps = _pw92_eps(rs)
     exc = eps * rho
     vrho = eps - (rs / 3.0) * deps
     return exc, vrho
 
 
 # --------------------------------------------------------------------------
-# PBE pieces (energy closed-form; derivatives by central differences)
+# PBE pieces (closed-form energies and derivatives)
 # --------------------------------------------------------------------------
 
 _PBE_KAPPA = 0.804
@@ -76,21 +79,38 @@ _PBE_BETA = 0.06672455060314922
 _PBE_GAMMA = (1.0 - np.log(2.0)) / np.pi ** 2
 
 
-def _pbe_x_energy(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """PBE exchange energy density (per volume)."""
-    rho = np.maximum(rho, _TINY)
+def pbe_exchange(rho, sigma):
+    """PBE exchange: (exc, vrho, vsigma), energy per volume.
+
+    ``exc = Cx rho^(4/3) Fx(s2)`` with ``s2 = sigma / (4 kf^2 rho^2)``
+    proportional to ``sigma rho^(-8/3)``."""
+    rho = np.maximum(np.asarray(rho, float), _TINY)
+    sigma = np.asarray(sigma, float)
     kf = (3.0 * np.pi ** 2 * rho) ** (1.0 / 3.0)
-    s2 = np.maximum(sigma, 0.0) / (4.0 * kf * kf * rho * rho)
-    fx = 1.0 + _PBE_KAPPA - _PBE_KAPPA / (1.0 + _PBE_MU * s2 / _PBE_KAPPA)
+    den = 4.0 * kf * kf * rho * rho                  # sigma / s2
+    s2 = np.maximum(sigma, 0.0) / den
+    u = 1.0 + _PBE_MU * s2 / _PBE_KAPPA
+    fx = 1.0 + _PBE_KAPPA - _PBE_KAPPA / u
+    dfx = _PBE_MU / (u * u)                          # d Fx / d s2
     ex_lda = _CX * rho ** (4.0 / 3.0)
-    return ex_lda * fx
+    exc = ex_lda * fx
+    vrho = (4.0 / 3.0) * _CX * rho ** (1.0 / 3.0) * fx \
+        - (8.0 / 3.0) * ex_lda * dfx * s2 / rho
+    vsigma = ex_lda * dfx / den
+    return exc, vrho, vsigma
 
 
-def _pbe_c_energy(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """PBE correlation energy density (per volume), unpolarized."""
-    rho = np.maximum(rho, _TINY)
+def pbe_correlation(rho, sigma):
+    """PBE correlation, unpolarized: (exc, vrho, vsigma), energy per
+    volume.
+
+    ``exc = rho (eps_PW92 + H(t2, A))`` with ``t2 = sigma / (4 ks^2
+    rho^2)`` proportional to ``sigma rho^(-7/3)`` and ``A`` a function of
+    ``eps_PW92``."""
+    rho = np.maximum(np.asarray(rho, float), _TINY)
+    sigma = np.asarray(sigma, float)
     rs = (3.0 / (4.0 * np.pi * rho)) ** (1.0 / 3.0)
-    eps = _pw92_eps(rs)
+    eps, deps = _pw92_eps(rs)
     kf = (3.0 * np.pi ** 2 * rho) ** (1.0 / 3.0)
     ks = np.sqrt(4.0 * kf / np.pi)
     grad = np.sqrt(np.maximum(sigma, 0.0))
@@ -99,30 +119,24 @@ def _pbe_c_energy(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     A = _PBE_BETA / _PBE_GAMMA / np.maximum(expo - 1.0, _TINY)
     num = 1.0 + A * t2
     den = 1.0 + A * t2 + A * A * t2 * t2
-    H = _PBE_GAMMA * np.log1p(_PBE_BETA / _PBE_GAMMA * t2 * num / den)
-    return (eps + H) * rho
-
-
-def _fd_gga(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-            rho: np.ndarray, sigma: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Energy density plus (vrho, vsigma) by central differences."""
-    exc = f(rho, sigma)
-    hr = np.maximum(np.abs(rho), 1e-10) * 1e-6
-    hs = np.maximum(np.abs(sigma), 1e-10) * 1e-6
-    vrho = (f(rho + hr, sigma) - f(np.maximum(rho - hr, _TINY), sigma)) / (2 * hr)
-    vsigma = (f(rho, sigma + hs) - f(rho, np.maximum(sigma - hs, 0.0))) / (2 * hs)
+    y = _PBE_BETA / _PBE_GAMMA * t2 * num / den
+    H = _PBE_GAMMA * np.log1p(y)
+    exc = (eps + H) * rho
+    # H = gamma log1p(beta/gamma t2 q), q = num/den; with g = A t2,
+    # dq/dt2 = -A r and dq/dA = -t2 r, r = g (2 + g) / den^2 formed
+    # from bounded ratios
+    g = A * t2
+    r = (g / den) * ((2.0 + g) / den)
+    dH = _PBE_BETA / (1.0 + y)                       # dH / d(t2 q)
+    dH_dt2 = dH * (num / den - t2 * A * r)
+    dA_deps = np.where(expo - 1.0 > _TINY, A * A * expo / _PBE_BETA, 0.0)
+    dH_deps = -dH * t2 * t2 * r * dA_deps
+    # d rs / d rho = -rs / (3 rho);  d t2 / d rho = -(7/3) t2 / rho
+    vrho = eps + H - (rs / 3.0) * deps * (1.0 + dH_deps) \
+        - (7.0 / 3.0) * dH_dt2 * t2
+    # rho * d t2 / d sigma = 1 / (4 ks^2 rho)
+    vsigma = dH_dt2 / (4.0 * ks * ks * rho)
     return exc, vrho, vsigma
-
-
-def pbe_exchange(rho, sigma):
-    """PBE exchange: (exc, vrho, vsigma)."""
-    return _fd_gga(_pbe_x_energy, np.asarray(rho, float), np.asarray(sigma, float))
-
-
-def pbe_correlation(rho, sigma):
-    """PBE correlation: (exc, vrho, vsigma)."""
-    return _fd_gga(_pbe_c_energy, np.asarray(rho, float), np.asarray(sigma, float))
 
 
 # --------------------------------------------------------------------------

@@ -68,8 +68,10 @@ class RIJKBuilder(JKEngine):
     the first :meth:`build` at a geometry and is reused by every later
     build until a :meth:`reset` to another one; the counters
     ``scf.ri_b_builds`` / ``scf.ri_b_reuses`` in ``--profile`` make the
-    caching visible.  :meth:`close` releases an owned pool only: the
-    cached tensor survives and keeps serving builds.
+    caching visible, and ``scf.ri_naux`` / ``scf.ri_rank`` the fitting
+    set's size and the rows the fit keeps.  :meth:`close` releases an
+    owned pool only: the cached tensor survives and keeps serving
+    builds.
     """
 
     jk = "ri"
@@ -172,6 +174,9 @@ class RIJKBuilder(JKEngine):
             tr.metrics.count("scf.ri_b_builds", 1)
             tr.metrics.count("scf.ri_ints3c", self.ints_3c)
             tr.metrics.set("scf.ri_naux", self.aux.nbf)
+            # rows the pivoted fit keeps: below naux when the metric
+            # has dependent directions
+            tr.metrics.set("scf.ri_rank", len(self._B))
         return self._B
 
     def fitted_tensor(self) -> np.ndarray:

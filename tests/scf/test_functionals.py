@@ -7,6 +7,8 @@ from repro.scf.functionals import (FUNCTIONALS, get_functional, lda_exchange,
                                    pbe_correlation, pbe_exchange,
                                    pw92_correlation)
 
+from . import functional_oracle as oracle
+
 
 def test_lda_exchange_uniform_gas_value():
     """e_x per electron of the HEG: -(3/4)(3/pi)^{1/3} rho^{1/3}."""
@@ -101,3 +103,68 @@ def test_pbe0_semilocal_exchange_scaled():
     e_pbe0 = f_pbe0.evaluate(rho, sigma)[0]
     ex, _, _ = pbe_exchange(rho, sigma)
     assert np.allclose(e_pbe - e_pbe0, 0.25 * ex, rtol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def pc_pbe0_grid():
+    """``(rho, sigma, weights)`` of a converged propylene-carbonate
+    density on the default PBE0 grid, at the points whose density and
+    gradient are above the working-precision floor (below it a relative
+    difference step underflows)."""
+    from repro.basis import build_basis
+    from repro.chem import builders
+    from repro.runtime import ExecutionConfig
+    from repro.scf import RHF
+    from repro.scf.dft import XCIntegrator
+    from repro.scf.grid import MolecularGrid
+
+    mol = builders.propylene_carbonate()
+    basis = build_basis(mol)
+    D = RHF(mol, basis=basis, config=ExecutionConfig(jk="ri"),
+            conv_tol=1e-6).run().D
+    grid = MolecularGrid.build(mol)
+    xc = XCIntegrator(basis, grid, get_functional("pbe0"))
+    rho, (sigma, _) = xc.density_on_grid(D)
+    keep = (rho > 1e-10) & (sigma > 1e-20)
+    assert keep.sum() > 0.8 * len(rho)
+    return rho[keep], sigma[keep], grid.weights[keep]
+
+
+@pytest.mark.parametrize("part", ["exchange", "correlation"])
+def test_pbe_closed_form_potentials_match_central_differences(
+        pc_pbe0_grid, part):
+    """Analytic vrho/vsigma against fourth-order central differences of
+    the verbatim energy expressions, to <= 1e-7 relative in the
+    grid-weighted norm; the energy density equal in every bit."""
+    rho, sigma, w = pc_pbe0_grid
+    new, ref = {"exchange": (pbe_exchange, oracle.pbe_x_energy),
+                "correlation": (pbe_correlation, oracle.pbe_c_energy)}[part]
+    exc, vrho, vsigma = new(rho, sigma)
+    assert np.array_equal(exc, ref(rho, sigma))
+    fd_rho = oracle.central_difference(lambda r: ref(r, sigma), rho)
+    fd_sigma = oracle.central_difference(lambda s: ref(rho, s), sigma)
+    for v, fd in ((vrho, fd_rho), (vsigma, fd_sigma)):
+        rel = np.linalg.norm(w * (v - fd)) / np.linalg.norm(w * fd)
+        assert rel <= 1e-7, rel
+
+
+def test_pw92_closed_form_potential_matches_central_differences(
+        pc_pbe0_grid):
+    rho, _, w = pc_pbe0_grid
+    exc, vrho = pw92_correlation(rho)
+    rs = (3.0 / (4.0 * np.pi * rho)) ** (1.0 / 3.0)
+    assert np.array_equal(exc, oracle.pw92_eps(rs) * rho)
+    fd = oracle.central_difference(
+        lambda r: oracle.pw92_eps((3.0 / (4.0 * np.pi * r)) ** (1.0 / 3.0)) * r,
+        rho)
+    assert np.linalg.norm(w * (vrho - fd)) / np.linalg.norm(w * fd) <= 1e-7
+
+
+def test_potentials_stay_finite_at_the_density_floor():
+    # clamped (zero) densities and vanishing gradients, as the grid's
+    # far points produce them
+    rho = np.array([0.0, 0.0, 1e-30, 1e-12, 1e-162])
+    sigma = np.array([0.0, 1e-10, 1e-30, 1e-20, 1e-320])
+    for f in (pbe_exchange, pbe_correlation):
+        for arr in f(rho, sigma):
+            assert np.all(np.isfinite(arr))
