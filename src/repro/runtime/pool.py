@@ -120,9 +120,10 @@ class RankJob:
     """One rank's slice of the build.
 
     ``pairs`` is the work list the unit is handed: for the J/K unit a
-    list of ``(nq, 4)`` arrays of screened unique quartets, one L-class
-    each (the serial path's classes, or the rows of them whose bra the
-    rank owns); for the RI slab unit a list of auxiliary shell indices.
+    list of ``(nq, 4)`` arrays of screened unique quartets, one block
+    each (the rows of the screen's blocks whose bra the rank owns; an
+    in-process job may name compiled blocks of its engine's class store
+    instead); for the RI slab unit a list of auxiliary shell indices.
     ``cost`` is the job's weight in the LPT assignment.
     """
 

@@ -133,6 +133,21 @@ def _screen_oracle(inc, dmax, eps):
     return surviving, computed, skipped
 
 
+def _expand(builder, item):
+    """The ``(nq, 4)`` quartets of one item of the mask-form screen."""
+    if isinstance(item, np.ndarray):
+        return item
+    from repro.integrals.pairclass import pair_classes
+
+    key, keep = item
+    blk = builder.engine.store[key]
+    classes = pair_classes(builder.basis)
+    bra, ket = (classes.pair_class(c).ij for c in key)
+    r, c = np.divmod(blk.codes, len(ket))
+    rows = np.hstack([bra[r], ket[c]])
+    return rows if keep is None else rows[keep]
+
+
 @pytest.mark.reference
 @pytest.mark.parametrize("builder", ["water", "li2o2",
                                      "propylene_carbonate"])
@@ -144,10 +159,14 @@ def test_increment_screen_equals_the_per_quartet_loop(builder,
     spanning keep-all to skip-most, and fed the global ``max|D|`` at the
     full build's threshold.  Each class array is one L-class, its rows
     in bra-major order, and a scratch cap that splits every block into
-    one-row chunks returns the same arrays."""
+    one-row chunks returns the same arrays.  The mask form — a warm
+    class store's compiled blocks screened as keep masks, the rest as
+    lists — keeps the same arrays, block by block and row by row."""
     import repro.scf.fock as fock
     basis = build_basis(getattr(builders, builder)())
     inc = IncrementalExchange(basis, eps=1e-10, rebuild_every=100)
+    warm = IncrementalExchange(basis, eps=1e-10, rebuild_every=100,
+                               config=ExecutionConfig(kernel="batched"))
     eps = inc.increment_eps
     rng = np.random.default_rng(7)
     shape = (basis.nbf, basis.nbf)
@@ -155,6 +174,7 @@ def test_increment_screen_equals_the_per_quartet_loop(builder,
     # the global one disagree on many quartets
     base = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 0, size=shape)
     base = base + base.T
+    warm.build(base)                    # fills the class store
     kind = [(sh.l, sh.nprim) for sh in basis.shells]
     nsh = basis.nshell
     kept = []
@@ -169,6 +189,10 @@ def test_increment_screen_equals_the_per_quartet_loop(builder,
             chunked = inc._screened_classes(dmax, thresh)
         assert len(chunked) == len(got)
         assert all(np.array_equal(a, b) for a, b in zip(chunked, got))
+        masked = [_expand(warm, item)
+                  for item in warm._screened_work(dmax, thresh)]
+        assert len(masked) == len(got)
+        assert all(np.array_equal(a, b) for a, b in zip(masked, got))
         rows = [tuple(q) for cls in got for q in cls.tolist()]
         assert sorted(rows) == sorted(ref)
         assert len(rows) == computed

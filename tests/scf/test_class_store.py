@@ -1,5 +1,5 @@
-"""The class store of the batched direct walk
-(:meth:`repro.integrals.ERIEngine.stored_batch`): each SCF evaluates a
+"""The class store of the batched direct walk (``ERIEngine.store``, its
+blocks compiled by :mod:`repro.scf.fock`): each SCF evaluates a
 surviving quartet once, and nothing it returns depends on the store.
 
 A block is the same bits whatever class batch evaluated it, and the
