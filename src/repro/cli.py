@@ -486,8 +486,8 @@ def _geometry_parent() -> argparse.ArgumentParser:
     """``--xyz`` / ``--charge`` / ``--multiplicity``."""
     g = argparse.ArgumentParser(add_help=False)
     g.add_argument("--xyz", help="XYZ file instead of a built-in")
-    g.add_argument("--charge", type=int, default=0)
-    g.add_argument("--multiplicity", type=int, default=1)
+    _knob_flag(g, "charge")
+    _knob_flag(g, "multiplicity")
     return g
 
 
@@ -568,23 +568,19 @@ def build_parser() -> argparse.ArgumentParser:
     _knob_flag(pm, "steps",
                help="integrate until logical step N (a restored "
                     "run takes only the remaining steps)")
-    pm.add_argument("--dt", type=float, default=0.5,
-                    help="timestep in fs (default 0.5)")
+    _knob_flag(pm, "dt_fs", help="timestep in fs (default 0.5)")
     pm.add_argument("--temperature", type=float, default=None,
                     help="initial Maxwell-Boltzmann temperature (K)")
     _knob_flag(pm, "thermostat",
                help="NVT thermostat (csvr continues its random "
                     "stream across restarts)")
-    pm.add_argument("--tau", type=float, default=50.0,
-                    help="thermostat time constant in fs (default 50)")
-    pm.add_argument("--seed", type=int, default=0,
-                    help="velocity/thermostat RNG seed")
-    pm.add_argument("--mts-outer", type=int,
-                    default=KNOBS["mts_outer"].default, metavar="N",
-                    help="r-RESPA multiple time stepping: evaluate the "
-                         "full SCF force every N steps, integrating the "
-                         "inner motion on the --mts-inner surface "
-                         "(default 1 = off)")
+    _knob_flag(pm, "tau_fs",
+               help="thermostat time constant in fs (default 50)")
+    _knob_flag(pm, "seed", help="velocity/thermostat RNG seed")
+    _knob_flag(pm, "mts_outer", metavar="N",
+               help="r-RESPA multiple time stepping: evaluate the full "
+                    "SCF force every N steps, integrating the inner "
+                    "motion on the --mts-inner surface (default 1 = off)")
     _knob_flag(pm, "mts_inner",
                help="fast-force surface for the MTS inner loop "
                     "(default ff: the classical force field)")

@@ -64,15 +64,16 @@ class IncrementalExchange(DirectJKBuilder):
     snapshot carries it.
 
     With ``kernel="batched"`` every one of those walks also reads the
-    engine's class store that the first full build filled, its blocks
-    compiled for the accumulation at admit time: each surviving quartet
-    is evaluated and compiled once per geometry (within the store's
-    byte budget), and an in-process increment walk screens each held
-    block as one keep mask on its stored ``Q_ij Q_kl`` and the six
-    ``|dD|`` blocks it touches, dropping a block outright when ``max
-    Q_ij Q_kl * max|dD| < eps`` (:meth:`DirectJKBuilder._screened_work`).
-    A ``reset`` to a new basis drops the store with the history; one
-    without a basis (same geometry) keeps it.  The quartet
+    class store of the process that runs it, whose Schwarz cuts the
+    first full build filled: each quartet is evaluated and compiled once
+    per geometry (within the store's byte budget), and an increment walk
+    screens each held cut as one keep mask on its stored ``Q_ij Q_kl``
+    and the six ``|dD|`` blocks it touches, dropping a block outright
+    when ``max Q_ij Q_kl * max|dD| < eps``; a cut the looser increment
+    threshold reaches past is extended by one band first
+    (:func:`repro.scf.fock.eval_screened_pairs`).  A ``reset`` to a new
+    basis drops the store with the history; one without a basis (same
+    geometry) keeps it.  The quartet
     counts here (:attr:`last_quartets`, ``kinc.quartets``, the
     ``total_quartets_*`` totals) count quartets *walked*, so
     :attr:`savings` keeps measuring the increment screen alone.

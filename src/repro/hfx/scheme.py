@@ -45,7 +45,7 @@ from ..machine.node import NodeComputeModel
 from ..machine.simulator import BuildTiming, CommPlan, simulate_static_build
 from ..runtime.execconfig import ExecutionConfig, resolve_execution
 from ..runtime.pool import RankJob
-from ..scf.fock import DirectJKBuilder
+from ..scf.fock import DirectJKBuilder, eval_screened_pairs
 from .partition import Partition, partition_tasks
 from .tasklist import TaskList, build_tasklist
 
@@ -216,8 +216,9 @@ def distributed_exchange(basis: BasisSet, D: np.ndarray, nranks: int,
                                                         builder.engine),
                             cost=float(part.rank_flops[r]))
                     for r in range(nranks)]
-            results, _ = builder.eval_jobs(lambda pool: jobs, D,
-                                           want_j=False, want_k=True)
+            results, _ = builder.lease.map(
+                eval_screened_pairs, lambda pool: jobs, builder.engine, D,
+                (False, True, builder.kernel))
             partials = [results[r][1] for r in range(nranks)]
             with tr.span("hfx.reduce", cat="comm"):
                 K = reduce(np.add, partials)

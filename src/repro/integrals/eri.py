@@ -48,13 +48,16 @@ PERM_AXES = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
 # Byte budget of one engine's class store: the blocks the batched direct
 # walk evaluated at this geometry, kept for every later walk.  A block is
 # held compiled for the J/K accumulation (~4x its bare integrals) while
-# the budget lasts; past that it is held bare (integrals and quartet
-# codes), the latest compiled blocks going bare to make room, so 256 MiB
+# the budget lasts; past that it is held bare (its integrals and Schwarz
+# cut), the latest compiled blocks going bare to make room, so 256 MiB
 # holds every unique quartet of a basis up to nbf ~ 115 (~ 120 counting
-# the integrals alone) and compiles all of them up to nbf ~ 85.  Integrals are never evicted: a block that does
-# not fit even bare is evaluated on every walk.  The store lives and
-# dies with its engine, which every process rebuilds per geometry, so
-# it never spans two geometries and no snapshot carries it.
+# the integrals alone) and compiles all of them up to nbf ~ 85.
+# Integrals are never evicted: a block that does not fit even bare is
+# evaluated on every walk.  The same budget bounds the in-core tensor
+# route (``make_jk_engine`` derives it while ``8 nbf^4`` bytes fit, nbf
+# <= 76).  The store lives and dies with its engine, which every process
+# rebuilds per geometry, so it never spans two geometries and no
+# snapshot carries it.
 CLASS_STORE_BYTES = 256 << 20
 
 # The engine counters a pool worker reports back (:meth:`ERIEngine.tally`)
@@ -115,19 +118,19 @@ class ERIEngine:
 
     The engine also keeps the *class store* of the batched direct walk
     (``store``, filled through :meth:`admit`): per (bra pair class, ket
-    pair class) block, the quartets evaluated so far, compiled for the
-    J/K accumulation by :mod:`repro.scf.fock` at admit time, under the
-    byte budget :data:`CLASS_STORE_BYTES` (a block with no room to be
-    held compiled is held bare).  ``store_bytes`` counts every byte
+    pair class) block, a Schwarz cut of its quartets — those of the bra
+    rows this process served whose ``Q_ij Q_kl`` reaches the row's cut —
+    compiled for the J/K accumulation by :mod:`repro.scf.fock`, under
+    the byte budget :data:`CLASS_STORE_BYTES` (a block with no room to
+    be held compiled is held bare).  ``store_bytes`` counts every byte
     held (a compiled block's integrals in three layouts, their flat AO
     indices, weights and screen data; a bare block's integrals and
-    codes).  One engine
-    serves one geometry, so the store does too; every later walk of the
-    same SCF (increment walks, full rebuilds, response builds, J- or
-    K-only builds) reads what an earlier one compiled.
-    ``quartets_computed`` counts evaluations only,
-    ``store_hits``/``store_misses`` the walked quartets the store
-    served and did not.
+    cut).  One engine serves one geometry, so the store does
+    too; every later walk of the same SCF (increment walks, full
+    rebuilds, response builds, J- or K-only builds) reads what an
+    earlier one compiled.  ``quartets_computed`` counts evaluations
+    only, ``store_hits``/``store_misses`` the walked quartets the store
+    held before the walk and did not.
     """
 
     def __init__(self, basis: BasisSet):

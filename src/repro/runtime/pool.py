@@ -26,17 +26,17 @@ loop in parallel on local cores:
   the new geometry as a ``BasisSet`` record;
 * **static balancing**: rank jobs are assigned to workers by the one
   greedy LPT, :func:`repro.hfx.partition.lpt_bins`, on each job's
-  ``cost`` (surviving quartets for the direct builder, the partitioner's
-  flops for ``distributed_exchange``, function counts for RI shards),
-  mirroring the paper's master-less static schedule (no runtime
-  dispatch);
+  ``cost`` (the surviving quartets of its bras, :func:`own_bras`, for
+  the direct builder, the partitioner's flops for
+  ``distributed_exchange``, function counts for RI shards), mirroring
+  the paper's master-less static schedule (no runtime dispatch);
 * the per-rank results come back keyed by rank id; the caller reduces
   them (the J/K partials are summed exactly like the scheme's
   allreduce, RI slabs are scattered by aux-shell slice).
 
-All Cauchy-Schwarz / density screening happens in the parent so the
-serial and process executors walk byte-identical work lists — the pool
-changes only *where* a rank job runs, never *what* it computes.
+A rank job is the whole of its rank's work: the direct builder's job
+names the bras the rank owns and the rank screens them itself, so the
+pool changes only *where* a rank job runs, never *what* it computes.
 
 Fault tolerance (the paper's 96-rack reality, one level down: node
 failure is a fact of life and the static master-less schedule must
@@ -51,8 +51,8 @@ survive it):
   ``REPRO_POOL_TIMEOUT`` overrides), killed, and diagnosed the same
   way, and so is one whose reply does not decode or has the wrong
   shape;
-* **recovery** — screening happens in the parent and rank jobs are
-  deterministic, so a dead worker's jobs are simply re-run: the pool
+* **recovery** — rank jobs are deterministic whatever a worker's
+  class store holds, so a dead worker's jobs are simply re-run: the pool
   respawns dead slots (bounded rounds with backoff; default 2,
   ``REPRO_POOL_MAX_RETRIES`` / ``ExecutionConfig(pool_max_retries=)``
   override) and re-dispatches *exactly* the lost rank slices — LPT over
@@ -87,7 +87,7 @@ from .boundary import (KNOBS, default_nworkers, env_text, parse_fault,
 from .supervisor import FaultGate, Supervisor, WorkerDeath
 
 __all__ = ["RankJob", "ExchangeWorkerPool", "PoolLease", "WorkerDeathError",
-           "run_rank_jobs", "balance_pairs", "default_nworkers",
+           "run_rank_jobs", "own_bras", "default_nworkers",
            "resolve_nworkers", "resolve_pool_timeout",
            "resolve_pool_max_retries"]
 
@@ -119,12 +119,11 @@ class WorkerDeathError(WorkerDeath):
 class RankJob:
     """One rank's slice of the build.
 
-    ``pairs`` is the work list the unit is handed: for the J/K unit a
-    list of ``(nq, 4)`` arrays of screened unique quartets, one block
-    each (the rows of the screen's blocks whose bra the rank owns; an
-    in-process job may name compiled blocks of its engine's class store
-    instead); for the RI slab unit a list of auxiliary shell indices.
-    ``cost`` is the job's weight in the LPT assignment.
+    ``pairs`` is the work the unit is handed: for the direct builder's
+    J/K job the bool mask of the bras the rank owns, for a task-list
+    J/K job a list of ``(nq, 4)`` quartet arrays, for the RI slab unit a
+    list of auxiliary shell indices.  ``cost`` is the job's weight in
+    the LPT assignment.
     """
 
     rank: int
@@ -149,40 +148,22 @@ def run_rank_jobs(unit, engine, basis, D, jobs, tr, args=()) -> list:
     return out
 
 
-def balance_pairs(classes, nworkers: int, nshell: int, owner=None
-                  ) -> tuple[list[RankJob], tuple]:
-    """One rank job per worker from the screen's class arrays: the rows
-    of every ``(nq, 4)`` class go to the rank that owns their bra
-    ``(i, j)``, in order (each job keeps the classes it has rows in).
-
-    ``owner`` is what an earlier call returned, ``(rank_of_bra, loads)``
-    with ``rank_of_bra`` indexed by ``i * nshell + j``; without one,
-    every bra is assigned by :func:`repro.hfx.partition.lpt_bins` on its
-    surviving quartets in ``classes``.  Each job's ``cost`` is its load
-    at that assignment, so the pool's dispatch sends it to the same
-    worker on every build that keeps the ownership.  Returns ``(jobs,
-    owner)``.
-    """
+def own_bras(counts: np.ndarray, nworkers: int
+             ) -> tuple[np.ndarray, list[float]]:
+    """The static schedule's bra ownership: every bra ``b`` (``i *
+    nshell + j``), weighted by ``counts[b]``, its surviving quartets at
+    a geometry's first build, goes to a rank by
+    :func:`repro.hfx.partition.lpt_bins`.  Returns ``(rank_of_bra,
+    loads)``, ``loads[w]`` the job cost of rank ``w``, so the pool's
+    dispatch sends each rank to the same worker on every build."""
     from ..hfx.partition import lpt_bins
 
-    bras = [c[:, 0] * nshell + c[:, 1] for c in classes]
-    if owner is None:
-        counts = np.zeros(nshell * nshell)
-        for b in bras:
-            counts += np.bincount(b, minlength=nshell * nshell)
-        rank_of_bra = np.empty(nshell * nshell, dtype=np.int64)
-        loads = []
-        for w, mine in enumerate(lpt_bins(counts, nworkers)):
-            rank_of_bra[mine] = w
-            loads.append(float(counts[mine].sum()))
-        owner = (rank_of_bra, loads)
-    rank_of_bra, loads = owner
-    ranks = [rank_of_bra[b] for b in bras]
-    jobs = [RankJob(rank=w, cost=loads[w],
-                    pairs=[c[r == w] for c, r in zip(classes, ranks)
-                           if (r == w).any()])
-            for w in range(nworkers)]
-    return jobs, owner
+    rank_of_bra = np.empty(len(counts), dtype=np.int64)
+    loads = []
+    for w, mine in enumerate(lpt_bins(counts, nworkers)):
+        rank_of_bra[mine] = w
+        loads.append(float(counts[mine].sum()))
+    return rank_of_bra, loads
 
 
 def _parse_fault(spec: str | None):
@@ -295,8 +276,6 @@ def _worker_main(conn, wid: int, _gen: int, dbuf, basis, nbf: int) -> None:
                 engine = ERIEngine(basis)
                 _send(conn, ("ok", None, 0, None, None))
             elif cmd == "exec":
-                # the parent already screened, so each rank's work list
-                # is exactly the serial path's
                 _, name, jobs, args = msg
                 unit = _find_unit(name)
                 if unit is None:

@@ -12,33 +12,29 @@ Two execution styles, mirroring the paper:
 One accumulation, mirroring the paper's class-batched exchange kernel,
 whose data layout is fixed once per geometry and streamed every build.
 The unit is one *block*: the unique quartets of one (bra pair class,
-ket pair class) pair, bra-major.  A block is *compiled* once
-(:class:`_Block`): its integrals in the three layouts the images
-contract (J ``(ij|kl)``, K ``(ik|jl)`` and ``(il|jk)``), their flat AO
-indices, the degeneracy weights ``f`` and, for the screen, the Schwarz
-products ``Q_ij Q_kl`` and the six shell blocks of the density each
-quartet's contractions touch.  :func:`_add_images` adds a compiled
-block, weighted by ``f`` (times a keep mask), to *half* of J (two
-contractions) and half of K (four images) through flat-index
-``np.bincount`` scatters; ``J = Jh + Jh^T`` and ``K = Kh + Kh^T``
-supply the other images, which is exact because the density is
-symmetric.  A masked row adds exact zeros, so a compiled block screened
-by a mask and the screen's survivors alone give the same bits.
+ket pair class) pair, bra-major, *compiled* once (:class:`_Block`) into
+the three integral layouts the images contract, their flat AO indices,
+the degeneracy weights and the screen's data.  :func:`_add_images` adds
+a compiled block, weighted by ``f`` (times a keep mask), to *half* of J
+and K through flat-index ``np.bincount`` scatters; ``J = Jh + Jh^T`` and
+``K = Kh + Kh^T`` supply the other images, which is exact because the
+density is symmetric.  A masked row adds exact zeros, so a compiled
+block screened by a mask and the screen's survivors alone give the same
+bits.
 
-The batched walk keeps the compiled blocks in its engine's class store
-(:meth:`~repro.integrals.eri.ERIEngine.admit`): a warm in-process build
-screens each held block as one keep mask and accumulates it, with no
-quartet list, lookup or gather.  Every other block is screened as a
-list and looked up by its codes (:func:`_stored`), its misses evaluated
-and compiled.  Where the byte budget cannot hold a block compiled the
-store keeps it bare (its integrals alone, the latest compiled blocks
-going bare to make room), compiled anew for every build that reads it;
-what it cannot hold at all, and the reference kernel's blocks, are
-compiled for the one build.  Both ERI kernels feed the same
-accumulation; they differ only in where a block's integrals come from.
+The batched walk keeps each block in its engine's class store
+(:meth:`~repro.integrals.eri.ERIEngine.admit`) as a *Schwarz cut*
+(:class:`_Block`), screens it as one keep mask and accumulates it as it
+lies, first extending a cut that may lack a survivor by one band
+(:func:`_extend`).  Past the byte budget a block is held bare and
+compiled per build; a block the store cannot hold at all, and every
+block of the reference kernel, is list-screened and compiled for the
+one build.  Both ERI kernels feed the same accumulation.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +43,7 @@ from ..integrals import eri
 from ..integrals.eri import ERIEngine, eri_tensor
 from ..integrals.pairclass import pair_classes
 from ..runtime.boundary import check_jk_route
-from ..runtime.pool import PoolLease, RankJob, balance_pairs
+from ..runtime.pool import PoolLease, RankJob, own_bras
 
 __all__ = ["jk_from_tensor", "coulomb_from_tensor", "exchange_from_tensor",
            "JKEngine", "TensorJKEngine", "DirectJKBuilder", "make_jk_engine",
@@ -82,34 +78,135 @@ def _layout(B: np.ndarray, t: int) -> np.ndarray:
         len(B), B.shape[a] * B.shape[c], B.shape[b] * B.shape[d])
 
 
+class _Side(NamedTuple):
+    """One pair class as a side of the walk's blocks: its id, its pairs'
+    positions in ``(i, j)`` order, the pairs, their Schwarz bounds and
+    the Cartesian components ``(ncA, ncB)`` of a pair."""
+
+    cid: int
+    pos: np.ndarray
+    ij: np.ndarray
+    q: np.ndarray
+    shape: tuple
+
+
+def _pair_walk(engine: ERIEngine) -> list[_Side]:
+    """The pair classes of ``engine``'s basis in signature order: every
+    (bra, ket) pair of them is one block of the walk.  Built once per
+    basis object, like its pair table and Schwarz bounds."""
+    basis = engine.basis
+    sides = basis.__dict__.get("_walk_cache")
+    if sides is None:
+        classes = pair_classes(basis)
+        bounds = engine.pair_bounds()
+        nsh = basis.nshell
+        pos = np.zeros((nsh, nsh), dtype=np.int64)
+        pos[np.triu_indices(nsh)] = np.arange(nsh * (nsh + 1) // 2)
+        sides = basis.__dict__["_walk_cache"] = []
+        for cls in classes.by_signature():
+            cid = int(classes.cid[cls.ij[0, 0], cls.ij[0, 1]])
+            sides.append(_Side(cid, pos[cls.ij[:, 0], cls.ij[:, 1]],
+                               cls.ij, bounds[cid], cls.shape))
+    return sides
+
+
+def _walk_blocks(walk: list[_Side], dmax, eps: float) -> list[tuple]:
+    """The (bra, ket) blocks of unique quartets, in walk order, less
+    those the increment screen drops whole: ``max(Q_b) max(Q_k) *
+    max(dmax) < eps`` bounds every quartet's test from above."""
+    top = np.max(dmax) if np.ndim(dmax) == 2 and np.size(dmax) else None
+    return [(bra, ket) for bra in walk for ket in walk
+            # not when every ket pair precedes every bra
+            if bra.pos[0] <= ket.pos[-1] and (
+                top is None or not bra.q.max() * ket.q.max() * top < eps)]
+
+
+def _six(dmax: np.ndarray, i, j, k, l) -> np.ndarray:
+    """The increment screen's bound of quartets ``(i, j, k, l)``: the
+    largest ``max|dD|`` of the six shell blocks their J and K
+    contractions touch, ``(k,l)`` and ``(i,j)`` for J, ``(j,l), (j,k),
+    (i,l), (i,k)`` for K."""
+    return np.maximum(
+        np.maximum(np.maximum(dmax[j, l], dmax[j, k]),
+                   np.maximum(dmax[i, l], dmax[i, k])),
+        np.maximum(dmax[k, l], dmax[i, j]))
+
+
+def _grid(bra: _Side, ket: _Side, rows: np.ndarray | None = None):
+    """``Q_ij Q_kl`` of the (``bra``, ``ket``) block in chunks of the bra
+    rows ``rows`` (a bool per bra pair; all without) under
+    ``_SCREEN_SCRATCH`` elements: ``(r, U, G)`` per chunk, ``r`` its
+    rows, ``G`` ``(len(r), nket)`` and ``U`` where the ket pair does not
+    precede the bra (a unique quartet)."""
+    r = np.arange(len(bra.pos)) if rows is None else np.flatnonzero(rows)
+    step = max(1, _SCREEN_SCRATCH // len(ket.pos))
+    for s in range(0, len(r), step):
+        rs = r[s:s + step]
+        yield rs, bra.pos[rs, None] <= ket.pos, bra.q[rs, None] * ket.q
+
+
+def _cells(bra: _Side, ket: _Side, served: np.ndarray, tau: np.ndarray):
+    """The cut (``served``, ``tau``) of the (``bra``, ``ket``) block: its
+    quartets' bra rows, ket rows and products, in code order, and
+    ``under``, the largest product of a served row below its ``tau``."""
+    parts, under = [], -np.inf
+    for r, U, G in _grid(bra, ket, served):
+        under = max(under, float(np.max(G, where=U & (G < tau[r, None]),
+                                        initial=-np.inf)))
+        a, b = np.nonzero(U & (G >= tau[r, None]))
+        parts.append((r[a], b, G[a, b]))
+    return (*(np.concatenate(p) for p in zip(*parts)), under)
+
+
+def _screen_block(bra: _Side, ket: _Side, dmax, eps: float,
+                  rows: np.ndarray | None = None) -> np.ndarray:
+    """One block's surviving quartets ``(nq, 4)``, bra-major; with
+    ``rows`` (a bool per bra pair) those of the marked bras alone.
+
+    ``dmax`` is the global ``max|D|`` of a full build (a float: every
+    quartet is bounded by ``Q_ij Q_kl max(dmax, 1)``) or an ``(nshell,
+    nshell)`` table of per-shell-block ``max|dD|`` (the increment
+    screen, :func:`_six`).  The float test is ``Q_ij * Q_kl * d < eps``
+    in that order either way, so every executor and caller keeps or
+    drops exactly the same boundary quartets."""
+    out = []
+    for r, U, G in _grid(bra, ket, rows):
+        m = max(dmax, 1.0) if np.ndim(dmax) != 2 else _six(
+            dmax, bra.ij[r, :1], bra.ij[r, 1:], *ket.ij.T)
+        a, b = np.nonzero(U & ~(G * m < eps))
+        out.append(np.hstack([bra.ij[r[a]], ket.ij[b]]))
+    return np.concatenate(out)
+
+
 class _Block:
     """One block of unique quartets, compiled for :func:`_add_images`
-    or bare.
+    or bare.  Row ``q`` is quartet ``(i, j, k, l)``: ``B`` its
+    integrals ``(nq, nA, nB, nC, nD)``.  A compiled block has ``V``, the
+    three layouts of ``B`` (:func:`_layout`); ``at``, the int32 flat AO
+    indices ``ij, kl, ik, jl, il, jk`` of the layouts' axes; ``f``, the
+    degeneracy weight ``1 / ((1 + d_ij)(1 + d_kl)(1 + d_(ij),(kl)))``;
+    and, for the keep mask, ``prod`` (``Q_ij * Q_kl``) and ``sb``, the
+    ``(6, nq)`` flat shell-block indices ``jl, jk, il, ik, kl, ij`` of
+    the increment screen.
 
-    Row ``q`` is quartet ``(i, j, k, l)``: ``B`` its integrals ``(nq,
-    nA, nB, nC, nD)``.  A compiled block has ``V``, the three layouts of
-    ``B`` (:func:`_layout`); ``at``, the int32 flat AO indices ``ij, kl,
-    ik, jl, il, jk`` of the layouts' axes; and ``f``, the degeneracy
-    weight ``1 / ((1 + d_ij)(1 + d_kl)(1 + d_(ij),(kl)))``.  A block the
-    store holds also carries ``codes`` (``bra row * ket class size + ket
-    row``, ascending, so the rows are bra-major), and a compiled one,
-    for the keep mask, ``prod`` (``Q_ij * Q_kl``) and ``sb``, the ``(6,
-    nq)`` flat shell-block indices ``jl, jk, il, ik, kl, ij`` of the
-    increment screen.  ``rest``, the largest ``Q_ij * Q_kl`` of the
-    block's quartets it does not hold, is set by the screen that reads
-    it (:meth:`DirectJKBuilder._lacks`).  A bare block is ``B`` and
-    ``codes`` alone, what the store keeps of a block it has no room to
-    hold compiled.
+    A held block is a Schwarz cut of its :func:`_grid`: the quartets of
+    the bra rows ``served`` (a bool per bra pair) whose product is at
+    least their row's ``tau`` (a float per bra pair), in code order,
+    ``nrow`` of them in each bra row.  ``under`` is the largest product
+    of a served row below its ``tau`` (``-inf``: none): a build at
+    ``eps`` with density bound ``top`` keeps nothing the cut lacks in
+    those rows when ``under * top < eps``.  A bare block is ``B`` and
+    the cut alone.
     """
 
-    __slots__ = ("B", "V", "at", "f", "codes", "prod", "sb", "rest")
+    __slots__ = ("B", "V", "at", "f", "prod", "sb", "served", "tau",
+                 "under", "nrow")
 
-    def __init__(self, B, at=None, f=None, codes=None, prod=None, sb=None,
-                 V=None):
-        self.B, self.at, self.f = B, at, f
+    def __init__(self, B, at=None, f=None, prod=None, sb=None, V=None):
+        self.B, self.at, self.f, self.prod, self.sb = B, at, f, prod, sb
         self.V = V if V is not None or at is None else tuple(
             _layout(B, t) for t in range(3))
-        self.codes, self.prod, self.sb, self.rest = codes, prod, sb, None
+        self.served = self.tau = self.under = self.nrow = None
 
     def __len__(self) -> int:
         return len(self.B)
@@ -121,15 +218,22 @@ class _Block:
     @property
     def nbytes(self) -> int:
         """Bytes held: a layout that is a view of ``B`` counts once."""
-        arrays = [self.B, self.codes, self.f, self.prod, self.sb]
+        arrays = [self.B, self.f, self.prod, self.sb, self.served,
+                  self.tau, self.nrow]
         if self.compiled:
             arrays += [v for v in self.V
                        if not np.may_share_memory(v, self.B)] + list(self.at)
         return sum(a.nbytes for a in arrays if a is not None)
 
     def bare(self) -> _Block:
-        """The integrals and codes of this block, nothing compiled."""
-        return _Block(self.B, codes=self.codes)
+        """The integrals and cut of this block, nothing compiled."""
+        return self.cut(_Block(self.B))
+
+    def cut(self, blk: _Block) -> _Block:
+        """``blk`` given this block's cut."""
+        blk.served, blk.tau, blk.under, blk.nrow = \
+            self.served, self.tau, self.under, self.nrow
+        return blk
 
     def rows(self, sel: np.ndarray) -> _Block:
         """The accumulation part of rows ``sel``, in that order.  A
@@ -140,31 +244,12 @@ class _Block:
                   else v[sel] for t, v in enumerate(self.V))
         return _Block(B, tuple(a[sel] for a in self.at), self.f[sel], V=V)
 
-    def merged(self, other: _Block) -> _Block:
-        """This block and ``other`` (disjoint codes) as one block in
-        code order: compiled if both are, else bare."""
-        order = np.argsort(np.concatenate([self.codes, other.codes]),
-                           kind="stable")
-
-        def cat(a, b, axis=0):
-            return np.concatenate([a, b], axis=axis).take(order, axis=axis)
-
-        B, codes = cat(self.B, other.B), cat(self.codes, other.codes)
-        if not (self.compiled and other.compiled):
-            return _Block(B, codes=codes)
-        return _Block(B, tuple(map(cat, self.at, other.at)),
-                      cat(self.f, other.f), codes,
-                      cat(self.prod, other.prod),
-                      cat(self.sb, other.sb, axis=1))
-
 
 def _compile(V: np.ndarray, idx: np.ndarray, basis: BasisSet,
-             engine: ERIEngine | None = None, key: tuple | None = None,
-             codes: np.ndarray | None = None) -> _Block:
+             prod: np.ndarray | None = None) -> _Block:
     """Compile the blocks ``V`` ``(nq, nA, nB, nC, nD)`` of the quartets
-    ``idx`` ``(nq, 4)``; with ``engine`` (whose Schwarz bounds it reads),
-    the block's pair classes ``key`` and the quartets' ``codes`` also
-    the screen data of a block the store can hold."""
+    ``idx`` ``(nq, 4)``; with their Schwarz products ``prod`` also the
+    screen data of the keep mask."""
     nq, nA, nB, nC, nD = V.shape
     nbf = basis.nbf
     i, j, k, l = idx.T
@@ -177,21 +262,18 @@ def _compile(V: np.ndarray, idx: np.ndarray, basis: BasisSet,
 
     def flat(p: int, q: int) -> np.ndarray:
         """Flat AO indices of the (p, q) block of every quartet."""
-        return (ao[p][:, :, None] * nbf + ao[q][:, None, :]).reshape(nq, -1)
+        return (ao[p][:, :, None] * nbf + ao[q][:, None, :]).reshape(
+            nq, ao[p].shape[1] * ao[q].shape[1])
 
-    blk = _Block(V, tuple(flat(p, q) for p, q in
-                          ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))),
-                 f)
-    if engine is not None:
-        q_b, q_k = (engine.pair_bounds()[c] for c in key)
-        blk.codes = codes
-        rb, rk = np.divmod(codes, len(q_k))
-        blk.prod = q_b[rb] * q_k[rk]
+    sb = None
+    if prod is not None:
         i, j, k, l = idx.astype(np.int32).T
         nsh = basis.nshell
-        blk.sb = np.stack([j * nsh + l, j * nsh + k, i * nsh + l,
-                           i * nsh + k, k * nsh + l, i * nsh + j])
-    return blk
+        sb = np.stack([j * nsh + l, j * nsh + k, i * nsh + l,
+                       i * nsh + k, k * nsh + l, i * nsh + j])
+    return _Block(V, tuple(flat(p, q) for p, q in
+                           ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))),
+                  f, prod, sb)
 
 
 def _add_images(Jh: np.ndarray | None, Kh: np.ndarray | None, blk: _Block,
@@ -241,93 +323,191 @@ def _add_images(Jh: np.ndarray | None, Kh: np.ndarray | None, blk: _Block,
         images(Kh, blk.V[2], blk.at[4], blk.at[5], f[:, None])
 
 
+def _room(engine: ERIEngine, key: tuple, nbytes: int,
+          old: _Block | None) -> bool:
+    """Whether ``engine``'s class store can hold a bare block of
+    ``nbytes`` under ``key`` in place of ``old``, once every other
+    compiled block has gone bare."""
+    spare = sum(b.nbytes - b.bare().nbytes for k, b in engine.store.items()
+                if k != key and b.compiled)
+    return engine.store_bytes - (0 if old is None else old.nbytes) \
+        + nbytes - spare <= eri.CLASS_STORE_BYTES
+
+
 def _admit(engine: ERIEngine, key: tuple, blk: _Block,
            old: _Block | None) -> bool:
-    """Hold ``blk`` in ``engine``'s class store in place of ``old`` (the
-    block it extends); whether it is held.
-
-    Compiled while :data:`~repro.integrals.eri.CLASS_STORE_BYTES`
-    allows; else bare, if letting the latest compiled blocks go bare
-    makes room for it.  Integrals are never dropped, so the store holds
-    the integrals of as many blocks as bare blocks alone would fit,
-    compiled where there is room left.
-    """
+    """Hold ``blk`` in ``engine``'s class store in place of ``old``:
+    compiled while :data:`~repro.integrals.eri.CLASS_STORE_BYTES`
+    allows, else bare, the latest compiled blocks going bare until it
+    fits (:func:`_room` tells whether it will); whether it is held.
+    Integrals are never dropped, so the store holds as many blocks as
+    fit bare."""
     if engine.admit(key, blk, old):
         return True
-    bare = blk.bare()
-    others = [k for k, b in engine.store.items() if k != key and b.compiled]
-    spare = sum(engine.store[k].nbytes - engine.store[k].bare().nbytes
-                for k in others)
-    if engine.store_bytes - spare + bare.nbytes \
-            - (0 if old is None else old.nbytes) > eri.CLASS_STORE_BYTES:
-        return False
-    for k in reversed(others):
-        if engine.admit(key, bare, old):
+    for k in reversed([k for k, b in engine.store.items()
+                       if k != key and b.compiled]):
+        if engine.admit(key, blk.bare(), old):
             return True
         engine.admit(k, engine.store[k].bare(), engine.store[k])
-    return engine.admit(key, bare, old)
+    return engine.admit(key, blk.bare(), old)
 
 
-def _stored(engine: ERIEngine, basis: BasisSet, cls: np.ndarray
-            ) -> tuple[_Block, np.ndarray | None]:
-    """The compiled rows of the screened list ``cls`` (one block) from
-    ``engine``'s class store: ``(block, keep)`` with ``keep`` the mask
-    of ``cls``'s rows in a block whose code order ``cls`` walks
-    (``None``: the block is ``cls``, row for row).
+def _extend(engine: ERIEngine, basis: BasisSet, bra: _Side, ket: _Side,
+            held: _Block | None, rows: np.ndarray, dmax, top: float,
+            eps: float, tr) -> tuple | None:
+    """The cut ``held`` (``None``: nothing) of the (``bra``, ``ket``)
+    block grown to serve the bra rows ``rows`` and to hold every quartet
+    of them a build at ``eps`` keeps (``dmax`` as :func:`_screen_block`
+    takes it, ``top`` its largest bound), compiled and held: ``(block,
+    old)``, ``old`` marking the rows held before (``None``: all).
+    ``None``, with nothing evaluated, when the store has no room for it.
 
-    The list's pair classes and rows are found by one
-    :meth:`~repro.integrals.pairclass.PairClasses.locate` per side; what
-    the store lacks is evaluated from those rows in one
-    :meth:`~repro.integrals.eri.ERIEngine.quartet_batch`, compiled and
-    merged into the held block in code order, and held again
-    (:func:`_admit`); a block the store cannot hold serves this build
-    alone.  A bare block's rows are compiled for the one build.  Counts
-    ``store_hits`` and ``store_misses``.
+    A served row's new ``tau`` is its smallest product below the old
+    one that passes the list screen's own test, ``~(Q_ij Q_kl * d <
+    eps)`` with each quartet's bound ``d``: a row's cut depends on that
+    row alone, so every process serving it holds the same quartets of
+    it.  The band gained is evaluated in one class batch and placed
+    beside the held rows by a boolean mask.
     """
-    i, j, k, l = cls.T
-    nsh = basis.nshell
-    if np.any(i * (2 * nsh - 1 - i) + 2 * j > k * (2 * nsh - 1 - k) + 2 * l):
-        # a ket pair before its bra in (i, j) order (the distributed
-        # scheme's task lists): a quartet no screen of this block keeps,
-        # so it never enters the store its keep masks read
-        engine.store_misses += len(cls)
-        return _compile(engine.quartet_batch(cls), cls, basis), None
-    classes = pair_classes(basis)
-    cb, rb = classes.locate(i, j)
-    ck, rk = classes.locate(k, l)
-    key = (cb, ck)
-    codes = rb * len(classes.pair_class(ck)) + rk
-    held = engine.store.get(key)
-
-    def find(blk):
-        if blk is None:
-            return None, np.zeros(len(cls), dtype=bool)
-        pos = np.minimum(np.searchsorted(blk.codes, codes), len(blk) - 1)
-        return pos, blk.codes[pos] == codes
-
-    pos, hit = find(held)
-    nhit = int(np.count_nonzero(hit))
-    engine.store_hits += nhit
-    engine.store_misses += len(cls) - nhit
-    if nhit < len(cls):
-        miss = np.flatnonzero(~hit)
-        miss = miss[np.argsort(codes[miss], kind="stable")]   # code order
-        new = _compile(engine.quartet_batch(
-            cls[miss], (cb, rb[miss], ck, rk[miss])),
-            cls[miss], basis, engine, key, codes[miss])
-        whole = new if held is None else held.merged(new)
-        _admit(engine, key, whole, held)    # else held for this build
-        held = whole
-        pos, _ = find(held)
-    if not held.compiled:
-        return _compile(held.B[pos], cls, basis), None
-    if len(pos) > 1 and np.any(np.diff(pos) <= 0):
-        return held.rows(pos), None         # a list in another order
-    if len(pos) == len(held):
+    key = (bra.cid, ket.cid)
+    served = rows if held is None else held.served | rows
+    tau = np.full(len(served), np.inf) if held is None else held.tau.copy()
+    for r, U, G in _grid(bra, ket, served):
+        a, b = np.nonzero(U & (G < tau[r, None]) & ~(G * top < eps))
+        g, r = G[a, b], r[a]
+        if np.ndim(dmax) == 2:
+            kept = ~(g * _six(dmax, *bra.ij[r].T, *ket.ij[b].T) < eps)
+            g, r = g[kept], r[kept]
+        np.minimum.at(tau, r, g)
+    if held is not None and np.array_equal(tau, held.tau) \
+            and not (served > held.served).any():
         return held, None
-    keep = np.zeros(len(held), dtype=bool)
-    keep[pos] = True
-    return held, keep
+    rb, rk, prod, under = _cells(bra, ket, served, tau)
+    nrow = np.bincount(rb, minlength=len(served))
+    if not _room(engine, key, len(rb) * int(np.prod(bra.shape + ket.shape))
+                 * 8 + sum(a.nbytes for a in (served, tau, nrow)), held):
+        return None
+    old = np.zeros(len(rb), dtype=bool) if held is None \
+        else held.served[rb] & (prod >= held.tau[rb])
+    idx = np.hstack([bra.ij[rb], ket.ij[rk]])
+    B = np.empty((len(rb),) + bra.shape + ket.shape)
+    if held is not None:
+        B[old] = held.B
+    new = np.flatnonzero(~old)
+    if len(new):
+        with tr.span("batch.eval", cat="batch", nq=len(new)):
+            B[new] = engine.quartet_batch(
+                idx[new], (bra.cid, rb[new], ket.cid, rk[new]))
+    blk = _compile(B, idx, basis, prod)
+    blk.served, blk.tau, blk.under, blk.nrow = served, tau, under, nrow
+    admitted = _admit(engine, key, blk, held)
+    assert admitted, "the store refused a block it had room for"
+    return blk, old
+
+
+def _rank_walk(engine: ERIEngine, basis: BasisSet, owned: np.ndarray,
+               dmax, eps: float, kernel: str, tr):
+    """The blocks of the bras ``owned`` marks, in walk order: ``(block,
+    keep, None)``, a held cut and its keep mask (``None``: every row),
+    or ``(None, None, list)``, survivors to evaluate for this build (the
+    reference kernel, and a block the store cannot hold).
+
+    A cut that may lack a survivor is extended first (:func:`_extend`),
+    and a bare one compiled for the build; its keep mask is the list
+    screen's float test ``~(Q_ij Q_kl * d < eps)`` on its stored
+    products, cut to the owned bras where it serves others too (a dead
+    worker's re-run rank job).  Counts ``store_hits`` (survivors held
+    before this build) and ``store_misses``.
+    """
+    nsh = basis.nshell
+    dflat = np.ravel(dmax) if np.ndim(dmax) == 2 else None
+    top = max(dmax, 1.0) if dflat is None else dflat.max(initial=0.0)
+    walk = _pair_walk(engine)
+    rows_of = {side.cid: rows for side in walk
+               if (rows := owned[side.ij[:, 0] * nsh + side.ij[:, 1]]).any()}
+    for bra, ket in _walk_blocks(walk, dmax, eps):
+        rows = rows_of.get(bra.cid)
+        if rows is None:
+            continue
+        with tr.span("jk.screen", cat="screening"):
+            held, old = (engine.store.get((bra.cid, ket.cid))
+                         if kernel == "batched" else None), None
+            if kernel == "batched" and (
+                    held is None or (rows > held.served).any()
+                    or not held.under * top < eps):
+                held, old = _extend(engine, basis, bra, ket, held, rows,
+                                    dmax, top, eps, tr) or (None, None)
+            if held is not None and not held.compiled:
+                rb, rk, prod, _ = _cells(bra, ket, held.served, held.tau)
+                held = held.cut(_compile(
+                    held.B, np.hstack([bra.ij[rb], ket.ij[rk]]), basis, prod))
+            if held is None:
+                cls = _screen_block(bra, ket, dmax, eps, rows)
+                item = (None, None, cls) if len(cls) else None
+            else:
+                # the largest of six blocks, by row
+                m = top if dflat is None else dflat.take(held.sb).max(axis=0)
+                keep = ~(held.prod * m < eps)
+                if (held.served > rows).any():
+                    keep &= np.repeat(rows, held.nrow)
+                n = int(np.count_nonzero(keep))
+                hits = n if old is None else int(np.count_nonzero(keep & old))
+                engine.store_hits += hits
+                engine.store_misses += n - hits
+                item = (held, None if n == len(keep) else keep, None) \
+                    if n else None
+        if item is not None:
+            yield item
+
+
+def eval_screened_pairs(engine: ERIEngine, basis: BasisSet, D: np.ndarray,
+                        work, tr, want_j: bool, want_k: bool, kernel: str,
+                        screen: tuple | None = None
+                        ) -> tuple[np.ndarray | None, np.ndarray | None, int]:
+    """The J/K rank-job unit: screened blocks into their own J and K.
+
+    With ``screen`` ``(dmax, eps)`` — the builder's rank job — ``work``
+    is a bool per shell pair ``(i, j)`` at ``i * nshell + j``, the bras
+    the rank owns, and the unit screens and walks every block of them
+    (:func:`_rank_walk`; ``dmax`` as :func:`_screen_block` takes it).
+    Without, ``work`` is a list of ``(nq, 4)`` quartet arrays, one pair
+    class per side each (the distributed scheme's task lists), evaluated
+    as given and never stored.  It runs through
+    :func:`repro.runtime.pool.run_rank_jobs` in-process and in every
+    pool worker, so a rank job is the same bits wherever it runs; ``D``
+    must be symmetric (:func:`_add_images`).  ``kernel`` only chooses
+    where integrals come from: ``"quartet"`` the reference evaluator
+    per row of a list, storing nothing; ``"batched"`` class batches,
+    holding the rank's cuts in ``engine``'s class store.
+
+    Returns ``(J, K, nquartets)``: ``None`` for an unrequested matrix,
+    and ``nquartets`` the quartets walked, wherever they came from.
+    """
+    nbf = basis.nbf
+    Df = np.ascontiguousarray(D).reshape(-1)
+    Jh = np.zeros(nbf * nbf) if want_j else None
+    Kh = np.zeros(nbf * nbf) if want_k else None
+    walked = 0
+    items = ((None, None, cls) for cls in work) if screen is None \
+        else _rank_walk(engine, basis, work, *screen, kernel, tr)
+    for blk, keep, cls in items:
+        if blk is None:
+            with tr.span("batch.eval", cat="batch", nq=len(cls)):
+                if kernel == "batched":
+                    engine.store_misses += len(cls)
+                    V = engine.quartet_batch(cls)
+                else:
+                    V = np.stack([engine.quartet(*q) for q in cls.tolist()])
+                blk = _compile(V, cls, basis)
+        nq = len(blk) if keep is None else int(np.count_nonzero(keep))
+        walked += nq
+        with tr.span("batch.scatter", cat="batch", nq=nq):
+            _add_images(Jh, Kh, blk, Df, keep)
+
+    with tr.span("batch.assemble", cat="batch"):
+        J, K = (None if M is None else M.reshape(nbf, nbf)
+                + M.reshape(nbf, nbf).T for M in (Jh, Kh))
+    return J, K, walked
 
 
 def coulomb_from_tensor(eri: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -343,69 +523,6 @@ def exchange_from_tensor(eri: np.ndarray, D: np.ndarray) -> np.ndarray:
 def jk_from_tensor(eri: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both J and K from an in-core ERI tensor."""
     return coulomb_from_tensor(eri, D), exchange_from_tensor(eri, D)
-
-
-def eval_screened_pairs(engine: ERIEngine, basis: BasisSet, D: np.ndarray,
-                        work, tr, want_j: bool, want_k: bool, kernel: str
-                        ) -> tuple[np.ndarray | None, np.ndarray | None, int]:
-    """The J/K rank-job unit: screened blocks into their own J and K.
-
-    ``work`` is a list of blocks in walk order, each either a ``(nq, 4)``
-    unique-quartet array of one block (what
-    :meth:`DirectJKBuilder._screened_classes` returns, or a rank's share
-    of it) or, from the builder's own in-process screen
-    (:meth:`DirectJKBuilder._screened_work`), ``(key, keep)``: the
-    ``keep`` mask (``None``: every row) of the compiled block ``key`` in
-    ``engine``'s class store.  The one place a quartet block meets a
-    density; it runs through :func:`repro.runtime.pool.run_rank_jobs`
-    in-process and inside every pool worker, so a rank job is the same
-    bits wherever it runs.  Each list is compiled (:func:`_compile`) and
-    every block added to half of J and K (:func:`_add_images`); ``J =
-    Jh + Jh^T`` and ``K = Kh + Kh^T`` at the end.  ``D`` must be
-    symmetric (the :meth:`JKEngine.build` contract).  ``kernel`` only
-    chooses where a list's integrals come from: ``"quartet"`` evaluates
-    each row with the reference evaluator
-    (:meth:`~repro.integrals.eri.ERIEngine.quartet`) and stores nothing;
-    ``"batched"`` reads and fills ``engine``'s class store
-    (:func:`_stored`), and the blocks are the same bits either way.
-
-    Returns ``(J, K, nquartets)``: ``None`` for an unrequested matrix,
-    and ``nquartets`` the quartets walked, wherever their blocks came
-    from.
-    """
-    nbf = basis.nbf
-    Df = np.ascontiguousarray(D).reshape(-1)
-    Jh = np.zeros(nbf * nbf) if want_j else None
-    Kh = np.zeros(nbf * nbf) if want_k else None
-    walked = 0
-    for item in work:
-        if isinstance(item, np.ndarray):
-            nq = len(item)
-            with tr.span("batch.eval", cat="batch", nq=nq):
-                if kernel == "batched":
-                    blk, keep = _stored(engine, basis, item)
-                else:
-                    blk = _compile(np.stack([engine.quartet(*q)
-                                             for q in item.tolist()]),
-                                   item, basis)
-                    keep = None
-        else:
-            blk, keep = engine.store[item[0]], item[1]
-            nq = len(blk) if keep is None else int(np.count_nonzero(keep))
-            engine.store_hits += nq
-        walked += nq
-        with tr.span("batch.scatter", cat="batch", nq=nq):
-            _add_images(Jh, Kh, blk, Df, keep)
-
-    def whole(M: np.ndarray | None) -> np.ndarray | None:
-        if M is None:
-            return None
-        M = M.reshape(nbf, nbf)
-        return M + M.T
-
-    with tr.span("batch.assemble", cat="batch"):
-        J, K = whole(Jh), whole(Kh)
-    return J, K, walked
 
 
 class JKEngine:
@@ -534,43 +651,30 @@ class DirectJKBuilder(JKEngine):
 
     Execution behavior (executor, pool size, ERI kernel, telemetry
     sinks) comes from one :class:`repro.runtime.ExecutionConfig` value.
-    ``executor="process"`` evaluates the surviving quartets on a
-    persistent :class:`repro.runtime.pool.ExchangeWorkerPool` instead of
-    in-process.  ``kernel`` picks the evaluator of a block's integrals —
+    Every build is rank jobs of the one J/K unit
+    (:func:`eval_screened_pairs`), each carrying the bras it owns,
+    ``dmax`` and ``eps``: the rank screens and walks its own blocks.
+    In-process rank 0 owns every bra; ``executor="process"`` runs one
+    job per worker of a persistent, shared or owned
+    :class:`repro.runtime.pool.ExchangeWorkerPool`, the bras given out
+    by LPT on their survivors at the first pooled build of a geometry
+    (:func:`~repro.runtime.pool.own_bras`), the only build the parent
+    screens.  ``kernel`` picks the evaluator of a block's integrals —
     ``"quartet"`` the per-quartet reference, ``"batched"`` the class
-    kernel through the class store (the two agree to ~1e-13); the
-    accumulation is the same either way.  Screening always stays in the
-    parent and is kernel-independent, so both kernels and both
-    executors keep the identical quartets.  An externally owned pool
-    can be shared (e.g. across the SCFs of an MD trajectory); otherwise
-    the builder spawns and owns one.  On the pool the rows of each
-    block are split by bra into ``(nq, 4)`` lists
-    (:meth:`_screened_classes`): the first build at a geometry assigns
-    every bra to a rank (LPT on its survivors) and later builds keep
-    that ownership, so each worker compiles and keeps its own bra rows.
-
-    The batched walk reads and fills the class store of the engine that
-    runs it: the builder's own engine in-process, each worker's engine
-    on the pool (each keeps the blocks of the rank jobs it ran).  A
-    block enters the store compiled (:class:`_Block`: three layouts,
-    flat indices, weights and screen data), so an in-process warm build
-    screens every held block as one keep mask on its stored
-    ``Q_ij Q_kl`` (:meth:`_screened_work`) and contracts it as it lies;
-    only a block that may miss a survivor is screened as a list again.
-    A block the byte budget cannot hold compiled is held bare and
-    compiled per build, as is one it cannot hold at all.  Every
-    ``reset`` to a new geometry rebuilds those engines, so a store
-    holds one geometry.  Memory: at most
+    kernel, which holds Schwarz cuts (:class:`_Block`) in the class store
+    of the engine that runs it (each worker's, for its own bras; a reset
+    to a new geometry makes new engines).  Memory: at most
     :data:`~repro.integrals.eri.CLASS_STORE_BYTES` of blocks plus
-    O(nbf²) per process, ``nworkers`` times that on the pool.
+    O(nbf²) per process.
 
     Counters: ``quartets_computed`` (and ``jk.quartets``) counts the
     quartets *walked* per build; ``engine.quartets_computed`` the
-    blocks *evaluated*, on either executor (pool workers report theirs
-    back).  Each build adds ``jk.store.hits`` and ``jk.store.misses``
-    (hits + misses = walked on the batched kernel) and raises the
-    ``jk.store.bytes`` maximum, the largest store one process holds;
-    the ``jk.build`` span carries the same three as ``store_*``.
+    quartets *evaluated*, on either executor (pool workers report theirs
+    back).  Each build adds ``jk.store.hits`` (survivors a cut held
+    before the build) and ``jk.store.misses`` (hits + misses = walked on
+    the batched kernel) and raises the ``jk.store.bytes`` maximum, the
+    largest store one process holds; the ``jk.build`` span carries the
+    same three as ``store_*``.
 
     Fault tolerance: the pool heals worker deaths itself (respawn +
     re-run the lost rank jobs, bit-identically); if it cannot, the
@@ -586,8 +690,7 @@ class DirectJKBuilder(JKEngine):
         self.config = resolve_execution(config, owner="DirectJKBuilder")
         self.eps = eps
         self.kernel = self.config.kernel
-        self.quartets_total = 0
-        self.quartets_computed = 0
+        self.quartets_total = self.quartets_computed = 0
         self._bind(basis)
         self.lease = PoolLease(basis, self.config, pool,
                                owner=type(self).__name__)
@@ -597,23 +700,8 @@ class DirectJKBuilder(JKEngine):
         self.engine = ERIEngine(basis)
         self.Q = self.engine.schwarz_bounds()      # (i, j) order
         self._qvals = np.array(list(self.Q.values()))
-        npair = len(self._qvals)
-        # the basis's pair classes in signature order, each as its class
-        # id, its pairs' positions in (i, j) order, the pairs and their
-        # bounds: every (bra class, ket class) block of quartets is one
-        # block of the store
-        classes = pair_classes(basis)
-        bounds = self.engine.pair_bounds()
-        nsh = basis.nshell
-        pos = np.zeros((nsh, nsh), dtype=np.int64)
-        pos[np.triu_indices(nsh)] = np.arange(npair)
-        self._pair_classes = []
-        for cls in classes.by_signature():
-            cid = int(classes.cid[cls.ij[0, 0], cls.ij[0, 1]])
-            self._pair_classes.append(
-                (cid, pos[cls.ij[:, 0], cls.ij[:, 1]], cls.ij, bounds[cid]))
-        # bra -> rank ownership on the pool, fixed by the first build at
-        # this geometry (balance_pairs)
+        # (rank_of_bra, loads) on the pool, fixed by the first pooled
+        # build at this geometry (own_bras)
         self._owner = None
 
     def reset(self, basis: BasisSet) -> None:
@@ -625,16 +713,6 @@ class DirectJKBuilder(JKEngine):
             return
         self._bind(basis)
         self.lease.reset(basis)
-
-    def eval_jobs(self, jobs, D: np.ndarray, want_j: bool, want_k: bool
-                  ) -> tuple[dict, int]:
-        """Per-rank ``{rank: (J, K)}`` partials of screened rank jobs and
-        the quartet count they walked, through the lease's
-        :meth:`~repro.runtime.pool.PoolLease.map` of
-        :func:`eval_screened_pairs` (``jobs`` as that method takes it;
-        the pool workers' evaluations land on ``self.engine``)."""
-        return self.lease.map(eval_screened_pairs, jobs, self.engine,
-                              D, (want_j, want_k, self.kernel))
 
     def build(self, D: np.ndarray, want_j: bool = True, want_k: bool = True,
               blocks: np.ndarray | None = None, eps: float | None = None
@@ -651,25 +729,34 @@ class DirectJKBuilder(JKEngine):
         tr = self.config.trace
         eps = self.eps if eps is None else eps
         before = self.engine.tally()
+        self.quartets_total = len(self.Q) * (len(self.Q) + 1) // 2
         with tr.span("jk.build", cat="scf", executor=self.executor,
                      kernel=self.kernel) as span:
             dmax = blocks if blocks is not None else (
                 float(np.abs(D).max()) if D.size else 0.0)
 
             def jobs(pool) -> list[RankJob]:
-                """In-process one job (the batched kernel's screened
-                straight into masks of the class store it reads),
-                pooled one per worker."""
-                with tr.span("jk.screen", cat="screening", eps=eps):
-                    if pool is None and self.kernel == "batched":
-                        return [RankJob(0, self._screened_work(dmax, eps))]
-                    classes = self._screened_classes(dmax, eps)
+                """In-process rank 0 owning every bra; pooled, one job
+                per worker, owning the bras the first pooled build at
+                this geometry gave it."""
+                nsh = self.basis.nshell
                 if pool is None:
-                    return [RankJob(0, classes)]
-                return self._balance(classes, pool.nworkers)
+                    return [RankJob(0, np.ones(nsh * nsh, dtype=bool))]
+                if self._owner is None:
+                    with tr.span("jk.screen", cat="screening", eps=eps):
+                        counts = np.zeros(nsh * nsh)
+                        for c in self._screened_classes(dmax, eps):
+                            counts += np.bincount(c[:, 0] * nsh + c[:, 1],
+                                                  minlength=nsh * nsh)
+                    self._owner = own_bras(counts, pool.nworkers)
+                rank_of_bra, loads = self._owner
+                return [RankJob(w, rank_of_bra == w, cost)
+                        for w, cost in enumerate(loads)]
 
-            results, self.quartets_computed = self.eval_jobs(
-                jobs, D, want_j, want_k)
+            # the pool workers' evaluations land on self.engine
+            results, self.quartets_computed = self.lease.map(
+                eval_screened_pairs, jobs, self.engine, D,
+                (want_j, want_k, self.kernel, (dmax, eps)))
             with tr.span("jk.assemble", cat="scf"):
                 # rank order, whatever order the workers replied in
                 ranks = sorted(results)
@@ -690,135 +777,18 @@ class DirectJKBuilder(JKEngine):
                 tr.metrics.absorb_engine(self.engine)
             return J, K
 
-    def _balance(self, classes, nworkers: int) -> list[RankJob]:
-        """One rank job per worker (:func:`~repro.runtime.pool.
-        balance_pairs`); the first pooled build at a geometry fixes the
-        bra -> rank ownership every later build keeps, so each worker's
-        class store keeps seeing the same bras."""
-        jobs, self._owner = balance_pairs(classes, nworkers,
-                                          self.basis.nshell, self._owner)
-        return jobs
-
     def _screened_classes(self, dmax, eps: float | None = None
                           ) -> list[np.ndarray]:
-        """The surviving unique quartets, one ``(nq, 4)`` array per
-        block, bra-major within each.
-
-        ``dmax`` is the global ``max|D|`` of a full build (a float: every
-        quartet is bounded by ``Q_ij Q_kl max(dmax, 1)``) or an
-        ``(nshell, nshell)`` table of per-shell-block ``max|dD|`` (the
-        increment screen: each quartet is bounded by the six blocks its
-        contractions touch — ``(k,l)`` and ``(i,j)`` for J, ``(j,l),
-        (j,k), (i,l), (i,k)`` for K).  The float test is
-        ``Q_ij * Q_kl * d < eps`` in that order either way, evaluated as
-        one bound array per (bra pair class, ket pair class) block in
-        chunks of bra rows under ``_SCREEN_SCRATCH`` elements, so every
-        executor and caller keeps or drops exactly the same boundary
-        quartets.  ``eps`` defaults to the builder's threshold.
-        """
+        """The surviving unique quartets of every bra, one ``(nq, 4)``
+        array per block (:func:`_screen_block`, whose ``dmax`` this
+        takes), bra-major within each; ``eps`` defaults to the builder's.
+        What the first pooled build counts to give out the bras.  Sets
+        :attr:`quartets_total`, the quartets a screen chooses from."""
         eps = self.eps if eps is None else eps
-        out = []
-        for bra, ket in self._blocks(dmax, eps):
-            cls = self._screen_block(bra, ket, dmax, eps)
-            if len(cls):
-                out.append(cls)
-        return out
-
-    def _screened_work(self, dmax, eps: float) -> list:
-        """The survivors of :meth:`_screened_classes` as work for
-        :func:`eval_screened_pairs` on this builder's own engine: a
-        block the class store holds compiled and that holds every
-        survivor is screened as one keep mask over its rows, ``(key,
-        keep)``; any other block is screened as a list.
-
-        The mask is the list's float test, ``~(Q_ij Q_kl * d < eps)``,
-        on the block's stored products.  Whether the block can miss a
-        survivor is decided from the largest ``Q_ij Q_kl`` it lacks
-        (:meth:`_lacks`) alone: no quartet it lacks survives when that
-        times ``max(d)`` is below ``eps`` (the test is monotone in both
-        factors), so a warm build screens no list.
-        """
-        incr = np.ndim(dmax) == 2
-        if incr:
-            dflat = np.ascontiguousarray(dmax).reshape(-1)
-            top = dflat.max() if dflat.size else 0.0
-        else:
-            top = max(dmax, 1.0)
-        store = self.engine.store
-        work = []
-        for bra, ket in self._blocks(dmax, eps):
-            key = (bra[0], ket[0])
-            blk = store.get(key)
-            if blk is not None and blk.compiled:
-                if blk.rest is None:
-                    blk.rest = self._lacks(bra, ket, blk.codes)
-                if blk.rest * top < eps:
-                    m = top
-                    if incr:    # the largest of the six blocks, row by row
-                        m = dflat.take(blk.sb[0])
-                        for sb in blk.sb[1:]:
-                            np.maximum(m, dflat.take(sb), out=m)
-                    keep = ~(blk.prod * m < eps)
-                    n = np.count_nonzero(keep)
-                    if n:
-                        work.append((key, None if n == len(keep) else keep))
-                    continue
-            cls = self._screen_block(bra, ket, dmax, eps)
-            if len(cls):
-                work.append(cls)
-        return work
-
-    @staticmethod
-    def _lacks(bra, ket, codes: np.ndarray) -> float:
-        """The largest ``Q_ij Q_kl`` among the unique quartets of the
-        (``bra``, ``ket``) block that a block holding ``codes`` lacks
-        (``-inf``: it holds them all); set once per stored block, whose
-        rows only a new block extends."""
-        _, pos_b, _, q_b = bra
-        _, pos_k, _, q_k = ket
-        prod = np.where(pos_b[:, None] <= pos_k, q_b[:, None] * q_k,
-                        -np.inf).reshape(-1)
-        prod[codes] = -np.inf
-        return float(prod.max())
-
-    def _blocks(self, dmax, eps: float) -> list[tuple]:
-        """The (bra pair class, ket pair class) blocks of unique
-        quartets, in walk order, less those the increment screen drops
-        whole: ``max(Q_b) max(Q_k) * max(dmax) < eps`` bounds every
-        quartet's test from above.  Sets :attr:`quartets_total`, the
-        unique quartets a screen chooses from."""
-        npair = len(self._qvals)
-        self.quartets_total = npair * (npair + 1) // 2
-        top = np.max(dmax) if np.ndim(dmax) == 2 and np.size(dmax) else None
-        return [(bra, ket) for bra in self._pair_classes
-                for ket in self._pair_classes
-                # not when every ket pair precedes every bra
-                if bra[1][0] <= ket[1][-1] and (
-                    top is None or not bra[3].max() * ket[3].max() * top
-                    < eps)]
-
-    def _screen_block(self, bra, ket, dmax, eps: float) -> np.ndarray:
-        """One block's surviving quartets ``(nq, 4)``, bra-major."""
-        _, pos_b, bra_ij, q_b = bra
-        _, pos_k, ket_ij, q_k = ket
-        blocks = np.ndim(dmax) == 2
-        m = dmax if blocks else max(dmax, 1.0)
-        k, l = ket_ij.T
-        step = max(1, _SCREEN_SCRATCH // len(pos_k))
-        rows = []
-        for s in range(0, len(pos_b), step):
-            sl = slice(s, s + step)
-            if blocks:
-                i, j = bra_ij[sl, :1], bra_ij[sl, 1:]
-                m = np.maximum(
-                    np.maximum(np.maximum(dmax[j, l], dmax[j, k]),
-                               np.maximum(dmax[i, l], dmax[i, k])),
-                    np.maximum(dmax[k, l], dmax[i, j]))
-            keep = (pos_b[sl, None] <= pos_k) \
-                & ~(q_b[sl, None] * q_k * m < eps)
-            a, b = np.nonzero(keep)
-            rows.append(np.hstack([bra_ij[sl][a], ket_ij[b]]))
-        return np.concatenate(rows)
+        self.quartets_total = len(self.Q) * (len(self.Q) + 1) // 2
+        out = [_screen_block(bra, ket, dmax, eps) for bra, ket in
+               _walk_blocks(_pair_walk(self.engine), dmax, eps)]
+        return [cls for cls in out if len(cls)]
 
 
 def make_jk_engine(basis: BasisSet, config=None, eps: float = 1e-10,
@@ -826,22 +796,23 @@ def make_jk_engine(basis: BasisSet, config=None, eps: float = 1e-10,
     """The one J/K engine for ``basis`` under ``config`` — the only place
     that picks the in-core or the direct route.
 
-    ===========  ========  ===========================================
-    ``mode``     ``jk``    engine
-    ===========  ========  ===========================================
-    ``None``     any       derived: ``direct`` when ``executor=
-                           "process"`` or ``jk="ri"``, else ``incore``
-    ``incore``   direct    :class:`TensorJKEngine`
-    ``direct``   ``ri``    :class:`~repro.scf.ri_jk.RIJKBuilder`
-    ``direct``   direct    :class:`~repro.hfx.IncrementalExchange`
-    ===========  ========  ===========================================
+    ==========  =========  ============================================
+    ``mode``    ``jk``     engine
+    ==========  =========  ============================================
+    ``incore``  direct     :class:`TensorJKEngine`
+    ``direct``  ri         :class:`~repro.scf.ri_jk.RIJKBuilder`
+    ``direct``  direct     :class:`~repro.hfx.IncrementalExchange`
+    ==========  =========  ============================================
 
-    A pool and the fitted engine need the quartet walk, so an explicit
-    ``incore`` with either is refused
-    (:func:`~repro.runtime.boundary.check_jk_route`).  Every direct-mode
-    exact engine builds its J/K pairs from the density increment (the
-    first build at a geometry and every ``REBUILD_EVERY``-th one are
-    full builds); a caller that wants the plain full build every time
+    ``mode=None`` derives ``incore`` for a serial ``jk="direct"`` engine
+    whose ``8 nbf^4``-byte tensor fits in :data:`~repro.integrals.eri.
+    CLASS_STORE_BYTES` (nbf <= 76 at 256 MiB), else ``direct``; an
+    explicit ``incore`` builds the tensor at any size, and is refused
+    with a pool or ``jk="ri"``, which need the quartet walk
+    (:func:`~repro.runtime.boundary.check_jk_route`).  Every direct-mode exact
+    engine builds its J/K pairs from the density increment (the first
+    build at a geometry and every ``REBUILD_EVERY``-th one are full
+    builds); a caller that wants the plain full build every time
     constructs a :class:`DirectJKBuilder` itself.  ``executor``/
     ``kernel`` ride inside ``config`` and apply to every direct-mode
     engine; ``pool`` shares a caller-owned worker pool (the engine then
@@ -854,7 +825,7 @@ def make_jk_engine(basis: BasisSet, config=None, eps: float = 1e-10,
     check_jk_route(mode, cfg.executor, cfg.jk)
     if mode is None:
         mode = "direct" if cfg.executor == "process" or cfg.jk == "ri" \
-            else "incore"
+            or 8 * basis.nbf ** 4 > eri.CLASS_STORE_BYTES else "incore"
     if mode == "incore":
         return TensorJKEngine(basis, cfg)
     if cfg.jk == "ri":

@@ -6,7 +6,7 @@ import pytest
 from repro.basis import build_basis
 from repro.chem import builders
 from repro.hfx.incremental import IncrementalExchange, incremental_survival
-from repro.runtime import ExecutionConfig
+from repro.runtime import NULL_TRACER, ExecutionConfig
 from repro.scf import DirectJKBuilder, RHF
 
 
@@ -134,17 +134,18 @@ def _screen_oracle(inc, dmax, eps):
 
 
 def _expand(builder, item):
-    """The ``(nq, 4)`` quartets of one item of the mask-form screen."""
-    if isinstance(item, np.ndarray):
-        return item
-    from repro.integrals.pairclass import pair_classes
+    """The ``(nq, 4)`` quartets of one item of the rank walk: a list, or
+    the rows of a held cut that its keep mask marks."""
+    import repro.scf.fock as fock
 
-    key, keep = item
-    blk = builder.engine.store[key]
-    classes = pair_classes(builder.basis)
-    bra, ket = (classes.pair_class(c).ij for c in key)
-    r, c = np.divmod(blk.codes, len(ket))
-    rows = np.hstack([bra[r], ket[c]])
+    blk, keep, cls = item
+    if blk is None:
+        return cls
+    key = next(k for k, b in builder.engine.store.items() if b is blk)
+    sides = {side.cid: side for side in fock._pair_walk(builder.engine)}
+    bra, ket = sides[key[0]], sides[key[1]]
+    r, c, _, _ = fock._cells(bra, ket, blk.served, blk.tau)
+    rows = np.hstack([bra.ij[r], ket.ij[c]])
     return rows if keep is None else rows[keep]
 
 
@@ -160,8 +161,9 @@ def test_increment_screen_equals_the_per_quartet_loop(builder,
     full build's threshold.  Each class array is one L-class, its rows
     in bra-major order, and a scratch cap that splits every block into
     one-row chunks returns the same arrays.  The mask form — a warm
-    class store's compiled blocks screened as keep masks, the rest as
-    lists — keeps the same arrays, block by block and row by row."""
+    class store's cuts, extended where they must grow and screened as
+    keep masks — keeps the same arrays, block by block and row by
+    row."""
     import repro.scf.fock as fock
     basis = build_basis(getattr(builders, builder)())
     inc = IncrementalExchange(basis, eps=1e-10, rebuild_every=100)
@@ -189,8 +191,9 @@ def test_increment_screen_equals_the_per_quartet_loop(builder,
             chunked = inc._screened_classes(dmax, thresh)
         assert len(chunked) == len(got)
         assert all(np.array_equal(a, b) for a, b in zip(chunked, got))
-        masked = [_expand(warm, item)
-                  for item in warm._screened_work(dmax, thresh)]
+        masked = [_expand(warm, item) for item in fock._rank_walk(
+            warm.engine, basis, np.ones(nsh * nsh, dtype=bool), dmax,
+            thresh, "batched", NULL_TRACER)]
         assert len(masked) == len(got)
         assert all(np.array_equal(a, b) for a, b in zip(masked, got))
         rows = [tuple(q) for cls in got for q in cls.tolist()]

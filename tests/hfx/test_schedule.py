@@ -22,7 +22,7 @@ from repro.hfx.tasklist import build_tasklist
 from repro.integrals.eri import ERIEngine
 from repro.integrals.ri import aux_shard_slices
 from repro.integrals.schwarz import surviving_partners
-from repro.runtime.pool import balance_pairs
+from repro.runtime.pool import own_bras
 from repro.scf.fock import DirectJKBuilder
 
 from . import schedule_oracle as oracle
@@ -182,33 +182,16 @@ def test_lpt_equals_the_pool_dispatch_balancer(costs, nbins):
 @given(costs=_costs, nbins=st.integers(1, 9))
 def test_lpt_equals_the_pair_balancer_in_order(costs, nbins):
     """Bras go to the ranks the old pair balancer gave them — LPT on the
-    survivors per bra, ties in bra order — each job keeps the rows of
-    its bras in class order, and a later call with the returned
-    ownership keeps every bra on its rank and every job's cost."""
-    nsh = max(len(costs), 1)
-    classes = [rows for rows in (
-        np.array([[t, t, k, k] for t, c in enumerate(costs)
-                  for k in range(c) if t % 2 == parity],
-                 dtype=np.int64).reshape(-1, 4) for parity in (0, 1))
-        if len(rows)]
-    got, owner = balance_pairs(classes, nbins, nsh)
+    survivors per bra, ties in bra order — and each rank's job cost is
+    the balancer's load of it."""
+    rank_of_bra, loads = own_bras(np.array(costs, dtype=np.float64), nbins)
     ref = oracle.balance_pairs(
         [(t, t, np.zeros((c, 2), dtype=np.int64))
          for t, c in enumerate(costs)], nbins)
-    assert [job.rank for job in got] == [r for r, _, _ in ref]
-    assert [job.cost for job in got] == [c for _, _, c in ref]
-    for job, (_, ps, _) in zip(got, ref):
-        mine = [p[0] for p in ps if len(p[2])]
-        want = [c[np.isin(c[:, 0], mine)] for c in classes]
-        assert len(job.pairs) == sum(len(w) > 0 for w in want)
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(job.pairs, [w for w in want if len(w)]))
-    again, same = balance_pairs(classes[:1], nbins, nsh, owner)
-    assert same is owner
-    assert [job.cost for job in again] == [job.cost for job in got]
-    for job, first in zip(again, got):
-        assert {q[0] for c in job.pairs for q in c.tolist()} <= \
-            {q[0] for c in first.pairs for q in c.tolist()}
+    assert loads == [c for _, _, c in ref]
+    for rank, pairs, _ in ref:
+        assert all(rank_of_bra[p[0]] == rank for p in pairs)
+    assert len(rank_of_bra) == len(costs)
 
 
 @given(costs=_costs, nbins=st.integers(1, 9))

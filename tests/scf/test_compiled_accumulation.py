@@ -117,35 +117,41 @@ def test_every_build_is_the_oracle_walk(system, kernel, budget,
 @pytest.mark.reference
 @pytest.mark.parametrize("kernel", ["batched", "quartet"])
 def test_rank_jobs_are_the_oracle_walk_of_their_lists(kernel):
-    """The pool's rank jobs (each block's rows split by bra) run
+    """The pool's rank jobs (the bras LPT gives each of three ranks) run
     in-process on one engine, twice — cold, then warm from the store
     the first pass filled: every rank's J and K are the oracle walk of
-    its own lists."""
-    from repro.runtime.pool import balance_pairs, run_rank_jobs
+    the screen's lists cut to its own bras."""
+    from repro.runtime.pool import own_bras, run_rank_jobs
 
     basis = _basis("water_dimer")
+    nsh = basis.nshell
     builder = DirectJKBuilder(basis, config=ExecutionConfig(kernel=kernel))
     engine = eri_module.ERIEngine(basis)
     for seed in (1, 2):
         D = _symmetric(basis, seed) + np.eye(basis.nbf)
-        jobs, _ = balance_pairs(
-            builder._screened_classes(float(np.abs(D).max())), 3,
-            basis.nshell)
+        dmax = float(np.abs(D).max())
+        classes = builder._screened_classes(dmax)
+        bras = [c[:, 0] * nsh + c[:, 1] for c in classes]
+        rank_of_bra, _ = own_bras(sum(np.bincount(b, minlength=nsh * nsh)
+                                      for b in bras), 3)
         done = run_rank_jobs(eval_screened_pairs, engine, basis, D,
-                             [(j.rank, j.pairs) for j in jobs],
-                             NULL_TRACER, (True, True, kernel))
-        for job, (_, J, K, nq, *_) in zip(jobs, done):
+                             [(w, rank_of_bra == w) for w in range(3)],
+                             NULL_TRACER,
+                             (True, True, kernel, (dmax, builder.eps)))
+        for w, (_, J, K, nq, *_) in enumerate(done):
+            mine = [c[rank_of_bra[b] == w] for c, b in zip(classes, bras)]
+            mine = [c for c in mine if len(c)]
             _same((J, K), oracle.accumulate(
-                basis, D, job.pairs, oracle.evaluator(basis, kernel)))
-            assert nq == sum(len(c) for c in job.pairs)
+                basis, D, mine, oracle.evaluator(basis, kernel)))
+            assert nq == sum(len(c) for c in mine)
     assert (engine.store_hits > 0) == (kernel == "batched")
 
 
 @pytest.mark.reference
 def test_a_list_in_another_order_is_walked_in_that_order():
     """A list that is not bra-major (the distributed scheme's task
-    order) is contracted in its own order: evaluated into an empty
-    store (which keeps it bra-major), then read back from it."""
+    order) is contracted in its own order, evaluated afresh each time:
+    lists never enter the store."""
     basis = _basis("water_dimer")
     builder = DirectJKBuilder(basis, config=ExecutionConfig(
         kernel="batched"))
@@ -159,7 +165,8 @@ def test_a_list_in_another_order_is_walked_in_that_order():
         J, K, _ = eval_screened_pairs(builder.engine, basis, D, shuffled,
                                       NULL_TRACER, True, True, "batched")
         _same((J, K), want)
-    assert builder.engine.store_hits == sum(len(c) for c in classes)
+    assert not builder.engine.store and builder.engine.store_hits == 0
+    assert builder.engine.store_misses == 2 * sum(len(c) for c in classes)
     _same(builder.build(D), oracle.walk(builder, D))
 
 
@@ -289,14 +296,19 @@ def test_a_warm_build_allocates_less_than_the_walk_it_replaced():
 
     def stored(cls):
         """The stored integrals of a list, gathered (the old hit path)."""
+        import repro.scf.fock as fock
         from repro.integrals.pairclass import pair_classes
 
         pc = pair_classes(basis)
         i, j, k, l = cls.T
         key = (int(pc.cid[i[0], j[0]]), int(pc.cid[k[0], l[0]]))
         blk = store[key]
-        codes = pc.row[i, j] * len(pc.pair_class(key[1])) + pc.row[k, l]
-        return blk.B[np.searchsorted(blk.codes, codes)]
+        sides = {side.cid: side for side in fock._pair_walk(inc.engine)}
+        rb, rk, _, _ = fock._cells(sides[key[0]], sides[key[1]],
+                                   blk.served, blk.tau)
+        nket = len(pc.pair_class(key[1]))
+        codes = pc.row[i, j] * nket + pc.row[k, l]
+        return blk.B[np.searchsorted(rb * nket + rk, codes)]
 
     def peak(fn):
         tracemalloc.start()

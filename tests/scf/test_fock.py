@@ -6,7 +6,8 @@ import pytest
 from repro.chem import builders
 from repro.basis import build_basis
 from repro.scf.fock import (DirectJKBuilder, coulomb_from_tensor,
-                            exchange_from_tensor, jk_from_tensor)
+                            eval_screened_pairs, exchange_from_tensor,
+                            jk_from_tensor)
 from repro.scf.guess import density_from_orbitals
 
 
@@ -53,27 +54,33 @@ def test_both_evaluators_match_the_tensor_oracle(system, kernel):
 
 @pytest.mark.reference
 def test_a_class_split_over_two_rank_jobs_is_one_job():
-    """Every class's rows split by bra over two rank jobs (as the pool
-    splits them) sum to the J and K of one job over the whole classes,
-    within 1e-14: the accumulation is linear in the quartet list."""
-    from repro.runtime.pool import RankJob, balance_pairs
+    """The bras split over two rank jobs (as the pool splits them) sum
+    to the J and K of one job owning every bra, within 1e-14: the
+    accumulation is linear in the quartet list."""
+    from repro.runtime.pool import RankJob, own_bras
 
     b = build_basis(builders.water_cluster(2))
+    nsh = b.nshell
     D = _random_density(b.nbf, 6)
     builder = DirectJKBuilder(b)
-    classes = builder._screened_classes(float(np.abs(D).max()))
-    jobs, _ = balance_pairs(classes, 2, b.nshell)
-    # some class has rows in both jobs, and no row is lost or repeated
-    assert sum(len(job.pairs) for job in jobs) > len(classes)
-    assert np.array_equal(
-        np.unique(np.concatenate([c for job in jobs for c in job.pairs]),
-                  axis=0),
-        np.unique(np.concatenate(classes), axis=0))
-    assert sum(len(c) for job in jobs for c in job.pairs) == \
-        sum(len(c) for c in classes)
-    whole, _ = builder.eval_jobs(lambda pool: [RankJob(0, classes)], D,
-                                 True, True)
-    parts, _ = builder.eval_jobs(lambda pool: jobs, D, True, True)
+    dmax = float(np.abs(D).max())
+    classes = builder._screened_classes(dmax)
+    bras = [c[:, 0] * nsh + c[:, 1] for c in classes]
+    rank_of_bra, _ = own_bras(sum(np.bincount(x, minlength=nsh * nsh)
+                                  for x in bras), 2)
+    # some class has rows in both jobs
+    assert any(len(set(rank_of_bra[x])) == 2 for x in bras)
+    args = (True, True, builder.kernel, (dmax, builder.eps))
+    whole, nq = builder.lease.map(
+        eval_screened_pairs,
+        lambda pool: [RankJob(0, np.ones(nsh * nsh, dtype=bool))],
+        builder.engine, D, args)
+    parts, nq_parts = builder.lease.map(
+        eval_screened_pairs,
+        lambda pool: [RankJob(w, rank_of_bra == w) for w in (0, 1)],
+        builder.engine, D, args)
+    # no row is lost or repeated
+    assert nq == nq_parts == sum(len(c) for c in classes)
     for m in (0, 1):
         assert np.abs(parts[0][m] + parts[1][m] - whole[0][m]).max() < 1e-14
 

@@ -156,3 +156,31 @@ def test_md_refuses_the_unrestricted_route():
     with pytest.raises(ValueError, match="closed-shell drivers"):
         api.run_md(JobSpec(kind="md", molecule="superoxide_anion",
                            method="hf", steps=1))
+
+
+@pytest.mark.parametrize("budget,engine", [
+    (None, TensorJKEngine),
+    # one byte below Li2O2's 8 nbf^4 = 1.28 MB tensor (nbf 20)
+    (8 * 20 ** 4 - 1, IncrementalExchange)])
+def test_the_derived_route_follows_the_tensor_size(budget, engine,
+                                                   monkeypatch):
+    """``mode=None`` on the serial exact route builds the in-core tensor
+    only while its ``8 nbf^4`` bytes fit in ``CLASS_STORE_BYTES``; past
+    that it derives the direct walk.  An explicit ``incore`` still
+    builds the tensor."""
+    import repro.integrals.eri as eri_module
+    from repro.basis import build_basis
+    from repro.scf import make_jk_engine
+
+    if budget is not None:
+        monkeypatch.setattr(eri_module, "CLASS_STORE_BYTES", budget)
+    basis = build_basis(builders.li2o2())
+    assert basis.nbf == 20
+    jk = make_jk_engine(basis)
+    try:
+        assert type(jk) is engine
+    finally:
+        jk.close()
+    forced = make_jk_engine(basis, mode="incore")
+    assert type(forced) is TensorJKEngine
+    forced.close()

@@ -111,6 +111,32 @@ def test_scf_rejects_nonpositive_nworkers(capsys):
         main(["scf", "h2", "--nworkers", "many"])
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["md", "h2", "--dt", "0"], "dt_fs"),
+    (["scf", "h2", "--multiplicity", "0"], "multiplicity")])
+def test_boundary_rows_refuse_md_and_geometry_flags(argv, key, capsys):
+    """``--dt`` and ``--multiplicity`` are declared by their boundary
+    rows: argparse refuses a value the row refuses, with its message."""
+    from repro.runtime.boundary import KNOBS
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert f"value must be {KNOBS[key].describe()}, got '0'" \
+        in capsys.readouterr().err
+
+
+def test_md_and_geometry_flag_defaults_are_the_rows():
+    args = build_parser().parse_args(["md"])
+    assert (args.dt, args.tau, args.seed, args.mts_outer, args.charge,
+            args.multiplicity, args.mts_aspc_order) == \
+        (0.5, 50.0, 0, 1, 0, 1, 2)
+    assert [type(v) for v in (args.dt, args.tau, args.seed)] == \
+        [float, float, int]
+    args = build_parser().parse_args(
+        ["scf", "--charge", "-1", "--multiplicity", "2"])
+    assert (args.charge, args.multiplicity) == (-1, 2)
+
+
 def test_scf_rejects_bad_pool_timeout_env(monkeypatch, capsys):
     monkeypatch.setenv("REPRO_POOL_TIMEOUT", "not-a-number")
     with pytest.raises(SystemExit):
@@ -292,9 +318,11 @@ def test_md_mts_aspc_off_and_inner_choice(capsys):
     assert "ASPC off" in out
 
 
-def test_md_rejects_bad_mts_outer():
-    with pytest.raises(SystemExit, match="mts_outer"):
+def test_md_rejects_bad_mts_outer(capsys):
+    with pytest.raises(SystemExit):
         main(["md", "h2", "--steps", "2", "--mts-outer", "0"])
+    assert "--mts-outer: value must be a positive integer" \
+        in capsys.readouterr().err
 
 
 def test_open_shell_kohn_sham_is_a_clean_error():

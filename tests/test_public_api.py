@@ -245,7 +245,7 @@ def test_one_pair_table():
     ``shell_pairs()`` table and its ``hermite_lambda`` appear only in
     ``basis/``, ``integrals/eri.py`` and ``eri_quartet_batch``; and one
     lookup (``PairClasses.locate``) finds the class rows of a quartet
-    list for the ERI walks, the class store and the derivative walks."""
+    list for the ERI walks and the derivative walks."""
     import ast
     import inspect
     import pathlib
@@ -281,7 +281,6 @@ def test_one_pair_table():
     assert not hasattr(ERIEngine, "pairs")
     assert list(inspect.signature(schwarz_bounds).parameters) == ["basis"]
     assert _calls_under_src("locate") == {"integrals/eri.py:_class_batch",
-                                          "scf/fock.py:_stored",
                                           "scf/gradient.py:_differentiate_class"}
 
 
