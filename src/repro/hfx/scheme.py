@@ -39,7 +39,7 @@ import numpy as np
 
 from ..basis.basisset import BasisSet
 from ..integrals.batch import flatten_pairs
-from ..integrals.eri import ERIEngine
+from ..integrals.pairclass import pair_classes
 from ..machine.bgq import BGQConfig
 from ..machine.node import NodeComputeModel
 from ..machine.simulator import BuildTiming, CommPlan, simulate_static_build
@@ -157,12 +157,18 @@ class CommLog:
 
 
 def _rank_classes(tasks: TaskList, part: Partition, rank: int,
-                  engine: ERIEngine) -> list[np.ndarray]:
-    """One rank's screened quartets as the J/K unit's L-class arrays."""
-    return engine.group_quartets(flatten_pairs(
+                  basis: BasisSet) -> list[np.ndarray]:
+    """One rank's screened quartets as the J/K unit's block arrays, split
+    by (bra, ket) pair class in first-seen order, task-list order within."""
+    idx = flatten_pairs(
         [(int(tasks.pair_index[t][0]), int(tasks.pair_index[t][1]),
           tasks.ket_lists[t])
-         for t in np.where(part.rank_of_task == rank)[0]]))
+         for t in np.where(part.rank_of_task == rank)[0]])
+    cid = pair_classes(basis).cid
+    _, first, inv = np.unique(cid[idx[:, 0], idx[:, 1]] * cid.size
+                              + cid[idx[:, 2], idx[:, 3]],
+                              return_index=True, return_inverse=True)
+    return [idx[inv == g] for g in np.argsort(first, kind="stable")]
 
 
 def distributed_exchange(basis: BasisSet, D: np.ndarray, nranks: int,
@@ -213,7 +219,7 @@ def distributed_exchange(basis: BasisSet, D: np.ndarray, nranks: int,
                          partitioner=partitioner):
                 part = partition_tasks(tasks.flops, nranks, partitioner)
             jobs = [RankJob(rank=r, pairs=_rank_classes(tasks, part, r,
-                                                        builder.engine),
+                                                        basis),
                             cost=float(part.rank_flops[r]))
                     for r in range(nranks)]
             results, _ = builder.lease.map(

@@ -10,7 +10,7 @@ from .pairclass import PairClasses, pair_classes
 from .eri import eri_quartet, eri_tensor, ERIEngine
 from .ri import (aux_shard_slices, inv_sqrt_metric, metric_2c,
                  three_center_slab)
-from .batch import eri_quartet_batch, quartet_class_groups, flatten_pairs
+from .batch import eri_quartet_batch, flatten_pairs
 from .schwarz import schwarz_bounds, surviving_partners
 from .moments import dipole_matrices, dipole_moment
 from .gradients import DerivativePairs
@@ -23,7 +23,7 @@ __all__ = [
     "eri_quartet", "eri_tensor", "ERIEngine",
     "aux_shard_slices", "inv_sqrt_metric", "metric_2c",
     "three_center_slab",
-    "eri_quartet_batch", "quartet_class_groups", "flatten_pairs",
+    "eri_quartet_batch", "flatten_pairs",
     "schwarz_bounds", "surviving_partners",
     "dipole_matrices", "dipole_moment",
     "DerivativePairs",

@@ -10,9 +10,10 @@ single shell quartet, which dominates every wall-clock benchmark.
 
 This module restores the paper's structure in numpy terms:
 
-* quartets are grouped by **L-class** — the signature
+* quartets come in **L-classes** — the signature
   ``(la, lb, lc, ld, na, nb, nc, nd)`` of angular momenta and primitive
-  counts that fixes every array shape of the kernel;
+  counts that fixes every array shape of the kernel: one block of the
+  pair table's walk (:mod:`repro.integrals.pairclass`);
 * :func:`eri_quartet_batch` evaluates one whole class with a *single*
   triangular Hermite recursion (:func:`~repro.integrals.mcmurchie.
   hermite_r_tri`) and class-level batched GEMMs, turning thousands of
@@ -41,7 +42,7 @@ import numpy as np
 from ..basis.shellpair import hermite_indices
 from .mcmurchie import hermite_r_tri
 
-__all__ = ["eri_quartet_batch", "quartet_class_groups", "flatten_pairs",
+__all__ = ["eri_quartet_batch", "flatten_pairs",
            "MAX_BATCH_ELEMENTS", "SETUP_SCRATCH", "WALK_SCRATCH"]
 
 _TWO_PI_POW = 2.0 * np.pi ** 2.5
@@ -114,37 +115,6 @@ def flatten_pairs(pairs) -> np.ndarray:
     if not chunks:
         return np.empty((0, 4), dtype=np.int64)
     return np.concatenate(chunks, axis=0)
-
-
-def quartet_class_groups(shells, idx: np.ndarray) -> list[np.ndarray]:
-    """Split a quartet index array into L-class groups.
-
-    Parameters
-    ----------
-    shells:
-        The basis' shell list (only ``l`` and ``nprim`` are read).
-    idx:
-        ``(nq, 4)`` shell indices ``(i, j, k, l)``.
-
-    Returns
-    -------
-    A list of ``(m, 4)`` sub-arrays, one per distinct class signature
-    ``(l_i, l_j, l_k, l_l, np_i, np_j, np_k, np_l)``, each preserving
-    the original quartet order.  Classes are emitted in first-seen
-    order so the accumulation order stays deterministic.
-    """
-    idx = np.asarray(idx, dtype=np.int64).reshape(-1, 4)
-    if len(idx) == 0:
-        return []
-    # one integer per shell kind (l, nprim), four of them per quartet
-    # packed into one signature code: a 1-D unique instead of a row sort
-    nps = np.array([sh.nprim for sh in shells], dtype=np.int64)
-    kind = np.array([sh.l for sh in shells], dtype=np.int64) \
-        * (nps.max() + 1) + nps
-    sig = (kind[idx] * (kind.max() + 1) ** np.arange(3, -1, -1)).sum(axis=1)
-    _, first, inv = np.unique(sig, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")                  # first-seen
-    return [idx[inv == g] for g in order]
 
 
 def _bra_layout(lam: np.ndarray) -> np.ndarray:

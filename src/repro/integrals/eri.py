@@ -12,14 +12,15 @@ Two evaluation granularities:
 
 * :func:`eri_quartet` / :meth:`ERIEngine.quartet` — one shell quartet
   per call; the bit-exact reference path;
-* :meth:`ERIEngine.quartet_batch` — a whole same-L-class quartet list
-  per call through :mod:`repro.integrals.batch`, amortizing the Hermite
-  recursion and GEMM dispatch the way the paper's QPX kernel amortizes
-  its vector setup.
+* :meth:`ERIEngine.quartet_batch` — one block of quartets (a bra pair
+  class against a ket pair class) per call through
+  :mod:`repro.integrals.batch`, amortizing the Hermite recursion and
+  GEMM dispatch the way the paper's QPX kernel amortizes its vector
+  setup.
 
-:func:`eri_tensor` streams its quartets through the same class-batch
-kernel with the Boys table recursed from ``3L``, which keeps every
-block the bits of :func:`eri_quartet`.
+:func:`eri_tensor` walks the pair table's blocks through the same
+class-batch kernel with the Boys table recursed from ``3L``, which keeps
+every block the bits of :func:`eri_quartet`.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import numpy as np
 
 from ..basis.basisset import BasisSet
 from ..basis.shellpair import ShellPair
-from .batch import WALK_SCRATCH, _eri_class_batch, quartet_class_groups
+from .batch import WALK_SCRATCH, _eri_class_batch
 from .mcmurchie import hermite_r_tri
-from .pairclass import pair_classes
+from .pairclass import _blocks, _grid, _pair_walk, pair_classes
 from .schwarz import schwarz_bounds
 
 __all__ = ["eri_quartet", "eri_tensor", "ERIEngine", "PERM_AXES",
@@ -136,14 +137,14 @@ class ERIEngine:
     def __init__(self, basis: BasisSet):
         self.basis = basis
         self._schwarz: dict[tuple[int, int], float] | None = None
-        # build quartets evaluated through quartet() — the single counted
-        # evaluation path, so screened and unscreened builds agree with
-        # the task list's surviving-quartet count
+        # build quartets evaluated, by quartet() and by every class batch
+        # (quartet_batch, the tensor walk), so screened and unscreened
+        # builds agree with the task list's surviving-quartet count
         self.quartets_computed = 0
         # diagonal (ij|ij) quartets evaluated for Schwarz bounds; kept
         # separate so screening preparation never pollutes build counts
         self.quartets_screening = 0
-        # class-batch kernel calls (one per L-class of a quartet list)
+        # class-batch kernel calls (one per block of a walk or list)
         self.class_batches = 0
         # class store: {(bra pair class, ket pair class): compiled block}
         # (what :mod:`repro.scf.fock` compiles; the engine only keeps the
@@ -190,11 +191,6 @@ class ERIEngine:
         self.quartets_computed += 1
         return eri_quartet(self.pair(i, j), self.pair(k, l))
 
-    def group_quartets(self, idx: np.ndarray) -> list[np.ndarray]:
-        """Split an ``(nq, 4)`` quartet index array into L-class groups
-        (see :func:`repro.integrals.batch.quartet_class_groups`)."""
-        return quartet_class_groups(self.basis.shells, idx)
-
     def _class_batch(self, idx: np.ndarray, located: tuple | None = None,
                      **kernel_args) -> np.ndarray:
         """Count a same-class ``(nq, 4)`` index array on
@@ -219,8 +215,8 @@ class ERIEngine:
                       ) -> np.ndarray:
         """Blocks for a same-class quartet index array, one kernel call.
 
-        ``idx`` is ``(nq, 4)`` shell indices — every row must belong to
-        the same L-class (use :meth:`group_quartets`).  ``located`` is
+        ``idx`` is ``(nq, 4)`` shell indices, one block of the pair
+        table's walk (one pair class per side).  ``located`` is
         ``(bra class, bra rows, ket class, ket rows)`` of ``idx`` as
         :meth:`~repro.integrals.pairclass.PairClasses.locate` finds
         them, for a caller that already looked them up.  Returns
@@ -286,9 +282,9 @@ def eri_tensor(basis: BasisSet, screen: float = 0.0,
     :func:`~repro.scf.fock.make_jk_engine` derives for a serial exact
     SCF) and the bit-exact reference the direct, batched and fitted
     builds are checked against; the paper's HFX scheme never
-    materializes it.  The surviving unique quartets are grouped by
-    L-class and every class goes through one
-    :func:`~repro.integrals.batch._eri_class_batch` call with
+    materializes it.  Each block of the pair table's walk
+    (:func:`~repro.integrals.pairclass._grid`) sends its surviving rows
+    through one :func:`~repro.integrals.batch._eri_class_batch` call with
     ``boys_order=3 * L``, so each block holds the doubles
     :func:`eri_quartet` returns for it.
 
@@ -296,37 +292,35 @@ def eri_tensor(basis: BasisSet, screen: float = 0.0,
     through, for callers that read its ``quartets_computed``/
     ``class_batches`` afterwards.
 
-    Memory: the returned tensor, plus at peak the blocks of one class
-    (all classes together hold the unique eighth of the tensor) and a
-    Hermite intermediate capped at the per-geometry walk budget
+    Memory: the returned tensor, plus at peak the rows and integrals of
+    one block (all blocks together hold the unique eighth of the tensor)
+    and a Hermite intermediate capped at the per-geometry walk budget
     :data:`~repro.integrals.batch.WALK_SCRATCH` doubles.
     """
     if engine is None:
         engine = ERIEngine(basis)
-    # shell pairs (i <= j), and every unique quartet of them (bra pair
-    # a <= ket pair b), bra-major
-    keys = np.column_stack(np.triu_indices(basis.nshell))
-    a, b = np.triu_indices(len(keys))
-    if screen > 0:
-        Q = engine.schwarz_bounds()
-        qvals = np.array([Q[i, j] for i, j in keys.tolist()])
-        keep = qvals[a] * qvals[b] >= screen
-        a, b = a[keep], b[keep]
     eri = np.zeros((basis.nbf,) * 4)
     flat = eri.reshape(-1)
     strides = basis.nbf ** np.arange(3, -1, -1)
-    for grp in engine.group_quartets(np.hstack([keys[a], keys[b]])):
-        L = sum(basis.shells[s].l for s in grp[0])
-        blocks = engine._class_batch(grp, max_elements=WALK_SCRATCH,
+    for bra, ket in _blocks(_pair_walk(engine)):
+        rows = [(r[a], b) for r, U, G in _grid(bra, ket)
+                for a, b in [np.nonzero(U & (G >= screen))]]
+        rb, rk = (np.concatenate(x) for x in zip(*rows))
+        if not len(rb):
+            continue
+        idx = np.hstack([bra.ij[rb], ket.ij[rk]])
+        L = sum(basis.shells[s].l for s in idx[0])
+        blocks = engine._class_batch(idx, (bra.cid, rb, ket.cid, rk),
+                                     max_elements=WALK_SCRATCH,
                                      boys_order=3 * L)
         # AO index of every block element along each block axis, shaped
         # to broadcast against blocks (nq, nA, nB, nC, nD)
-        ao = [(basis.offsets[grp[:, s], None]
+        ao = [(basis.offsets[idx[:, s], None]
                + np.arange(blocks.shape[s + 1]))
-              .reshape(len(grp), *(-1 if t == s else 1 for t in range(4)))
+              .reshape(len(idx), *(-1 if t == s else 1 for t in range(4)))
               for s in range(4)]
         # the eight symmetric images, one fancy write per image over the
-        # whole class.  Images of different unique quartets never
+        # whole block.  Images of different unique quartets never
         # overlap; two images of one diagonal quartet such as (ij|ij)
         # do, and the later image wins, as in a per-quartet loop.
         for ax in PERM_AXES:

@@ -3,11 +3,12 @@ every integral walk one pair class at a time.
 
 A *pair class* holds every unique shell pair ``(i, j)``, ``i <= j``,
 whose shells share one signature ``(l_i, nprim_i, l_j, nprim_j)``: one
-side of a quartet class of :func:`~repro.integrals.batch.
-quartet_class_groups`.  Every array of a class has one leading axis over
-its pairs, and :func:`~repro.integrals.mcmurchie.hermite_e` is
-elementwise, so the Hermite expansion and every integral built on it
-take a handful of numpy calls per class instead of per pair:
+side of a *block*, the unique quartets of one (bra pair class, ket pair
+class) pair, which fix every array shape of the class ERI kernel.
+Every array of a class has one leading axis over its pairs, and
+:func:`~repro.integrals.mcmurchie.hermite_e` is elementwise, so the
+Hermite expansion and every integral built on it take a handful of
+numpy calls per class instead of per pair:
 
 * one E table per Cartesian dimension, its bra ladder one step and its
   ket ladder two steps past ``(l_i, l_j)``.  The raised shell of a
@@ -35,12 +36,19 @@ class batches of the same kernel.
 :func:`pair_classes` keeps one table per basis object, built at first
 use: the SCF's S, T and V, its ERI walks, its Schwarz bounds and the
 analytic gradient of the same geometry read the same E tables and
-lambdas.  :meth:`PairClasses.locate` is the one lookup from shell pairs
-to class rows.  The Hermite Coulomb chunks stay under
+lambdas.  The Hermite Coulomb chunks stay under
 :data:`~repro.integrals.batch.WALK_SCRATCH` doubles.
+
+Every four-index walk (the in-core tensor, the direct J/K ranks, the
+analytic gradient) reads the same blocks (:func:`_blocks`) in chunks of
+``(bra rows, unique mask, Q_ij Q_kl)`` (:func:`_grid`), applies its own
+screen per chunk and hands the kept rows to the class kernel as they
+are; :meth:`PairClasses.locate` serves a bare quartet list alone.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +60,10 @@ from .mcmurchie import hermite_e, hermite_r_tri
 __all__ = ["PairClass", "PairClasses", "pair_classes"]
 
 _SQRT_PI = np.sqrt(np.pi)
+
+# Ceiling, in elements, of a block walk's transient screen arrays: one
+# chunk of bra pairs against a whole ket pair class (512 kB of doubles).
+_SCREEN_SCRATCH = 1 << 16
 
 
 def _raise_lower(tab: np.ndarray, expo: np.ndarray, axis: int
@@ -372,3 +384,58 @@ def pair_classes(basis, ghost: bool = False) -> PairClasses:
     if cached is None:
         cached = basis.__dict__[key] = PairClasses(basis.shells, ghost)
     return cached
+
+
+# --- the block walk ----------------------------------------------------------
+
+class _Side(NamedTuple):
+    """One pair class as a side of the walk's blocks: its id, its pairs'
+    positions in ``(i, j)`` order, the pairs, their Schwarz bounds and
+    the Cartesian components ``(ncA, ncB)`` of a pair."""
+
+    cid: int
+    pos: np.ndarray
+    ij: np.ndarray
+    q: np.ndarray
+    shape: tuple
+
+
+def _pair_walk(engine) -> list[_Side]:
+    """The pair classes of ``engine``'s basis in signature order, with
+    the Schwarz bounds of its :meth:`~repro.integrals.eri.ERIEngine.
+    pair_bounds`: every (bra, ket) pair of them is one block of the
+    walk.  Built once per basis object, like its pair table."""
+    basis = engine.basis
+    sides = basis.__dict__.get("_walk_cache")
+    if sides is None:
+        classes = pair_classes(basis)
+        bounds = engine.pair_bounds()
+        nsh = basis.nshell
+        pos = np.zeros((nsh, nsh), dtype=np.int64)
+        pos[np.triu_indices(nsh)] = np.arange(nsh * (nsh + 1) // 2)
+        sides = basis.__dict__["_walk_cache"] = []
+        for cls in classes.by_signature():
+            cid = int(classes.cid[cls.ij[0, 0], cls.ij[0, 1]])
+            sides.append(_Side(cid, pos[cls.ij[:, 0], cls.ij[:, 1]],
+                               cls.ij, bounds[cid], cls.shape))
+    return sides
+
+
+def _blocks(walk: list[_Side]):
+    """The (bra, ket) blocks of the walk, bra-major in walk order, less
+    those without a unique quartet (every ket pair precedes every bra)."""
+    return ((bra, ket) for bra in walk for ket in walk
+            if bra.pos[0] <= ket.pos[-1])
+
+
+def _grid(bra: _Side, ket: _Side, rows: np.ndarray | None = None):
+    """``Q_ij Q_kl`` of the (``bra``, ``ket``) block in chunks of the bra
+    rows ``rows`` (a bool per bra pair; all without) under
+    :data:`_SCREEN_SCRATCH` elements: ``(r, U, G)`` per chunk, ``r`` its
+    rows, ``G`` ``(len(r), nket)`` and ``U`` where the ket pair does not
+    precede the bra (a unique quartet)."""
+    r = np.arange(len(bra.pos)) if rows is None else np.flatnonzero(rows)
+    step = max(1, _SCREEN_SCRATCH // len(ket.pos))
+    for s in range(0, len(r), step):
+        rs = r[s:s + step]
+        yield rs, bra.pos[rs, None] <= ket.pos, bra.q[rs, None] * ket.q

@@ -34,24 +34,18 @@ one build.  Both ERI kernels feed the same accumulation.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from ..basis.basisset import BasisSet
 from ..integrals import eri
 from ..integrals.eri import ERIEngine, eri_tensor
-from ..integrals.pairclass import pair_classes
+from ..integrals.pairclass import _blocks, _grid, _pair_walk, _Side
 from ..runtime.boundary import check_jk_route
 from ..runtime.pool import PoolLease, RankJob, own_bras
 
 __all__ = ["jk_from_tensor", "coulomb_from_tensor", "exchange_from_tensor",
            "JKEngine", "TensorJKEngine", "DirectJKBuilder", "make_jk_engine",
            "eval_screened_pairs"]
-
-# Ceiling, in elements, of the screen's transient bound array: one chunk
-# of bra pairs against a whole ket pair class (512 kB of doubles).
-_SCREEN_SCRATCH = 1 << 16
 
 # A masked block whose survivors are fewer than this fraction of its
 # rows is gathered down to them before the contractions, else every row
@@ -78,47 +72,13 @@ def _layout(B: np.ndarray, t: int) -> np.ndarray:
         len(B), B.shape[a] * B.shape[c], B.shape[b] * B.shape[d])
 
 
-class _Side(NamedTuple):
-    """One pair class as a side of the walk's blocks: its id, its pairs'
-    positions in ``(i, j)`` order, the pairs, their Schwarz bounds and
-    the Cartesian components ``(ncA, ncB)`` of a pair."""
-
-    cid: int
-    pos: np.ndarray
-    ij: np.ndarray
-    q: np.ndarray
-    shape: tuple
-
-
-def _pair_walk(engine: ERIEngine) -> list[_Side]:
-    """The pair classes of ``engine``'s basis in signature order: every
-    (bra, ket) pair of them is one block of the walk.  Built once per
-    basis object, like its pair table and Schwarz bounds."""
-    basis = engine.basis
-    sides = basis.__dict__.get("_walk_cache")
-    if sides is None:
-        classes = pair_classes(basis)
-        bounds = engine.pair_bounds()
-        nsh = basis.nshell
-        pos = np.zeros((nsh, nsh), dtype=np.int64)
-        pos[np.triu_indices(nsh)] = np.arange(nsh * (nsh + 1) // 2)
-        sides = basis.__dict__["_walk_cache"] = []
-        for cls in classes.by_signature():
-            cid = int(classes.cid[cls.ij[0, 0], cls.ij[0, 1]])
-            sides.append(_Side(cid, pos[cls.ij[:, 0], cls.ij[:, 1]],
-                               cls.ij, bounds[cid], cls.shape))
-    return sides
-
-
 def _walk_blocks(walk: list[_Side], dmax, eps: float) -> list[tuple]:
     """The (bra, ket) blocks of unique quartets, in walk order, less
     those the increment screen drops whole: ``max(Q_b) max(Q_k) *
     max(dmax) < eps`` bounds every quartet's test from above."""
     top = np.max(dmax) if np.ndim(dmax) == 2 and np.size(dmax) else None
-    return [(bra, ket) for bra in walk for ket in walk
-            # not when every ket pair precedes every bra
-            if bra.pos[0] <= ket.pos[-1] and (
-                top is None or not bra.q.max() * ket.q.max() * top < eps)]
+    return [(bra, ket) for bra, ket in _blocks(walk)
+            if top is None or not bra.q.max() * ket.q.max() * top < eps]
 
 
 def _six(dmax: np.ndarray, i, j, k, l) -> np.ndarray:
@@ -130,19 +90,6 @@ def _six(dmax: np.ndarray, i, j, k, l) -> np.ndarray:
         np.maximum(np.maximum(dmax[j, l], dmax[j, k]),
                    np.maximum(dmax[i, l], dmax[i, k])),
         np.maximum(dmax[k, l], dmax[i, j]))
-
-
-def _grid(bra: _Side, ket: _Side, rows: np.ndarray | None = None):
-    """``Q_ij Q_kl`` of the (``bra``, ``ket``) block in chunks of the bra
-    rows ``rows`` (a bool per bra pair; all without) under
-    ``_SCREEN_SCRATCH`` elements: ``(r, U, G)`` per chunk, ``r`` its
-    rows, ``G`` ``(len(r), nket)`` and ``U`` where the ket pair does not
-    precede the bra (a unique quartet)."""
-    r = np.arange(len(bra.pos)) if rows is None else np.flatnonzero(rows)
-    step = max(1, _SCREEN_SCRATCH // len(ket.pos))
-    for s in range(0, len(r), step):
-        rs = r[s:s + step]
-        yield rs, bra.pos[rs, None] <= ket.pos, bra.q[rs, None] * ket.q
 
 
 def _cells(bra: _Side, ket: _Side, served: np.ndarray, tau: np.ndarray):
@@ -189,8 +136,8 @@ class _Block:
     ``(6, nq)`` flat shell-block indices ``jl, jk, il, ik, kl, ij`` of
     the increment screen.
 
-    A held block is a Schwarz cut of its :func:`_grid`: the quartets of
-    the bra rows ``served`` (a bool per bra pair) whose product is at
+    A held block is a Schwarz cut of its ``Q_ij Q_kl`` grid: the quartets
+    of the bra rows ``served`` (a bool per bra pair) whose product is at
     least their row's ``tau`` (a float per bra pair), in code order,
     ``nrow`` of them in each bra row.  ``under`` is the largest product
     of a served row below its ``tau`` (``-inf``: none): a build at
@@ -516,8 +463,9 @@ def coulomb_from_tensor(eri: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 
 def exchange_from_tensor(eri: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Exchange matrix K_pq = sum_rs (pr|qs) D_rs."""
-    return np.einsum("prqs,rs->pq", eri, D, optimize=True)
+    """Exchange matrix K_pq = sum_rs (pr|qs) D_rs, contracted on the
+    tensor as it lies (an optimized ``einsum`` path copies it first)."""
+    return np.einsum("prqs,rs->pq", eri, D)
 
 
 def jk_from_tensor(eri: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -699,7 +647,6 @@ class DirectJKBuilder(JKEngine):
         self.basis = basis
         self.engine = ERIEngine(basis)
         self.Q = self.engine.schwarz_bounds()      # (i, j) order
-        self._qvals = np.array(list(self.Q.values()))
         # (rank_of_bra, loads) on the pool, fixed by the first pooled
         # build at this geometry (own_bras)
         self._owner = None

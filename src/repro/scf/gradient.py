@@ -62,10 +62,11 @@ from ..basis.shellpair import hermite_indices
 from ..chem.molecule import Molecule
 from ..integrals.batch import (WALK_SCRATCH, _bra_layout, _hermite_gather,
                                _hermite_stage, _ket_layout, _lambda_contract,
-                               _stage_chunk, quartet_class_groups)
+                               _stage_chunk)
 from ..integrals.eri import ERIEngine
 from ..integrals.gradients import DerivativePairs
-from ..integrals.pairclass import pair_classes
+from ..integrals.pairclass import (_blocks, _grid, _pair_walk, _Side,
+                                   pair_classes)
 from ..runtime.telemetry import NULL_TRACER
 from .grid import eval_aos
 from .rhf import SCFResult
@@ -177,44 +178,56 @@ def _two_electron_gradient(basis: BasisSet, D: np.ndarray, a_x: float,
     the 8-fold-unique shell quartets (``i <= j``, ``k <= l``,
     ``ij <= kl``) that pass ``Q_ij Q_kl max|D|^2 >= screen_eps``.
 
-    The images of a unique quartet share its derivative integrals, so
-    they enter through their count and the density factor averaged over
+    The walk reads the pair table's blocks in screen chunks
+    (:func:`_survivors`), so no index list outgrows one chunk.  The
+    images of a unique quartet share its derivative integrals, so they
+    enter through their count and the density factor averaged over
     them, ``1/2 D_ij D_kl - a_x/8 (D_ik D_jl + D_il D_jk)``.  Returns the
     gradient and the walk's counts: ``quartets`` differentiated,
     ``class_batches`` (Hermite tables built) and ``skipped_by_symmetry``
     (quartets plus single centres dropped because they cancel).
     """
-    shells = basis.shells
-    atom = np.array([sh.atom for sh in shells])
+    atom = np.array([sh.atom for sh in basis.shells])
     grad = np.zeros((basis.molecule.natom, 3))
-    Q = ERIEngine(basis).schwarz_bounds()
-    keys = np.array(list(Q), dtype=np.int64)       # (i, j), i <= j, pair order
-    qv = np.array(list(Q.values()))
     dmax = float(np.abs(D).max())
-    a, b = np.triu_indices(len(keys))
-    keep = qv[a] * qv[b] * dmax * dmax >= screen_eps
-    quartets = np.hstack([keys[a[keep]], keys[b[keep]]])
-    on_one_atom = (atom[quartets] == atom[quartets[:, :1]]).all(axis=1)
-    quartets = quartets[~on_one_atom]
-    stats = {"quartets": len(quartets), "class_batches": 0,
-             "skipped_by_symmetry": int(on_one_atom.sum())}
-    for grp in quartet_class_groups(shells, quartets):
-        _differentiate_class(basis, D, a_x, table, grp, atom, grad, stats)
+    stats = {"quartets": 0, "class_batches": 0, "skipped_by_symmetry": 0}
+    for bra, ket in _blocks(_pair_walk(ERIEngine(basis))):
+        _differentiate_class(basis, D, a_x, table, bra.cid, ket.cid,
+                             _survivors(bra, ket, dmax, screen_eps, atom,
+                                        stats), atom, grad, stats)
     return grad, stats
 
 
+def _survivors(bra: _Side, ket: _Side, dmax: float, screen_eps: float,
+               atom: np.ndarray, stats: dict):
+    """``(bra rows, ket rows)`` per chunk of the block's
+    :func:`~repro.integrals.pairclass._grid`: the quartets with ``Q_ij
+    Q_kl max|D|^2 >= screen_eps`` whose shells do not all sit on one atom
+    (those cancel), both counted on ``stats``.  Between chunks it holds
+    the grid, two masks and the rows it yields: under 26 bytes a cell."""
+    # a pair's atom if its two shells share one, else a code no other pair has
+    bsite, ksite = (np.where(at[:, 0] == at[:, 1], at[:, 0], -1 - side)
+                    for side, at in enumerate((atom[bra.ij], atom[ket.ij])))
+    for r, U, G in _grid(bra, ket):
+        U &= G * dmax * dmax >= screen_eps
+        one = U & (bsite[r, None] == ksite)
+        U ^= one
+        a, b = np.nonzero(U)
+        a = r[a]
+        stats["skipped_by_symmetry"] += int(np.count_nonzero(one))
+        stats["quartets"] += len(a)
+        yield a, b
+
+
 def _differentiate_class(basis: BasisSet, D: np.ndarray, a_x: float,
-                         table: DerivativePairs, grp: np.ndarray,
+                         table: DerivativePairs, cb: int, ck: int, rows,
                          atom: np.ndarray, grad: np.ndarray,
                          stats: dict) -> None:
-    """Add one L-class of unique quartets ``grp`` ``(nq, 4)`` to
-    ``grad``/``stats``.  Its bra pairs are rows of one pair class and
-    its ket pairs rows of another; every kernel input is gathered from
-    the two classes' stacks.  Chunks of the class share one Hermite
-    table each, under :data:`~repro.integrals.batch.WALK_SCRATCH`
-    doubles."""
-    cb, bra_rows = table.classes.locate(grp[:, 0], grp[:, 1])
-    ck, ket_rows = table.classes.locate(grp[:, 2], grp[:, 3])
+    """Add the quartets ``rows`` yields (:func:`_survivors`) of the block
+    of pair classes ``cb`` and ``ck`` to ``grad``/``stats``.  Every
+    kernel input is a row gather from the two classes' stacks, set up
+    once for the block, and each chunk is cut into Hermite tables under
+    :data:`~repro.integrals.batch.WALK_SCRATCH` doubles."""
     bra, ket = table.classes.pair_class(cb), table.classes.pair_class(ck)
     L1, L2 = bra.la + bra.lb, ket.la + ket.lb
     nab, ncd = bra.p.shape[1], ket.p.shape[1]
@@ -224,46 +237,48 @@ def _differentiate_class(basis: BasisSet, D: np.ndarray, a_x: float,
     # derivative lambdas of the bra's two centres and of the ket's first
     bra_d = [_bra_layout(table.dlam(cb, side)) for side in (0, 1)]
     ket_d = _ket_layout(table.dlam(ck, 0))
-    nfn = [basis.shells[s].nfunc for s in grp[0]]
+    nfn = bra.shape + ket.shape
     nab_f, ncd_f = nfn[0] * nfn[1], nfn[2] * nfn[3]
-    ao = [basis.offsets[grp[:, s], None] + np.arange(nfn[s])
-          for s in range(4)]
-    images = ((1 + (grp[:, 0] != grp[:, 1])) * (1 + (grp[:, 2] != grp[:, 3]))
-              * (1 + ((grp[:, 0] != grp[:, 2]) | (grp[:, 1] != grp[:, 3])))
-              ).astype(np.float64)
-    # a differentiated centre on the fourth shell's atom cancels: its
-    # derivative is evaluated with the chunk and never added
-    moved = atom[grp[:, :3]] != atom[grp[:, 3:]]
-    stats["skipped_by_symmetry"] += int((~moved).sum())
     chunk = _stage_chunk(L1 + L2 + 1, nab * ncd, WALK_SCRATCH)
-    for lo in range(0, len(grp), chunk):
-        s = slice(lo, min(lo + chunk, len(grp)))
-        q, bq, kq = grp[s], bra_rows[s], ket_rows[s]
-        R, pref = _hermite_stage(L1 + L2 + 1, bra.p[bq], ket.p[kq],
-                                 bra.P[bq], ket.P[kq], None)
-        stats["class_batches"] += 1
-        gamma = (_gamma_blocks(D, [x[s] for x in ao], a_x)
-                 * images[s, None, None, None, None]).reshape(
-                     len(q), nab_f, ncd_f)
-        g = np.empty((len(q), 3, 3))        # (quartet, centre, direction)
-        # i and j read the bra's raised orders against the plain ket
-        rg = _hermite_gather(R, pref, up1, idx2)
-        for c in (0, 1):
-            blocks = _lambda_contract(rg, bra_d[c][bq], l2t_u[kq], len(idx2))
-            g[:, c] = np.einsum("mxpq,mpq->mx", blocks.reshape(
-                len(q), 3, nab_f, ncd_f), gamma)
-        del rg
-        # k: the plain bra against the ket's raised orders
-        blocks = _lambda_contract(_hermite_gather(R, pref, idx1, up2),
-                                  l1_u[bq], ket_d[kq], len(up2))
-        g[:, 2] = np.einsum("mpxq,mpq->mx", blocks.reshape(
-            len(q), nab_f, 3, ncd_f), gamma)
-        g *= moved[s, :, None]
-        np.add.at(grad, atom[q[:, :3]], g)
-        # fourth centre from translational invariance
-        np.add.at(grad, atom[q[:, 3]], -g.sum(axis=1))
-        # the next chunk's table is built with this one released
-        del R, pref
+    for rb, rk in rows:
+        for lo in range(0, len(rb), chunk):
+            bq, kq = rb[lo:lo + chunk], rk[lo:lo + chunk]
+            q = np.hstack([bra.ij[bq], ket.ij[kq]])
+            ao = [basis.offsets[q[:, s], None] + np.arange(nfn[s])
+                  for s in range(4)]
+            images = ((1 + (q[:, 0] != q[:, 1])) * (1 + (q[:, 2] != q[:, 3]))
+                      * (1 + ((q[:, 0] != q[:, 2]) | (q[:, 1] != q[:, 3])))
+                      ).astype(np.float64)
+            # a differentiated centre on the fourth shell's atom cancels:
+            # its derivative is evaluated with the chunk and never added
+            moved = atom[q[:, :3]] != atom[q[:, 3:]]
+            stats["skipped_by_symmetry"] += int((~moved).sum())
+            R, pref = _hermite_stage(L1 + L2 + 1, bra.p[bq], ket.p[kq],
+                                     bra.P[bq], ket.P[kq], None)
+            stats["class_batches"] += 1
+            gamma = (_gamma_blocks(D, ao, a_x)
+                     * images[:, None, None, None, None]).reshape(
+                         len(q), nab_f, ncd_f)
+            g = np.empty((len(q), 3, 3))      # (quartet, centre, direction)
+            # i and j read the bra's raised orders against the plain ket
+            rg = _hermite_gather(R, pref, up1, idx2)
+            for c in (0, 1):
+                blocks = _lambda_contract(rg, bra_d[c][bq], l2t_u[kq],
+                                          len(idx2))
+                g[:, c] = np.einsum("mxpq,mpq->mx", blocks.reshape(
+                    len(q), 3, nab_f, ncd_f), gamma)
+            del rg
+            # k: the plain bra against the ket's raised orders
+            blocks = _lambda_contract(_hermite_gather(R, pref, idx1, up2),
+                                      l1_u[bq], ket_d[kq], len(up2))
+            g[:, 2] = np.einsum("mpxq,mpq->mx", blocks.reshape(
+                len(q), nab_f, 3, ncd_f), gamma)
+            g *= moved[:, :, None]
+            np.add.at(grad, atom[q[:, :3]], g)
+            # fourth centre from translational invariance
+            np.add.at(grad, atom[q[:, 3]], -g.sum(axis=1))
+            # the next chunk's table is built with this one released
+            del R, pref
 
 
 def _gamma_blocks(D: np.ndarray, ao: list[np.ndarray], a_x: float

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.integrals.pairclass as pairclass
 from repro.basis import build_basis
 from repro.chem import builders
 from repro.hfx.incremental import IncrementalExchange, incremental_survival
@@ -142,7 +143,8 @@ def _expand(builder, item):
     if blk is None:
         return cls
     key = next(k for k, b in builder.engine.store.items() if b is blk)
-    sides = {side.cid: side for side in fock._pair_walk(builder.engine)}
+    sides = {side.cid: side
+             for side in pairclass._pair_walk(builder.engine)}
     bra, ket = sides[key[0]], sides[key[1]]
     r, c, _, _ = fock._cells(bra, ket, blk.served, blk.tau)
     rows = np.hstack([bra.ij[r], ket.ij[c]])
@@ -187,7 +189,7 @@ def test_increment_screen_equals_the_per_quartet_loop(builder,
         ref, computed, skipped = _screen_oracle(inc, dmax, thresh)
         got = inc._screened_classes(dmax, thresh)
         with monkeypatch.context() as m:
-            m.setattr(fock, "_SCREEN_SCRATCH", 1)
+            m.setattr(pairclass, "_SCREEN_SCRATCH", 1)
             chunked = inc._screened_classes(dmax, thresh)
         assert len(chunked) == len(got)
         assert all(np.array_equal(a, b) for a, b in zip(chunked, got))

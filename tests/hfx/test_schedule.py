@@ -98,7 +98,7 @@ def test_model_counts_what_the_real_screen_keeps(builder):
     """``incremental_survival`` at ``|dD| = 1`` equals the quartets the
     direct builder's screen keeps, with ``eps`` on a product boundary."""
     jk = DirectJKBuilder(build_basis(getattr(builders, builder)()))
-    q = np.sort(jk._qvals)[::-1]
+    q = np.sort(np.concatenate(jk.engine.pair_bounds()))[::-1]
     for i, j in ((0, 3), (2, 9), (5, 5)):
         jk.eps = q[i] * q[j]
         kept = sum(len(cls) for cls in jk._screened_classes(1.0))

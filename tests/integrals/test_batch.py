@@ -5,8 +5,8 @@ Two contracts, one kernel: with the Boys table recursed down from
 ``np.array_equal`` to the per-quartet reference, whatever the chunking;
 with the default ``boys_order=None`` (recursed from ``L``, the
 ``kernel="batched"`` direct builds) it agrees to tight tolerance and is
-*not* required to be bitwise.  The class grouping partitions any
-quartet list without loss.
+*not* required to be bitwise.  The block walk of the pair table
+partitions the unique quartets without loss, one signature per block.
 """
 
 import numpy as np
@@ -15,10 +15,9 @@ import pytest
 from repro.basis import build_basis
 from repro.chem import builders
 from repro.integrals import (ERIEngine, eri_quartet, eri_quartet_batch,
-                             flatten_pairs, hermite_r_tri,
-                             quartet_class_groups)
+                             flatten_pairs, hermite_r_tri)
 from repro.integrals.batch import _eri_class_batch
-from repro.integrals.pairclass import pair_classes
+from repro.integrals.pairclass import _blocks, _grid, _pair_walk, pair_classes
 
 from .hermite_oracle import hermite_r
 
@@ -34,6 +33,21 @@ def _all_quartets(engine):
     keys = sorted(engine.basis.shell_pairs())
     return [(i, j, k, l) for a, (i, j) in enumerate(keys)
             for (k, l) in keys[a:]]
+
+
+def _walk(engine):
+    """Every unique quartet of the engine's basis, one same-class list
+    per block of the pair table's walk: ``[(quartets (nq, 4), (bra
+    class, bra rows, ket class, ket rows))]``."""
+    out = []
+    for bra, ket in _blocks(_pair_walk(engine)):
+        rows = [(r[a], b) for r, U, _ in _grid(bra, ket)
+                for a, b in [np.nonzero(U)]]
+        rb, rk = (np.concatenate(x) for x in zip(*rows))
+        if len(rb):
+            out.append((np.hstack([bra.ij[rb], ket.ij[rk]]),
+                        (bra.cid, rb, ket.cid, rk)))
+    return out
 
 
 def test_hermite_r_tri_matches_reference(rng):
@@ -54,8 +68,8 @@ def test_hermite_r_tri_matches_reference(rng):
 def test_batch_matches_per_quartet_all_classes(dimer_basis):
     engine = ERIEngine(dimer_basis)
     idx = np.asarray(_all_quartets(engine), dtype=np.int64)
-    groups = quartet_class_groups(dimer_basis.shells, idx)
-    # the grouping is a partition of the quartet list
+    groups = [grp for grp, _ in _walk(engine)]
+    # the block walk is a partition of the unique quartets
     assert sum(len(g) for g in groups) == len(idx)
     covered = np.concatenate(groups)
     assert {tuple(q) for q in covered} == {tuple(q) for q in idx}
@@ -81,9 +95,7 @@ def class_groups(request):
     table = pair_classes(engine.basis)
     idx = np.asarray(_all_quartets(engine), dtype=np.int64)
     out = []
-    for grp in engine.group_quartets(idx):
-        cb, bra_rows = table.locate(grp[:, 0], grp[:, 1])
-        ck, ket_rows = table.locate(grp[:, 2], grp[:, 3])
+    for grp, (cb, bra_rows, ck, ket_rows) in _walk(engine):
         bra, ket = table.pair_class(cb), table.pair_class(ck)
         ref = np.stack([eri_quartet(engine.pair(int(i), int(j)),
                                     engine.pair(int(k), int(l)))
@@ -128,8 +140,7 @@ def test_default_boys_order_is_L_and_close_not_bitwise(class_groups):
 
 def test_chunked_evaluation_identical(dimer_basis):
     engine = ERIEngine(dimer_basis)
-    idx = np.asarray(_all_quartets(engine), dtype=np.int64)
-    grp = max(quartet_class_groups(dimer_basis.shells, idx), key=len)
+    grp = max((grp for grp, _ in _walk(engine)), key=len)
     bras = [engine.pair(int(i), int(j)) for i, j, _, _ in grp]
     kets = [engine.pair(int(k), int(l)) for _, _, k, l in grp]
     whole = eri_quartet_batch(bras, kets)
@@ -162,8 +173,7 @@ def test_repeated_pair_reuses_its_cached_class(ij):
 
 def test_engine_quartet_batch_counts_and_matches(dimer_basis):
     engine = ERIEngine(dimer_basis)
-    idx = np.asarray(_all_quartets(engine), dtype=np.int64)
-    grp = quartet_class_groups(dimer_basis.shells, idx)[0]
+    grp = _walk(engine)[0][0]
     before = engine.quartets_computed
     blocks = engine.quartet_batch(grp)
     assert engine.quartets_computed - before == len(grp)
@@ -173,25 +183,27 @@ def test_engine_quartet_batch_counts_and_matches(dimer_basis):
         assert np.abs(blocks[n] - ref).max() < TOL
 
 
-def test_group_quartets_first_seen_order(dimer_basis):
+def test_block_walk_is_one_class_per_block_in_quartet_order(dimer_basis):
+    """Every block of the walk is one L-class, no L-class spans two
+    blocks, and a block lists its quartets bra-major in the unique
+    quartet order, as a class of the whole quartet list would."""
     engine = ERIEngine(dimer_basis)
     idx = np.asarray(_all_quartets(engine), dtype=np.int64)
-    groups = engine.group_quartets(idx)
     ls = np.array([sh.l for sh in dimer_basis.shells])
     nps = np.array([sh.nprim for sh in dimer_basis.shells])
 
     def sig(q):
         return tuple(ls[list(q)]) + tuple(nps[list(q)])
 
-    # every group is homogeneous and each preserves the original order
-    seen_first = []
-    for grp in groups:
+    seen = []
+    for grp, _ in _walk(engine):
         sigs = {sig(q) for q in grp}
         assert len(sigs) == 1
-        seen_first.append(next(iter(sigs)))
+        seen.append(next(iter(sigs)))
         pos = [np.flatnonzero((idx == q).all(axis=1))[0] for q in grp[:50]]
         assert pos == sorted(pos)
-    assert len(set(seen_first)) == len(seen_first)
+    assert len(set(seen)) == len(seen)
+    assert set(seen) == {sig(q) for q in idx}
 
 
 def test_flatten_pairs_roundtrip():
@@ -209,8 +221,6 @@ def test_batch_input_validation(dimer_basis):
         eri_quartet_batch([pr], [pr, pr])
     with pytest.raises(ValueError, match="empty"):
         eri_quartet_batch([], [])
-    assert quartet_class_groups(dimer_basis.shells,
-                                np.empty((0, 4), dtype=np.int64)) == []
 
 
 @pytest.mark.reference
@@ -222,8 +232,7 @@ def test_class_batch_scratch_stays_under_its_ceiling():
     import tracemalloc
 
     engine = ERIEngine(build_basis(builders.water_cluster(4), "sto-3g"))
-    idx = np.asarray(_all_quartets(engine), dtype=np.int64)
-    grp = next(g for g in engine.group_quartets(idx)
+    grp = next(g for g, _ in _walk(engine)
                if not any(engine.basis.shells[s].l for s in g[0]))
     assert len(grp) >= 9000
     max_elements = 1 << 17

@@ -11,7 +11,8 @@ against their own memory budget.
 * The derivative walk's chunking only moves chunk boundaries: one
   quartet per chunk gives the whole-class walk's gradient to 1e-14.
 * The tensor walk and the derivative walk stay within the one walk
-  budget ``WALK_SCRATCH``.
+  budget ``WALK_SCRATCH``, and the derivative walk's peak does not grow
+  with its quartet count: one screen chunk rides on top of the budget.
 """
 
 import tracemalloc
@@ -26,6 +27,7 @@ from repro.integrals import (DerivativePairs, PairClasses, dipole_matrices,
                              overlap_matrix, pair_classes)
 from repro.integrals.batch import WALK_SCRATCH
 from repro.integrals.mcmurchie import hermite_e
+from repro.integrals.pairclass import _SCREEN_SCRATCH
 from repro.liair import get_solvent
 from repro.liair.complexes import attack_complex
 from repro.scf import run_rhf
@@ -144,11 +146,18 @@ def li2o2_state():
 
 def test_one_quartet_chunks_give_the_whole_class_gradient(li2o2_state,
                                                          monkeypatch):
-    """The budget only moves chunk boundaries: the Hermite stage is
-    elementwise and each quartet's contraction its own GEMM."""
+    """The budgets only move chunk boundaries: the Hermite stage is
+    elementwise and each quartet's contraction its own GEMM, and a
+    screen chunk of one bra row keeps the quartets a whole block does."""
     basis, D = li2o2_state
     whole, stats = _two_electron_gradient(
         basis, D, 0.25, _SCREEN_EPS, DerivativePairs(basis.shells))
+    monkeypatch.setattr("repro.integrals.pairclass._SCREEN_SCRATCH", 1)
+    rowwise, rows = _two_electron_gradient(
+        basis, D, 0.25, _SCREEN_EPS, DerivativePairs(basis.shells))
+    assert np.abs(rowwise - whole).max() <= 1e-14
+    assert rows["quartets"] == stats["quartets"]
+    assert rows["skipped_by_symmetry"] == stats["skipped_by_symmetry"]
     monkeypatch.setattr("repro.scf.gradient.WALK_SCRATCH", 1)
     single, one = _two_electron_gradient(
         basis, D, 0.25, _SCREEN_EPS, DerivativePairs(basis.shells))
@@ -186,6 +195,29 @@ def test_the_walks_stay_within_the_walk_budget(li2o2_state):
     assert peak <= WALK_PEAK
     eri, peak = _peak(lambda: eri_tensor(basis))
     assert eri.nbytes < peak <= eri.nbytes + WALK_PEAK
+
+
+#: What one screen chunk of the block walk holds between chunks, in
+#: bytes: its ``Q_ij Q_kl`` grid and two masks (10 bytes a cell) and the
+#: bra and ket rows it keeps (16 bytes a survivor, at most one a cell).
+CHUNK_PEAK = 26 * _SCREEN_SCRATCH
+
+
+def test_the_derivative_walk_does_not_grow_with_its_quartets():
+    """On (H2O)5 at a dense random density (~44 000 quartets survive)
+    the derivative walk holds one Hermite chunk and one screen chunk, not
+    a list of its quartets: lists of every unique and every surviving
+    quartet, sorted into classes, peaked at ~10 MB here."""
+    basis = build_basis(builders.water_cluster(5))
+    A = np.random.default_rng(0).standard_normal((basis.nbf,) * 2)
+    D = A + A.T
+    table = DerivativePairs(basis.shells, pair_classes(basis))
+    # per-geometry tables first, as the Li2O2 walk test builds them
+    _two_electron_gradient(basis, D, 0.25, _SCREEN_EPS, table)
+    (grad, stats), peak = _peak(lambda: _two_electron_gradient(
+        basis, D, 0.25, _SCREEN_EPS, table))
+    assert stats["quartets"] > 40_000
+    assert peak <= WALK_PEAK + CHUNK_PEAK
 
 
 def _no_shell_pair_table(run):

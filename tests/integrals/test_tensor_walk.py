@@ -82,14 +82,19 @@ def test_screened_walk(case, screen):
 
 
 def test_one_quartet_chunks_leave_the_tensor_unchanged(case, monkeypatch):
-    """The walk's scratch ceiling only moves chunk boundaries, and the R
-    stage is elementwise: a ceiling of one double (every chunk a single
-    quartet) fills the same bits."""
+    """The walk's scratch ceilings only move chunk boundaries, and the R
+    stage is elementwise: a ceiling of one double (every Hermite chunk a
+    single quartet, every screen chunk a single bra row) fills the same
+    bits from the same blocks."""
     _mol, basis, (ref, nq) = case
+    blocks = ERIEngine(basis)
+    eri_tensor(basis, engine=blocks)
     monkeypatch.setattr("repro.integrals.eri.WALK_SCRATCH", 1)
+    monkeypatch.setattr("repro.integrals.pairclass._SCREEN_SCRATCH", 1)
     engine = ERIEngine(basis)
     assert np.array_equal(eri_tensor(basis, engine=engine), ref)
     assert engine.quartets_computed == nq
+    assert engine.class_batches == blocks.class_batches
 
 
 def test_overlapping_images_of_diagonal_quartets_keep_the_last_write():

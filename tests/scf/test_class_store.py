@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import repro.integrals.eri as eri_module
+import repro.integrals.pairclass as pairclass
 from repro.basis import build_basis
 from repro.chem import builders
 from repro.hfx import IncrementalExchange
@@ -130,7 +131,7 @@ def test_a_cut_starts_at_each_rows_smallest_survivor(increment):
     else:
         dmax, eps = float(np.abs(D).max()), inc.eps
         DirectJKBuilder.build(inc, D)
-    sides = {side.cid: side for side in fock._pair_walk(inc.engine)}
+    sides = {side.cid: side for side in pairclass._pair_walk(inc.engine)}
     assert inc.engine.store
     for (b, k), blk in inc.engine.store.items():
         bra, ket = sides[b], sides[k]
@@ -159,7 +160,7 @@ def test_grid_scans_stay_under_the_screen_scratch(monkeypatch):
     basis = build_basis(builders.water_cluster(6))
     inc = IncrementalExchange(basis, config=ExecutionConfig(
         kernel="batched"))
-    walk = fock._pair_walk(inc.engine)
+    walk = pairclass._pair_walk(inc.engine)
     side = max(walk, key=lambda w: len(w.pos))
     ncell = len(side.pos) ** 2
     assert ncell >= 90_000
@@ -167,7 +168,7 @@ def test_grid_scans_stay_under_the_screen_scratch(monkeypatch):
     # a few per cent of the cells survive or are held
     cut = np.quantile(side.q, 0.9) ** 2
     scratch = 1 << 12
-    monkeypatch.setattr(fock, "_SCREEN_SCRATCH", scratch)
+    monkeypatch.setattr(pairclass, "_SCREEN_SCRATCH", scratch)
     for scan in (lambda: fock._screen_block(side, side, 1.0, cut),
                  lambda: fock._cells(side, side, every,
                                      np.full(len(side.pos), cut))):

@@ -296,14 +296,15 @@ def test_a_warm_build_allocates_less_than_the_walk_it_replaced():
 
     def stored(cls):
         """The stored integrals of a list, gathered (the old hit path)."""
+        import repro.integrals.pairclass as pairclass
         import repro.scf.fock as fock
-        from repro.integrals.pairclass import pair_classes
 
-        pc = pair_classes(basis)
+        pc = pairclass.pair_classes(basis)
         i, j, k, l = cls.T
         key = (int(pc.cid[i[0], j[0]]), int(pc.cid[k[0], l[0]]))
         blk = store[key]
-        sides = {side.cid: side for side in fock._pair_walk(inc.engine)}
+        sides = {side.cid: side
+                 for side in pairclass._pair_walk(inc.engine)}
         rb, rk, _, _ = fock._cells(sides[key[0]], sides[key[1]],
                                    blk.served, blk.tau)
         nket = len(pc.pair_class(key[1]))

@@ -138,6 +138,31 @@ def test_j_k_contraction_definitions(water_eri):
     assert np.isclose(K[p, q], kref)
 
 
+def test_an_incore_k_build_does_not_copy_the_tensor():
+    """K contracts the tensor's strided ``(pr|qs)`` view as it lies: one
+    build on (H2O)4's 4.9 MB tensor allocates under 1 % of it (an
+    optimized ``einsum`` path first copied the whole tensor)."""
+    import tracemalloc
+
+    from repro.integrals import eri_tensor
+
+    b = build_basis(builders.water_cluster(4))
+    eri = eri_tensor(b)
+    D = _random_density(b.nbf, 5)
+    K = exchange_from_tensor(eri, D)
+    tracemalloc.start()
+    try:
+        again = exchange_from_tensor(eri, D)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again, K)
+    assert peak < 0.01 * eri.nbytes
+    # the same contraction as the explicit sum, to rounding
+    assert np.abs(K - np.einsum("prqs,rs->pq", eri, D, optimize=True)).max() \
+        < 1e-12
+
+
 def test_hetero_molecule_direct_consistency():
     """LiH exercises s+p shells on different centers."""
     from repro.integrals import eri_tensor

@@ -240,12 +240,15 @@ def test_one_jk_accumulation():
 def test_one_pair_table():
     """Every ERI walk reads the pair classes: the per-pair auxiliary
     pair, its table, the pair grouping, the unique-pair helper and the
-    per-pair stacking are not defined, imported, exported or referenced
+    per-pair stacking, the L-class grouping of a quartet list and its
+    engine method are not defined, imported, exported or referenced
     under ``src/repro``; the per-quartet reference's ``ShellPair``, its
     ``shell_pairs()`` table and its ``hermite_lambda`` appear only in
-    ``basis/``, ``integrals/eri.py`` and ``eri_quartet_batch``; and one
-    lookup (``PairClasses.locate``) finds the class rows of a quartet
-    list for the ERI walks and the derivative walks."""
+    ``basis/``, ``integrals/eri.py`` and ``eri_quartet_batch``; the
+    tensor walk and the derivative walk take their rows from the block
+    walk, so neither lists every unique quartet (``np.triu_indices``)
+    and one lookup (``PairClasses.locate``), in the class batch, finds
+    the class rows of a bare quartet list."""
     import ast
     import inspect
     import pathlib
@@ -253,7 +256,8 @@ def test_one_pair_table():
     from repro.integrals import ERIEngine, schwarz_bounds
 
     gone = {"AuxShellPair", "aux_hermite_pairs", "pair_class_groups",
-            "unique_shell_pairs", "_stack_pairs"}
+            "unique_shell_pairs", "_stack_pairs", "quartet_class_groups",
+            "group_quartets"}
     reference = {"ShellPair", "shell_pairs", "hermite_lambda"}
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
     readers = set()
@@ -280,8 +284,10 @@ def test_one_pair_table():
         <= {("integrals/batch.py", "eri_quartet_batch")}
     assert not hasattr(ERIEngine, "pairs")
     assert list(inspect.signature(schwarz_bounds).parameters) == ["basis"]
-    assert _calls_under_src("locate") == {"integrals/eri.py:_class_batch",
-                                          "scf/gradient.py:_differentiate_class"}
+    assert _calls_under_src("locate") == {"integrals/eri.py:_class_batch"}
+    assert not {caller for caller in _calls_under_src("triu_indices")
+                if caller.partition(":")[0] in ("integrals/eri.py",
+                                                "scf/gradient.py")}
 
 
 def test_one_boundary_codec():
